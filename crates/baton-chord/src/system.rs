@@ -278,6 +278,11 @@ impl ChordSystem {
         &self.peer_list
     }
 
+    /// Iterates over the ring's nodes in unspecified order.
+    pub fn nodes(&self) -> impl Iterator<Item = &ChordNode> + '_ {
+        self.nodes.values()
+    }
+
     /// Network statistics.
     pub fn stats(&self) -> &baton_net::MessageStats {
         self.net.stats()
@@ -854,6 +859,7 @@ impl ChordSystem {
             false,
             (0, crate::id::RING),
         );
+        builder.reserve(self.node_count(), self.total_items());
         let mut order: Vec<&ChordNode> = self.nodes.values().collect();
         order.sort_by_key(|node| node.id);
         for node in &order {
@@ -864,18 +870,12 @@ impl ChordSystem {
             builder.seal_slot();
         }
         for (slot, node) in order.iter().enumerate() {
-            if let Some(target) = builder.slot_of(node.successor.0 .0) {
-                builder.link(slot, target, LinkKind::Successor);
-            }
+            builder.link_peer(slot, node.successor.0 .0, LinkKind::Successor);
             for finger in node.fingers.iter().flatten() {
-                if let Some(target) = builder.slot_of(finger.node.0) {
-                    builder.link(slot, target, LinkKind::Finger);
-                }
+                builder.link_peer(slot, finger.node.0, LinkKind::Finger);
             }
             for target in self.replica_targets(node.peer) {
-                if let Some(t) = builder.slot_of(target.0) {
-                    builder.replica(slot, t);
-                }
+                builder.replica_peer(slot, target.0);
             }
         }
         builder.finish()

@@ -9,8 +9,6 @@
 //! k-replica capability.  Extraction is read-only: statistics, RNG streams
 //! and the virtual clock are untouched.
 
-use std::collections::HashSet;
-
 use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
 use baton_net::{LinkKind, PeerId};
 
@@ -26,58 +24,36 @@ impl BatonSystem {
             true,
             (domain.low(), domain.high()),
         );
-        let dead: HashSet<PeerId> = self.dead_peers.iter().copied().collect();
+        builder.reserve(self.node_count(), self.total_items());
         // Slots in key order: the in-order traversal of the tree.
         let mut nodes: Vec<(PeerId, &crate::node::BatonNode)> = self.iter_nodes().collect();
         nodes.sort_by_key(|(_, node)| node.range.low());
         for (peer, node) in &nodes {
-            builder.push_slot(peer.0, node.range.high(), !dead.contains(peer));
-            // Run-length encode the store's (key, value) stream: one item
-            // per distinct key with its value count.
-            let mut run: Option<(u64, u64)> = None;
-            for (key, _) in node.store.iter() {
-                match &mut run {
-                    Some((k, count)) if *k == key => *count += 1,
-                    _ => {
-                        if let Some((k, count)) = run.take() {
-                            builder.push_item(k, count);
-                        }
-                        run = Some((key, 1));
-                    }
-                }
-            }
-            if let Some((k, count)) = run {
-                builder.push_item(k, count);
-            }
+            // Registered nodes are dead only while awaiting a deferred repair.
+            builder.push_slot(peer.0, node.range.high(), self.net.is_alive(*peer));
+            builder.push_keys(node.store.iter().map(|(key, _)| key));
             builder.seal_slot();
         }
         for (slot, (peer, node)) in nodes.iter().enumerate() {
-            let link = |target: PeerId, kind: LinkKind, b: &mut SnapshotBuilder| {
-                if let Some(t) = b.slot_of(target.0) {
-                    b.link(slot, t, kind);
-                }
-            };
             if let Some(parent) = &node.parent {
-                link(parent.peer, LinkKind::Parent, &mut builder);
+                builder.link_peer(slot, parent.peer.0, LinkKind::Parent);
             }
             for child in [&node.left_child, &node.right_child].into_iter().flatten() {
-                link(child.peer, LinkKind::Child, &mut builder);
+                builder.link_peer(slot, child.peer.0, LinkKind::Child);
             }
             for adjacent in [&node.left_adjacent, &node.right_adjacent]
                 .into_iter()
                 .flatten()
             {
-                link(adjacent.peer, LinkKind::Adjacent, &mut builder);
+                builder.link_peer(slot, adjacent.peer.0, LinkKind::Adjacent);
             }
             for table in [&node.left_table, &node.right_table] {
                 for (_, entry) in table.iter() {
-                    link(entry.link.peer, LinkKind::RoutingTable, &mut builder);
+                    builder.link_peer(slot, entry.link.peer.0, LinkKind::RoutingTable);
                 }
             }
-            for target in self.replica_targets(*peer) {
-                if let Some(t) = builder.slot_of(target.0) {
-                    builder.replica(slot, t);
-                }
+            for target in self.replica_pair(*peer).into_iter().flatten() {
+                builder.replica_peer(slot, target.0);
             }
         }
         builder.finish()

@@ -354,26 +354,27 @@ impl BatonSystem {
     /// left.  Empty at k = 1.  Dead targets are included — callers decide
     /// whether a dead replica still counts (it does not for failover).
     pub fn replica_targets(&self, peer: PeerId) -> Vec<PeerId> {
+        self.replica_pair(peer).into_iter().flatten().collect()
+    }
+
+    /// [`replica_targets`](Self::replica_targets) without the allocation:
+    /// the at most `MAX_REPLICATION − 1` targets in preference order,
+    /// `Some`s first.
+    pub(crate) fn replica_pair(&self, peer: PeerId) -> [Option<PeerId>; 2] {
         if self.replication <= 1 {
-            return Vec::new();
+            return [None; 2];
         }
         let Some(node) = self.node(peer) else {
-            return Vec::new();
+            return [None; 2];
         };
-        let mut targets: Vec<PeerId> = Vec::new();
-        fn push(targets: &mut Vec<PeerId>, peer: PeerId, link: Option<&NodeLink>) {
-            if let Some(l) = link {
-                if l.peer != peer && !targets.contains(&l.peer) {
-                    targets.push(l.peer);
-                }
-            }
+        let other = |link: &Option<NodeLink>| link.as_ref().map(|l| l.peer).filter(|p| *p != peer);
+        let right = other(&node.right_adjacent);
+        let left = other(&node.left_adjacent).filter(|p| Some(*p) != right);
+        match right {
+            Some(_) if self.replication > 2 => [right, left],
+            Some(_) => [right, None],
+            None => [left, None],
         }
-        push(&mut targets, peer, node.right_adjacent.as_ref());
-        if self.replication > 2 || targets.is_empty() {
-            push(&mut targets, peer, node.left_adjacent.as_ref());
-        }
-        targets.truncate(self.replication - 1);
-        targets
     }
 
     /// `true` if at least one replica target of `peer` is currently alive —

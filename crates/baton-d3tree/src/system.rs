@@ -246,6 +246,11 @@ impl D3TreeSystem {
         self.buckets.len()
     }
 
+    /// The leaf buckets in key order (empty ones included).
+    pub fn buckets(&self) -> &[Bucket] {
+        &self.buckets
+    }
+
     /// Total stored items.
     pub fn total_items(&self) -> usize {
         self.item_weights[0][0] as usize
@@ -1247,30 +1252,17 @@ impl D3TreeSystem {
         // Slot layout: global in-order peer sequence, with each bucket's
         // first slot remembered as its head.
         let mut heads: Vec<usize> = Vec::with_capacity(self.buckets.len());
-        let mut peers_of: Vec<(usize, &BucketPeer)> = Vec::new();
+        let mut peers_of: Vec<&BucketPeer> = Vec::with_capacity(self.node_count());
+        builder.reserve(self.node_count(), self.total_items());
         for bucket in &self.buckets {
             if !bucket.is_empty() {
                 heads.push(peers_of.len());
             }
             for peer in &bucket.peers {
-                let slot = builder.push_slot(peer.peer.0, peer.range.high, true);
-                let mut run: Option<(u64, u64)> = None;
-                for &key in &peer.keys {
-                    match &mut run {
-                        Some((k, count)) if *k == key => *count += 1,
-                        _ => {
-                            if let Some((k, count)) = run.take() {
-                                builder.push_item(k, count);
-                            }
-                            run = Some((key, 1));
-                        }
-                    }
-                }
-                if let Some((k, count)) = run {
-                    builder.push_item(k, count);
-                }
+                builder.push_slot(peer.peer.0, peer.range.high, true);
+                builder.push_keys(peer.keys.iter().copied());
                 builder.seal_slot();
-                peers_of.push((slot, peer));
+                peers_of.push(peer);
             }
         }
         for (index, head) in heads.iter().enumerate() {
@@ -1287,7 +1279,7 @@ impl D3TreeSystem {
                 stride *= 2;
             }
         }
-        for &(slot, peer) in &peers_of {
+        for (slot, peer) in peers_of.iter().enumerate() {
             if slot > 0 {
                 builder.link(slot, slot - 1, LinkKind::Bucket);
             }
@@ -1295,9 +1287,7 @@ impl D3TreeSystem {
                 builder.link(slot, slot + 1, LinkKind::Bucket);
             }
             for target in self.replica_targets(peer.peer) {
-                if let Some(t) = builder.slot_of(target.0) {
-                    builder.replica(slot, t);
-                }
+                builder.replica_peer(slot, target.0);
             }
         }
         builder.finish()

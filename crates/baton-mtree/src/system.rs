@@ -872,50 +872,29 @@ impl MTreeSystem {
             true,
             (self.domain.low, self.domain.high),
         );
+        builder.reserve(self.node_count(), self.total_items());
         let mut order: Vec<&MNode> = self.nodes.values().collect();
         order.sort_by_key(|node| node.range.low);
         for node in &order {
             builder.push_slot(node.peer.0, node.range.high, true);
-            let mut run: Option<(u64, u64)> = None;
-            for &key in &node.keys {
-                match &mut run {
-                    Some((k, count)) if *k == key => *count += 1,
-                    _ => {
-                        if let Some((k, count)) = run.take() {
-                            builder.push_item(k, count);
-                        }
-                        run = Some((key, 1));
-                    }
-                }
-            }
-            if let Some((k, count)) = run {
-                builder.push_item(k, count);
-            }
+            builder.push_keys(node.keys.iter().copied());
             builder.seal_slot();
         }
         for (slot, node) in order.iter().enumerate() {
             if let Some(parent) = &node.parent {
-                if let Some(target) = builder.slot_of(parent.peer.0) {
-                    builder.link(slot, target, LinkKind::Parent);
-                }
+                builder.link_peer(slot, parent.peer.0, LinkKind::Parent);
             }
             for child in &node.children {
-                if let Some(target) = builder.slot_of(child.peer.0) {
-                    builder.link(slot, target, LinkKind::Child);
-                }
+                builder.link_peer(slot, child.peer.0, LinkKind::Child);
             }
             for neighbor in [&node.left_neighbor, &node.right_neighbor]
                 .into_iter()
                 .flatten()
             {
-                if let Some(target) = builder.slot_of(neighbor.peer.0) {
-                    builder.link(slot, target, LinkKind::Neighbor);
-                }
+                builder.link_peer(slot, neighbor.peer.0, LinkKind::Neighbor);
             }
             for target in self.replica_targets(node.peer) {
-                if let Some(t) = builder.slot_of(target.0) {
-                    builder.replica(slot, t);
-                }
+                builder.replica_peer(slot, target.0);
             }
         }
         builder.finish()

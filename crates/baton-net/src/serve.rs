@@ -159,7 +159,7 @@ impl ServeCounters {
 /// identifier order (hashed ring).  All per-slot data lives in dense
 /// flat/CSR arrays, so a snapshot is a handful of contiguous allocations
 /// that any number of threads can read concurrently.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RoutingSnapshot {
     version: u64,
     overlay: String,
@@ -245,6 +245,18 @@ impl RoutingSnapshot {
     /// Liveness of `slot` at snapshot time.
     pub fn alive(&self, slot: usize) -> bool {
         self.slot_alive[slot]
+    }
+
+    /// The routing links of `slot` as `(target slot, kind)`, in the order
+    /// the overlay emitted them.
+    pub fn links(&self, slot: usize) -> impl Iterator<Item = (usize, LinkKind)> + '_ {
+        let segment = self.link_off[slot] as usize..self.link_off[slot + 1] as usize;
+        segment.map(|i| (self.link_target[i] as usize, self.link_kind[i]))
+    }
+
+    /// The slots holding replicas of `slot`'s slice, in preference order.
+    pub fn replicas(&self, slot: usize) -> &[u32] {
+        &self.repl_target[self.repl_off[slot] as usize..self.repl_off[slot + 1] as usize]
     }
 
     /// Total stored values across all slots.
@@ -484,17 +496,54 @@ impl RoutingSnapshot {
     }
 }
 
-/// Builds a [`RoutingSnapshot`] slot by slot.
+/// Builds a [`RoutingSnapshot`] slot by slot, in time linear in slots +
+/// items + links.
 ///
 /// Extraction order matters: partition overlays must push slots in key
 /// order, ring overlays in ascending identifier order.  Items must arrive
-/// sorted within each slot.  Links and replicas are resolved to slot
-/// indices through [`SnapshotBuilder::slot_of`] after all slots are pushed.
+/// sorted within each slot.  Links and replicas follow once all slots are
+/// pushed, in any slot order: each slot keeps its entries in emission
+/// order, which is the order greedy routing breaks ties in.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
     snapshot: RoutingSnapshot,
-    links: Vec<Vec<(u32, LinkKind)>>,
-    replicas: Vec<Vec<u32>>,
+    /// Dense peer-id → slot table; the first slot pushed for a peer wins.
+    slot_by_peer: Vec<u32>,
+    /// Source slot of each staged link, parallel to `link_target`.
+    link_src: Vec<u32>,
+    /// Source slot of each staged replica, parallel to `repl_target`.
+    repl_src: Vec<u32>,
+}
+
+/// `slot_by_peer` entry of a peer without a slot.
+const NO_SLOT: u32 = u32::MAX;
+
+/// CSR offsets (`len == slots + 1`) of entries staged under the source
+/// slots `src`: one counting pass, then prefix sums.
+fn csr_offsets(src: &[u32], slots: usize, overflow: &str) -> Vec<u32> {
+    u32::try_from(src.len()).expect(overflow);
+    let mut off = vec![0u32; slots + 1];
+    for &slot in src {
+        off[slot as usize + 1] += 1;
+    }
+    for slot in 0..slots {
+        off[slot + 1] += off[slot];
+    }
+    off
+}
+
+/// Moves `values`, staged under `src`, into the CSR order of `off`.  Slot-
+/// ordered emission is already in place; any other order takes one stable
+/// counting-sort scatter.
+fn csr_place<T: Copy>(src: &[u32], off: &[u32], values: &mut [T]) {
+    if src.is_sorted() {
+        return;
+    }
+    let mut next = off.to_vec();
+    for (&slot, value) in src.iter().zip(values.to_vec()) {
+        values[next[slot as usize] as usize] = value;
+        next[slot as usize] += 1;
+    }
 }
 
 impl SnapshotBuilder {
@@ -524,28 +573,42 @@ impl SnapshotBuilder {
                 repl_off: Vec::new(),
                 repl_target: Vec::new(),
             },
-            links: Vec::new(),
-            replicas: Vec::new(),
+            slot_by_peer: Vec::new(),
+            link_src: Vec::new(),
+            repl_src: Vec::new(),
         }
+    }
+
+    /// Reserves the slot and item arrays once, from totals the overlay
+    /// already knows (its stored-value count bounds the distinct keys).
+    pub fn reserve(&mut self, slots: usize, items: usize) {
+        let snapshot = &mut self.snapshot;
+        snapshot.slot_peer.reserve(slots);
+        snapshot.slot_high.reserve(slots);
+        snapshot.slot_alive.reserve(slots);
+        snapshot.item_off.reserve(slots);
+        snapshot.item_key.reserve(items);
+        snapshot.item_cum.reserve(items);
     }
 
     /// Appends a slot for `peer` whose range ends at (exclusive) `high` —
     /// or whose ring identifier is `high` under hashed placement.  Returns
     /// the slot index.
     pub fn push_slot(&mut self, peer: u32, high: u64, alive: bool) -> usize {
-        debug_assert!(
-            self.snapshot
-                .slot_high
-                .last()
-                .is_none_or(|&prev| prev < high),
-            "slots must be pushed in ascending order"
-        );
+        let ascending = self.snapshot.slot_high.last().is_none_or(|&h| h < high);
+        assert!(ascending, "slots must be pushed in ascending order");
+        let slot = self.snapshot.slot_peer.len();
+        if self.slot_by_peer.len() <= peer as usize {
+            self.slot_by_peer.resize(peer as usize + 1, NO_SLOT);
+        }
+        let entry = &mut self.slot_by_peer[peer as usize];
+        if *entry == NO_SLOT {
+            *entry = u32::try_from(slot).expect("slot_peer: more than u32::MAX slots");
+        }
         self.snapshot.slot_peer.push(peer);
         self.snapshot.slot_high.push(high);
         self.snapshot.slot_alive.push(alive);
-        self.links.push(Vec::new());
-        self.replicas.push(Vec::new());
-        self.snapshot.slot_peer.len() - 1
+        slot
     }
 
     /// Appends one distinct stored key (with its value count) to the most
@@ -558,61 +621,81 @@ impl SnapshotBuilder {
         self.snapshot.item_cum.push(total + count);
     }
 
+    /// Appends the sorted key multiset of the most recently pushed slot,
+    /// run-length-encoded: one item per distinct key with its value count.
+    pub fn push_keys(&mut self, keys: impl IntoIterator<Item = u64>) {
+        let first = self.snapshot.item_key.len();
+        for key in keys {
+            if self.snapshot.item_key[first..].last() == Some(&key) {
+                *self
+                    .snapshot
+                    .item_cum
+                    .last_mut()
+                    .expect("item_cum starts at [0]") += 1;
+            } else {
+                self.push_item(key, 1);
+            }
+        }
+    }
+
     /// Seals the most recently pushed slot's item segment.  Must be called
     /// once per slot, after its items.
     pub fn seal_slot(&mut self) {
-        self.snapshot
-            .item_off
-            .push(self.snapshot.item_key.len() as u32);
+        let sealed = u32::try_from(self.snapshot.item_key.len())
+            .expect("item_off: more than u32::MAX distinct keys");
+        self.snapshot.item_off.push(sealed);
     }
 
     /// The slot index a peer landed at, for link/replica resolution.
     pub fn slot_of(&self, peer: u32) -> Option<usize> {
-        // Extraction-time only; a scan keeps the builder allocation-light
-        // and extraction is O(N) slots anyway.
-        self.snapshot.slot_peer.iter().position(|&p| p == peer)
+        let slot = *self.slot_by_peer.get(peer as usize)?;
+        (slot != NO_SLOT).then_some(slot as usize)
     }
 
     /// Records a routing link from `slot` to `target` of class `kind`.
     pub fn link(&mut self, slot: usize, target: usize, kind: LinkKind) {
         if slot != target {
-            self.links[slot].push((target as u32, kind));
+            self.link_src.push(slot as u32);
+            self.snapshot.link_target.push(target as u32);
+            self.snapshot.link_kind.push(kind);
+        }
+    }
+
+    /// [`link`](Self::link) to the slot of `peer`, if it has one.
+    pub fn link_peer(&mut self, slot: usize, peer: u32, kind: LinkKind) {
+        if let Some(target) = self.slot_of(peer) {
+            self.link(slot, target, kind);
         }
     }
 
     /// Records that `target` holds a replica of `slot`'s slice.
     pub fn replica(&mut self, slot: usize, target: usize) {
         if slot != target {
-            self.replicas[slot].push(target as u32);
+            self.repl_src.push(slot as u32);
+            self.snapshot.repl_target.push(target as u32);
         }
     }
 
-    /// Flattens the per-slot link/replica tables and returns the finished
+    /// [`replica`](Self::replica) at the slot of `peer`, if it has one.
+    pub fn replica_peer(&mut self, slot: usize, peer: u32) {
+        if let Some(target) = self.slot_of(peer) {
+            self.replica(slot, target);
+        }
+    }
+
+    /// Computes the link/replica CSR offsets and returns the finished
     /// snapshot (version 0 until published through a [`SnapshotCell`]).
-    pub fn finish(mut self) -> RoutingSnapshot {
-        debug_assert_eq!(
-            self.snapshot.item_off.len(),
-            self.snapshot.slot_peer.len() + 1,
-            "every slot must be sealed exactly once"
-        );
-        self.snapshot.link_off.push(0);
-        for links in &self.links {
-            for &(target, kind) in links {
-                self.snapshot.link_target.push(target);
-                self.snapshot.link_kind.push(kind);
-            }
-            self.snapshot
-                .link_off
-                .push(self.snapshot.link_target.len() as u32);
-        }
-        self.snapshot.repl_off.push(0);
-        for replicas in &self.replicas {
-            self.snapshot.repl_target.extend_from_slice(replicas);
-            self.snapshot
-                .repl_off
-                .push(self.snapshot.repl_target.len() as u32);
-        }
-        self.snapshot
+    pub fn finish(self) -> RoutingSnapshot {
+        let (mut s, links, replicas) = (self.snapshot, self.link_src, self.repl_src);
+        let slots = s.slot_peer.len();
+        let sealed = s.item_off.len() == slots + 1;
+        assert!(sealed, "every slot must be sealed exactly once");
+        s.link_off = csr_offsets(&links, slots, "link_off: more than u32::MAX links");
+        csr_place(&links, &s.link_off, &mut s.link_target);
+        csr_place(&links, &s.link_off, &mut s.link_kind);
+        s.repl_off = csr_offsets(&replicas, slots, "repl_off: more than u32::MAX replicas");
+        csr_place(&replicas, &s.repl_off, &mut s.repl_target);
+        s
     }
 }
 

@@ -1,0 +1,375 @@
+//! Differential check of [`RoutingSnapshot`] export.
+//!
+//! The production path resolves links through a dense peer→slot table and
+//! assembles the CSR arrays in place; the reference below keeps the builder
+//! it replaced — one `Vec` per slot and a linear-scan `slot_of` — and reads
+//! each overlay through its public accessors only.  The two must produce
+//! field-for-field equal snapshots on all four overlays after seeded churn,
+//! including BATON's replica and liveness arrays at k = 2 with an
+//! unrepaired dead peer.  A scale guard exports a 50,000-peer overlay under
+//! plain `cargo test`: it carries no wall-clock assertion, but a quadratic
+//! export turns its seconds into many minutes.
+
+use baton_chord::ChordSystem;
+use baton_core::{BatonConfig, BatonSystem};
+use baton_d3tree::D3TreeSystem;
+use baton_mtree::MTreeSystem;
+use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
+use baton_net::{LinkKind, Overlay, PeerId, SimRng};
+use baton_workload::{DOMAIN_HIGH, DOMAIN_LOW};
+
+/// The builder the production one replaced: per-slot staging `Vec`s and a
+/// `slot_of` that scans.  `finish` replays the staged state through the
+/// production builder slot by slot with every target already resolved, so
+/// the peer→slot table, the out-of-order placement and `push_keys` are all
+/// bypassed.
+struct ReferenceBuilder {
+    out: SnapshotBuilder,
+    peers: Vec<u32>,
+    links: Vec<Vec<(usize, LinkKind)>>,
+    replicas: Vec<Vec<usize>>,
+}
+
+impl ReferenceBuilder {
+    fn new(overlay: &str, placement: ExactPlacement, ranges: bool, domain: (u64, u64)) -> Self {
+        Self {
+            out: SnapshotBuilder::new(overlay, placement, ranges, domain),
+            peers: Vec::new(),
+            links: Vec::new(),
+            replicas: Vec::new(),
+        }
+    }
+
+    /// Appends a slot with its `(distinct key, value count)` items.
+    fn push_slot(&mut self, peer: PeerId, high: u64, alive: bool, items: &[(u64, u64)]) {
+        self.out.push_slot(peer.0, high, alive);
+        for &(key, count) in items {
+            self.out.push_item(key, count);
+        }
+        self.out.seal_slot();
+        self.peers.push(peer.0);
+        self.links.push(Vec::new());
+        self.replicas.push(Vec::new());
+    }
+
+    fn slot_of(&self, peer: PeerId) -> Option<usize> {
+        self.peers.iter().position(|&p| p == peer.0)
+    }
+
+    fn link_slot(&mut self, slot: usize, target: usize, kind: LinkKind) {
+        if slot != target {
+            self.links[slot].push((target, kind));
+        }
+    }
+
+    fn link(&mut self, slot: usize, target: PeerId, kind: LinkKind) {
+        if let Some(target) = self.slot_of(target) {
+            self.link_slot(slot, target, kind);
+        }
+    }
+
+    fn replicas(&mut self, slot: usize, targets: Vec<PeerId>) {
+        for target in targets {
+            match self.slot_of(target) {
+                Some(target) if target != slot => self.replicas[slot].push(target),
+                _ => {}
+            }
+        }
+    }
+
+    fn finish(mut self) -> RoutingSnapshot {
+        for (slot, links) in self.links.iter().enumerate() {
+            for &(target, kind) in links {
+                self.out.link(slot, target, kind);
+            }
+            for &target in &self.replicas[slot] {
+                self.out.replica(slot, target);
+            }
+        }
+        self.out.finish()
+    }
+}
+
+/// Run-length encodes a sorted key stream: one `(key, count)` per distinct
+/// key.
+fn run_lengths(keys: impl IntoIterator<Item = u64>) -> Vec<(u64, u64)> {
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for key in keys {
+        match runs.last_mut() {
+            Some((k, count)) if *k == key => *count += 1,
+            _ => runs.push((key, 1)),
+        }
+    }
+    runs
+}
+
+fn reference_baton(system: &BatonSystem) -> RoutingSnapshot {
+    let domain = (system.domain().low(), system.domain().high());
+    let mut b = ReferenceBuilder::new("BATON", ExactPlacement::DomainPartition, true, domain);
+    let mut nodes: Vec<_> = system.iter_nodes().collect();
+    nodes.sort_by_key(|(_, node)| node.range.low());
+    for (peer, node) in &nodes {
+        let items = run_lengths(node.store.iter().map(|(key, _)| key));
+        let alive = Overlay::peer_alive(system, *peer);
+        b.push_slot(*peer, node.range.high(), alive, &items);
+    }
+    for (slot, (peer, node)) in nodes.iter().enumerate() {
+        if let Some(parent) = &node.parent {
+            b.link(slot, parent.peer, LinkKind::Parent);
+        }
+        for child in [&node.left_child, &node.right_child].into_iter().flatten() {
+            b.link(slot, child.peer, LinkKind::Child);
+        }
+        for adjacent in [&node.left_adjacent, &node.right_adjacent]
+            .into_iter()
+            .flatten()
+        {
+            b.link(slot, adjacent.peer, LinkKind::Adjacent);
+        }
+        for table in [&node.left_table, &node.right_table] {
+            for (_, entry) in table.iter() {
+                b.link(slot, entry.link.peer, LinkKind::RoutingTable);
+            }
+        }
+        b.replicas(slot, system.replica_targets(*peer));
+    }
+    b.finish()
+}
+
+fn reference_chord(system: &ChordSystem) -> RoutingSnapshot {
+    let domain = (0, baton_chord::RING);
+    let mut b = ReferenceBuilder::new("Chord", ExactPlacement::HashedRing, false, domain);
+    let mut order: Vec<_> = system.nodes().collect();
+    order.sort_by_key(|node| node.id);
+    for node in &order {
+        let items: Vec<(u64, u64)> = node
+            .store
+            .iter()
+            .map(|(id, values)| (*id, values.len() as u64))
+            .collect();
+        b.push_slot(node.peer, node.id.value(), true, &items);
+    }
+    for (slot, node) in order.iter().enumerate() {
+        b.link(slot, node.successor.0, LinkKind::Successor);
+        for finger in node.fingers.iter().flatten() {
+            b.link(slot, finger.node, LinkKind::Finger);
+        }
+        b.replicas(slot, system.replica_targets(node.peer));
+    }
+    b.finish()
+}
+
+fn reference_mtree(system: &MTreeSystem) -> RoutingSnapshot {
+    let mut order: Vec<_> = system.nodes().map(|(_, node)| node).collect();
+    order.sort_by_key(|node| node.range.low);
+    // The direct ranges partition the domain.
+    let domain = (order[0].range.low, order[order.len() - 1].range.high);
+    let placement = ExactPlacement::DomainPartition;
+    let mut b = ReferenceBuilder::new("Multiway tree", placement, true, domain);
+    for node in &order {
+        let items = run_lengths(node.keys.iter().copied());
+        b.push_slot(node.peer, node.range.high, true, &items);
+    }
+    for (slot, node) in order.iter().enumerate() {
+        if let Some(parent) = &node.parent {
+            b.link(slot, parent.peer, LinkKind::Parent);
+        }
+        for child in &node.children {
+            b.link(slot, child.peer, LinkKind::Child);
+        }
+        for neighbor in [&node.left_neighbor, &node.right_neighbor]
+            .into_iter()
+            .flatten()
+        {
+            b.link(slot, neighbor.peer, LinkKind::Neighbor);
+        }
+        b.replicas(slot, system.replica_targets(node.peer));
+    }
+    b.finish()
+}
+
+fn reference_d3tree(system: &D3TreeSystem) -> RoutingSnapshot {
+    let buckets = system.buckets();
+    let low = buckets.iter().flat_map(|b| b.peers.first()).next();
+    let high = buckets.iter().flat_map(|b| b.peers.last()).next_back();
+    let domain = (low.unwrap().range.low, high.unwrap().range.high);
+    let mut b = ReferenceBuilder::new("D3-Tree", ExactPlacement::DomainPartition, true, domain);
+    let mut heads = Vec::new();
+    let mut peers = Vec::new();
+    for bucket in buckets {
+        if !bucket.is_empty() {
+            heads.push(peers.len());
+        }
+        for peer in &bucket.peers {
+            let items = run_lengths(peer.keys.iter().copied());
+            b.push_slot(peer.peer, peer.range.high, true, &items);
+            peers.push(peer.peer);
+        }
+    }
+    // Backbone links of every head first, bucket links after: the emission
+    // order that is *not* slot order.
+    for (index, head) in heads.iter().enumerate() {
+        let mut stride = 1;
+        while stride < heads.len() {
+            if index >= stride {
+                b.link_slot(*head, heads[index - stride], LinkKind::Backbone);
+            }
+            if index + stride < heads.len() {
+                b.link_slot(*head, heads[index + stride], LinkKind::Backbone);
+            }
+            stride *= 2;
+        }
+    }
+    for (slot, peer) in peers.iter().enumerate() {
+        if slot > 0 {
+            b.link_slot(slot, slot - 1, LinkKind::Bucket);
+        }
+        if slot + 1 < peers.len() {
+            b.link_slot(slot, slot + 1, LinkKind::Bucket);
+        }
+        b.replicas(slot, system.replica_targets(*peer));
+    }
+    b.finish()
+}
+
+/// A seeded join/leave/insert schedule with duplicate keys.
+fn churn(overlay: &mut dyn Overlay, seed: u64) {
+    let mut rng = SimRng::seeded(seed);
+    for step in 0..400u64 {
+        let key = rng.uniform_u64(DOMAIN_LOW, DOMAIN_HIGH - 1);
+        overlay.insert(key, key).expect("insert");
+        if step % 5 == 0 {
+            overlay.insert(key, key + 1).expect("duplicate insert");
+        }
+        if step % 16 == 0 {
+            if rng.uniform_u64(0, 3) == 0 {
+                overlay.leave_random().expect("leave");
+            } else {
+                overlay.join_random().expect("join");
+            }
+        }
+    }
+    overlay.validate().expect("valid after churn");
+}
+
+#[test]
+fn production_export_equals_the_reference_builder_on_every_overlay() {
+    for (seed, n) in [(2005u64, 60usize), (7, 33), (41, 2)] {
+        for k in [1usize, 2] {
+            let mut baton = BatonSystem::build(BatonConfig::default(), seed, n).unwrap();
+            baton.set_replication(k).unwrap();
+            churn(&mut baton, seed);
+            assert_eq!(baton.build_routing_snapshot(), reference_baton(&baton));
+
+            let mut chord = ChordSystem::build(seed, n).unwrap();
+            chord.set_replication(k).unwrap();
+            churn(&mut chord, seed);
+            assert_eq!(chord.build_routing_snapshot(), reference_chord(&chord));
+
+            let mut mtree = MTreeSystem::build(seed, n).unwrap();
+            mtree.set_replication(k).unwrap();
+            churn(&mut mtree, seed);
+            assert_eq!(mtree.build_routing_snapshot(), reference_mtree(&mtree));
+
+            let mut d3tree = D3TreeSystem::build(seed, n).unwrap();
+            d3tree.set_replication(k).unwrap();
+            churn(&mut d3tree, seed);
+            assert_eq!(d3tree.build_routing_snapshot(), reference_d3tree(&d3tree));
+        }
+    }
+}
+
+#[test]
+fn baton_export_carries_replicas_and_a_dead_peer_at_k2() {
+    let mut system = BatonSystem::build(BatonConfig::default(), 2005, 48).unwrap();
+    system.set_replication(2).unwrap();
+    churn(&mut system, 99);
+    let victim = system.peers()[system.peers().len() / 2];
+    system.fail_silently(victim).unwrap();
+
+    let snapshot = system.build_routing_snapshot();
+    assert_eq!(snapshot, reference_baton(&system));
+    let dead: Vec<usize> = (0..snapshot.slots())
+        .filter(|&slot| !snapshot.alive(slot))
+        .collect();
+    assert_eq!(dead.len(), 1);
+    assert_eq!(snapshot.peer_of(dead[0]), victim.0);
+    // k = 2: every slot of a multi-node overlay has exactly one replica.
+    for slot in 0..snapshot.slots() {
+        assert_eq!(snapshot.replicas(slot).len(), 1, "slot {slot}");
+    }
+}
+
+#[test]
+fn builder_orders_out_of_order_links_and_keeps_the_first_slot_of_a_peer() {
+    let build = |emission: &[(usize, u32, LinkKind)]| {
+        let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 40));
+        // Peer 7 is pushed twice: `slot_of` must keep answering slot 1.
+        for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
+            b.push_slot(peer, high, true);
+            b.push_keys([high - 2, high - 2, high - 1]);
+            b.seal_slot();
+        }
+        assert_eq!(b.slot_of(7), Some(1));
+        assert_eq!(b.slot_of(4), None);
+        assert_eq!(b.slot_of(1_000_000), None);
+        for &(slot, peer, kind) in emission {
+            let target = b.slot_of(peer).unwrap();
+            b.link(slot, target, kind);
+            b.replica(slot, target);
+        }
+        b.finish()
+    };
+    // The same per-slot sequences, emitted in slot order and interleaved.
+    let ordered = [
+        (0, 7, LinkKind::Child),
+        (0, 5, LinkKind::Adjacent),
+        (2, 3, LinkKind::Parent),
+        (2, 7, LinkKind::Adjacent),
+        (3, 5, LinkKind::RoutingTable),
+    ];
+    let shuffled = [ordered[2], ordered[4], ordered[0], ordered[3], ordered[1]];
+    let snapshot = build(&ordered);
+    assert_eq!(snapshot, build(&shuffled));
+    let links = |slot| snapshot.links(slot).collect::<Vec<_>>();
+    assert_eq!(
+        links(0),
+        [(1, LinkKind::Child), (2, LinkKind::Adjacent)],
+        "emission order within a slot"
+    );
+    assert!(links(1).is_empty());
+    assert_eq!(links(2), [(0, LinkKind::Parent), (1, LinkKind::Adjacent)]);
+    assert_eq!(snapshot.replicas(3), [2]);
+    assert_eq!(snapshot.total_items(), 12);
+}
+
+#[test]
+fn export_of_fifty_thousand_peers_is_well_formed() {
+    const N: usize = 50_000;
+    const ITEMS: u64 = 500_000;
+    let mut system = BatonSystem::bulk_build(BatonConfig::default(), 2005, N).unwrap();
+    let mut rng = SimRng::seeded(12);
+    let data: Vec<(u64, u64)> = (0..ITEMS)
+        .map(|i| (rng.uniform_u64(DOMAIN_LOW, DOMAIN_HIGH - 1), i))
+        .collect();
+    system.load_direct(&data);
+    system.set_replication(2).unwrap();
+
+    let snapshot = system.build_routing_snapshot();
+    assert_eq!(snapshot.slots(), N);
+    assert_eq!(snapshot.total_items(), ITEMS);
+    let mut links = 0usize;
+    for slot in 0..N {
+        // The accessors slice by the CSR offsets, so a non-monotone or
+        // out-of-range offset panics here.
+        for (target, _) in snapshot.links(slot) {
+            assert!(target < N && target != slot);
+            links += 1;
+        }
+        let replicas = snapshot.replicas(slot);
+        assert_eq!(replicas.len(), 1, "k = 2");
+        assert!((replicas[0] as usize) < N && replicas[0] as usize != slot);
+    }
+    // Parent, children, adjacents and two O(log N) routing tables per peer.
+    assert!(links > 20 * N, "{links} links");
+}
