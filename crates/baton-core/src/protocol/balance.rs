@@ -40,10 +40,9 @@ impl BatonSystem {
     /// automatically after each insertion).
     pub fn rebalance(&mut self, peer: PeerId) -> Result<LoadBalanceReport> {
         self.check_alive(peer)?;
-        let op = self.net.begin_op("balance");
-        let report = self.rebalance_overloaded(op, peer)?;
-        self.net.finish_op(op);
-        Ok(report)
+        self.in_op("balance", |system, op| {
+            system.rebalance_overloaded(op, peer)
+        })
     }
 
     /// Hook called after every insertion: triggers balancing when the owner
@@ -163,10 +162,10 @@ impl BatonSystem {
             match side {
                 // Move the smallest `move_count` items to the left adjacent:
                 // everything strictly below the key at rank `move_count`.
-                Side::Left => node.store.iter().nth(move_count).map(|(k, _)| k),
+                Side::Left => node.store.keys().get(move_count).copied(),
                 // Move the largest `move_count` items to the right adjacent:
                 // everything at or above the key at rank `len - move_count`.
-                Side::Right => node.store.iter().nth(my_load - move_count).map(|(k, _)| k),
+                Side::Right => node.store.keys().get(my_load - move_count).copied(),
             }
         };
         let Some(boundary) = boundary else {

@@ -30,48 +30,48 @@ impl BatonSystem {
     /// domain grows accordingly (paper §IV-C).
     pub fn insert_from(&mut self, issuer: PeerId, key: Key, value: Value) -> Result<InsertReport> {
         self.check_alive(issuer)?;
-        let op = self.net.begin_op("insert");
-        let walk = self.locate_owner(op, issuer, key, "insert")?;
-        let mut expansion_messages = 0u64;
-        // `walk.data` is the node whose slice takes the key: the owner
-        // itself, or — at k > 1 while the owner is dead — the dead node
-        // whose retained slice a replica holder serves.  Range-checking the
-        // *data* node is what keeps a failover write from being mistaken
-        // for an out-of-domain expansion.
-        let target_range = self.node_ref(walk.data)?.range;
-        if !target_range.contains(key) {
-            // Leftmost / rightmost expansion.
-            {
-                let node = self.node_mut(walk.data)?;
-                if key < node.range.low() {
-                    node.range = node.range.extend_low(key);
-                } else {
-                    node.range = node.range.extend_high(key + 1);
+        self.in_op("insert", |system, op| {
+            let walk = system.locate_owner(op, issuer, key, "insert")?;
+            let mut expansion_messages = 0u64;
+            // `walk.data` is the node whose slice takes the key: the owner
+            // itself, or — at k > 1 while the owner is dead — the dead node
+            // whose retained slice a replica holder serves.  Range-checking
+            // the *data* node is what keeps a failover write from being
+            // mistaken for an out-of-domain expansion.
+            let target_range = system.node_ref(walk.data)?.range;
+            if !target_range.contains(key) {
+                // Leftmost / rightmost expansion.
+                {
+                    let node = system.node_mut(walk.data)?;
+                    if key < node.range.low() {
+                        node.range = node.range.extend_low(key);
+                    } else {
+                        node.range = node.range.extend_high(key + 1);
+                    }
                 }
+                if key < system.domain.low() {
+                    system.domain = system.domain.extend_low(key);
+                } else if key >= system.domain.high() {
+                    system.domain = system.domain.extend_high(key + 1);
+                }
+                expansion_messages = system.broadcast_range_update(op, walk.data)?;
             }
-            if key < self.domain.low() {
-                self.domain = self.domain.extend_low(key);
-            } else if key >= self.domain.high() {
-                self.domain = self.domain.extend_high(key + 1);
-            }
-            expansion_messages = self.broadcast_range_update(op, walk.data)?;
-        }
-        self.node_mut(walk.data)?.store.insert(key, value);
-        let replication_messages = self.charge_replica_copies(op, walk.owner, walk.data);
-        let balance = if walk.data == walk.owner {
-            self.maybe_balance_after_insert(op, walk.data)?
-        } else {
-            // Failover write into a dead node's slice: balancing waits for
-            // the repair.
-            None
-        };
-        self.net.finish_op(op);
-        Ok(InsertReport {
-            key,
-            owner: walk.data,
-            messages: walk.messages + replication_messages,
-            expansion_messages,
-            balance,
+            system.node_mut(walk.data)?.store.insert(key, value);
+            let replication_messages = system.charge_replica_copies(op, walk.owner, walk.data);
+            let balance = if walk.data == walk.owner {
+                system.maybe_balance_after_insert(op, walk.data)?
+            } else {
+                // Failover write into a dead node's slice: balancing waits
+                // for the repair.
+                None
+            };
+            Ok(InsertReport {
+                key,
+                owner: walk.data,
+                messages: walk.messages + replication_messages,
+                expansion_messages,
+                balance,
+            })
         })
     }
 
@@ -87,21 +87,21 @@ impl BatonSystem {
     pub fn delete_from(&mut self, issuer: PeerId, key: Key) -> Result<DeleteReport> {
         self.check_alive(issuer)?;
         self.check_key(key)?;
-        let op = self.net.begin_op("delete");
-        let walk = self.locate_owner(op, issuer, key, "delete")?;
-        let removed = self.node_mut(walk.data)?.store.remove_one(key).is_some();
-        let replication_messages = if removed {
-            self.charge_replica_copies(op, walk.owner, walk.data)
-        } else {
-            0
-        };
-        self.net.finish_op(op);
-        Ok(DeleteReport {
-            key,
-            owner: walk.data,
-            removed,
-            messages: walk.messages + replication_messages,
-            balance: None,
+        self.in_op("delete", |system, op| {
+            let walk = system.locate_owner(op, issuer, key, "delete")?;
+            let removed = system.node_mut(walk.data)?.store.remove_one(key).is_some();
+            let replication_messages = if removed {
+                system.charge_replica_copies(op, walk.owner, walk.data)
+            } else {
+                0
+            };
+            Ok(DeleteReport {
+                key,
+                owner: walk.data,
+                removed,
+                messages: walk.messages + replication_messages,
+                balance: None,
+            })
         })
     }
 
@@ -235,5 +235,33 @@ mod tests {
             let found = system.search_exact(1 + i * 9_999_999).unwrap();
             assert_eq!(found.matches, vec![i], "key {i} lost after joins");
         }
+    }
+
+    #[test]
+    fn unavailable_insert_and_delete_still_finish_their_ops() {
+        // An unreplicated overlay with a block of adjacent peers dark (a
+        // regional failure awaiting repair): writes aimed at the dark slice
+        // fail, and each failed write must still finish its op — one
+        // unfinished op at the front of the live window would block
+        // `retire_finished` for the rest of the run.
+        let mut system = build(64, 23);
+        let mut by_range = system.peers().to_vec();
+        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        let dark = &by_range[20..28];
+        for peer in dark {
+            system.fail_silently(*peer).unwrap();
+        }
+        let issuer = by_range[0];
+        for peer in dark {
+            let key = system.node(*peer).unwrap().range.low();
+            assert!(system.insert_from(issuer, key, 1).is_err());
+            assert!(system.delete_from(issuer, key).is_err());
+        }
+        system.stats_mut().retire_finished();
+        assert_eq!(
+            system.stats().live_op_count(),
+            0,
+            "unavailable writes left unfinished ops behind"
+        );
     }
 }

@@ -13,7 +13,7 @@
 //! parent or by the replacement node so that the overlay keeps covering the
 //! whole domain.
 
-use baton_net::{PeerId, RepairPolicy, SimTime};
+use baton_net::{OpScope, PeerId, RepairPolicy, SimTime};
 
 use crate::error::{BatonError, Result};
 use crate::messages::BatonMessage;
@@ -85,8 +85,10 @@ impl BatonSystem {
 
     fn recover_inner(&mut self, peer: PeerId) -> Result<FailureReport> {
         let _t = baton_net::profiler::scope("baton.fail.recover");
-        let op = self.net.begin_op("failure");
+        self.in_op("failure", |system, op| system.recover_in_op(op, peer))
+    }
 
+    fn recover_in_op(&mut self, op: OpScope, peer: PeerId) -> Result<FailureReport> {
         // Special case: the overlay's only node fails — nothing to recover.
         if self.node_count() == 1 {
             let lost_items = self.node_ref(peer)?.store.len();
@@ -94,7 +96,6 @@ impl BatonSystem {
             let node = self.unregister_node(peer).expect("checked above");
             self.vacate(node.position, peer);
             self.mark_repaired(peer);
-            self.net.finish_op(op);
             return Ok(FailureReport {
                 failed: peer,
                 coordinator: None,
@@ -178,10 +179,10 @@ impl BatonSystem {
         // back from the replica (one fetch + one copy message) and the
         // departure protocol hands the restored content over instead.
         let replica_source = self
-            .replica_targets(peer)
+            .replica_pair(peer)
             .into_iter()
-            .find(|t| self.net.is_alive(*t))
-            .filter(|_| self.replication > 1);
+            .flatten()
+            .find(|t| self.net.is_alive(*t));
         let lost_items = match replica_source {
             Some(source) => {
                 self.notify(op, "failure.replica_fetch", coordinator, source);
@@ -208,7 +209,6 @@ impl BatonSystem {
                 // only while several failures overlap).  Nothing has been
                 // mutated yet: report the collision so the caller can retry
                 // the repair after the replacement's own repair has run.
-                self.net.finish_op(op);
                 return Err(BatonError::PeerNotAlive(replacement));
             }
             departure_messages += locate;
@@ -218,7 +218,6 @@ impl BatonSystem {
         };
 
         self.mark_repaired(peer);
-        self.net.finish_op(op);
         Ok(FailureReport {
             failed: peer,
             coordinator: Some(coordinator),

@@ -35,13 +35,15 @@ impl BatonSystem {
     pub fn join_via(&mut self, contact: PeerId) -> Result<JoinReport> {
         self.check_alive(contact)?;
         let joiner = self.net.add_peer();
-        let op = self.net.begin_op("join");
+        self.in_op("join", |system, op| system.join_in_op(op, joiner, contact))
+    }
+
+    fn join_in_op(&mut self, op: OpScope, joiner: PeerId, contact: PeerId) -> Result<JoinReport> {
         let (acceptor, locate_messages) = self.locate_join_node(op, joiner, contact)?;
         let (position, range, update_messages) = self.attach_child(op, acceptor, joiner)?;
         // At k > 1 the range split moved replica boundaries: the new node
         // seeds its replica targets with its slice (k−1 handoff messages).
         let handoff_messages = self.charge_replica_handoffs(op, joiner);
-        self.net.finish_op(op);
         Ok(JoinReport {
             new_peer: joiner,
             parent: acceptor,

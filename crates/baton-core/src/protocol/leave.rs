@@ -29,7 +29,10 @@ impl BatonSystem {
         if self.node_count() == 1 {
             return Err(BatonError::LastNode);
         }
-        let op = self.net.begin_op("leave");
+        self.in_op("leave", |system, op| system.leave_in_op(op, peer))
+    }
+
+    fn leave_in_op(&mut self, op: OpScope, peer: PeerId) -> Result<LeaveReport> {
         let node = self.node_ref(peer)?;
         let report = if node.can_leave_without_replacement() {
             // At k > 1 the departing slice moves replica boundaries for the
@@ -52,7 +55,6 @@ impl BatonSystem {
                 // takes the replacement's store before hopping *from* it,
                 // so bail out cleanly before any mutation; the caller
                 // retries once the dead leaf's repair has run.
-                self.net.finish_op(op);
                 return Err(BatonError::PeerNotAlive(replacement));
             }
             // The replacement leaf first departs from its own position …
@@ -69,7 +71,6 @@ impl BatonSystem {
             }
         };
         self.net.depart_peer(peer);
-        self.net.finish_op(op);
         Ok(report)
     }
 

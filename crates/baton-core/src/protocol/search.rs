@@ -8,6 +8,8 @@
 //! the range is covered — `O(log N + X)` messages for a range spanning `X`
 //! nodes.
 
+use std::ops::ControlFlow;
+
 use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
@@ -50,14 +52,26 @@ pub struct SearchCostReport {
 
 /// One suspended step of the fault-tolerant DFS walk: the candidates of
 /// `peer` occupy `arena[start..end]` of the shared candidate arena and the
-/// walk has tried the first `next` of them.
+/// walk has tried the first `next` of them.  A frame starts with nothing
+/// [`Built`] and an empty segment: a healthy walk follows a node's first
+/// candidate and never comes back, so the list is only written out once that
+/// first candidate has failed.
 #[derive(Clone, Copy, Debug)]
 struct WalkFrame {
     peer: PeerId,
     start: usize,
     end: usize,
     next: usize,
-    fallback_added: bool,
+    built: Built,
+}
+
+/// How much of a frame's candidate list has been written to the arena:
+/// nothing yet, the greedy §IV-A list, or that list plus the §III-D fallback.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Built {
+    Nothing,
+    Greedy,
+    Fallback,
 }
 
 /// Reusable buffers of the `locate_owner` walk, carried on the
@@ -65,9 +79,10 @@ struct WalkFrame {
 ///
 /// * `visited` is an epoch-stamped slab over the dense peer-id space — the
 ///   DFS visited set without a hash set or a per-walk clear;
-/// * `arena` holds every stack frame's candidate list contiguously (frames
-///   are strictly stack-ordered, so the top frame always owns the arena
-///   tail and fallback extension appends in place);
+/// * `arena` holds the candidate lists of the stack frames that needed one,
+///   contiguously (frames are strictly stack-ordered, so the top frame
+///   always owns the arena tail and both the late greedy list and its
+///   fallback extension append in place);
 /// * `frames` is the DFS stack itself.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WalkScratch {
@@ -119,6 +134,61 @@ fn push_candidate(arena: &mut Vec<PeerId>, start: usize, owner: PeerId, candidat
     }
 }
 
+/// Enumerates the greedy candidate links of `node` for forwarding a query
+/// towards `key`, most useful first — exactly the §IV-A order: the sideways
+/// routing-table entries that do not overshoot the key (farthest first, each
+/// followed by its recorded children as the §III-D detour), then the
+/// key-side child, adjacent and parent links.  A healthy walk always follows
+/// the first candidate, so this order alone reproduces the paper's message
+/// counts.  Stops as soon as `visit` breaks.
+#[inline]
+fn walk_candidates<B>(
+    node: &BatonNode,
+    key: Key,
+    mut visit: impl FnMut(PeerId) -> ControlFlow<B>,
+) -> ControlFlow<B> {
+    let towards_right = key >= node.range.high();
+
+    // 1. Matching key-side entries, farthest first (§IV-A greedy order).
+    let near_table = if towards_right {
+        &node.right_table
+    } else {
+        &node.left_table
+    };
+    for (_, entry) in near_table.iter().rev() {
+        let matching = if towards_right {
+            entry.link.range.low() <= key
+        } else {
+            entry.link.range.high() > key
+        };
+        if !matching {
+            continue;
+        }
+        visit(entry.link.peer)?;
+        // §III-D detour: if the neighbour is unreachable, its children
+        // (recorded in the entry) still lead towards the key.
+        let (first, second) = if towards_right {
+            (entry.right_child, entry.left_child)
+        } else {
+            (entry.left_child, entry.right_child)
+        };
+        for candidate in first.into_iter().chain(second) {
+            visit(candidate)?;
+        }
+    }
+
+    // 2. Key-side child, adjacent and parent links.
+    let (child, adjacent) = if towards_right {
+        (node.right_child, node.right_adjacent)
+    } else {
+        (node.left_child, node.left_adjacent)
+    };
+    for link in [child, adjacent, node.parent].into_iter().flatten() {
+        visit(link.peer)?;
+    }
+    ControlFlow::Continue(())
+}
+
 impl BatonSystem {
     /// Exact-match query issued at a uniformly random node.
     pub fn search_exact(&mut self, key: Key) -> Result<SearchReport> {
@@ -154,18 +224,12 @@ impl BatonSystem {
     }
 
     /// Routes an exact query to the owner inside a fresh accounting scope.
-    ///
-    /// The scope is finished even when routing fails (an unreachable key on
-    /// an unrecovered network): an unfinished operation at the front of the
-    /// live window would block [`baton_net::MessageStats::retire_finished`]
-    /// for the rest of the run.
     fn search_exact_walk(&mut self, issuer: PeerId, key: Key) -> Result<OwnerWalk> {
         self.check_alive(issuer)?;
         self.check_key(key)?;
-        let op = self.net.begin_op("search.exact");
-        let walk = self.locate_owner(op, issuer, key, "search_exact");
-        self.net.finish_op(op);
-        walk
+        self.in_op("search.exact", |system, op| {
+            system.locate_owner(op, issuer, key, "search_exact")
+        })
     }
 
     /// Range query issued at a uniformly random node.
@@ -229,13 +293,9 @@ impl BatonSystem {
         if clamped.is_empty() {
             return Ok((0, 0));
         }
-        let op = self.net.begin_op("search.range");
-        // The scope is finished even on a routing error, as in
-        // `search_exact_walk`: an unfinished front op would block
-        // retirement for the rest of the run.
-        let result = self.range_walk_in_op(op, issuer, clamped, &mut visit);
-        self.net.finish_op(op);
-        result
+        self.in_op("search.range", |system, op| {
+            system.range_walk_in_op(op, issuer, clamped, &mut visit)
+        })
     }
 
     /// The body of [`range_walk`](Self::range_walk), inside an open scope:
@@ -345,7 +405,8 @@ impl BatonSystem {
             let Some(candidate_node) = self.node(candidate) else {
                 continue;
             };
-            if candidate_node.range.contains(key) && self.replica_targets(candidate).contains(&peer)
+            if candidate_node.range.contains(key)
+                && self.replica_pair(candidate).contains(&Some(peer))
             {
                 return Ok(Some(candidate));
             }
@@ -353,61 +414,16 @@ impl BatonSystem {
         Ok(None)
     }
 
-    /// Appends the greedy candidate links of `peer` for forwarding a query
-    /// towards `key` to `arena[start..]`, most useful first — exactly the
-    /// §IV-A order: the sideways routing-table entries that do not overshoot
-    /// the key (farthest first, each followed by its recorded children as
-    /// the §III-D detour), then the key-side child, adjacent and parent
-    /// links.  A healthy walk always follows the first candidate, so this
-    /// order alone reproduces the paper's message counts.
-    fn push_walk_candidates(
-        &self,
-        peer: PeerId,
-        key: Key,
-        arena: &mut Vec<PeerId>,
-        start: usize,
-    ) -> Result<()> {
-        let node = self.node_ref(peer)?;
-        let towards_right = key >= node.range.high();
-
-        // 1. Matching key-side entries, farthest first (§IV-A greedy order).
-        let near_table = if towards_right {
-            &node.right_table
-        } else {
-            &node.left_table
-        };
-        for (_, entry) in near_table.iter().rev() {
-            let matching = if towards_right {
-                entry.link.range.low() <= key
+    /// The first of `peer`'s [`walk_candidates`] — all a healthy hop needs.
+    fn first_walk_candidate(&self, peer: PeerId, key: Key) -> Result<Option<PeerId>> {
+        let first = walk_candidates(self.node_ref(peer)?, key, |candidate| {
+            if candidate == peer {
+                ControlFlow::Continue(())
             } else {
-                entry.link.range.high() > key
-            };
-            if !matching {
-                continue;
+                ControlFlow::Break(candidate)
             }
-            push_candidate(arena, start, peer, entry.link.peer);
-            // §III-D detour: if the neighbour is unreachable, its children
-            // (recorded in the entry) still lead towards the key.
-            let (first, second) = if towards_right {
-                (entry.right_child, entry.left_child)
-            } else {
-                (entry.left_child, entry.right_child)
-            };
-            for candidate in first.into_iter().chain(second) {
-                push_candidate(arena, start, peer, candidate);
-            }
-        }
-
-        // 2. Key-side child, adjacent and parent links.
-        let (child, adjacent) = if towards_right {
-            (node.right_child, node.right_adjacent)
-        } else {
-            (node.left_child, node.left_adjacent)
-        };
-        for link in [child, adjacent, node.parent].into_iter().flatten() {
-            push_candidate(arena, start, peer, link.peer);
-        }
-        Ok(())
+        });
+        Ok(first.break_value())
     }
 
     /// Appends the §III-D *fallback* candidates of `peer` to
@@ -417,10 +433,9 @@ impl BatonSystem {
     /// block every greedy candidate the walk can still detour through any
     /// live neighbour rather than give up.
     ///
-    /// Computed lazily, only when the greedy candidates of
-    /// [`push_walk_candidates`](Self::push_walk_candidates) are exhausted
-    /// (i.e. a failure was actually hit); `arena[start..]` already holds the
-    /// greedy list, which the shared dedup naturally skips.
+    /// Computed lazily, only when the greedy [`walk_candidates`] are
+    /// exhausted (i.e. a failure was actually hit); `arena[start..]` already
+    /// holds the greedy list, which the shared dedup naturally skips.
     fn push_fallback_candidates(
         &self,
         peer: PeerId,
@@ -470,9 +485,8 @@ impl BatonSystem {
     /// expand its range to cover them, §IV-C).
     ///
     /// The walk is fault tolerant (§III-D) and implemented as a depth-first
-    /// exploration over [`walk_candidates`](Self::walk_candidates), extended
-    /// lazily with
-    /// [`walk_fallback_candidates`](Self::walk_fallback_candidates) when the
+    /// exploration over [`walk_candidates`], extended lazily with
+    /// [`push_fallback_candidates`](Self::push_fallback_candidates) when the
     /// greedy options run out: each node tries its candidates from most to
     /// least useful, paying one
     /// (counted, failed) message per dead candidate it bounces off; the
@@ -481,7 +495,8 @@ impl BatonSystem {
     /// the request *back* to the node it came from (one more counted
     /// message), which resumes with its own next candidate.  On a healthy
     /// network the first candidate is always alive and unvisited, so the
-    /// walk — and its message count — is exactly the greedy §IV-A descent.
+    /// walk — and its message count — is exactly the greedy §IV-A descent,
+    /// and no candidate list is ever written out (see [`WalkFrame`]).
     pub(crate) fn locate_owner(
         &mut self,
         op: OpScope,
@@ -531,13 +546,12 @@ impl BatonSystem {
         let message_budget = (self.walk_limit() as u64) * 4 + 4 * self.node_count() as u64;
         scratch.begin(self.net.peers().total());
         scratch.mark_visited(issuer);
-        self.push_walk_candidates(issuer, key, &mut scratch.arena, 0)?;
         scratch.frames.push(WalkFrame {
             peer: issuer,
             start: 0,
-            end: scratch.arena.len(),
+            end: 0,
             next: 0,
-            fallback_added: false,
+            built: Built::Nothing,
         });
         let mut messages = 0u64;
         let mut hops = 0u32;
@@ -547,10 +561,32 @@ impl BatonSystem {
                 .last()
                 .expect("stack never drains in the loop");
             let current = top.peer;
-            let next_index = top.start + top.next;
-            let candidate = (next_index < top.end).then(|| scratch.arena[next_index]);
+            let candidate = match top.built {
+                Built::Nothing if top.next == 0 => self.first_walk_candidate(current, key)?,
+                Built::Nothing => {
+                    // The first candidate was dead, visited or a dead end:
+                    // write out the full greedy list and resume behind its
+                    // head.  No frame is left above, so the arena tail is ours.
+                    debug_assert_eq!(top.start, scratch.arena.len());
+                    let _: ControlFlow<()> =
+                        walk_candidates(self.node_ref(current)?, key, |candidate| {
+                            push_candidate(&mut scratch.arena, top.start, current, candidate);
+                            ControlFlow::Continue(())
+                        });
+                    debug_assert_eq!(
+                        scratch.arena.get(top.start).copied(),
+                        self.first_walk_candidate(current, key)?,
+                        "the list must start with the candidate already tried"
+                    );
+                    let frame = scratch.frames.last_mut().expect("unchanged");
+                    frame.built = Built::Greedy;
+                    frame.end = scratch.arena.len();
+                    continue;
+                }
+                _ => scratch.arena[top.start..top.end].get(top.next).copied(),
+            };
             let Some(candidate) = candidate else {
-                if !top.fallback_added {
+                if top.built != Built::Fallback {
                     // The greedy candidates are exhausted (a failure was
                     // actually hit): extend with the full §III-D fallback
                     // link set, computed lazily so healthy hops never pay
@@ -559,7 +595,7 @@ impl BatonSystem {
                     debug_assert_eq!(top.end, scratch.arena.len());
                     self.push_fallback_candidates(current, key, &mut scratch.arena, top.start)?;
                     let frame = scratch.frames.last_mut().expect("unchanged");
-                    frame.fallback_added = true;
+                    frame.built = Built::Fallback;
                     frame.end = scratch.arena.len();
                     continue;
                 }
@@ -623,14 +659,12 @@ impl BatonSystem {
                     hops,
                 });
             }
-            let start = scratch.arena.len();
-            self.push_walk_candidates(candidate, key, &mut scratch.arena, start)?;
             scratch.frames.push(WalkFrame {
                 peer: candidate,
-                start,
+                start: scratch.arena.len(),
                 end: scratch.arena.len(),
                 next: 0,
-                fallback_added: false,
+                built: Built::Nothing,
             });
         }
     }

@@ -31,7 +31,7 @@ impl BatonSystem {
         for (peer, node) in &nodes {
             // Registered nodes are dead only while awaiting a deferred repair.
             builder.push_slot(peer.0, node.range.high(), self.net.is_alive(*peer));
-            builder.push_keys(node.store.iter().map(|(key, _)| key));
+            builder.push_keys(node.store.keys().iter().copied());
             builder.seal_slot();
         }
         for (slot, (peer, node)) in nodes.iter().enumerate() {

@@ -5,8 +5,23 @@
 //! values, so it supports the exact-match and range scans the overlay needs
 //! as well as the splitting/merging that accompanies joins, departures and
 //! load balancing.
-
-use std::collections::BTreeMap;
+//!
+//! ### Layout
+//!
+//! Two parallel arrays sorted by key (`keys[i]` belongs to `values[i]`,
+//! duplicates adjacent in insertion order), as the multiway-tree and D3-Tree
+//! baselines keep their node-local keys.  A routed query touches a store
+//! once, cold: a binary search over one contiguous array costs a few cache
+//! lines where a B-tree with a heap vector per key cost a miss per level.
+//!
+//! The price is an O(n) tail move when `insert` lands mid-array.  Stores stay
+//! small — a range splits at every join and §IV-D balancing sheds load — and
+//! the bulk paths never pay it: [`load_direct`] feeds ascending keys (an
+//! append) and `absorb` moves a disjoint range as one block.  The benchmark's
+//! `core.store.insert_ns` probe (100,000 inserts into *one* store) shows the
+//! worst case.
+//!
+//! [`load_direct`]: crate::system::BatonSystem::load_direct
 
 use crate::range::{Key, KeyRange};
 
@@ -17,8 +32,9 @@ pub type Value = u64;
 /// Ordered multimap of index entries managed by one node.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LocalStore {
-    entries: BTreeMap<Key, Vec<Value>>,
-    len: usize,
+    /// Sorted, with duplicates; `keys[i]` belongs to `values[i]`.
+    keys: Vec<Key>,
+    values: Vec<Value>,
 }
 
 impl LocalStore {
@@ -29,165 +45,153 @@ impl LocalStore {
 
     /// Number of stored values (counting duplicates per key).
     pub fn len(&self) -> usize {
-        self.len
+        self.keys.len()
     }
 
     /// `true` if the store holds no values.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.keys.is_empty()
     }
 
     /// Number of distinct keys stored.
     pub fn distinct_keys(&self) -> usize {
-        self.entries.len()
+        self.keys.chunk_by(|a, b| a == b).count()
     }
 
-    /// Approximate heap bytes behind this store: B-tree nodes (keyed entry
-    /// plus amortised tree overhead) and the per-key value vectors.  Used by
-    /// the perf harness's bytes-per-peer accounting; it is an estimate, not
-    /// an allocator measurement.
+    /// The stored keys in ascending order, one per value (a key stored `n`
+    /// times appears `n` times).
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
+    /// Heap bytes behind this store (the capacity of the two arrays), for the
+    /// perf harness's bytes-per-peer accounting.  `Vec` growth depends only on
+    /// the operation sequence, so the figure repeats across processes.
     pub fn estimated_heap_bytes(&self) -> u64 {
-        // Each B-tree entry stores a `(Key, Vec<Value>)` pair; ~16 bytes of
-        // amortised node bookkeeping (parent pointers, length fields spread
-        // over 11-entry nodes) is charged per entry.
-        let entry = std::mem::size_of::<(Key, Vec<Value>)>() as u64 + 16;
-        let values: u64 = self
-            .entries
-            .values()
-            .map(|v| (v.capacity() * std::mem::size_of::<Value>()) as u64)
-            .sum();
-        self.entries.len() as u64 * entry + values
+        (self.keys.capacity() * std::mem::size_of::<Key>()
+            + self.values.capacity() * std::mem::size_of::<Value>()) as u64
+    }
+
+    /// Index of the first entry whose key is `>= key`.
+    fn lower_bound(&self, key: Key) -> usize {
+        self.keys.partition_point(|k| *k < key)
+    }
+
+    /// Index one past the last entry whose key is `<= key`.
+    fn upper_bound(&self, key: Key) -> usize {
+        self.keys.partition_point(|k| *k <= key)
+    }
+
+    /// The index span of the entries whose keys lie in `range`.
+    fn span(&self, range: KeyRange) -> std::ops::Range<usize> {
+        self.lower_bound(range.low())..self.lower_bound(range.high())
     }
 
     /// Inserts a value under `key`.  Duplicate keys are allowed (the paper
-    /// explicitly discusses duplicate partition-key values, §IV-A).
+    /// explicitly discusses duplicate partition-key values, §IV-A); a
+    /// duplicate lands after the values already stored under its key.
     pub fn insert(&mut self, key: Key, value: Value) {
-        self.entries.entry(key).or_default().push(value);
-        self.len += 1;
+        let at = self.upper_bound(key);
+        self.keys.insert(at, key);
+        self.values.insert(at, value);
     }
 
-    /// Returns the values stored under `key` (empty slice if none).
+    /// Returns the values stored under `key` (empty slice if none), in
+    /// insertion order.
     pub fn get(&self, key: Key) -> &[Value] {
-        self.entries.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        let start = self.lower_bound(key);
+        // The run is scanned, not searched: it is usually 0 or 1 long and
+        // sits in the cache line the search just touched.
+        let run = self.keys[start..].iter().take_while(|k| **k == key).count();
+        &self.values[start..start + run]
     }
 
     /// `true` if at least one value is stored under `key`.
     pub fn contains_key(&self, key: Key) -> bool {
-        self.entries.contains_key(&key)
+        self.keys.get(self.lower_bound(key)) == Some(&key)
     }
 
-    /// Removes *one* value stored under `key`, returning it.
+    /// Removes *one* value stored under `key` — the most recently inserted
+    /// — returning it.
     ///
     /// Returns `None` if the key is absent.
     pub fn remove_one(&mut self, key: Key) -> Option<Value> {
-        let values = self.entries.get_mut(&key)?;
-        let value = values.pop();
-        if values.is_empty() {
-            self.entries.remove(&key);
+        let last = self.upper_bound(key).checked_sub(1)?;
+        if self.keys[last] != key {
+            return None;
         }
-        if value.is_some() {
-            self.len -= 1;
-        }
-        value
+        self.keys.remove(last);
+        Some(self.values.remove(last))
     }
 
     /// Removes every value stored under `key`, returning them.
     pub fn remove_all(&mut self, key: Key) -> Vec<Value> {
-        match self.entries.remove(&key) {
-            Some(values) => {
-                self.len -= values.len();
-                values
-            }
-            None => Vec::new(),
-        }
+        let span = self.lower_bound(key)..self.upper_bound(key);
+        self.keys.drain(span.clone());
+        self.values.drain(span).collect()
     }
 
     /// Returns `(key, value)` pairs whose keys lie in `range`, in key order.
     pub fn scan(&self, range: KeyRange) -> Vec<(Key, Value)> {
-        if range.is_empty() {
-            return Vec::new();
-        }
-        self.entries
-            .range(range.low()..range.high())
-            .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
-            .collect()
+        let span = self.span(range);
+        let keys = self.keys[span.clone()].iter().copied();
+        keys.zip(self.values[span].iter().copied()).collect()
     }
 
     /// Number of values whose keys lie in `range`.
     pub fn count_in(&self, range: KeyRange) -> usize {
-        if range.is_empty() {
-            return 0;
-        }
-        self.entries
-            .range(range.low()..range.high())
-            .map(|(_, vs)| vs.len())
-            .sum()
+        self.span(range).len()
     }
 
     /// Removes and returns every entry whose key lies in `range`
     /// (used when a node splits its content with a new child, paper §III-A,
     /// or migrates data during load balancing, §IV-D).
     pub fn split_off_range(&mut self, range: KeyRange) -> LocalStore {
-        let mut moved = LocalStore::new();
-        if range.is_empty() {
-            return moved;
+        let span = self.span(range);
+        LocalStore {
+            keys: self.keys.drain(span.clone()).collect(),
+            values: self.values.drain(span).collect(),
         }
-        let keys: Vec<Key> = self
-            .entries
-            .range(range.low()..range.high())
-            .map(|(k, _)| *k)
-            .collect();
-        for key in keys {
-            if let Some(values) = self.entries.remove(&key) {
-                self.len -= values.len();
-                moved.len += values.len();
-                moved.entries.insert(key, values);
-            }
-        }
-        moved
     }
 
-    /// Absorbs every entry of `other` into this store.
+    /// Absorbs every entry of `other` into this store.  Under a key both
+    /// stores hold, `other`'s values follow this store's.
     pub fn absorb(&mut self, other: LocalStore) {
-        for (key, values) in other.entries {
-            self.len += values.len();
-            self.entries.entry(key).or_default().extend(values);
+        let Some(max) = other.max_key() else { return };
+        let at = self.upper_bound(other.keys[0]);
+        if self.keys.get(at).is_none_or(|next| max < *next) {
+            // `other` fits between two neighbouring entries — always, when
+            // the stores cover disjoint ranges (join, departure, balancing):
+            // an append or one block move.
+            self.keys.splice(at..at, other.keys);
+            self.values.splice(at..at, other.values);
+        } else {
+            other
+                .iter()
+                .for_each(|(key, value)| self.insert(key, value));
         }
     }
 
     /// Smallest stored key, if any.
     pub fn min_key(&self) -> Option<Key> {
-        self.entries.keys().next().copied()
+        self.keys.first().copied()
     }
 
     /// Largest stored key, if any.
     pub fn max_key(&self) -> Option<Key> {
-        self.entries.keys().next_back().copied()
+        self.keys.last().copied()
     }
 
     /// Iterates over `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        self.entries
-            .iter()
-            .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
+        self.keys.iter().copied().zip(self.values.iter().copied())
     }
 
     /// The median stored key — the key below which half of the stored
     /// *values* fall.  Used to pick data-migration boundaries during load
     /// balancing so each side ends up with about half the load.
     pub fn median_key(&self) -> Option<Key> {
-        if self.is_empty() {
-            return None;
-        }
-        let target = self.len / 2;
-        let mut seen = 0usize;
-        for (k, vs) in &self.entries {
-            seen += vs.len();
-            if seen > target {
-                return Some(*k);
-            }
-        }
-        self.max_key()
+        self.keys.get(self.len() / 2).copied()
     }
 }
 
@@ -338,6 +342,188 @@ mod tests {
             let hi = rng.uniform_u64(0, 100);
             let range = KeyRange::new(lo.min(hi), lo.max(hi));
             assert_eq!(store.count_in(range), store.scan(range).len());
+        }
+    }
+
+    /// The `BTreeMap<Key, Vec<Value>>` store this module used before the
+    /// flat layout, kept as the reference the differential test compares
+    /// against.
+    #[derive(Default)]
+    struct ReferenceStore {
+        entries: std::collections::BTreeMap<Key, Vec<Value>>,
+    }
+
+    impl ReferenceStore {
+        fn len(&self) -> usize {
+            self.entries.values().map(Vec::len).sum()
+        }
+
+        fn insert(&mut self, key: Key, value: Value) {
+            self.entries.entry(key).or_default().push(value);
+        }
+
+        fn get(&self, key: Key) -> &[Value] {
+            self.entries.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        }
+
+        fn remove_one(&mut self, key: Key) -> Option<Value> {
+            let values = self.entries.get_mut(&key)?;
+            let value = values.pop();
+            if values.is_empty() {
+                self.entries.remove(&key);
+            }
+            value
+        }
+
+        fn remove_all(&mut self, key: Key) -> Vec<Value> {
+            self.entries.remove(&key).unwrap_or_default()
+        }
+
+        fn scan(&self, range: KeyRange) -> Vec<(Key, Value)> {
+            self.entries
+                .range(range.low()..range.high())
+                .flat_map(|(k, vs)| vs.iter().map(move |v| (*k, *v)))
+                .collect()
+        }
+
+        fn split_off_range(&mut self, range: KeyRange) -> ReferenceStore {
+            let keys: Vec<Key> = self
+                .entries
+                .range(range.low()..range.high())
+                .map(|(k, _)| *k)
+                .collect();
+            let mut moved = ReferenceStore::default();
+            for key in keys {
+                let values = self.entries.remove(&key).expect("just listed");
+                moved.entries.insert(key, values);
+            }
+            moved
+        }
+
+        fn absorb(&mut self, other: ReferenceStore) {
+            for (key, values) in other.entries {
+                self.entries.entry(key).or_default().extend(values);
+            }
+        }
+
+        fn median_key(&self) -> Option<Key> {
+            let target = self.len() / 2;
+            let mut seen = 0usize;
+            for (k, vs) in &self.entries {
+                seen += vs.len();
+                if seen > target {
+                    return Some(*k);
+                }
+            }
+            None
+        }
+    }
+
+    /// Every observer of the store, compared against the reference.
+    fn assert_same(store: &LocalStore, reference: &ReferenceStore, rng: &mut baton_net::SimRng) {
+        assert_eq!(store.len(), reference.len());
+        assert_eq!(store.is_empty(), reference.entries.is_empty());
+        assert_eq!(store.distinct_keys(), reference.entries.len());
+        assert_eq!(store.min_key(), reference.entries.keys().next().copied());
+        assert_eq!(
+            store.max_key(),
+            reference.entries.keys().next_back().copied()
+        );
+        assert_eq!(store.median_key(), reference.median_key());
+        let everything = reference.scan(KeyRange::new(0, Key::MAX));
+        assert_eq!(store.iter().collect::<Vec<_>>(), everything);
+        let keys: Vec<Key> = everything.iter().map(|(k, _)| *k).collect();
+        assert_eq!(store.keys(), keys);
+        for _ in 0..4 {
+            let key = rng.uniform_u64(0, KEY_SPACE);
+            assert_eq!(store.get(key), reference.get(key));
+            assert_eq!(
+                store.contains_key(key),
+                reference.entries.contains_key(&key)
+            );
+            let range = random_range(rng);
+            let hits = reference.scan(range);
+            assert_eq!(store.count_in(range), hits.len());
+            assert_eq!(store.scan(range), hits);
+        }
+    }
+
+    /// Few distinct keys, so most inserts duplicate one and value order
+    /// within a key is exercised.
+    const KEY_SPACE: u64 = 40;
+
+    /// A random range over the key space (empty when both draws coincide).
+    fn random_range(rng: &mut baton_net::SimRng) -> KeyRange {
+        let (a, b) = (
+            rng.uniform_u64(0, KEY_SPACE + 1),
+            rng.uniform_u64(0, KEY_SPACE + 1),
+        );
+        KeyRange::new(a.min(b), a.max(b))
+    }
+
+    #[test]
+    fn differential_against_the_btreemap_reference() {
+        let mut rng = baton_net::SimRng::seeded(0xD1FF);
+        for _ in 0..200 {
+            let mut store = LocalStore::new();
+            let mut reference = ReferenceStore::default();
+            let mut next_value = 0u64;
+            for _ in 0..rng.index(120) {
+                match rng.index(10) {
+                    0..=4 => {
+                        let key = rng.uniform_u64(0, KEY_SPACE);
+                        next_value += 1;
+                        store.insert(key, next_value);
+                        reference.insert(key, next_value);
+                    }
+                    5 => {
+                        let key = rng.uniform_u64(0, KEY_SPACE);
+                        assert_eq!(store.remove_one(key), reference.remove_one(key));
+                    }
+                    6 => {
+                        let key = rng.uniform_u64(0, KEY_SPACE);
+                        assert_eq!(store.remove_all(key), reference.remove_all(key));
+                    }
+                    7 => {
+                        // Split a range off and drop it (a join's child
+                        // walking away with its share).
+                        let range = random_range(&mut rng);
+                        let moved = store.split_off_range(range);
+                        let moved_reference = reference.split_off_range(range);
+                        assert_same(&moved, &moved_reference, &mut rng);
+                    }
+                    8 => {
+                        // Split and re-absorb: disjoint ranges, the
+                        // join/leave/balance shape, in both directions.
+                        let range = random_range(&mut rng);
+                        let moved = store.split_off_range(range);
+                        let moved_reference = reference.split_off_range(range);
+                        if rng.index(2) == 0 {
+                            store.absorb(moved);
+                            reference.absorb(moved_reference);
+                        } else {
+                            let (mut left, mut left_reference) = (moved, moved_reference);
+                            left.absorb(std::mem::take(&mut store));
+                            left_reference.absorb(std::mem::take(&mut reference));
+                            (store, reference) = (left, left_reference);
+                        }
+                    }
+                    _ => {
+                        // Absorb an independently built, overlapping store.
+                        let mut other = LocalStore::new();
+                        let mut other_reference = ReferenceStore::default();
+                        for _ in 0..rng.index(30) {
+                            let key = rng.uniform_u64(0, KEY_SPACE);
+                            next_value += 1;
+                            other.insert(key, next_value);
+                            other_reference.insert(key, next_value);
+                        }
+                        store.absorb(other);
+                        reference.absorb(other_reference);
+                    }
+                }
+                assert_same(&store, &reference, &mut rng);
+            }
         }
     }
 }

@@ -381,9 +381,10 @@ impl BatonSystem {
     /// the condition for a fast (replica-streamed) repair and for zero data
     /// loss when the peer fails.
     pub fn replica_survives(&self, peer: PeerId) -> bool {
-        self.replica_targets(peer)
-            .iter()
-            .any(|t| self.net.is_alive(*t))
+        self.replica_pair(peer)
+            .into_iter()
+            .flatten()
+            .any(|t| self.net.is_alive(t))
     }
 
     /// Charges the k−1 replica-copy notifications a write to `source`'s
@@ -400,7 +401,7 @@ impl BatonSystem {
             return 0;
         }
         let mut copies = 0u64;
-        for target in self.replica_targets(source) {
+        for target in self.replica_pair(source).into_iter().flatten() {
             if target != sender && self.net.is_alive(target) {
                 self.notify(op, "replicate.copy", sender, target);
                 copies += 1;
@@ -418,7 +419,7 @@ impl BatonSystem {
             return 0;
         }
         let mut handoffs = 0u64;
-        for target in self.replica_targets(peer) {
+        for target in self.replica_pair(peer).into_iter().flatten() {
             if self.net.is_alive(target) {
                 self.notify(op, "replication.handoff", peer, target);
                 handoffs += 1;
@@ -580,6 +581,21 @@ impl BatonSystem {
         } else {
             LinkKind::Other
         }
+    }
+
+    /// Runs `body` inside a fresh accounting scope, finished on every exit:
+    /// an `Err` (an unreachable key, a repair colliding with another failure)
+    /// that left its op open at the front of the live window would block
+    /// [`baton_net::MessageStats::retire_finished`] for the rest of the run.
+    pub(crate) fn in_op<T>(
+        &mut self,
+        label: &str,
+        body: impl FnOnce(&mut Self, OpScope) -> Result<T>,
+    ) -> Result<T> {
+        let op = self.net.begin_op(label);
+        let result = body(self, op);
+        self.net.finish_op(op);
+        result
     }
 
     /// Charges a notification message (no reply modelled) to `op`.

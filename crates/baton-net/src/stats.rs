@@ -18,7 +18,7 @@
 //! O(operations-ever).  Class labels are interned once per distinct label;
 //! beginning an operation allocates nothing in steady state.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::peer::PeerId;
 use crate::time::SimTime;
@@ -99,18 +99,27 @@ pub struct OpScope {
     pub id: OpId,
 }
 
-/// A compact fixed-bucket histogram over small non-negative integers.
+/// A compact histogram over non-negative integers, most of them small.
 ///
 /// Used for Figure 8(h) (the distribution of load-balancing shift sizes) and
 /// as the aggregate an operation retires into: messages-per-op, hops-per-op
 /// and whole-millisecond latency distributions per operation class.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
+    /// Counts of the values below [`DENSE_LIMIT`](Self::DENSE_LIMIT),
+    /// indexed by value.
     counts: Vec<u64>,
+    /// Counts of the values at or above it.  A query that sweeps a whole
+    /// failed region before giving up takes minutes of virtual time; indexed
+    /// densely, one such latency would cost megabytes of zero buckets.
+    outliers: BTreeMap<usize, u64>,
     total: u64,
 }
 
 impl Histogram {
+    /// Values below this get a bucket of their own in a flat array.
+    const DENSE_LIMIT: usize = 1 << 14;
+
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self::default()
@@ -118,11 +127,19 @@ impl Histogram {
 
     /// Records one observation of `value`.
     pub fn record(&mut self, value: usize) {
-        if self.counts.len() <= value {
-            self.counts.resize(value + 1, 0);
+        self.add(value, 1);
+    }
+
+    fn add(&mut self, value: usize, count: u64) {
+        if value >= Self::DENSE_LIMIT {
+            *self.outliers.entry(value).or_default() += count;
+        } else {
+            if self.counts.len() <= value {
+                self.counts.resize(value + 1, 0);
+            }
+            self.counts[value] += count;
         }
-        self.counts[value] += 1;
-        self.total += 1;
+        self.total += count;
     }
 
     /// Number of observations recorded.
@@ -132,12 +149,18 @@ impl Histogram {
 
     /// Count of observations equal to `value`.
     pub fn count(&self, value: usize) -> u64 {
-        self.counts.get(value).copied().unwrap_or(0)
+        let count = if value < Self::DENSE_LIMIT {
+            self.counts.get(value)
+        } else {
+            self.outliers.get(&value)
+        };
+        count.copied().unwrap_or(0)
     }
 
     /// Largest value ever recorded, or `None` if empty.
     pub fn max_value(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
+        let largest_outlier = self.outliers.keys().next_back().copied();
+        largest_outlier.or_else(|| self.counts.iter().rposition(|&c| c > 0))
     }
 
     /// Mean of the recorded values (0.0 if empty).
@@ -145,12 +168,7 @@ impl Histogram {
         if self.total == 0 {
             return 0.0;
         }
-        let sum: u64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(v, c)| v as u64 * c)
-            .sum();
+        let sum: u64 = self.iter().map(|(v, c)| v as u64 * c).sum();
         sum as f64 / self.total as f64
     }
 
@@ -200,24 +218,20 @@ impl Histogram {
         }
     }
 
-    /// Iterates over `(value, count)` pairs with non-zero counts.
+    /// Iterates over `(value, count)` pairs with non-zero counts, in value
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.counts
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(v, &c)| (v, c))
+            .chain(self.outliers.iter().map(|(&v, &c)| (v, c)))
     }
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (v, c) in other.iter() {
-            if self.counts.len() <= v {
-                self.counts.resize(v + 1, 0);
-            }
-            self.counts[v] += c;
-        }
-        self.total += other.total;
+        other.iter().for_each(|(v, c)| self.add(v, c));
     }
 }
 
@@ -847,6 +861,32 @@ mod tests {
         assert_eq!(a.count(2), 2);
         assert_eq!(a.count(5), 1);
         assert_eq!(a.max_value(), Some(5));
+    }
+
+    #[test]
+    fn histogram_outliers_stay_exact_without_dense_buckets() {
+        let mut h = Histogram::new();
+        for v in [3, 3, 7, 1_245_834, 20_000, 1_245_834] {
+            h.record(v);
+        }
+        assert!(h.counts.len() <= 8, "an outlier grew the dense array");
+        assert_eq!(h.total(), 6);
+        assert_eq!(h.count(1_245_834), 2);
+        assert_eq!(h.count(20_000), 1);
+        assert_eq!(h.count(20_001), 0);
+        assert_eq!(h.max_value(), Some(1_245_834));
+        assert_eq!(h.p50(), Some(7));
+        assert_eq!(h.percentile(4.0 / 6.0), Some(20_000));
+        assert_eq!(h.p99(), Some(1_245_834));
+        assert!((h.mean() - 2_511_681.0 / 6.0).abs() < 1e-6);
+        let pairs: Vec<_> = h.iter().collect();
+        assert_eq!(pairs, vec![(3, 2), (7, 1), (20_000, 1), (1_245_834, 2)]);
+        let mut merged = Histogram::new();
+        merged.record(20_000);
+        merged.merge(&h);
+        assert_eq!(merged.total(), 7);
+        assert_eq!(merged.count(20_000), 2);
+        assert_eq!(merged.max_value(), Some(1_245_834));
     }
 
     #[test]
