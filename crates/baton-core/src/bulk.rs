@@ -258,13 +258,13 @@ impl BatonSystem {
                 } else {
                     node.range = node.range.extend_high(key + 1);
                 }
-                Some((node.range, node.linked_peers()))
+                Some((node.position, node.range, node.linked_peers()))
             };
             node.store.insert(key, value);
-            if let Some((range, linked)) = expanded {
+            if let Some((position, range, linked)) = expanded {
                 for other in linked {
                     if let Some(other_node) = self.node_opt_mut(other) {
-                        other_node.update_link_range(peer, range);
+                        other_node.update_link_range(peer, position, range);
                     }
                 }
             }

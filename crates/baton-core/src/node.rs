@@ -10,11 +10,11 @@ use baton_net::PeerId;
 
 use crate::position::{Position, Side};
 use crate::range::{Key, KeyRange};
-use crate::routing::{NodeLink, RoutingTable};
+use crate::routing::{NodeLink, RoutingEntry, RoutingTable};
 use crate::store::LocalStore;
 
 /// State of one peer in the BATON overlay.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatonNode {
     /// Physical address of this peer.
     pub peer: PeerId,
@@ -185,134 +185,174 @@ impl BatonNode {
         self.range.contains(key)
     }
 
+    /// The entries of both routing tables: left table first, each nearest
+    /// neighbour first.
+    pub fn table_entries(&self) -> impl Iterator<Item = &RoutingEntry> + '_ {
+        let slots = self.left_table.iter().chain(self.right_table.iter());
+        slots.map(|(_, e)| e)
+    }
+
+    /// The targets of both routing tables, in [`Self::table_entries`] order.
+    pub fn table_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
+        self.table_entries().map(|e| e.link.peer)
+    }
+
+    /// The target of every link this node holds, in link order — parent,
+    /// children, adjacents, then both routing tables — duplicates included.
+    pub(crate) fn link_targets(&self) -> impl Iterator<Item = PeerId> + '_ {
+        let fixed = [
+            &self.parent,
+            &self.left_child,
+            &self.right_child,
+            &self.left_adjacent,
+            &self.right_adjacent,
+        ];
+        let fixed = fixed.into_iter().flatten().map(|l| l.peer);
+        fixed.chain(self.table_peers())
+    }
+
     /// Every peer this node holds a link to (parent, children, adjacents and
     /// routing-table targets), without duplicates.  These are exactly the
     /// peers that must be notified when this node's range or address
     /// changes.
     pub fn linked_peers(&self) -> Vec<PeerId> {
-        let mut peers = Vec::new();
-        let mut push = |p: PeerId| {
-            if !peers.contains(&p) {
-                peers.push(p);
+        let slots = self.left_table.slot_count() + self.right_table.slot_count();
+        let mut peers = Vec::with_capacity(5 + slots);
+        for peer in self.link_targets() {
+            if !peers.contains(&peer) {
+                peers.push(peer);
             }
-        };
-        if let Some(l) = &self.parent {
-            push(l.peer);
-        }
-        if let Some(l) = &self.left_child {
-            push(l.peer);
-        }
-        if let Some(l) = &self.right_child {
-            push(l.peer);
-        }
-        if let Some(l) = &self.left_adjacent {
-            push(l.peer);
-        }
-        if let Some(l) = &self.right_adjacent {
-            push(l.peer);
-        }
-        for (_, e) in self.left_table.iter() {
-            push(e.link.peer);
-        }
-        for (_, e) in self.right_table.iter() {
-            push(e.link.peer);
         }
         peers
     }
 
+    /// The slot of this node's routing tables that refers to `position`:
+    /// `(side, i)` when `position` lies on the tables' level at distance
+    /// `2^i` from their owner, `None` otherwise (another level, the owner
+    /// itself, a distance that is not a power of two).
+    ///
+    /// A membership notification carries its sender's position, so the
+    /// receiver updates this one slot instead of scanning both tables —
+    /// every entry sits in the slot of its recorded position
+    /// ([`RoutingTable::set`] enforces it, [`crate::validate`] checks it).
+    pub fn table_slot_of(&self, position: Position) -> Option<(Side, usize)> {
+        let owner = self.left_table.owner();
+        if position.level() != owner.level() {
+            return None;
+        }
+        let side = if position.number() < owner.number() {
+            Side::Left
+        } else {
+            Side::Right
+        };
+        let distance = position.number().abs_diff(owner.number());
+        distance
+            .is_power_of_two()
+            .then(|| (side, distance.trailing_zeros() as usize))
+    }
+
+    /// The routing-table slot whose entry names `peer`, which sits at
+    /// `position`.
+    fn slot_naming(&self, peer: PeerId, position: Position) -> Option<(Side, usize)> {
+        let slot = self.table_slot_of(position);
+        debug_assert!(
+            Side::BOTH.into_iter().all(|s| self
+                .table(s)
+                .iter()
+                .all(|(i, e)| e.link.peer != peer || slot == Some((s, i)))),
+            "{peer} is named outside the slot of {position:?}"
+        );
+        slot.filter(|&(side, i)| {
+            self.table(side)
+                .entry(i)
+                .is_some_and(|e| e.link.peer == peer)
+        })
+    }
+
+    /// The routing-table entry naming `peer`, which sits at `position`.
+    fn table_entry_of(&mut self, peer: PeerId, position: Position) -> Option<&mut RoutingEntry> {
+        let (side, index) = self.slot_naming(peer, position)?;
+        self.table_mut(side).entry_mut(index)
+    }
+
+    /// The parent, child and adjacent links that point at `peer`.
+    fn fixed_links_to(&mut self, peer: PeerId) -> impl Iterator<Item = &mut NodeLink> {
+        [
+            &mut self.parent,
+            &mut self.left_child,
+            &mut self.right_child,
+            &mut self.left_adjacent,
+            &mut self.right_adjacent,
+        ]
+        .into_iter()
+        .flatten()
+        .filter(move |l| l.peer == peer)
+    }
+
     /// Replaces every reference to `old` (in parent/child/adjacent links and
-    /// routing tables) with a link to `new_link`.  Returns how many links
-    /// were rewritten.  Used when a replacement node takes over a departed
-    /// node's position (paper §III-B) — "all nodes with links to x must be
-    /// informed to change the physical address of the link to point to y".
-    pub fn rewrite_links(&mut self, old: PeerId, new_link: NodeLink) -> usize {
-        let mut rewritten = 0;
-        let mut rewrite = |slot: &mut Option<NodeLink>| {
-            if let Some(l) = slot {
-                if l.peer == old {
-                    *l = new_link;
-                    rewritten += 1;
-                }
-            }
-        };
-        rewrite(&mut self.parent);
-        rewrite(&mut self.left_child);
-        rewrite(&mut self.right_child);
-        rewrite(&mut self.left_adjacent);
-        rewrite(&mut self.right_adjacent);
-        for side in Side::BOTH {
-            for (_, e) in self.table_mut(side).iter_mut() {
-                if e.link.peer == old {
-                    e.link = new_link;
-                    rewritten += 1;
-                }
-                if e.left_child == Some(old) {
-                    e.left_child = Some(new_link.peer);
-                    rewritten += 1;
-                }
-                if e.right_child == Some(old) {
-                    e.right_child = Some(new_link.peer);
-                    rewritten += 1;
+    /// routing tables) with a link to `new_link`, which keeps `old`'s
+    /// position.  Used when a replacement node takes over a departed node's
+    /// position (paper §III-B) — "all nodes with links to x must be informed
+    /// to change the physical address of the link to point to y".
+    pub fn rewrite_links(&mut self, old: PeerId, new_link: NodeLink) {
+        for link in self.fixed_links_to(old) {
+            *link = new_link;
+        }
+        if let Some(entry) = self.table_entry_of(old, new_link.position) {
+            entry.link = new_link;
+        }
+        // Child knowledge names `old` only in the entry of its parent.
+        let parent_slot = new_link
+            .position
+            .parent()
+            .and_then(|p| self.table_slot_of(p));
+        if let Some(entry) = parent_slot.and_then(|(side, i)| self.table_mut(side).entry_mut(i)) {
+            for child in [&mut entry.left_child, &mut entry.right_child] {
+                if *child == Some(old) {
+                    *child = Some(new_link.peer);
                 }
             }
         }
-        rewritten
     }
 
-    /// Updates the recorded range on every link that points at `peer`.
-    /// Returns how many links were updated.
-    pub fn update_link_range(&mut self, peer: PeerId, range: KeyRange) -> usize {
-        let mut updated = 0;
-        let mut touch = |slot: &mut Option<NodeLink>| {
-            if let Some(l) = slot {
-                if l.peer == peer {
-                    l.range = range;
-                    updated += 1;
-                }
-            }
-        };
-        touch(&mut self.parent);
-        touch(&mut self.left_child);
-        touch(&mut self.right_child);
-        touch(&mut self.left_adjacent);
-        touch(&mut self.right_adjacent);
-        for side in Side::BOTH {
-            for (_, e) in self.table_mut(side).iter_mut() {
-                if e.link.peer == peer {
-                    e.link.range = range;
-                    updated += 1;
-                }
-            }
+    /// Updates the recorded range on every link that points at `peer`,
+    /// which sits at `position`.
+    pub fn update_link_range(&mut self, peer: PeerId, position: Position, range: KeyRange) {
+        for link in self.fixed_links_to(peer) {
+            link.range = range;
         }
-        updated
+        if let Some(entry) = self.table_entry_of(peer, position) {
+            entry.link.range = range;
+        }
     }
 
-    /// Updates the child knowledge recorded for `neighbor` in both routing
-    /// tables.  Returns `true` if an entry was found and updated.
+    /// Updates the child knowledge recorded for the routing-table neighbour
+    /// `peer`, which sits at `position`.
     pub fn update_neighbor_children(
         &mut self,
-        neighbor: PeerId,
+        peer: PeerId,
+        position: Position,
         left_child: Option<PeerId>,
         right_child: Option<PeerId>,
-    ) -> bool {
-        let mut updated = false;
-        for side in Side::BOTH {
-            for (_, e) in self.table_mut(side).iter_mut() {
-                if e.link.peer == neighbor {
-                    e.left_child = left_child;
-                    e.right_child = right_child;
-                    updated = true;
-                }
-            }
+    ) {
+        if let Some(entry) = self.table_entry_of(peer, position) {
+            entry.left_child = left_child;
+            entry.right_child = right_child;
         }
-        updated
+    }
+
+    /// Drops the routing-table entry naming `peer`, a leaf departing from
+    /// `position` (paper §III-B).
+    pub fn drop_table_link(&mut self, peer: PeerId, position: Position) {
+        if let Some((side, index)) = self.slot_naming(peer, position) {
+            self.table_mut(side).clear(index);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::RoutingEntry;
 
     fn node(peer: u32, level: u32, number: u64) -> BatonNode {
         BatonNode::new(
@@ -412,6 +452,18 @@ mod tests {
     }
 
     #[test]
+    fn table_slot_of_is_the_inverse_of_routing_neighbor() {
+        let n = node(1, 3, 5);
+        assert_eq!(n.table_slot_of(Position::new(3, 4)), Some((Side::Left, 0)));
+        assert_eq!(n.table_slot_of(Position::new(3, 1)), Some((Side::Left, 2)));
+        assert_eq!(n.table_slot_of(Position::new(3, 7)), Some((Side::Right, 1)));
+        // Distance 3, the owner itself, another level.
+        assert_eq!(n.table_slot_of(Position::new(3, 8)), None);
+        assert_eq!(n.table_slot_of(Position::new(3, 5)), None);
+        assert_eq!(n.table_slot_of(Position::new(2, 3)), None);
+    }
+
+    #[test]
     fn rewrite_links_replaces_every_reference() {
         let mut n = node(1, 2, 2);
         let old = node(5, 2, 1);
@@ -420,13 +472,12 @@ mod tests {
         n.left_adjacent = Some(old_link);
         n.left_table.set(0, RoutingEntry::new(old_link));
         let replacement = NodeLink::new(PeerId(9), Position::new(2, 1), KeyRange::new(0, 10));
-        let rewritten = n.rewrite_links(PeerId(5), replacement);
-        assert_eq!(rewritten, 3);
-        assert_eq!(n.parent.unwrap().peer, PeerId(9));
-        assert_eq!(n.left_adjacent.unwrap().peer, PeerId(9));
-        assert_eq!(n.left_table.entry(0).unwrap().link.peer, PeerId(9));
+        n.rewrite_links(PeerId(5), replacement);
+        assert_eq!(n.parent, Some(replacement));
+        assert_eq!(n.left_adjacent, Some(replacement));
+        assert_eq!(n.left_table.entry(0).unwrap().link, replacement);
         // No references to the old peer remain.
-        assert_eq!(n.rewrite_links(PeerId(5), replacement), 0);
+        assert!(!n.linked_peers().contains(&PeerId(5)));
     }
 
     #[test]
@@ -438,9 +489,10 @@ mod tests {
             RoutingEntry::with_children(link_to(&neighbor), Some(PeerId(7)), None),
         );
         let replacement = NodeLink::new(PeerId(8), Position::new(3, 1), KeyRange::new(0, 10));
-        let rewritten = n.rewrite_links(PeerId(7), replacement);
-        assert_eq!(rewritten, 1);
-        assert_eq!(n.left_table.entry(0).unwrap().left_child, Some(PeerId(8)));
+        n.rewrite_links(PeerId(7), replacement);
+        let entry = n.left_table.entry(0).unwrap();
+        assert_eq!(entry.left_child, Some(PeerId(8)));
+        assert_eq!(entry.link, link_to(&neighbor));
     }
 
     #[test]
@@ -451,14 +503,18 @@ mod tests {
         n.parent = Some(other_link);
         n.right_adjacent = Some(other_link);
         n.left_table.set(0, RoutingEntry::new(other_link));
-        let updated = n.update_link_range(PeerId(5), KeyRange::new(40, 60));
-        assert_eq!(updated, 3);
+        let before = n.clone();
+        n.update_link_range(PeerId(5), other.position, KeyRange::new(40, 60));
         assert_eq!(n.parent.unwrap().range, KeyRange::new(40, 60));
+        assert_eq!(n.right_adjacent.unwrap().range, KeyRange::new(40, 60));
         assert_eq!(
             n.left_table.entry(0).unwrap().link.range,
             KeyRange::new(40, 60)
         );
-        assert_eq!(n.update_link_range(PeerId(99), KeyRange::new(0, 1)), 0);
+        // A peer this node holds no link to changes nothing.
+        let mut untouched = before.clone();
+        untouched.update_link_range(PeerId(99), other.position, KeyRange::new(0, 1));
+        assert_eq!(untouched, before);
     }
 
     #[test]
@@ -467,9 +523,26 @@ mod tests {
         let neighbor = node(5, 2, 3);
         n.right_table.set(0, RoutingEntry::new(link_to(&neighbor)));
         assert!(!n.right_table.entry(0).unwrap().has_any_child());
-        assert!(n.update_neighbor_children(PeerId(5), Some(PeerId(8)), None));
+        n.update_neighbor_children(PeerId(5), neighbor.position, Some(PeerId(8)), None);
         assert_eq!(n.right_table.entry(0).unwrap().left_child, Some(PeerId(8)));
-        assert!(!n.update_neighbor_children(PeerId(99), None, None));
+        let before = n.clone();
+        n.update_neighbor_children(PeerId(99), neighbor.position, None, None);
+        assert_eq!(n, before);
+    }
+
+    #[test]
+    fn drop_table_link_clears_the_one_matching_slot() {
+        let mut n = node(1, 3, 4);
+        let near = node(10, 3, 3);
+        let far = node(11, 3, 2);
+        n.left_table.set(0, RoutingEntry::new(link_to(&near)));
+        n.left_table.set(1, RoutingEntry::new(link_to(&far)));
+        // The slot is held by another peer: nothing is dropped.
+        n.drop_table_link(PeerId(99), near.position);
+        assert_eq!(n.left_table.occupied_count(), 2);
+        n.drop_table_link(PeerId(10), near.position);
+        assert_eq!(n.left_table.entry(0), None);
+        assert_eq!(n.left_table.entry(1).unwrap().link.peer, PeerId(11));
     }
 
     #[test]

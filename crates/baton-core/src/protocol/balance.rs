@@ -33,7 +33,7 @@ use crate::messages::BatonMessage;
 use crate::position::Side;
 use crate::range::Key;
 use crate::reports::{BalanceKind, LoadBalanceReport};
-use crate::system::BatonSystem;
+use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
     /// Explicitly runs the load-balancing check on `peer` (normally it runs
@@ -217,8 +217,8 @@ impl BatonSystem {
             })?;
         }
         // Both nodes' ranges changed: refresh every link recording them.
-        messages += self.broadcast_range_update(op, overloaded)?;
-        messages += self.broadcast_range_update(op, adjacent)?;
+        messages += self.broadcast_link_update(op, overloaded, LinkUpdate::Range)?;
+        messages += self.broadcast_link_update(op, adjacent, LinkUpdate::Range)?;
 
         self.balance_shift_sizes.record(2);
         Ok(Some(LoadBalanceReport {
@@ -414,7 +414,7 @@ impl BatonSystem {
             }
         }
         // The overloaded node's range shrank.
-        messages += self.broadcast_range_update(op, overloaded)?;
+        messages += self.broadcast_link_update(op, overloaded, LinkUpdate::Range)?;
         Ok(messages)
     }
 

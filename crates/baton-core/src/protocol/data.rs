@@ -13,7 +13,7 @@ use crate::error::{BatonError, Result};
 use crate::range::Key;
 use crate::reports::{DeleteReport, InsertReport};
 use crate::store::Value;
-use crate::system::BatonSystem;
+use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
     /// Inserts `value` under `key`, issuing the request at a uniformly
@@ -54,7 +54,8 @@ impl BatonSystem {
                 } else if key >= system.domain.high() {
                     system.domain = system.domain.extend_high(key + 1);
                 }
-                expansion_messages = system.broadcast_range_update(op, walk.data)?;
+                expansion_messages =
+                    system.broadcast_link_update(op, walk.data, LinkUpdate::Range)?;
             }
             system.node_mut(walk.data)?.store.insert(key, value);
             let replication_messages = system.charge_replica_copies(op, walk.owner, walk.data);

@@ -17,9 +17,16 @@ use baton_net::{OpScope, PeerId, RepairPolicy, SimTime};
 
 use crate::error::{BatonError, Result};
 use crate::messages::BatonMessage;
-use crate::position::Side;
+use crate::node::BatonNode;
 use crate::reports::FailureReport;
 use crate::system::BatonSystem;
+
+/// The children recorded for `node`'s routing-table neighbours, in table
+/// order — the FINDREPLACEMENT candidates of a leaf.
+fn neighbor_children(node: &BatonNode) -> impl Iterator<Item = PeerId> + '_ {
+    node.table_entries()
+        .flat_map(|e| [e.left_child, e.right_child].into_iter().flatten())
+}
 
 impl BatonSystem {
     /// Marks `peer` as failed **without** running the recovery protocol.
@@ -48,12 +55,7 @@ impl BatonSystem {
         let survives = self.replication > 1 && self.replica_survives(peer);
         // The failure is *detected* by a linked neighbour timing out, so the
         // repair start jitters by one round-trip on that link.
-        let detector = self
-            .node_ref(peer)?
-            .linked_peers()
-            .into_iter()
-            .next()
-            .unwrap_or(peer);
+        let detector = self.node_ref(peer)?.link_targets().next().unwrap_or(peer);
         let round_trip =
             self.net.sample_latency(detector, peer) + self.net.sample_latency(peer, detector);
         self.net.fail_peer(peer);
@@ -139,8 +141,7 @@ impl BatonSystem {
             // that noticed; pick one different from the coordinator when
             // possible.
             let reporter = node
-                .linked_peers()
-                .into_iter()
+                .link_targets()
                 .find(|p| *p != coordinator)
                 .unwrap_or(coordinator);
             (
@@ -160,13 +161,7 @@ impl BatonSystem {
         // The coordinator regenerates the failed node's routing tables by
         // querying the children of the nodes in its own routing tables: one
         // query and one response per regenerated neighbour entry.
-        let neighbors: Vec<PeerId> = {
-            let node = self.node_ref(peer)?;
-            Side::BOTH
-                .iter()
-                .flat_map(|s| node.table(*s).iter().map(|(_, e)| e.link.peer))
-                .collect()
-        };
+        let neighbors: Vec<PeerId> = self.node_ref(peer)?.table_peers().collect();
         for neighbor in neighbors {
             self.notify(op, "failure.table_regen", coordinator, neighbor);
             self.notify(op, "failure.table_regen", neighbor, coordinator);
@@ -228,6 +223,18 @@ impl BatonSystem {
         })
     }
 
+    /// The first alive candidate, or the first one when none is alive.
+    fn prefer_alive(&self, candidates: impl Iterator<Item = PeerId>) -> Option<PeerId> {
+        let mut first = None;
+        for peer in candidates {
+            if self.net.is_alive(peer) {
+                return Some(peer);
+            }
+            first = first.or(Some(peer));
+        }
+        first
+    }
+
     /// [`BatonSystem::find_replacement`] driven by a coordinator instead of
     /// the (dead) departing node: the initial FINDREPLACEMENT request is
     /// sent by `coordinator`.
@@ -248,30 +255,14 @@ impl BatonSystem {
         // walk.  Overlapping failures are the only runs with dead peers in
         // reach, so with every peer alive the first candidate wins and the
         // walk is exactly the legacy one.
-        let prefer_alive = |system: &Self, candidates: &[PeerId]| -> Option<PeerId> {
-            candidates
-                .iter()
-                .copied()
-                .find(|p| system.net.is_alive(*p))
-                .or_else(|| candidates.first().copied())
-        };
         let start = {
             let node = self.node_ref(departing)?;
             if node.is_leaf() {
-                let children: Vec<PeerId> = Side::BOTH
-                    .iter()
-                    .flat_map(|s| node.table(*s).iter())
-                    .flat_map(|(_, e)| [e.left_child, e.right_child])
-                    .flatten()
-                    .collect();
-                match prefer_alive(self, &children) {
-                    Some(peer) => peer,
-                    None => {
-                        return Err(BatonError::InvariantViolation(
-                            "find_replacement_via called on a directly removable leaf".into(),
-                        ))
-                    }
-                }
+                self.prefer_alive(neighbor_children(node)).ok_or_else(|| {
+                    BatonError::InvariantViolation(
+                        "find_replacement_via called on a directly removable leaf".into(),
+                    )
+                })?
             } else {
                 let legacy = match (&node.left_adjacent, &node.right_adjacent) {
                     (Some(l), Some(r)) => {
@@ -289,8 +280,8 @@ impl BatonSystem {
                         ))
                     }
                 };
-                let candidates: Vec<PeerId> = legacy.into_iter().flatten().collect();
-                prefer_alive(self, &candidates).expect("at least one adjacent link")
+                self.prefer_alive(legacy.into_iter().flatten())
+                    .expect("at least one adjacent link")
             }
         };
         let mut messages = 1u64;
@@ -310,23 +301,12 @@ impl BatonSystem {
         loop {
             let next = {
                 let node = self.node_ref(current)?;
-                let mut candidates: Vec<PeerId> = Vec::new();
-                if let Some(lc) = &node.left_child {
-                    candidates.push(lc.peer);
+                if node.is_leaf() {
+                    self.prefer_alive(neighbor_children(node))
+                } else {
+                    let children = [node.left_child, node.right_child];
+                    self.prefer_alive(children.into_iter().flatten().map(|l| l.peer))
                 }
-                if let Some(rc) = &node.right_child {
-                    candidates.push(rc.peer);
-                }
-                if candidates.is_empty() {
-                    candidates.extend(
-                        Side::BOTH
-                            .iter()
-                            .flat_map(|s| node.table(*s).iter())
-                            .flat_map(|(_, e)| [e.left_child, e.right_child])
-                            .flatten(),
-                    );
-                }
-                prefer_alive(self, &candidates)
             };
             let Some(next) = next else {
                 return Ok((current, messages));

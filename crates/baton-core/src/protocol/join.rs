@@ -21,7 +21,7 @@ use crate::position::{Position, Side};
 use crate::range::KeyRange;
 use crate::reports::JoinReport;
 use crate::routing::{NodeLink, RoutingEntry};
-use crate::system::BatonSystem;
+use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
     /// A new peer joins the overlay, contacting a uniformly random existing
@@ -250,7 +250,7 @@ impl BatonSystem {
         // notification per node holding a link to it (its routing-table
         // neighbours in turn let their children know about the new node,
         // which is how its tables fill) — the paper's `2·L1` term.
-        messages += self.broadcast_parent_update(op, parent_peer)?;
+        messages += self.broadcast_link_update(op, parent_peer, LinkUpdate::RangeAndChildren)?;
         // Build the new node's routing tables through the parent's
         // neighbours' children (Theorem 2).
         messages += self.build_child_tables(op, parent_peer, joiner)?;
@@ -299,14 +299,9 @@ impl BatonSystem {
                 } else {
                     let parent = self.node_ref(parent_peer)?;
                     let entry = parent
-                        .table(side)
-                        .entry_for_position(target_parent_pos)
-                        .or_else(|| {
-                            parent
-                                .table(side.opposite())
-                                .entry_for_position(target_parent_pos)
-                        });
-                    entry.and_then(|(_, e)| match target_pos.child_side().expect("non-root") {
+                        .table_slot_of(target_parent_pos)
+                        .and_then(|(s, i)| parent.table(s).entry(i));
+                    entry.and_then(|e| match target_pos.child_side().expect("non-root") {
                         Side::Left => e.left_child,
                         Side::Right => e.right_child,
                     })

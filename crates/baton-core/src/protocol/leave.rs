@@ -15,10 +15,9 @@ use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::messages::BatonMessage;
-use crate::position::Side;
 use crate::reports::LeaveReport;
 use crate::routing::NodeLink;
-use crate::system::BatonSystem;
+use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
     /// Gracefully removes `peer` from the overlay.
@@ -221,12 +220,7 @@ impl BatonSystem {
                 .position
                 .child_side()
                 .expect("a node with a parent is not the root");
-            let mut neighbors = Vec::new();
-            for s in Side::BOTH {
-                for (_, e) in node.table(s).iter() {
-                    neighbors.push(e.link.peer);
-                }
-            }
+            let neighbors: Vec<PeerId> = node.table_peers().collect();
             let store = std::mem::take(&mut node.store);
             (
                 node.position,
@@ -240,14 +234,9 @@ impl BatonSystem {
         };
 
         // 1. Tell routing-table neighbours to drop their entries.
-        for neighbor in &neighbor_peers {
-            self.notify(op, "leave.notify", actor, *neighbor);
-            messages += 1;
-            if let Some(n) = self.node_opt_mut(*neighbor) {
-                n.left_table.remove_peer(leaf);
-                n.right_table.remove_peer(leaf);
-            }
-        }
+        messages += self.fan_out(op, "leave.notify", actor, &neighbor_peers, |neighbor| {
+            neighbor.drop_table_link(leaf, position)
+        });
 
         // 2. Transfer content and range to the parent.
         let items = store.len();
@@ -292,7 +281,8 @@ impl BatonSystem {
 
         // 5. The parent's range (and child set) changed: refresh everyone
         //    holding a link to it with one combined notification each.
-        messages += self.broadcast_parent_update(op, parent_link.peer)?;
+        messages +=
+            self.broadcast_link_update(op, parent_link.peer, LinkUpdate::RangeAndChildren)?;
 
         Ok(messages)
     }
@@ -338,21 +328,19 @@ impl BatonSystem {
 
         // Repoint every node that held a link to the departed peer.
         let new_link = self.link_of(new_peer)?;
-        let linked = self.node_ref(new_peer)?.linked_peers();
-        for other in linked {
-            if other == new_peer {
-                continue;
-            }
-            self.notify(op, "leave.replacement_announce", new_peer, other);
-            messages += 1;
-            if let Some(other_node) = self.node_opt_mut(other) {
-                other_node.rewrite_links(old_peer, new_link);
-            }
-        }
+        let mut linked = self.node_ref(new_peer)?.linked_peers();
+        linked.retain(|other| *other != new_peer);
+        messages += self.fan_out(
+            op,
+            "leave.replacement_announce",
+            new_peer,
+            &linked,
+            |other| other.rewrite_links(old_peer, new_link),
+        );
         // The parent's neighbours track the parent's children by address;
         // refresh that knowledge too (the paper's `2·L1` term).
         if let Some(parent_link) = self.node_ref(new_peer)?.parent {
-            messages += self.broadcast_child_update(op, parent_link.peer)?;
+            messages += self.broadcast_link_update(op, parent_link.peer, LinkUpdate::Children)?;
         }
         Ok(messages)
     }

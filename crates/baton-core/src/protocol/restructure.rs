@@ -30,7 +30,7 @@ use crate::error::{BatonError, Result};
 use crate::position::{Position, Side};
 use crate::reports::RestructureReport;
 use crate::routing::{NodeLink, RoutingEntry, RoutingTable};
-use crate::system::BatonSystem;
+use crate::system::{BatonSystem, LinkUpdate};
 
 /// A planned restructuring: which peer moves to which position, plus the
 /// parent under which the final chain member is attached as a new child
@@ -300,7 +300,7 @@ impl BatonSystem {
         parent_positions.dedup();
         for parent_pos in parent_positions {
             if let Some(parent_peer) = self.by_position.get(parent_pos) {
-                messages += self.broadcast_child_update(op, parent_peer)?;
+                messages += self.broadcast_link_update(op, parent_peer, LinkUpdate::Children)?;
             }
         }
 

@@ -172,18 +172,6 @@ impl RoutingTable {
         }
     }
 
-    /// Removes any entry pointing at `peer`, returning how many were removed.
-    pub fn remove_peer(&mut self, peer: PeerId) -> usize {
-        let mut removed = 0;
-        for slot in &mut self.slots {
-            if slot.as_ref().is_some_and(|e| e.link.peer == peer) {
-                *slot = None;
-                removed += 1;
-            }
-        }
-        removed
-    }
-
     /// `true` if every *valid* slot holds an entry (the fullness condition
     /// of Theorem 1 and Algorithm 1).
     pub fn is_full(&self) -> bool {
@@ -203,25 +191,6 @@ impl RoutingTable {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|e| (i, e)))
-    }
-
-    /// Iterates mutably over `(index, entry)` for every occupied slot,
-    /// nearest neighbour first.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut RoutingEntry)> + '_ {
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_mut().map(|e| (i, e)))
-    }
-
-    /// The entry pointing at `position`, if present.
-    pub fn entry_for_position(&self, position: Position) -> Option<(usize, &RoutingEntry)> {
-        self.iter().find(|(_, e)| e.link.position == position)
-    }
-
-    /// The entry pointing at `peer`, if present.
-    pub fn entry_for_peer(&self, peer: PeerId) -> Option<(usize, &RoutingEntry)> {
-        self.iter().find(|(_, e)| e.link.peer == peer)
     }
 
     /// The farthest occupied entry (largest index), if any.  Used by the
@@ -304,9 +273,6 @@ mod tests {
         assert_eq!(table.occupied_count(), 1);
         assert_eq!(table.entry(0).unwrap().link.peer, PeerId(7));
         assert_eq!(table.entry(1), None);
-        assert_eq!(table.entry_for_position(target).unwrap().0, 0);
-        assert_eq!(table.entry_for_peer(PeerId(7)).unwrap().0, 0);
-        assert!(table.entry_for_peer(PeerId(8)).is_none());
     }
 
     #[test]
@@ -340,17 +306,6 @@ mod tests {
         assert!(left.is_full());
         left.clear(0);
         assert!(!left.is_full());
-    }
-
-    #[test]
-    fn remove_peer_clears_matching_slots() {
-        let owner = Position::new(3, 4);
-        let mut table = RoutingTable::new(Side::Left, owner);
-        table.set(0, RoutingEntry::new(link(10, Position::new(3, 3))));
-        table.set(1, RoutingEntry::new(link(11, Position::new(3, 2))));
-        assert_eq!(table.remove_peer(PeerId(10)), 1);
-        assert_eq!(table.remove_peer(PeerId(99)), 0);
-        assert_eq!(table.occupied_count(), 1);
     }
 
     #[test]

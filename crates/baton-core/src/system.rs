@@ -19,6 +19,17 @@
 //! charged per the paper's cost model, because simulating the link-repair
 //! handshakes peer by peer adds no fidelity to the message counts the paper
 //! reports.
+//!
+//! ### Membership fan-out
+//!
+//! Every notify-and-update loop of the membership protocols goes through
+//! [`BatonSystem::fan_out`].  Its contract: first the update is applied to
+//! every target, then the notifications are charged in target order;
+//! the update pass reads and writes only node state, the notification pass
+//! only the network, so neither sees the other's effects and the result is
+//! that of an interleaved loop.  A receiver does O(1) work: the
+//! notification carries the sender's position, which names the one
+//! routing-table slot to touch ([`BatonNode::table_slot_of`]).
 
 use baton_net::{Histogram, LatencyModel, LinkKind, OpScope, PeerId, SimNetwork, SimRng, SimTime};
 
@@ -26,7 +37,7 @@ use crate::config::BatonConfig;
 use crate::error::{BatonError, Result};
 use crate::messages::BatonMessage;
 use crate::node::BatonNode;
-use crate::position::{Position, Side};
+use crate::position::Position;
 use crate::range::{Key, KeyRange};
 use crate::routing::NodeLink;
 
@@ -100,6 +111,20 @@ impl PositionMap {
             .map(|level| level as u32 + 1)
             .unwrap_or(0)
     }
+}
+
+/// What a [`BatonSystem::broadcast_link_update`] refreshes at its receivers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum LinkUpdate {
+    /// The sender's range, at every node linked to it (`table.range_update`).
+    Range,
+    /// The sender's children, at its routing-table neighbours
+    /// (`table.child_update`).
+    Children,
+    /// Both, in one `table.child_update` per linked node — what a parent
+    /// sends after gaining or losing a child (paper §III-A/B, the `2·L1`
+    /// term).
+    RangeAndChildren,
 }
 
 /// One BATON overlay: peers, their tree state, and the simulated network.
@@ -571,12 +596,7 @@ impl BatonSystem {
             LinkKind::Child
         } else if links_to(&node.left_adjacent) || links_to(&node.right_adjacent) {
             LinkKind::Adjacent
-        } else if node
-            .left_table
-            .iter()
-            .chain(node.right_table.iter())
-            .any(|(_, entry)| entry.link.peer == to)
-        {
+        } else if node.table_peers().any(|peer| peer == to) {
             LinkKind::RoutingTable
         } else {
             LinkKind::Other
@@ -621,87 +641,65 @@ impl BatonSystem {
         }
     }
 
-    /// Informs every node linked to `peer` that its range changed, updating
-    /// their recorded link ranges.  Each notified node costs one message
-    /// charged to `op` with the `table.range_update` kind.
+    /// Sends one `kind` notification from `from` to every target, each of
+    /// which applies `update` to its own state.  Returns the number of
+    /// messages charged.
     ///
-    /// Returns the number of messages sent.
-    pub(crate) fn broadcast_range_update(&mut self, op: OpScope, peer: PeerId) -> Result<u64> {
-        let _t = baton_net::profiler::scope("baton.broadcast.range");
-        let (linked, range) = {
-            let node = self.node_ref(peer)?;
-            (node.linked_peers(), node.range)
-        };
-        let mut messages = 0;
-        for other in linked {
-            self.notify(op, "table.range_update", peer, other);
-            messages += 1;
-            if let Some(other_node) = self.node_opt_mut(other) {
-                other_node.update_link_range(peer, range);
+    /// Two passes, in this order: the update pass touches one cold node per
+    /// target and nothing else, so the targets' cache misses overlap; the
+    /// notifications are then charged in target order, so the latency
+    /// stream, the op's completion time, the per-peer receive counters and
+    /// the route recorder see the sequence an interleaved loop would
+    /// produce.  The split is exact because neither pass reads what the
+    /// other writes: `update` sees only `nodes`, `notify` only `net`.
+    pub(crate) fn fan_out(
+        &mut self,
+        op: OpScope,
+        kind: &'static str,
+        from: PeerId,
+        targets: &[PeerId],
+        mut update: impl FnMut(&mut BatonNode),
+    ) -> u64 {
+        let _t = baton_net::profiler::scope("baton.fan_out");
+        for &target in targets {
+            if let Some(node) = self.node_opt_mut(target) {
+                update(node);
             }
         }
-        Ok(messages)
+        for &target in targets {
+            self.notify(op, kind, from, target);
+        }
+        targets.len() as u64
     }
 
-    /// Informs every routing-table neighbour of `peer` about its current
-    /// children, updating their child knowledge.  One message per neighbour,
-    /// charged to `op` with the `table.child_update` kind.
-    ///
-    /// Returns the number of messages sent.
-    pub(crate) fn broadcast_child_update(&mut self, op: OpScope, peer: PeerId) -> Result<u64> {
-        let _t = baton_net::profiler::scope("baton.broadcast.child");
-        let (neighbors, left_child, right_child) = {
-            let node = self.node_ref(peer)?;
-            let mut neighbors = Vec::new();
-            for side in Side::BOTH {
-                for (_, e) in node.table(side).iter() {
-                    neighbors.push(e.link.peer);
-                }
-            }
-            (
-                neighbors,
-                node.left_child.map(|l| l.peer),
-                node.right_child.map(|l| l.peer),
-            )
+    /// Informs the nodes holding a link to `peer` of its current state, one
+    /// notification each, and updates what they record about it.  Returns
+    /// the number of messages sent.
+    pub(crate) fn broadcast_link_update(
+        &mut self,
+        op: OpScope,
+        peer: PeerId,
+        what: LinkUpdate,
+    ) -> Result<u64> {
+        let node = self.node_ref(peer)?;
+        let (position, range) = (node.position, node.range);
+        let (left_child, right_child) = (
+            node.left_child.map(|l| l.peer),
+            node.right_child.map(|l| l.peer),
+        );
+        let (kind, targets) = match what {
+            LinkUpdate::Range => ("table.range_update", node.linked_peers()),
+            LinkUpdate::Children => ("table.child_update", node.table_peers().collect()),
+            LinkUpdate::RangeAndChildren => ("table.child_update", node.linked_peers()),
         };
-        let mut messages = 0;
-        for other in neighbors {
-            self.notify(op, "table.child_update", peer, other);
-            messages += 1;
-            if let Some(other_node) = self.node_opt_mut(other) {
-                other_node.update_neighbor_children(peer, left_child, right_child);
+        Ok(self.fan_out(op, kind, peer, &targets, |other| {
+            if what != LinkUpdate::Children {
+                other.update_link_range(peer, position, range);
             }
-        }
-        Ok(messages)
-    }
-
-    /// Informs every node linked to `peer` of both its current range and its
-    /// current children in a single notification per linked node — the
-    /// combined update a parent sends out after gaining or losing a child
-    /// (paper §III-A/B counts this as the `2·L1` term).
-    ///
-    /// Returns the number of messages sent.
-    pub(crate) fn broadcast_parent_update(&mut self, op: OpScope, peer: PeerId) -> Result<u64> {
-        let _t = baton_net::profiler::scope("baton.broadcast.parent");
-        let (linked, range, left_child, right_child) = {
-            let node = self.node_ref(peer)?;
-            (
-                node.linked_peers(),
-                node.range,
-                node.left_child.map(|l| l.peer),
-                node.right_child.map(|l| l.peer),
-            )
-        };
-        let mut messages = 0;
-        for other in linked {
-            self.notify(op, "table.child_update", peer, other);
-            messages += 1;
-            if let Some(other_node) = self.node_opt_mut(other) {
-                other_node.update_link_range(peer, range);
-                other_node.update_neighbor_children(peer, left_child, right_child);
+            if what != LinkUpdate::Range {
+                other.update_neighbor_children(peer, position, left_child, right_child);
             }
-        }
-        Ok(messages)
+        }))
     }
 
     /// Ensures `key` lies inside the overlay's current key domain (the

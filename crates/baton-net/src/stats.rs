@@ -348,7 +348,10 @@ pub struct MessageStats {
     total_delivered: u64,
     total_failed: u64,
     total_bytes: u64,
-    by_kind: HashMap<&'static str, u64>,
+    /// One `(kind, messages sent)` row per message kind, in first-seen
+    /// order.  Kinds are a few dozen string literals, so a send finds its
+    /// row by literal identity instead of hashing the string.
+    by_kind: Vec<(&'static str, u64)>,
     /// Messages received per peer, slab-indexed by the dense peer id.
     received_by_peer: Vec<u64>,
     /// Sliding window of live operations: the op with [`OpId`] `base + i`
@@ -387,14 +390,16 @@ impl MessageStats {
         self.total_bytes
     }
 
-    /// Messages sent per statistics bucket (message kind).
-    pub fn by_kind(&self) -> &HashMap<&'static str, u64> {
-        &self.by_kind
+    /// Messages sent per statistics bucket (message kind), in first-seen
+    /// order.
+    pub fn by_kind(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        self.by_kind.iter().copied()
     }
 
     /// Messages sent with a given kind label.
     pub fn kind_count(&self, kind: &str) -> u64 {
-        self.by_kind.get(kind).copied().unwrap_or(0)
+        let row = self.by_kind.iter().find(|(k, _)| *k == kind);
+        row.map_or(0, |(_, count)| *count)
     }
 
     /// `(peer, received)` for every peer that received at least one message —
@@ -623,7 +628,18 @@ impl MessageStats {
     pub(crate) fn record_send(&mut self, op: OpId, kind: &'static str, bytes: usize, hop: u32) {
         self.total_sent += 1;
         self.total_bytes += bytes as u64;
-        *self.by_kind.entry(kind).or_insert(0) += 1;
+        // Same literal (address and length) first; string equality before a
+        // new row, so a kind spelled at two call sites still has one row.
+        let rows = &mut self.by_kind;
+        let index = rows
+            .iter()
+            .position(|(k, _)| std::ptr::eq(*k, kind))
+            .or_else(|| rows.iter().position(|(k, _)| *k == kind))
+            .unwrap_or_else(|| {
+                rows.push((kind, 0));
+                rows.len() - 1
+            });
+        rows[index].1 += 1;
         if let Some(stats) = self.live_mut(op) {
             stats.messages += 1;
             stats.bytes += bytes as u64;
