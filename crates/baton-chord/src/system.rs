@@ -13,9 +13,10 @@
 //!   queries are *not* supported (hashing destroys key order), which is the
 //!   motivation for BATON.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::HashSet;
 
-use baton_net::{LinkKind, NetMessage, OpScope, PeerId, SimNetwork, SimRng};
+use baton_net::{LinkKind, NetMessage, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
 
 use crate::id::{ChordId, M};
 use crate::node::{ChordNode, Finger};
@@ -103,11 +104,9 @@ pub struct ChordOpReport {
 #[derive(Debug)]
 pub struct ChordSystem {
     net: SimNetwork<ChordMessage>,
-    nodes: HashMap<PeerId, ChordNode>,
-    /// Every live peer, kept sorted by [`PeerId`] — the order the old
-    /// collect-and-sort `random_peer` sampled from, so seeded experiments
-    /// keep their exact message counts while sampling is O(1).
-    peer_list: Vec<PeerId>,
+    /// Node state of every live peer and the sorted list sampling draws
+    /// from.
+    nodes: PeerDirectory<ChordNode>,
     /// Ring identifiers of the *live* nodes: the collision set of
     /// [`fresh_id`](Self::fresh_id).  Kept in lockstep with `nodes` (ids of
     /// departed peers are released) so the seeded draw sequence is
@@ -127,8 +126,7 @@ impl ChordSystem {
     pub fn new(seed: u64) -> Self {
         Self {
             net: SimNetwork::new(),
-            nodes: HashMap::new(),
-            peer_list: Vec::new(),
+            nodes: PeerDirectory::new(),
             used_ids: HashSet::new(),
             rng: SimRng::seeded(seed),
             replication: 1,
@@ -163,8 +161,7 @@ impl ChordSystem {
         let ids: Vec<ChordId> = (0..n)
             .map(|_| {
                 let id = system.fresh_id();
-                // Reserve immediately so later draws cannot collide;
-                // register_node's insert is idempotent.
+                // Reserve immediately so later draws cannot collide.
                 system.used_ids.insert(id.compact());
                 id
             })
@@ -186,24 +183,26 @@ impl ChordSystem {
             Err(k) => k,
         };
 
-        for i in 0..n {
-            let position = rank[i];
-            let prev = order[(position + n - 1) % n];
-            let next = order[(position + 1) % n];
-            let mut node = ChordNode::solo(peers[i], ids[i]);
-            node.successor = (peers[next], ids[next]);
-            node.predecessor = (peers[prev], ids[prev]);
-            for k in 0..M {
-                let start = ids[i].finger_start(k);
-                let owner = order[successor_position(start)];
-                node.fingers[k as usize] = Some(Finger {
-                    start,
-                    node: peers[owner],
-                    node_id: ids[owner],
-                });
-            }
-            system.register_node(peers[i], node);
-        }
+        system.nodes = (0..n)
+            .map(|i| {
+                let position = rank[i];
+                let prev = order[(position + n - 1) % n];
+                let next = order[(position + 1) % n];
+                let mut node = ChordNode::solo(peers[i], ids[i]);
+                node.successor = (peers[next], ids[next]);
+                node.predecessor = (peers[prev], ids[prev]);
+                for k in 0..M {
+                    let start = ids[i].finger_start(k);
+                    let owner = order[successor_position(start)];
+                    node.fingers[k as usize] = Some(Finger {
+                        start,
+                        node: peers[owner],
+                        node_id: ids[owner],
+                    });
+                }
+                (peers[i], node)
+            })
+            .collect();
         Ok(system)
     }
 
@@ -219,7 +218,7 @@ impl ChordSystem {
         let mut ring: Vec<(ChordId, PeerId)> = self
             .nodes
             .iter()
-            .map(|(&peer, node)| (node.id, peer))
+            .map(|(peer, node)| (node.id, peer))
             .collect();
         ring.sort_unstable();
         // One stable sort by ring identifier, then a merge-style pass with
@@ -238,7 +237,7 @@ impl ChordSystem {
                 cursor += 1;
             }
             let slot = if cursor == ring.len() { 0 } else { cursor };
-            if let Some(node) = self.nodes.get_mut(&ring[slot].1) {
+            if let Some(node) = self.nodes.get_mut(ring[slot].1) {
                 node.store.entry(id.value()).or_default().push(value);
             }
         }
@@ -249,36 +248,40 @@ impl ChordSystem {
         self.nodes.len()
     }
 
-    /// Approximate resident bytes of per-peer protocol state: the node map
-    /// (hash-table slots at the ~8/7 load-factor reciprocal), every node's
-    /// finger table and key store, the sampling list and the live-id set.
-    /// The shared network substrate is excluded.
+    /// Approximate resident bytes of per-peer protocol state: the node
+    /// slab, every node's finger table and key store, the sampling list
+    /// and the live-id set.  The shared network substrate is excluded.
     ///
-    /// The hash-table components are modelled from `len()`, not
-    /// `capacity()`: after delete/insert churn the table's allocated
-    /// capacity depends on the per-process `RandomState` seed (rehash in
-    /// place vs. grow is decided by where hashes land), and this estimate
-    /// is sampled into deterministic scenario time series.
+    /// The slab is counted by [`PeerDirectory::slot_count`] — every slot
+    /// ever opened, the holes departures leave included — not by its
+    /// allocated capacity: amortised doubling overshoots the slots in use
+    /// by up to 2×, which would make the figure jump with the growth
+    /// schedule rather than with the state the protocol keeps.  The
+    /// live-id hash set is modelled from `len()` (slots at the ~8/7
+    /// load-factor reciprocal), not `capacity()`: after delete/insert churn
+    /// the table's allocated capacity depends on the per-process
+    /// `RandomState` seed (rehash in place vs. grow is decided by where
+    /// hashes land), and this estimate is sampled into deterministic
+    /// scenario time series.
     pub fn estimated_state_bytes(&self) -> u64 {
-        let slot = std::mem::size_of::<(PeerId, ChordNode)>() as u64 + 1;
-        let map = self.nodes.len() as u64 * slot * 8 / 7;
+        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<ChordNode>>()) as u64;
         let heap: u64 = self
             .nodes
             .values()
             .map(|node| node.estimated_state_bytes() - std::mem::size_of::<ChordNode>() as u64)
             .sum();
-        let peers = (self.peer_list.capacity() * std::mem::size_of::<PeerId>()) as u64;
+        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
         let ids = self.used_ids.len() as u64 * (std::mem::size_of::<u32>() as u64 + 1) * 8 / 7;
-        map + heap + peers + ids
+        slab + heap + peers + ids
     }
 
     /// All peers in the ring, sorted by id — a borrowed view of the
     /// sampling list.
     pub fn peers(&self) -> &[PeerId] {
-        &self.peer_list
+        self.nodes.peers()
     }
 
-    /// Iterates over the ring's nodes in unspecified order.
+    /// Iterates over the ring's nodes in peer-id order.
     pub fn nodes(&self) -> impl Iterator<Item = &ChordNode> + '_ {
         self.nodes.values()
     }
@@ -327,42 +330,23 @@ impl ChordSystem {
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
-        if self.peer_list.is_empty() {
-            return None;
-        }
-        let idx = self.rng.index(self.peer_list.len());
-        Some(self.peer_list[idx])
+        self.nodes.sample(&mut self.rng)
     }
 
-    /// Adds `peer` to the node map and the sorted sampling list, reserving
-    /// its ring identifier.  `used_ids` is only updated here and in
-    /// [`unregister_node`](Self::unregister_node) so it stays in lockstep
-    /// with the live nodes even when a join fails after drawing an id.
+    /// Adds `peer` to the directory, reserving its ring identifier.
+    /// `used_ids` is only updated here, in
+    /// [`unregister_node`](Self::unregister_node) and by
+    /// [`bulk_build`](Self::bulk_build)'s up-front draw, so it stays in
+    /// lockstep with the live nodes even when a join fails after drawing
+    /// an id.
     fn register_node(&mut self, peer: PeerId, node: ChordNode) {
-        // New peers come from the registry's monotonically increasing id
-        // counter, so in the common case the peer sorts after everything in
-        // the list and registration is an O(1) push; the binary-search
-        // fallback covers re-registrations (e.g. a failed join retried).
-        match self.peer_list.last() {
-            Some(&last) if peer > last => self.peer_list.push(peer),
-            None => self.peer_list.push(peer),
-            _ => {
-                if let Err(idx) = self.peer_list.binary_search(&peer) {
-                    self.peer_list.insert(idx, peer);
-                }
-            }
-        }
         self.used_ids.insert(node.id.compact());
         self.nodes.insert(peer, node);
     }
 
-    /// Removes `peer` from the node map and the sampling list, releasing
-    /// its ring identifier.
+    /// Removes `peer` from the directory, releasing its ring identifier.
     fn unregister_node(&mut self, peer: PeerId) -> Option<ChordNode> {
-        if let Ok(idx) = self.peer_list.binary_search(&peer) {
-            self.peer_list.remove(idx);
-        }
-        let node = self.nodes.remove(&peer)?;
+        let node = self.nodes.remove(peer)?;
         self.used_ids.remove(&node.id.compact());
         Some(node)
     }
@@ -389,12 +373,12 @@ impl ChordSystem {
     }
 
     fn node(&self, peer: PeerId) -> Result<&ChordNode> {
-        self.nodes.get(&peer).ok_or(ChordError::UnknownPeer(peer))
+        self.nodes.get(peer).ok_or(ChordError::UnknownPeer(peer))
     }
 
     fn node_mut(&mut self, peer: PeerId) -> Result<&mut ChordNode> {
         self.nodes
-            .get_mut(&peer)
+            .get_mut(peer)
             .ok_or(ChordError::UnknownPeer(peer))
     }
 
@@ -595,7 +579,10 @@ impl ChordSystem {
 
     /// A node leaves the ring gracefully: keys go to its successor,
     /// neighbours re-link, and every stale finger pointing at it is repaired
-    /// with a fresh lookup.
+    /// with a fresh lookup — one per stale finger, holders in peer-id order
+    /// and each holder's fingers in table order, so the sequence of repair
+    /// lookups (and with it every per-peer counter and latency draw) is a
+    /// function of the seed alone.
     pub fn leave(&mut self, peer: PeerId) -> Result<ChordChurnReport> {
         if self.nodes.len() <= 1 {
             return Err(ChordError::LastNode);
@@ -611,12 +598,13 @@ impl ChordSystem {
         let (pred_peer, pred_id) = departing.predecessor;
         {
             let successor = self.node_mut(succ_peer)?;
-            for (k, vs) in &departing.store {
-                successor
-                    .store
-                    .entry(*k)
-                    .or_default()
-                    .extend(vs.iter().copied());
+            for (k, mut vs) in departing.store {
+                match successor.store.entry(k) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(vs);
+                    }
+                    Entry::Occupied(mut slot) => slot.get_mut().append(&mut vs),
+                }
             }
             successor.predecessor = (pred_peer, pred_id);
         }
@@ -637,7 +625,7 @@ impl ChordSystem {
                 n.fingers.iter().enumerate().filter_map(move |(k, f)| {
                     f.as_ref()
                         .filter(|f| f.node == peer)
-                        .map(|f| (*p, k, f.start))
+                        .map(|f| (p, k, f.start))
                 })
             })
             .collect();
@@ -695,7 +683,7 @@ impl ChordSystem {
         let mut targets = Vec::new();
         let mut current = peer;
         for _ in 0..self.replication - 1 {
-            let Some(node) = self.nodes.get(&current) else {
+            let Some(node) = self.nodes.get(current) else {
                 break;
             };
             let successor = node.successor.0;
@@ -801,16 +789,19 @@ impl ChordSystem {
 
     /// Verifies ring invariants: successor/predecessor pointers are mutually
     /// consistent and the identifiers strictly increase around the ring.
+    /// Nodes are checked in peer-id order and the successor walk starts at
+    /// the lowest live id, so a broken ring reports the same violation on
+    /// every run.
     pub fn validate(&self) -> std::result::Result<(), String> {
         if self.nodes.is_empty() {
             return Ok(());
         }
-        for (peer, node) in &self.nodes {
+        for (peer, node) in self.nodes.iter() {
             let succ = self
                 .nodes
-                .get(&node.successor.0)
+                .get(node.successor.0)
                 .ok_or_else(|| format!("{peer} successor {} missing", node.successor.0))?;
-            if succ.predecessor.0 != *peer {
+            if succ.predecessor.0 != peer {
                 return Err(format!(
                     "{peer} successor {} does not point back",
                     node.successor.0
@@ -818,9 +809,9 @@ impl ChordSystem {
             }
             let pred = self
                 .nodes
-                .get(&node.predecessor.0)
+                .get(node.predecessor.0)
                 .ok_or_else(|| format!("{peer} predecessor {} missing", node.predecessor.0))?;
-            if pred.successor.0 != *peer {
+            if pred.successor.0 != peer {
                 return Err(format!(
                     "{peer} predecessor {} does not point forward",
                     node.predecessor.0
@@ -828,14 +819,14 @@ impl ChordSystem {
             }
         }
         // Walking successors from any node must visit every node exactly once.
-        let start = *self.nodes.keys().next().unwrap();
-        let mut seen = std::collections::HashSet::new();
+        let start = self.peers()[0];
+        let mut seen = HashSet::new();
         let mut current = start;
         for _ in 0..self.nodes.len() {
             if !seen.insert(current) {
                 return Err("successor cycle shorter than the ring".into());
             }
-            current = self.nodes[&current].successor.0;
+            current = self.nodes.get(current).expect("checked above").successor.0;
         }
         if current != start {
             return Err("successor walk does not return to the start".into());

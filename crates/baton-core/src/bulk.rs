@@ -152,17 +152,11 @@ impl BatonSystem {
         };
 
         // Pass B: materialise every node with its links and tables, in
-        // level order — which is ascending peer-id order, so registration
-        // appends to the sorted peer list in O(1).
-        for level in 0..=shape.full_levels {
-            let count = if level < shape.full_levels {
-                1u64 << level
-            } else {
-                shape.remainder
-            };
-            for number in 1..=count {
-                let position = Position::new(level, number);
-                let index = Shape::level_order_index(position);
+        // level order — which is ascending peer-id order, so the directory
+        // is collected by O(1) appends.
+        system.nodes = (0..n)
+            .map(|index| {
+                let position = Shape::position_of_index(index);
                 let mut node = BatonNode::new(peers[index], position, ranges[index]);
                 if let Some(parent) = position.parent() {
                     node.parent = Some(link_at(parent));
@@ -196,9 +190,11 @@ impl BatonSystem {
                         node.table_mut(side).set(slot, entry);
                     }
                 }
-                system.occupy(position, peers[index]);
-                system.register_node(peers[index], node);
-            }
+                (peers[index], node)
+            })
+            .collect();
+        for (index, &peer) in peers.iter().enumerate() {
+            system.occupy(Shape::position_of_index(index), peer);
         }
         Ok(system)
     }
@@ -216,14 +212,8 @@ impl BatonSystem {
     /// load models an out-of-band transfer, not a protocol exchange.
     pub fn load_direct(&mut self, data: &[(Key, Value)]) {
         let mut owners: Vec<(Key, PeerId)> = self
-            .peer_list
-            .iter()
-            .filter_map(|&peer| {
-                self.nodes
-                    .get(peer.raw() as usize)
-                    .and_then(Option::as_ref)
-                    .map(|node| (node.range.low(), peer))
-            })
+            .iter_nodes()
+            .map(|(peer, node)| (node.range.low(), peer))
             .collect();
         owners.sort_unstable();
         if owners.is_empty() {

@@ -389,7 +389,7 @@ impl BatonSystem {
         let g_link = self.link_of(overloaded)?;
         light_node.left_adjacent = outer;
         light_node.right_adjacent = Some(g_link);
-        self.register_node(light, light_node);
+        self.nodes.insert(light, light_node);
         let light_link = self.link_of(light)?;
         {
             let g = self.node_mut(overloaded)?;

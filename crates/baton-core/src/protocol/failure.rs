@@ -95,7 +95,7 @@ impl BatonSystem {
         if self.node_count() == 1 {
             let lost_items = self.node_ref(peer)?.store.len();
             self.net.fail_peer(peer);
-            let node = self.unregister_node(peer).expect("checked above");
+            let node = self.nodes.remove(peer).expect("checked above");
             self.vacate(node.position, peer);
             self.mark_repaired(peer);
             return Ok(FailureReport {

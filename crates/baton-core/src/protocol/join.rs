@@ -233,7 +233,7 @@ impl BatonSystem {
         // Register the new node before notifications so that helpers can
         // resolve its link.
         self.occupy(child_pos, joiner);
-        self.register_node(joiner, child);
+        self.nodes.insert(joiner, child);
 
         // The new node notifies the node on the far side of its adjacency
         // (one message, per the paper's cost analysis).

@@ -277,7 +277,7 @@ impl BatonSystem {
 
         // 4. Remove the leaf from the overlay.
         self.vacate(position, leaf);
-        self.unregister_node(leaf);
+        self.nodes.remove(leaf);
 
         // 5. The parent's range (and child set) changed: refresh everyone
         //    holding a link to it with one combined notification each.
@@ -303,7 +303,8 @@ impl BatonSystem {
         let _t = baton_net::profiler::scope("baton.leave.takeover");
         let mut messages = 0u64;
         let old_node = self
-            .unregister_node(old_peer)
+            .nodes
+            .remove(old_peer)
             .ok_or(BatonError::UnknownPeer(old_peer))?;
         self.vacate(old_node.position, old_peer);
 
@@ -324,7 +325,7 @@ impl BatonSystem {
         new_node.peer = new_peer;
         let position = new_node.position;
         self.occupy(position, new_peer);
-        self.register_node(new_peer, new_node);
+        self.nodes.insert(new_peer, new_node);
 
         // Repoint every node that held a link to the departed peer.
         let new_link = self.link_of(new_peer)?;

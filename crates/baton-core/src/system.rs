@@ -31,7 +31,9 @@
 //! notification carries the sender's position, which names the one
 //! routing-table slot to touch ([`BatonNode::table_slot_of`]).
 
-use baton_net::{Histogram, LatencyModel, LinkKind, OpScope, PeerId, SimNetwork, SimRng, SimTime};
+use baton_net::{
+    Histogram, LatencyModel, LinkKind, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng, SimTime,
+};
 
 use crate::config::BatonConfig;
 use crate::error::{BatonError, Result};
@@ -131,16 +133,9 @@ pub(crate) enum LinkUpdate {
 #[derive(Debug)]
 pub struct BatonSystem {
     pub(crate) net: SimNetwork<BatonMessage>,
-    /// Node state, slab-indexed by the dense peer id ([`PeerId::raw`]).
-    /// Departed/failed peers leave `None` slots behind; ids are never
-    /// reused (see [`baton_net::PeerRegistry`]).
-    pub(crate) nodes: Vec<Option<BatonNode>>,
-    /// Every live peer, kept sorted by [`PeerId`], so uniform sampling is an
-    /// O(1) index instead of a collect-and-sort over the node map.  The
-    /// sorted order matters: it is the order the pre-event-engine
-    /// `random_peer` sampled from, so seeded experiments keep producing the
-    /// exact message counts of the seed figures.
-    pub(crate) peer_list: Vec<PeerId>,
+    /// Node state of every live peer and the sorted list sampling draws
+    /// from.  All membership changes are its `insert` / `remove`.
+    pub(crate) nodes: PeerDirectory<BatonNode>,
     pub(crate) by_position: PositionMap,
     pub(crate) root: Option<PeerId>,
     pub(crate) config: BatonConfig,
@@ -167,8 +162,7 @@ impl BatonSystem {
     pub fn new(config: BatonConfig, seed: u64) -> Self {
         Self {
             net: SimNetwork::new(),
-            nodes: Vec::new(),
-            peer_list: Vec::new(),
+            nodes: PeerDirectory::new(),
             by_position: PositionMap::default(),
             root: None,
             domain: config.domain,
@@ -198,7 +192,7 @@ impl BatonSystem {
         let peer = self.net.add_peer();
         let node = BatonNode::new(peer, Position::ROOT, self.domain);
         self.by_position.insert(Position::ROOT, peer);
-        self.register_node(peer, node);
+        self.nodes.insert(peer, node);
         self.root = Some(peer);
         Ok(peer)
     }
@@ -225,12 +219,12 @@ impl BatonSystem {
 
     /// Number of live nodes in the overlay.
     pub fn node_count(&self) -> usize {
-        self.peer_list.len()
+        self.nodes.len()
     }
 
     /// `true` if the overlay has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.peer_list.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Approximate resident bytes of per-peer protocol state: the node slab
@@ -238,15 +232,19 @@ impl BatonSystem {
     /// every live node's routing tables and local store.  The shared network
     /// substrate is excluded; this is the figure the perf harness divides by
     /// [`node_count`](Self::node_count) for its bytes-per-peer rows.
+    ///
+    /// The slab is counted at its allocated capacity
+    /// ([`PeerDirectory::slot_capacity`]): that is what is resident, and it
+    /// is the rule every committed BATON bytes-per-peer row was produced
+    /// with.
     pub fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.capacity() * std::mem::size_of::<Option<BatonNode>>()) as u64;
+        let slab = (self.nodes.slot_capacity() * std::mem::size_of::<Option<BatonNode>>()) as u64;
         let heap: u64 = self
             .nodes
-            .iter()
-            .flatten()
+            .values()
             .map(|node| node.estimated_state_bytes() - std::mem::size_of::<BatonNode>() as u64)
             .sum();
-        let peers = (self.peer_list.capacity() * std::mem::size_of::<PeerId>()) as u64;
+        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
         slab + heap + peers
     }
 
@@ -269,7 +267,7 @@ impl BatonSystem {
     /// Read access to a node's state.
     #[inline]
     pub fn node(&self, peer: PeerId) -> Option<&BatonNode> {
-        self.nodes.get(peer.raw() as usize)?.as_ref()
+        self.nodes.get(peer)
     }
 
     /// The peer occupying a logical position, if any.
@@ -280,14 +278,12 @@ impl BatonSystem {
     /// All live peers, sorted by id — a borrowed view of the sampling list,
     /// cloned by callers that mutate the overlay while iterating.
     pub fn peers(&self) -> &[PeerId] {
-        &self.peer_list
+        self.nodes.peers()
     }
 
     /// Iterates over every live node, in peer-id order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (PeerId, &BatonNode)> + '_ {
-        self.peer_list
-            .iter()
-            .filter_map(|p| self.node(*p).map(|n| (*p, n)))
+        self.nodes.iter()
     }
 
     /// Height of the tree: `1 + max level` of any occupied position
@@ -321,15 +317,10 @@ impl BatonSystem {
 
     /// A uniformly random live peer, or `None` if the overlay is empty.
     ///
-    /// O(1): one index draw into the sorted live-peer list maintained by
-    /// [`register_node`](Self::register_node) /
-    /// [`unregister_node`](Self::unregister_node).
+    /// O(1): one index draw into the directory's sorted live-peer list
+    /// ([`PeerDirectory::sample`]).
     pub fn random_peer(&mut self) -> Option<PeerId> {
-        if self.peer_list.is_empty() {
-            return None;
-        }
-        let idx = self.rng.index(self.peer_list.len());
-        let peer = self.peer_list[idx];
+        let peer = self.nodes.sample(&mut self.rng)?;
         // Unrepaired failures keep their peer-list slot (their slice is
         // still owned, just dark), but a dead peer cannot issue operations:
         // redraw until a live one comes up.  The extra draws only happen
@@ -338,14 +329,13 @@ impl BatonSystem {
         if self.dead_peers.is_empty() || self.net.is_alive(peer) {
             return Some(peer);
         }
-        for _ in 0..4 * self.peer_list.len() {
-            let idx = self.rng.index(self.peer_list.len());
-            let peer = self.peer_list[idx];
+        for _ in 0..4 * self.nodes.len() {
+            let peer = self.nodes.sample(&mut self.rng)?;
             if self.net.is_alive(peer) {
                 return Some(peer);
             }
         }
-        self.peer_list
+        self.peers()
             .iter()
             .find(|p| self.net.is_alive(**p))
             .copied()
@@ -494,31 +484,6 @@ impl BatonSystem {
     // Shared internal helpers (used by the protocol modules)
     // ------------------------------------------------------------------
 
-    /// Adds `peer` to the node map and to the sorted live-peer sampling
-    /// list.  All membership changes must go through this and
-    /// [`unregister_node`](Self::unregister_node) so the two stay in sync.
-    pub(crate) fn register_node(&mut self, peer: PeerId, node: BatonNode) {
-        match self.peer_list.binary_search(&peer) {
-            Ok(_) => {} // re-registration (e.g. a replacement re-inserted)
-            Err(idx) => self.peer_list.insert(idx, peer),
-        }
-        let index = peer.raw() as usize;
-        if self.nodes.len() <= index {
-            self.nodes.resize_with(index + 1, || None);
-        }
-        self.nodes[index] = Some(node);
-    }
-
-    /// Removes `peer` from the node slab and the sampling list, returning
-    /// its node state.  The slab slot stays behind as a hole — peer ids are
-    /// never reused.
-    pub(crate) fn unregister_node(&mut self, peer: PeerId) -> Option<BatonNode> {
-        if let Ok(idx) = self.peer_list.binary_search(&peer) {
-            self.peer_list.remove(idx);
-        }
-        self.nodes.get_mut(peer.raw() as usize)?.take()
-    }
-
     /// Read access to a node, as a [`Result`].
     #[inline]
     pub(crate) fn node_ref(&self, peer: PeerId) -> Result<&BatonNode> {
@@ -529,16 +494,14 @@ impl BatonSystem {
     #[inline]
     pub(crate) fn node_mut(&mut self, peer: PeerId) -> Result<&mut BatonNode> {
         self.nodes
-            .get_mut(peer.raw() as usize)
-            .and_then(Option::as_mut)
+            .get_mut(peer)
             .ok_or(BatonError::UnknownPeer(peer))
     }
 
-    /// Mutable access to a node, or `None` — the slab-indexed equivalent of
-    /// the old `nodes.get_mut(&peer)`.
+    /// Mutable access to a node, or `None`.
     #[inline]
     pub(crate) fn node_opt_mut(&mut self, peer: PeerId) -> Option<&mut BatonNode> {
-        self.nodes.get_mut(peer.raw() as usize)?.as_mut()
+        self.nodes.get_mut(peer)
     }
 
     /// The current link (address, position, range) of `peer`.

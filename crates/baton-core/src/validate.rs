@@ -46,21 +46,21 @@ fn violation(msg: String) -> BatonError {
     BatonError::InvariantViolation(msg)
 }
 
-/// The O(1)-sampling peer list must mirror the node map exactly and stay
+/// The O(1)-sampling peer list must mirror the node slab exactly and stay
 /// sorted (the sampling order the seed figures were produced with).
 fn check_peer_list(system: &BatonSystem) -> Result<()> {
-    let live_slots = system.nodes.iter().filter(|n| n.is_some()).count();
-    if system.peer_list.len() != live_slots {
+    let live_slots = system.nodes.values().count();
+    if system.peers().len() != live_slots {
         return Err(violation(format!(
             "peer list has {} entries but the node slab holds {} live nodes",
-            system.peer_list.len(),
+            system.peers().len(),
             live_slots
         )));
     }
-    if !system.peer_list.is_sorted() {
+    if !system.peers().is_sorted() {
         return Err(violation("peer list is not sorted".into()));
     }
-    for peer in &system.peer_list {
+    for peer in system.peers() {
         if system.node(*peer).is_none() {
             return Err(violation(format!("peer list entry {peer} has no node")));
         }

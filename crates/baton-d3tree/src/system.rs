@@ -29,9 +29,9 @@
 //!   data), an emptied bucket steals a peer from its backbone sibling, and
 //!   only when that fails does the backbone contract.
 
-use std::collections::HashMap;
-
-use baton_net::{Histogram, LinkKind, NetMessage, OpScope, PeerId, SimNetwork, SimRng};
+use baton_net::{
+    Histogram, LinkKind, NetMessage, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
+};
 
 use crate::node::{Bucket, BucketPeer};
 use crate::range::DRange;
@@ -144,10 +144,9 @@ pub struct D3TreeSystem {
     height: u32,
     /// Leaf buckets in key order (`len == 1 << height`).
     buckets: Vec<Bucket>,
-    /// Peer → index of its bucket.
-    bucket_of: HashMap<PeerId, usize>,
-    /// Every live peer, sorted by [`PeerId`] for O(1) seeded sampling.
-    peer_list: Vec<PeerId>,
+    /// Every live peer → index of its bucket, and the sorted list sampling
+    /// draws from.
+    bucket_of: PeerDirectory<usize>,
     /// `peer_weights[level][node]`: live peers in the subtree; level 0 is
     /// the root, level `height` the leaves.
     peer_weights: Vec<Vec<u64>>,
@@ -175,8 +174,7 @@ impl D3TreeSystem {
             domain,
             height: 0,
             buckets: vec![Bucket::default()],
-            bucket_of: HashMap::new(),
-            peer_list: Vec::new(),
+            bucket_of: PeerDirectory::new(),
             peer_weights: vec![vec![0]],
             item_weights: vec![vec![0]],
             balance_hist: Histogram::new(),
@@ -195,17 +193,18 @@ impl D3TreeSystem {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.peer_list.len()
+        self.bucket_of.len()
     }
 
     /// Approximate resident bytes of per-peer protocol state: the bucket
-    /// vectors and their peers' key multisets, the peer→bucket map
-    /// (hash-table slots at the ~8/7 load-factor reciprocal), the sampling
-    /// list and the backbone weight matrices.  The shared network substrate
-    /// is excluded.  The peer→bucket map is modelled from `len()`, not
-    /// `capacity()`: after churn the hash table's allocated capacity
-    /// depends on the per-process `RandomState` seed, and this estimate is
-    /// sampled into deterministic scenario time series.
+    /// vectors and their peers' key multisets, the peer→bucket slab, the
+    /// sampling list and the backbone weight matrices.  The shared network
+    /// substrate is excluded.  The slab is counted by
+    /// [`PeerDirectory::slot_count`] — every slot ever opened, the holes
+    /// departures leave included — not by its allocated capacity:
+    /// amortised doubling overshoots the slots in use by up to 2×, which
+    /// would make the figure jump with the growth schedule rather than
+    /// with the state the protocol keeps.
     pub fn estimated_state_bytes(&self) -> u64 {
         let buckets = (self.buckets.capacity() * std::mem::size_of::<Bucket>()) as u64;
         let peers_in_buckets: u64 = self
@@ -219,21 +218,20 @@ impl D3TreeSystem {
                         .sum::<u64>()
             })
             .sum();
-        let slot = std::mem::size_of::<(PeerId, usize)>() as u64 + 1;
-        let map = self.bucket_of.len() as u64 * slot * 8 / 7;
-        let peers = (self.peer_list.capacity() * std::mem::size_of::<PeerId>()) as u64;
+        let slab = (self.bucket_of.slot_count() * std::mem::size_of::<Option<usize>>()) as u64;
+        let peers = (self.bucket_of.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
         let weights: u64 = self
             .peer_weights
             .iter()
             .chain(self.item_weights.iter())
             .map(|level| (level.capacity() * std::mem::size_of::<u64>()) as u64)
             .sum();
-        buckets + peers_in_buckets + map + peers + weights
+        buckets + peers_in_buckets + slab + peers + weights
     }
 
     /// All peers, sorted by id — a borrowed view of the sampling list.
     pub fn peers(&self) -> &[PeerId] {
-        &self.peer_list
+        self.bucket_of.peers()
     }
 
     /// Backbone height (`0` for a single bucket).
@@ -299,11 +297,7 @@ impl D3TreeSystem {
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
-        if self.peer_list.is_empty() {
-            return None;
-        }
-        let idx = self.rng.index(self.peer_list.len());
-        Some(self.peer_list[idx])
+        self.bucket_of.sample(&mut self.rng)
     }
 
     /// The peer hosting backbone node `(level, index)`: the head of the
@@ -350,7 +344,7 @@ impl D3TreeSystem {
     ) -> Result<(usize, usize, u64)> {
         let start = *self
             .bucket_of
-            .get(&issuer)
+            .get(issuer)
             .ok_or(D3Error::UnknownPeer(issuer))?;
         let target = self.leaf_of_key(key);
         let mut messages = 0u64;
@@ -604,7 +598,7 @@ impl D3TreeSystem {
     /// Grows or shrinks the backbone one level when the average bucket size
     /// leaves the `Θ(log N)` band, re-chunking the peer sequence evenly.
     fn maybe_resize(&mut self, op: OpScope) -> u64 {
-        let peers = self.peer_list.len() as u64;
+        let peers = self.node_count() as u64;
         let leaves = self.buckets.len() as u64;
         let target = self.height as u64 + 2;
         if peers > leaves * 2 * target {
@@ -660,12 +654,11 @@ impl D3TreeSystem {
     pub fn join_random(&mut self) -> Result<D3ChurnReport> {
         let peer = self.net.add_peer();
         let op = self.net.begin_op("d3.join");
-        if self.peer_list.is_empty() {
+        if self.bucket_of.is_empty() {
             self.buckets[0]
                 .peers
                 .push(BucketPeer::new(peer, self.domain));
             self.bucket_of.insert(peer, 0);
-            self.peer_list.push(peer);
             self.rebuild_weights();
             self.net.finish_op(op);
             return Ok(D3ChurnReport::default());
@@ -676,7 +669,10 @@ impl D3TreeSystem {
         let mut current = contact;
 
         // Climb from the contact's leaf to the root…
-        let start = self.bucket_of[&contact];
+        let start = *self
+            .bucket_of
+            .get(contact)
+            .expect("sampled from the live list");
         let start_head = self.buckets[start].head();
         locate_messages += self.hop(op, current, start_head, &mut hop_no, LinkKind::Bucket);
         current = start_head;
@@ -732,9 +728,6 @@ impl D3TreeSystem {
         newcomer.keys = new_keys;
         self.buckets[target].peers.insert(split_pos + 1, newcomer);
         self.bucket_of.insert(peer, target);
-        if let Err(idx) = self.peer_list.binary_search(&peer) {
-            self.peer_list.insert(idx, peer);
-        }
         self.net.count_message(op, "d3.join", splitter_peer, peer);
         update_messages += 1;
         self.shift_peer_weights(target, 1);
@@ -753,18 +746,12 @@ impl D3TreeSystem {
     /// Removes `peer` from its bucket, returning the removed state and its
     /// bucket index; the caller decides what happens to keys and range.
     fn detach(&mut self, peer: PeerId) -> Result<(usize, BucketPeer)> {
-        let bucket = *self
-            .bucket_of
-            .get(&peer)
-            .ok_or(D3Error::UnknownPeer(peer))?;
+        let bucket = *self.bucket_of.get(peer).ok_or(D3Error::UnknownPeer(peer))?;
         let position = self.buckets[bucket]
             .position_of_peer(peer)
             .ok_or(D3Error::UnknownPeer(peer))?;
         let departing = self.buckets[bucket].peers.remove(position);
-        self.bucket_of.remove(&peer);
-        if let Ok(idx) = self.peer_list.binary_search(&peer) {
-            self.peer_list.remove(idx);
-        }
+        self.bucket_of.remove(peer);
         Ok((bucket, departing))
     }
 
@@ -807,7 +794,7 @@ impl D3TreeSystem {
     /// for graceful leaves, the keys) to the in-order heir, repair an
     /// emptied bucket, update counters, rebalance, resize.
     fn remove_peer(&mut self, peer: PeerId, keep_keys: bool) -> Result<D3ChurnReport> {
-        if self.peer_list.len() <= 1 {
+        if self.node_count() <= 1 {
             return Err(D3Error::LastNode);
         }
         let label = if keep_keys { "d3.leave" } else { "d3.fail" };
@@ -968,7 +955,7 @@ impl D3TreeSystem {
         if self.replication <= 1 {
             return Vec::new();
         }
-        let Some(&bucket) = self.bucket_of.get(&peer) else {
+        let Some(&bucket) = self.bucket_of.get(peer) else {
             return Vec::new();
         };
         self.buckets[bucket]
@@ -1062,7 +1049,7 @@ impl D3TreeSystem {
         let mut nodes_visited = 0usize;
         let mut matches = 0usize;
         let mut hop_no = messages as u32;
-        let limit = self.peer_list.len() + 2;
+        let limit = self.node_count() + 2;
         loop {
             let peer = &self.buckets[bucket].peers[position];
             nodes_visited += 1;
@@ -1109,7 +1096,7 @@ impl D3TreeSystem {
         let heads: std::collections::BTreeSet<PeerId> =
             self.buckets.iter().map(Bucket::head).collect();
         let members: Vec<PeerId> = self
-            .peer_list
+            .peers()
             .iter()
             .copied()
             .filter(|p| !heads.contains(p))
@@ -1130,11 +1117,12 @@ impl D3TreeSystem {
     /// * the global peer sequence partitions the domain contiguously and
     ///   every stored key lies in its owner's slice, sorted;
     /// * the weight counters equal the recomputed per-subtree sums;
-    /// * `bucket_of` and the sorted sampling list agree with the buckets;
+    /// * the `bucket_of` directory (whose live list sampling draws from)
+    ///   holds exactly the peers in the buckets, each under its bucket;
     /// * the deterministic balancer's rest invariant holds: no backbone
     ///   node's children violate the peer-count tolerance.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.peer_list.is_empty() {
+        if self.bucket_of.is_empty() {
             return Ok(());
         }
         if self.buckets.len() != 1 << self.height {
@@ -1166,11 +1154,8 @@ impl D3TreeSystem {
                         return Err(format!("{} stores keys outside {}", peer.peer, peer.range));
                     }
                 }
-                if self.bucket_of.get(&peer.peer) != Some(&b) {
+                if self.bucket_of.get(peer.peer) != Some(&b) {
                     return Err(format!("bucket_of disagrees for {}", peer.peer));
-                }
-                if self.peer_list.binary_search(&peer.peer).is_err() {
-                    return Err(format!("{} missing from the sampling list", peer.peer));
                 }
                 seen += 1;
             }
@@ -1181,10 +1166,10 @@ impl D3TreeSystem {
                 self.domain.high
             ));
         }
-        if seen != self.peer_list.len() {
+        if seen != self.node_count() {
             return Err(format!(
-                "{seen} peers in buckets, {} in the sampling list",
-                self.peer_list.len()
+                "{seen} peers in buckets, {} in the directory",
+                self.node_count()
             ));
         }
         // Weight counters match reality.

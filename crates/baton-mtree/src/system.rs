@@ -16,9 +16,7 @@
 //!   skewed splits,
 //! * the tree is not height-balanced; with skewed join points it degenerates.
 
-use std::collections::HashMap;
-
-use baton_net::{LinkKind, NetMessage, OpScope, PeerId, SimNetwork, SimRng};
+use baton_net::{LinkKind, NetMessage, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
 
 use crate::node::{MLink, MNode};
 use crate::range::MRange;
@@ -108,11 +106,17 @@ pub struct MTreeOpReport {
 #[derive(Debug)]
 pub struct MTreeSystem {
     net: SimNetwork<MTreeMessage>,
-    nodes: HashMap<PeerId, MNode>,
-    /// Every live peer, kept sorted by [`PeerId`] — the order the old
-    /// collect-and-sort `random_peer` sampled from, so seeded experiments
-    /// keep their exact message counts while sampling is O(1).
-    peer_list: Vec<PeerId>,
+    /// Node state of every live peer and the sorted list sampling draws
+    /// from.
+    nodes: PeerDirectory<MNode>,
+    /// Live nodes per [`MNode::depth`] value, so [`height`](Self::height) —
+    /// consulted by every routed operation for its loop guard — is an
+    /// O(levels) scan instead of a sweep over the nodes.  Kept by
+    /// [`register_node`](Self::register_node),
+    /// [`unregister_node`](Self::unregister_node) and
+    /// [`set_depth`](Self::set_depth), the only places a live node's depth
+    /// appears, disappears or changes.
+    live_at_depth: Vec<usize>,
     root: Option<PeerId>,
     domain: MRange,
     rng: SimRng,
@@ -132,8 +136,8 @@ impl MTreeSystem {
     pub fn with_domain(seed: u64, domain: MRange) -> Self {
         Self {
             net: SimNetwork::new(),
-            nodes: HashMap::new(),
-            peer_list: Vec::new(),
+            nodes: PeerDirectory::new(),
+            live_at_depth: Vec::new(),
             root: None,
             domain,
             rng: SimRng::seeded(seed),
@@ -155,17 +159,16 @@ impl MTreeSystem {
         self.nodes.len()
     }
 
-    /// Approximate resident bytes of per-peer protocol state: the node map
-    /// (hash-table slots at the ~8/7 load-factor reciprocal), every node's
-    /// child-link and key vectors, and the sampling list.  The shared
-    /// network substrate is excluded.  The node-map component is modelled
-    /// from `len()`, not `capacity()`: after churn the hash table's
-    /// allocated capacity depends on the per-process `RandomState` seed,
-    /// and this estimate is sampled into deterministic scenario time
-    /// series.
+    /// Approximate resident bytes of per-peer protocol state: the node
+    /// slab, every node's child-link and key vectors, and the sampling
+    /// list.  The shared network substrate is excluded.  The slab is
+    /// counted by [`PeerDirectory::slot_count`] — every slot ever opened,
+    /// the holes departures leave included — not by its allocated
+    /// capacity: amortised doubling overshoots the slots in use by up to
+    /// 2×, which would make the figure jump with the growth schedule
+    /// rather than with the state the protocol keeps.
     pub fn estimated_state_bytes(&self) -> u64 {
-        let slot = std::mem::size_of::<(PeerId, MNode)>() as u64 + 1;
-        let map = self.nodes.len() as u64 * slot * 8 / 7;
+        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<MNode>>()) as u64;
         let heap: u64 = self
             .nodes
             .values()
@@ -174,23 +177,27 @@ impl MTreeSystem {
                     + node.keys.capacity() * std::mem::size_of::<u64>()) as u64
             })
             .sum();
-        let peers = (self.peer_list.capacity() * std::mem::size_of::<PeerId>()) as u64;
-        map + heap + peers
+        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
+        slab + heap + peers
     }
 
     /// All peers, sorted by id — a borrowed view of the sampling list.
     pub fn peers(&self) -> &[PeerId] {
-        &self.peer_list
+        self.nodes.peers()
     }
 
-    /// Iterates over `(peer, node)` pairs in unspecified order.
+    /// Iterates over `(peer, node)` pairs in peer-id order.
     pub fn nodes(&self) -> impl Iterator<Item = (PeerId, &MNode)> + '_ {
-        self.nodes.iter().map(|(p, n)| (*p, n))
+        self.nodes.iter()
     }
 
-    /// Height of the tree (max depth + 1); 0 when empty.
+    /// Height of the tree (max depth + 1); 0 when empty.  O(levels), from
+    /// the per-depth live counts.
     pub fn height(&self) -> u32 {
-        self.nodes.values().map(|n| n.depth + 1).max().unwrap_or(0)
+        self.live_at_depth
+            .iter()
+            .rposition(|&live| live > 0)
+            .map_or(0, |depth| depth as u32 + 1)
     }
 
     /// Network statistics.
@@ -237,37 +244,48 @@ impl MTreeSystem {
     }
 
     fn node(&self, peer: PeerId) -> Result<&MNode> {
-        self.nodes.get(&peer).ok_or(MTreeError::UnknownPeer(peer))
+        self.nodes.get(peer).ok_or(MTreeError::UnknownPeer(peer))
     }
 
     fn node_mut(&mut self, peer: PeerId) -> Result<&mut MNode> {
         self.nodes
-            .get_mut(&peer)
+            .get_mut(peer)
             .ok_or(MTreeError::UnknownPeer(peer))
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
-        if self.peer_list.is_empty() {
-            return None;
-        }
-        let idx = self.rng.index(self.peer_list.len());
-        Some(self.peer_list[idx])
+        self.nodes.sample(&mut self.rng)
     }
 
-    /// Adds `peer` to the node map and the sorted sampling list.
+    /// Adds a new peer's node to the directory and the depth counts.
     fn register_node(&mut self, peer: PeerId, node: MNode) {
-        if let Err(idx) = self.peer_list.binary_search(&peer) {
-            self.peer_list.insert(idx, peer);
+        let depth = node.depth as usize;
+        if self.live_at_depth.len() <= depth {
+            self.live_at_depth.resize(depth + 1, 0);
         }
-        self.nodes.insert(peer, node);
+        self.live_at_depth[depth] += 1;
+        let previous = self.nodes.insert(peer, node);
+        debug_assert!(previous.is_none(), "{peer} registered twice");
     }
 
-    /// Removes `peer` from the node map and the sampling list.
+    /// Removes `peer`'s node from the directory and the depth counts.
     fn unregister_node(&mut self, peer: PeerId) -> Option<MNode> {
-        if let Ok(idx) = self.peer_list.binary_search(&peer) {
-            self.peer_list.remove(idx);
-        }
-        self.nodes.remove(&peer)
+        let node = self.nodes.remove(peer)?;
+        self.live_at_depth[node.depth as usize] -= 1;
+        Some(node)
+    }
+
+    /// Moves the live node `peer` to `depth` (no deeper than a registered
+    /// node has been).
+    fn set_depth(&mut self, peer: PeerId, depth: u32) -> Result<()> {
+        let node = self
+            .nodes
+            .get_mut(peer)
+            .ok_or(MTreeError::UnknownPeer(peer))?;
+        self.live_at_depth[node.depth as usize] -= 1;
+        self.live_at_depth[depth as usize] += 1;
+        node.depth = depth;
+        Ok(())
     }
 
     /// Routes from `issuer` to the node whose direct range contains `key`:
@@ -378,7 +396,7 @@ impl MTreeSystem {
             acceptor_node.right_neighbor = Some(child_link);
         }
         if let Some(old_right) = old_right {
-            if let Some(n) = self.nodes.get_mut(&old_right.peer) {
+            if let Some(n) = self.nodes.get_mut(old_right.peer) {
                 n.left_neighbor = Some(child_link);
             }
             self.net
@@ -416,7 +434,7 @@ impl MTreeSystem {
             self.net
                 .count_message(op, "mtree.maintenance", acceptor, other);
             update_messages += 1;
-            if let Some(n) = self.nodes.get_mut(&other) {
+            if let Some(n) = self.nodes.get_mut(other) {
                 for c in &mut n.children {
                     if c.peer == acceptor {
                         *c = acceptor_link_now;
@@ -446,12 +464,11 @@ impl MTreeSystem {
         if self.nodes.len() <= 1 {
             return Err(MTreeError::LastNode);
         }
-        let op = self.net.begin_op("mtree.leave");
-        let departing = self
-            .nodes
-            .get(&peer)
-            .cloned()
+        let mut departing = self
+            .unregister_node(peer)
             .ok_or(MTreeError::UnknownPeer(peer))?;
+        let departing_keys = std::mem::take(&mut departing.keys);
+        let op = self.net.begin_op("mtree.leave");
 
         // Gather information from every child (one query + one response per
         // child) to select the replacement.
@@ -463,7 +480,6 @@ impl MTreeSystem {
         }
 
         let mut update_messages = 0u64;
-        self.unregister_node(peer);
         self.net.depart_peer(peer);
 
         if departing.children.is_empty() {
@@ -477,7 +493,7 @@ impl MTreeSystem {
                 .expect("multi-node tree has a neighbour");
             {
                 let h = self.node_mut(heir)?;
-                h.merge_keys(departing.keys.clone());
+                h.merge_keys(departing_keys);
                 if h.range.high == departing.range.low {
                     h.range = MRange::new(h.range.low, departing.range.high);
                     if h.coverage.high == departing.range.low {
@@ -494,7 +510,7 @@ impl MTreeSystem {
             update_messages += 1;
             // Unlink from the parent's child list and from the neighbours.
             if let Some(parent) = departing.parent {
-                if let Some(p) = self.nodes.get_mut(&parent.peer) {
+                if let Some(p) = self.nodes.get_mut(parent.peer) {
                     p.children.retain(|c| c.peer != peer);
                 }
                 self.net
@@ -525,14 +541,14 @@ impl MTreeSystem {
                     absorber = Some(replacement);
                 }
                 r.parent = departing.parent;
-                r.depth = departing.depth;
             }
+            self.set_depth(replacement, departing.depth)?;
             if absorber.is_none() {
                 // Hand the departing node's direct range to its in-order
                 // predecessor (or successor) instead, keeping the partition
                 // contiguous.
                 if let Some(l) = departing.left_neighbor {
-                    if let Some(ln) = self.nodes.get_mut(&l.peer) {
+                    if let Some(ln) = self.nodes.get_mut(l.peer) {
                         if ln.range.high == departing.range.low {
                             ln.range = MRange::new(ln.range.low, departing.range.high);
                             absorber = Some(l.peer);
@@ -541,7 +557,7 @@ impl MTreeSystem {
                 }
                 if absorber.is_none() {
                     if let Some(r) = departing.right_neighbor {
-                        if let Some(rn) = self.nodes.get_mut(&r.peer) {
+                        if let Some(rn) = self.nodes.get_mut(r.peer) {
                             if rn.range.low == departing.range.high {
                                 rn.range = MRange::new(departing.range.low, rn.range.high);
                                 absorber = Some(r.peer);
@@ -553,7 +569,7 @@ impl MTreeSystem {
             // The stored keys follow the direct range to whichever node
             // absorbed it (the replacement, degenerately, if none did).
             let keys_heir = absorber.unwrap_or(replacement);
-            self.node_mut(keys_heir)?.merge_keys(departing.keys.clone());
+            self.node_mut(keys_heir)?.merge_keys(departing_keys);
             self.net.count_message(op, "mtree.leave", peer, replacement);
             update_messages += 1;
             // The departing node's other children become the replacement's
@@ -566,7 +582,7 @@ impl MTreeSystem {
                 .filter(|c| c.peer != replacement)
                 .collect();
             for child in &others {
-                if let Some(c) = self.nodes.get_mut(&child.peer) {
+                if let Some(c) = self.nodes.get_mut(child.peer) {
                     c.parent = Some(replacement_link);
                 }
                 self.net
@@ -585,7 +601,7 @@ impl MTreeSystem {
                 .map(|c| c.peer)
                 .collect();
             for gc in grandchildren {
-                if let Some(c) = self.nodes.get_mut(&gc) {
+                if let Some(c) = self.nodes.get_mut(gc) {
                     if let Some(p) = &mut c.parent {
                         if p.peer == replacement {
                             *p = replacement_link;
@@ -598,7 +614,7 @@ impl MTreeSystem {
             }
             // Repoint the departed node's parent and neighbours.
             if let Some(parent) = departing.parent {
-                if let Some(p) = self.nodes.get_mut(&parent.peer) {
+                if let Some(p) = self.nodes.get_mut(parent.peer) {
                     p.children.retain(|c| c.peer != peer);
                     p.children.push(replacement_link);
                 }
@@ -627,10 +643,10 @@ impl MTreeSystem {
     fn splice_neighbors(&mut self, op: OpScope, departing: &MNode) -> Result<u64> {
         let mut messages = 0u64;
         if let (Some(l), Some(r)) = (departing.left_neighbor, departing.right_neighbor) {
-            if let Some(ln) = self.nodes.get_mut(&l.peer) {
+            if let Some(ln) = self.nodes.get_mut(l.peer) {
                 ln.right_neighbor = Some(r);
             }
-            if let Some(rn) = self.nodes.get_mut(&r.peer) {
+            if let Some(rn) = self.nodes.get_mut(r.peer) {
                 rn.left_neighbor = Some(l);
             }
             self.net
@@ -639,14 +655,14 @@ impl MTreeSystem {
                 .count_message(op, "mtree.maintenance", departing.peer, r.peer);
             messages += 2;
         } else if let Some(l) = departing.left_neighbor {
-            if let Some(ln) = self.nodes.get_mut(&l.peer) {
+            if let Some(ln) = self.nodes.get_mut(l.peer) {
                 ln.right_neighbor = None;
             }
             self.net
                 .count_message(op, "mtree.maintenance", departing.peer, l.peer);
             messages += 1;
         } else if let Some(r) = departing.right_neighbor {
-            if let Some(rn) = self.nodes.get_mut(&r.peer) {
+            if let Some(rn) = self.nodes.get_mut(r.peer) {
                 rn.left_neighbor = None;
             }
             self.net
@@ -681,7 +697,7 @@ impl MTreeSystem {
         if self.replication <= 1 {
             return Vec::new();
         }
-        let Some(node) = self.nodes.get(&peer) else {
+        let Some(node) = self.nodes.get(peer) else {
             return Vec::new();
         };
         let mut targets = Vec::new();
@@ -817,13 +833,13 @@ impl MTreeSystem {
         if self.nodes.is_empty() {
             return Ok(());
         }
-        for (peer, node) in &self.nodes {
+        for (peer, node) in self.nodes.iter() {
             for child in &node.children {
                 let c = self
                     .nodes
-                    .get(&child.peer)
+                    .get(child.peer)
                     .ok_or_else(|| format!("{peer} lists missing child {}", child.peer))?;
-                if c.parent.map(|l| l.peer) != Some(*peer) {
+                if c.parent.map(|l| l.peer) != Some(peer) {
                     return Err(format!(
                         "child {} does not point back at {peer}",
                         child.peer
@@ -833,9 +849,9 @@ impl MTreeSystem {
             if let Some(parent) = &node.parent {
                 let p = self
                     .nodes
-                    .get(&parent.peer)
+                    .get(parent.peer)
                     .ok_or_else(|| format!("{peer} has missing parent {}", parent.peer))?;
-                if !p.children.iter().any(|c| c.peer == *peer) {
+                if !p.children.iter().any(|c| c.peer == peer) {
                     return Err(format!("parent {} does not list {peer}", parent.peer));
                 }
             }

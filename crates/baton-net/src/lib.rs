@@ -69,6 +69,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
+pub mod directory;
 pub mod message;
 pub mod network;
 pub mod overlay;
@@ -81,6 +82,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
+pub use directory::PeerDirectory;
 pub use message::{Envelope, NetMessage};
 pub use network::{DeliveryError, SendError, SimNetwork};
 pub use overlay::{
