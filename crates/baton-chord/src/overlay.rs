@@ -6,8 +6,7 @@
 //! drivers know to omit Chord from Figure 8(e) — exactly as the paper does.
 
 use baton_net::{
-    ChurnCost, LatencyModel, MessageStats, OpCost, Overlay, OverlayCapabilities, OverlayError,
-    OverlayResult, PeerId, SimTime, TraceBuffer, TraceConfig,
+    ChurnCost, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
 };
 
 use crate::system::{ChordError, ChordSystem};
@@ -33,71 +32,36 @@ impl Overlay for ChordSystem {
         ChordSystem::total_items(self)
     }
 
-    fn stats(&self) -> &MessageStats {
-        ChordSystem::stats(self)
+    fn net(&self) -> &dyn NetView {
+        &self.net
     }
 
-    fn stats_mut(&mut self) -> &mut MessageStats {
-        ChordSystem::stats_mut(self)
-    }
-
-    fn now(&self) -> SimTime {
-        ChordSystem::now(self)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        ChordSystem::advance_to(self, at);
-    }
-
-    fn set_latency_model(&mut self, model: LatencyModel) {
-        ChordSystem::set_latency_model(self, model);
+    fn net_mut(&mut self) -> &mut dyn NetView {
+        &mut self.net
     }
 
     fn estimated_state_bytes(&self) -> u64 {
         ChordSystem::estimated_state_bytes(self)
     }
 
-    fn set_trace(&mut self, config: TraceConfig) {
-        ChordSystem::set_trace(self, config);
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuffer> {
-        ChordSystem::take_trace(self)
-    }
-
     fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
         Some(self.build_routing_snapshot())
-    }
-
-    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = ChordSystem::join_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
     }
 
     fn peers(&self) -> &[PeerId] {
         ChordSystem::peers(self)
     }
 
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
+        ChordSystem::join_random(self).map_err(op_err)
+    }
+
     fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = ChordSystem::leave_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        ChordSystem::leave_random(self).map_err(op_err)
     }
 
     fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
-        let report = ChordSystem::leave(self, peer).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        ChordSystem::leave(self, peer).map_err(op_err)
     }
 
     fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
@@ -114,33 +78,15 @@ impl Overlay for ChordSystem {
     }
 
     fn insert(&mut self, key: u64, value: u64) -> OverlayResult<OpCost> {
-        let report = ChordSystem::insert(self, key, value).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: 0,
-            nodes_visited: 1,
-            balance_messages: 0,
-        })
+        ChordSystem::insert(self, key, value).map_err(op_err)
     }
 
     fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
-        let report = ChordSystem::delete(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: 1,
-            balance_messages: 0,
-        })
+        ChordSystem::delete(self, key).map_err(op_err)
     }
 
     fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
-        let report = ChordSystem::search_exact(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: 1,
-            balance_messages: 0,
-        })
+        ChordSystem::search_exact(self, key).map_err(op_err)
     }
 
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {

@@ -16,7 +16,9 @@
 use std::collections::btree_map::Entry;
 use std::collections::HashSet;
 
-use baton_net::{LinkKind, NetMessage, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
+use baton_net::{
+    ChurnCost, LinkKind, NetMessage, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
+};
 
 use crate::id::{ChordId, M};
 use crate::node::{ChordNode, Finger};
@@ -78,32 +80,10 @@ impl std::error::Error for ChordError {}
 /// Result alias for Chord operations.
 pub type Result<T> = std::result::Result<T, ChordError>;
 
-/// Cost report of a Chord join or departure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChordChurnReport {
-    /// Messages to locate the join point (successor lookup); zero for
-    /// departures.
-    pub locate_messages: u64,
-    /// Messages to build / repair routing state (finger tables, successor
-    /// and predecessor pointers, key transfer).
-    pub update_messages: u64,
-}
-
-/// Cost report of a Chord lookup-based operation.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChordOpReport {
-    /// Messages used.
-    pub messages: u64,
-    /// Overlay hops of the lookup.
-    pub hops: u32,
-    /// Number of matching values found (exact query only).
-    pub matches: usize,
-}
-
 /// A Chord ring over the shared simulator substrate.
 #[derive(Debug)]
 pub struct ChordSystem {
-    net: SimNetwork<ChordMessage>,
+    pub(crate) net: SimNetwork<ChordMessage>,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<ChordNode>,
@@ -286,44 +266,6 @@ impl ChordSystem {
         self.nodes.values()
     }
 
-    /// Network statistics.
-    pub fn stats(&self) -> &baton_net::MessageStats {
-        self.net.stats()
-    }
-
-    /// Mutable network statistics (harnesses reset per-peer counters
-    /// between experiment phases).
-    pub fn stats_mut(&mut self) -> &mut baton_net::MessageStats {
-        self.net.stats_mut()
-    }
-
-    /// Virtual time the ring's network has reached.
-    pub fn now(&self) -> baton_net::SimTime {
-        self.net.now()
-    }
-
-    /// Advances the network's arrival clock (see
-    /// [`baton_net::SimNetwork::advance_to`]).
-    pub fn advance_to(&mut self, at: baton_net::SimTime) {
-        self.net.advance_to(at);
-    }
-
-    /// Installs a route recorder on the underlying network (see
-    /// [`SimNetwork::set_trace`](baton_net::SimNetwork::set_trace)).
-    pub fn set_trace(&mut self, config: baton_net::TraceConfig) {
-        self.net.set_trace(config);
-    }
-
-    /// Removes and returns the route recorder, disabling tracing.
-    pub fn take_trace(&mut self) -> Option<baton_net::TraceBuffer> {
-        self.net.take_trace()
-    }
-
-    /// Replaces the network's link-latency model.
-    pub fn set_latency_model(&mut self, model: baton_net::LatencyModel) {
-        self.net.set_latency_model(model);
-    }
-
     /// Total number of stored values.
     pub fn total_items(&self) -> usize {
         self.nodes.values().map(ChordNode::load).sum()
@@ -383,21 +325,15 @@ impl ChordSystem {
     }
 
     /// Iterative lookup of the successor of `target`, starting at `issuer`.
-    /// Returns `(owner, messages, hops)`.
-    fn lookup(
-        &mut self,
-        op: OpScope,
-        issuer: PeerId,
-        target: ChordId,
-    ) -> Result<(PeerId, u64, u32)> {
+    /// Returns `(owner, messages)` — one message per overlay hop.
+    fn lookup(&mut self, op: OpScope, issuer: PeerId, target: ChordId) -> Result<(PeerId, u64)> {
         let mut current = issuer;
-        let mut messages = 0u64;
         let mut hops = 0u32;
         let limit = 4 * M + 32;
         loop {
             let node = self.node(current)?;
             if node.owns(target) {
-                return Ok((current, messages, hops));
+                return Ok((current, u64::from(hops)));
             }
             if target.in_half_open_interval(node.id, node.successor.1) {
                 let successor = node.successor.0;
@@ -412,9 +348,7 @@ impl ChordSystem {
                     )
                     .ok();
                 let _ = self.net.deliver_next();
-                messages += 1;
-                hops += 1;
-                return Ok((successor, messages, hops));
+                return Ok((successor, u64::from(hops + 1)));
             }
             let (next, kind) = match node.closest_preceding(target) {
                 Some((p, _)) => (p, LinkKind::Finger),
@@ -424,25 +358,24 @@ impl ChordSystem {
                 .send_with_kind(op, current, next, hops + 1, kind, ChordMessage::Lookup)
                 .ok();
             let _ = self.net.deliver_next();
-            messages += 1;
             hops += 1;
             current = next;
             if hops > limit {
                 // Routing state corrupted; fall back to the successor chain.
-                return Ok((current, messages, hops));
+                return Ok((current, u64::from(hops)));
             }
         }
     }
 
     /// A new node joins the ring through a random existing node.
-    pub fn join_random(&mut self) -> Result<ChordChurnReport> {
+    pub fn join_random(&mut self) -> Result<ChurnCost> {
         let contact = self.random_peer();
         self.join(contact)
     }
 
     /// A new node joins the ring through `contact` (`None` bootstraps the
     /// first node).
-    pub fn join(&mut self, contact: Option<PeerId>) -> Result<ChordChurnReport> {
+    pub fn join(&mut self, contact: Option<PeerId>) -> Result<ChurnCost> {
         let peer = self.net.add_peer();
         let id = self.fresh_id();
         let op = self.net.begin_op("chord.join");
@@ -450,11 +383,11 @@ impl ChordSystem {
         let Some(contact) = contact else {
             self.register_node(peer, ChordNode::solo(peer, id));
             self.net.finish_op(op);
-            return Ok(ChordChurnReport::default());
+            return Ok(ChurnCost::default());
         };
 
         // Locate the successor of the new identifier.
-        let (successor_peer, locate_messages, _) = self.lookup(op, contact, id)?;
+        let (successor_peer, locate_messages) = self.lookup(op, contact, id)?;
         let (successor_id, predecessor_peer, predecessor_id) = {
             let s = self.node(successor_peer)?;
             (s.id, s.predecessor.0, s.predecessor.1)
@@ -511,7 +444,7 @@ impl ChordSystem {
                     continue;
                 }
             }
-            let (owner, msgs, _) = self.lookup(op, peer, start)?;
+            let (owner, msgs) = self.lookup(op, peer, start)?;
             update_messages += msgs;
             let owner_id = self.node(owner)?.id;
             let finger = Finger {
@@ -532,7 +465,7 @@ impl ChordSystem {
         for i in 0..M {
             let target =
                 ChordId::new((id.value() + crate::id::RING - (1u64 << i)) % crate::id::RING);
-            let (succ, msgs, _) = self.lookup(op, peer, target)?;
+            let (succ, msgs) = self.lookup(op, peer, target)?;
             update_messages += msgs;
             let mut current = self.node(succ)?.predecessor.0;
             let mut walked = 0u32;
@@ -571,9 +504,10 @@ impl ChordSystem {
         }
 
         self.net.finish_op(op);
-        Ok(ChordChurnReport {
+        Ok(ChurnCost {
             locate_messages,
             update_messages,
+            lost_items: 0,
         })
     }
 
@@ -583,7 +517,7 @@ impl ChordSystem {
     /// and each holder's fingers in table order, so the sequence of repair
     /// lookups (and with it every per-peer counter and latency draw) is a
     /// function of the seed alone.
-    pub fn leave(&mut self, peer: PeerId) -> Result<ChordChurnReport> {
+    pub fn leave(&mut self, peer: PeerId) -> Result<ChurnCost> {
         if self.nodes.len() <= 1 {
             return Err(ChordError::LastNode);
         }
@@ -630,7 +564,7 @@ impl ChordSystem {
             })
             .collect();
         for (holder, k, start) in stale {
-            let (owner, msgs, _) = self.lookup(op, holder, start)?;
+            let (owner, msgs) = self.lookup(op, holder, start)?;
             update_messages += msgs;
             let owner_id = self.node(owner)?.id;
             self.node_mut(holder)?.fingers[k] = Some(Finger {
@@ -644,14 +578,15 @@ impl ChordSystem {
         // other nodes cannot reference it.
 
         self.net.finish_op(op);
-        Ok(ChordChurnReport {
+        Ok(ChurnCost {
             locate_messages: 0,
             update_messages,
+            lost_items: 0,
         })
     }
 
     /// A random node leaves the ring.
-    pub fn leave_random(&mut self) -> Result<ChordChurnReport> {
+    pub fn leave_random(&mut self) -> Result<ChurnCost> {
         let peer = self.random_peer().ok_or(ChordError::EmptyRing)?;
         self.leave(peer)
     }
@@ -707,11 +642,11 @@ impl ChordSystem {
     }
 
     /// Inserts `value` under `key` (hashed onto the ring).
-    pub fn insert(&mut self, key: u64, value: u64) -> Result<ChordOpReport> {
+    pub fn insert(&mut self, key: u64, value: u64) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(ChordError::EmptyRing)?;
         let op = self.net.begin_op("chord.insert");
         let id = ChordId::hash(key);
-        let (owner, mut messages, hops) = self.lookup(op, issuer, id)?;
+        let (owner, mut messages) = self.lookup(op, issuer, id)?;
         self.net.count_message(op, "chord.data", issuer, owner);
         messages += 1;
         self.node_mut(owner)?
@@ -721,19 +656,20 @@ impl ChordSystem {
             .push(value);
         messages += self.charge_replica_copies(op, owner);
         self.net.finish_op(op);
-        Ok(ChordOpReport {
+        Ok(OpCost {
             messages,
-            hops,
             matches: 0,
+            nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
     /// Deletes one value stored under `key`.
-    pub fn delete(&mut self, key: u64) -> Result<ChordOpReport> {
+    pub fn delete(&mut self, key: u64) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(ChordError::EmptyRing)?;
         let op = self.net.begin_op("chord.delete");
         let id = ChordId::hash(key);
-        let (owner, mut messages, hops) = self.lookup(op, issuer, id)?;
+        let (owner, mut messages) = self.lookup(op, issuer, id)?;
         self.net.count_message(op, "chord.data", issuer, owner);
         messages += 1;
         let removed = {
@@ -753,19 +689,20 @@ impl ChordSystem {
             messages += self.charge_replica_copies(op, owner);
         }
         self.net.finish_op(op);
-        Ok(ChordOpReport {
+        Ok(OpCost {
             messages,
-            hops,
             matches: usize::from(removed),
+            nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
     /// Exact-match query for `key`.
-    pub fn search_exact(&mut self, key: u64) -> Result<ChordOpReport> {
+    pub fn search_exact(&mut self, key: u64) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(ChordError::EmptyRing)?;
         let op = self.net.begin_op("chord.search");
         let id = ChordId::hash(key);
-        let (owner, messages, hops) = self.lookup(op, issuer, id)?;
+        let (owner, messages) = self.lookup(op, issuer, id)?;
         let matches = self
             .node(owner)?
             .store
@@ -773,17 +710,18 @@ impl ChordSystem {
             .map(Vec::len)
             .unwrap_or(0);
         self.net.finish_op(op);
-        Ok(ChordOpReport {
+        Ok(OpCost {
             messages,
-            hops,
             matches,
+            nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
     /// Chord cannot answer range queries natively (hashing destroys key
     /// order); this always returns `None`, mirroring the paper's
     /// observation.  The harness plots BATON and the multiway tree only.
-    pub fn search_range(&mut self, _low: u64, _high: u64) -> Option<ChordOpReport> {
+    pub fn search_range(&mut self, _low: u64, _high: u64) -> Option<OpCost> {
         None
     }
 
@@ -897,7 +835,7 @@ mod tests {
                 .validate()
                 .unwrap_or_else(|e| panic!("bulk {n}-node ring invalid: {e}"));
             assert_eq!(
-                system.stats().total_sent(),
+                system.net.stats().total_sent(),
                 0,
                 "bulk build charged messages"
             );
@@ -931,7 +869,7 @@ mod tests {
         }
         assert_eq!(direct.total_items(), data.len());
         assert_eq!(
-            direct.stats().total_sent(),
+            direct.net.stats().total_sent(),
             0,
             "direct load charged messages"
         );

@@ -292,7 +292,7 @@ mod tests {
             assert_eq!(system.node_count(), n);
             validate(&system).unwrap_or_else(|e| panic!("bulk n={n} invalid: {e}"));
             assert_eq!(
-                system.stats().total_sent(),
+                system.net.stats().total_sent(),
                 0,
                 "bulk build charged messages"
             );
@@ -318,7 +318,7 @@ mod tests {
         }
         assert_eq!(direct.total_items(), data.len());
         assert_eq!(
-            direct.stats().total_sent(),
+            direct.net.stats().total_sent(),
             0,
             "direct load charged messages"
         );

@@ -81,7 +81,6 @@ pub use error::{BatonError, Result};
 pub use messages::BatonMessage;
 pub use node::BatonNode;
 pub use position::{Position, Side};
-pub use protocol::search::SearchCostReport;
 pub use range::{Key, KeyRange};
 pub use reports::{
     BalanceKind, DeleteReport, FailureReport, InsertReport, JoinReport, LeaveReport,

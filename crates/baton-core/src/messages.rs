@@ -200,8 +200,8 @@ impl NetMessage for BatonMessage {
     }
 
     fn approximate_size(&self) -> usize {
-        // Rough wire sizes: addressing + payload fields, mirroring what the
-        // codec would serialize.  Only used for byte-level accounting.
+        // Rough wire sizes: addressing + payload fields.  Only used for
+        // byte-level accounting.
         match self {
             BatonMessage::JoinRequest { .. } => 24,
             BatonMessage::JoinAccept { .. } => 56,

@@ -4,8 +4,8 @@
 //! programs against.
 
 use baton_net::{
-    ChurnCost, Histogram, LatencyModel, MessageStats, OpCost, Overlay, OverlayCapabilities,
-    OverlayError, OverlayResult, PeerId, RepairPolicy, SimTime, TraceBuffer, TraceConfig,
+    ChurnCost, Histogram, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError,
+    OverlayResult, PeerId, RepairPolicy, SimTime,
 };
 
 use crate::error::BatonError;
@@ -47,36 +47,16 @@ impl Overlay for BatonSystem {
         BatonSystem::total_items(self)
     }
 
-    fn stats(&self) -> &MessageStats {
-        BatonSystem::stats(self)
+    fn net(&self) -> &dyn NetView {
+        &self.net
     }
 
-    fn stats_mut(&mut self) -> &mut MessageStats {
-        BatonSystem::stats_mut(self)
-    }
-
-    fn now(&self) -> SimTime {
-        BatonSystem::now(self)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        BatonSystem::advance_to(self, at);
-    }
-
-    fn set_latency_model(&mut self, model: LatencyModel) {
-        BatonSystem::set_latency_model(self, model);
+    fn net_mut(&mut self) -> &mut dyn NetView {
+        &mut self.net
     }
 
     fn estimated_state_bytes(&self) -> u64 {
         BatonSystem::estimated_state_bytes(self)
-    }
-
-    fn set_trace(&mut self, config: TraceConfig) {
-        self.net.set_trace(config);
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuffer> {
-        self.net.take_trace()
     }
 
     fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
@@ -85,11 +65,7 @@ impl Overlay for BatonSystem {
 
     fn join_random(&mut self) -> OverlayResult<ChurnCost> {
         let report = BatonSystem::join_random(self).map_err(avail_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        Ok((&report).into())
     }
 
     fn peers(&self) -> &[PeerId] {
@@ -98,20 +74,12 @@ impl Overlay for BatonSystem {
 
     fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
         let report = BatonSystem::leave_random(self).map_err(avail_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        Ok((&report).into())
     }
 
     fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
         let report = BatonSystem::leave(self, peer).map_err(avail_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        Ok((&report).into())
     }
 
     fn fail_random(&mut self) -> OverlayResult<ChurnCost> {
@@ -123,11 +91,7 @@ impl Overlay for BatonSystem {
 
     fn fail_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
         let report = self.fail(peer).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.departure_messages,
-            update_messages: report.regeneration_messages,
-            lost_items: report.lost_items,
-        })
+        Ok((&report).into())
     }
 
     fn replication(&self) -> usize {
@@ -158,18 +122,13 @@ impl Overlay for BatonSystem {
     }
 
     fn repair_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
-        let report = match self.recover_failed(peer) {
-            Ok(report) => report,
+        match self.recover_failed(peer) {
+            Ok(report) => Ok((&report).into()),
             // A victim chosen as replacement for an earlier repair was
             // already absorbed into the tree: nothing left to repair.
-            Err(BatonError::UnknownPeer(_)) => return Ok(ChurnCost::default()),
-            Err(e) => return Err(avail_err(e)),
-        };
-        Ok(ChurnCost {
-            locate_messages: report.departure_messages,
-            update_messages: report.regeneration_messages,
-            lost_items: report.lost_items,
-        })
+            Err(BatonError::UnknownPeer(_)) => Ok(ChurnCost::default()),
+            Err(e) => Err(avail_err(e)),
+        }
     }
 
     fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
@@ -179,47 +138,22 @@ impl Overlay for BatonSystem {
 
     fn insert(&mut self, key: u64, value: u64) -> OverlayResult<OpCost> {
         let report = BatonSystem::insert(self, key, value).map_err(avail_err)?;
-        Ok(OpCost {
-            // Routing plus any leftmost/rightmost domain expansion; load
-            // balancing is reported separately, per the OpCost contract.
-            messages: report.messages + report.expansion_messages,
-            matches: 0,
-            nodes_visited: 1,
-            balance_messages: report.balance.as_ref().map_or(0, |b| b.messages),
-        })
+        Ok((&report).into())
     }
 
     fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
         let report = BatonSystem::delete(self, key).map_err(avail_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: usize::from(report.removed),
-            nodes_visited: 1,
-            balance_messages: report.balance.as_ref().map_or(0, |b| b.messages),
-        })
+        Ok((&report).into())
     }
 
     fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
         // Count-only variant: the trait reports costs, so the matched
         // values are never materialised on this hot path.
-        let report = BatonSystem::search_exact_count(self, key).map_err(avail_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        BatonSystem::search_exact_count(self, key).map_err(avail_err)
     }
 
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
-        let report =
-            BatonSystem::search_range_count(self, KeyRange::new(low, high)).map_err(avail_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        BatonSystem::search_range_count(self, KeyRange::new(low, high)).map_err(avail_err)
     }
 
     fn access_load_by_level(&self) -> Vec<(u32, f64)> {

@@ -258,9 +258,9 @@ mod tests {
             assert!(system.insert_from(issuer, key, 1).is_err());
             assert!(system.delete_from(issuer, key).is_err());
         }
-        system.stats_mut().retire_finished();
+        system.net.stats_mut().retire_finished();
         assert_eq!(
-            system.stats().live_op_count(),
+            system.net.stats().live_op_count(),
             0,
             "unavailable writes left unfinished ops behind"
         );

@@ -86,7 +86,6 @@ impl BatonSystem {
     }
 
     fn recover_inner(&mut self, peer: PeerId) -> Result<FailureReport> {
-        let _t = baton_net::profiler::scope("baton.fail.recover");
         self.in_op("failure", |system, op| system.recover_in_op(op, peer))
     }
 

@@ -64,7 +64,6 @@ impl BatonSystem {
         joiner: PeerId,
         contact: PeerId,
     ) -> Result<(PeerId, u64)> {
-        let _t = baton_net::profiler::scope("baton.join.locate");
         let limit = self.walk_limit();
         let mut messages = 0u64;
         let mut hop_no = 1u32;
@@ -164,7 +163,6 @@ impl BatonSystem {
         parent_peer: PeerId,
         joiner: PeerId,
     ) -> Result<(Position, KeyRange, u64)> {
-        let _t = baton_net::profiler::scope("baton.join.attach");
         let mut messages = 0u64;
 
         // Decide side, position and range split.
@@ -274,7 +272,6 @@ impl BatonSystem {
         parent_peer: PeerId,
         child_peer: PeerId,
     ) -> Result<u64> {
-        let _t = baton_net::profiler::scope("baton.join.tables");
         let mut messages = 0u64;
         let (child_pos, parent_pos) = {
             let child = self.node_ref(child_peer)?;

@@ -87,7 +87,6 @@ impl BatonSystem {
         op: OpScope,
         departing: PeerId,
     ) -> Result<(PeerId, u64)> {
-        let _t = baton_net::profiler::scope("baton.leave.locate");
         let limit = self.walk_limit();
         let mut messages = 0u64;
         let mut hops = 1u32;
@@ -204,7 +203,6 @@ impl BatonSystem {
     /// voluntary departure, the recovery coordinator when cleaning up after
     /// a failure).  Returns the number of messages used.
     pub(crate) fn detach_leaf(&mut self, op: OpScope, leaf: PeerId, actor: PeerId) -> Result<u64> {
-        let _t = baton_net::profiler::scope("baton.leave.detach");
         let mut messages = 0u64;
         if !self.node_ref(leaf)?.is_leaf() {
             return Err(BatonError::InvariantViolation(
@@ -300,7 +298,6 @@ impl BatonSystem {
         new_peer: PeerId,
         via: PeerId,
     ) -> Result<u64> {
-        let _t = baton_net::profiler::scope("baton.leave.takeover");
         let mut messages = 0u64;
         let old_node = self
             .nodes

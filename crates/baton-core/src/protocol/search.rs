@@ -10,7 +10,7 @@
 
 use std::ops::ControlFlow;
 
-use baton_net::{OpScope, PeerId};
+use baton_net::{OpCost, OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::messages::BatonMessage;
@@ -34,20 +34,6 @@ pub(crate) struct OwnerWalk {
     pub messages: u64,
     /// Overlay hops taken.
     pub hops: u32,
-}
-
-/// Message cost of a count-only query (see
-/// [`BatonSystem::search_exact_count`] /
-/// [`BatonSystem::search_range_count`]): everything the harness plots,
-/// without materialising the matched values.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchCostReport {
-    /// Matching values found.
-    pub matches: usize,
-    /// Messages used.
-    pub messages: u64,
-    /// Nodes whose range intersected the query (1 for exact queries).
-    pub nodes_visited: usize,
 }
 
 /// One suspended step of the fault-tolerant DFS walk: the candidates of
@@ -212,14 +198,15 @@ impl BatonSystem {
     /// Exact-match query from a uniformly random node, reporting costs and
     /// the match count only — the allocation-free variant the generic
     /// harness and the throughput benches drive.
-    pub fn search_exact_count(&mut self, key: Key) -> Result<SearchCostReport> {
+    pub fn search_exact_count(&mut self, key: Key) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
         let walk = self.search_exact_walk(issuer, key)?;
         let matches = self.node_ref(walk.data)?.store.get(key).len();
-        Ok(SearchCostReport {
-            matches,
+        Ok(OpCost {
             messages: walk.messages,
+            matches,
             nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
@@ -262,16 +249,17 @@ impl BatonSystem {
     /// Range query from a uniformly random node, reporting costs and the
     /// match count only (no value materialisation — the sweep counts keys
     /// in place).
-    pub fn search_range_count(&mut self, range: KeyRange) -> Result<SearchCostReport> {
+    pub fn search_range_count(&mut self, range: KeyRange) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
         let mut matches = 0usize;
         let (messages, nodes_visited) = self.range_walk(issuer, range, |node, clamped| {
             matches += node.store.count_in(clamped)
         })?;
-        Ok(SearchCostReport {
-            matches,
+        Ok(OpCost {
             messages,
+            matches,
             nodes_visited,
+            balance_messages: 0,
         })
     }
 
@@ -831,9 +819,9 @@ mod tests {
         assert!(system
             .search_range_from(issuer, KeyRange::new(victim_key, victim_key + 1))
             .is_err());
-        system.stats_mut().retire_finished();
+        system.net.stats_mut().retire_finished();
         assert_eq!(
-            system.stats().live_op_count(),
+            system.net.stats().live_op_count(),
             0,
             "errored searches left unfinished ops behind"
         );

@@ -6,7 +6,7 @@
 //! to *update routing tables*, plus operation-specific detail such as the
 //! number of nodes shifted by a restructuring (Figure 8(h)).
 
-use baton_net::PeerId;
+use baton_net::{ChurnCost, OpCost, PeerId};
 
 use crate::position::Position;
 use crate::range::{Key, KeyRange};
@@ -195,6 +195,64 @@ impl DeleteReport {
     /// Total messages including load balancing.
     pub fn total_messages(&self) -> u64 {
         self.messages + self.balance.as_ref().map_or(0, |b| b.messages)
+    }
+}
+
+// The common currency of the `Overlay` trait.  A forced join or departure's
+// restructuring messages are not part of either Figure 8(a)/(b) series, so
+// they stay out of `ChurnCost` as they always have.
+
+impl From<&JoinReport> for ChurnCost {
+    fn from(report: &JoinReport) -> Self {
+        ChurnCost {
+            locate_messages: report.locate_messages,
+            update_messages: report.update_messages,
+            lost_items: 0,
+        }
+    }
+}
+
+impl From<&LeaveReport> for ChurnCost {
+    fn from(report: &LeaveReport) -> Self {
+        ChurnCost {
+            locate_messages: report.locate_messages,
+            update_messages: report.update_messages,
+            lost_items: 0,
+        }
+    }
+}
+
+impl From<&FailureReport> for ChurnCost {
+    fn from(report: &FailureReport) -> Self {
+        ChurnCost {
+            locate_messages: report.departure_messages,
+            update_messages: report.regeneration_messages,
+            lost_items: report.lost_items,
+        }
+    }
+}
+
+impl From<&InsertReport> for OpCost {
+    fn from(report: &InsertReport) -> Self {
+        OpCost {
+            // Routing plus any leftmost/rightmost domain expansion; load
+            // balancing is reported separately, per the OpCost contract.
+            messages: report.messages + report.expansion_messages,
+            matches: 0,
+            nodes_visited: 1,
+            balance_messages: report.balance.as_ref().map_or(0, |b| b.messages),
+        }
+    }
+}
+
+impl From<&DeleteReport> for OpCost {
+    fn from(report: &DeleteReport) -> Self {
+        OpCost {
+            messages: report.messages,
+            matches: usize::from(report.removed),
+            nodes_visited: 1,
+            balance_messages: report.balance.as_ref().map_or(0, |b| b.messages),
+        }
     }
 }
 

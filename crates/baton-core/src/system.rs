@@ -31,9 +31,7 @@
 //! notification carries the sender's position, which names the one
 //! routing-table slot to touch ([`BatonNode::table_slot_of`]).
 
-use baton_net::{
-    Histogram, LatencyModel, LinkKind, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng, SimTime,
-};
+use baton_net::{Histogram, LinkKind, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
 
 use crate::config::BatonConfig;
 use crate::error::{BatonError, Result};
@@ -298,17 +296,6 @@ impl BatonSystem {
         self.iter_nodes().map(|(_, n)| n.store.len()).sum()
     }
 
-    /// Network statistics (message counts per kind, per peer, per op).
-    pub fn stats(&self) -> &baton_net::MessageStats {
-        self.net.stats()
-    }
-
-    /// Mutable network statistics (harnesses reset per-peer counters
-    /// between experiment phases, e.g. for Figure 8(f)).
-    pub fn stats_mut(&mut self) -> &mut baton_net::MessageStats {
-        self.net.stats_mut()
-    }
-
     /// Histogram of the number of nodes involved in each load-balancing
     /// restructuring shift (Figure 8(h)).
     pub fn balance_shift_histogram(&self) -> &Histogram {
@@ -441,22 +428,6 @@ impl BatonSystem {
             }
         }
         handoffs
-    }
-
-    /// Virtual time the overlay's network has reached.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    /// Advances the network's arrival clock (see
-    /// [`SimNetwork::advance_to`]).
-    pub fn advance_to(&mut self, at: SimTime) {
-        self.net.advance_to(at);
-    }
-
-    /// Replaces the network's link-latency model.
-    pub fn set_latency_model(&mut self, model: LatencyModel) {
-        self.net.set_latency_model(model);
     }
 
     /// Number of messages received by each peer, grouped by tree level —
@@ -623,7 +594,6 @@ impl BatonSystem {
         targets: &[PeerId],
         mut update: impl FnMut(&mut BatonNode),
     ) -> u64 {
-        let _t = baton_net::profiler::scope("baton.fan_out");
         for &target in targets {
             if let Some(node) = self.node_opt_mut(target) {
                 update(node);

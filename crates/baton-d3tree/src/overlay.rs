@@ -6,8 +6,8 @@
 //! and reports per-backbone-level access load (`level_load`).
 
 use baton_net::{
-    ChurnCost, Histogram, LatencyModel, MessageStats, OpCost, Overlay, OverlayCapabilities,
-    OverlayError, OverlayResult, PeerId, SimTime, TraceBuffer, TraceConfig,
+    ChurnCost, Histogram, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError,
+    OverlayResult, PeerId,
 };
 
 use crate::system::{D3Error, D3TreeSystem};
@@ -33,130 +33,61 @@ impl Overlay for D3TreeSystem {
         D3TreeSystem::total_items(self)
     }
 
-    fn stats(&self) -> &MessageStats {
-        D3TreeSystem::stats(self)
+    fn net(&self) -> &dyn NetView {
+        &self.net
     }
 
-    fn stats_mut(&mut self) -> &mut MessageStats {
-        D3TreeSystem::stats_mut(self)
-    }
-
-    fn now(&self) -> SimTime {
-        D3TreeSystem::now(self)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        D3TreeSystem::advance_to(self, at);
-    }
-
-    fn set_latency_model(&mut self, model: LatencyModel) {
-        D3TreeSystem::set_latency_model(self, model);
+    fn net_mut(&mut self) -> &mut dyn NetView {
+        &mut self.net
     }
 
     fn estimated_state_bytes(&self) -> u64 {
         D3TreeSystem::estimated_state_bytes(self)
     }
 
-    fn set_trace(&mut self, config: TraceConfig) {
-        D3TreeSystem::set_trace(self, config);
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuffer> {
-        D3TreeSystem::take_trace(self)
-    }
-
     fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
         Some(self.build_routing_snapshot())
-    }
-
-    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = D3TreeSystem::join_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
     }
 
     fn peers(&self) -> &[PeerId] {
         D3TreeSystem::peers(self)
     }
 
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
+        D3TreeSystem::join_random(self).map_err(op_err)
+    }
+
     fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = D3TreeSystem::leave_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        D3TreeSystem::leave_random(self).map_err(op_err)
     }
 
     fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
-        let report = D3TreeSystem::leave(self, peer).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        D3TreeSystem::leave(self, peer).map_err(op_err)
     }
 
     fn fail_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = D3TreeSystem::fail_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: report.lost_items,
-        })
+        D3TreeSystem::fail_random(self).map_err(op_err)
     }
 
     fn fail_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
-        let report = D3TreeSystem::fail(self, peer).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: report.lost_items,
-        })
+        D3TreeSystem::fail(self, peer).map_err(op_err)
     }
 
     fn insert(&mut self, key: u64, _value: u64) -> OverlayResult<OpCost> {
         // The baseline tracks key multisets; values are not materialised.
-        let report = D3TreeSystem::insert(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: 0,
-            nodes_visited: report.nodes_visited,
-            balance_messages: report.balance_messages,
-        })
+        D3TreeSystem::insert(self, key).map_err(op_err)
     }
 
     fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
-        let report = D3TreeSystem::delete(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: report.balance_messages,
-        })
+        D3TreeSystem::delete(self, key).map_err(op_err)
     }
 
     fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
-        let report = D3TreeSystem::search_exact(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        D3TreeSystem::search_exact(self, key).map_err(op_err)
     }
 
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
-        let report = D3TreeSystem::search_range(self, low, high).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        D3TreeSystem::search_range(self, low, high).map_err(op_err)
     }
 
     fn access_load_by_level(&self) -> Vec<(u32, f64)> {

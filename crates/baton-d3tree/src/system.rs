@@ -30,7 +30,8 @@
 //!   only when that fails does the backbone contract.
 
 use baton_net::{
-    Histogram, LinkKind, NetMessage, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
+    ChurnCost, Histogram, LinkKind, NetMessage, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork,
+    SimRng,
 };
 
 use crate::node::{Bucket, BucketPeer};
@@ -110,34 +111,10 @@ impl std::error::Error for D3Error {}
 /// Result alias for D3-Tree operations.
 pub type Result<T> = std::result::Result<T, D3Error>;
 
-/// Cost report of a join, departure or failure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct D3ChurnReport {
-    /// Messages to find the target bucket / detect the departure.
-    pub locate_messages: u64,
-    /// Messages to update links, weight counters and redistributed state.
-    pub update_messages: u64,
-    /// Data items lost (non-zero only for abrupt failures).
-    pub lost_items: usize,
-}
-
-/// Cost report of a routed operation (search, insert, delete).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct D3OpReport {
-    /// Routing messages used.
-    pub messages: u64,
-    /// Matches found (queries) or removed (deletes).
-    pub matches: usize,
-    /// Peers whose slice intersected the operation.
-    pub nodes_visited: usize,
-    /// Messages of any item redistribution the operation triggered.
-    pub balance_messages: u64,
-}
-
 /// The D3-Tree overlay.
 #[derive(Debug)]
 pub struct D3TreeSystem {
-    net: SimNetwork<D3Message>,
+    pub(crate) net: SimNetwork<D3Message>,
     rng: SimRng,
     domain: DRange,
     /// Backbone height; the backbone has `1 << height` leaf buckets.
@@ -252,43 +229,6 @@ impl D3TreeSystem {
     /// Total stored items.
     pub fn total_items(&self) -> usize {
         self.item_weights[0][0] as usize
-    }
-
-    /// Network statistics.
-    pub fn stats(&self) -> &baton_net::MessageStats {
-        self.net.stats()
-    }
-
-    /// Mutable network statistics.
-    pub fn stats_mut(&mut self) -> &mut baton_net::MessageStats {
-        self.net.stats_mut()
-    }
-
-    /// Virtual time the overlay's network has reached.
-    pub fn now(&self) -> baton_net::SimTime {
-        self.net.now()
-    }
-
-    /// Advances the network's arrival clock (see
-    /// [`baton_net::SimNetwork::advance_to`]).
-    pub fn advance_to(&mut self, at: baton_net::SimTime) {
-        self.net.advance_to(at);
-    }
-
-    /// Installs a route recorder on the underlying network (see
-    /// [`SimNetwork::set_trace`](baton_net::SimNetwork::set_trace)).
-    pub fn set_trace(&mut self, config: baton_net::TraceConfig) {
-        self.net.set_trace(config);
-    }
-
-    /// Removes and returns the route recorder, disabling tracing.
-    pub fn take_trace(&mut self) -> Option<baton_net::TraceBuffer> {
-        self.net.take_trace()
-    }
-
-    /// Replaces the network's link-latency model.
-    pub fn set_latency_model(&mut self, model: baton_net::LatencyModel) {
-        self.net.set_latency_model(model);
     }
 
     /// Distribution of item-redistribution shift sizes.
@@ -651,7 +591,7 @@ impl D3TreeSystem {
     /// root, then descends towards the lighter child at every backbone node
     /// (the deterministic node balancer), and the newcomer takes over half
     /// of the most loaded peer of the chosen bucket.
-    pub fn join_random(&mut self) -> Result<D3ChurnReport> {
+    pub fn join_random(&mut self) -> Result<ChurnCost> {
         let peer = self.net.add_peer();
         let op = self.net.begin_op("d3.join");
         if self.bucket_of.is_empty() {
@@ -661,7 +601,7 @@ impl D3TreeSystem {
             self.bucket_of.insert(peer, 0);
             self.rebuild_weights();
             self.net.finish_op(op);
-            return Ok(D3ChurnReport::default());
+            return Ok(ChurnCost::default());
         }
         let contact = self.random_peer().expect("non-empty");
         let mut locate_messages = 0u64;
@@ -736,7 +676,7 @@ impl D3TreeSystem {
         update_messages += self.maybe_resize(op);
 
         self.net.finish_op(op);
-        Ok(D3ChurnReport {
+        Ok(ChurnCost {
             locate_messages: locate_messages.max(1),
             update_messages,
             lost_items: 0,
@@ -793,7 +733,7 @@ impl D3TreeSystem {
     /// Shared tail of departures and failures: hand the vacated slice (and,
     /// for graceful leaves, the keys) to the in-order heir, repair an
     /// emptied bucket, update counters, rebalance, resize.
-    fn remove_peer(&mut self, peer: PeerId, keep_keys: bool) -> Result<D3ChurnReport> {
+    fn remove_peer(&mut self, peer: PeerId, keep_keys: bool) -> Result<ChurnCost> {
         if self.node_count() <= 1 {
             return Err(D3Error::LastNode);
         }
@@ -892,7 +832,7 @@ impl D3TreeSystem {
         }
 
         self.net.finish_op(op);
-        Ok(D3ChurnReport {
+        Ok(ChurnCost {
             locate_messages,
             update_messages,
             lost_items,
@@ -900,24 +840,24 @@ impl D3TreeSystem {
     }
 
     /// A specific node departs gracefully.
-    pub fn leave(&mut self, peer: PeerId) -> Result<D3ChurnReport> {
+    pub fn leave(&mut self, peer: PeerId) -> Result<ChurnCost> {
         self.remove_peer(peer, true)
     }
 
     /// A random node departs gracefully.
-    pub fn leave_random(&mut self) -> Result<D3ChurnReport> {
+    pub fn leave_random(&mut self) -> Result<ChurnCost> {
         let peer = self.random_peer().ok_or(D3Error::Empty)?;
         self.leave(peer)
     }
 
     /// A specific node fails abruptly: its stored items are lost and the
     /// overlay repairs bucket-locally.
-    pub fn fail(&mut self, peer: PeerId) -> Result<D3ChurnReport> {
+    pub fn fail(&mut self, peer: PeerId) -> Result<ChurnCost> {
         self.remove_peer(peer, false)
     }
 
     /// A random node fails abruptly.
-    pub fn fail_random(&mut self) -> Result<D3ChurnReport> {
+    pub fn fail_random(&mut self) -> Result<ChurnCost> {
         let peer = self.random_peer().ok_or(D3Error::Empty)?;
         self.fail(peer)
     }
@@ -978,7 +918,7 @@ impl D3TreeSystem {
     }
 
     /// Inserts a value under `key` from a random issuer.
-    pub fn insert(&mut self, key: u64) -> Result<D3OpReport> {
+    pub fn insert(&mut self, key: u64) -> Result<OpCost> {
         self.check_key(key)?;
         let issuer = self.random_peer().ok_or(D3Error::Empty)?;
         let op = self.net.begin_op("d3.insert");
@@ -989,7 +929,7 @@ impl D3TreeSystem {
         self.shift_item_weights(bucket, 1);
         let balance_messages = self.rebalance_items_on_path(op, bucket);
         self.net.finish_op(op);
-        Ok(D3OpReport {
+        Ok(OpCost {
             messages,
             matches: 0,
             nodes_visited: 1,
@@ -998,7 +938,7 @@ impl D3TreeSystem {
     }
 
     /// Deletes one value stored under `key` from a random issuer.
-    pub fn delete(&mut self, key: u64) -> Result<D3OpReport> {
+    pub fn delete(&mut self, key: u64) -> Result<OpCost> {
         self.check_key(key)?;
         let issuer = self.random_peer().ok_or(D3Error::Empty)?;
         let op = self.net.begin_op("d3.delete");
@@ -1012,7 +952,7 @@ impl D3TreeSystem {
             balance_messages = self.rebalance_items_on_path(op, bucket);
         }
         self.net.finish_op(op);
-        Ok(D3OpReport {
+        Ok(OpCost {
             messages,
             matches: usize::from(removed),
             nodes_visited: 1,
@@ -1021,14 +961,14 @@ impl D3TreeSystem {
     }
 
     /// Exact-match query for `key` from a random issuer.
-    pub fn search_exact(&mut self, key: u64) -> Result<D3OpReport> {
+    pub fn search_exact(&mut self, key: u64) -> Result<OpCost> {
         self.check_key(key)?;
         let issuer = self.random_peer().ok_or(D3Error::Empty)?;
         let op = self.net.begin_op("d3.search");
         let (bucket, position, messages) = self.route_to_owner(op, issuer, key)?;
         let matches = self.buckets[bucket].peers[position].count_key(key);
         self.net.finish_op(op);
-        Ok(D3OpReport {
+        Ok(OpCost {
             messages,
             matches,
             nodes_visited: 1,
@@ -1038,7 +978,7 @@ impl D3TreeSystem {
 
     /// Range query for `[low, high)`: route to the owner of `low`, then
     /// sweep right over the peer adjacency until the range is covered.
-    pub fn search_range(&mut self, low: u64, high: u64) -> Result<D3OpReport> {
+    pub fn search_range(&mut self, low: u64, high: u64) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(D3Error::Empty)?;
         let op = self.net.begin_op("d3.range");
         let lo = low.max(self.domain.low);
@@ -1074,7 +1014,7 @@ impl D3TreeSystem {
             messages += self.hop(op, from, to, &mut hop_no, LinkKind::Bucket);
         }
         self.net.finish_op(op);
-        Ok(D3OpReport {
+        Ok(OpCost {
             messages,
             matches,
             nodes_visited,
@@ -1090,7 +1030,10 @@ impl D3TreeSystem {
         for level in 0..=self.height {
             let hosts: std::collections::BTreeSet<PeerId> =
                 (0..1usize << level).map(|j| self.host(level, j)).collect();
-            let total: u64 = hosts.iter().map(|p| self.stats().received_count(*p)).sum();
+            let total: u64 = hosts
+                .iter()
+                .map(|p| self.net.stats().received_count(*p))
+                .sum();
             levels.push((level, total as f64 / hosts.len().max(1) as f64));
         }
         let heads: std::collections::BTreeSet<PeerId> =
@@ -1104,7 +1047,7 @@ impl D3TreeSystem {
         if !members.is_empty() {
             let total: u64 = members
                 .iter()
-                .map(|p| self.stats().received_count(*p))
+                .map(|p| self.net.stats().received_count(*p))
                 .sum();
             levels.push((self.height + 1, total as f64 / members.len() as f64));
         }

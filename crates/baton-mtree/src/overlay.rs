@@ -7,8 +7,7 @@
 use std::collections::HashMap;
 
 use baton_net::{
-    ChurnCost, LatencyModel, MessageStats, OpCost, Overlay, OverlayCapabilities, OverlayError,
-    OverlayResult, PeerId, SimTime, TraceBuffer, TraceConfig,
+    ChurnCost, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
 };
 
 use crate::system::{MTreeError, MTreeSystem};
@@ -34,119 +33,60 @@ impl Overlay for MTreeSystem {
         MTreeSystem::total_items(self)
     }
 
-    fn stats(&self) -> &MessageStats {
-        MTreeSystem::stats(self)
+    fn net(&self) -> &dyn NetView {
+        &self.net
     }
 
-    fn stats_mut(&mut self) -> &mut MessageStats {
-        MTreeSystem::stats_mut(self)
-    }
-
-    fn now(&self) -> SimTime {
-        MTreeSystem::now(self)
-    }
-
-    fn advance_to(&mut self, at: SimTime) {
-        MTreeSystem::advance_to(self, at);
-    }
-
-    fn set_latency_model(&mut self, model: LatencyModel) {
-        MTreeSystem::set_latency_model(self, model);
+    fn net_mut(&mut self) -> &mut dyn NetView {
+        &mut self.net
     }
 
     fn estimated_state_bytes(&self) -> u64 {
         MTreeSystem::estimated_state_bytes(self)
     }
 
-    fn set_trace(&mut self, config: TraceConfig) {
-        MTreeSystem::set_trace(self, config);
-    }
-
-    fn take_trace(&mut self) -> Option<TraceBuffer> {
-        MTreeSystem::take_trace(self)
-    }
-
     fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
         Some(self.build_routing_snapshot())
-    }
-
-    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = MTreeSystem::join_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
     }
 
     fn peers(&self) -> &[PeerId] {
         MTreeSystem::peers(self)
     }
 
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
+        MTreeSystem::join_random(self).map_err(op_err)
+    }
+
     fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
-        let report = MTreeSystem::leave_random(self).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        MTreeSystem::leave_random(self).map_err(op_err)
     }
 
     fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
-        let report = MTreeSystem::leave(self, peer).map_err(op_err)?;
-        Ok(ChurnCost {
-            locate_messages: report.locate_messages,
-            update_messages: report.update_messages,
-            lost_items: 0,
-        })
+        MTreeSystem::leave(self, peer).map_err(op_err)
     }
 
     fn insert(&mut self, key: u64, _value: u64) -> OverlayResult<OpCost> {
         // The baseline tracks key multisets; values are not materialised.
-        let report = MTreeSystem::insert(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: 0,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        MTreeSystem::insert(self, key).map_err(op_err)
     }
 
     fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
-        let report = MTreeSystem::delete(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        MTreeSystem::delete(self, key).map_err(op_err)
     }
 
     fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
-        let report = MTreeSystem::search_exact(self, key).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        MTreeSystem::search_exact(self, key).map_err(op_err)
     }
 
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
-        let report = MTreeSystem::search_range(self, low, high).map_err(op_err)?;
-        Ok(OpCost {
-            messages: report.messages,
-            matches: report.matches,
-            nodes_visited: report.nodes_visited,
-            balance_messages: 0,
-        })
+        MTreeSystem::search_range(self, low, high).map_err(op_err)
     }
 
     fn access_load_by_level(&self) -> Vec<(u32, f64)> {
         let mut per_level: HashMap<u32, (u64, u64)> = HashMap::new();
         for (peer, node) in self.nodes() {
             let received = self.stats().received_count(peer);
-            let entry = per_level.entry(node_depth(node)).or_insert((0, 0));
+            let entry = per_level.entry(node.depth).or_insert((0, 0));
             entry.0 += received;
             entry.1 += 1;
         }
@@ -169,10 +109,6 @@ impl Overlay for MTreeSystem {
     fn validate(&self) -> Result<(), String> {
         MTreeSystem::validate(self)
     }
-}
-
-fn node_depth(node: &crate::node::MNode) -> u32 {
-    node.depth
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //!   skewed splits,
 //! * the tree is not height-balanced; with skewed join points it degenerates.
 
-use baton_net::{LinkKind, NetMessage, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
+use baton_net::{
+    ChurnCost, LinkKind, NetMessage, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
+};
 
 use crate::node::{MLink, MNode};
 use crate::range::MRange;
@@ -81,31 +83,10 @@ impl std::error::Error for MTreeError {}
 /// Result alias for multiway-tree operations.
 pub type Result<T> = std::result::Result<T, MTreeError>;
 
-/// Cost report of a join or departure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MTreeChurnReport {
-    /// Messages to find the node that accepts the newcomer / to gather the
-    /// information needed to pick a replacement.
-    pub locate_messages: u64,
-    /// Messages to update links afterwards.
-    pub update_messages: u64,
-}
-
-/// Cost report of a routed operation (search, insert, delete).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MTreeOpReport {
-    /// Messages used.
-    pub messages: u64,
-    /// Number of matches (exact and range queries).
-    pub matches: usize,
-    /// Nodes visited by a range query.
-    pub nodes_visited: usize,
-}
-
 /// The multiway-tree overlay.
 #[derive(Debug)]
 pub struct MTreeSystem {
-    net: SimNetwork<MTreeMessage>,
+    pub(crate) net: SimNetwork<MTreeMessage>,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<MNode>,
@@ -198,44 +179,6 @@ impl MTreeSystem {
             .iter()
             .rposition(|&live| live > 0)
             .map_or(0, |depth| depth as u32 + 1)
-    }
-
-    /// Network statistics.
-    pub fn stats(&self) -> &baton_net::MessageStats {
-        self.net.stats()
-    }
-
-    /// Mutable network statistics (harnesses reset per-peer counters
-    /// between experiment phases).
-    pub fn stats_mut(&mut self) -> &mut baton_net::MessageStats {
-        self.net.stats_mut()
-    }
-
-    /// Virtual time the overlay's network has reached.
-    pub fn now(&self) -> baton_net::SimTime {
-        self.net.now()
-    }
-
-    /// Advances the network's arrival clock (see
-    /// [`baton_net::SimNetwork::advance_to`]).
-    pub fn advance_to(&mut self, at: baton_net::SimTime) {
-        self.net.advance_to(at);
-    }
-
-    /// Installs a route recorder on the underlying network (see
-    /// [`SimNetwork::set_trace`](baton_net::SimNetwork::set_trace)).
-    pub fn set_trace(&mut self, config: baton_net::TraceConfig) {
-        self.net.set_trace(config);
-    }
-
-    /// Removes and returns the route recorder, disabling tracing.
-    pub fn take_trace(&mut self) -> Option<baton_net::TraceBuffer> {
-        self.net.take_trace()
-    }
-
-    /// Replaces the network's link-latency model.
-    pub fn set_latency_model(&mut self, model: baton_net::LatencyModel) {
-        self.net.set_latency_model(model);
     }
 
     /// Total stored items.
@@ -334,7 +277,7 @@ impl MTreeSystem {
     /// A new node joins: the request is routed to the node owning a random
     /// point of the key space, which accepts the newcomer as a child
     /// directly (fan-out is unconstrained) and hands it half of its range.
-    pub fn join_random(&mut self) -> Result<MTreeChurnReport> {
+    pub fn join_random(&mut self) -> Result<ChurnCost> {
         let peer = self.net.add_peer();
         let op = self.net.begin_op("mtree.join");
         if self.nodes.is_empty() {
@@ -342,7 +285,7 @@ impl MTreeSystem {
             self.root = Some(peer);
             self.register_node(peer, node);
             self.net.finish_op(op);
-            return Ok(MTreeChurnReport::default());
+            return Ok(ChurnCost::default());
         }
         let contact = self.random_peer().expect("non-empty");
         let split_point = self.rng.uniform_u64(self.domain.low, self.domain.high);
@@ -450,9 +393,10 @@ impl MTreeSystem {
         }
 
         self.net.finish_op(op);
-        Ok(MTreeChurnReport {
+        Ok(ChurnCost {
             locate_messages: locate_messages.max(1),
             update_messages,
+            lost_items: 0,
         })
     }
 
@@ -460,7 +404,7 @@ impl MTreeSystem {
     /// replacement (this is what makes multiway-tree departures expensive),
     /// the replacement absorbs its range and items, and every link to the
     /// departed node is repointed.
-    pub fn leave(&mut self, peer: PeerId) -> Result<MTreeChurnReport> {
+    pub fn leave(&mut self, peer: PeerId) -> Result<ChurnCost> {
         if self.nodes.len() <= 1 {
             return Err(MTreeError::LastNode);
         }
@@ -628,14 +572,15 @@ impl MTreeSystem {
         }
 
         self.net.finish_op(op);
-        Ok(MTreeChurnReport {
+        Ok(ChurnCost {
             locate_messages,
             update_messages,
+            lost_items: 0,
         })
     }
 
     /// A random node leaves.
-    pub fn leave_random(&mut self) -> Result<MTreeChurnReport> {
+    pub fn leave_random(&mut self) -> Result<ChurnCost> {
         let peer = self.random_peer().ok_or(MTreeError::Empty)?;
         self.leave(peer)
     }
@@ -724,7 +669,7 @@ impl MTreeSystem {
     }
 
     /// Inserts a value under `key`.
-    pub fn insert(&mut self, key: u64) -> Result<MTreeOpReport> {
+    pub fn insert(&mut self, key: u64) -> Result<OpCost> {
         if !self.domain.contains(key) {
             return Err(MTreeError::KeyOutOfDomain(key));
         }
@@ -734,15 +679,16 @@ impl MTreeSystem {
         self.node_mut(owner)?.insert_key(key);
         messages += self.charge_replica_copies(op, owner);
         self.net.finish_op(op);
-        Ok(MTreeOpReport {
+        Ok(OpCost {
             messages,
             matches: 0,
             nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
     /// Deletes one stored occurrence of `key`, if any.
-    pub fn delete(&mut self, key: u64) -> Result<MTreeOpReport> {
+    pub fn delete(&mut self, key: u64) -> Result<OpCost> {
         if !self.domain.contains(key) {
             return Err(MTreeError::KeyOutOfDomain(key));
         }
@@ -754,15 +700,16 @@ impl MTreeSystem {
             messages += self.charge_replica_copies(op, owner);
         }
         self.net.finish_op(op);
-        Ok(MTreeOpReport {
+        Ok(OpCost {
             messages,
             matches: removed,
             nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
     /// Exact-match query for `key`.
-    pub fn search_exact(&mut self, key: u64) -> Result<MTreeOpReport> {
+    pub fn search_exact(&mut self, key: u64) -> Result<OpCost> {
         if !self.domain.contains(key) {
             return Err(MTreeError::KeyOutOfDomain(key));
         }
@@ -771,16 +718,17 @@ impl MTreeSystem {
         let (owner, messages) = self.route_to_owner(op, issuer, key)?;
         let matches = self.node(owner)?.count_key(key);
         self.net.finish_op(op);
-        Ok(MTreeOpReport {
+        Ok(OpCost {
             messages,
             matches,
             nodes_visited: 1,
+            balance_messages: 0,
         })
     }
 
     /// Range query: find the first intersecting node, then walk right
     /// neighbours one by one.
-    pub fn search_range(&mut self, low: u64, high: u64) -> Result<MTreeOpReport> {
+    pub fn search_range(&mut self, low: u64, high: u64) -> Result<OpCost> {
         let issuer = self.random_peer().ok_or(MTreeError::Empty)?;
         let op = self.net.begin_op("mtree.range");
         let start_key = low.max(self.domain.low).min(self.domain.high - 1);
@@ -819,10 +767,11 @@ impl MTreeSystem {
             }
         }
         self.net.finish_op(op);
-        Ok(MTreeOpReport {
+        Ok(OpCost {
             messages,
             matches,
             nodes_visited,
+            balance_messages: 0,
         })
     }
 

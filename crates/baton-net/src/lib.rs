@@ -1,8 +1,8 @@
 //! # baton-net — deterministic message-passing P2P simulator
 //!
 //! This crate is the network substrate on top of which the BATON overlay
-//! ([`baton-core`]), the Chord baseline ([`baton-chord`]) and the multiway
-//! tree baseline ([`baton-mtree`]) are built.
+//! (`baton-core`) and the Chord, multiway-tree and D3-Tree baselines
+//! (`baton-chord`, `baton-mtree`, `baton-d3tree`) are built.
 //!
 //! The BATON paper (Jagadish, Ooi, Rinard, Vu — VLDB 2005) evaluates every
 //! mechanism by the **number of messages** exchanged between peers, not by
@@ -36,9 +36,6 @@
 //!   (join, leave, search, …) in an [`OpScope`] so the harness can report the
 //!   *average messages per operation* series that every sub-figure of
 //!   Figure 8 plots.
-//! * **Wire realism.**  [`codec`] provides a compact binary encoding of
-//!   envelopes so byte-level traffic can also be accounted, even though the
-//!   paper itself only counts messages.
 //!
 //! ## Quick example
 //!
@@ -68,14 +65,12 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod codec;
 pub mod directory;
 pub mod message;
 pub mod network;
 pub mod overlay;
 pub mod parallel;
 pub mod peer;
-pub mod profiler;
 pub mod rng;
 pub mod serve;
 pub mod stats;
@@ -84,7 +79,7 @@ pub mod trace;
 
 pub use directory::PeerDirectory;
 pub use message::{Envelope, NetMessage};
-pub use network::{DeliveryError, SendError, SimNetwork};
+pub use network::{DeliveryError, NetView, SendError, SimNetwork};
 pub use overlay::{
     ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, RepairPolicy,
 };

@@ -15,8 +15,8 @@ pub trait NetMessage: Clone + std::fmt::Debug {
     fn kind(&self) -> &'static str;
 
     /// Approximate payload size in bytes, used by the byte-level accounting
-    /// in [`crate::codec`].  The default is a conservative fixed estimate;
-    /// protocols can override it for realism.
+    /// of [`MessageStats`](crate::MessageStats).  The default is a
+    /// conservative fixed estimate; protocols can override it for realism.
     fn approximate_size(&self) -> usize {
         64
     }

@@ -27,7 +27,7 @@ use std::collections::BinaryHeap;
 use crate::message::{Envelope, NetMessage};
 use crate::peer::{PeerId, PeerRegistry, PeerStatus};
 use crate::stats::{MessageStats, OpScope};
-use crate::time::{LatencyModel, RegionMap, SimTime};
+use crate::time::{LatencyModel, SimTime};
 use crate::trace::{HopRecord, LinkKind, TraceBuffer, TraceConfig};
 
 /// Error returned by [`SimNetwork::send`] when the *sender* is not a live
@@ -100,168 +100,6 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
-/// One region's slice of the sharded event queue.
-///
-/// `local` holds events whose source and destination live in this region —
-/// under a thread-per-region execution these run lock-free within the
-/// shard.  `inbound` holds events crossing into this region from another
-/// one; they are what the conservative time-window barrier synchronises on.
-#[derive(Clone, Debug)]
-struct Shard<M> {
-    local: BinaryHeap<Reverse<Scheduled<M>>>,
-    inbound: BinaryHeap<Reverse<Scheduled<M>>>,
-}
-
-impl<M> Shard<M> {
-    fn new() -> Self {
-        Self {
-            local: BinaryHeap::new(),
-            inbound: BinaryHeap::new(),
-        }
-    }
-}
-
-/// The event queue: a single heap under non-regional latency models, or one
-/// [`Shard`] per region when the network models a [`Regional`]
-/// (`LatencyModel::Regional`) topology.
-///
-/// The sharded form preserves the exact global delivery order of the single
-/// heap — every pop selects the globally minimal `(deliver_at, seq)` across
-/// all shard heaps — so sharding is invisible to message semantics and runs
-/// stay bit-deterministic regardless of how shards are driven.
-#[derive(Clone, Debug)]
-enum EventQueue<M> {
-    Single(BinaryHeap<Reverse<Scheduled<M>>>),
-    Sharded {
-        map: RegionMap,
-        shards: Vec<Shard<M>>,
-    },
-}
-
-impl<M> Default for EventQueue<M> {
-    fn default() -> Self {
-        EventQueue::Single(BinaryHeap::new())
-    }
-}
-
-impl<M> EventQueue<M> {
-    fn sharded(map: RegionMap) -> Self {
-        let shards = (0..map.regions()).map(|_| Shard::new()).collect();
-        EventQueue::Sharded { map, shards }
-    }
-
-    fn push(&mut self, item: Scheduled<M>) {
-        match self {
-            EventQueue::Single(heap) => heap.push(Reverse(item)),
-            EventQueue::Sharded { map, shards } => {
-                let from = map.region_of(item.envelope.from);
-                let to = map.region_of(item.envelope.to);
-                let shard = &mut shards[to as usize];
-                if from == to {
-                    shard.local.push(Reverse(item));
-                } else {
-                    shard.inbound.push(Reverse(item));
-                }
-            }
-        }
-    }
-
-    /// Key of the globally earliest event: `(deliver_at, seq)`.
-    fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heaps()
-            .filter_map(|heap| heap.peek().map(|Reverse(s)| (s.deliver_at(), s.seq)))
-            .min()
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        match self {
-            EventQueue::Single(heap) => heap.pop().map(|Reverse(s)| s),
-            EventQueue::Sharded { shards, .. } => {
-                let mut best: Option<(usize, bool, (SimTime, u64))> = None;
-                for (i, shard) in shards.iter().enumerate() {
-                    for (is_local, heap) in [(true, &shard.local), (false, &shard.inbound)] {
-                        if let Some(Reverse(s)) = heap.peek() {
-                            let key = (s.deliver_at(), s.seq);
-                            if best.is_none_or(|(_, _, k)| key < k) {
-                                best = Some((i, is_local, key));
-                            }
-                        }
-                    }
-                }
-                let (i, is_local, _) = best?;
-                let heap = if is_local {
-                    &mut shards[i].local
-                } else {
-                    &mut shards[i].inbound
-                };
-                heap.pop().map(|Reverse(s)| s)
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heaps().map(BinaryHeap::len).sum()
-    }
-
-    fn clear(&mut self) {
-        match self {
-            EventQueue::Single(heap) => heap.clear(),
-            EventQueue::Sharded { shards, .. } => {
-                for shard in shards {
-                    shard.local.clear();
-                    shard.inbound.clear();
-                }
-            }
-        }
-    }
-
-    /// Removes and returns every pending event (in no particular order);
-    /// used when the queue is restructured after a latency-model swap.
-    fn drain_all(&mut self) -> Vec<Scheduled<M>> {
-        let mut out = Vec::with_capacity(self.len());
-        match self {
-            EventQueue::Single(heap) => out.extend(heap.drain().map(|Reverse(s)| s)),
-            EventQueue::Sharded { shards, .. } => {
-                for shard in shards {
-                    out.extend(shard.local.drain().map(|Reverse(s)| s));
-                    out.extend(shard.inbound.drain().map(|Reverse(s)| s));
-                }
-            }
-        }
-        out
-    }
-
-    fn heaps(&self) -> impl Iterator<Item = &BinaryHeap<Reverse<Scheduled<M>>>> {
-        let (single, shards): (_, &[Shard<M>]) = match self {
-            EventQueue::Single(heap) => (Some(heap), &[][..]),
-            EventQueue::Sharded { shards, .. } => (None, shards.as_slice()),
-        };
-        single.into_iter().chain(
-            shards
-                .iter()
-                .flat_map(|s| [&s.local, &s.inbound].into_iter()),
-        )
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            EventQueue::Single(_) => 1,
-            EventQueue::Sharded { shards, .. } => shards.len(),
-        }
-    }
-
-    /// Earliest pending **cross-region** delivery, if any.
-    fn inter_region_frontier(&self) -> Option<SimTime> {
-        match self {
-            EventQueue::Single(_) => None,
-            EventQueue::Sharded { shards, .. } => shards
-                .iter()
-                .filter_map(|s| s.inbound.peek().map(|Reverse(e)| e.deliver_at()))
-                .min(),
-        }
-    }
-}
-
 /// A deterministic discrete-event message-passing network simulator.
 ///
 /// Every send is counted in [`MessageStats`] and scheduled for delivery at
@@ -270,7 +108,8 @@ impl<M> EventQueue<M> {
 #[derive(Clone, Debug, Default)]
 pub struct SimNetwork<M> {
     peers: PeerRegistry,
-    queue: EventQueue<M>,
+    /// Pending deliveries, earliest `(deliver_at, seq)` first.
+    queue: BinaryHeap<Reverse<Scheduled<M>>>,
     next_seq: u64,
     /// Where newly issued operations begin (moved by `advance_to`).
     arrival_clock: SimTime,
@@ -294,9 +133,7 @@ impl<M: NetMessage> SimNetwork<M> {
     pub fn with_latency(latency: LatencyModel) -> Self {
         Self {
             peers: PeerRegistry::new(),
-            queue: latency
-                .region_map()
-                .map_or_else(EventQueue::default, EventQueue::sharded),
+            queue: BinaryHeap::new(),
             next_seq: 0,
             arrival_clock: SimTime::ZERO,
             horizon: SimTime::ZERO,
@@ -310,36 +147,8 @@ impl<M: NetMessage> SimNetwork<M> {
     ///
     /// Typically called right after construction; swapping models mid-run is
     /// allowed (pending messages keep their already-drawn delivery times).
-    /// Installing a [`Regional`](LatencyModel::Regional) model restructures
-    /// the event queue into one shard per region (and a non-regional model
-    /// collapses it back to a single heap); pending events are re-filed into
-    /// the new layout without changing their delivery order.
     pub fn set_latency_model(&mut self, latency: LatencyModel) {
-        let pending = self.queue.drain_all();
-        self.queue = latency
-            .region_map()
-            .map_or_else(EventQueue::default, EventQueue::sharded);
-        for item in pending {
-            self.queue.push(item);
-        }
         self.latency = latency;
-    }
-
-    /// Number of event-queue shards: one per region under a regional
-    /// latency model, otherwise 1.
-    pub fn shard_count(&self) -> usize {
-        self.queue.shard_count()
-    }
-
-    /// The conservative time-window barrier of the sharded queue: the
-    /// earliest pending **cross-region** delivery.  Every shard may safely
-    /// run its intra-region events up to (but not past) this instant without
-    /// observing another shard; delivering the cross-region event first
-    /// re-opens the window.  `None` when no cross-region event is pending
-    /// (or the queue is unsharded), meaning shards are fully independent
-    /// until the next inter-region send.
-    pub fn inter_region_frontier(&self) -> Option<SimTime> {
-        self.queue.inter_region_frontier()
     }
 
     /// The latency model in use.
@@ -533,7 +342,7 @@ impl<M: NetMessage> SimNetwork<M> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.queue.push(Scheduled {
+        self.queue.push(Reverse(Scheduled {
             seq,
             envelope: Envelope {
                 from,
@@ -543,7 +352,7 @@ impl<M: NetMessage> SimNetwork<M> {
                 deliver_at,
                 payload,
             },
-        });
+        }));
         Ok(())
     }
 
@@ -608,7 +417,7 @@ impl<M: NetMessage> SimNetwork<M> {
 
     /// Virtual delivery time of the next queued message, if any.
     pub fn next_delivery_at(&self) -> Option<SimTime> {
-        self.queue.peek_key().map(|(at, _)| at)
+        self.queue.peek().map(|Reverse(s)| s.deliver_at())
     }
 
     /// Delivers the earliest queued message, advancing virtual time.
@@ -621,8 +430,7 @@ impl<M: NetMessage> SimNetwork<M> {
     ///   so the operation's frontier advances either way.
     #[allow(clippy::type_complexity)]
     pub fn deliver_next(&mut self) -> Option<Result<Envelope<M>, DeliveryError<M>>> {
-        let scheduled = self.queue.pop()?;
-        let envelope = scheduled.envelope;
+        let Reverse(Scheduled { envelope, .. }) = self.queue.pop()?;
         self.horizon = self.horizon.max(envelope.deliver_at);
         self.stats
             .advance_op_frontier(envelope.op, envelope.deliver_at);
@@ -650,6 +458,54 @@ impl<M: NetMessage> SimNetwork<M> {
     /// Messages attributed to operation `op` so far.
     pub fn op_messages(&self, op: OpScope) -> u64 {
         self.stats.op(op.id).map(|s| s.messages).unwrap_or(0)
+    }
+}
+
+/// What the harness does with an overlay's network, whatever the overlay's
+/// message type: read and reset statistics, move the arrival clock, swap
+/// the latency model, install and collect the route recorder.
+///
+/// Implemented once, for every [`SimNetwork<M>`]; it exists so that
+/// [`Overlay::net`](crate::Overlay::net) can hand the network out through
+/// `dyn Overlay` without naming `M`.
+pub trait NetView {
+    /// See [`SimNetwork::stats`].
+    fn stats(&self) -> &MessageStats;
+    /// See [`SimNetwork::stats_mut`].
+    fn stats_mut(&mut self) -> &mut MessageStats;
+    /// See [`SimNetwork::now`].
+    fn now(&self) -> SimTime;
+    /// See [`SimNetwork::advance_to`].
+    fn advance_to(&mut self, at: SimTime);
+    /// See [`SimNetwork::set_latency_model`].
+    fn set_latency_model(&mut self, latency: LatencyModel);
+    /// See [`SimNetwork::set_trace`].
+    fn set_trace(&mut self, config: TraceConfig);
+    /// See [`SimNetwork::take_trace`].
+    fn take_trace(&mut self) -> Option<TraceBuffer>;
+}
+
+impl<M: NetMessage> NetView for SimNetwork<M> {
+    fn stats(&self) -> &MessageStats {
+        SimNetwork::stats(self)
+    }
+    fn stats_mut(&mut self) -> &mut MessageStats {
+        SimNetwork::stats_mut(self)
+    }
+    fn now(&self) -> SimTime {
+        SimNetwork::now(self)
+    }
+    fn advance_to(&mut self, at: SimTime) {
+        SimNetwork::advance_to(self, at);
+    }
+    fn set_latency_model(&mut self, latency: LatencyModel) {
+        SimNetwork::set_latency_model(self, latency);
+    }
+    fn set_trace(&mut self, config: TraceConfig) {
+        SimNetwork::set_trace(self, config);
+    }
+    fn take_trace(&mut self) -> Option<TraceBuffer> {
+        SimNetwork::take_trace(self)
     }
 }
 
@@ -913,129 +769,30 @@ mod tests {
         assert_eq!(net.next_delivery_at(), Some(SimTime::ZERO));
     }
 
-    fn regional_model(seed: u64) -> LatencyModel {
-        LatencyModel::regional(
-            RegionMap::new(4, 0xBA70),
-            LatencyModel::log_normal(SimTime::from_millis(5), 0.5, seed),
-            LatencyModel::log_normal(SimTime::from_millis(60), 0.5, seed ^ 1),
-            Vec::new(),
-        )
-    }
-
     #[test]
-    fn regional_model_shards_the_queue_by_region() {
-        let mut net: SimNetwork<Msg> = SimNetwork::with_latency(regional_model(5));
-        assert_eq!(net.shard_count(), 4);
-        let peers: Vec<_> = (0..32).map(|_| net.add_peer()).collect();
-        let ops: Vec<_> = (0..8).map(|i| net.begin_op(&format!("op{i}"))).collect();
-        for (i, op) in ops.iter().enumerate() {
-            for j in 0..8 {
-                let from = peers[(i * 5 + j) % peers.len()];
-                let to = peers[(j * 11 + i) % peers.len()];
-                net.send(*op, from, to, Msg::Hello).unwrap();
-            }
-        }
-        assert_eq!(net.pending(), 64);
-        // The sharded queue still pops in global (deliver_at, seq) order.
-        let mut last = SimTime::ZERO;
-        let mut seen = 0;
-        while let Some(result) = net.deliver_next() {
-            let env = result.unwrap();
-            assert!(env.deliver_at >= last, "sharded queue went backwards");
-            last = env.deliver_at;
-            seen += 1;
-        }
-        assert_eq!(seen, 64);
-    }
-
-    #[test]
-    fn sharded_and_single_queue_deliver_identically() {
-        // The same seeded traffic through a sharded and a (forced) single
-        // queue: delivery order and payload attribution must be identical,
-        // because the sharded pop selects the global (deliver_at, seq) min.
-        let run = |shard: bool| {
-            let mut net: SimNetwork<Msg> = SimNetwork::with_latency(regional_model(9));
-            if !shard {
-                // Collapse to a single heap *after* construction: same
-                // latency streams, different queue layout.
-                let model = net.latency_model().clone();
-                net.queue = EventQueue::default();
-                net.latency = model;
-            }
-            let peers: Vec<_> = (0..24).map(|_| net.add_peer()).collect();
-            let ops: Vec<_> = (0..6).map(|i| net.begin_op(&format!("op{i}"))).collect();
-            for (i, op) in ops.iter().enumerate() {
-                for j in 0..10 {
-                    let from = peers[(i * 7 + j * 3) % peers.len()];
-                    let to = peers[(i + j * 5) % peers.len()];
-                    net.send(*op, from, to, Msg::Hello).unwrap();
-                }
-            }
-            let mut order = Vec::new();
-            while let Some(result) = net.deliver_next() {
-                let env = result.unwrap();
-                order.push((env.deliver_at, env.from, env.to));
-            }
-            order
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn inter_region_frontier_is_the_earliest_cross_region_event() {
-        let map = RegionMap::new(4, 0xBA70);
-        let mut net: SimNetwork<Msg> = SimNetwork::with_latency(LatencyModel::regional(
-            map,
-            LatencyModel::constant(SimTime::from_millis(1)),
-            LatencyModel::constant(SimTime::from_millis(40)),
-            Vec::new(),
-        ));
-        let peers: Vec<_> = (0..32).map(|_| net.add_peer()).collect();
-        let same = |a: &PeerId, b: &PeerId| map.same_region(*a, *b);
-        let intra_pair = peers
-            .iter()
-            .flat_map(|a| peers.iter().map(move |b| (a, b)))
-            .find(|(a, b)| a != b && same(a, b))
-            .unwrap();
-        let inter_pair = peers
-            .iter()
-            .flat_map(|a| peers.iter().map(move |b| (a, b)))
-            .find(|(a, b)| !same(a, b))
-            .unwrap();
-        // No cross-region traffic: shards are fully independent.
-        let op = net.begin_op("intra");
-        net.send(op, *intra_pair.0, *intra_pair.1, Msg::Hello)
-            .unwrap();
-        assert_eq!(net.inter_region_frontier(), None);
-        // A cross-region send closes the window at its delivery time.
-        let op2 = net.begin_op("inter");
-        net.send(op2, *inter_pair.0, *inter_pair.1, Msg::World)
-            .unwrap();
-        assert_eq!(net.inter_region_frontier(), Some(SimTime::from_millis(40)));
-        // The barrier never precedes any locally deliverable event's bound:
-        // the intra event (1ms) is safe to run before the 40ms frontier.
-        assert_eq!(net.next_delivery_at(), Some(SimTime::from_millis(1)));
-        net.deliver_next().unwrap().unwrap();
-        net.deliver_next().unwrap().unwrap();
-        assert_eq!(net.inter_region_frontier(), None);
-    }
-
-    #[test]
-    fn swapping_models_restructures_the_queue_and_keeps_pending_events() {
+    fn swapping_models_keeps_pending_events() {
         let (mut net, a, b) = two_peer_net();
-        assert_eq!(net.shard_count(), 1);
         let op = net.begin_op("swap");
         net.send(op, a, b, Msg::Hello).unwrap();
         net.send(op, b, a, Msg::World).unwrap();
-        net.set_latency_model(regional_model(3));
-        assert_eq!(net.shard_count(), 4);
-        assert_eq!(net.pending(), 2, "pending events survive re-sharding");
+        net.set_latency_model(LatencyModel::regional(
+            crate::time::RegionMap::new(4, 0xBA70),
+            LatencyModel::constant(SimTime::from_millis(5)),
+            LatencyModel::constant(SimTime::from_millis(60)),
+            Vec::new(),
+        ));
+        assert_eq!(net.pending(), 2, "pending events survive a model swap");
+        // Already-drawn delivery times are kept: both still land at t = 0.
         let first = net.deliver_next().unwrap().unwrap();
-        assert_eq!(first.payload, Msg::Hello);
+        assert_eq!(
+            (first.payload, first.deliver_at),
+            (Msg::Hello, SimTime::ZERO)
+        );
         net.set_latency_model(LatencyModel::zero());
-        assert_eq!(net.shard_count(), 1);
-        assert_eq!(net.pending(), 1);
         let second = net.deliver_next().unwrap().unwrap();
         assert_eq!(second.payload, Msg::World);
+        // Sends after the swap draw from the new model.
+        net.send(op, a, b, Msg::Hello).unwrap();
+        assert_eq!(net.next_delivery_at(), Some(SimTime::ZERO));
     }
 }

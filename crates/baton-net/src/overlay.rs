@@ -1,22 +1,22 @@
 //! The [`Overlay`] trait: one interface over every overlay simulator.
 //!
-//! The workspace compares three structured overlays — BATON (`baton-core`),
-//! Chord (`baton-chord`) and the multiway tree (`baton-mtree`) — on
-//! identical workloads.  Each system keeps its own rich, precise API
-//! (protocol-specific reports, validation oracles), but the experiment
-//! harness, the workload runners and the figure drivers only need a common
-//! denominator: build churn, move data, run queries, read message costs.
-//! That denominator is this trait.
+//! The workspace compares four structured overlays — BATON (`baton-core`),
+//! Chord (`baton-chord`), the multiway tree (`baton-mtree`) and the D3-Tree
+//! (`baton-d3tree`) — on identical workloads, in one currency: messages per
+//! join, leave, query and balance step ([`ChurnCost`], [`OpCost`]) over one
+//! simulated network ([`Overlay::net`]).  An implementation states what
+//! differs between overlays — its name, capabilities, operations and
+//! invariants — and hands out its network; statistics, the virtual clock,
+//! the latency model and the route recorder are provided methods over that
+//! one accessor pair.
 //!
 //! Anything a system cannot do is a *capability*, not a special case in the
 //! harness: Chord reports `range_queries: false` and its
 //! [`Overlay::search_range`] returns [`OverlayError::Unsupported`], so a
 //! generic driver simply skips the series — exactly how the paper's
 //! Figure 8(e) omits Chord.
-//!
-//! New baselines (D3-tree, ART, …) plug into every existing experiment by
-//! implementing this trait; no driver changes required.
 
+use crate::network::NetView;
 use crate::peer::PeerId;
 use crate::stats::{Histogram, MessageStats};
 use crate::time::{LatencyModel, SimTime};
@@ -188,8 +188,8 @@ pub type OverlayResult<T> = Result<T, OverlayError>;
 /// A peer-to-peer overlay under simulation: the common surface the
 /// workload runners and figure drivers program against.
 ///
-/// Implementations exist for `BatonSystem`, `ChordSystem` and
-/// `MTreeSystem`; the harness holds them as `Box<dyn Overlay>`.
+/// Implementations exist for `BatonSystem`, `ChordSystem`, `MTreeSystem`
+/// and `D3TreeSystem`; the harness holds them as `Box<dyn Overlay>`.
 pub trait Overlay {
     /// Short human-readable name ("BATON", "Chord", …), used as the series
     /// label in figures.
@@ -204,32 +204,43 @@ pub trait Overlay {
     /// Total data items stored across all nodes.
     fn total_items(&self) -> usize;
 
+    /// The overlay's simulated network, seen through the
+    /// message-type-independent [`NetView`].  Everything below that reads
+    /// statistics, moves the clock, swaps the latency model or records
+    /// routes is a provided method over this accessor and
+    /// [`net_mut`](Self::net_mut).
+    fn net(&self) -> &dyn NetView;
+
+    /// Mutable access to the overlay's simulated network.
+    fn net_mut(&mut self) -> &mut dyn NetView;
+
     /// Message statistics of the underlying simulated network.
-    fn stats(&self) -> &MessageStats;
+    fn stats(&self) -> &MessageStats {
+        self.net().stats()
+    }
 
     /// Mutable statistics (experiments reset per-peer counters between
     /// phases, as in Figure 8(f)).
-    fn stats_mut(&mut self) -> &mut MessageStats;
+    fn stats_mut(&mut self) -> &mut MessageStats {
+        self.net_mut().stats_mut()
+    }
 
     /// The virtual instant the overlay's simulated network has reached.
-    ///
-    /// Default: the origin — for overlays that do not simulate time.
     fn now(&self) -> SimTime {
-        SimTime::ZERO
+        self.net().now()
     }
 
     /// Advances the network's arrival clock to `at`: operations issued after
     /// this call are stamped as arriving at `at`, so an open-loop workload
     /// can interleave operations in virtual time.
-    ///
-    /// Default: no-op — for overlays that do not simulate time.
-    fn advance_to(&mut self, _at: SimTime) {}
+    fn advance_to(&mut self, at: SimTime) {
+        self.net_mut().advance_to(at);
+    }
 
     /// Replaces the link-latency model of the overlay's simulated network.
-    ///
-    /// Default: no-op — for overlays that do not simulate time; such
-    /// overlays simply report zero latency for every operation.
-    fn set_latency_model(&mut self, _model: LatencyModel) {}
+    fn set_latency_model(&mut self, model: LatencyModel) {
+        self.net_mut().set_latency_model(model);
+    }
 
     /// Approximate resident bytes of the overlay's protocol state: node
     /// structs, links, routing tables and stored items, including their
@@ -242,29 +253,20 @@ pub trait Overlay {
         0
     }
 
-    /// `(label, virtual latency)` of every finished operation, in issue
-    /// order — the raw series behind the latency percentiles the harness
-    /// reports next to the paper's message counts.
-    fn op_latencies(&self) -> Vec<(String, SimTime)> {
-        self.stats().op_latencies()
-    }
-
     /// Installs a route recorder on the overlay's network: every sampled
     /// operation from now on records a per-hop
     /// [`Span`](crate::trace::Span), bounded by the config's ring-buffer
     /// capacity.  Pure observation — statistics, latency draws and message
     /// counts are untouched.
-    ///
-    /// Default: no-op — for test doubles without a simulated network;
-    /// [`take_trace`](Self::take_trace) then returns `None`.
-    fn set_trace(&mut self, _config: TraceConfig) {}
+    fn set_trace(&mut self, config: TraceConfig) {
+        self.net_mut().set_trace(config);
+    }
 
     /// Removes and returns the route recorder installed by
-    /// [`set_trace`](Self::set_trace), disabling tracing.
-    ///
-    /// Default: `None`.
+    /// [`set_trace`](Self::set_trace), disabling tracing; `None` when none
+    /// was installed.
     fn take_trace(&mut self) -> Option<TraceBuffer> {
-        None
+        self.net_mut().take_trace()
     }
 
     /// Extracts an immutable routing/ownership snapshot of the overlay's
@@ -450,13 +452,34 @@ pub trait Overlay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::SimNetwork;
+
+    #[derive(Clone, Debug)]
+    struct NoMessage;
+
+    impl crate::NetMessage for NoMessage {
+        fn kind(&self) -> &'static str {
+            "none"
+        }
+    }
 
     /// A minimal in-memory implementation used to exercise the trait's
-    /// defaults and the error plumbing.
+    /// defaults and the error plumbing: it holds a network and implements
+    /// only the required methods.
     struct Toy {
-        stats: MessageStats,
+        net: SimNetwork<NoMessage>,
         items: usize,
         nodes: usize,
+    }
+
+    impl Toy {
+        fn new() -> Self {
+            Self {
+                net: SimNetwork::new(),
+                items: 0,
+                nodes: 1,
+            }
+        }
     }
 
     impl Overlay for Toy {
@@ -472,11 +495,11 @@ mod tests {
         fn total_items(&self) -> usize {
             self.items
         }
-        fn stats(&self) -> &MessageStats {
-            &self.stats
+        fn net(&self) -> &dyn NetView {
+            &self.net
         }
-        fn stats_mut(&mut self) -> &mut MessageStats {
-            &mut self.stats
+        fn net_mut(&mut self) -> &mut dyn NetView {
+            &mut self.net
         }
         fn join_random(&mut self) -> OverlayResult<ChurnCost> {
             self.nodes += 1;
@@ -512,11 +535,7 @@ mod tests {
 
     #[test]
     fn trait_objects_expose_defaults_and_capabilities() {
-        let mut toy = Toy {
-            stats: MessageStats::new(),
-            items: 0,
-            nodes: 1,
-        };
+        let mut toy = Toy::new();
         let overlay: &mut dyn Overlay = &mut toy;
         assert_eq!(overlay.name(), "Toy");
         assert!(!overlay.capabilities().range_queries);
@@ -532,6 +551,30 @@ mod tests {
             Err(OverlayError::Unsupported(_))
         ));
         overlay.validate().unwrap();
+    }
+
+    #[test]
+    fn provided_network_methods_act_on_the_overlays_own_network() {
+        let mut toy = Toy::new();
+        let overlay: &mut dyn Overlay = &mut toy;
+        overlay.advance_to(SimTime::from_millis(7));
+        assert_eq!(overlay.now(), SimTime::from_millis(7));
+        overlay.set_latency_model(LatencyModel::constant(SimTime::from_millis(3)));
+        overlay.set_trace(TraceConfig::new(8));
+        let op = overlay.stats_mut().begin_op("probe");
+        assert_eq!(overlay.stats().op_count(), 1);
+
+        // Every call above landed on the network the double holds.
+        assert_eq!(toy.net.now(), SimTime::from_millis(7));
+        assert!(toy.net.trace_enabled());
+        assert!(toy.net.stats().op(op.id).is_some());
+        let (a, b) = (toy.net.add_peer(), toy.net.add_peer());
+        assert_eq!(toy.net.sample_latency(a, b), SimTime::from_millis(3));
+
+        let overlay: &mut dyn Overlay = &mut toy;
+        assert!(overlay.take_trace().is_some());
+        assert!(overlay.take_trace().is_none());
+        assert!(!toy.net.trace_enabled());
     }
 
     #[test]
@@ -562,11 +605,7 @@ mod tests {
 
     #[test]
     fn replication_and_repair_defaults_are_off() {
-        let mut toy = Toy {
-            stats: MessageStats::new(),
-            items: 0,
-            nodes: 1,
-        };
+        let mut toy = Toy::new();
         let overlay: &mut dyn Overlay = &mut toy;
         assert_eq!(overlay.replication(), 1);
         overlay.set_replication(1).unwrap();

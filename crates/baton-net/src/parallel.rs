@@ -1,11 +1,10 @@
 //! Process-global thread-count knob and a deterministic fork/join helper.
 //!
-//! The simulator parallelises at two levels.  Inside one run the event
-//! queue is sharded by region (see [`SimNetwork`](crate::network::SimNetwork)),
-//! and across runs the scenario engine executes independent
-//! (overlay × repetition) units on a pool of OS threads.  Both levels take
-//! their thread budget from this module: `--threads N` on the binaries
-//! calls [`set_threads`], everything else calls [`threads`].
+//! One run of the simulator is single-threaded; parallelism lives across
+//! runs: the scenario engine executes independent (overlay × repetition)
+//! units on a pool of OS threads.  The thread budget comes from this
+//! module: `--threads N` on the binaries calls [`set_threads`], everything
+//! else calls [`threads`].
 //!
 //! Determinism contract: [`run_indexed`] assigns each unit a fixed index
 //! and returns results **in index order**, so callers that aggregate in
@@ -181,9 +180,9 @@ mod tests {
     fn scoped_overrides_do_not_cross_talk() {
         // Regression test for the process-wide `set_threads` atomic: two
         // threads racing scoped overrides must each observe exactly their
-        // own budget for the whole scope, and the prior value must be
-        // restored afterwards.
-        let before = threads();
+        // own budget for the whole scope.  (Nothing is asserted about
+        // `threads()` outside a scope: sibling tests hold overrides of
+        // their own while this one runs.)
         thread::scope(|scope| {
             for budget in [2usize, 5] {
                 scope.spawn(move || {
@@ -198,6 +197,5 @@ mod tests {
                 });
             }
         });
-        assert_eq!(threads(), before);
     }
 }

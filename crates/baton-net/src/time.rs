@@ -218,15 +218,13 @@ pub struct RegionalLatency {
     /// The seeded peer → region assignment.
     pub map: RegionMap,
     /// Per-region models for links whose endpoints share a region: a link
-    /// inside region `r` draws from `intra[r]`.  Each region owning its own
-    /// jitter stream is what lets the sharded event engine sample
-    /// intra-region latencies without cross-shard RNG contention — and the
-    /// streams are derived deterministically from the one intra seed, so
-    /// the split itself is reproducible.
+    /// inside region `r` draws from `intra[r]`.  Each region owns its own
+    /// jitter stream, so traffic inside one region never perturbs the
+    /// latencies drawn in another — and the streams are derived
+    /// deterministically from the one intra seed, so the split itself is
+    /// reproducible.
     pub intra: Vec<LatencyModel>,
-    /// Model for links that cross a region boundary (a single stream:
-    /// cross-region traffic serialises through the inter-region barrier
-    /// anyway).
+    /// Model for links that cross a region boundary (a single stream).
     pub inter: Box<LatencyModel>,
     /// Scheduled degradations, applied multiplicatively when overlapping.
     pub degradations: Vec<LinkDegradation>,
@@ -343,8 +341,7 @@ impl LatencyModel {
     ///
     /// `intra` is replicated into one model per region, each with a jitter
     /// stream deterministically derived from the original (region `r` gets
-    /// `derive(r)`), so every shard of the event engine owns an independent
-    /// per-region RNG stream.
+    /// `derive(r)`), so every region owns an independent RNG stream.
     pub fn regional(
         map: RegionMap,
         intra: LatencyModel,
@@ -389,15 +386,6 @@ impl LatencyModel {
                 inter: Box::new(regional.inter.with_derived_stream(salt)),
                 degradations: regional.degradations.clone(),
             })),
-        }
-    }
-
-    /// The region assignment of a [`Regional`](LatencyModel::Regional)
-    /// model — the shard boundary the event queue organises around.
-    pub fn region_map(&self) -> Option<RegionMap> {
-        match self {
-            LatencyModel::Regional(regional) => Some(regional.map),
-            _ => None,
         }
     }
 
@@ -744,7 +732,7 @@ mod tests {
         let r1: Vec<_> = (0..16).map(|_| m.sample(a1, b1, SimTime::ZERO)).collect();
         assert_ne!(r0, r1, "regions must not share one jitter stream");
         // ...and sampling in region 1 first leaves region 0's stream
-        // untouched: the per-region split is what decouples shards.
+        // untouched: the per-region split is what decouples regions.
         let mut m = build();
         for _ in 0..16 {
             m.sample(a1, b1, SimTime::ZERO);

@@ -326,11 +326,7 @@ pub fn load_overlay_direct(
     distribution: KeyDistribution,
     seed: u64,
 ) -> Vec<(u64, u64)> {
-    let data = {
-        let _t = baton_net::profiler::scope("load.generate");
-        generate_dataset(profile, overlay.node_count(), distribution, seed)
-    };
-    let _t = baton_net::profiler::scope("load.place");
+    let data = generate_dataset(profile, overlay.node_count(), distribution, seed);
     if !overlay.load_direct(&data) {
         runner::bulk_load(overlay, &data).expect("bulk load cannot fail");
     }

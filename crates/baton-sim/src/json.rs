@@ -1,0 +1,286 @@
+//! A minimal recursive-descent JSON parser: the one reader behind
+//! `reproduce --check-trace` ([`crate::observe::check_trace_jsonl`]) and
+//! `perf --check`.  Hand-rolled because the build environment has no
+//! crates.io access for `serde_json`.
+//!
+//! Input comes from files named on a command line, so every malformed
+//! document is an `Err`, never a panic: truncation, stray bytes, bad
+//! escapes, and nesting deeper than [`MAX_DEPTH`] (recursion is bounded so
+//! a hostile `[[[[…` cannot overflow the stack).
+
+/// A parsed JSON value.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Json {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any number (parsed as `f64`).
+    Number(f64),
+    /// A string.
+    String(String),
+    /// An array.
+    Array(Vec<Json>),
+    /// An object, insertion-ordered.
+    Object(Vec<(String, Json)>),
+}
+
+impl Json {
+    /// The string payload, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload, if this is a number.
+    pub fn as_number(&self) -> Option<f64> {
+        match self {
+            Json::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// An object view with key lookup, if this is an object.
+    pub fn as_object(&self) -> Option<ObjectView<'_>> {
+        match self {
+            Json::Object(pairs) => Some(ObjectView { pairs }),
+            _ => None,
+        }
+    }
+
+    /// The raw key/value pairs in insertion order, if this is an
+    /// object — for validators that must check every key.
+    pub fn as_object_pairs(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Object(pairs) => Some(pairs),
+            _ => None,
+        }
+    }
+}
+
+/// Key-lookup view over an object's pairs.
+pub struct ObjectView<'a> {
+    pairs: &'a [(String, Json)],
+}
+
+impl<'a> ObjectView<'a> {
+    /// The value stored under `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&'a Json> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+}
+
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document.
+pub fn parse(text: &str) -> Result<Json, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let value = parse_value(bytes, &mut pos, 0)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing data at byte {pos}"));
+    }
+    Ok(value)
+}
+
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
+    if bytes.get(*pos) == Some(&byte) {
+        *pos += 1;
+        Ok(())
+    } else {
+        Err(format!(
+            "expected {:?} at byte {}, found {:?}",
+            byte as char,
+            *pos,
+            bytes.get(*pos).map(|b| *b as char)
+        ))
+    }
+}
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    skip_ws(bytes, pos);
+    if depth > MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        ));
+    }
+    match bytes.get(*pos) {
+        None => Err("unexpected end of input".into()),
+        Some(b'{') => parse_object(bytes, pos, depth),
+        Some(b'[') => parse_array(bytes, pos, depth),
+        Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
+        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
+        Some(_) => parse_number(bytes, pos),
+    }
+}
+
+fn parse_literal(
+    bytes: &[u8],
+    pos: &mut usize,
+    literal: &str,
+    value: Json,
+) -> Result<Json, String> {
+    if bytes[*pos..].starts_with(literal.as_bytes()) {
+        *pos += literal.len();
+        Ok(value)
+    } else {
+        Err(format!("invalid literal at byte {pos}", pos = *pos))
+    }
+}
+
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    expect(bytes, pos, b'{')?;
+    let mut pairs = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(Json::Object(pairs));
+    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = parse_string(bytes, pos)?;
+        skip_ws(bytes, pos);
+        expect(bytes, pos, b':')?;
+        let value = parse_value(bytes, pos, depth + 1)?;
+        pairs.push((key, value));
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(Json::Object(pairs));
+            }
+            other => return Err(format!("expected ',' or '}}', found {other:?}")),
+        }
+    }
+}
+
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+    expect(bytes, pos, b'[')?;
+    let mut items = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(Json::Array(items));
+    }
+    loop {
+        items.push(parse_value(bytes, pos, depth + 1)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(Json::Array(items));
+            }
+            other => return Err(format!("expected ',' or ']', found {other:?}")),
+        }
+    }
+}
+
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    expect(bytes, pos, b'"')?;
+    let mut out = String::new();
+    loop {
+        match bytes.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
+            }
+            Some(b'\\') => {
+                *pos += 1;
+                match bytes.get(*pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'u') => {
+                        let hex = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .ok_or("truncated \\u escape")?;
+                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                        let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        *pos += 4;
+                    }
+                    other => return Err(format!("bad escape {other:?}")),
+                }
+                *pos += 1;
+            }
+            Some(_) => {
+                // Consume one UTF-8 code point.
+                let start = *pos;
+                *pos += 1;
+                while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?);
+            }
+        }
+    }
+}
+
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+    let start = *pos;
+    while *pos < bytes.len()
+        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+    {
+        *pos += 1;
+    }
+    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+    text.parse::<f64>()
+        .map(Json::Number)
+        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_parser_handles_the_usual_shapes() {
+        let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": null, "d": true}, "e": "x\n\"y\""}"#;
+        let value = parse(doc).unwrap();
+        let root = value.as_object().unwrap();
+        let a = root.get("a").and_then(Json::as_array).unwrap();
+        assert_eq!(a[2].as_number(), Some(-300.0));
+        assert_eq!(root.get("e").and_then(Json::as_str), Some("x\n\"y\""));
+        assert_eq!(value.as_object_pairs().unwrap().len(), 3);
+        assert!(parse("[1, 2,]").is_err());
+        assert!(parse("{\"a\" 1}").is_err());
+        assert!(parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_a_stack_overflow() {
+        let ok = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting"));
+    }
+}

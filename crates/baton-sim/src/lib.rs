@@ -34,7 +34,7 @@
 //!
 //! The `reproduce` binary (`cargo run -p baton-sim --bin reproduce --release`)
 //! prints the tables for any subset of figures plus the scenario report;
-//! `crates/bench` wraps the same drivers in Criterion benchmarks.
+//! `crates/bench` times the same drivers (`perf`, `serve-bench`).
 //!
 //! ```
 //! use baton_sim::{figures, Profile};
@@ -50,6 +50,7 @@
 
 pub mod driver;
 pub mod figures;
+pub mod json;
 pub mod observe;
 pub mod profile;
 pub mod report;

@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 
 use baton_net::{LinkKind, TraceBuffer};
 
+use crate::json::{self, Json};
 use crate::report::json_string;
 
 /// Renders captured trace buffers as JSONL: one span object per line,
@@ -207,46 +208,48 @@ pub fn check_trace_jsonl(text: &str) -> Result<TraceCheck, String> {
         }
         let lineno = index + 1;
         let at = |msg: &str| format!("line {lineno}: {msg}");
-        let (value, rest) = json::parse(line).map_err(|e| at(&e))?;
-        if !rest.trim().is_empty() {
-            return Err(at("trailing bytes after the span object"));
-        }
-        let span = value.object().ok_or_else(|| at("span is not an object"))?;
+        let value = json::parse(line).map_err(|e| at(&e))?;
+        let span = value
+            .as_object()
+            .ok_or_else(|| at("span is not an object"))?;
         for key in ["overlay", "op", "class", "start_us", "hops"] {
-            if !span.iter().any(|(k, _)| k == key) {
+            if span.get(key).is_none() {
                 return Err(at(&format!("span is missing \"{key}\"")));
             }
         }
-        let field = |key: &str| span.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let start = field("start_us")
-            .and_then(json::Value::number)
+        let start = span
+            .get("start_us")
+            .and_then(Json::as_number)
             .ok_or_else(|| at("\"start_us\" is not a number"))?;
-        let finish = field("finish_us").and_then(json::Value::number);
+        let finish = span.get("finish_us").and_then(Json::as_number);
         if let Some(finish) = finish {
             if finish < start {
                 return Err(at("span finishes before it starts"));
             }
         }
-        let hops = field("hops")
-            .and_then(json::Value::array)
+        let hops = span
+            .get("hops")
+            .and_then(Json::as_array)
             .ok_or_else(|| at("\"hops\" is not an array"))?;
         let mut last_sent = f64::NEG_INFINITY;
         for (h, hop) in hops.iter().enumerate() {
             let hop = hop
-                .object()
+                .as_object()
                 .ok_or_else(|| at(&format!("hop {h} is not an object")))?;
-            let field = |key: &str| hop.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            let kind = field("kind")
-                .and_then(json::Value::string)
+            let kind = hop
+                .get("kind")
+                .and_then(Json::as_str)
                 .ok_or_else(|| at(&format!("hop {h} has no \"kind\"")))?;
             if LinkKind::parse(kind).is_none() {
                 return Err(at(&format!("hop {h} has unknown link kind \"{kind}\"")));
             }
-            let sent = field("sent_us")
-                .and_then(json::Value::number)
+            let sent = hop
+                .get("sent_us")
+                .and_then(Json::as_number)
                 .ok_or_else(|| at(&format!("hop {h}: \"sent_us\" is not a number")))?;
-            let arrive = field("arrive_us")
-                .and_then(json::Value::number)
+            let arrive = hop
+                .get("arrive_us")
+                .and_then(Json::as_number)
                 .ok_or_else(|| at(&format!("hop {h}: \"arrive_us\" is not a number")))?;
             if arrive < sent {
                 return Err(at(&format!("hop {h} arrives before it was sent")));
@@ -261,7 +264,7 @@ pub fn check_trace_jsonl(text: &str) -> Result<TraceCheck, String> {
             }
             last_sent = sent;
             for key in ["from", "to", "delivered", "detour"] {
-                if field(key).is_none() {
+                if hop.get(key).is_none() {
                     return Err(at(&format!("hop {h} is missing \"{key}\"")));
                 }
             }
@@ -270,174 +273,6 @@ pub fn check_trace_jsonl(text: &str) -> Result<TraceCheck, String> {
         check.spans += 1;
     }
     Ok(check)
-}
-
-/// A minimal recursive-descent JSON reader, just enough to validate the
-/// trace dumps this module writes.  The build environment cannot fetch
-/// `serde_json` (offline container), so — like the perf harness's schema
-/// checker — validation parses by hand.
-mod json {
-    /// A parsed JSON value.  Object keys keep insertion order; numbers are
-    /// `f64` (the traces only carry integers well inside the 2^53 window).
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any number.
-        Number(f64),
-        /// A string literal.
-        String(String),
-        /// An array.
-        Array(Vec<Value>),
-        /// An object, as ordered key/value pairs.
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn number(&self) -> Option<f64> {
-            match self {
-                Value::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn string(&self) -> Option<&str> {
-            match self {
-                Value::String(s) => Some(s),
-                _ => None,
-            }
-        }
-    }
-
-    /// Parses one JSON value off the front of `input`, returning it and the
-    /// unconsumed remainder.
-    pub fn parse(input: &str) -> Result<(Value, &str), String> {
-        let rest = input.trim_start();
-        let mut chars = rest.char_indices();
-        let (_, first) = chars.next().ok_or("unexpected end of input")?;
-        match first {
-            'n' => literal(rest, "null", Value::Null),
-            't' => literal(rest, "true", Value::Bool(true)),
-            'f' => literal(rest, "false", Value::Bool(false)),
-            '"' => {
-                let (s, rest) = string(rest)?;
-                Ok((Value::String(s), rest))
-            }
-            '[' => {
-                let mut rest = rest[1..].trim_start();
-                let mut items = Vec::new();
-                if let Some(tail) = rest.strip_prefix(']') {
-                    return Ok((Value::Array(items), tail));
-                }
-                loop {
-                    let (item, tail) = parse(rest)?;
-                    items.push(item);
-                    rest = tail.trim_start();
-                    if let Some(tail) = rest.strip_prefix(',') {
-                        rest = tail.trim_start();
-                    } else if let Some(tail) = rest.strip_prefix(']') {
-                        return Ok((Value::Array(items), tail));
-                    } else {
-                        return Err("expected ',' or ']' in array".into());
-                    }
-                }
-            }
-            '{' => {
-                let mut rest = rest[1..].trim_start();
-                let mut fields = Vec::new();
-                if let Some(tail) = rest.strip_prefix('}') {
-                    return Ok((Value::Object(fields), tail));
-                }
-                loop {
-                    let (key, tail) = string(rest.trim_start())?;
-                    let tail = tail.trim_start();
-                    let tail = tail
-                        .strip_prefix(':')
-                        .ok_or("expected ':' after object key")?;
-                    let (value, tail) = parse(tail)?;
-                    fields.push((key, value));
-                    rest = tail.trim_start();
-                    if let Some(tail) = rest.strip_prefix(',') {
-                        rest = tail.trim_start();
-                    } else if let Some(tail) = rest.strip_prefix('}') {
-                        return Ok((Value::Object(fields), tail));
-                    } else {
-                        return Err("expected ',' or '}' in object".into());
-                    }
-                }
-            }
-            c if c == '-' || c.is_ascii_digit() => {
-                let end = rest
-                    .find(|c: char| {
-                        !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E'))
-                    })
-                    .unwrap_or(rest.len());
-                let number: f64 = rest[..end]
-                    .parse()
-                    .map_err(|_| format!("bad number '{}'", &rest[..end]))?;
-                Ok((Value::Number(number), &rest[end..]))
-            }
-            other => Err(format!("unexpected character '{other}'")),
-        }
-    }
-
-    fn literal<'a>(rest: &'a str, word: &str, value: Value) -> Result<(Value, &'a str), String> {
-        rest.strip_prefix(word)
-            .map(|tail| (value, tail))
-            .ok_or_else(|| format!("expected '{word}'"))
-    }
-
-    /// Parses a string literal (assumes `rest` starts with `"`).
-    fn string(rest: &str) -> Result<(String, &str), String> {
-        let inner = rest.strip_prefix('"').ok_or("expected string")?;
-        let mut out = String::new();
-        let mut chars = inner.char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => return Ok((out, &inner[i + 1..])),
-                '\\' => {
-                    let (_, escaped) = chars.next().ok_or("dangling escape")?;
-                    match escaped {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'b' => out.push('\u{8}'),
-                        'f' => out.push('\u{c}'),
-                        'u' => {
-                            let mut code = 0u32;
-                            for _ in 0..4 {
-                                let (_, d) = chars.next().ok_or("short \\u escape")?;
-                                code = code * 16 + d.to_digit(16).ok_or("bad \\u escape")?;
-                            }
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("unknown escape '\\{other}'")),
-                    }
-                }
-                c => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
 }
 
 #[cfg(test)]
@@ -512,26 +347,21 @@ mod tests {
     fn chrome_dump_parses_and_names_processes() {
         let traces = vec![captured_buffer()];
         let dump = render_trace_chrome(&traces);
-        let (value, rest) = json::parse(&dump).expect("chrome dump is valid JSON");
-        assert!(rest.trim().is_empty());
-        let root = value.object().expect("root object");
+        let value = json::parse(&dump).expect("chrome dump is valid JSON");
+        let root = value.as_object().expect("root object");
         let events = root
-            .iter()
-            .find(|(k, _)| k == "traceEvents")
-            .and_then(|(_, v)| v.array())
+            .get("traceEvents")
+            .and_then(Json::as_array)
             .expect("traceEvents array");
         assert!(events.len() > 1);
-        let meta = events[0].object().expect("metadata event");
-        assert!(meta
-            .iter()
-            .any(|(k, v)| k == "ph" && v.string() == Some("M")));
+        let meta = events[0].as_object().expect("metadata event");
+        assert_eq!(meta.get("ph").and_then(Json::as_str), Some("M"));
         // Every non-metadata event is a complete event with ts and dur.
         for event in &events[1..] {
-            let fields = event.object().expect("event object");
-            let get = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-            assert_eq!(get("ph").and_then(|v| v.string()), Some("X"));
-            assert!(get("ts").and_then(|v| v.number()).is_some());
-            assert!(get("dur").and_then(|v| v.number()).unwrap_or(-1.0) >= 0.0);
+            let event = event.as_object().expect("event object");
+            assert_eq!(event.get("ph").and_then(Json::as_str), Some("X"));
+            assert!(event.get("ts").and_then(Json::as_number).is_some());
+            assert!(event.get("dur").and_then(Json::as_number).unwrap_or(-1.0) >= 0.0);
         }
     }
 

@@ -51,7 +51,7 @@ impl Profile {
     }
 
     /// Small networks, enough to see every trend: the default of the
-    /// `reproduce` binary and of `cargo bench`.
+    /// `reproduce` binary.
     pub fn quick() -> Self {
         Self {
             network_sizes: vec![125, 250, 500, 1000, 2000],

@@ -387,20 +387,14 @@ pub fn run_plan_traced(
         let spec = &specs[unit / reps];
         let rep = unit % reps;
         let seed = profile.rep_seed(rep);
-        let mut overlay = {
-            let _t = baton_net::profiler::scope("scenario.build");
-            match plan.build {
-                BuildKind::Join => spec.build(profile, n, seed),
-                BuildKind::Bulk => spec.build_bulk(profile, n, seed),
-            }
+        let mut overlay = match plan.build {
+            BuildKind::Join => spec.build(profile, n, seed),
+            BuildKind::Bulk => spec.build_bulk(profile, n, seed),
         };
-        {
-            let _t = baton_net::profiler::scope("scenario.load");
-            match plan.build {
-                BuildKind::Join => load_overlay(profile, &mut *overlay, plan.load, seed),
-                BuildKind::Bulk => load_overlay_direct(profile, &mut *overlay, plan.load, seed),
-            };
-        }
+        match plan.build {
+            BuildKind::Join => load_overlay(profile, &mut *overlay, plan.load, seed),
+            BuildKind::Bulk => load_overlay_direct(profile, &mut *overlay, plan.load, seed),
+        };
         // k = 1 skips the call entirely: replication is strictly additive
         // and the legacy fixtures pin the k = 1 byte stream.
         let k = spec.replication.clamp(plan.replicas);
@@ -421,23 +415,17 @@ pub fn run_plan_traced(
         }
         let metrics = (rep == 0).then_some(plan.metrics.as_ref()).flatten();
         let mut rng = SimRng::seeded(seed ^ 0x0BE7);
-        let events = {
-            let _t = baton_net::profiler::scope("scenario.schedule");
-            plan.workload.schedule(&mut rng.derive(1))
-        };
-        let outcome = {
-            let _t = baton_net::profiler::scope("scenario.run_phased");
-            run_phased_with_metrics(
-                &mut *overlay,
-                &events,
-                &plan.workload,
-                &plan.faults,
-                &mut rng,
-                n / 2,
-                metrics,
-            )
-            .expect("open-loop run cannot fail")
-        };
+        let events = plan.workload.schedule(&mut rng.derive(1));
+        let outcome = run_phased_with_metrics(
+            &mut *overlay,
+            &events,
+            &plan.workload,
+            &plan.faults,
+            &mut rng,
+            n / 2,
+            metrics,
+        )
+        .expect("open-loop run cannot fail");
         (outcome, overlay.take_trace())
     });
     let mut outcomes = outcomes;

@@ -366,7 +366,6 @@ impl OpenLoopOutcome {
         // Everything the dispatch begun has finished: retire it into the
         // per-class aggregates so a long open-loop run holds O(in-flight)
         // operation state, not O(operations-ever).
-        let _t = baton_net::profiler::scope("stats.retire");
         overlay.stats_mut().retire_finished();
     }
 }
@@ -688,10 +687,7 @@ pub fn run_phased_with_metrics(
         if let Some(s) = sampler.as_mut() {
             s.flush(event.at, overlay, pending.len(), &mut outcome);
         }
-        {
-            let _t = baton_net::profiler::scope("openloop.advance");
-            overlay.advance_to(event.at);
-        }
+        overlay.advance_to(event.at);
         if in_window(event.at) {
             *outcome
                 .window_attempts
@@ -699,14 +695,6 @@ pub fn run_phased_with_metrics(
                 .or_insert(0) += 1;
         }
         let first_op = OpId(overlay.stats().next_op_id());
-        let _t = baton_net::profiler::scope(match event.class {
-            OpClass::Search => "openloop.search",
-            OpClass::Range => "openloop.range",
-            OpClass::Insert => "openloop.insert",
-            OpClass::Join => "openloop.join",
-            OpClass::Leave => "openloop.leave",
-            OpClass::Fail => "openloop.fail",
-        });
         let messages = match dispatch(
             overlay,
             event.class,

@@ -221,12 +221,25 @@ pub fn run_queries(overlay: &mut dyn Overlay, queries: &[Query]) -> OverlayResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::{ChurnCost, MessageStats, OpCost, OverlayCapabilities, OverlayResult as OR};
+    use baton_net::{
+        ChurnCost, NetMessage, NetView, OpCost, OverlayCapabilities, OverlayResult as OR,
+        SimNetwork,
+    };
+
+    #[derive(Clone, Debug)]
+    struct NoMessage;
+
+    impl NetMessage for NoMessage {
+        fn kind(&self) -> &'static str {
+            "none"
+        }
+    }
 
     /// Deterministic fake overlay: every operation costs one message;
-    /// range queries and failures are unsupported.
+    /// range queries and failures are unsupported.  Holds a network and
+    /// implements only the required methods.
     struct Fake {
-        stats: MessageStats,
+        net: SimNetwork<NoMessage>,
         nodes: usize,
         items: usize,
     }
@@ -244,11 +257,11 @@ mod tests {
         fn total_items(&self) -> usize {
             self.items
         }
-        fn stats(&self) -> &MessageStats {
-            &self.stats
+        fn net(&self) -> &dyn NetView {
+            &self.net
         }
-        fn stats_mut(&mut self) -> &mut MessageStats {
-            &mut self.stats
+        fn net_mut(&mut self) -> &mut dyn NetView {
+            &mut self.net
         }
         fn join_random(&mut self) -> OR<ChurnCost> {
             self.nodes += 1;
@@ -294,7 +307,7 @@ mod tests {
 
     fn fake() -> Fake {
         Fake {
-            stats: MessageStats::new(),
+            net: SimNetwork::new(),
             nodes: 4,
             items: 0,
         }

@@ -1,48 +1,20 @@
-//! # baton-bench — shared helpers for the Criterion benchmark harness
+//! # baton-bench — the wall-clock harness
 //!
-//! Every table/figure of the paper's evaluation has a bench target under
-//! `benches/` (one per sub-figure of Figure 8).  Each bench does two things:
-//!
-//! 1. **Reproduce the figure** — it runs the corresponding
-//!    [`baton_sim::figures`] driver at a reduced profile and prints the same
-//!    rows/series the paper plots, so `cargo bench` output doubles as the
-//!    reproduction record (the full-scale run is available through the
-//!    `reproduce` binary of `baton-sim`).
-//! 2. **Benchmark the underlying operation** — it registers Criterion
-//!    measurements of the core operations the figure is about (joins,
-//!    searches, inserts, …) on a pre-built overlay, giving wall-clock
-//!    regression tracking on top of the message-count reproduction.
+//! Two binaries over one library: `perf` times the simulator's hot paths
+//! and emits `BENCH_perf.json` ([`perf`]), `serve-bench` drives the
+//! lock-free snapshot read path ([`serve`]).  The helpers below build the
+//! overlays both measure.
 
 use baton_chord::ChordSystem;
 use baton_core::{BatonConfig, BatonSystem, LoadBalanceConfig};
 use baton_d3tree::D3TreeSystem;
 use baton_mtree::MTreeSystem;
-use baton_sim::{figures, Profile};
 
 pub mod perf;
 pub mod serve;
 
-/// Profile used when a bench reproduces its figure (kept small so that
-/// `cargo bench` completes in minutes; use the `reproduce` binary for the
-/// paper-scale run).
-pub fn reproduction_profile() -> Profile {
-    Profile::smoke()
-}
-
-/// Runs the figure driver for `id` at the reproduction profile and prints
-/// its table to stdout.
-pub fn print_figure(id: &str) {
-    let profile = reproduction_profile();
-    match figures::run_figure(id, &profile) {
-        Some(result) => {
-            println!("\n{}", result.to_table());
-        }
-        None => eprintln!("unknown figure id {id}"),
-    }
-}
-
 /// Builds a BATON overlay of `n` nodes with load balancing sized for
-/// `avg_load` items per node, for use inside Criterion measurement loops.
+/// `avg_load` items per node.
 pub fn baton_overlay(n: usize, seed: u64, avg_load: usize) -> BatonSystem {
     let config = BatonConfig::default()
         .with_load_balance(LoadBalanceConfig::for_average_load(avg_load.max(4)));
@@ -93,11 +65,5 @@ mod tests {
         let overlay = baton_overlay_bulk(12, 3, 10);
         assert_eq!(overlay.node_count(), 12);
         baton_core::validate(&overlay).unwrap();
-    }
-
-    #[test]
-    fn reproduction_profile_is_small() {
-        let profile = reproduction_profile();
-        assert!(profile.network_sizes.iter().all(|n| *n <= 1000));
     }
 }

@@ -1,6 +1,6 @@
 //! The `perf` target: wall-clock measurements of the simulator's hot paths.
 //!
-//! Unlike the Criterion benches (which reproduce the paper's *message
+//! Unlike the figure drivers (which reproduce the paper's *message
 //! counts*), this module tracks how fast the substrate itself runs: overlay
 //! construction, the paper-profile exact-match (fig8d) and range-search
 //! (fig8e) query drivers, and two time-domain scenarios —
@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use baton_net::{LinkKind, Overlay, SimRng, TraceConfig};
+use baton_sim::json::{self, Json};
 use baton_sim::{json_string, scenario, Profile};
 use baton_workload::{runner, KeyDistribution, QueryWorkload};
 
@@ -345,9 +346,8 @@ fn time_overlay_group(
 
 /// Overlays that have a dedicated build/query timing group in [`run`].
 /// Chord and the multiway tree appear only in the bytes-per-peer rows and
-/// inside the scenario measurement (their figure timings are covered by the
-/// Criterion benches); the `perf` binary warns when a selection names an
-/// overlay outside this list.
+/// inside the scenario measurement; the `perf` binary warns when a
+/// selection names an overlay outside this list.
 pub const TIMED_OVERLAYS: [&str; 2] = ["BATON", "D3-Tree"];
 
 /// Scenarios with a wall-clock measurement row in [`run`]: the original
@@ -484,10 +484,10 @@ pub fn run(profile: &PerfProfile) -> Vec<Measurement> {
 
         // Million-peer scale rows.  The build/mem pair shows a million peers
         // fit in RAM with the compact node layouts (built through the bulk
-        // fast path — the join-by-join cost lives in the `build` row and the
-        // Criterion fig8a bench); the churn pair runs the same scenario
-        // profile single- and multi-threaded so the sharded engine's scaling
-        // is tracked in the report.  Results are byte-identical across
+        // fast path — the join-by-join cost lives in the `build` row); the
+        // churn pair runs the same scenario profile single- and
+        // multi-threaded so the worker fan-out's scaling is tracked in the
+        // report.  Results are byte-identical across
         // thread counts (aggregation is in canonical unit order), so only
         // the wall clock may differ.
         let n = profile.scale_n;
@@ -720,8 +720,7 @@ pub fn route_anatomy(profile: &PerfProfile) -> Vec<RouteAnatomy> {
 /// `repair_wall_ms` annotation in the `avail_k*` detail strings; version 6
 /// added the `"observability"` section: its `"route_anatomy"` rows carry
 /// the route recorder's mean hops per exact-match query split by link
-/// kind, and the former top-level `"profiler"` array moved inside it as
-/// `"scopes"`; version 5 added the `avail_k1`..`avail_k3` availability
+/// kind; version 5 added the `avail_k1`..`avail_k3` availability
 /// rows and the optional per-measurement `"availability"` field; version 4
 /// added the `curve_*` per-op cost-curve rows and switched the
 /// `scale_build` row to the bulk constructor):
@@ -742,18 +741,13 @@ pub fn route_anatomy(profile: &PerfProfile) -> Vec<RouteAnatomy> {
 ///       {"id": "anatomy_10k", "overlay": "BATON", "nodes": 10000,
 ///        "ops": 1000, "hops": 9120, "mean_hops": 9.12,
 ///        "by_kind": {"routing_table": 6.8, "child": 1.9, "adjacent": 0.42}}
-///     ],
-///     "scopes": [
-///       {"name": "openloop.join", "count": 5000, "total_ns": 123456}
 ///     ]
 ///   }
 /// }
 /// ```
 ///
-/// `"scopes"` appears only when the harness is compiled with the
-/// `profiler` feature; the whole `"observability"` key is absent — not
-/// empty — when there is nothing to report, so default documents carry no
-/// placeholder keys.
+/// The whole `"observability"` key is absent — not empty — when there are
+/// no anatomy rows, so documents carry no placeholder keys.
 pub fn render_json(
     profile: &PerfProfile,
     measurements: &[Measurement],
@@ -783,55 +777,29 @@ pub fn render_json(
         out.push_str("\n  ");
     }
     out.push(']');
-    let scopes = if baton_net::profiler::enabled() {
-        baton_net::profiler::snapshot()
-    } else {
-        Vec::new()
-    };
-    if !anatomy.is_empty() || !scopes.is_empty() {
-        out.push_str(",\n  \"observability\": {");
-        if !anatomy.is_empty() {
-            out.push_str("\n    \"route_anatomy\": [");
-            for (i, row) in anatomy.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str("\n      {");
-                let _ = write!(out, "\"id\": {}, ", json_string(&row.id));
-                let _ = write!(out, "\"overlay\": {}, ", json_string(&row.overlay));
-                let _ = write!(out, "\"nodes\": {}, ", row.nodes);
-                let _ = write!(out, "\"ops\": {}, ", row.ops);
-                let _ = write!(out, "\"hops\": {}, ", row.hops);
-                let _ = write!(out, "\"mean_hops\": {:.3}, ", row.mean_hops);
-                out.push_str("\"by_kind\": {");
-                for (k, (kind, mean)) in row.by_kind.iter().enumerate() {
-                    if k > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{}: {mean:.3}", json_string(kind));
-                }
-                out.push_str("}}");
-            }
-            out.push_str("\n    ]");
-        }
-        if !scopes.is_empty() {
-            if !anatomy.is_empty() {
+    if !anatomy.is_empty() {
+        out.push_str(",\n  \"observability\": {\n    \"route_anatomy\": [");
+        for (i, row) in anatomy.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    \"scopes\": [");
-            for (i, (name, count, total_ns)) in scopes.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+            out.push_str("\n      {");
+            let _ = write!(out, "\"id\": {}, ", json_string(&row.id));
+            let _ = write!(out, "\"overlay\": {}, ", json_string(&row.overlay));
+            let _ = write!(out, "\"nodes\": {}, ", row.nodes);
+            let _ = write!(out, "\"ops\": {}, ", row.ops);
+            let _ = write!(out, "\"hops\": {}, ", row.hops);
+            let _ = write!(out, "\"mean_hops\": {:.3}, ", row.mean_hops);
+            out.push_str("\"by_kind\": {");
+            for (k, (kind, mean)) in row.by_kind.iter().enumerate() {
+                if k > 0 {
+                    out.push_str(", ");
                 }
-                out.push_str("\n      {");
-                let _ = write!(out, "\"name\": {}, ", json_string(name));
-                let _ = write!(out, "\"count\": {count}, ");
-                let _ = write!(out, "\"total_ns\": {total_ns}");
-                out.push('}');
+                let _ = write!(out, "{}: {mean:.3}", json_string(kind));
             }
-            out.push_str("\n    ]");
+            out.push_str("}}");
         }
-        out.push_str("\n  }");
+        out.push_str("\n    ]\n  }");
     }
     out.push_str("\n}\n");
     out
@@ -843,8 +811,7 @@ pub fn render_json(
 /// when present, an `availability` fraction in `[0, 1]`), and — when the
 /// optional `"observability"` section is present — well-formed
 /// `route_anatomy` rows (link-kind names from the closed [`LinkKind`]
-/// enum) and `scopes` rows.  The pre-/6 top-level `"profiler"` key is
-/// rejected with a pointer to its new home.
+/// enum).  The pre-/6 top-level `"profiler"` key stays rejected.
 ///
 /// Returns the number of measurements, or a description of the first
 /// problem.  Used by the `perf --check` mode so CI can gate on the artifact
@@ -899,342 +866,59 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
         }
     }
     if root.get("profiler").is_some() {
-        return Err(
-            "legacy top-level \"profiler\" section (moved to \"observability\".\"scopes\" \
-             in baton-perf/6)"
-                .into(),
-        );
+        return Err("legacy top-level \"profiler\" section (dropped in baton-perf/6)".into());
     }
     if let Some(observability) = root.get("observability") {
         let observability = observability
             .as_object()
             .ok_or("\"observability\" is not an object")?;
-        let mut saw_section = false;
-        if let Some(rows) = observability.get("route_anatomy") {
-            saw_section = true;
-            let rows = rows.as_array().ok_or("\"route_anatomy\" is not an array")?;
-            if rows.is_empty() {
-                return Err("empty \"route_anatomy\" section (omit the key instead)".into());
-            }
-            for (i, row) in rows.iter().enumerate() {
-                let row = row
-                    .as_object()
-                    .ok_or_else(|| format!("anatomy row {i} is not an object"))?;
-                for key in ["id", "overlay"] {
-                    row.get(key)
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| format!("anatomy row {i} missing string {key:?}"))?;
-                }
-                for key in ["nodes", "ops", "hops", "mean_hops"] {
-                    let number = row
-                        .get(key)
-                        .and_then(Json::as_number)
-                        .ok_or_else(|| format!("anatomy row {i} missing number {key:?}"))?;
-                    if !number.is_finite() || number < 0.0 {
-                        return Err(format!("anatomy row {i} has bad {key}: {number}"));
-                    }
-                }
-                let kinds = row
-                    .get("by_kind")
-                    .and_then(Json::as_object_pairs)
-                    .ok_or_else(|| format!("anatomy row {i} missing object \"by_kind\""))?;
-                for (kind, mean) in kinds {
-                    if LinkKind::parse(kind).is_none() {
-                        return Err(format!(
-                            "anatomy row {i} has unknown link kind {kind:?} \
-                             (outside the closed enum)"
-                        ));
-                    }
-                    let mean = mean.as_number().ok_or_else(|| {
-                        format!("anatomy row {i} has non-number mean for {kind:?}")
-                    })?;
-                    if !mean.is_finite() || mean < 0.0 {
-                        return Err(format!("anatomy row {i} has bad mean for {kind:?}: {mean}"));
-                    }
-                }
-            }
+        let rows = observability
+            .get("route_anatomy")
+            .ok_or("empty \"observability\" section (omit the key instead)")?
+            .as_array()
+            .ok_or("\"route_anatomy\" is not an array")?;
+        if rows.is_empty() {
+            return Err("empty \"route_anatomy\" section (omit the key instead)".into());
         }
-        if let Some(scopes) = observability.get("scopes") {
-            saw_section = true;
-            let scopes = scopes.as_array().ok_or("\"scopes\" is not an array")?;
-            if scopes.is_empty() {
-                return Err("empty \"scopes\" section (omit the key instead)".into());
-            }
-            for (i, scope) in scopes.iter().enumerate() {
-                let scope = scope
-                    .as_object()
-                    .ok_or_else(|| format!("scope row {i} is not an object"))?;
-                scope
-                    .get("name")
+        for (i, row) in rows.iter().enumerate() {
+            let row = row
+                .as_object()
+                .ok_or_else(|| format!("anatomy row {i} is not an object"))?;
+            for key in ["id", "overlay"] {
+                row.get(key)
                     .and_then(Json::as_str)
-                    .ok_or_else(|| format!("scope row {i} missing string \"name\""))?;
-                for key in ["count", "total_ns"] {
-                    let number = scope
-                        .get(key)
-                        .and_then(Json::as_number)
-                        .ok_or_else(|| format!("scope row {i} missing number {key:?}"))?;
-                    if !number.is_finite() || number < 0.0 {
-                        return Err(format!("scope row {i} has bad {key}: {number}"));
-                    }
+                    .ok_or_else(|| format!("anatomy row {i} missing string {key:?}"))?;
+            }
+            for key in ["nodes", "ops", "hops", "mean_hops"] {
+                let number = row
+                    .get(key)
+                    .and_then(Json::as_number)
+                    .ok_or_else(|| format!("anatomy row {i} missing number {key:?}"))?;
+                if !number.is_finite() || number < 0.0 {
+                    return Err(format!("anatomy row {i} has bad {key}: {number}"));
                 }
             }
-        }
-        if !saw_section {
-            return Err("empty \"observability\" section (omit the key instead)".into());
+            let kinds = row
+                .get("by_kind")
+                .and_then(Json::as_object_pairs)
+                .ok_or_else(|| format!("anatomy row {i} missing object \"by_kind\""))?;
+            for (kind, mean) in kinds {
+                if LinkKind::parse(kind).is_none() {
+                    return Err(format!(
+                        "anatomy row {i} has unknown link kind {kind:?} \
+                         (outside the closed enum)"
+                    ));
+                }
+                let mean = mean
+                    .as_number()
+                    .ok_or_else(|| format!("anatomy row {i} has non-number mean for {kind:?}"))?;
+                if !mean.is_finite() || mean < 0.0 {
+                    return Err(format!("anatomy row {i} has bad mean for {kind:?}: {mean}"));
+                }
+            }
         }
     }
     Ok(measurements.len())
-}
-
-pub use json::Json;
-
-/// A minimal recursive-descent JSON parser, sufficient to validate the
-/// documents this module emits (and any standards-compliant JSON without
-/// exotic number forms).  Hand-rolled because the build environment has no
-/// crates.io access for `serde_json`.
-mod json {
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Json {
-        /// `null`
-        Null,
-        /// `true` / `false`
-        Bool(bool),
-        /// Any number (parsed as `f64`).
-        Number(f64),
-        /// A string.
-        String(String),
-        /// An array.
-        Array(Vec<Json>),
-        /// An object, insertion-ordered.
-        Object(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        /// The string payload, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Json::String(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The numeric payload, if this is a number.
-        pub fn as_number(&self) -> Option<f64> {
-            match self {
-                Json::Number(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The elements, if this is an array.
-        pub fn as_array(&self) -> Option<&[Json]> {
-            match self {
-                Json::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// An object view with key lookup, if this is an object.
-        pub fn as_object(&self) -> Option<ObjectView<'_>> {
-            match self {
-                Json::Object(pairs) => Some(ObjectView { pairs }),
-                _ => None,
-            }
-        }
-
-        /// The raw key/value pairs in insertion order, if this is an
-        /// object — for validators that must check every key.
-        pub fn as_object_pairs(&self) -> Option<&[(String, Json)]> {
-            match self {
-                Json::Object(pairs) => Some(pairs),
-                _ => None,
-            }
-        }
-    }
-
-    /// Key-lookup view over an object's pairs.
-    pub struct ObjectView<'a> {
-        pairs: &'a [(String, Json)],
-    }
-
-    impl<'a> ObjectView<'a> {
-        /// The value stored under `key`, if present.
-        pub fn get(&self, key: &str) -> Option<&'a Json> {
-            self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-        }
-    }
-
-    /// Parses a complete JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
-        if bytes.get(*pos) == Some(&byte) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                byte as char,
-                *pos,
-                bytes.get(*pos).map(|b| *b as char)
-            ))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            None => Err("unexpected end of input".into()),
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Json::String(parse_string(bytes, pos)?)),
-            Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-            Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-            Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-            Some(_) => parse_number(bytes, pos),
-        }
-    }
-
-    fn parse_literal(
-        bytes: &[u8],
-        pos: &mut usize,
-        literal: &str,
-        value: Json,
-    ) -> Result<Json, String> {
-        if bytes[*pos..].starts_with(literal.as_bytes()) {
-            *pos += literal.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {pos}", pos = *pos))
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        expect(bytes, pos, b'{')?;
-        let mut pairs = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Json::Object(pairs));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            skip_ws(bytes, pos);
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            pairs.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Json::Object(pairs));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            *pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let start = *pos;
-                    *pos += 1;
-                    while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
-                        *pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-        let start = *pos;
-        while *pos < bytes.len()
-            && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        {
-            *pos += 1;
-        }
-        let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Number)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
 }
 
 #[cfg(test)]
@@ -1447,21 +1131,16 @@ mod tests {
              \"measurements\": [{one_measurement}], \"observability\": {{\
              \"route_anatomy\": [{{\"id\": \"anatomy_1k\", \"overlay\": \"BATON\", \
              \"nodes\": 1000, \"ops\": 50, \"hops\": 400, \"mean_hops\": 8.0, \
-             \"by_kind\": {{\"routing_table\": 6.0, \"child\": 2.0}}}}], \
-             \"scopes\": [\
-             {{\"name\": \"openloop.join\", \"count\": 3, \"total_ns\": 900}}]}}}}"
+             \"by_kind\": {{\"routing_table\": 6.0, \"child\": 2.0}}}}]}}}}"
         );
         assert_eq!(validate_json(&good), Ok(1));
-        // The pre-/6 top-level section is rejected with a pointer to its
-        // new home.
+        // The pre-/6 top-level section stays rejected.
         let legacy = format!(
             "{{\"schema\": \"baton-perf/7\", \"profile\": \"x\", \
              \"measurements\": [{one_measurement}], \"profiler\": [\
              {{\"name\": \"openloop.join\", \"count\": 3, \"total_ns\": 900}}]}}"
         );
-        assert!(validate_json(&legacy)
-            .unwrap_err()
-            .contains("observability"));
+        assert!(validate_json(&legacy).unwrap_err().contains("profiler"));
         // An empty section must be omitted, not emitted.
         let empty = format!(
             "{{\"schema\": \"baton-perf/7\", \"profile\": \"x\", \
@@ -1477,91 +1156,9 @@ mod tests {
              \"by_kind\": {{\"warp\": 2.0}}}}]}}}}"
         );
         assert!(validate_json(&bad_kind).unwrap_err().contains("warp"));
-        // A scope row missing its counters is rejected.
-        let bad = format!(
-            "{{\"schema\": \"baton-perf/7\", \"profile\": \"x\", \
-             \"measurements\": [{one_measurement}], \"observability\": {{\"scopes\": [\
-             {{\"name\": \"openloop.join\", \"count\": 3}}]}}}}"
-        );
-        assert!(validate_json(&bad).unwrap_err().contains("total_ns"));
-    }
-
-    #[test]
-    fn json_parser_handles_the_usual_shapes() {
-        let doc = r#"{"a": [1, 2.5, -3e2], "b": {"c": null, "d": true}, "e": "x\n\"y\""}"#;
-        let value = Json::as_object(&super::json::parse(doc).unwrap())
-            .and_then(|o| o.get("a").cloned())
-            .unwrap();
-        assert_eq!(value.as_array().unwrap()[2].as_number(), Some(-300.0));
-        assert!(super::json::parse("[1, 2,]").is_err());
-        assert!(super::json::parse("{\"a\" 1}").is_err());
-        assert!(super::json::parse("[1] trailing").is_err());
-    }
-
-    /// With the `profiler` feature on, a scenario run populates the scope
-    /// table, counters only grow, and the rendered report carries a
-    /// `"profiler"` section the validator accepts.
-    #[cfg(feature = "profiler")]
-    #[test]
-    fn profiler_feature_records_scopes_and_renders_them() {
-        assert!(baton_net::profiler::enabled());
-        baton_net::profiler::reset();
-        let scenario_profile = Profile::smoke();
-        scenario::run_scenario_with_build(
-            "latency_under_churn",
-            &scenario_profile,
-            Some(scenario::BuildKind::Bulk),
-        )
-        .expect("registered scenario");
-        let first = baton_net::profiler::snapshot();
-        assert!(!first.is_empty(), "a scenario run must record scopes");
-        assert!(first.iter().any(|(name, _, _)| *name == "scenario.build"));
-        scenario::run_scenario_with_build(
-            "latency_under_churn",
-            &scenario_profile,
-            Some(scenario::BuildKind::Bulk),
-        )
-        .expect("registered scenario");
-        let second = baton_net::profiler::snapshot();
-        for (name, count, total_ns) in &first {
-            let later = second
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .unwrap_or_else(|| panic!("scope {name} disappeared"));
-            assert!(later.1 >= *count, "count of {name} went backwards");
-            assert!(later.2 >= *total_ns, "total_ns of {name} went backwards");
-        }
-
-        let profile = PerfProfile::smoke();
+        // With no anatomy rows the renderer omits the key altogether.
         let rendered = render_json(
-            &profile,
-            &[Measurement {
-                id: "a".into(),
-                detail: "d".into(),
-                work_items: 1,
-                unit: "u".into(),
-                wall_ms: 1.0,
-                per_second: 1.0,
-                availability: None,
-            }],
-            &[],
-        );
-        assert!(rendered.contains("\"observability\": {"));
-        assert!(rendered.contains("\"scopes\": ["));
-        assert_eq!(validate_json(&rendered), Ok(1));
-    }
-
-    /// Without the feature, the scope table stays empty; with no anatomy
-    /// rows either, the report has no `"observability"` key at all —
-    /// default output carries no placeholder keys.
-    #[cfg(not(feature = "profiler"))]
-    #[test]
-    fn disabled_profiler_leaves_the_report_untouched() {
-        assert!(!baton_net::profiler::enabled());
-        assert!(baton_net::profiler::snapshot().is_empty());
-        let profile = PerfProfile::smoke();
-        let rendered = render_json(
-            &profile,
+            &PerfProfile::smoke(),
             &[Measurement {
                 id: "a".into(),
                 detail: "d".into(),
@@ -1574,53 +1171,7 @@ mod tests {
             &[],
         );
         assert!(!rendered.contains("observability"));
-        assert!(!rendered.contains("profiler"));
         assert_eq!(validate_json(&rendered), Ok(1));
-    }
-
-    /// Diagnostic probe, not part of any suite: profiles one bulk-built
-    /// `latency_under_churn` repetition at `PROBE_N` nodes (default 30k)
-    /// and prints the per-scope cost breakdown.  Run it manually with
-    /// `PROBE_N=30000 cargo test -p baton-bench --features profiler \
-    /// --release probe_churn_profile -- --ignored --nocapture`.
-    #[cfg(feature = "profiler")]
-    #[test]
-    #[ignore = "diagnostic probe, run manually"]
-    fn probe_churn_profile() {
-        let n: usize = std::env::var("PROBE_N")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30_000);
-        let churn_profile = Profile {
-            network_sizes: vec![n],
-            repetitions: 1,
-            data_scale: 0.02,
-            query_scale: 1.0,
-            churn_ops: 100,
-            seed: 2005,
-        };
-        baton_sim::set_overlay_filter(&["BATON".to_owned()]).expect("BATON is registered");
-        baton_net::profiler::reset();
-        let started = Instant::now();
-        let result = scenario::run_scenario_with_build(
-            "latency_under_churn",
-            &churn_profile,
-            Some(scenario::BuildKind::Bulk),
-        )
-        .expect("registered scenario");
-        let wall = started.elapsed().as_secs_f64();
-        baton_sim::clear_overlay_filter();
-        let ops = scenario_ops(&result);
-        eprintln!(
-            "N = {n}: {ops} ops in {wall:.2}s ({:.0} ops/s)",
-            ops as f64 / wall
-        );
-        for (name, count, total_ns) in baton_net::profiler::snapshot() {
-            eprintln!(
-                "  {name:<24} {count:>10} calls {:>12.1} ms",
-                total_ns as f64 / 1e6
-            );
-        }
     }
 
     #[test]

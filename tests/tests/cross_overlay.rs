@@ -1,11 +1,13 @@
 //! Cross-overlay smoke tests: all nine figure drivers run at
 //! `Profile::smoke()` through the generic `Overlay`-based driver, and every
 //! series they produce is non-empty and finite for BATON, Chord and the
-//! multiway tree (where the paper plots them).
+//! multiway tree (where the paper plots them).  Plus, per overlay, the
+//! `Overlay` boundary itself: the provided network methods reach the
+//! overlay's own `SimNetwork`.
 
 use std::collections::HashSet;
 
-use baton_net::OverlayError;
+use baton_net::{LatencyModel, Overlay, OverlayError, SimTime, TraceConfig};
 use baton_sim::figures::{SERIES_BATON, SERIES_CHORD, SERIES_D3TREE, SERIES_MTREE};
 use baton_sim::{figures, standard_overlays, Profile};
 use baton_workload::{runner, ChurnWorkload, Query, QueryWorkload};
@@ -147,4 +149,61 @@ fn unsupported_operations_are_errors_not_panics() {
             ));
         }
     }
+}
+
+/// Drives the provided network methods through `dyn Overlay` and checks
+/// each one by its effect on the overlay's *own* operations: the clock and
+/// the latency model shape the next query's timing, the recorder captures
+/// that query's hops, and `stats_mut` resets the per-peer counters the
+/// overlay's traffic filled.
+fn drives_its_own_network(mut overlay: Box<dyn Overlay>) {
+    let name = overlay.name();
+    overlay.search_exact(123_456_789).unwrap();
+    assert_eq!(overlay.now(), SimTime::ZERO, "{name}: zero-latency default");
+    assert!(overlay.stats().received_counts().any(|(_, n)| n > 0));
+    overlay.stats_mut().reset_received_counters();
+    assert!(overlay.stats().received_counts().all(|(_, n)| n == 0));
+    assert!(overlay.take_trace().is_none(), "{name}: no recorder yet");
+
+    let hop = SimTime::from_millis(10);
+    overlay.set_latency_model(LatencyModel::constant(hop));
+    overlay.advance_to(SimTime::from_secs(5));
+    assert_eq!(overlay.now(), SimTime::from_secs(5));
+    overlay.set_trace(TraceConfig::new(16));
+    let first_traced = overlay.stats().next_op_id();
+    let cost = overlay.search_exact(987_654_321).unwrap();
+    assert!(cost.messages > 0, "{name}: seed 5 routes at least one hop");
+
+    // The query started at the advanced clock and took `messages` 10 ms hops.
+    let took = SimTime::from_micros(cost.messages * hop.as_micros());
+    assert_eq!(overlay.now(), SimTime::from_secs(5) + took, "{name}");
+    let trace = overlay.take_trace().expect("recorder installed");
+    let span = trace
+        .spans()
+        .find(|span| span.op == first_traced)
+        .unwrap_or_else(|| panic!("{name}: the query was not recorded"));
+    assert_eq!(span.started_at, SimTime::from_secs(5), "{name}");
+    assert_eq!(span.message_count(), cost.messages, "{name}");
+    assert!(overlay.take_trace().is_none(), "{name}: recorder removed");
+}
+
+#[test]
+fn baton_drives_its_own_network_through_the_trait() {
+    let system = baton_core::BatonSystem::build(Default::default(), 5, 30).unwrap();
+    drives_its_own_network(Box::new(system));
+}
+
+#[test]
+fn chord_drives_its_own_network_through_the_trait() {
+    drives_its_own_network(Box::new(baton_chord::ChordSystem::build(5, 30).unwrap()));
+}
+
+#[test]
+fn mtree_drives_its_own_network_through_the_trait() {
+    drives_its_own_network(Box::new(baton_mtree::MTreeSystem::build(5, 30).unwrap()));
+}
+
+#[test]
+fn d3tree_drives_its_own_network_through_the_trait() {
+    drives_its_own_network(Box::new(baton_d3tree::D3TreeSystem::build(5, 30).unwrap()));
 }

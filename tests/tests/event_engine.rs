@@ -2,13 +2,15 @@
 //! deterministic loops, matching the `property_churn` conventions):
 //!
 //! * the event queue is monotone in virtual time — deliveries never run
-//!   backwards, whatever order messages were scheduled in;
+//!   backwards, whatever order messages were scheduled in — and under a
+//!   regional latency model delivers in the exact order pinned from the
+//!   parent of the un-forked queue;
 //! * the constant-zero latency model reproduces the pre-refactor seed
 //!   figures *exactly* (golden-fixture comparison — the regression check of
 //!   the count-only substrate's subsumption);
 //! * every emitted latency series satisfies p50 ≤ p95 ≤ p99.
 
-use baton_net::{LatencyModel, NetMessage, SimNetwork, SimRng, SimTime};
+use baton_net::{LatencyModel, NetMessage, Overlay, RegionMap, SimNetwork, SimRng, SimTime};
 use baton_sim::{figures, render_json, scenario, Profile};
 use baton_workload::LatencySummary;
 
@@ -71,6 +73,84 @@ fn event_queue_is_monotone_in_virtual_time() {
     }
 }
 
+/// Regional latency through the one `(deliver_at, seq)` heap: delivery
+/// order and per-class latency equal the values recorded on the parent
+/// commit, whose queue kept one shard per region and popped the global
+/// minimum across them.  Mid-stream deliveries push op frontiers forward, so
+/// later sends depart later — the interleaving the synchronous protocols
+/// produce.
+#[test]
+fn regional_latency_pins_delivery_order_and_class_latency() {
+    let mut net: SimNetwork<Probe> = SimNetwork::with_latency(LatencyModel::regional(
+        RegionMap::new(4, 0xBA70),
+        LatencyModel::log_normal(SimTime::from_millis(5), 0.5, 9),
+        LatencyModel::log_normal(SimTime::from_millis(60), 0.5, 8),
+        Vec::new(),
+    ));
+    let peers: Vec<_> = (0..24).map(|_| net.add_peer()).collect();
+    let ops: Vec<_> = (0..6)
+        .map(|i| {
+            net.advance_to(SimTime::from_millis(3 * i));
+            net.begin_op(if i % 2 == 0 { "lookup" } else { "update" })
+        })
+        .collect();
+    let mut order = Vec::new();
+    let mut deliver = |net: &mut SimNetwork<Probe>| {
+        let envelope = net.deliver_next().expect("queued").expect("alive");
+        order.push((
+            envelope.deliver_at.as_micros(),
+            envelope.from.raw(),
+            envelope.to.raw(),
+        ));
+    };
+    for j in 0..10usize {
+        for (i, op) in ops.iter().enumerate() {
+            let from = peers[(i * 7 + j * 3) % peers.len()];
+            let to = peers[(i + j * 5) % peers.len()];
+            net.send(*op, from, to, Probe).unwrap();
+            if (i + j) % 3 == 0 {
+                deliver(&mut net);
+            }
+        }
+    }
+    while net.pending() > 0 {
+        deliver(&mut net);
+    }
+    for op in ops {
+        net.finish_op(op);
+    }
+    net.stats_mut().retire_finished();
+
+    assert_eq!(order.len(), 60);
+    assert_eq!(
+        &order[..4],
+        &[(2969, 0, 0), (49800, 7, 1), (5700, 3, 5), (29577, 4, 4)]
+    );
+    let digest = order
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, (at, from, to)| {
+            [*at, *from, *to]
+                .iter()
+                .fold(h, |h, v| (h ^ v).wrapping_mul(0x0000_0100_0000_01B3))
+        });
+    let mean_us = |class: &str| {
+        let stats = net.stats().class_stats(class).expect("class ran");
+        (
+            stats.retired(),
+            stats.mean_latency().expect("finished").as_micros(),
+        )
+    };
+    assert_eq!(
+        (
+            digest,
+            mean_us("lookup"),
+            mean_us("update"),
+            net.now().as_micros()
+        ),
+        (7743554877613963160, (3, 148772), (3, 147319), 219087)
+    );
+}
+
 /// With the default constant-zero latency model, all nine Figure-8 drivers
 /// reproduce the exact message-count series captured from the substrate
 /// before the event-engine refactor (`tests/fixtures/fig8_smoke_seed.json`,
@@ -98,7 +178,7 @@ fn zero_latency_model_reports_zero_latencies() {
         overlay.search_exact(123_456_789).unwrap();
         overlay.join_random().unwrap();
         assert_eq!(overlay.now(), SimTime::ZERO, "{}", overlay.name());
-        let latencies = overlay.op_latencies();
+        let latencies = overlay.stats().op_latencies();
         assert!(!latencies.is_empty(), "{} recorded no ops", overlay.name());
         assert!(
             latencies.iter().all(|(_, l)| l.is_zero()),

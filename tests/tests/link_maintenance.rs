@@ -11,7 +11,7 @@ use baton_core::{
     validate, BatonConfig, BatonNode, BatonSystem, KeyRange, LoadBalanceConfig, NodeLink, PeerId,
     Position, RoutingEntry, Side,
 };
-use baton_net::{LatencyPlan, SimRng, SimTime};
+use baton_net::{LatencyPlan, Overlay, SimRng, SimTime};
 
 // ----------------------------------------------------------------------
 // Reference: every receiver update as a scan of both routing tables

@@ -2,7 +2,8 @@
 //! with the [`baton_net::MessageStats`] accounting (trace ↔ stats oracle),
 //! the recorder's ring buffer must bound memory under long runs, and the
 //! per-class detour split (`messages == primary + detour`) must hold with
-//! and without failures.
+//! and without failures.  The JSON reader behind `--check-trace` and
+//! `perf --check` must answer malformed input with an error, not a panic.
 
 use baton_core::{BatonConfig, BatonSystem};
 use baton_net::{LatencyModel, Overlay, SimRng, SimTime, TraceConfig};
@@ -235,4 +236,45 @@ fn detour_accounting_splits_primary_and_recovery_hops() {
         traced_detour, detour_delta,
         "span detour charge disagrees with ClassStats::detour_hops"
     );
+}
+
+/// The one JSON parser, fed damaged copies of every committed JSON
+/// document: each strict prefix is an error, and 2,000 seeded byte
+/// mutations per document (overwrite, delete, insert — up to four at once,
+/// invalid UTF-8 included via lossy decoding) each return a value or an
+/// error.  A panic anywhere fails the test.
+#[test]
+fn json_parser_never_panics_on_truncated_or_mutated_documents() {
+    use baton_sim::json;
+
+    let documents = [
+        include_str!("../fixtures/fig8_smoke_seed.json"),
+        include_str!("../fixtures/fig8_smoke_pre_d3tree.json"),
+        include_str!("../fixtures/scenario_smoke_seed.json"),
+        include_str!("../../BENCH_perf.json"),
+    ];
+    let mut rng = SimRng::seeded(0x150F_F022);
+    for document in documents {
+        json::parse(document).expect("committed documents parse");
+        let complete = document.trim_end().len();
+        for end in (0..complete).filter(|end| document.is_char_boundary(*end)) {
+            assert!(
+                json::parse(&document[..end]).is_err(),
+                "a {end}-byte prefix parsed as a complete document"
+            );
+        }
+        for _ in 0..2000 {
+            let mut bytes = document.as_bytes().to_vec();
+            for _ in 0..1 + rng.index(4) {
+                let at = rng.index(bytes.len());
+                let byte = rng.uniform_u64(0, 256) as u8;
+                match rng.index(3) {
+                    0 => bytes[at] = byte,
+                    1 => drop(bytes.remove(at)),
+                    _ => bytes.insert(at, byte),
+                }
+            }
+            let _ = json::parse(&String::from_utf8_lossy(&bytes));
+        }
+    }
 }

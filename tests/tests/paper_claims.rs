@@ -10,7 +10,7 @@
 use baton_chord::ChordSystem;
 use baton_core::{BatonConfig, BatonSystem, KeyRange};
 use baton_mtree::MTreeSystem;
-use baton_net::SimRng;
+use baton_net::{Overlay, SimRng};
 use baton_workload::{KeyDistribution, KeyGenerator};
 
 const N: usize = 400;

@@ -1,4 +1,4 @@
-//! Shard determinism: the scenario engine must produce byte-identical
+//! Thread-count determinism: the scenario engine must produce byte-identical
 //! output regardless of how many worker threads the (overlay × repetition)
 //! units fan across.
 //!

@@ -13,7 +13,7 @@
 //! the first few hundred sweeps have not already covered.
 
 use baton_core::{BatonConfig, BatonSystem, KeyRange};
-use baton_net::SimRng;
+use baton_net::{Overlay, SimRng};
 
 /// Everything a walk can observably change, summed over one scenario.
 #[derive(Debug, Default, PartialEq, Eq)]
