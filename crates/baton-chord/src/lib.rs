@@ -12,12 +12,12 @@
 //! order — precisely the two axes on which BATON improves.
 //!
 //! ```
-//! use baton_chord::ChordSystem;
+//! use baton_chord::{ChordSystem, Overlay};
 //!
 //! let mut ring = ChordSystem::build(42, 50).unwrap();
 //! ring.insert(1234, 7).unwrap();
 //! assert_eq!(ring.search_exact(1234).unwrap().matches, 1);
-//! assert!(ring.search_range(0, 10_000).is_none()); // no range queries
+//! assert!(ring.search_range(0, 10_000).is_err()); // no range queries
 //! ```
 
 #![warn(missing_docs)]

@@ -89,10 +89,9 @@ impl Overlay for ChordSystem {
         ChordSystem::search_exact(self, key).map_err(op_err)
     }
 
-    fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
-        // Consistent hashing destroys key order; mirror the inherent API,
-        // which returns `None` for range queries.
-        debug_assert!(ChordSystem::search_range(self, low, high).is_none());
+    fn search_range(&mut self, _low: u64, _high: u64) -> OverlayResult<OpCost> {
+        // Consistent hashing destroys key order: there is no range query
+        // to route.
         Err(OverlayError::Unsupported("range queries on a DHT"))
     }
 

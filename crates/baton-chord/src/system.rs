@@ -718,13 +718,6 @@ impl ChordSystem {
         })
     }
 
-    /// Chord cannot answer range queries natively (hashing destroys key
-    /// order); this always returns `None`, mirroring the paper's
-    /// observation.  The harness plots BATON and the multiway tree only.
-    pub fn search_range(&mut self, _low: u64, _high: u64) -> Option<OpCost> {
-        None
-    }
-
     /// Verifies ring invariants: successor/predecessor pointers are mutually
     /// consistent and the identifiers strictly increase around the ring.
     /// Nodes are checked in peer-id order and the successor walk starts at
@@ -963,11 +956,5 @@ mod tests {
         assert_eq!(system.leave(peer).unwrap_err(), ChordError::LastNode);
         let mut empty = ChordSystem::new(1);
         assert_eq!(empty.search_exact(1).unwrap_err(), ChordError::EmptyRing);
-    }
-
-    #[test]
-    fn range_queries_are_unsupported() {
-        let mut system = ChordSystem::build(2, 10).unwrap();
-        assert!(system.search_range(0, 100).is_none());
     }
 }

@@ -16,17 +16,8 @@
 use baton_net::{OpScope, PeerId, RepairPolicy, SimTime};
 
 use crate::error::{BatonError, Result};
-use crate::messages::BatonMessage;
-use crate::node::BatonNode;
 use crate::reports::FailureReport;
 use crate::system::BatonSystem;
-
-/// The children recorded for `node`'s routing-table neighbours, in table
-/// order — the FINDREPLACEMENT candidates of a leaf.
-fn neighbor_children(node: &BatonNode) -> impl Iterator<Item = PeerId> + '_ {
-    node.table_entries()
-        .flat_map(|e| [e.left_child, e.right_child].into_iter().flatten())
-}
 
 impl BatonSystem {
     /// Marks `peer` as failed **without** running the recovery protocol.
@@ -197,7 +188,7 @@ impl BatonSystem {
             departure_messages += self.detach_leaf(op, peer, coordinator)?;
             None
         } else {
-            let (replacement, locate) = self.find_replacement_via(op, peer, coordinator)?;
+            let (replacement, locate) = self.find_replacement(op, peer, coordinator)?;
             if !self.net.is_alive(replacement) {
                 // The walk landed on a leaf that is itself dead (possible
                 // only while several failures overlap).  Nothing has been
@@ -220,116 +211,6 @@ impl BatonSystem {
             departure_messages,
             lost_items,
         })
-    }
-
-    /// The first alive candidate, or the first one when none is alive.
-    fn prefer_alive(&self, candidates: impl Iterator<Item = PeerId>) -> Option<PeerId> {
-        let mut first = None;
-        for peer in candidates {
-            if self.net.is_alive(peer) {
-                return Some(peer);
-            }
-            first = first.or(Some(peer));
-        }
-        first
-    }
-
-    /// [`BatonSystem::find_replacement`] driven by a coordinator instead of
-    /// the (dead) departing node: the initial FINDREPLACEMENT request is
-    /// sent by `coordinator`.
-    pub(crate) fn find_replacement_via(
-        &mut self,
-        op: baton_net::OpScope,
-        departing: PeerId,
-        coordinator: PeerId,
-    ) -> Result<(PeerId, u64)> {
-        // The walk logic is identical; only the sender of the first message
-        // differs.  Reuse the existing walk by temporarily charging the
-        // initial hop to the coordinator.
-        let departing_pos = self.node_ref(departing)?.position;
-        // Every hop below prefers an *alive* candidate over the first one:
-        // a dead node cannot forward the FINDREPLACEMENT request, and
-        // descending into a dead subtree can only land on a dead
-        // replacement — the §III-D detour rule, applied to the departure
-        // walk.  Overlapping failures are the only runs with dead peers in
-        // reach, so with every peer alive the first candidate wins and the
-        // walk is exactly the legacy one.
-        let start = {
-            let node = self.node_ref(departing)?;
-            if node.is_leaf() {
-                self.prefer_alive(neighbor_children(node)).ok_or_else(|| {
-                    BatonError::InvariantViolation(
-                        "find_replacement_via called on a directly removable leaf".into(),
-                    )
-                })?
-            } else {
-                let legacy = match (&node.left_adjacent, &node.right_adjacent) {
-                    (Some(l), Some(r)) => {
-                        if r.position.level() >= l.position.level() {
-                            [Some(r.peer), Some(l.peer)]
-                        } else {
-                            [Some(l.peer), Some(r.peer)]
-                        }
-                    }
-                    (Some(l), None) => [Some(l.peer), None],
-                    (None, Some(r)) => [Some(r.peer), None],
-                    (None, None) => {
-                        return Err(BatonError::InvariantViolation(
-                            "non-leaf node without adjacent links".into(),
-                        ))
-                    }
-                };
-                self.prefer_alive(legacy.into_iter().flatten())
-                    .expect("at least one adjacent link")
-            }
-        };
-        let mut messages = 1u64;
-        let mut hops = 1u32;
-        self.hop(
-            op,
-            coordinator,
-            start,
-            hops,
-            BatonMessage::FindReplacement {
-                departing,
-                position: departing_pos,
-            },
-        )?;
-        let limit = self.walk_limit();
-        let mut current = start;
-        loop {
-            let next = {
-                let node = self.node_ref(current)?;
-                if node.is_leaf() {
-                    self.prefer_alive(neighbor_children(node))
-                } else {
-                    let children = [node.left_child, node.right_child];
-                    self.prefer_alive(children.into_iter().flatten().map(|l| l.peer))
-                }
-            };
-            let Some(next) = next else {
-                return Ok((current, messages));
-            };
-            hops += 1;
-            if hops > limit {
-                return Err(BatonError::RoutingLoop {
-                    operation: "find_replacement",
-                    hops,
-                });
-            }
-            self.hop(
-                op,
-                current,
-                next,
-                hops,
-                BatonMessage::FindReplacement {
-                    departing,
-                    position: departing_pos,
-                },
-            )?;
-            messages += 1;
-            current = next;
-        }
     }
 }
 

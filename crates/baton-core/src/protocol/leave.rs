@@ -15,9 +15,17 @@ use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::messages::BatonMessage;
+use crate::node::BatonNode;
 use crate::reports::LeaveReport;
 use crate::routing::NodeLink;
 use crate::system::{BatonSystem, LinkUpdate};
+
+/// The children recorded for `node`'s routing-table neighbours, in table
+/// order — the FINDREPLACEMENT candidates of a leaf.
+fn neighbor_children(node: &BatonNode) -> impl Iterator<Item = PeerId> + '_ {
+    node.table_entries()
+        .flat_map(|e| [e.left_child, e.right_child].into_iter().flatten())
+}
 
 impl BatonSystem {
     /// Gracefully removes `peer` from the overlay.
@@ -47,7 +55,7 @@ impl BatonSystem {
                 restructure: None,
             }
         } else {
-            let (replacement, locate_messages) = self.find_replacement(op, peer)?;
+            let (replacement, locate_messages) = self.find_replacement(op, peer, peer)?;
             if !self.net.is_alive(replacement) {
                 // Possible only while unrepaired failures linger: the
                 // replacement walk landed on a dead leaf.  `detach_leaf`
@@ -79,95 +87,63 @@ impl BatonSystem {
         self.leave(peer)
     }
 
-    /// Algorithm 2: walk down from the departing node to a leaf that can
-    /// safely vacate its position.  Returns the replacement and the number
-    /// of messages used.
+    /// Algorithm 2 (FINDREPLACEMENT): walk down from the departing node to a
+    /// leaf that can safely vacate its position.  `sender` issues the first
+    /// request — the departing node itself on a voluntary departure, the
+    /// recovery coordinator on a dead node's behalf.  Returns the replacement
+    /// and the number of messages used.
+    ///
+    /// Every hop prefers an *alive* candidate over the first one: a dead
+    /// node cannot forward the request, and descending into a dead subtree
+    /// can only land on a dead replacement — the §III-D detour rule, applied
+    /// to the departure walk.  Overlapping failures are the only runs with
+    /// dead peers in reach, so with every peer alive the first candidate
+    /// wins.
     pub(crate) fn find_replacement(
         &mut self,
         op: OpScope,
         departing: PeerId,
+        sender: PeerId,
     ) -> Result<(PeerId, u64)> {
-        let limit = self.walk_limit();
-        let mut messages = 0u64;
-        let mut hops = 1u32;
-        let departing_pos = self.node_ref(departing)?.position;
-        let start = {
-            let node = self.node_ref(departing)?;
-            if node.is_leaf() {
-                // A leaf that cannot depart directly has a neighbour with a
-                // child; start the walk at such a child.
-                let entry = node
-                    .left_table
-                    .first_with_a_child()
-                    .or_else(|| node.right_table.first_with_a_child())
-                    .map(|(_, e)| *e);
-                match entry {
-                    Some(e) => e.left_child.or(e.right_child).ok_or_else(|| {
-                        BatonError::InvariantViolation(
-                            "routing entry claims children but records none".into(),
-                        )
-                    })?,
-                    None => {
-                        return Err(BatonError::InvariantViolation(
-                            "find_replacement called on a directly removable leaf".into(),
-                        ))
-                    }
-                }
-            } else {
-                // A non-leaf starts at its deeper adjacent node, which lies
-                // in one of its subtrees.
-                match (&node.left_adjacent, &node.right_adjacent) {
-                    (Some(l), Some(r)) => {
-                        if r.position.level() >= l.position.level() {
-                            r.peer
-                        } else {
-                            l.peer
-                        }
-                    }
-                    (Some(l), None) => l.peer,
-                    (None, Some(r)) => r.peer,
-                    (None, None) => {
-                        return Err(BatonError::InvariantViolation(
-                            "non-leaf node without adjacent links".into(),
-                        ))
-                    }
-                }
-            }
-        };
-        self.hop(
-            op,
+        let node = self.node_ref(departing)?;
+        let request = BatonMessage::FindReplacement {
             departing,
-            start,
-            hops,
-            BatonMessage::FindReplacement {
-                departing,
-                position: departing_pos,
-            },
-        )?;
-        messages += 1;
+            position: node.position,
+        };
+        let start = if node.is_leaf() {
+            // A leaf that cannot depart directly has a neighbour with a
+            // child; start the walk at such a child.
+            self.prefer_alive(neighbor_children(node)).ok_or_else(|| {
+                BatonError::InvariantViolation(
+                    "find_replacement called on a directly removable leaf".into(),
+                )
+            })?
+        } else {
+            // A non-leaf starts at its deeper adjacent node, which lies in
+            // one of its subtrees.
+            let adjacent = match (&node.left_adjacent, &node.right_adjacent) {
+                (Some(l), Some(r)) if r.position.level() >= l.position.level() => {
+                    [Some(r.peer), Some(l.peer)]
+                }
+                (l, r) => [l.map(|l| l.peer), r.map(|r| r.peer)],
+            };
+            self.prefer_alive(adjacent.into_iter().flatten())
+                .ok_or_else(|| {
+                    BatonError::InvariantViolation("non-leaf node without adjacent links".into())
+                })?
+        };
+        let limit = self.walk_limit();
+        let mut messages = 1u64;
+        let mut hops = 1u32;
+        self.hop(op, sender, start, hops, request.clone())?;
         let mut current = start;
         loop {
-            let next = {
-                let node = self.node_ref(current)?;
-                if let Some(lc) = &node.left_child {
-                    Some(lc.peer)
-                } else if let Some(rc) = &node.right_child {
-                    Some(rc.peer)
-                } else {
-                    let entry = node
-                        .left_table
-                        .first_with_a_child()
-                        .or_else(|| node.right_table.first_with_a_child())
-                        .map(|(_, e)| *e);
-                    match entry {
-                        Some(e) => Some(e.left_child.or(e.right_child).ok_or_else(|| {
-                            BatonError::InvariantViolation(
-                                "routing entry claims children but records none".into(),
-                            )
-                        })?),
-                        None => None,
-                    }
-                }
+            let node = self.node_ref(current)?;
+            let next = if node.is_leaf() {
+                self.prefer_alive(neighbor_children(node))
+            } else {
+                let children = [node.left_child, node.right_child];
+                self.prefer_alive(children.into_iter().flatten().map(|l| l.peer))
             };
             let Some(next) = next else {
                 return Ok((current, messages));
@@ -179,19 +155,22 @@ impl BatonSystem {
                     hops,
                 });
             }
-            self.hop(
-                op,
-                current,
-                next,
-                hops,
-                BatonMessage::FindReplacement {
-                    departing,
-                    position: departing_pos,
-                },
-            )?;
+            self.hop(op, current, next, hops, request.clone())?;
             messages += 1;
             current = next;
         }
+    }
+
+    /// The first alive candidate, or the first one when none is alive.
+    fn prefer_alive(&self, candidates: impl Iterator<Item = PeerId>) -> Option<PeerId> {
+        let mut first = None;
+        for peer in candidates {
+            if self.net.is_alive(peer) {
+                return Some(peer);
+            }
+            first = first.or(Some(peer));
+        }
+        first
     }
 
     /// Structurally removes a leaf that satisfies the direct-departure

@@ -222,12 +222,6 @@ impl RoutingTable {
         self.nearest_matching(|e| !e.has_both_children())
     }
 
-    /// First occupied entry whose target has at least one child (used by
-    /// Algorithm 2 to find a replacement candidate deeper in the tree).
-    pub fn first_with_a_child(&self) -> Option<(usize, &RoutingEntry)> {
-        self.nearest_matching(RoutingEntry::has_any_child)
-    }
-
     /// `true` if any occupied entry's target is known to have a child
     /// (the condition deciding whether a leaf may depart directly,
     /// paper §III-B).
@@ -354,7 +348,6 @@ mod tests {
             table.first_without_both_children().unwrap().1.link.peer,
             PeerId(5)
         );
-        assert_eq!(table.first_with_a_child().unwrap().1.link.peer, PeerId(5));
         // Fill both children of slot 0; now the first without both children is slot 1.
         table.entry_mut(0).unwrap().right_child = Some(PeerId(51));
         assert!(table.entry(0).unwrap().has_both_children());

@@ -8,8 +8,8 @@
 //! here (and implementing [`Overlay`] for the system), nothing else.
 //!
 //! The list can be narrowed process-wide with [`set_overlay_filter`] (the
-//! `reproduce --overlays` and `perf --overlays` flags), so a single overlay
-//! can be run or debugged in isolation without touching any driver.
+//! `reproduce --overlays` flag), so a single overlay can be run or debugged
+//! in isolation without touching any driver.
 
 use std::sync::RwLock;
 
@@ -62,11 +62,11 @@ pub struct ServeSupport {
     pub range: bool,
 }
 
-/// Parses the value of a `--threads` flag, shared by `reproduce`, `perf`
-/// and `serve-bench` so all three agree on validation: the value is
-/// required, must be an unsigned integer, and must be at least 1.  When the
-/// flag is absent entirely, binaries default to
-/// [`baton_net::default_threads`] (available parallelism).
+/// Parses the value of a `--threads` flag, shared by `reproduce` and
+/// `serve-bench` so both agree on validation: the value is required, must
+/// be an unsigned integer, and must be at least 1.  When the flag is absent
+/// entirely, `reproduce` defaults to [`baton_net::default_threads`]
+/// (available parallelism) and `serve-bench` to one thread.
 pub fn parse_threads(value: Option<String>) -> Result<usize, String> {
     let value = value.ok_or_else(|| "--threads needs a value".to_owned())?;
     match value.parse::<usize>() {

@@ -1,7 +1,7 @@
-//! A minimal recursive-descent JSON parser: the one reader behind
-//! `reproduce --check-trace` ([`crate::observe::check_trace_jsonl`]) and
-//! `perf --check`.  Hand-rolled because the build environment has no
-//! crates.io access for `serde_json`.
+//! A minimal recursive-descent JSON parser: the reader behind
+//! `reproduce --check-trace` ([`crate::observe::check_trace_jsonl`]).
+//! Hand-rolled because the build environment has no crates.io access for
+//! `serde_json`.
 //!
 //! Input comes from files named on a command line, so every malformed
 //! document is an `Err`, never a panic: truncation, stray bytes, bad
@@ -54,15 +54,6 @@ impl Json {
     pub fn as_object(&self) -> Option<ObjectView<'_>> {
         match self {
             Json::Object(pairs) => Some(ObjectView { pairs }),
-            _ => None,
-        }
-    }
-
-    /// The raw key/value pairs in insertion order, if this is an
-    /// object — for validators that must check every key.
-    pub fn as_object_pairs(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Object(pairs) => Some(pairs),
             _ => None,
         }
     }
@@ -270,7 +261,6 @@ mod tests {
         let a = root.get("a").and_then(Json::as_array).unwrap();
         assert_eq!(a[2].as_number(), Some(-300.0));
         assert_eq!(root.get("e").and_then(Json::as_str), Some("x\n\"y\""));
-        assert_eq!(value.as_object_pairs().unwrap().len(), 3);
         assert!(parse("[1, 2,]").is_err());
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("[1] trailing").is_err());

@@ -2,8 +2,8 @@
 //!
 //! Drivers that regenerate **every figure of the paper's evaluation**
 //! (Figure 8(a)–(i), §V) from the BATON implementation in [`baton_core`] and
-//! the two baselines ([`baton_chord`], [`baton_mtree`]), at a configurable
-//! scale ([`Profile`]).
+//! the three baselines ([`baton_chord`], [`baton_mtree`], [`baton_d3tree`]), at
+//! a configurable scale ([`Profile`]).
 //!
 //! All drivers are generic over the [`baton_net::Overlay`] trait: the
 //! [`driver`] module holds the list of [`OverlaySpec`]s, and each figure
@@ -26,15 +26,16 @@
 //! discrete-event engine in the time domain through a declarative registry:
 //! each [`scenario::ScenarioSpec`] builds a [`scenario::ScenarioPlan`]
 //! (phased workload, latency topology, fault plan) that one generic engine
-//! runs against every registered overlay.  Five scenarios are registered —
+//! runs against every registered overlay.  Six scenarios are registered —
 //! `latency_under_churn`, `flash_crowd`, `regional_failure`,
-//! `degraded_links` and `skew_ramp` — each reporting p50/p95/p99 virtual
-//! latency per operation class and throughput (ops per virtual second) per
-//! overlay.
+//! `degraded_links`, `skew_ramp` and `cascading_failure` — each reporting
+//! p50/p95/p99 virtual latency per operation class and throughput (ops per
+//! virtual second) per overlay.
 //!
 //! The `reproduce` binary (`cargo run -p baton-sim --bin reproduce --release`)
-//! prints the tables for any subset of figures plus the scenario report;
-//! `crates/bench` times the same drivers (`perf`, `serve-bench`).
+//! prints the tables for any subset of figures plus the scenario report.
+//! Wall-clock numbers come from the stand-alone `benchmarks/` package;
+//! `crates/bench` keeps only the rows that package does not measure yet.
 //!
 //! ```
 //! use baton_sim::{figures, Profile};
@@ -69,8 +70,7 @@ pub use profile::Profile;
 pub use report::{json_string, render_json, render_report, render_scenarios_json};
 pub use result::{Averager, FigureResult, SeriesPoint};
 pub use scenario::{
-    all_scenarios, flash_crowd, latency_under_churn, run_scenario, run_scenario_full,
-    run_scenario_traced, run_scenario_with_build, BuildKind, ScenarioPlan, ScenarioResult,
+    all_scenarios, run_scenario, run_scenario_full, BuildKind, ScenarioPlan, ScenarioResult,
     ScenarioSeries, ScenarioSpec,
 };
 pub use serve_check::{run_serve_check, ServeCheckReport};

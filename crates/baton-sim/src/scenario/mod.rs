@@ -31,7 +31,7 @@ use std::fmt::Write as _;
 use baton_net::{SimRng, TraceBuffer, TraceConfig};
 use baton_workload::{run_phased_with_metrics, LatencySummary, MetricsSample, OpClass};
 
-use crate::driver::{load_overlay, load_overlay_direct, standard_overlays};
+use crate::driver::{load_overlay, load_overlay_direct, standard_overlays, OverlaySpec};
 use crate::profile::Profile;
 
 pub use specs::{BuildKind, ScenarioPlan};
@@ -96,11 +96,6 @@ pub struct ScenarioSeries {
     pub repair_mean_ms: f64,
     /// 95th-percentile time-to-repair, in virtual milliseconds.
     pub repair_p95_ms: f64,
-    /// **Wall-clock** time spent executing deferred repairs across all
-    /// repetitions.  Never rendered into the JSON/CSV/table reports (those
-    /// stay deterministic); the perf harness cites it in the `avail_k*`
-    /// rows so slow-path repair cost is not misread as query throughput.
-    pub repair_wall: std::time::Duration,
     /// Virtual-time metrics samples from the overlay's *first* repetition
     /// (repetitions diverge, so their trajectories cannot be averaged) —
     /// empty unless the plan carries a
@@ -277,18 +272,7 @@ pub fn all_scenario_ids() -> Vec<&'static str> {
 /// Runs a scenario by identifier (case-insensitive); `None` for an unknown
 /// one.
 pub fn run_scenario(id: &str, profile: &Profile) -> Option<ScenarioResult> {
-    run_scenario_with_build(id, profile, None)
-}
-
-/// [`run_scenario`] with the plan's [`BuildKind`] overridden (`None` keeps
-/// the plan's own setting — [`BuildKind::Join`] for every registered
-/// scenario, which is what pins the committed fixtures).
-pub fn run_scenario_with_build(
-    id: &str,
-    profile: &Profile,
-    build: Option<BuildKind>,
-) -> Option<ScenarioResult> {
-    run_scenario_with_options(id, profile, build, None)
+    run_scenario_with_options(id, profile, None, None)
 }
 
 /// [`run_scenario`] with the plan's [`BuildKind`] and replication degree
@@ -303,23 +287,11 @@ pub fn run_scenario_with_options(
     run_scenario_full(id, profile, build, replicas, None).map(|(result, _)| result)
 }
 
-/// [`run_scenario`] with the route recorder attached: the first repetition
-/// of every overlay records its per-operation span trees under `trace`, and
-/// the captured buffers come back alongside the result as `(overlay name,
-/// buffer)` pairs.  The result itself is byte-identical to [`run_scenario`]
-/// — the recorder observes the message stream without perturbing it.
-pub fn run_scenario_traced(
-    id: &str,
-    profile: &Profile,
-    trace: TraceConfig,
-) -> Option<(ScenarioResult, Vec<(String, TraceBuffer)>)> {
-    run_scenario_full(id, profile, None, None, Some(trace))
-}
-
 /// The fully-general scenario entry point: [`BuildKind`] and replication
-/// overrides plus the optional route recorder, all in one call (the
-/// `reproduce` binary's combination).  Every other `run_scenario_*` variant
-/// delegates here.
+/// overrides plus the optional route recorder (see [`run_plan`]), over every
+/// overlay of [`standard_overlays`].  The result itself is byte-identical
+/// with and without the recorder — it observes the message stream without
+/// perturbing it.
 pub fn run_scenario_full(
     id: &str,
     profile: &Profile,
@@ -337,7 +309,7 @@ pub fn run_scenario_full(
     if let Some(replicas) = replicas {
         plan.replicas = replicas;
     }
-    let (series, traces) = run_plan_traced(profile, &plan, trace);
+    let (series, traces) = run_plan(profile, &plan, &standard_overlays(), trace);
     Some((
         ScenarioResult {
             id: spec.id.to_owned(),
@@ -348,33 +320,27 @@ pub fn run_scenario_full(
     ))
 }
 
-/// The generic scenario engine: drives every overlay of
-/// [`standard_overlays`] through `plan`, aggregating the profile's
-/// repetitions into one [`ScenarioSeries`] per overlay.
+/// The generic scenario engine: drives every overlay of `specs` through
+/// `plan`, aggregating the profile's repetitions into one
+/// [`ScenarioSeries`] per overlay.
 ///
 /// Per repetition: build the overlay at the plan's size, bulk-load it,
 /// instantiate the latency plan with the repetition seed, draw the phased
 /// arrival schedule and execute it with the fault plan interleaved.  All
 /// seeding matches the pre-registry engine byte for byte, which is what pins
 /// the legacy scenarios to their fixtures.
-pub fn run_plan(profile: &Profile, plan: &ScenarioPlan) -> Vec<ScenarioSeries> {
-    run_plan_traced(profile, plan, None).0
-}
-
-/// [`run_plan`] with an optional route recorder: with a
-/// [`TraceConfig`], the *first* repetition of every overlay runs with the
-/// recorder attached (sampling and capacity per the config) and the
-/// captured buffers come back alongside the series, one `(overlay name,
-/// buffer)` pair per overlay that produced one.  Tracing reads the message
-/// stream without touching it, so the series are byte-identical to an
-/// untraced run.
-pub fn run_plan_traced(
+///
+/// With a [`TraceConfig`], the *first* repetition of every overlay runs with
+/// the route recorder attached (sampling and capacity per the config) and
+/// the captured buffers come back alongside the series, one `(overlay name,
+/// buffer)` pair per overlay that produced one.
+pub fn run_plan(
     profile: &Profile,
     plan: &ScenarioPlan,
+    specs: &[OverlaySpec],
     trace: Option<TraceConfig>,
 ) -> (Vec<ScenarioSeries>, Vec<(String, TraceBuffer)>) {
     let n = plan.n;
-    let specs = standard_overlays();
     let reps = profile.repetitions;
     // Every (overlay, repetition) unit is self-contained: the overlay is
     // built, bulk-loaded and driven entirely inside the unit from seeds
@@ -441,7 +407,6 @@ pub fn run_plan_traced(
         let mut window_attempts = 0u64;
         let mut window_unavailable = 0u64;
         let mut repair_samples: Vec<baton_net::SimTime> = Vec::new();
-        let mut repair_wall = std::time::Duration::ZERO;
         let mut throughput_sum = 0.0f64;
         let mut seconds_sum = 0.0f64;
         for (outcome, _) in &outcomes[idx * reps..(idx + 1) * reps] {
@@ -454,7 +419,6 @@ pub fn run_plan_traced(
             window_attempts += outcome.window_attempts.values().sum::<u64>();
             window_unavailable += outcome.window_unavailable.values().sum::<u64>();
             repair_samples.extend(&outcome.repair_times);
-            repair_wall += outcome.repair_wall;
             messages += outcome.messages;
             fault_kills += outcome.fault_kills;
             throughput_sum += outcome.throughput();
@@ -514,7 +478,6 @@ pub fn run_plan_traced(
             repairs: repair_samples.len() as u64,
             repair_mean_ms: repair_summary.map_or(0.0, |s| s.mean.as_millis_f64()),
             repair_p95_ms: repair_summary.map_or(0.0, |s| s.p95.as_millis_f64()),
-            repair_wall,
             timeseries: std::mem::take(&mut outcomes[idx * reps].0.samples),
         });
         if let Some(buffer) = outcomes[idx * reps].1.take() {
@@ -524,20 +487,6 @@ pub fn run_plan_traced(
     (series, traces)
 }
 
-/// The `latency_under_churn` scenario: search/insert/range traffic measured
-/// while 10% of the peers join or leave (and a few abruptly fail) per
-/// virtual minute, over seeded log-normal links with a 40ms median.
-pub fn latency_under_churn(profile: &Profile) -> ScenarioResult {
-    run_scenario("latency_under_churn", profile).expect("registered scenario")
-}
-
-/// The `flash_crowd` scenario: a steady open-loop mix whose search, range
-/// and insert keys collapse onto a hot 1% slice of the domain for the
-/// middle 20 virtual seconds of the run.
-pub fn flash_crowd(profile: &Profile) -> ScenarioResult {
-    run_scenario("flash_crowd", profile).expect("registered scenario")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,7 +494,7 @@ mod tests {
     #[test]
     fn latency_under_churn_reports_every_overlay_with_ordered_percentiles() {
         let profile = Profile::smoke();
-        let result = latency_under_churn(&profile);
+        let result = run_scenario("latency_under_churn", &profile).expect("registered");
         assert_eq!(result.series.len(), 4);
         for series in &result.series {
             assert!(
@@ -591,7 +540,7 @@ mod tests {
     #[test]
     fn skips_are_attributed_to_classes() {
         let profile = Profile::smoke();
-        let result = latency_under_churn(&profile);
+        let result = run_scenario("latency_under_churn", &profile).expect("registered");
         // Chord cannot answer range queries: every one of its skips must be
         // attributed, and the range class must be among them.
         let chord = result
@@ -618,7 +567,7 @@ mod tests {
     #[test]
     fn flash_crowd_reports_every_overlay() {
         let profile = Profile::smoke();
-        let result = flash_crowd(&profile);
+        let result = run_scenario("flash_crowd", &profile).expect("registered");
         assert_eq!(result.series.len(), 4);
         for series in &result.series {
             assert!(series.throughput > 0.0, "{} idle", series.overlay);
@@ -642,7 +591,7 @@ mod tests {
         // bulk constructor (they fall back to the join build).
         let profile = Profile::smoke();
         let result =
-            run_scenario_with_build("latency_under_churn", &profile, Some(BuildKind::Bulk))
+            run_scenario_with_options("latency_under_churn", &profile, Some(BuildKind::Bulk), None)
                 .expect("registered scenario");
         assert_eq!(result.series.len(), 4);
         for series in &result.series {
@@ -657,6 +606,24 @@ mod tests {
                 .find(|c| c.class == "search")
                 .unwrap_or_else(|| panic!("{} ran no searches", series.overlay));
             assert!(search.count > 0);
+        }
+    }
+
+    #[test]
+    fn an_explicit_overlay_list_runs_exactly_those_series() {
+        // Units are seeded from (overlay, repetition) alone, so BATON run by
+        // itself is the BATON row of the four-overlay comparison — with and
+        // without a fault plan.
+        let profile = Profile::smoke();
+        for build in [
+            specs::latency_under_churn_plan,
+            specs::regional_failure_plan,
+        ] {
+            let plan = build(&profile);
+            let (all, _) = run_plan(&profile, &plan, &crate::all_overlays(), None);
+            let (alone, _) = run_plan(&profile, &plan, &[crate::reference_overlay()], None);
+            assert_eq!(all.len(), 4, "{}", plan.title);
+            assert_eq!(alone, [all[0].clone()], "{}", plan.title);
         }
     }
 

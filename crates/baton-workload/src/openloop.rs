@@ -278,9 +278,9 @@ pub struct OpenLoopOutcome {
     pub repairs_abandoned: u64,
     /// Wall-clock time spent executing deferred repairs (the
     /// `repair_peer` calls plus their queue management).  Wall-clock, so
-    /// it never appears in a deterministic report; the perf harness's
-    /// `avail_k*` rows cite it so the slow-path repair cost at k = 1 is
-    /// not misread as query-throughput regression.
+    /// it never appears in a deterministic report; the benchmark's
+    /// `core.failure.repair_ns_per_peer` reads it so the slow-path repair
+    /// cost at k = 1 is not misread as a query-throughput regression.
     pub repair_wall: std::time::Duration,
     /// Virtual-time metrics samples, in tick order — empty unless the run
     /// was started through [`run_phased_with_metrics`] with a

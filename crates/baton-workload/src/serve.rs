@@ -11,21 +11,16 @@
 //! Worker counters are integers merged after the run
 //! ([`ServeCounters::merge`] commutes), which pins deterministic totals
 //! and an order-independent checksum across 1..T threads.
-//!
-//! A wall-clock sampler can ride along, producing the same
-//! [`MetricsSample`] series the virtual-time scenarios emit — the live
-//! metrics endpoint the ROADMAP promised for the serve front-end.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use baton_net::serve::{ServeCounters, SnapshotCell, SnapshotReader};
-use baton_net::{SimRng, SimTime};
+use baton_net::SimRng;
 use rand::Rng;
 
 use crate::keys::{KeyDistribution, KeyGenerator};
-use crate::openloop::{LatencySummary, MetricsSample};
 
 /// What one serve run executes.
 #[derive(Clone, Copy, Debug)]
@@ -43,14 +38,11 @@ pub struct ServeConfig {
     pub range_span: Option<u64>,
     /// Stream seed: batch `b` derives its keys from `(seed, b)` alone.
     pub seed: u64,
-    /// Wall-clock interval between [`MetricsSample`]s (`None` = no
-    /// sampling).
-    pub sample_every: Option<Duration>,
 }
 
 impl ServeConfig {
     /// An exact-query run with the defaults the serve bench uses: batches
-    /// of 256, uniform keys, no sampling.
+    /// of 256, uniform keys.
     pub fn exact(queries: u64, threads: usize, seed: u64) -> Self {
         Self {
             queries,
@@ -59,7 +51,6 @@ impl ServeConfig {
             distribution: KeyDistribution::Uniform,
             range_span: None,
             seed,
-            sample_every: None,
         }
     }
 
@@ -85,9 +76,6 @@ pub struct ServeOutcome {
     pub refreshes: u64,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
-    /// Wall-clock [`MetricsSample`] series (empty unless sampling was
-    /// configured).
-    pub samples: Vec<MetricsSample>,
 }
 
 impl ServeOutcome {
@@ -118,24 +106,15 @@ pub fn run_serve(cell: &Arc<SnapshotCell>, config: &ServeConfig) -> ServeOutcome
     let threads = config.threads.max(1);
     let batch = config.batch.max(1) as u64;
     let batches = config.queries.div_ceil(batch);
-    let executed = AtomicU64::new(0);
     let refreshes = AtomicU64::new(0);
-    let done = AtomicBool::new(false);
-    // Per-batch wall latencies land here for the sampler's percentile
-    // windows; one short-lived lock per *batch*, not per query.
-    let batch_latencies: Mutex<Vec<SimTime>> = Mutex::new(Vec::new());
     let mut per_worker: Vec<ServeCounters> = vec![ServeCounters::default(); threads];
-    let mut samples = Vec::new();
     let started = Instant::now();
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for worker in 0..threads {
             let cell = Arc::clone(cell);
-            let executed = &executed;
             let refreshes = &refreshes;
-            let batch_latencies = &batch_latencies;
-            let sampling = config.sample_every.is_some();
             let config = *config;
             handles.push(scope.spawn(move || {
                 let mut reader = SnapshotReader::new(cell);
@@ -143,7 +122,6 @@ pub fn run_serve(cell: &Arc<SnapshotCell>, config: &ServeConfig) -> ServeOutcome
                 let mut counters = ServeCounters::default();
                 let mut index = worker as u64;
                 while index < batches {
-                    let batch_started = sampling.then(Instant::now);
                     reader.refresh();
                     let snapshot = reader.snapshot();
                     let first = index * batch;
@@ -161,57 +139,15 @@ pub fn run_serve(cell: &Arc<SnapshotCell>, config: &ServeConfig) -> ServeOutcome
                             }
                         }
                     }
-                    executed.fetch_add(last - first, Ordering::Relaxed);
-                    if let Some(at) = batch_started {
-                        let micros = at.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-                        batch_latencies
-                            .lock()
-                            .expect("latency sink poisoned")
-                            .push(SimTime::from_micros(micros));
-                    }
                     index += threads as u64;
                 }
                 refreshes.fetch_add(reader.refreshes, Ordering::Relaxed);
                 counters
             }));
         }
-
-        if let Some(interval) = config.sample_every {
-            let mut last_total = 0u64;
-            let mut tick = 0u32;
-            while executed.load(Ordering::Relaxed) < config.queries && !done.load(Ordering::Relaxed)
-            {
-                std::thread::sleep(interval);
-                tick += 1;
-                let total = executed.load(Ordering::Relaxed);
-                let window: Vec<SimTime> =
-                    std::mem::take(&mut *batch_latencies.lock().expect("latency sink poisoned"));
-                let mut classes = std::collections::BTreeMap::new();
-                if let Some(summary) = LatencySummary::from_samples(&window) {
-                    classes.insert("batch", summary);
-                }
-                let snapshot = cell.load();
-                samples.push(MetricsSample {
-                    at: SimTime::from_micros(
-                        (u64::from(tick)).saturating_mul(interval.as_micros() as u64),
-                    ),
-                    executed: total - last_total,
-                    ops_per_sec: (total - last_total) as f64 / interval.as_secs_f64(),
-                    classes,
-                    node_count: snapshot.slots(),
-                    in_flight: (config.queries - total) as usize,
-                    unavailable: 0,
-                    repair_backlog: 0,
-                    state_bytes: snapshot.estimated_bytes(),
-                });
-                last_total = total;
-            }
-        }
-
         for (worker, handle) in handles.into_iter().enumerate() {
             per_worker[worker] = handle.join().expect("serve worker panicked");
         }
-        done.store(true, Ordering::Relaxed);
     });
 
     let elapsed = started.elapsed();
@@ -225,7 +161,6 @@ pub fn run_serve(cell: &Arc<SnapshotCell>, config: &ServeConfig) -> ServeOutcome
         batches,
         refreshes: refreshes.load(Ordering::Relaxed),
         elapsed,
-        samples,
     }
 }
 
@@ -297,14 +232,9 @@ mod tests {
             distribution: KeyDistribution::Zipf { theta: 1.0 },
             range_span: None,
             seed: 9,
-            sample_every: Some(Duration::from_millis(1)),
         };
         let outcome = run_serve(&cell, &config);
         assert_eq!(outcome.counters.queries, 20_000);
-        // The sampler is wall-clock; all we pin is shape, not counts.
-        for sample in &outcome.samples {
-            assert_eq!(sample.node_count, 8);
-            assert!(sample.state_bytes > 0);
-        }
+        assert_eq!(outcome.batches, 20_000_u64.div_ceil(64));
     }
 }

@@ -1,10 +1,9 @@
-//! Standalone driver for the concurrent serve front-end: batched exact and
-//! range queries over a published [`baton_net::RoutingSnapshot`] from a
-//! fixed number of OS threads.
+//! Drives the concurrent serve front-end: batched exact and range queries
+//! over a published [`baton_net::RoutingSnapshot`] of a bulk-built BATON
+//! overlay, from a fixed number of OS threads.
 //!
 //! ```text
-//! serve-bench [--profile full|smoke] [--threads N] [--mix uniform|zipf]
-//!             [--batch N] [--queries N] [--sample-ms N]
+//! serve-bench [--profile full|smoke] [--threads N]
 //! ```
 //!
 //! Output contract, relied on by CI: **stdout carries only deterministic
@@ -12,21 +11,32 @@
 //! checksum, batch counts.  Those are derived from `(seed, batch index)`
 //! alone, so two runs that differ only in `--threads` must print
 //! byte-identical stdout (CI literally `diff`s them).  Wall-clock figures
-//! (queries/second, elapsed, snapshot build time, sampler output) go to
-//! stderr.
+//! (queries/second, elapsed, snapshot build time) go to stderr; the
+//! measured serve numbers are the `serve_read` / `serve_publish` workloads
+//! of `benchmarks/`.
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use baton_bench::perf::PerfProfile;
-use baton_bench::serve::{range_span, served_overlay};
+use baton_bench::{sim_profile, SEED};
 use baton_net::SnapshotCell;
-use baton_workload::{run_serve, KeyDistribution, ServeConfig, ServeOutcome};
+use baton_workload::{
+    run_serve, KeyDistribution, ServeConfig, ServeOutcome, DOMAIN_HIGH, DOMAIN_LOW,
+};
 
-/// One deterministic stdout row.  Everything printed here must be
-/// invariant under `--threads`.
-fn print_row(kind: &str, outcome: &ServeOutcome) {
+/// Range-query span at the paper's fig8e selectivity (0.1% of the domain).
+const RANGE_SPAN: u64 = (DOMAIN_HIGH - DOMAIN_LOW) / 1000;
+
+/// Scale of one run: profile name, overlay size, exact queries, range
+/// queries.
+type Scale = (&'static str, usize, u64, u64);
+const FULL: Scale = ("full", 10_000, 1_000_000, 100_000);
+const SMOKE: Scale = ("smoke", 300, 20_000, 2_000);
+
+/// Prints one deterministic stdout row — everything here must be invariant
+/// under `--threads` — and the wall-clock half on stderr.
+fn report(kind: &str, outcome: &ServeOutcome) {
     println!(
         "{kind} queries={} matches={} hops={} slots_swept={} rejected={} \
          checksum={:016x} batches={}",
@@ -38,50 +48,28 @@ fn print_row(kind: &str, outcome: &ServeOutcome) {
         outcome.counters.checksum,
         outcome.batches,
     );
-}
-
-/// The wall-clock half of a row, kept off stdout.
-fn report_wall(kind: &str, outcome: &ServeOutcome) {
     eprintln!(
         "serve-bench: {kind}: {:.1} ms, {:.0} queries/s, {} snapshot refreshes",
         outcome.elapsed.as_secs_f64() * 1e3,
         outcome.per_second(),
         outcome.refreshes,
     );
-    for sample in &outcome.samples {
-        eprintln!(
-            "serve-bench: {kind} sample at {} us: {} executed, {:.0} q/s, {} in flight",
-            sample.at.as_micros(),
-            sample.executed,
-            sample.ops_per_sec,
-            sample.in_flight,
-        );
-    }
 }
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    let mut profile = PerfProfile::full();
+    let mut scale = FULL;
     let mut threads = 1usize;
-    let mut distribution = KeyDistribution::Uniform;
-    let mut batch: Option<usize> = None;
-    let mut queries: Option<u64> = None;
-    let mut sample_every: Option<Duration> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--profile" => {
-                let Some(name) = args.next() else {
-                    eprintln!("--profile needs a value (full|smoke)");
+            "--profile" => match args.next().map(|s| s.to_ascii_lowercase()).as_deref() {
+                Some("full") => scale = FULL,
+                Some("smoke") => scale = SMOKE,
+                _ => {
+                    eprintln!("--profile needs one of full|smoke");
                     return ExitCode::FAILURE;
-                };
-                match PerfProfile::by_name(&name) {
-                    Some(p) => profile = p,
-                    None => {
-                        eprintln!("unknown profile {name:?} (expected full|smoke)");
-                        return ExitCode::FAILURE;
-                    }
                 }
-            }
+            },
             "--threads" => match baton_sim::parse_threads(args.next()) {
                 Ok(n) => threads = n,
                 Err(msg) => {
@@ -89,45 +77,9 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--mix" => {
-                let Some(name) = args.next() else {
-                    eprintln!("--mix needs a value (uniform|zipf)");
-                    return ExitCode::FAILURE;
-                };
-                distribution = match name.as_str() {
-                    "uniform" => KeyDistribution::Uniform,
-                    "zipf" => KeyDistribution::Zipf { theta: 1.0 },
-                    other => {
-                        eprintln!("unknown mix {other:?} (expected uniform|zipf)");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--batch" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => batch = Some(n),
-                _ => {
-                    eprintln!("--batch needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--queries" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => queries = Some(n),
-                _ => {
-                    eprintln!("--queries needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--sample-ms" => match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => sample_every = Some(Duration::from_millis(n)),
-                _ => {
-                    eprintln!("--sample-ms needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: serve-bench [--profile full|smoke] [--threads N] \
-                     [--mix uniform|zipf] [--batch N] [--queries N] [--sample-ms N]\n\
+                    "usage: serve-bench [--profile full|smoke] [--threads N]\n\
                      stdout is deterministic (thread-count invariant); wall-clock \
                      figures go to stderr"
                 );
@@ -139,19 +91,17 @@ fn main() -> ExitCode {
             }
         }
     }
+    let (profile, n, exact_queries, range_queries) = scale;
 
-    let seed = 2005u64;
-    let mix = match distribution {
-        KeyDistribution::Uniform => "uniform",
-        KeyDistribution::Zipf { .. } => "zipf",
-    };
     eprintln!(
-        "serve-bench: profile {}, {threads} thread(s), {mix} mix, building \
-         {}-node BATON overlay",
-        profile.name, profile.build_n
+        "serve-bench: profile {profile}, {threads} thread(s), building {n}-node BATON overlay"
     );
     let started = Instant::now();
-    let overlay = served_overlay(&profile, seed);
+    // Bulk-built and loaded through the direct path (1% of the paper's
+    // dataset), so set-up does not swamp the run.
+    let sim = sim_profile(n, 1, 0.01, 1.0);
+    let mut overlay = baton_sim::reference_overlay().build_bulk(&sim, n, SEED);
+    baton_sim::driver::load_overlay_direct(&sim, &mut *overlay, KeyDistribution::Uniform, SEED);
     let snapshot = overlay
         .routing_snapshot()
         .expect("BATON exports routing snapshots");
@@ -164,36 +114,13 @@ fn main() -> ExitCode {
     let cell = Arc::new(SnapshotCell::new(snapshot));
 
     // Header row: run shape, minus anything wall-clock or thread-dependent.
-    let exact_queries = queries.unwrap_or(profile.serve_queries);
-    let range_queries = queries
-        .map(|q| q.div_ceil(10))
-        .unwrap_or(profile.serve_range_queries);
-    let mut exact = ServeConfig::exact(exact_queries, threads, seed ^ 0x5EE7);
-    exact.distribution = distribution;
-    if let Some(b) = batch {
-        exact.batch = b;
-    }
-    exact.sample_every = sample_every;
+    let exact = ServeConfig::exact(exact_queries, threads, SEED ^ 0x5EE7);
     println!(
-        "serve-bench profile={} mix={mix} batch={} span={}",
-        profile.name,
-        exact.batch,
-        range_span()
+        "serve-bench profile={profile} mix=uniform batch={} span={RANGE_SPAN}",
+        exact.batch
     );
-
-    let outcome = run_serve(&cell, &exact);
-    print_row("exact", &outcome);
-    report_wall("exact", &outcome);
-
-    let mut range = ServeConfig::range(range_queries, threads, seed ^ 0x4A4E, range_span());
-    range.distribution = distribution;
-    if let Some(b) = batch {
-        range.batch = b;
-    }
-    range.sample_every = sample_every;
-    let outcome = run_serve(&cell, &range);
-    print_row("range", &outcome);
-    report_wall("range", &outcome);
-
+    report("exact", &run_serve(&cell, &exact));
+    let range = ServeConfig::range(range_queries, threads, SEED ^ 0x4A4E, RANGE_SPAN);
+    report("range", &run_serve(&cell, &range));
     ExitCode::SUCCESS
 }

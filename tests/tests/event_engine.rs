@@ -296,7 +296,8 @@ fn latency_percentiles_are_ordered_on_every_series() {
         assert!(summary.mean <= summary.max && summary.count == samples.len());
     }
     // The actual emitted scenario series.
-    let result = scenario::latency_under_churn(&Profile::smoke());
+    let result =
+        scenario::run_scenario("latency_under_churn", &Profile::smoke()).expect("registered");
     assert!(!result.series.is_empty());
     for series in &result.series {
         for class in &series.classes {

@@ -2,8 +2,8 @@
 //! with the [`baton_net::MessageStats`] accounting (trace ↔ stats oracle),
 //! the recorder's ring buffer must bound memory under long runs, and the
 //! per-class detour split (`messages == primary + detour`) must hold with
-//! and without failures.  The JSON reader behind `--check-trace` and
-//! `perf --check` must answer malformed input with an error, not a panic.
+//! and without failures.  The JSON reader behind `--check-trace` must
+//! answer malformed input with an error, not a panic.
 
 use baton_core::{BatonConfig, BatonSystem};
 use baton_net::{LatencyModel, Overlay, SimRng, SimTime, TraceConfig};
@@ -106,10 +106,12 @@ fn trace_spans_reconcile_with_message_stats_on_every_overlay() {
 #[test]
 fn ring_buffer_eviction_bounds_memory_under_an_open_loop_run() {
     let capacity = 8;
-    let (_, traces) = scenario::run_scenario_traced(
+    let (_, traces) = scenario::run_scenario_full(
         "latency_under_churn",
         &Profile::smoke(),
-        TraceConfig::new(capacity),
+        None,
+        None,
+        Some(TraceConfig::new(capacity)),
     )
     .expect("registered scenario");
     assert!(!traces.is_empty());
@@ -136,10 +138,12 @@ fn ring_buffer_eviction_bounds_memory_under_an_open_loop_run() {
 /// about a third of the operations, deterministically.
 #[test]
 fn sampling_modulus_thins_the_recorded_spans() {
-    let (_, traces) = scenario::run_scenario_traced(
+    let (_, traces) = scenario::run_scenario_full(
         "latency_under_churn",
         &Profile::smoke(),
-        TraceConfig::default().with_sample(3),
+        None,
+        None,
+        Some(TraceConfig::default().with_sample(3)),
     )
     .expect("registered scenario");
     for (overlay, buffer) in &traces {

@@ -10,7 +10,7 @@
 use baton_chord::ChordSystem;
 use baton_core::{BatonConfig, BatonSystem, KeyRange};
 use baton_mtree::MTreeSystem;
-use baton_net::{Overlay, SimRng};
+use baton_net::{Overlay, OverlayError, SimRng};
 use baton_workload::{KeyDistribution, KeyGenerator};
 
 const N: usize = 400;
@@ -128,7 +128,10 @@ fn only_the_ordered_overlays_answer_range_queries() {
         .search_range(KeyRange::new(400_000_000, 600_000_000))
         .unwrap();
     assert_eq!(b.matches.len(), 1);
-    assert!(chord.search_range(400_000_000, 600_000_000).is_none());
+    assert!(matches!(
+        chord.search_range(400_000_000, 600_000_000),
+        Err(OverlayError::Unsupported(_))
+    ));
     assert!(mtree.search_range(400_000_000, 600_000_000).is_ok());
 }
 

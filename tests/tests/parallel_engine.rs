@@ -24,9 +24,14 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
         let parallel = scenario::run_scenario(spec.id, &profile).expect("registered");
         set_threads(1);
         assert_eq!(
+            single, parallel,
+            "scenario {} diverged between 1 and 4 worker threads",
+            spec.id
+        );
+        assert_eq!(
             render_scenarios_json(&[single]),
             render_scenarios_json(&[parallel]),
-            "scenario {} diverged between 1 and 4 worker threads",
+            "scenario {} rendered differently at 1 and 4 worker threads",
             spec.id
         );
     }
