@@ -31,4 +31,4 @@ pub mod system;
 pub use baton_net::Overlay;
 pub use id::{ChordId, M, RING};
 pub use node::{ChordNode, Finger};
-pub use system::{ChordError, ChordMessage, ChordSystem};
+pub use system::{ChordError, ChordSystem};

@@ -16,36 +16,10 @@
 use std::collections::btree_map::Entry;
 use std::collections::HashSet;
 
-use baton_net::{
-    ChurnCost, LinkKind, NetMessage, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
-};
+use baton_net::{ChurnCost, LinkKind, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
 
 use crate::id::{ChordId, M};
 use crate::node::{ChordNode, Finger};
-
-/// Protocol messages of the Chord baseline (used for message accounting).
-#[derive(Clone, Debug)]
-pub enum ChordMessage {
-    /// A lookup request being forwarded.
-    Lookup,
-    /// Final answer of a lookup.
-    LookupAnswer,
-    /// Join / leave notifications (successor, predecessor, key transfer).
-    Maintenance,
-    /// Data operation delivered to the owner.
-    Data,
-}
-
-impl NetMessage for ChordMessage {
-    fn kind(&self) -> &'static str {
-        match self {
-            ChordMessage::Lookup => "chord.lookup",
-            ChordMessage::LookupAnswer => "chord.lookup_answer",
-            ChordMessage::Maintenance => "chord.maintenance",
-            ChordMessage::Data => "chord.data",
-        }
-    }
-}
 
 /// Errors returned by the Chord baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,7 +57,7 @@ pub type Result<T> = std::result::Result<T, ChordError>;
 /// A Chord ring over the shared simulator substrate.
 #[derive(Debug)]
 pub struct ChordSystem {
-    pub(crate) net: SimNetwork<ChordMessage>,
+    pub(crate) net: SimNetwork,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<ChordNode>,
@@ -338,16 +312,15 @@ impl ChordSystem {
             if target.in_half_open_interval(node.id, node.successor.1) {
                 let successor = node.successor.0;
                 self.net
-                    .send_with_kind(
+                    .transmit(
                         op,
                         current,
                         successor,
                         hops + 1,
                         LinkKind::Successor,
-                        ChordMessage::Lookup,
+                        "chord.lookup",
                     )
                     .ok();
-                let _ = self.net.deliver_next();
                 return Ok((successor, u64::from(hops + 1)));
             }
             let (next, kind) = match node.closest_preceding(target) {
@@ -355,9 +328,8 @@ impl ChordSystem {
                 None => (node.successor.0, LinkKind::Successor),
             };
             self.net
-                .send_with_kind(op, current, next, hops + 1, kind, ChordMessage::Lookup)
+                .transmit(op, current, next, hops + 1, kind, "chord.lookup")
                 .ok();
-            let _ = self.net.deliver_next();
             hops += 1;
             current = next;
             if hops > limit {

@@ -63,7 +63,6 @@
 pub mod bulk;
 pub mod config;
 pub mod error;
-pub mod messages;
 pub mod node;
 pub mod overlay;
 pub mod position;
@@ -78,7 +77,6 @@ pub mod validate;
 
 pub use config::{BatonConfig, LoadBalanceConfig};
 pub use error::{BatonError, Result};
-pub use messages::BatonMessage;
 pub use node::BatonNode;
 pub use position::{Position, Side};
 pub use range::{Key, KeyRange};

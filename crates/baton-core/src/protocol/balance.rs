@@ -29,7 +29,6 @@
 use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
-use crate::messages::BatonMessage;
 use crate::position::Side;
 use crate::range::Key;
 use crate::reports::{BalanceKind, LoadBalanceReport};
@@ -195,16 +194,7 @@ impl BatonSystem {
             moved
         };
         let items_moved = moved_items.len();
-        self.hop(
-            op,
-            overloaded,
-            adjacent,
-            1,
-            BatonMessage::BalanceMigrate {
-                range: moved_range,
-                items: items_moved,
-            },
-        )?;
+        self.hop(op, overloaded, adjacent, 1, "balance.migrate")?;
         messages += 1;
         {
             let adj = self.node_mut(adjacent)?;
@@ -286,13 +276,7 @@ impl BatonSystem {
         }
 
         // Ask the light leaf to move (one message).
-        self.hop(
-            op,
-            overloaded,
-            light,
-            1,
-            BatonMessage::BalanceRequestRejoin { overloaded },
-        )?;
+        self.hop(op, overloaded, light, 1, "balance.request_rejoin")?;
         messages += 1;
 
         // 1. The light leaf leaves its position, handing its data and range
@@ -395,16 +379,7 @@ impl BatonSystem {
             let g = self.node_mut(overloaded)?;
             g.set_adjacent(Side::Left, Some(light_link));
         }
-        self.hop(
-            op,
-            overloaded,
-            light,
-            1,
-            BatonMessage::BalanceMigrate {
-                range: light_range,
-                items: self.node_ref(light)?.store.len(),
-            },
-        )?;
+        self.hop(op, overloaded, light, 1, "balance.migrate")?;
         messages += 1;
         if let Some(outer) = outer {
             self.notify(op, "table.adjacent_update", light, outer.peer);

@@ -15,7 +15,6 @@
 use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
-use crate::messages::BatonMessage;
 use crate::node::BatonNode;
 use crate::position::{Position, Side};
 use crate::range::KeyRange;
@@ -67,13 +66,7 @@ impl BatonSystem {
         let limit = self.walk_limit();
         let mut messages = 0u64;
         let mut hop_no = 1u32;
-        self.hop(
-            op,
-            joiner,
-            contact,
-            hop_no,
-            BatonMessage::JoinRequest { joiner },
-        )?;
+        self.hop(op, joiner, contact, hop_no, "join.request")?;
         messages += 1;
         let mut current = contact;
         loop {
@@ -136,13 +129,7 @@ impl BatonSystem {
                     hops: hop_no,
                 });
             }
-            self.hop(
-                op,
-                current,
-                next,
-                hop_no,
-                BatonMessage::JoinRequest { joiner },
-            )?;
+            self.hop(op, current, next, hop_no, "join.request")?;
             messages += 1;
             current = next;
         }
@@ -191,17 +178,7 @@ impl BatonSystem {
 
         // One message: the parent accepts the joiner and hands over its half
         // of the range (the data handoff rides on this acceptance).
-        self.hop(
-            op,
-            parent_peer,
-            joiner,
-            1,
-            BatonMessage::JoinAccept {
-                parent: NodeLink::new(parent_peer, parent_pos, parent_new_range),
-                side,
-                range: child_range,
-            },
-        )?;
+        self.hop(op, parent_peer, joiner, 1, "join.accept")?;
         messages += 1;
 
         // Adjacent links: the parent's adjacent link on `side` is handed to

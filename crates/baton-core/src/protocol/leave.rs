@@ -14,10 +14,8 @@
 use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
-use crate::messages::BatonMessage;
 use crate::node::BatonNode;
 use crate::reports::LeaveReport;
-use crate::routing::NodeLink;
 use crate::system::{BatonSystem, LinkUpdate};
 
 /// The children recorded for `node`'s routing-table neighbours, in table
@@ -106,10 +104,6 @@ impl BatonSystem {
         sender: PeerId,
     ) -> Result<(PeerId, u64)> {
         let node = self.node_ref(departing)?;
-        let request = BatonMessage::FindReplacement {
-            departing,
-            position: node.position,
-        };
         let start = if node.is_leaf() {
             // A leaf that cannot depart directly has a neighbour with a
             // child; start the walk at such a child.
@@ -135,7 +129,7 @@ impl BatonSystem {
         let limit = self.walk_limit();
         let mut messages = 1u64;
         let mut hops = 1u32;
-        self.hop(op, sender, start, hops, request.clone())?;
+        self.hop(op, sender, start, hops, "leave.find_replacement")?;
         let mut current = start;
         loop {
             let node = self.node_ref(current)?;
@@ -155,7 +149,7 @@ impl BatonSystem {
                     hops,
                 });
             }
-            self.hop(op, current, next, hops, request.clone())?;
+            self.hop(op, current, next, hops, "leave.find_replacement")?;
             messages += 1;
             current = next;
         }
@@ -216,14 +210,7 @@ impl BatonSystem {
         });
 
         // 2. Transfer content and range to the parent.
-        let items = store.len();
-        self.hop(
-            op,
-            actor,
-            parent_link.peer,
-            1,
-            BatonMessage::LeaveTransfer { range, items },
-        )?;
+        self.hop(op, actor, parent_link.peer, 1, "leave.transfer")?;
         messages += 1;
         {
             let parent = self.node_mut(parent_link.peer)?;
@@ -285,16 +272,7 @@ impl BatonSystem {
         self.vacate(old_node.position, old_peer);
 
         // One message: the state / content handoff to the replacement.
-        self.hop(
-            op,
-            via,
-            new_peer,
-            1,
-            BatonMessage::ReplacementAnnounce {
-                old: old_peer,
-                new_link: NodeLink::new(new_peer, old_node.position, old_node.range),
-            },
-        )?;
+        self.hop(op, via, new_peer, 1, "leave.replacement_announce")?;
         messages += 1;
 
         let mut new_node = old_node;

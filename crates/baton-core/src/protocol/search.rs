@@ -13,7 +13,6 @@ use std::ops::ControlFlow;
 use baton_net::{OpCost, OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
-use crate::messages::BatonMessage;
 use crate::node::BatonNode;
 use crate::range::{Key, KeyRange};
 use crate::reports::{RangeSearchReport, SearchReport};
@@ -323,10 +322,7 @@ impl BatonSystem {
                 from,
                 next,
                 walk.hops + nodes_visited as u32,
-                BatonMessage::SearchRange {
-                    range: clamped,
-                    issuer,
-                },
+                "search.range",
             )?;
             messages += 1;
             if delivered {
@@ -598,13 +594,7 @@ impl BatonSystem {
                 };
                 let previous_peer = previous.peer;
                 hops += 1;
-                self.hop(
-                    op,
-                    exhausted.peer,
-                    previous_peer,
-                    hops,
-                    BatonMessage::SearchExact { key, issuer },
-                )?;
+                self.hop(op, exhausted.peer, previous_peer, hops, "search.exact")?;
                 messages += 1;
                 if messages > message_budget {
                     return Err(BatonError::RoutingLoop { operation, hops });
@@ -615,13 +605,7 @@ impl BatonSystem {
             if scratch.is_visited(candidate) {
                 continue;
             }
-            let delivered = self.hop(
-                op,
-                current,
-                candidate,
-                hops + 1,
-                BatonMessage::SearchExact { key, issuer },
-            )?;
+            let delivered = self.hop(op, current, candidate, hops + 1, "search.exact")?;
             messages += 1;
             if messages > message_budget {
                 return Err(BatonError::RoutingLoop { operation, hops });

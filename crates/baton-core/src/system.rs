@@ -35,7 +35,6 @@ use baton_net::{Histogram, LinkKind, OpScope, PeerDirectory, PeerId, SimNetwork,
 
 use crate::config::BatonConfig;
 use crate::error::{BatonError, Result};
-use crate::messages::BatonMessage;
 use crate::node::BatonNode;
 use crate::position::Position;
 use crate::range::{Key, KeyRange};
@@ -130,7 +129,7 @@ pub(crate) enum LinkUpdate {
 /// One BATON overlay: peers, their tree state, and the simulated network.
 #[derive(Debug)]
 pub struct BatonSystem {
-    pub(crate) net: SimNetwork<BatonMessage>,
+    pub(crate) net: SimNetwork,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.  All membership changes are its `insert` / `remove`.
     pub(crate) nodes: PeerDirectory<BatonNode>,
@@ -487,7 +486,7 @@ impl BatonSystem {
         (height * self.config.walk_limit_factor).max(32)
     }
 
-    /// Sends one protocol message from `from` to `to` and delivers it,
+    /// Transmits one protocol message of the given kind from `from` to `to`,
     /// charging it to `op`.  Returns `Ok(true)` if the destination was
     /// alive, `Ok(false)` if the delivery failed (dead destination).
     pub(crate) fn hop(
@@ -496,7 +495,7 @@ impl BatonSystem {
         from: PeerId,
         to: PeerId,
         hop_no: u32,
-        message: BatonMessage,
+        message_kind: &'static str,
     ) -> Result<bool> {
         // Link classification is trace-only work: skip the sender lookup
         // entirely on untraced runs so the hot path stays unchanged.
@@ -506,13 +505,8 @@ impl BatonSystem {
             LinkKind::Other
         };
         self.net
-            .send_with_kind(op, from, to, hop_no, kind, message)
-            .map_err(|_| BatonError::PeerNotAlive(from))?;
-        match self.net.deliver_next() {
-            Some(Ok(_)) => Ok(true),
-            Some(Err(_)) => Ok(false),
-            None => Ok(true),
-        }
+            .transmit(op, from, to, hop_no, kind, message_kind)
+            .map_err(|_| BatonError::PeerNotAlive(from))
     }
 
     /// The class of the link a `from → to` hop travels, from the sender's

@@ -44,4 +44,4 @@ pub mod system;
 pub use baton_net::Overlay;
 pub use node::{Bucket, BucketPeer};
 pub use range::DRange;
-pub use system::{D3Error, D3Message, D3TreeSystem};
+pub use system::{D3Error, D3TreeSystem};

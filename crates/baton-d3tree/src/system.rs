@@ -30,8 +30,7 @@
 //!   only when that fails does the backbone contract.
 
 use baton_net::{
-    ChurnCost, Histogram, LinkKind, NetMessage, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork,
-    SimRng,
+    ChurnCost, Histogram, LinkKind, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
 };
 
 use crate::node::{Bucket, BucketPeer};
@@ -47,33 +46,6 @@ const PEER_SLACK: u64 = 2;
 const ITEM_RATIO: u64 = 4;
 /// Absolute slack of the item-count tolerance.
 const ITEM_SLACK: u64 = 32;
-
-/// Protocol messages of the D3-Tree baseline.
-#[derive(Clone, Debug)]
-pub enum D3Message {
-    /// Join request descending towards the lightest bucket.
-    Join,
-    /// Search / insert / delete request being routed over the backbone.
-    Search,
-    /// Departure and failure-repair traffic.
-    Leave,
-    /// Weight-counter and link maintenance notifications.
-    Maintenance,
-    /// Redistribution traffic of the deterministic balancer.
-    Balance,
-}
-
-impl NetMessage for D3Message {
-    fn kind(&self) -> &'static str {
-        match self {
-            D3Message::Join => "d3.join",
-            D3Message::Search => "d3.search",
-            D3Message::Leave => "d3.leave",
-            D3Message::Maintenance => "d3.maintenance",
-            D3Message::Balance => "d3.balance",
-        }
-    }
-}
 
 /// Errors of the D3-Tree baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,7 +86,7 @@ pub type Result<T> = std::result::Result<T, D3Error>;
 /// The D3-Tree overlay.
 #[derive(Debug)]
 pub struct D3TreeSystem {
-    pub(crate) net: SimNetwork<D3Message>,
+    pub(crate) net: SimNetwork,
     rng: SimRng,
     domain: DRange,
     /// Backbone height; the backbone has `1 << height` leaf buckets.
@@ -251,8 +223,9 @@ impl D3TreeSystem {
         self.buckets.partition_point(|b| b.low() <= key) - 1
     }
 
-    /// One routed hop: counted, scheduled, delivered.  Hops between two
-    /// backbone roles hosted by the *same* peer are free (no message).
+    /// One routed hop, charged as one `d3.search` transmission.  Hops
+    /// between two backbone roles hosted by the *same* peer are free (no
+    /// message).
     fn hop(
         &mut self,
         op: OpScope,
@@ -266,9 +239,8 @@ impl D3TreeSystem {
         }
         *hop_no += 1;
         self.net
-            .send_with_kind(op, from, to, *hop_no, kind, D3Message::Search)
+            .transmit(op, from, to, *hop_no, kind, "d3.search")
             .ok();
-        let _ = self.net.deliver_next();
         1
     }
 

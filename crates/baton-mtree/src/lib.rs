@@ -37,4 +37,4 @@ pub mod system;
 pub use baton_net::Overlay;
 pub use node::{MLink, MNode};
 pub use range::MRange;
-pub use system::{MTreeError, MTreeMessage, MTreeSystem};
+pub use system::{MTreeError, MTreeSystem};

@@ -16,36 +16,10 @@
 //!   skewed splits,
 //! * the tree is not height-balanced; with skewed join points it degenerates.
 
-use baton_net::{
-    ChurnCost, LinkKind, NetMessage, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
-};
+use baton_net::{ChurnCost, LinkKind, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
 
 use crate::node::{MLink, MNode};
 use crate::range::MRange;
-
-/// Protocol messages of the multiway-tree baseline.
-#[derive(Clone, Debug)]
-pub enum MTreeMessage {
-    /// Join request being routed to the responsible node.
-    Join,
-    /// Search / insert / delete request being routed.
-    Search,
-    /// Departure traffic (children queries, replacement installation).
-    Leave,
-    /// Link maintenance notifications.
-    Maintenance,
-}
-
-impl NetMessage for MTreeMessage {
-    fn kind(&self) -> &'static str {
-        match self {
-            MTreeMessage::Join => "mtree.join",
-            MTreeMessage::Search => "mtree.search",
-            MTreeMessage::Leave => "mtree.leave",
-            MTreeMessage::Maintenance => "mtree.maintenance",
-        }
-    }
-}
 
 /// Errors of the multiway-tree baseline.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -86,7 +60,7 @@ pub type Result<T> = std::result::Result<T, MTreeError>;
 /// The multiway-tree overlay.
 #[derive(Debug)]
 pub struct MTreeSystem {
-    pub(crate) net: SimNetwork<MTreeMessage>,
+    pub(crate) net: SimNetwork,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<MNode>,
@@ -256,16 +230,8 @@ impl MTreeSystem {
                 }
             };
             self.net
-                .send_with_kind(
-                    op,
-                    current,
-                    next,
-                    messages as u32 + 1,
-                    kind,
-                    MTreeMessage::Search,
-                )
+                .transmit(op, current, next, messages as u32 + 1, kind, "mtree.search")
                 .ok();
-            let _ = self.net.deliver_next();
             messages += 1;
             current = next;
             if messages > limit {
@@ -750,16 +716,15 @@ impl MTreeSystem {
                 break;
             };
             self.net
-                .send_with_kind(
+                .transmit(
                     op,
                     current,
                     next,
                     nodes_visited as u32,
                     LinkKind::Neighbor,
-                    MTreeMessage::Search,
+                    "mtree.search",
                 )
                 .ok();
-            let _ = self.net.deliver_next();
             messages += 1;
             current = next;
             if nodes_visited > limit {

@@ -8,18 +8,19 @@
 //! mechanism by the **number of messages** exchanged between peers, not by
 //! wall-clock latency on a particular testbed.  The substrate is therefore a
 //! *deterministic* simulator: peers are logical entities identified by a
-//! [`PeerId`], messages are explicit [`Envelope`] values pushed through a
-//! [`SimNetwork`], and the network records per-kind, per-peer and
-//! per-operation counters in [`MessageStats`].
+//! [`PeerId`], a message is one [`SimNetwork::transmit`] call — who sent
+//! what kind to whom at which hop — and the network records per-kind,
+//! per-peer and per-operation counters in [`MessageStats`].
 //!
-//! Beyond the paper's count-only evaluation, the network is a
-//! **discrete-event engine with virtual time** ([`time`]): each send draws a
-//! link latency from a pluggable [`LatencyModel`] and is scheduled on a
-//! binary-heap event queue, operations carry start/finish timestamps, and an
-//! open-loop workload can interleave operations by advancing the arrival
-//! clock ([`SimNetwork::advance_to`]).  The default model is constant-zero
-//! latency, under which message counts are bit-identical to the original
-//! count-only substrate.
+//! Beyond the paper's count-only evaluation, every transmission draws a link
+//! latency from a pluggable [`LatencyModel`] ([`time`]).  There is no event
+//! queue: an operation executes **atomically against overlay state at its
+//! dispatch instant**, and virtual time is accounting — each operation's
+//! frontier is the sum of its own hop chain, notifications extend only its
+//! completion time, and an open-loop workload moves the arrival clock
+//! ([`SimNetwork::advance_to`]) so that operations overlap in time, never in
+//! state.  The default model is constant-zero latency, under which the
+//! substrate is exactly the paper's count-only one.
 //!
 //! ## Design
 //!
@@ -40,33 +41,28 @@
 //! ## Quick example
 //!
 //! ```
-//! use baton_net::{NetMessage, PeerId, SimNetwork};
+//! use baton_net::{LatencyModel, LinkKind, SimNetwork, SimTime};
 //!
-//! #[derive(Clone, Debug)]
-//! enum Ping { Ping, Pong }
-//! impl NetMessage for Ping {
-//!     fn kind(&self) -> &'static str {
-//!         match self { Ping::Ping => "ping", Ping::Pong => "pong" }
-//!     }
-//! }
-//!
-//! let mut net: SimNetwork<Ping> = SimNetwork::new();
+//! let mut net: SimNetwork =
+//!     SimNetwork::with_latency(LatencyModel::constant(SimTime::from_millis(10)));
 //! let a = net.add_peer();
 //! let b = net.add_peer();
 //! let op = net.begin_op("rpc");
-//! net.send(op, a, b, Ping::Ping).unwrap();
-//! let env = net.deliver_next().unwrap().unwrap();
-//! assert_eq!(env.to, b);
-//! net.send(op, b, a, Ping::Pong).unwrap();
+//! assert!(net.transmit(op, a, b, 1, LinkKind::Other, "ping").unwrap());
+//! net.fail_peer(a);
+//! // The reply bounces: counted as sent *and* failed, and it still took
+//! // wire time.
+//! assert!(!net.transmit(op, b, a, 2, LinkKind::Other, "pong").unwrap());
 //! net.finish_op(op);
 //! assert_eq!(net.stats().total_sent(), 2);
+//! assert_eq!(net.stats().total_failed(), 1);
+//! assert_eq!(net.now(), SimTime::from_millis(20));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod directory;
-pub mod message;
 pub mod network;
 pub mod overlay;
 pub mod parallel;
@@ -78,8 +74,7 @@ pub mod time;
 pub mod trace;
 
 pub use directory::PeerDirectory;
-pub use message::{Envelope, NetMessage};
-pub use network::{DeliveryError, NetView, SendError, SimNetwork};
+pub use network::{NetMessage, NetView, SendError, SimNetwork};
 pub use overlay::{
     ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, RepairPolicy,
 };

@@ -244,8 +244,8 @@ pub trait Overlay {
 
     /// Approximate resident bytes of the overlay's protocol state: node
     /// structs, links, routing tables and stored items, including their
-    /// heap allocations, but excluding the shared network substrate (event
-    /// queue, statistics).  This is what the perf harness divides by
+    /// heap allocations, but excluding the shared network substrate (peer
+    /// registry, statistics).  This is what the perf harness divides by
     /// `node_count()` for the bytes-per-peer rows.
     ///
     /// Default: 0 — for test doubles and overlays that do not report.
@@ -273,7 +273,7 @@ pub trait Overlay {
     /// current state for the concurrent serve front-end
     /// ([`crate::serve`]): dense per-peer key ranges, item indexes, link
     /// tables and replica sets that lock-free readers answer exact and
-    /// range queries from with zero event-queue traffic.  Pure
+    /// range queries from with zero simulated-network traffic.  Pure
     /// observation — statistics, RNG streams and the virtual clock are
     /// untouched, so a run that extracts snapshots stays byte-identical
     /// to one that does not.
@@ -454,20 +454,11 @@ mod tests {
     use super::*;
     use crate::network::SimNetwork;
 
-    #[derive(Clone, Debug)]
-    struct NoMessage;
-
-    impl crate::NetMessage for NoMessage {
-        fn kind(&self) -> &'static str {
-            "none"
-        }
-    }
-
     /// A minimal in-memory implementation used to exercise the trait's
     /// defaults and the error plumbing: it holds a network and implements
     /// only the required methods.
     struct Toy {
-        net: SimNetwork<NoMessage>,
+        net: SimNetwork,
         items: usize,
         nodes: usize,
     }

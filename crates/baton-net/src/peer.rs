@@ -147,14 +147,6 @@ impl PeerRegistry {
         self.set_status(peer, PeerStatus::Failed)
     }
 
-    /// Re-animates a peer (used when a departed peer re-joins, e.g. during
-    /// the load-balancing leaf re-join of paper §IV-D).
-    ///
-    /// Returns `false` if the peer was unknown.
-    pub fn mark_alive(&mut self, peer: PeerId) -> bool {
-        self.set_status(peer, PeerStatus::Alive)
-    }
-
     fn set_status(&mut self, peer: PeerId, status: PeerStatus) -> bool {
         match self.status.get_mut(peer.0 as usize) {
             Some(slot) => {
@@ -209,8 +201,6 @@ mod tests {
         assert!(reg.mark_failed(a));
         assert!(!reg.is_alive(a));
         assert_eq!(reg.status(a), Some(PeerStatus::Failed));
-        assert!(reg.mark_alive(a));
-        assert!(reg.is_alive(a));
         assert!(reg.mark_departed(a));
         assert_eq!(reg.status(a), Some(PeerStatus::Departed));
         assert_eq!(reg.alive_count(), 0);
@@ -224,7 +214,6 @@ mod tests {
         assert!(!reg.is_alive(ghost));
         assert!(!reg.mark_failed(ghost));
         assert!(!reg.mark_departed(ghost));
-        assert!(!reg.mark_alive(ghost));
     }
 
     #[test]

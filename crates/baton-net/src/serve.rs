@@ -1,12 +1,12 @@
 //! Concurrent serve mode: immutable routing/ownership snapshots and the
 //! lock-free read path over them.
 //!
-//! The discrete-event engine answers one query at a time behind the virtual
+//! The routed engine answers one query at a time behind the virtual
 //! clock; a real deployment answers thousands concurrently.  This module is
 //! the bridge: an overlay exports its current routing/ownership state as an
 //! immutable [`RoutingSnapshot`] — dense arrays of per-peer key ranges, link
 //! tables, item indexes and replica sets — which any number of OS threads
-//! can then query without locks, allocation, or event-queue traffic.
+//! can then query without locks, allocation, or simulated-network traffic.
 //!
 //! Structural operations (join/leave/balance/repair) never mutate a
 //! published snapshot.  Instead the owner rebuilds one and *publishes* it
@@ -20,7 +20,7 @@
 //! binary search over the slot partition (or the hashed ring), matches come
 //! from a prefix-summed item index, and hop counts are produced by greedy
 //! routing over the snapshot's link tables so the reports keep the
-//! per-[`LinkKind`] anatomy of the traced event engine without paying for
+//! per-[`LinkKind`] anatomy of the traced routed engine without paying for
 //! it per message.
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -46,9 +46,6 @@ pub struct OpStats {
     /// `true` once the operation has bounced off at least one dead peer;
     /// subsequent sends are recovery work and count as detour messages.
     pub(crate) detour: bool,
-    /// Total bytes of the messages (approximate, see
-    /// [`crate::message::NetMessage::approximate_size`]).
-    pub bytes: u64,
     /// Largest hop count observed on any message of this operation.
     pub max_hops: u32,
     /// Virtual time at which the operation was issued.
@@ -102,8 +99,8 @@ pub struct OpScope {
 /// A compact histogram over non-negative integers, most of them small.
 ///
 /// Used for Figure 8(h) (the distribution of load-balancing shift sizes) and
-/// as the aggregate an operation retires into: messages-per-op, hops-per-op
-/// and whole-millisecond latency distributions per operation class.
+/// as the aggregate an operation retires into: messages-per-op and
+/// whole-millisecond latency distributions per operation class.
 #[derive(Clone, Debug, Default)]
 pub struct Histogram {
     /// Counts of the values below [`DENSE_LIMIT`](Self::DENSE_LIMIT),
@@ -246,12 +243,10 @@ pub struct ClassStats {
     name: String,
     retired: u64,
     messages_sum: u64,
-    bytes: u64,
     failed_deliveries: u64,
     detour_hops: u64,
     latency_us_sum: u64,
     messages: Histogram,
-    hops: Histogram,
     latency_ms: Histogram,
 }
 
@@ -266,11 +261,9 @@ impl ClassStats {
     fn retire(&mut self, op: &OpStats) {
         self.retired += 1;
         self.messages_sum += op.messages;
-        self.bytes += op.bytes;
         self.failed_deliveries += op.failed_deliveries;
         self.detour_hops += op.detour_messages;
         self.messages.record(op.messages as usize);
-        self.hops.record(op.max_hops as usize);
         let latency = op.latency().unwrap_or(SimTime::ZERO);
         self.latency_us_sum += latency.as_micros();
         self.latency_ms
@@ -290,11 +283,6 @@ impl ClassStats {
     /// Total messages across retired operations.
     pub fn messages_sum(&self) -> u64 {
         self.messages_sum
-    }
-
-    /// Total approximate bytes across retired operations.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// Total failed deliveries across retired operations.
@@ -321,11 +309,6 @@ impl ClassStats {
         &self.messages
     }
 
-    /// Distribution of the maximum hop count per retired operation.
-    pub fn hops_histogram(&self) -> &Histogram {
-        &self.hops
-    }
-
     /// Distribution of virtual latency per retired operation, in whole
     /// milliseconds (sub-millisecond latencies land in bucket 0).
     pub fn latency_ms_histogram(&self) -> &Histogram {
@@ -347,7 +330,6 @@ pub struct MessageStats {
     total_sent: u64,
     total_delivered: u64,
     total_failed: u64,
-    total_bytes: u64,
     /// One `(kind, messages sent)` row per message kind, in first-seen
     /// order.  Kinds are a few dozen string literals, so a send finds its
     /// row by literal identity instead of hashing the string.
@@ -383,11 +365,6 @@ impl MessageStats {
     /// Total messages whose destination was dead at delivery time.
     pub fn total_failed(&self) -> u64 {
         self.total_failed
-    }
-
-    /// Approximate total bytes of all sent messages.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
     }
 
     /// Messages sent per statistics bucket (message kind), in first-seen
@@ -625,9 +602,8 @@ impl MessageStats {
     }
 
     /// Records a message send attributed to `op`.
-    pub(crate) fn record_send(&mut self, op: OpId, kind: &'static str, bytes: usize, hop: u32) {
+    pub(crate) fn record_send(&mut self, op: OpId, kind: &'static str, hop: u32) {
         self.total_sent += 1;
-        self.total_bytes += bytes as u64;
         // Same literal (address and length) first; string equality before a
         // new row, so a kind spelled at two call sites still has one row.
         let rows = &mut self.by_kind;
@@ -642,7 +618,6 @@ impl MessageStats {
         rows[index].1 += 1;
         if let Some(stats) = self.live_mut(op) {
             stats.messages += 1;
-            stats.bytes += bytes as u64;
             stats.max_hops = stats.max_hops.max(hop);
             if stats.detour {
                 stats.detour_messages += 1;
@@ -698,13 +673,12 @@ mod tests {
         let mut stats = MessageStats::new();
         let a = stats.begin_op("join");
         let b = stats.begin_op("leave");
-        stats.record_send(a.id, "x", 10, 1);
-        stats.record_send(a.id, "x", 10, 2);
-        stats.record_send(b.id, "y", 5, 1);
+        stats.record_send(a.id, "x", 1);
+        stats.record_send(a.id, "x", 2);
+        stats.record_send(b.id, "y", 1);
         assert_eq!(stats.op(a.id).unwrap().messages, 2);
         assert_eq!(stats.op(b.id).unwrap().messages, 1);
         assert_eq!(stats.total_sent(), 3);
-        assert_eq!(stats.total_bytes(), 25);
         assert_eq!(stats.kind_count("x"), 2);
         assert_eq!(stats.kind_count("y"), 1);
         assert_eq!(stats.kind_count("z"), 0);
@@ -716,11 +690,11 @@ mod tests {
         for msgs in [2u64, 4, 6] {
             let op = stats.begin_op("search");
             for i in 0..msgs {
-                stats.record_send(op.id, "s", 1, i as u32 + 1);
+                stats.record_send(op.id, "s", i as u32 + 1);
             }
         }
         let other = stats.begin_op("join");
-        stats.record_send(other.id, "j", 1, 1);
+        stats.record_send(other.id, "j", 1);
         assert_eq!(stats.average_messages("search"), Some(4.0));
         assert_eq!(stats.average_messages("join"), Some(1.0));
         assert_eq!(stats.average_messages("missing"), None);
@@ -730,9 +704,9 @@ mod tests {
     fn delivery_and_failure_counters() {
         let mut stats = MessageStats::new();
         let op = stats.begin_op("probe");
-        stats.record_send(op.id, "p", 1, 1);
+        stats.record_send(op.id, "p", 1);
         stats.record_delivery(PeerId(3));
-        stats.record_send(op.id, "p", 1, 2);
+        stats.record_send(op.id, "p", 2);
         stats.record_failure(op.id);
         assert_eq!(stats.total_delivered(), 1);
         assert_eq!(stats.total_failed(), 1);
@@ -750,7 +724,7 @@ mod tests {
         let mut stats = MessageStats::new();
         let op = stats.begin_op("walk");
         for hop in [1, 5, 3] {
-            stats.record_send(op.id, "w", 1, hop);
+            stats.record_send(op.id, "w", hop);
         }
         assert_eq!(stats.op(op.id).unwrap().max_hops, 5);
     }
@@ -759,7 +733,7 @@ mod tests {
     fn reset_received_counters_only_clears_per_peer_data() {
         let mut stats = MessageStats::new();
         let op = stats.begin_op("x");
-        stats.record_send(op.id, "x", 1, 1);
+        stats.record_send(op.id, "x", 1);
         stats.record_delivery(PeerId(0));
         stats.reset_received_counters();
         assert_eq!(stats.received_count(PeerId(0)), 0);
@@ -771,10 +745,10 @@ mod tests {
     fn retirement_folds_finished_ops_into_class_aggregates() {
         let mut stats = MessageStats::new();
         let a = stats.begin_op("search");
-        stats.record_send(a.id, "s", 7, 1);
-        stats.record_send(a.id, "s", 7, 2);
+        stats.record_send(a.id, "s", 1);
+        stats.record_send(a.id, "s", 2);
         let b = stats.begin_op("search");
-        stats.record_send(b.id, "s", 7, 1);
+        stats.record_send(b.id, "s", 1);
         let c = stats.begin_op("join");
         stats.finish_op(a.id);
         // b unfinished: retirement stops at it even though a is done.
@@ -786,9 +760,7 @@ mod tests {
         let class = stats.class_stats("search").unwrap();
         assert_eq!(class.retired(), 1);
         assert_eq!(class.messages_sum(), 2);
-        assert_eq!(class.bytes(), 14);
         assert_eq!(class.messages_histogram().count(2), 1);
-        assert_eq!(class.hops_histogram().max_value(), Some(2));
 
         stats.finish_op(b.id);
         stats.finish_op(c.id);
@@ -816,7 +788,7 @@ mod tests {
         stats.retire_finished();
         // Late traffic attributed to the retired id is dropped silently:
         // global counters still move, per-op state is gone.
-        stats.record_send(op.id, "r", 9, 3);
+        stats.record_send(op.id, "r", 3);
         stats.advance_op_frontier(op.id, SimTime::from_millis(99));
         stats.extend_op_completion(op.id, SimTime::from_millis(99));
         stats.finish_op(op.id);
@@ -839,7 +811,7 @@ mod tests {
         stats.retire_finished();
         // Ids keep resolving to the right records after the window slid.
         for (i, op) in ops.iter().enumerate().skip(4) {
-            stats.record_send(op.id, "w", 1, i as u32);
+            stats.record_send(op.id, "w", i as u32);
         }
         for (i, op) in ops.iter().enumerate().skip(4) {
             assert_eq!(stats.op(op.id).unwrap().max_hops, i as u32);

@@ -1,12 +1,14 @@
-//! Virtual time and link-latency models for the discrete-event engine.
+//! Virtual time and link-latency models.
 //!
 //! The original substrate counted messages and nothing else; every question
 //! the paper's Figure 8 asks is a message count.  Latency, throughput and
 //! churn-under-load require a notion of *when* things happen, so the
-//! simulator keeps a virtual clock: every message is scheduled for delivery
-//! at `send time + link latency` and the network advances its clock as the
-//! event queue drains.  Virtual time is deterministic — it is derived purely
-//! from the seeded latency model, never from the wall clock.
+//! simulator keeps virtual clocks: every message lands at `send time + link
+//! latency`, which advances its operation's frontier (see
+//! [`crate::network`]).  Operations execute atomically against overlay state
+//! when they are dispatched, so virtual time is accounting, not scheduling.
+//! It is deterministic — derived purely from the seeded latency model, never
+//! from the wall clock.
 
 use std::ops::{Add, AddAssign, Sub};
 
@@ -18,7 +20,7 @@ use crate::rng::SimRng;
 /// One type serves as both instant and duration — the simulation starts at
 /// [`SimTime::ZERO`] and only ever moves forward, so the distinction buys
 /// nothing but conversion noise here.  Microsecond resolution keeps the
-/// arithmetic exact (no float drift in the event queue ordering) while
+/// arithmetic exact (no float drift in frontier sums) while
 /// comfortably covering sub-millisecond link jitter and multi-hour runs.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct SimTime(u64);
@@ -226,7 +228,7 @@ pub struct RegionalLatency {
     pub intra: Vec<LatencyModel>,
     /// Model for links that cross a region boundary (a single stream).
     pub inter: Box<LatencyModel>,
-    /// Scheduled degradations, applied multiplicatively when overlapping.
+    /// Timed degradations, applied multiplicatively when overlapping.
     pub degradations: Vec<LinkDegradation>,
 }
 
@@ -457,7 +459,7 @@ pub enum LatencyPlan {
         intra: Box<LatencyPlan>,
         /// Plan for links that cross a region boundary.
         inter: Box<LatencyPlan>,
-        /// Scheduled degradations.
+        /// Timed degradations.
         degradations: Vec<LinkDegradation>,
     },
 }

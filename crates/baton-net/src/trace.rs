@@ -16,8 +16,8 @@
 //! O(capacity) trace state no matter how many operations it dispatches.
 //! When tracing is disabled (the default) no span is allocated and every
 //! probe is a `None` check — all committed fixtures are byte-identical
-//! either way, since tracing never touches the statistics or the event
-//! queue.
+//! either way, since tracing never touches the statistics or the latency
+//! draws.
 //!
 //! [`MessageStats`]: crate::stats::MessageStats
 
@@ -159,7 +159,7 @@ pub struct HopRecord {
     pub from: PeerId,
     /// Destination peer.
     pub to: PeerId,
-    /// Hop number the protocol assigned to the message (0 for
+    /// Hop number the protocol assigned to the message (1 for
     /// notifications).
     pub hop: u32,
     /// Link class the hop travelled.
@@ -278,22 +278,6 @@ impl TraceBuffer {
     pub(crate) fn record_hop(&mut self, op: OpId, hop: HopRecord) {
         if let Some((_, span)) = self.open.iter_mut().rev().find(|(id, _)| *id == op) {
             span.hops.push(hop);
-        }
-    }
-
-    /// Marks the hop of `op` that landed on `to` at `at` as a bounce (dead
-    /// destination).  Hops are recorded optimistically at send time because
-    /// liveness is only known at delivery.
-    pub(crate) fn mark_bounce(&mut self, op: OpId, to: PeerId, at: SimTime) {
-        if let Some((_, span)) = self.open.iter_mut().rev().find(|(id, _)| *id == op) {
-            if let Some(hop) = span
-                .hops
-                .iter_mut()
-                .rev()
-                .find(|h| h.to == to && h.arrive_at == at && h.delivered)
-            {
-                hop.delivered = false;
-            }
         }
     }
 
@@ -419,19 +403,19 @@ mod tests {
     }
 
     #[test]
-    fn bounce_marks_the_matching_hop_undelivered() {
+    fn detour_count_charges_the_bounce_and_every_hop_after_it() {
         let mut buffer = TraceBuffer::new(TraceConfig::new(10));
         let op = OpId(0);
         buffer.begin(op, "op", SimTime::ZERO);
         buffer.record_hop(op, hop(1, LinkKind::Parent, 0, false));
-        buffer.record_hop(op, hop(2, LinkKind::Child, 5, false));
-        buffer.mark_bounce(op, PeerId(2), SimTime::from_micros(6));
+        let bounce = HopRecord {
+            delivered: false,
+            ..hop(2, LinkKind::Child, 5, false)
+        };
+        buffer.record_hop(op, bounce);
         buffer.record_hop(op, hop(3, LinkKind::Adjacent, 10, true));
         buffer.finish(op, SimTime::from_micros(12));
         let span = buffer.spans().next().unwrap();
-        assert!(span.hops[0].delivered);
-        assert!(!span.hops[1].delivered);
-        assert!(span.hops[2].delivered && span.hops[2].detour);
         // The bounce itself plus the detour hop after it are both charged.
         assert_eq!(span.detour_count(), 2);
     }

@@ -9,7 +9,7 @@
 //!
 //! By default every figure is regenerated at the `quick` profile and printed
 //! as text tables, followed by every scenario (latency percentiles and
-//! throughput from the discrete-event engine).  `--profile full` uses the
+//! throughput in virtual time).  `--profile full` uses the
 //! paper's network sizes (1000–10,000 nodes) with a scaled-down bulk load;
 //! `--profile paper` runs the publication's exact configuration (slow).
 //!

@@ -50,7 +50,7 @@ pub struct OverlaySpec {
 
 /// Serve-mode capabilities of one overlay: whether it exports a
 /// [`baton_net::RoutingSnapshot`] and which query shapes the snapshot can
-/// answer without touching the event engine.
+/// answer without touching the routed engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeSupport {
     /// [`Overlay::routing_snapshot`] returns `Some`.

@@ -8,8 +8,9 @@
 //!
 //! ### Model
 //!
-//! The simulator executes operations one at a time, so concurrency is
-//! modelled explicitly (and documented in `DESIGN.md` / `EXPERIMENTS.md`):
+//! The simulator executes every operation atomically against overlay state
+//! (see `baton_net::network`), so no link is ever stale when the next
+//! operation routes and this figure is **computed, not observed**:
 //! during a batch of `c` concurrent joins and leaves over an `N`-node
 //! overlay, a routing hop taken by any of those operations encounters a
 //! stale link with probability `(c − 1) / (2 N)` — the expected fraction of

@@ -23,7 +23,7 @@
 //! | 8(i) | [`figures::fig8i`] | extra messages under concurrent churn |
 //!
 //! Beyond the paper's message counts, the [`scenario`] module drives the
-//! discrete-event engine in the time domain through a declarative registry:
+//! routed engine in the time domain through a declarative registry:
 //! each [`scenario::ScenarioSpec`] builds a [`scenario::ScenarioPlan`]
 //! (phased workload, latency topology, fault plan) that one generic engine
 //! runs against every registered overlay.  Six scenarios are registered —

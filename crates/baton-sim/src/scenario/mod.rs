@@ -1,5 +1,5 @@
 //! Time-domain scenarios: virtual latency and throughput, measured with the
-//! discrete-event engine — the report section the paper's count-only
+//! routed engine's virtual clocks — the report section the paper's count-only
 //! evaluation cannot produce.
 //!
 //! A scenario is *declared*, not hand-rolled: a [`ScenarioSpec`] pairs an

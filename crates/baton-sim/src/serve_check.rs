@@ -3,8 +3,8 @@
 //! Builds every registered overlay at a small scale, loads it, exports its
 //! [`baton_net::RoutingSnapshot`] and checks that a sample of exact and
 //! range queries answered **from the snapshot** (the lock-free serve path,
-//! zero event-queue traffic) return exactly the match counts the routed
-//! event-engine path returns.  The check writes only to its report — a
+//! zero simulated-network traffic) return exactly the match counts the
+//! routed path returns.  The check writes only to its report — a
 //! `--serve-check` run's stdout is byte-identical to a run without the
 //! flag, so the committed scenario fixtures keep diffing clean while CI
 //! asserts the serve path agrees with the engine.

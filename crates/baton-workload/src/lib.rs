@@ -18,7 +18,7 @@
 //!   correlated regional kills ("fail half of region 2 at t = 20s");
 //! * [`openloop`] — open-loop execution over virtual time: the phased
 //!   schedule's searches, inserts, joins, leaves, failures and fault events
-//!   interleave in the discrete-event engine, yielding latency percentiles
+//!   overlap in virtual time (never in state), yielding latency percentiles
 //!   and throughput under churn.
 //!
 //! All generators are driven by an explicit [`rand::Rng`] (normally a

@@ -222,24 +222,14 @@ pub fn run_queries(overlay: &mut dyn Overlay, queries: &[Query]) -> OverlayResul
 mod tests {
     use super::*;
     use baton_net::{
-        ChurnCost, NetMessage, NetView, OpCost, OverlayCapabilities, OverlayResult as OR,
-        SimNetwork,
+        ChurnCost, NetView, OpCost, OverlayCapabilities, OverlayResult as OR, SimNetwork,
     };
-
-    #[derive(Clone, Debug)]
-    struct NoMessage;
-
-    impl NetMessage for NoMessage {
-        fn kind(&self) -> &'static str {
-            "none"
-        }
-    }
 
     /// Deterministic fake overlay: every operation costs one message;
     /// range queries and failures are unsupported.  Holds a network and
     /// implements only the required methods.
     struct Fake {
-        net: SimNetwork<NoMessage>,
+        net: SimNetwork,
         nodes: usize,
         items: usize,
     }

@@ -282,3 +282,37 @@ fn json_parser_never_panics_on_truncated_or_mutated_documents() {
         }
     }
 }
+
+/// The bounce path of the route recorder, byte for byte: unreplicated
+/// `regional_failure` kills a whole region, so routes bounce off dead peers
+/// (`delivered: false`) and detour around them.  The bounce and detour
+/// counts and the FNV-1a digest of the rendered JSONL were recorded on the
+/// parent of the commit that made a message one `transmit` call, when a hop
+/// was recorded optimistically at send time and patched on a bounce.
+#[test]
+fn regional_failure_trace_pins_bounced_and_detour_hops() {
+    let (_, traces) = scenario::run_scenario_full(
+        "regional_failure",
+        &Profile::smoke(),
+        None,
+        Some(1),
+        Some(TraceConfig::default()),
+    )
+    .expect("registered scenario");
+    let overlays: Vec<&str> = traces.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(overlays, ["BATON", "Chord", "Multiway tree", "D3-Tree"]);
+    let hops = || {
+        traces
+            .iter()
+            .flat_map(|(_, b)| b.spans())
+            .flat_map(|s| &s.hops)
+    };
+    let bounced = hops().filter(|h| !h.delivered).count();
+    let detoured = hops().filter(|h| h.detour).count();
+    let digest = baton_sim::render_trace_jsonl(&traces)
+        .bytes()
+        .fold(0xCBF2_9CE4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        });
+    assert_eq!((bounced, detoured, digest), (185, 615, 4153065912139017487));
+}

@@ -1,5 +1,5 @@
 //! Snapshot-vs-routed oracle: every answer the lock-free serve path gives
-//! must agree with the routed event engine it snapshots.
+//! must agree with the routed engine it snapshots.
 //!
 //! * For every overlay that exports a [`RoutingSnapshot`], seeded exact
 //!   queries (hits, duplicates and guaranteed misses) and — where ranges
