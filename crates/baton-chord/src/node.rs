@@ -88,11 +88,6 @@ impl ChordNode {
         }
         None
     }
-
-    /// Number of occupied finger entries.
-    pub fn finger_count(&self) -> usize {
-        self.fingers.iter().flatten().count()
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +101,6 @@ mod tests {
         assert!(node.owns(ChordId::new(100)));
         assert!(node.owns(ChordId::new(u32::MAX as u64)));
         assert_eq!(node.load(), 0);
-        assert_eq!(node.finger_count(), 0);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! drivers know to omit Chord from Figure 8(e) — exactly as the paper does.
 
 use baton_net::{
-    ChurnCost, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
+    ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
+    SimNetwork,
 };
 
 use crate::system::{ChordError, ChordSystem};
@@ -32,11 +33,11 @@ impl Overlay for ChordSystem {
         ChordSystem::total_items(self)
     }
 
-    fn net(&self) -> &dyn NetView {
+    fn net(&self) -> &SimNetwork {
         &self.net
     }
 
-    fn net_mut(&mut self) -> &mut dyn NetView {
+    fn net_mut(&mut self) -> &mut SimNetwork {
         &mut self.net
     }
 

@@ -493,10 +493,10 @@ impl ChordSystem {
         if self.nodes.len() <= 1 {
             return Err(ChordError::LastNode);
         }
-        let op = self.net.begin_op("chord.leave");
         let departing = self
             .unregister_node(peer)
             .ok_or(ChordError::UnknownPeer(peer))?;
+        let op = self.net.begin_op("chord.leave");
         let mut update_messages = 0u64;
 
         // Hand keys to the successor, re-link predecessor and successor.
@@ -928,5 +928,16 @@ mod tests {
         assert_eq!(system.leave(peer).unwrap_err(), ChordError::LastNode);
         let mut empty = ChordSystem::new(1);
         assert_eq!(empty.search_exact(1).unwrap_err(), ChordError::EmptyRing);
+
+        // A refused leave opens no operation, so the retire queue keeps
+        // draining afterwards.
+        let mut ring = ChordSystem::build(1, 8).unwrap();
+        let stranger = PeerId(u32::MAX);
+        assert_eq!(
+            ring.leave(stranger).unwrap_err(),
+            ChordError::UnknownPeer(stranger)
+        );
+        ring.net.stats_mut().retire_finished();
+        assert_eq!(ring.net.stats().live_op_count(), 0);
     }
 }

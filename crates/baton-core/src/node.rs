@@ -9,7 +9,7 @@
 use baton_net::PeerId;
 
 use crate::position::{Position, Side};
-use crate::range::{Key, KeyRange};
+use crate::range::KeyRange;
 use crate::routing::{NodeLink, RoutingEntry, RoutingTable};
 use crate::store::LocalStore;
 
@@ -178,11 +178,6 @@ impl BatonNode {
     /// Number of data items currently stored.
     pub fn load(&self) -> usize {
         self.store.len()
-    }
-
-    /// `true` if `key` belongs to this node's range.
-    pub fn owns_key(&self, key: Key) -> bool {
-        self.range.contains(key)
     }
 
     /// The entries of both routing tables: left table first, each nearest
@@ -374,8 +369,6 @@ mod tests {
         assert!(!n.is_root());
         assert_eq!(n.level(), 2);
         assert_eq!(n.load(), 0);
-        assert!(n.owns_key(50));
-        assert!(!n.owns_key(100));
         assert_eq!(n.free_child_side(), Some(Side::Left));
         assert!(n.linked_peers().is_empty());
     }
@@ -539,7 +532,7 @@ mod tests {
         n.left_table.set(1, RoutingEntry::new(link_to(&far)));
         // The slot is held by another peer: nothing is dropped.
         n.drop_table_link(PeerId(99), near.position);
-        assert_eq!(n.left_table.occupied_count(), 2);
+        assert_eq!(n.left_table.iter().count(), 2);
         n.drop_table_link(PeerId(10), near.position);
         assert_eq!(n.left_table.entry(0), None);
         assert_eq!(n.left_table.entry(1).unwrap().link.peer, PeerId(11));

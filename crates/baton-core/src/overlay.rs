@@ -4,8 +4,8 @@
 //! programs against.
 
 use baton_net::{
-    ChurnCost, Histogram, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError,
-    OverlayResult, PeerId, RepairPolicy, SimTime,
+    ChurnCost, Histogram, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult,
+    PeerId, RepairPolicy, SimNetwork, SimTime,
 };
 
 use crate::error::BatonError;
@@ -47,11 +47,11 @@ impl Overlay for BatonSystem {
         BatonSystem::total_items(self)
     }
 
-    fn net(&self) -> &dyn NetView {
+    fn net(&self) -> &SimNetwork {
         &self.net
     }
 
-    fn net_mut(&mut self) -> &mut dyn NetView {
+    fn net_mut(&mut self) -> &mut SimNetwork {
         &mut self.net
     }
 

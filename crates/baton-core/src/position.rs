@@ -132,12 +132,6 @@ impl Position {
         !self.is_root() && self.number % 2 == 1
     }
 
-    /// `true` if this position is the right child of its parent.
-    #[inline]
-    pub fn is_right_child(self) -> bool {
-        !self.is_root() && self.number.is_multiple_of(2)
-    }
-
     /// Which child of its parent this position is, or `None` for the root.
     pub fn child_side(self) -> Option<Side> {
         if self.is_root() {
@@ -185,36 +179,10 @@ impl Position {
         }
     }
 
-    /// `true` if `self` is a (strict or equal) ancestor of `other`, i.e.
-    /// `other` lies in the subtree rooted at `self`.
-    pub fn is_ancestor_of_or_equal(self, other: Position) -> bool {
-        if other.level < self.level {
-            return false;
-        }
-        let shift = other.level - self.level;
-        // The ancestor of `other` at `self.level` has number
-        // ceil(other.number / 2^shift).
-        let ancestor_number = (other.number + (1u64 << shift) - 1) >> shift;
-        ancestor_number == self.number
-    }
-
     /// Number of the last position at this level (`2^level`).
     #[inline]
     pub fn level_width(self) -> u64 {
         1u64 << self.level
-    }
-
-    /// `true` if this is the leftmost position of its level (`number == 1`).
-    #[inline]
-    pub fn is_leftmost_of_level(self) -> bool {
-        self.number == 1
-    }
-
-    /// `true` if this is the rightmost position of its level
-    /// (`number == 2^level`).
-    #[inline]
-    pub fn is_rightmost_of_level(self) -> bool {
-        self.number == self.level_width()
     }
 
     /// Number of routing-table slots at this level.
@@ -251,14 +219,6 @@ impl Position {
         })
     }
 
-    /// All in-range routing neighbour positions on `side`, with their entry
-    /// index.
-    pub fn routing_neighbors(self, side: Side) -> Vec<(usize, Position)> {
-        (0..self.routing_table_size())
-            .filter_map(|i| self.routing_neighbor(side, i).map(|p| (i, p)))
-            .collect()
-    }
-
     /// In-order rank of the position in the *infinite* binary tree, as the
     /// dyadic fraction `(2·number − 1) / 2^(level+1)` of the whole key
     /// space.  Returned as `(numerator, log2_denominator)`.
@@ -283,11 +243,6 @@ impl Position {
         let rhs = (bn as u128) << ad;
         lhs.cmp(&rhs)
     }
-
-    /// `true` if `self` comes before `other` in in-order traversal.
-    pub fn inorder_lt(self, other: Position) -> bool {
-        self.inorder_cmp(other) == Ordering::Less
-    }
 }
 
 #[cfg(test)]
@@ -301,12 +256,9 @@ mod tests {
         assert_eq!(root.number(), 1);
         assert!(root.is_root());
         assert!(!root.is_left_child());
-        assert!(!root.is_right_child());
         assert_eq!(root.parent(), None);
         assert_eq!(root.child_side(), None);
         assert_eq!(root.routing_table_size(), 0);
-        assert!(root.is_leftmost_of_level());
-        assert!(root.is_rightmost_of_level());
     }
 
     #[test]
@@ -317,7 +269,7 @@ mod tests {
         assert_eq!(l, Position::new(1, 1));
         assert_eq!(r, Position::new(1, 2));
         assert!(l.is_left_child());
-        assert!(r.is_right_child());
+        assert!(!r.is_left_child());
         assert_eq!(l.parent(), Some(root));
         assert_eq!(r.parent(), Some(root));
         assert_eq!(l.child_side(), Some(Side::Left));
@@ -334,7 +286,7 @@ mod tests {
         assert_eq!(Position::new(2, 3).left_child(), Position::new(3, 5));
         assert_eq!(Position::new(2, 3).right_child(), Position::new(3, 6));
         assert!(Position::new(3, 5).is_left_child());
-        assert!(Position::new(3, 6).is_right_child());
+        assert!(!Position::new(3, 6).is_left_child());
     }
 
     #[test]
@@ -353,11 +305,8 @@ mod tests {
 
     #[test]
     fn level_extremes() {
-        assert!(Position::new(3, 1).is_leftmost_of_level());
-        assert!(!Position::new(3, 2).is_leftmost_of_level());
-        assert!(Position::new(3, 8).is_rightmost_of_level());
-        assert!(!Position::new(3, 7).is_rightmost_of_level());
         assert_eq!(Position::new(3, 1).level_width(), 8);
+        assert_eq!(Position::ROOT.level_width(), 1);
     }
 
     #[test]
@@ -388,21 +337,20 @@ mod tests {
     #[test]
     fn routing_neighbors_interior_node() {
         let p = Position::new(3, 4);
-        let left: Vec<_> = p.routing_neighbors(Side::Left);
-        let right: Vec<_> = p.routing_neighbors(Side::Right);
+        let on = |side| {
+            (0..3)
+                .map(|i| p.routing_neighbor(side, i))
+                .collect::<Vec<_>>()
+        };
         // Left neighbours of number 4 are 3 (distance 1) and 2 (distance 2);
         // distance 4 would be number 0, which is out of range.
         assert_eq!(
-            left,
-            vec![(0, Position::new(3, 3)), (1, Position::new(3, 2))]
+            on(Side::Left),
+            [Some(Position::new(3, 3)), Some(Position::new(3, 2)), None]
         );
         assert_eq!(
-            right,
-            vec![
-                (0, Position::new(3, 5)),
-                (1, Position::new(3, 6)),
-                (2, Position::new(3, 8)),
-            ]
+            on(Side::Right),
+            [5, 6, 8].map(|number| Some(Position::new(3, number)))
         );
     }
 
@@ -410,19 +358,6 @@ mod tests {
     fn routing_neighbor_out_of_index_is_none() {
         let p = Position::new(2, 2);
         assert_eq!(p.routing_neighbor(Side::Right, 10), None);
-    }
-
-    #[test]
-    fn ancestor_relation() {
-        let root = Position::ROOT;
-        let l = root.left_child();
-        let lr = l.right_child();
-        assert!(root.is_ancestor_of_or_equal(root));
-        assert!(root.is_ancestor_of_or_equal(lr));
-        assert!(l.is_ancestor_of_or_equal(lr));
-        assert!(!lr.is_ancestor_of_or_equal(l));
-        assert!(!l.is_ancestor_of_or_equal(root.right_child()));
-        assert!(!root.right_child().is_ancestor_of_or_equal(lr));
     }
 
     #[test]
@@ -439,8 +374,9 @@ mod tests {
             Position::new(2, 4),
         ];
         for w in expected.windows(2) {
-            assert!(
-                w[0].inorder_lt(w[1]),
+            assert_eq!(
+                w[0].inorder_cmp(w[1]),
+                Ordering::Less,
                 "{:?} should be before {:?}",
                 w[0],
                 w[1]
@@ -489,7 +425,7 @@ mod tests {
             assert_eq!(p.left_child().parent(), Some(p));
             assert_eq!(p.right_child().parent(), Some(p));
             assert!(p.left_child().is_left_child());
-            assert!(p.right_child().is_right_child());
+            assert!(!p.right_child().is_left_child());
         }
     }
 
@@ -498,8 +434,8 @@ mod tests {
         let mut rng = baton_net::SimRng::seeded(0x1109);
         for _ in 0..500 {
             let p = random_position(&mut rng);
-            assert!(p.left_child().inorder_lt(p));
-            assert!(p.inorder_lt(p.right_child()));
+            assert_eq!(p.left_child().inorder_cmp(p), Ordering::Less);
+            assert_eq!(p.inorder_cmp(p.right_child()), Ordering::Less);
         }
     }
 
@@ -565,24 +501,6 @@ mod tests {
                         assert_eq!(d, 1u64 << (i - 1));
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn prop_ancestor_iff_inorder_bracketed_by_subtree() {
-        let mut rng = baton_net::SimRng::seeded(0xA2CE);
-        for _ in 0..500 {
-            let p = random_position(&mut rng);
-            // Every position in p's subtree at level p.level()+2 is
-            // recognised by is_ancestor_of_or_equal.
-            let base = p.left_child().left_child();
-            for offset in 0..4u64 {
-                let q = Position::new(base.level(), base.number() + offset);
-                assert!(p.is_ancestor_of_or_equal(q));
-            }
-            if let Some(outside) = Position::checked_new(base.level(), base.number() + 4) {
-                assert!(!p.is_ancestor_of_or_equal(outside));
             }
         }
     }

@@ -35,15 +35,6 @@ use crate::reports::{BalanceKind, LoadBalanceReport};
 use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
-    /// Explicitly runs the load-balancing check on `peer` (normally it runs
-    /// automatically after each insertion).
-    pub fn rebalance(&mut self, peer: PeerId) -> Result<LoadBalanceReport> {
-        self.check_alive(peer)?;
-        self.in_op("balance", |system, op| {
-            system.rebalance_overloaded(op, peer)
-        })
-    }
-
     /// Hook called after every insertion: triggers balancing when the owner
     /// exceeds the configured overload threshold.
     pub(crate) fn maybe_balance_after_insert(
@@ -540,15 +531,6 @@ mod tests {
             "load balancing did not reduce the maximum load ({max_with} vs {max_without})"
         );
         validate(&with_lb).unwrap();
-    }
-
-    #[test]
-    fn explicit_rebalance_on_underloaded_node_is_a_noop() {
-        let mut system = BatonSystem::build(skew_config(100), 7, 10).unwrap();
-        let peer = system.peers()[0];
-        let report = system.rebalance(peer).unwrap();
-        assert_eq!(report.items_moved, 0);
-        validate(&system).unwrap();
     }
 
     #[test]

@@ -105,15 +105,6 @@ impl BatonSystem {
             })
         })
     }
-
-    /// Inserts a batch of `(key, value)` pairs (the paper loads its networks
-    /// with `1000 × N` values "in batches").  Returns the per-insert reports.
-    pub fn insert_batch(&mut self, items: &[(Key, Value)]) -> Result<Vec<InsertReport>> {
-        items
-            .iter()
-            .map(|(k, v)| self.insert(*k, *v))
-            .collect::<Result<Vec<_>>>()
-    }
 }
 
 #[cfg(test)]
@@ -206,19 +197,6 @@ mod tests {
     fn delete_out_of_domain_key_is_rejected() {
         let mut system = build(10, 5);
         assert_eq!(system.delete(0).unwrap_err(), BatonError::KeyOutOfDomain(0));
-    }
-
-    #[test]
-    fn insert_batch_inserts_everything() {
-        let mut system = build(20, 6);
-        let items: Vec<(Key, Value)> = (0..50u64).map(|i| (1 + i * 19_999_999, i)).collect();
-        let reports = system.insert_batch(&items).unwrap();
-        assert_eq!(reports.len(), 50);
-        assert_eq!(system.total_items(), 50);
-        for (k, v) in items {
-            let found = system.search_exact(k).unwrap();
-            assert_eq!(found.matches, vec![v]);
-        }
     }
 
     #[test]

@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn failing_the_last_node_empties_the_overlay() {
-        let mut system = BatonSystem::with_seed(6);
+        let mut system = BatonSystem::new(BatonConfig::default(), 6);
         let root = system.bootstrap().unwrap();
         system.insert(100, 1).unwrap();
         let report = system.fail(root).unwrap();

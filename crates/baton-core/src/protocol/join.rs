@@ -333,7 +333,7 @@ mod tests {
 
     #[test]
     fn second_node_becomes_child_of_root() {
-        let mut system = BatonSystem::with_seed(7);
+        let mut system = BatonSystem::new(BatonConfig::default(), 7);
         let root = system.bootstrap().unwrap();
         let report = system.join_via(root).unwrap();
         assert_eq!(report.parent, root);
@@ -387,7 +387,7 @@ mod tests {
 
     #[test]
     fn joins_preserve_invariants_at_every_step() {
-        let mut system = BatonSystem::with_seed(11);
+        let mut system = BatonSystem::new(BatonConfig::default(), 11);
         system.bootstrap().unwrap();
         for i in 0..80 {
             system.join_random().unwrap();
@@ -420,7 +420,7 @@ mod tests {
 
     #[test]
     fn join_on_empty_network_fails() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         assert_eq!(system.join_random().unwrap_err(), BatonError::EmptyNetwork);
     }
 

@@ -313,14 +313,14 @@ mod tests {
 
     #[test]
     fn last_node_cannot_leave() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         let root = system.bootstrap().unwrap();
         assert_eq!(system.leave(root).unwrap_err(), BatonError::LastNode);
     }
 
     #[test]
     fn leaf_departure_returns_range_to_parent() {
-        let mut system = BatonSystem::with_seed(2);
+        let mut system = BatonSystem::new(BatonConfig::default(), 2);
         let root = system.bootstrap().unwrap();
         let join = system.join_via(root).unwrap();
         system.insert(5, 55).unwrap();

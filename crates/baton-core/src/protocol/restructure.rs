@@ -526,12 +526,12 @@ mod tests {
                 after.right_child.map(|l| l.peer)
             );
             assert_eq!(
-                before.left_table.occupied_count(),
-                after.left_table.occupied_count()
+                before.left_table.iter().count(),
+                after.left_table.iter().count()
             );
             assert_eq!(
-                before.right_table.occupied_count(),
-                after.right_table.occupied_count()
+                before.right_table.iter().count(),
+                after.right_table.iter().count()
             );
         }
     }

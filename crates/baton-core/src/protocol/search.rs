@@ -654,7 +654,7 @@ mod tests {
 
     #[test]
     fn search_on_empty_network_fails() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         assert_eq!(
             system.search_exact(5).unwrap_err(),
             BatonError::EmptyNetwork
@@ -670,7 +670,7 @@ mod tests {
 
     #[test]
     fn single_node_owns_every_key() {
-        let mut system = BatonSystem::with_seed(3);
+        let mut system = BatonSystem::new(BatonConfig::default(), 3);
         let root = system.bootstrap().unwrap();
         let report = system.search_exact_from(root, 123_456).unwrap();
         assert_eq!(report.owner, root);

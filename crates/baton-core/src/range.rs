@@ -45,11 +45,6 @@ impl KeyRange {
         Self::new(1, 1_000_000_000)
     }
 
-    /// The full `u64` domain `[0, u64::MAX)`.
-    pub fn full_domain() -> Self {
-        Self::new(0, Key::MAX)
-    }
-
     /// Lower bound (inclusive).
     #[inline]
     pub fn low(self) -> Key {
@@ -78,11 +73,6 @@ impl KeyRange {
     #[inline]
     pub fn contains(self, key: Key) -> bool {
         key >= self.low && key < self.high
-    }
-
-    /// `true` if every key of `other` is contained in `self`.
-    pub fn contains_range(self, other: KeyRange) -> bool {
-        other.is_empty() || (other.low >= self.low && other.high <= self.high)
     }
 
     /// `true` if the two ranges share at least one key.
@@ -172,11 +162,6 @@ impl KeyRange {
         );
         KeyRange::new(self.low, new_high)
     }
-
-    /// The midpoint key `low + width/2`.
-    pub fn midpoint(self) -> Key {
-        self.low + self.width() / 2
-    }
 }
 
 #[cfg(test)]
@@ -190,7 +175,6 @@ mod tests {
         assert_eq!(r.high(), 20);
         assert_eq!(r.width(), 10);
         assert!(!r.is_empty());
-        assert_eq!(r.midpoint(), 15);
         assert_eq!(format!("{r}"), "[10, 20)");
         assert_eq!(format!("{r:?}"), "[10, 20)");
     }
@@ -200,7 +184,7 @@ mod tests {
         let paper = KeyRange::paper_domain();
         assert_eq!(paper.low(), 1);
         assert_eq!(paper.high(), 1_000_000_000);
-        let full = KeyRange::full_domain();
+        let full = KeyRange::new(0, Key::MAX);
         assert!(full.contains(0));
         assert!(full.contains(u64::MAX - 1));
         assert!(!full.contains(u64::MAX));
@@ -228,16 +212,6 @@ mod tests {
         assert!(r.contains(19));
         assert!(!r.contains(20));
         assert!(!r.contains(9));
-    }
-
-    #[test]
-    fn contains_range_cases() {
-        let outer = KeyRange::new(0, 100);
-        assert!(outer.contains_range(KeyRange::new(0, 100)));
-        assert!(outer.contains_range(KeyRange::new(10, 20)));
-        assert!(outer.contains_range(KeyRange::new(50, 50))); // empty
-        assert!(!outer.contains_range(KeyRange::new(90, 101)));
-        assert!(!KeyRange::new(10, 20).contains_range(outer));
     }
 
     #[test]
@@ -359,8 +333,8 @@ mod tests {
             let i2 = b.intersection(a);
             assert_eq!(i1.width(), i2.width());
             if !i1.is_empty() {
-                assert!(a.contains_range(i1));
-                assert!(b.contains_range(i1));
+                assert_eq!(a.intersection(i1), i1);
+                assert_eq!(b.intersection(i1), i1);
                 assert!(a.intersects(b));
             } else {
                 assert!(!a.intersects(b));

@@ -111,11 +111,6 @@ impl RoutingTable {
         }
     }
 
-    /// Which side this table covers.
-    pub fn side(&self) -> Side {
-        self.side
-    }
-
     /// Position of the node owning this table.
     pub fn owner(&self) -> Position {
         self.owner
@@ -178,11 +173,6 @@ impl RoutingTable {
         self.valid_slot_indices().all(|i| self.slots[i].is_some())
     }
 
-    /// Number of slots currently holding an entry.
-    pub fn occupied_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
     /// Iterates over `(index, entry)` for every occupied slot, nearest
     /// neighbour first (reversible: `.rev()` walks farthest first, which is
     /// how the search hot path builds its greedy candidate order).
@@ -191,20 +181,6 @@ impl RoutingTable {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| s.as_ref().map(|e| (i, e)))
-    }
-
-    /// The farthest occupied entry (largest index), if any.  Used by the
-    /// search algorithms which greedily jump as far as possible.
-    pub fn farthest(&self) -> Option<(usize, &RoutingEntry)> {
-        self.iter().next_back()
-    }
-
-    /// The farthest occupied entry satisfying `pred`.
-    pub fn farthest_matching<F>(&self, mut pred: F) -> Option<(usize, &RoutingEntry)>
-    where
-        F: FnMut(&RoutingEntry) -> bool,
-    {
-        self.iter().rev().find(|(_, e)| pred(e))
     }
 
     /// The nearest occupied entry satisfying `pred`.
@@ -264,7 +240,7 @@ mod tests {
         let mut table = RoutingTable::new(Side::Right, owner);
         let target = Position::new(2, 3);
         table.set(0, RoutingEntry::new(link(7, target)));
-        assert_eq!(table.occupied_count(), 1);
+        assert_eq!(table.iter().count(), 1);
         assert_eq!(table.entry(0).unwrap().link.peer, PeerId(7));
         assert_eq!(table.entry(1), None);
     }
@@ -316,20 +292,17 @@ mod tests {
         table.set(0, mk(1, 2, 10));
         table.set(1, mk(2, 3, 20));
         table.set(2, mk(3, 5, 40));
-        assert_eq!(table.farthest().unwrap().1.link.peer, PeerId(3));
-        // Farthest entry whose lower bound <= 25 is the one at number 3.
+        // The search hot path walks `iter().rev()`: farthest first.
+        let (idx, e) = table.iter().next_back().unwrap();
+        assert_eq!((idx, e.link.peer), (2, PeerId(3)));
+        // Nearest entry whose lower bound >= 20 is the one at number 3.
         let (idx, e) = table
-            .farthest_matching(|e| e.link.range.low() <= 25)
-            .unwrap();
-        assert_eq!(idx, 1);
-        assert_eq!(e.link.peer, PeerId(2));
-        assert!(table
-            .farthest_matching(|e| e.link.range.low() <= 5)
-            .is_none());
-        let (idx, _) = table
             .nearest_matching(|e| e.link.range.low() >= 20)
             .unwrap();
-        assert_eq!(idx, 1);
+        assert_eq!((idx, e.link.peer), (1, PeerId(2)));
+        assert!(table
+            .nearest_matching(|e| e.link.range.low() >= 50)
+            .is_none());
     }
 
     #[test]
@@ -373,6 +346,6 @@ mod tests {
         assert_eq!(table.slot_count(), 0);
         assert!(table.is_full());
         assert_eq!(table.valid_slot_indices().count(), 0);
-        assert!(table.farthest().is_none());
+        assert_eq!(table.iter().count(), 0);
     }
 }

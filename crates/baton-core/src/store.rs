@@ -53,11 +53,6 @@ impl LocalStore {
         self.keys.is_empty()
     }
 
-    /// Number of distinct keys stored.
-    pub fn distinct_keys(&self) -> usize {
-        self.keys.chunk_by(|a, b| a == b).count()
-    }
-
     /// The stored keys in ascending order, one per value (a key stored `n`
     /// times appears `n` times).
     pub fn keys(&self) -> &[Key] {
@@ -106,11 +101,6 @@ impl LocalStore {
         &self.values[start..start + run]
     }
 
-    /// `true` if at least one value is stored under `key`.
-    pub fn contains_key(&self, key: Key) -> bool {
-        self.keys.get(self.lower_bound(key)) == Some(&key)
-    }
-
     /// Removes *one* value stored under `key` — the most recently inserted
     /// — returning it.
     ///
@@ -122,13 +112,6 @@ impl LocalStore {
         }
         self.keys.remove(last);
         Some(self.values.remove(last))
-    }
-
-    /// Removes every value stored under `key`, returning them.
-    pub fn remove_all(&mut self, key: Key) -> Vec<Value> {
-        let span = self.lower_bound(key)..self.upper_bound(key);
-        self.keys.drain(span.clone());
-        self.values.drain(span).collect()
     }
 
     /// Returns `(key, value)` pairs whose keys lie in `range`, in key order.
@@ -186,13 +169,6 @@ impl LocalStore {
     pub fn iter(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
         self.keys.iter().copied().zip(self.values.iter().copied())
     }
-
-    /// The median stored key — the key below which half of the stored
-    /// *values* fall.  Used to pick data-migration boundaries during load
-    /// balancing so each side ends up with about half the load.
-    pub fn median_key(&self) -> Option<Key> {
-        self.keys.get(self.len() / 2).copied()
-    }
 }
 
 #[cfg(test)]
@@ -207,12 +183,9 @@ mod tests {
         store.insert(5, 101);
         store.insert(9, 200);
         assert_eq!(store.len(), 3);
-        assert_eq!(store.distinct_keys(), 2);
         assert_eq!(store.get(5), &[100, 101]);
         assert_eq!(store.get(9), &[200]);
         assert_eq!(store.get(7), &[] as &[Value]);
-        assert!(store.contains_key(5));
-        assert!(!store.contains_key(7));
     }
 
     #[test]
@@ -223,13 +196,12 @@ mod tests {
         store.insert(2, 20);
         assert_eq!(store.remove_one(1), Some(11));
         assert_eq!(store.len(), 2);
-        assert!(store.contains_key(1));
+        assert_eq!(store.get(1), &[10]);
         assert_eq!(store.remove_one(1), Some(10));
-        assert!(!store.contains_key(1));
+        assert!(store.get(1).is_empty());
         assert_eq!(store.remove_one(1), None);
-        assert_eq!(store.remove_all(2), vec![20]);
+        assert_eq!(store.remove_one(2), Some(20));
         assert!(store.is_empty());
-        assert_eq!(store.remove_all(2), Vec::<Value>::new());
     }
 
     #[test]
@@ -255,11 +227,11 @@ mod tests {
         let moved = store.split_off_range(KeyRange::new(3, 7));
         assert_eq!(moved.len(), 4);
         assert_eq!(store.len(), 6);
-        assert!(moved.contains_key(3));
-        assert!(moved.contains_key(6));
-        assert!(!moved.contains_key(7));
-        assert!(!store.contains_key(5));
-        assert!(store.contains_key(7));
+        assert_eq!(moved.get(3), &[3]);
+        assert_eq!(moved.get(6), &[6]);
+        assert!(moved.get(7).is_empty());
+        assert!(store.get(5).is_empty());
+        assert_eq!(store.get(7), &[7]);
     }
 
     #[test]
@@ -281,13 +253,11 @@ mod tests {
         let mut store = LocalStore::new();
         assert_eq!(store.min_key(), None);
         assert_eq!(store.max_key(), None);
-        assert_eq!(store.median_key(), None);
         for k in [5u64, 1, 9, 3, 7] {
             store.insert(k, 0);
         }
         assert_eq!(store.min_key(), Some(1));
         assert_eq!(store.max_key(), Some(9));
-        assert_eq!(store.median_key(), Some(5));
     }
 
     #[test]
@@ -375,10 +345,6 @@ mod tests {
             value
         }
 
-        fn remove_all(&mut self, key: Key) -> Vec<Value> {
-            self.entries.remove(&key).unwrap_or_default()
-        }
-
         fn scan(&self, range: KeyRange) -> Vec<(Key, Value)> {
             self.entries
                 .range(range.low()..range.high())
@@ -405,31 +371,17 @@ mod tests {
                 self.entries.entry(key).or_default().extend(values);
             }
         }
-
-        fn median_key(&self) -> Option<Key> {
-            let target = self.len() / 2;
-            let mut seen = 0usize;
-            for (k, vs) in &self.entries {
-                seen += vs.len();
-                if seen > target {
-                    return Some(*k);
-                }
-            }
-            None
-        }
     }
 
     /// Every observer of the store, compared against the reference.
     fn assert_same(store: &LocalStore, reference: &ReferenceStore, rng: &mut baton_net::SimRng) {
         assert_eq!(store.len(), reference.len());
         assert_eq!(store.is_empty(), reference.entries.is_empty());
-        assert_eq!(store.distinct_keys(), reference.entries.len());
         assert_eq!(store.min_key(), reference.entries.keys().next().copied());
         assert_eq!(
             store.max_key(),
             reference.entries.keys().next_back().copied()
         );
-        assert_eq!(store.median_key(), reference.median_key());
         let everything = reference.scan(KeyRange::new(0, Key::MAX));
         assert_eq!(store.iter().collect::<Vec<_>>(), everything);
         let keys: Vec<Key> = everything.iter().map(|(k, _)| *k).collect();
@@ -437,10 +389,6 @@ mod tests {
         for _ in 0..4 {
             let key = rng.uniform_u64(0, KEY_SPACE);
             assert_eq!(store.get(key), reference.get(key));
-            assert_eq!(
-                store.contains_key(key),
-                reference.entries.contains_key(&key)
-            );
             let range = random_range(rng);
             let hits = reference.scan(range);
             assert_eq!(store.count_in(range), hits.len());
@@ -476,13 +424,9 @@ mod tests {
                         store.insert(key, next_value);
                         reference.insert(key, next_value);
                     }
-                    5 => {
+                    5 | 6 => {
                         let key = rng.uniform_u64(0, KEY_SPACE);
                         assert_eq!(store.remove_one(key), reference.remove_one(key));
-                    }
-                    6 => {
-                        let key = rng.uniform_u64(0, KEY_SPACE);
-                        assert_eq!(store.remove_all(key), reference.remove_all(key));
                     }
                     7 => {
                         // Split a range off and drop it (a join's child

@@ -172,11 +172,6 @@ impl BatonSystem {
         }
     }
 
-    /// Creates an empty overlay with default (paper) configuration.
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(BatonConfig::default(), seed)
-    }
-
     /// Creates the first node of the overlay, managing the whole key domain.
     ///
     /// Returns an error if the overlay already has nodes.
@@ -248,11 +243,6 @@ impl BatonSystem {
     /// The peer currently occupying the root position, if any.
     pub fn root(&self) -> Option<PeerId> {
         self.root
-    }
-
-    /// The configuration the overlay was created with.
-    pub fn config(&self) -> &BatonConfig {
-        &self.config
     }
 
     /// The key domain currently covered by the overlay (may have grown
@@ -669,7 +659,7 @@ mod tests {
 
     #[test]
     fn empty_system_properties() {
-        let system = BatonSystem::with_seed(1);
+        let system = BatonSystem::new(BatonConfig::default(), 1);
         assert!(system.is_empty());
         assert_eq!(system.node_count(), 0);
         assert_eq!(system.height(), 0);
@@ -681,7 +671,7 @@ mod tests {
 
     #[test]
     fn bootstrap_creates_root_over_whole_domain() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         let root = system.bootstrap().unwrap();
         assert_eq!(system.node_count(), 1);
         assert_eq!(system.root(), Some(root));
@@ -695,7 +685,7 @@ mod tests {
 
     #[test]
     fn bootstrap_twice_is_rejected() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         system.bootstrap().unwrap();
         assert!(matches!(
             system.bootstrap(),
@@ -705,7 +695,7 @@ mod tests {
 
     #[test]
     fn random_peer_on_empty_system_is_none() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         assert_eq!(system.random_peer(), None);
         system.bootstrap().unwrap();
         assert!(system.random_peer().is_some());
@@ -722,7 +712,7 @@ mod tests {
 
     #[test]
     fn check_alive_distinguishes_unknown_and_dead() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         let root = system.bootstrap().unwrap();
         assert!(system.check_alive(root).is_ok());
         assert_eq!(
@@ -738,7 +728,7 @@ mod tests {
 
     #[test]
     fn walk_limit_scales_with_height() {
-        let mut system = BatonSystem::with_seed(1);
+        let mut system = BatonSystem::new(BatonConfig::default(), 1);
         assert!(system.walk_limit() >= 32);
         system.bootstrap().unwrap();
         let limit1 = system.walk_limit();

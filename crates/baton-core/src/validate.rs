@@ -449,7 +449,7 @@ mod tests {
 
     #[test]
     fn empty_overlay_is_valid() {
-        let system = BatonSystem::with_seed(1);
+        let system = BatonSystem::new(BatonConfig::default(), 1);
         assert!(validate(&system).is_ok());
     }
 
@@ -504,7 +504,7 @@ mod tests {
             .copied()
             .find(|p| {
                 let n = system.node(*p).unwrap();
-                n.left_table.occupied_count() + n.right_table.occupied_count() > 0
+                n.left_table.iter().count() + n.right_table.iter().count() > 0
             })
             .unwrap();
         {

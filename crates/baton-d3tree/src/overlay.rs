@@ -6,8 +6,8 @@
 //! and reports per-backbone-level access load (`level_load`).
 
 use baton_net::{
-    ChurnCost, Histogram, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError,
-    OverlayResult, PeerId,
+    ChurnCost, Histogram, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult,
+    PeerId, SimNetwork,
 };
 
 use crate::system::{D3Error, D3TreeSystem};
@@ -33,11 +33,11 @@ impl Overlay for D3TreeSystem {
         D3TreeSystem::total_items(self)
     }
 
-    fn net(&self) -> &dyn NetView {
+    fn net(&self) -> &SimNetwork {
         &self.net
     }
 
-    fn net_mut(&mut self) -> &mut dyn NetView {
+    fn net_mut(&mut self) -> &mut SimNetwork {
         &mut self.net
     }
 

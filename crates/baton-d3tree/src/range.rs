@@ -28,11 +28,6 @@ impl DRange {
         key >= self.low && key < self.high
     }
 
-    /// `true` if the two ranges share a key.
-    pub fn intersects(self, other: DRange) -> bool {
-        self.low < other.high && other.low < self.high
-    }
-
     /// Number of keys in the range.
     pub fn width(self) -> u64 {
         self.high - self.low
@@ -53,8 +48,6 @@ mod tests {
     fn contains_intersects_width() {
         let r = DRange::new(10, 20);
         assert!(r.contains(10) && !r.contains(20));
-        assert!(r.intersects(DRange::new(19, 30)));
-        assert!(!r.intersects(DRange::new(20, 30)));
         assert_eq!(r.width(), 10);
         assert_eq!(r.to_string(), "[10, 20)");
     }

@@ -188,11 +188,6 @@ impl D3TreeSystem {
         self.height
     }
 
-    /// Number of leaf buckets (`1 << height`).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// The leaf buckets in key order (empty ones included).
     pub fn buckets(&self) -> &[Bucket] {
         &self.buckets
@@ -1215,7 +1210,7 @@ mod tests {
         let h = system.height();
         assert!((4..=10).contains(&h), "height {h} for 1000 nodes");
         // Average bucket size stays in the Θ(log N) band.
-        let avg = system.node_count() as f64 / system.bucket_count() as f64;
+        let avg = system.node_count() as f64 / system.buckets().len() as f64;
         let target = (h + 2) as f64;
         assert!(
             avg <= 2.0 * target + 1.0 && avg >= target / 2.0 - 1.0,

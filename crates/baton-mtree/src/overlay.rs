@@ -7,7 +7,8 @@
 use std::collections::HashMap;
 
 use baton_net::{
-    ChurnCost, NetView, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
+    ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
+    SimNetwork,
 };
 
 use crate::system::{MTreeError, MTreeSystem};
@@ -33,11 +34,11 @@ impl Overlay for MTreeSystem {
         MTreeSystem::total_items(self)
     }
 
-    fn net(&self) -> &dyn NetView {
+    fn net(&self) -> &SimNetwork {
         &self.net
     }
 
-    fn net_mut(&mut self) -> &mut dyn NetView {
+    fn net_mut(&mut self) -> &mut SimNetwork {
         &mut self.net
     }
 

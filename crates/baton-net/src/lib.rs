@@ -74,13 +74,13 @@ pub mod time;
 pub mod trace;
 
 pub use directory::PeerDirectory;
-pub use network::{NetMessage, NetView, SendError, SimNetwork};
+pub use network::{NetMessage, SendError, SimNetwork};
 pub use overlay::{
     ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, RepairPolicy,
 };
-pub use parallel::{
-    default_threads, run_indexed, run_indexed_with, set_threads, threads, with_threads,
-};
+#[doc(hidden)]
+pub use parallel::with_threads;
+pub use parallel::{default_threads, run_indexed};
 pub use peer::{PeerId, PeerRegistry, PeerStatus};
 pub use rng::SimRng;
 pub use serve::{

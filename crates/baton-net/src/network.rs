@@ -315,53 +315,6 @@ impl<M> SimNetwork<M> {
     }
 }
 
-/// What the harness does with an overlay's network: read and reset
-/// statistics, move the arrival clock, swap the latency model, install and
-/// collect the route recorder.
-///
-/// It exists so that [`Overlay::net`](crate::Overlay::net) can hand the
-/// network out through `dyn Overlay`.
-pub trait NetView {
-    /// See [`SimNetwork::stats`].
-    fn stats(&self) -> &MessageStats;
-    /// See [`SimNetwork::stats_mut`].
-    fn stats_mut(&mut self) -> &mut MessageStats;
-    /// See [`SimNetwork::now`].
-    fn now(&self) -> SimTime;
-    /// See [`SimNetwork::advance_to`].
-    fn advance_to(&mut self, at: SimTime);
-    /// See [`SimNetwork::set_latency_model`].
-    fn set_latency_model(&mut self, latency: LatencyModel);
-    /// See [`SimNetwork::set_trace`].
-    fn set_trace(&mut self, config: TraceConfig);
-    /// See [`SimNetwork::take_trace`].
-    fn take_trace(&mut self) -> Option<TraceBuffer>;
-}
-
-impl<M> NetView for SimNetwork<M> {
-    fn stats(&self) -> &MessageStats {
-        SimNetwork::stats(self)
-    }
-    fn stats_mut(&mut self) -> &mut MessageStats {
-        SimNetwork::stats_mut(self)
-    }
-    fn now(&self) -> SimTime {
-        SimNetwork::now(self)
-    }
-    fn advance_to(&mut self, at: SimTime) {
-        SimNetwork::advance_to(self, at);
-    }
-    fn set_latency_model(&mut self, latency: LatencyModel) {
-        SimNetwork::set_latency_model(self, latency);
-    }
-    fn set_trace(&mut self, config: TraceConfig) {
-        SimNetwork::set_trace(self, config);
-    }
-    fn take_trace(&mut self) -> Option<TraceBuffer> {
-        SimNetwork::take_trace(self)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Compatibility block — the two-step `send` + `deliver_next` surface, kept
 // for exactly one caller: `benchmarks/src/sut.rs::NetProbe::send_deliver`

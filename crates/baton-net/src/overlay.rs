@@ -16,7 +16,7 @@
 //! generic driver simply skips the series — exactly how the paper's
 //! Figure 8(e) omits Chord.
 
-use crate::network::NetView;
+use crate::network::SimNetwork;
 use crate::peer::PeerId;
 use crate::stats::{Histogram, MessageStats};
 use crate::time::{LatencyModel, SimTime};
@@ -204,15 +204,14 @@ pub trait Overlay {
     /// Total data items stored across all nodes.
     fn total_items(&self) -> usize;
 
-    /// The overlay's simulated network, seen through the
-    /// message-type-independent [`NetView`].  Everything below that reads
+    /// The overlay's simulated network.  Everything below that reads
     /// statistics, moves the clock, swaps the latency model or records
     /// routes is a provided method over this accessor and
     /// [`net_mut`](Self::net_mut).
-    fn net(&self) -> &dyn NetView;
+    fn net(&self) -> &SimNetwork;
 
     /// Mutable access to the overlay's simulated network.
-    fn net_mut(&mut self) -> &mut dyn NetView;
+    fn net_mut(&mut self) -> &mut SimNetwork;
 
     /// Message statistics of the underlying simulated network.
     fn stats(&self) -> &MessageStats {
@@ -452,7 +451,6 @@ pub trait Overlay {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::SimNetwork;
 
     /// A minimal in-memory implementation used to exercise the trait's
     /// defaults and the error plumbing: it holds a network and implements
@@ -486,10 +484,10 @@ mod tests {
         fn total_items(&self) -> usize {
             self.items
         }
-        fn net(&self) -> &dyn NetView {
+        fn net(&self) -> &SimNetwork {
             &self.net
         }
-        fn net_mut(&mut self) -> &mut dyn NetView {
+        fn net_mut(&mut self) -> &mut SimNetwork {
             &mut self.net
         }
         fn join_random(&mut self) -> OverlayResult<ChurnCost> {

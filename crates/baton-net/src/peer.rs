@@ -27,21 +27,6 @@ impl PeerId {
     pub fn raw(self) -> u64 {
         self.0 as u64
     }
-
-    /// Rebuilds an id from its [`raw`](Self::raw) value.
-    ///
-    /// # Panics
-    /// Panics if `raw` does not fit the narrow id space — such a value can
-    /// only come from a corrupt frame or a bug, never from
-    /// [`PeerRegistry::register`].
-    #[inline]
-    pub fn from_raw(raw: u64) -> Self {
-        assert!(
-            raw <= u32::MAX as u64,
-            "peer id {raw} exceeds the u32 id space"
-        );
-        PeerId(raw as u32)
-    }
 }
 
 impl fmt::Debug for PeerId {
@@ -87,7 +72,6 @@ impl PeerStatus {
 #[derive(Clone, Debug, Default)]
 pub struct PeerRegistry {
     status: Vec<PeerStatus>,
-    alive: usize,
 }
 
 impl PeerRegistry {
@@ -108,18 +92,12 @@ impl PeerRegistry {
         );
         let id = PeerId(self.status.len() as u32);
         self.status.push(PeerStatus::Alive);
-        self.alive += 1;
         id
     }
 
     /// Number of peers ever registered (alive or not).
     pub fn total(&self) -> usize {
         self.status.len()
-    }
-
-    /// Number of peers currently alive.
-    pub fn alive_count(&self) -> usize {
-        self.alive
     }
 
     /// Returns the status of `peer`, or `None` if it was never registered.
@@ -150,29 +128,11 @@ impl PeerRegistry {
     fn set_status(&mut self, peer: PeerId, status: PeerStatus) -> bool {
         match self.status.get_mut(peer.0 as usize) {
             Some(slot) => {
-                self.alive -= usize::from(slot.is_alive());
-                self.alive += usize::from(status.is_alive());
                 *slot = status;
                 true
             }
             None => false,
         }
-    }
-
-    /// Iterates over every registered peer and its status, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (PeerId, PeerStatus)> + '_ {
-        self.status
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (PeerId(i as u32), *s))
-    }
-
-    /// All currently alive peers, in id order.
-    pub fn alive_peers(&self) -> Vec<PeerId> {
-        self.iter()
-            .filter(|(_, s)| s.is_alive())
-            .map(|(p, _)| p)
-            .collect()
     }
 }
 
@@ -190,7 +150,6 @@ mod tests {
         assert_eq!(b, PeerId(1));
         assert_eq!(c, PeerId(2));
         assert_eq!(reg.total(), 3);
-        assert_eq!(reg.alive_count(), 3);
     }
 
     #[test]
@@ -203,7 +162,6 @@ mod tests {
         assert_eq!(reg.status(a), Some(PeerStatus::Failed));
         assert!(reg.mark_departed(a));
         assert_eq!(reg.status(a), Some(PeerStatus::Departed));
-        assert_eq!(reg.alive_count(), 0);
     }
 
     #[test]
@@ -214,19 +172,6 @@ mod tests {
         assert!(!reg.is_alive(ghost));
         assert!(!reg.mark_failed(ghost));
         assert!(!reg.mark_departed(ghost));
-    }
-
-    #[test]
-    fn alive_peers_reflects_failures() {
-        let mut reg = PeerRegistry::new();
-        let peers: Vec<_> = (0..10).map(|_| reg.register()).collect();
-        for p in peers.iter().take(4) {
-            reg.mark_failed(*p);
-        }
-        let mut alive = reg.alive_peers();
-        alive.sort();
-        assert_eq!(alive, peers[4..].to_vec());
-        assert_eq!(reg.alive_count(), 6);
     }
 
     #[test]

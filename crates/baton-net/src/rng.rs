@@ -35,11 +35,6 @@ impl SimRng {
         }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent generator for a sub-component, mixing `salt`
     /// into the seed so different components get uncorrelated streams.
     pub fn derive(&self, salt: u64) -> Self {

@@ -142,15 +142,6 @@ impl ServeCounters {
         self.rejected += other.rejected;
         self.checksum ^= other.checksum;
     }
-
-    /// Mean routing hops per admitted query.
-    pub fn mean_hops(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.hops as f64 / self.queries as f64
-        }
-    }
 }
 
 /// An immutable, versioned routing/ownership snapshot of one overlay.
@@ -230,11 +221,6 @@ impl RoutingSnapshot {
     /// placement).
     pub fn domain(&self) -> (u64, u64) {
         self.domain
-    }
-
-    /// How exact queries resolve their owner.
-    pub fn placement(&self) -> ExactPlacement {
-        self.placement
     }
 
     /// Peer address of `slot`.

@@ -206,15 +206,6 @@ impl Histogram {
         self.percentile(0.99)
     }
 
-    /// Fraction of observations equal to `value`.
-    pub fn frequency(&self, value: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(value) as f64 / self.total as f64
-        }
-    }
-
     /// Iterates over `(value, count)` pairs with non-zero counts, in value
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
@@ -544,22 +535,6 @@ impl MessageStats {
             .collect()
     }
 
-    /// Average virtual latency of finished operations whose label matches
-    /// `label` — retired and live alike — or `None` if there are none.
-    pub fn average_latency(&self, label: &str) -> Option<SimTime> {
-        let id = *self.class_ids.get(label)?;
-        let class = &self.classes[id as usize];
-        let (count, sum) = self
-            .live
-            .iter()
-            .filter(|op| op.class == id)
-            .filter_map(|op| op.latency())
-            .fold((class.retired, class.latency_us_sum), |(c, s), l| {
-                (c + 1, s + l.as_micros())
-            });
-        sum.checked_div(count).map(SimTime::from_micros)
-    }
-
     /// Statistics of a live (in-flight or not yet retired) operation.
     pub fn op(&self, id: OpId) -> Option<&OpStats> {
         let index = self.live_index(id)?;
@@ -578,27 +553,6 @@ impl MessageStats {
     /// live).
     pub fn op_count(&self) -> usize {
         self.next_op as usize
-    }
-
-    /// Average messages per operation whose label matches `label`, over
-    /// retired and live operations alike.
-    ///
-    /// Returns `None` if no such operation exists.
-    pub fn average_messages(&self, label: &str) -> Option<f64> {
-        let id = *self.class_ids.get(label)?;
-        let class = &self.classes[id as usize];
-        let (count, sum) = self
-            .live
-            .iter()
-            .filter(|op| op.class == id)
-            .fold((class.retired, class.messages_sum), |(c, s), op| {
-                (c + 1, s + op.messages)
-            });
-        if count == 0 {
-            None
-        } else {
-            Some(sum as f64 / count as f64)
-        }
     }
 
     /// Records a message send attributed to `op`.
@@ -656,12 +610,6 @@ impl MessageStats {
     pub fn reset_received_counters(&mut self) {
         self.received_by_peer.iter_mut().for_each(|c| *c = 0);
     }
-
-    /// Snapshot of the total number of sent messages; callers diff two
-    /// snapshots to attribute traffic to a phase of an experiment.
-    pub fn sent_snapshot(&self) -> u64 {
-        self.total_sent
-    }
 }
 
 #[cfg(test)]
@@ -682,22 +630,6 @@ mod tests {
         assert_eq!(stats.kind_count("x"), 2);
         assert_eq!(stats.kind_count("y"), 1);
         assert_eq!(stats.kind_count("z"), 0);
-    }
-
-    #[test]
-    fn average_messages_by_label() {
-        let mut stats = MessageStats::new();
-        for msgs in [2u64, 4, 6] {
-            let op = stats.begin_op("search");
-            for i in 0..msgs {
-                stats.record_send(op.id, "s", i as u32 + 1);
-            }
-        }
-        let other = stats.begin_op("join");
-        stats.record_send(other.id, "j", 1);
-        assert_eq!(stats.average_messages("search"), Some(4.0));
-        assert_eq!(stats.average_messages("join"), Some(1.0));
-        assert_eq!(stats.average_messages("missing"), None);
     }
 
     #[test]
@@ -769,9 +701,7 @@ mod tests {
         assert_eq!(stats.retired_op_count(), 3);
         let class = stats.class_stats("search").unwrap();
         assert_eq!(class.retired(), 2);
-        // Averages keep covering retired operations.
-        assert_eq!(stats.average_messages("search"), Some(1.5));
-        assert_eq!(stats.average_messages("join"), Some(0.0));
+        assert_eq!(class.messages_sum(), 3);
         assert_eq!(stats.op_count(), 3);
     }
 
@@ -797,7 +727,6 @@ mod tests {
         assert_eq!(class.retired(), 1);
         assert_eq!(class.latency_ms_histogram().count(7), 1);
         assert_eq!(class.mean_latency(), Some(SimTime::from_millis(7)));
-        assert_eq!(stats.average_latency("rpc"), Some(SimTime::from_millis(7)));
         assert_eq!(stats.op_label(op.id), None);
     }
 
@@ -833,7 +762,6 @@ mod tests {
         assert_eq!(h.count(10), 0);
         assert_eq!(h.max_value(), Some(3));
         assert!((h.mean() - 13.0 / 6.0).abs() < 1e-9);
-        assert!((h.frequency(3) - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -883,7 +811,6 @@ mod tests {
         assert_eq!(h.total(), 0);
         assert_eq!(h.max_value(), None);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.frequency(0), 0.0);
         assert_eq!(h.iter().count(), 0);
     }
 }

@@ -143,11 +143,6 @@ impl RegionMap {
         );
         (z % u64::from(self.regions)) as u32
     }
-
-    /// `true` if both peers hash into the same region.
-    pub fn same_region(&self, a: PeerId, b: PeerId) -> bool {
-        self.region_of(a) == self.region_of(b)
-    }
 }
 
 /// Which links a [`LinkDegradation`] applies to.
@@ -491,14 +486,6 @@ impl LatencyPlan {
             ),
         }
     }
-
-    /// The region assignment, for plans that have one.
-    pub fn region_map(&self) -> Option<RegionMap> {
-        match self {
-            LatencyPlan::Regional { map, .. } => Some(*map),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -619,7 +606,6 @@ mod tests {
         // A different salt shuffles the assignment.
         let other = RegionMap::new(4, 0x5EED);
         assert!((0..1000u32).any(|id| map.region_of(PeerId(id)) != other.region_of(PeerId(id))));
-        assert!(map.same_region(PeerId(3), PeerId(3)));
     }
 
     #[test]
@@ -666,11 +652,11 @@ mod tests {
         let base = PeerId(0);
         let same = (1..100)
             .map(PeerId)
-            .find(|p| map.same_region(base, *p))
+            .find(|p| map.region_of(base) == map.region_of(*p))
             .unwrap();
         let cross = (1..100)
             .map(PeerId)
-            .find(|p| !map.same_region(base, *p))
+            .find(|p| map.region_of(base) != map.region_of(*p))
             .unwrap();
         let mut model = LatencyModel::regional(
             map,
@@ -759,7 +745,6 @@ mod tests {
                 direct.sample(PeerId(0), PeerId(1), SimTime::ZERO)
             );
         }
-        assert!(plan.region_map().is_none());
 
         let regional = LatencyPlan::Regional {
             map: RegionMap::new(3, 9),
@@ -770,7 +755,6 @@ mod tests {
             }),
             degradations: Vec::new(),
         };
-        assert_eq!(regional.region_map(), Some(RegionMap::new(3, 9)));
         let mut a = regional.build(7);
         let mut b = regional.build(7);
         for id in 0..32u32 {

@@ -243,11 +243,6 @@ impl TraceBuffer {
         }
     }
 
-    /// The configuration the recorder was created with.
-    pub fn config(&self) -> TraceConfig {
-        self.config
-    }
-
     /// Observes a newly begun operation, opening a span for it if the
     /// sampling modulus selects it.
     pub(crate) fn begin(&mut self, op: OpId, class: &str, at: SimTime) {

@@ -365,16 +365,18 @@ fn main() -> ExitCode {
     if let Some(path) = &options.check_trace {
         return run_check_trace(path);
     }
-    baton_net::set_threads(options.threads);
-    if let Err(msg) = baton_sim::set_overlay_filter(&options.overlays) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
-    }
+    let overlays = match baton_sim::select_overlays(&options.overlays) {
+        Ok(specs) => specs,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     // The serve check runs before figures and scenarios, and writes only to
     // stderr: stdout stays byte-identical with or without the flag, so CI
     // can diff a `--serve-check` run against the committed fixtures.
     if options.serve_check {
-        match baton_sim::run_serve_check(&options.profile) {
+        match baton_sim::run_serve_check(&options.profile, &overlays) {
             Ok(report) => eprintln!(
                 "serve-check ok: {} overlay(s), {} exact, {} range queries byte-agree with the \
                  routed engine",
@@ -399,9 +401,9 @@ fn main() -> ExitCode {
     let results = if options.figure.eq_ignore_ascii_case("none") {
         Vec::new()
     } else if options.figure.eq_ignore_ascii_case("all") {
-        figures::run_all(&options.profile)
+        figures::run_all(&options.profile, &overlays)
     } else {
-        match figures::run_figure(&options.figure, &options.profile) {
+        match figures::run_figure(&options.figure, &options.profile, &overlays) {
             Some(result) => vec![result],
             None => {
                 eprintln!(
@@ -423,19 +425,31 @@ fn main() -> ExitCode {
         .map(|_| baton_net::TraceConfig::default().with_sample(options.trace_sample));
     let mut scenarios = Vec::new();
     let mut traces: Vec<(String, baton_net::TraceBuffer)> = Vec::new();
+    let registry = scenario::all_scenarios();
     for id in scenario_ids {
-        let (result, captured) = scenario::run_scenario_full(
-            id,
+        let spec = registry.iter().find(|s| s.id == id).expect("resolved id");
+        let mut plan = (spec.build)(&options.profile);
+        if let Some(build) = options.build {
+            plan.build = build;
+        }
+        if let Some(replicas) = options.replicas {
+            plan.replicas = replicas;
+        }
+        let (series, captured) = scenario::run_plan(
             &options.profile,
-            options.build,
-            options.replicas,
+            &plan,
+            &overlays,
+            options.threads,
             trace_config,
-        )
-        .expect("registered scenario");
+        );
         for (overlay, buffer) in captured {
             traces.push((format!("{id}:{overlay}"), buffer));
         }
-        scenarios.push(result);
+        scenarios.push(scenario::ScenarioResult {
+            id: id.to_owned(),
+            title: plan.title,
+            series,
+        });
     }
     if let Some(path) = &options.trace {
         let dump = match options.trace_format {

@@ -7,11 +7,11 @@
 //! baseline to every figure therefore means adding one [`OverlaySpec`]
 //! here (and implementing [`Overlay`] for the system), nothing else.
 //!
-//! The list can be narrowed process-wide with [`set_overlay_filter`] (the
-//! `reproduce --overlays` flag), so a single overlay can be run or debugged
-//! in isolation without touching any driver.
-
-use std::sync::RwLock;
+//! The list a run covers is an argument: [`select_overlays`] turns the names
+//! of `reproduce --overlays` into specs, and every driver takes the
+//! `&[OverlaySpec]` it should loop over — so a single overlay can be run or
+//! debugged in isolation without touching any driver, and two runs in one
+//! process cannot see each other's selection.
 
 use baton_chord::ChordSystem;
 use baton_core::{BatonConfig, BatonSystem, LoadBalanceConfig};
@@ -154,7 +154,7 @@ fn build_d3tree(_profile: &Profile, n: usize, seed: u64) -> Box<dyn Overlay> {
 }
 
 /// The system under study: BATON.  Figures 8(f)–(i) plot it alone, as the
-/// paper does; the overlay filter does not apply to them.
+/// paper does; an overlay selection does not apply to them.
 pub fn reference_overlay() -> OverlaySpec {
     OverlaySpec {
         series: super::figures::SERIES_BATON,
@@ -179,9 +179,9 @@ pub fn reference_overlay() -> OverlaySpec {
     }
 }
 
-/// Every known comparison system, unfiltered, in series order: BATON, the
-/// paper's two baselines, then the post-paper baselines.
-pub fn all_overlays() -> Vec<OverlaySpec> {
+/// The systems of the comparison, in series order: BATON, the paper's two
+/// baselines, then the post-paper baselines.
+pub fn standard_overlays() -> Vec<OverlaySpec> {
     vec![
         reference_overlay(),
         OverlaySpec {
@@ -245,57 +245,28 @@ pub fn all_overlays() -> Vec<OverlaySpec> {
     ]
 }
 
-/// Series names of every known overlay, in the order of [`all_overlays`].
+/// Series names of every known overlay, in the order of
+/// [`standard_overlays`].
 pub fn overlay_names() -> Vec<&'static str> {
-    all_overlays().into_iter().map(|s| s.series).collect()
+    standard_overlays().into_iter().map(|s| s.series).collect()
 }
 
-/// Process-wide overlay selection (`None` = every overlay).  Set once by a
-/// binary before running experiments; not intended for concurrent
-/// mutation.
-static OVERLAY_FILTER: RwLock<Option<Vec<String>>> = RwLock::new(None);
-
-/// Restricts [`standard_overlays`] to the given series names
-/// (case-insensitive).  An empty list clears the filter.  Returns an error
-/// naming the first unknown overlay.
-pub fn set_overlay_filter(names: &[String]) -> Result<(), String> {
-    let known = overlay_names();
-    let mut selected = Vec::new();
-    for name in names {
-        match known.iter().find(|k| k.eq_ignore_ascii_case(name)) {
-            Some(series) => {
-                if !selected.contains(&(*series).to_owned()) {
-                    selected.push((*series).to_owned());
-                }
-            }
-            None => return Err(format!("unknown overlay '{name}'; available: {known:?}")),
-        }
+/// Resolves series names (case-insensitive, duplicates collapsed) into the
+/// specs a run should cover, in registry order; an empty list selects every
+/// overlay.  Returns an error naming the first unknown overlay.
+pub fn select_overlays(names: &[String]) -> Result<Vec<OverlaySpec>, String> {
+    let mut specs = standard_overlays();
+    if let Some(unknown) = names
+        .iter()
+        .find(|name| !specs.iter().any(|s| s.series.eq_ignore_ascii_case(name)))
+    {
+        let known = overlay_names();
+        return Err(format!("unknown overlay '{unknown}'; available: {known:?}"));
     }
-    let mut filter = OVERLAY_FILTER.write().expect("filter lock");
-    *filter = if selected.is_empty() {
-        None
-    } else {
-        Some(selected)
-    };
-    Ok(())
-}
-
-/// Clears any process-wide overlay filter.
-pub fn clear_overlay_filter() {
-    *OVERLAY_FILTER.write().expect("filter lock") = None;
-}
-
-/// The systems of the comparison — [`all_overlays`] narrowed by any
-/// process-wide filter ([`set_overlay_filter`]).
-pub fn standard_overlays() -> Vec<OverlaySpec> {
-    let filter = OVERLAY_FILTER.read().expect("filter lock");
-    match filter.as_deref() {
-        None => all_overlays(),
-        Some(names) => all_overlays()
-            .into_iter()
-            .filter(|spec| names.iter().any(|n| n == spec.series))
-            .collect(),
+    if !names.is_empty() {
+        specs.retain(|s| names.iter().any(|name| s.series.eq_ignore_ascii_case(name)));
     }
+    Ok(specs)
 }
 
 /// Bulk-loads an overlay with the profile-scaled dataset, returning the
@@ -376,7 +347,7 @@ mod tests {
     #[test]
     fn every_overlay_accepts_its_advertised_replication_range() {
         let profile = Profile::smoke();
-        for spec in all_overlays() {
+        for spec in standard_overlays() {
             let max_k = spec.replication.max_k;
             assert!(max_k >= 2, "{}: k = 2 must be available", spec.series);
             let mut overlay = spec.build(&profile, 20, 11);
@@ -400,7 +371,7 @@ mod tests {
     #[test]
     fn bulk_builds_agree_with_the_advertised_capability() {
         let profile = Profile::smoke();
-        for spec in all_overlays() {
+        for spec in standard_overlays() {
             let joined = spec.build(&profile, 12, 5);
             assert_eq!(
                 spec.supports_bulk(),
@@ -434,7 +405,7 @@ mod tests {
     #[test]
     fn serve_matrix_matches_what_snapshots_actually_support() {
         let profile = Profile::smoke();
-        for spec in all_overlays() {
+        for spec in standard_overlays() {
             let overlay = spec.build(&profile, 15, 7);
             let snapshot = overlay.routing_snapshot();
             assert_eq!(
@@ -463,16 +434,5 @@ mod tests {
         assert!(parse_threads(Some("-2".to_owned())).is_err());
         assert!(parse_threads(Some("two".to_owned())).is_err());
         assert!(parse_threads(None).is_err());
-    }
-
-    #[test]
-    fn overlay_filter_validates_names() {
-        // Only validation is exercised here: mutating the process-wide
-        // filter would race the other driver tests.
-        assert!(set_overlay_filter(&["nonsense".to_owned()]).is_err());
-        assert_eq!(
-            overlay_names(),
-            vec!["BATON", "Chord", "Multiway tree", "D3-Tree"]
-        );
     }
 }

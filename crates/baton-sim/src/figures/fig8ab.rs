@@ -12,12 +12,12 @@
 //! clearly below Chord's `O(log² N)`, while the multiway tree — which keeps
 //! almost no routing state — is the cheapest.
 
-use crate::driver::standard_overlays;
+use crate::driver::OverlaySpec;
 use crate::profile::Profile;
 use crate::result::{Averager, FigureResult, SeriesPoint};
 
 /// Runs the churn-cost measurement and returns `(figure_8a, figure_8b)`.
-pub fn run(profile: &Profile) -> (FigureResult, FigureResult) {
+pub fn run(profile: &Profile, specs: &[OverlaySpec]) -> (FigureResult, FigureResult) {
     let mut fig_a = FigureResult::new(
         "8a",
         "Finding the join node and the replacement node",
@@ -30,8 +30,6 @@ pub fn run(profile: &Profile) -> (FigureResult, FigureResult) {
         "nodes",
         "messages per operation",
     );
-    let specs = standard_overlays();
-
     for &n in &profile.network_sizes {
         let mut locate = vec![Averager::new(); specs.len()];
         let mut update = vec![Averager::new(); specs.len()];
@@ -64,28 +62,33 @@ pub fn run(profile: &Profile) -> (FigureResult, FigureResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::standard_overlays;
     use crate::figures::{SERIES_BATON, SERIES_CHORD, SERIES_MTREE};
 
     #[test]
     fn churn_costs_have_the_papers_shape() {
         let profile = Profile::smoke();
-        let (a, b) = run(&profile);
+        let (a, b) = run(&profile, &standard_overlays());
         assert_eq!(a.points.len(), profile.network_sizes.len());
         assert_eq!(b.points.len(), profile.network_sizes.len());
         let largest = *profile.network_sizes.last().unwrap() as f64;
         let log_n = largest.log2();
         // 8(a): BATON locates a join/replacement spot in well under log N.
-        let baton_locate = a.value_at(largest, SERIES_BATON).unwrap();
+        let (a, b) = (
+            &a.points.last().unwrap().values,
+            &b.points.last().unwrap().values,
+        );
+        let baton_locate = a[SERIES_BATON];
         assert!(baton_locate > 0.0 && baton_locate < 2.0 * log_n);
         // 8(b): BATON's table update is cheaper than Chord's.
-        let baton_update = b.value_at(largest, SERIES_BATON).unwrap();
-        let chord_update = b.value_at(largest, SERIES_CHORD).unwrap();
+        let baton_update = b[SERIES_BATON];
+        let chord_update = b[SERIES_CHORD];
         assert!(
             baton_update < chord_update,
             "BATON table update ({baton_update:.1}) should be below Chord ({chord_update:.1})"
         );
         // The multiway tree keeps almost no routing state: cheapest updates.
-        let mtree_update = b.value_at(largest, SERIES_MTREE).unwrap();
+        let mtree_update = b[SERIES_MTREE];
         assert!(mtree_update < baton_update);
     }
 }

@@ -7,12 +7,12 @@
 use baton_net::SimRng;
 use baton_workload::{KeyDistribution, KeyGenerator};
 
-use crate::driver::{load_overlay, standard_overlays};
+use crate::driver::{load_overlay, OverlaySpec};
 use crate::profile::Profile;
 use crate::result::{Averager, FigureResult, SeriesPoint};
 
 /// Runs the insert/delete cost measurement.
-pub fn run(profile: &Profile) -> FigureResult {
+pub fn run(profile: &Profile, specs: &[OverlaySpec]) -> FigureResult {
     let mut figure = FigureResult::new(
         "8c",
         "Insert and delete operations",
@@ -20,8 +20,6 @@ pub fn run(profile: &Profile) -> FigureResult {
         "messages per operation",
     );
     let generator = KeyGenerator::paper(KeyDistribution::Uniform);
-    let specs = standard_overlays();
-
     for &n in &profile.network_sizes {
         let ops = profile.query_count();
         let mut averages = vec![Averager::new(); specs.len()];
@@ -54,16 +52,17 @@ pub fn run(profile: &Profile) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::standard_overlays;
     use crate::figures::{SERIES_BATON, SERIES_MTREE};
 
     #[test]
     fn insert_delete_costs_are_logarithmic_and_ordered() {
         let profile = Profile::smoke();
-        let figure = run(&profile);
+        let figure = run(&profile, &standard_overlays());
         let largest = *profile.network_sizes.last().unwrap() as f64;
         let log_n = largest.log2();
-        let baton = figure.value_at(largest, SERIES_BATON).unwrap();
-        let mtree = figure.value_at(largest, SERIES_MTREE).unwrap();
+        let at_largest = &figure.points.last().unwrap().values;
+        let (baton, mtree) = (at_largest[SERIES_BATON], at_largest[SERIES_MTREE]);
         assert!(baton > 0.0 && baton <= 2.0 * log_n + 4.0);
         // The multiway tree (no sideways shortcuts) costs more than BATON.
         assert!(mtree > baton);

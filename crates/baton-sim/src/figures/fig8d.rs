@@ -7,15 +7,13 @@
 use baton_net::SimRng;
 use baton_workload::{runner, KeyDistribution, QueryWorkload};
 
-use crate::driver::{load_overlay, standard_overlays};
+use crate::driver::{load_overlay, OverlaySpec};
 use crate::profile::Profile;
 use crate::result::{Averager, FigureResult, SeriesPoint};
 
 /// Runs the exact-match query measurement.
-pub fn run(profile: &Profile) -> FigureResult {
+pub fn run(profile: &Profile, specs: &[OverlaySpec]) -> FigureResult {
     let mut figure = FigureResult::new("8d", "Exact match query", "nodes", "messages per query");
-    let specs = standard_overlays();
-
     for &n in &profile.network_sizes {
         let mut averages = vec![Averager::new(); specs.len()];
         for rep in 0..profile.repetitions {
@@ -47,17 +45,18 @@ pub fn run(profile: &Profile) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::standard_overlays;
     use crate::figures::{SERIES_BATON, SERIES_MTREE};
 
     #[test]
     fn exact_query_costs_scale_like_log_n() {
         let profile = Profile::smoke();
-        let figure = run(&profile);
+        let figure = run(&profile, &standard_overlays());
         assert_eq!(figure.points.len(), profile.network_sizes.len());
         let largest = *profile.network_sizes.last().unwrap() as f64;
         let log_n = largest.log2();
-        let baton = figure.value_at(largest, SERIES_BATON).unwrap();
-        let mtree = figure.value_at(largest, SERIES_MTREE).unwrap();
+        let at_largest = &figure.points.last().unwrap().values;
+        let (baton, mtree) = (at_largest[SERIES_BATON], at_largest[SERIES_MTREE]);
         assert!(
             baton > 0.0 && baton <= 2.0 * log_n + 4.0,
             "BATON query cost {baton}"
@@ -67,8 +66,7 @@ mod tests {
             "multiway ({mtree:.1}) should exceed BATON ({baton:.1})"
         );
         // Costs grow (weakly) with network size.
-        let smallest = *profile.network_sizes.first().unwrap() as f64;
-        let baton_small = figure.value_at(smallest, SERIES_BATON).unwrap();
+        let baton_small = figure.points[0].values[SERIES_BATON];
         assert!(baton >= baton_small * 0.8);
     }
 }

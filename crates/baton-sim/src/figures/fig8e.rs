@@ -10,7 +10,7 @@
 use baton_net::SimRng;
 use baton_workload::{KeyDistribution, Query, QueryWorkload};
 
-use crate::driver::standard_overlays;
+use crate::driver::OverlaySpec;
 use crate::figures::SERIES_BATON;
 use crate::profile::Profile;
 use crate::result::{Averager, FigureResult, SeriesPoint};
@@ -19,9 +19,8 @@ use crate::result::{Averager, FigureResult, SeriesPoint};
 pub const SERIES_NODES_COVERED: &str = "BATON nodes covered (X)";
 
 /// Runs the range-query measurement.
-pub fn run(profile: &Profile) -> FigureResult {
+pub fn run(profile: &Profile, specs: &[OverlaySpec]) -> FigureResult {
     let mut figure = FigureResult::new("8e", "Range query", "nodes", "messages per query");
-    let specs = standard_overlays();
     // Capabilities are a property of the system, not of a particular build:
     // probe each spec once on a tiny instance so unsupported systems (Chord)
     // never pay for full-size throwaway builds below.
@@ -78,29 +77,30 @@ pub fn run(profile: &Profile) -> FigureResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::standard_overlays;
     use crate::figures::{SERIES_CHORD, SERIES_MTREE};
 
     #[test]
     fn range_query_cost_is_log_n_plus_coverage() {
         let profile = Profile::smoke();
-        let figure = run(&profile);
+        let figure = run(&profile, &standard_overlays());
         let largest = *profile.network_sizes.last().unwrap() as f64;
         let log_n = largest.log2();
-        let baton = figure.value_at(largest, SERIES_BATON).unwrap();
-        let covered = figure.value_at(largest, SERIES_NODES_COVERED).unwrap();
+        let at_largest = &figure.points.last().unwrap().values;
+        let baton = at_largest[SERIES_BATON];
+        let covered = at_largest[SERIES_NODES_COVERED];
         assert!(covered >= 1.0);
         assert!(
             baton <= 2.0 * log_n + covered + 4.0,
             "range cost {baton} exceeds log N + X bound"
         );
-        let mtree = figure.value_at(largest, SERIES_MTREE).unwrap();
-        assert!(mtree > 0.0);
+        assert!(at_largest[SERIES_MTREE] > 0.0);
     }
 
     #[test]
     fn chord_is_omitted_by_capability_not_by_name() {
         let profile = Profile::smoke();
-        let figure = run(&profile);
+        let figure = run(&profile, &standard_overlays());
         assert!(
             !figure.series_names().iter().any(|s| s == SERIES_CHORD),
             "Chord cannot appear in the range-query figure"

@@ -82,7 +82,8 @@ mod tests {
         let profile = Profile::smoke();
         let figure = run(&profile);
         assert!(figure.points.len() >= 3, "expected several tree levels");
-        let root_search = figure.value_at(0.0, SERIES_SEARCH_LOAD).unwrap_or(0.0);
+        assert_eq!(figure.points[0].x, 0.0, "points start at the root level");
+        let root_search = figure.points[0].values[SERIES_SEARCH_LOAD];
         // Average search load over the deepest two levels (the leaves).
         let deepest: Vec<f64> = figure
             .points

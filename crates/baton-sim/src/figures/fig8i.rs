@@ -80,10 +80,8 @@ mod tests {
         let figure = run(&profile);
         let levels = concurrency_levels();
         assert_eq!(figure.points.len(), levels.len());
-        let first = figure.value_at(levels[0] as f64, SERIES_BATON).unwrap();
-        let last = figure
-            .value_at(*levels.last().unwrap() as f64, SERIES_BATON)
-            .unwrap();
+        let first = figure.points[0].values[SERIES_BATON];
+        let last = figure.points.last().unwrap().values[SERIES_BATON];
         assert!(
             last > first,
             "extra messages should grow with concurrency ({first} vs {last})"

@@ -4,11 +4,11 @@
 //! [`FigureResult`](crate::result::FigureResult) containing the same series
 //! the paper plots.  All drivers are **generic over
 //! [`Overlay`](baton_net::Overlay)**: they loop over the
-//! [`OverlaySpec`](crate::driver::OverlaySpec)s of
-//! [`standard_overlays`](crate::driver::standard_overlays) (or the
-//! [`reference_overlay`](crate::driver::reference_overlay) for the
-//! BATON-only figures) and never dispatch on a concrete system type, so a
-//! new baseline appears in every figure by adding one spec.
+//! [`OverlaySpec`](crate::driver::OverlaySpec)s they are handed (the
+//! BATON-only figures build the
+//! [`reference_overlay`](crate::driver::reference_overlay) instead and take
+//! no list) and never dispatch on a concrete system type, so a new baseline
+//! appears in every figure by adding one spec.
 
 pub mod fig8ab;
 pub mod fig8c;
@@ -19,6 +19,7 @@ pub mod fig8g;
 pub mod fig8h;
 pub mod fig8i;
 
+use crate::driver::OverlaySpec;
 use crate::profile::Profile;
 use crate::result::FigureResult;
 
@@ -31,15 +32,17 @@ pub const SERIES_MTREE: &str = "Multiway tree";
 /// Series name used for the D3-Tree measurements.
 pub const SERIES_D3TREE: &str = "D3-Tree";
 
-/// Runs every figure of the paper at the given profile, in order.
-pub fn run_all(profile: &Profile) -> Vec<FigureResult> {
-    let (a, b) = fig8ab::run(profile);
+/// Runs every figure of the paper at the given profile, in order: the
+/// comparison figures 8(a)–(e) over `specs`, figures 8(f)–(i) over BATON
+/// alone.
+pub fn run_all(profile: &Profile, specs: &[OverlaySpec]) -> Vec<FigureResult> {
+    let (a, b) = fig8ab::run(profile, specs);
     vec![
         a,
         b,
-        fig8c::run(profile),
-        fig8d::run(profile),
-        fig8e::run(profile),
+        fig8c::run(profile, specs),
+        fig8d::run(profile, specs),
+        fig8e::run(profile, specs),
         fig8f::run(profile),
         fig8g::run(profile),
         fig8h::run(profile),
@@ -47,16 +50,17 @@ pub fn run_all(profile: &Profile) -> Vec<FigureResult> {
     ]
 }
 
-/// Runs a single figure by identifier (`"8a"`, `"8b"`, … `"8i"`).
+/// Runs a single figure by identifier (`"8a"`, `"8b"`, … `"8i"`), over
+/// `specs` where the figure is a comparison.
 ///
 /// Returns `None` for an unknown identifier.
-pub fn run_figure(id: &str, profile: &Profile) -> Option<FigureResult> {
+pub fn run_figure(id: &str, profile: &Profile, specs: &[OverlaySpec]) -> Option<FigureResult> {
     match id.to_ascii_lowercase().as_str() {
-        "8a" | "a" => Some(fig8ab::run(profile).0),
-        "8b" | "b" => Some(fig8ab::run(profile).1),
-        "8c" | "c" => Some(fig8c::run(profile)),
-        "8d" | "d" => Some(fig8d::run(profile)),
-        "8e" | "e" => Some(fig8e::run(profile)),
+        "8a" | "a" => Some(fig8ab::run(profile, specs).0),
+        "8b" | "b" => Some(fig8ab::run(profile, specs).1),
+        "8c" | "c" => Some(fig8c::run(profile, specs)),
+        "8d" | "d" => Some(fig8d::run(profile, specs)),
+        "8e" | "e" => Some(fig8e::run(profile, specs)),
         "8f" | "f" => Some(fig8f::run(profile)),
         "8g" | "g" => Some(fig8g::run(profile)),
         "8h" | "h" => Some(fig8h::run(profile)),
@@ -79,7 +83,7 @@ mod tests {
     #[test]
     fn run_figure_rejects_unknown_ids() {
         let profile = Profile::smoke();
-        assert!(run_figure("9z", &profile).is_none());
+        assert!(run_figure("9z", &profile, &standard_overlays()).is_none());
     }
 
     #[test]

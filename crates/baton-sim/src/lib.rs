@@ -6,9 +6,12 @@
 //! a configurable scale ([`Profile`]).
 //!
 //! All drivers are generic over the [`baton_net::Overlay`] trait: the
-//! [`driver`] module holds the list of [`OverlaySpec`]s, and each figure
-//! runs one measurement loop over that list rather than one hand-written
-//! loop per system.
+//! [`driver`] module holds the list of [`OverlaySpec`]s
+//! ([`standard_overlays`], narrowed by name with [`select_overlays`]), and
+//! each figure runs one measurement loop over the list it is handed rather
+//! than one hand-written loop per system.  A run is a function of its
+//! arguments — profile (with its seed), overlay list and, for the scenario
+//! engine, thread budget; nothing is configured process-wide.
 //!
 //! | figure | driver | what it measures |
 //! |---|---|---|
@@ -38,10 +41,10 @@
 //! `crates/bench` keeps only the rows that package does not measure yet.
 //!
 //! ```
-//! use baton_sim::{figures, Profile};
+//! use baton_sim::{figures, standard_overlays, Profile};
 //!
 //! let profile = Profile::smoke();
-//! let figure = figures::run_figure("8d", &profile).unwrap();
+//! let figure = figures::run_figure("8d", &profile, &standard_overlays()).unwrap();
 //! assert_eq!(figure.id, "8d");
 //! assert!(!figure.points.is_empty());
 //! ```
@@ -60,8 +63,8 @@ pub mod scenario;
 pub mod serve_check;
 
 pub use driver::{
-    all_overlays, clear_overlay_filter, load_overlay, overlay_names, parse_threads,
-    reference_overlay, set_overlay_filter, standard_overlays, OverlaySpec, ServeSupport,
+    load_overlay, overlay_names, parse_threads, reference_overlay, select_overlays,
+    standard_overlays, OverlaySpec, ServeSupport,
 };
 pub use observe::{
     check_trace_jsonl, render_trace_chrome, render_trace_jsonl, trace_summary_table, TraceCheck,
@@ -70,7 +73,7 @@ pub use profile::Profile;
 pub use report::{json_string, render_json, render_report, render_scenarios_json};
 pub use result::{Averager, FigureResult, SeriesPoint};
 pub use scenario::{
-    all_scenarios, run_scenario, run_scenario_full, BuildKind, ScenarioPlan, ScenarioResult,
-    ScenarioSeries, ScenarioSpec,
+    all_scenarios, run_scenario, BuildKind, ScenarioPlan, ScenarioResult, ScenarioSeries,
+    ScenarioSpec,
 };
 pub use serve_check::{run_serve_check, ServeCheckReport};

@@ -66,14 +66,6 @@ impl FigureResult {
         names
     }
 
-    /// Value of `series` at the point with the given x, if measured.
-    pub fn value_at(&self, x: f64, series: &str) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| (p.x - x).abs() < 1e-9)
-            .and_then(|p| p.values.get(series).copied())
-    }
-
     /// Renders the result as an aligned text table.
     pub fn to_table(&self) -> String {
         let series = self.series_names();
@@ -200,7 +192,5 @@ mod tests {
             fig.series_names(),
             vec!["baton".to_owned(), "chord".to_owned()]
         );
-        assert_eq!(fig.value_at(100.0, "chord"), Some(7.5));
-        assert_eq!(fig.value_at(200.0, "chord"), None);
     }
 }

@@ -8,10 +8,13 @@
 //! with regions and timed link degradations), a
 //! [`PhasedWorkload`](baton_workload::PhasedWorkload) (per-phase rates and
 //! key distributions) and a [`FaultPlan`](baton_workload::FaultPlan) (timed
-//! correlated faults).  One generic engine ([`run_plan`]) drives every
-//! registered overlay through any plan, so a new scenario is a ~30-line spec
-//! and a new overlay appears in every scenario by registration alone —
+//! correlated faults).  One generic engine ([`run_plan`]) drives the
+//! overlays it is handed through any plan, so a new scenario is a ~30-line
+//! spec and a new overlay appears in every scenario by registration alone —
 //! exactly how [`OverlaySpec`](crate::OverlaySpec) works for the figures.
+//! A run is a function of `run_plan`'s arguments — profile, plan, overlay
+//! list, thread budget, optional recorder: `reproduce` passes what it
+//! parsed, [`run_scenario`] passes all four overlays and one thread.
 //!
 //! Registered scenarios (see [`specs`] for the plans):
 //!
@@ -269,36 +272,25 @@ pub fn all_scenario_ids() -> Vec<&'static str> {
     all_scenarios().into_iter().map(|s| s.id).collect()
 }
 
-/// Runs a scenario by identifier (case-insensitive); `None` for an unknown
-/// one.
+/// Runs a scenario by identifier (case-insensitive) with the plan's own
+/// settings; `None` for an unknown one.
 pub fn run_scenario(id: &str, profile: &Profile) -> Option<ScenarioResult> {
     run_scenario_with_options(id, profile, None, None)
 }
 
-/// [`run_scenario`] with the plan's [`BuildKind`] and replication degree
-/// overridden (`None` keeps the plan's own settings — `Join` and k = 1 for
-/// every registered scenario, which is what pins the committed fixtures).
+/// The library convenience over [`run_plan`]: looks the scenario up, applies
+/// the [`BuildKind`] and replication overrides (`None` keeps the plan's own
+/// settings — `Join` and k = 1 for every registered scenario, which is what
+/// pins the committed fixtures) and drives all of [`standard_overlays`]
+/// through it on **one** thread with no route recorder.  A caller that
+/// wants a subset, a thread budget or traces calls [`run_plan`] with them,
+/// as `reproduce` does.
 pub fn run_scenario_with_options(
     id: &str,
     profile: &Profile,
     build: Option<BuildKind>,
     replicas: Option<usize>,
 ) -> Option<ScenarioResult> {
-    run_scenario_full(id, profile, build, replicas, None).map(|(result, _)| result)
-}
-
-/// The fully-general scenario entry point: [`BuildKind`] and replication
-/// overrides plus the optional route recorder (see [`run_plan`]), over every
-/// overlay of [`standard_overlays`].  The result itself is byte-identical
-/// with and without the recorder — it observes the message stream without
-/// perturbing it.
-pub fn run_scenario_full(
-    id: &str,
-    profile: &Profile,
-    build: Option<BuildKind>,
-    replicas: Option<usize>,
-    trace: Option<TraceConfig>,
-) -> Option<(ScenarioResult, Vec<(String, TraceBuffer)>)> {
     let spec = all_scenarios()
         .into_iter()
         .find(|s| s.id.eq_ignore_ascii_case(id))?;
@@ -309,15 +301,12 @@ pub fn run_scenario_full(
     if let Some(replicas) = replicas {
         plan.replicas = replicas;
     }
-    let (series, traces) = run_plan(profile, &plan, &standard_overlays(), trace);
-    Some((
-        ScenarioResult {
-            id: spec.id.to_owned(),
-            title: plan.title.clone(),
-            series,
-        },
-        traces,
-    ))
+    let (series, _) = run_plan(profile, &plan, &standard_overlays(), 1, None);
+    Some(ScenarioResult {
+        id: spec.id.to_owned(),
+        title: plan.title,
+        series,
+    })
 }
 
 /// The generic scenario engine: drives every overlay of `specs` through
@@ -333,23 +322,26 @@ pub fn run_scenario_full(
 /// With a [`TraceConfig`], the *first* repetition of every overlay runs with
 /// the route recorder attached (sampling and capacity per the config) and
 /// the captured buffers come back alongside the series, one `(overlay name,
-/// buffer)` pair per overlay that produced one.
+/// buffer)` pair per overlay that produced one.  The series are
+/// byte-identical with and without the recorder — it observes the message
+/// stream without perturbing it — and at any `threads`.
 pub fn run_plan(
     profile: &Profile,
     plan: &ScenarioPlan,
     specs: &[OverlaySpec],
+    threads: usize,
     trace: Option<TraceConfig>,
 ) -> (Vec<ScenarioSeries>, Vec<(String, TraceBuffer)>) {
     let n = plan.n;
     let reps = profile.repetitions;
     // Every (overlay, repetition) unit is self-contained: the overlay is
     // built, bulk-loaded and driven entirely inside the unit from seeds
-    // derived only from the unit's indices, so the units fan out across the
-    // configured worker threads.  Aggregation below walks the outcomes in
+    // derived only from the unit's indices, so the units fan out across
+    // `threads` workers.  Aggregation below walks the outcomes in
     // canonical (overlay, repetition) order — the output depends on that
     // order alone, never on execution order, which keeps results
     // byte-identical at any thread count.
-    let outcomes = baton_net::run_indexed(specs.len() * reps, |unit| {
+    let outcomes = baton_net::run_indexed(threads, specs.len() * reps, |unit| {
         let spec = &specs[unit / reps];
         let rep = unit % reps;
         let seed = profile.rep_seed(rep);
@@ -620,8 +612,8 @@ mod tests {
             specs::regional_failure_plan,
         ] {
             let plan = build(&profile);
-            let (all, _) = run_plan(&profile, &plan, &crate::all_overlays(), None);
-            let (alone, _) = run_plan(&profile, &plan, &[crate::reference_overlay()], None);
+            let (all, _) = run_plan(&profile, &plan, &standard_overlays(), 1, None);
+            let (alone, _) = run_plan(&profile, &plan, &[crate::reference_overlay()], 1, None);
             assert_eq!(all.len(), 4, "{}", plan.title);
             assert_eq!(alone, [all[0].clone()], "{}", plan.title);
         }

@@ -467,7 +467,7 @@ mod tests {
             regional.faults.events()[0].kind,
             FaultKind::KillRegion { region: 1, .. }
         ));
-        assert!(regional.latency.region_map().is_some());
+        assert!(matches!(regional.latency, LatencyPlan::Regional { .. }));
         // Deferred kills: victims wait out the repair policy's delay.
         let policy = regional.faults.repair().expect("regional defers repairs");
         assert!(policy.fast < policy.slow);
@@ -522,15 +522,13 @@ mod tests {
         // Shared helper, different salts: the two regional scenarios must
         // not accidentally reuse one region assignment.
         let profile = Profile::smoke();
-        let a = regional_failure_plan(&profile)
-            .latency
-            .region_map()
-            .unwrap();
-        let b = degraded_links_plan(&profile).latency.region_map().unwrap();
-        let c = cascading_failure_plan(&profile)
-            .latency
-            .region_map()
-            .unwrap();
+        let region_map = |plan: ScenarioPlan| match plan.latency {
+            LatencyPlan::Regional { map, .. } => map,
+            other => panic!("wants a regional plan, got {other:?}"),
+        };
+        let a = region_map(regional_failure_plan(&profile));
+        let b = region_map(degraded_links_plan(&profile));
+        let c = region_map(cascading_failure_plan(&profile));
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);

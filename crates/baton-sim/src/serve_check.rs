@@ -1,6 +1,6 @@
 //! `reproduce --serve-check` — snapshot-vs-routed answer parity.
 //!
-//! Builds every registered overlay at a small scale, loads it, exports its
+//! Builds every overlay it is handed at a small scale, loads it, exports its
 //! [`baton_net::RoutingSnapshot`] and checks that a sample of exact and
 //! range queries answered **from the snapshot** (the lock-free serve path,
 //! zero simulated-network traffic) return exactly the match counts the
@@ -17,7 +17,7 @@ use baton_net::SimRng;
 use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
 use rand::Rng;
 
-use crate::driver::{load_overlay, standard_overlays};
+use crate::driver::{load_overlay, OverlaySpec};
 use crate::profile::Profile;
 
 /// What one [`run_serve_check`] pass covered.
@@ -44,11 +44,14 @@ const EXACT_PER_OVERLAY: usize = 200;
 /// domain (plus the edge cases below).
 const RANGE_PER_OVERLAY: usize = 60;
 
-/// Runs the parity check at the given profile's seed, returning the
-/// coverage report or the first mismatch.
-pub fn run_serve_check(profile: &Profile) -> Result<ServeCheckReport, String> {
+/// Runs the parity check over `specs` at the given profile's seed,
+/// returning the coverage report or the first mismatch.
+pub fn run_serve_check(
+    profile: &Profile,
+    specs: &[OverlaySpec],
+) -> Result<ServeCheckReport, String> {
     let mut report = ServeCheckReport::default();
-    for spec in standard_overlays() {
+    for spec in specs {
         let mut overlay = spec.build(profile, CHECK_NODES, profile.seed);
         let data = load_overlay(
             profile,
@@ -131,7 +134,8 @@ mod tests {
 
     #[test]
     fn serve_check_passes_on_every_overlay() {
-        let report = run_serve_check(&Profile::smoke()).expect("parity holds");
+        let report =
+            run_serve_check(&Profile::smoke(), &crate::standard_overlays()).expect("parity holds");
         assert_eq!(report.overlays, 4);
         assert_eq!(report.exact_checked, 4 * EXACT_PER_OVERLAY as u64);
         // Three range-capable overlays.

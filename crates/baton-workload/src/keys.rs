@@ -75,11 +75,6 @@ impl KeyGenerator {
         }
     }
 
-    /// The distribution this generator draws from.
-    pub fn distribution(&self) -> KeyDistribution {
-        self.distribution
-    }
-
     /// Draws one key.
     pub fn next_key<R: Rng>(&self, rng: &mut R) -> u64 {
         match self.distribution {

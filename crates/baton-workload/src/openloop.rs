@@ -314,21 +314,9 @@ impl OpenLoopOutcome {
         }
     }
 
-    /// Latency percentiles of one class; `None` if nothing completed.
-    pub fn summary(&self, class: OpClass) -> Option<LatencySummary> {
-        self.latencies
-            .get(class.name())
-            .and_then(|samples| LatencySummary::from_samples(samples))
-    }
-
     /// Total operations that surfaced unavailability, across the run.
     pub fn total_unavailable(&self) -> u64 {
         self.unavailable.values().sum()
-    }
-
-    /// Operations of one class that surfaced unavailability.
-    pub fn unavailable_of(&self, class: OpClass) -> u64 {
-        self.unavailable.get(class.name()).copied().unwrap_or(0)
     }
 
     /// Fraction of fault-window dispatches that succeeded, in `[0, 1]`;
@@ -597,18 +585,6 @@ fn apply_fault(
 /// availability rather than as a shorter (and therefore noisier) window.
 /// Repairs still pending after the last arrival are drained before the
 /// outcome is returned, so the overlay ends the run fully mended.
-pub fn run_phased(
-    overlay: &mut dyn Overlay,
-    events: &[ArrivalEvent],
-    workload: &PhasedWorkload,
-    faults: &FaultPlan,
-    rng: &mut SimRng,
-    min_nodes: usize,
-) -> OverlayResult<OpenLoopOutcome> {
-    run_phased_with_metrics(overlay, events, workload, faults, rng, min_nodes, None)
-}
-
-/// [`run_phased`] with an optional virtual-time metrics sampler.
 ///
 /// With a [`MetricsConfig`], a tick fires every `interval` of virtual time
 /// (interleaved with arrivals and faults in time order) and snapshots the
@@ -617,7 +593,7 @@ pub fn run_phased(
 /// misses, the deferred-repair backlog and the overlay's estimated state
 /// footprint.  Ticks read state only — they never draw from the rng or
 /// advance the clock — so a sampled run's statistics are byte-identical to
-/// an unsampled one.  `None` is exactly [`run_phased`].
+/// an unsampled one.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phased_with_metrics(
     overlay: &mut dyn Overlay,
@@ -855,6 +831,5 @@ mod tests {
         assert_eq!(outcome.skipped_of(OpClass::Range), 0);
         assert_eq!(outcome.throughput(), 0.0);
         assert_eq!(outcome.fault_kills, 0);
-        assert!(outcome.summary(OpClass::Search).is_none());
     }
 }

@@ -13,7 +13,7 @@
 
 use baton_net::{SimRng, SimTime};
 
-use crate::keys::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
+use crate::keys::{KeyDistribution, KeyGenerator};
 use crate::openloop::{ArrivalEvent, OpClass};
 
 /// Arrival rates of every operation class, per virtual second.
@@ -93,18 +93,6 @@ impl KeyMix {
             KeyMix::Zipf { theta } => KeyGenerator::paper(KeyDistribution::Zipf { theta: *theta }),
         }
     }
-
-    /// Short human-readable description for catalogs and titles.
-    pub fn describe(&self) -> String {
-        match self {
-            KeyMix::Uniform => "uniform".to_owned(),
-            KeyMix::HotSlice { low, high } => {
-                let share = (*high - *low) as f64 / (DOMAIN_HIGH - DOMAIN_LOW) as f64 * 100.0;
-                format!("hot {share:.1}% slice")
-            }
-            KeyMix::Zipf { theta } => format!("zipf(θ = {theta})"),
-        }
-    }
 }
 
 /// One span of a phased workload: how long it lasts, what arrives during it
@@ -175,27 +163,6 @@ impl PhasedWorkload {
     /// uniform keys.
     pub fn queries_only(duration: SimTime, search: f64) -> Self {
         Self::single(duration, OpRates::queries(search), KeyMix::Uniform)
-    }
-
-    /// The churn-under-load shape: `search` queries per second while
-    /// `churn_per_minute` (a fraction of the `n` starting peers, e.g. `0.1`
-    /// for 10%) joins *and* the same fraction leaves per virtual minute.
-    pub fn churn_under_load(
-        duration: SimTime,
-        search: f64,
-        n: usize,
-        churn_per_minute: f64,
-    ) -> Self {
-        let churn_rate = (n as f64 * churn_per_minute) / 2.0 / 60.0;
-        Self::single(
-            duration,
-            OpRates {
-                join: churn_rate,
-                leave: churn_rate,
-                ..OpRates::queries(search)
-            },
-            KeyMix::Uniform,
-        )
     }
 
     /// Total virtual length of the run (the phases' concatenation).
@@ -323,6 +290,7 @@ impl ResolvedKeys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::{DOMAIN_HIGH, DOMAIN_LOW};
 
     #[test]
     fn single_phase_schedule_is_sorted_deterministic_and_rate_proportional() {
@@ -462,28 +430,5 @@ mod tests {
             hard > soft,
             "zipf(1.2) should out-skew zipf(0.6): {hard} vs {soft}"
         );
-    }
-
-    #[test]
-    fn describe_names_every_mix() {
-        assert_eq!(KeyMix::Uniform.describe(), "uniform");
-        let slice = KeyMix::HotSlice {
-            low: DOMAIN_LOW,
-            high: DOMAIN_LOW + (DOMAIN_HIGH - DOMAIN_LOW) / 100,
-        };
-        assert_eq!(slice.describe(), "hot 1.0% slice");
-        assert_eq!(KeyMix::Zipf { theta: 1.0 }.describe(), "zipf(θ = 1)");
-    }
-
-    #[test]
-    fn churn_under_load_rates_match_the_fraction() {
-        let w = PhasedWorkload::churn_under_load(SimTime::from_secs(60), 5.0, 1200, 0.1);
-        // 10% of 1200 peers per minute, split between joins and leaves:
-        // 1 join/s and 1 leave/s.
-        let rates = w.phases[0].rates;
-        assert!((rates.join - 1.0).abs() < 1e-9);
-        assert!((rates.leave - 1.0).abs() < 1e-9);
-        assert_eq!(rates.search, 5.0);
-        assert_eq!(rates.fail, 0.0);
     }
 }

@@ -126,15 +126,6 @@ impl LoadOutcome {
             self.messages as f64 / self.inserted as f64
         }
     }
-
-    /// Average load-balancing messages per insert (Figure 8(g)).
-    pub fn mean_balance_messages(&self) -> f64 {
-        if self.inserted == 0 {
-            0.0
-        } else {
-            self.balance_messages as f64 / self.inserted as f64
-        }
-    }
 }
 
 /// Inserts a generated dataset into an overlay.
@@ -221,9 +212,7 @@ pub fn run_queries(overlay: &mut dyn Overlay, queries: &[Query]) -> OverlayResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::{
-        ChurnCost, NetView, OpCost, OverlayCapabilities, OverlayResult as OR, SimNetwork,
-    };
+    use baton_net::{ChurnCost, OpCost, OverlayCapabilities, OverlayResult as OR, SimNetwork};
 
     /// Deterministic fake overlay: every operation costs one message;
     /// range queries and failures are unsupported.  Holds a network and
@@ -247,10 +236,10 @@ mod tests {
         fn total_items(&self) -> usize {
             self.items
         }
-        fn net(&self) -> &dyn NetView {
+        fn net(&self) -> &SimNetwork {
             &self.net
         }
-        fn net_mut(&mut self) -> &mut dyn NetView {
+        fn net_mut(&mut self) -> &mut SimNetwork {
             &mut self.net
         }
         fn join_random(&mut self) -> OR<ChurnCost> {
@@ -334,7 +323,6 @@ mod tests {
         assert_eq!(outcome.balance_messages, 3);
         assert_eq!(overlay.total_items(), 3);
         assert_eq!(outcome.mean_messages(), 1.0);
-        assert_eq!(outcome.mean_balance_messages(), 1.0);
     }
 
     #[test]
@@ -358,7 +346,6 @@ mod tests {
     fn empty_outcomes_have_zero_means() {
         assert_eq!(ChurnOutcome::default().mean_messages(), 0.0);
         assert_eq!(LoadOutcome::default().mean_messages(), 0.0);
-        assert_eq!(LoadOutcome::default().mean_balance_messages(), 0.0);
         assert_eq!(QueryOutcome::default().mean_exact_messages(), 0.0);
     }
 }

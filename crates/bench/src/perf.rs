@@ -176,8 +176,7 @@ fn churn_row(id: &str, sim: &Profile, threads: usize, fan_out: &str) -> Measurem
     );
     let (row, ()) = Measurement::timed(id, detail, "ops", || {
         let baton = [baton_sim::reference_overlay()];
-        let (series, _) =
-            baton_net::with_threads(threads, || scenario::run_plan(sim, &plan, &baton, None));
+        let (series, _) = scenario::run_plan(sim, &plan, &baton, threads, None);
         let classes = series.iter().flat_map(|s| &s.classes);
         (classes.map(|c| c.count).sum(), ())
     });
@@ -319,9 +318,9 @@ fn anatomy_row(
 
 /// Captures the route-anatomy rows: BATON across the cost-curve sizes
 /// (bulk-built, so the rows isolate routing structure), then each baseline
-/// of `baton_sim::all_overlays()` join-built at the profile's `build_n`.
+/// of `baton_sim::standard_overlays()` join-built at the profile's `build_n`.
 pub fn route_anatomy(profile: &PerfProfile) -> Vec<RouteAnatomy> {
-    let overlays = baton_sim::all_overlays();
+    let overlays = baton_sim::standard_overlays();
     let (baton, baselines) = overlays.split_first().expect("BATON is registered first");
     let curve = profile.curve_ns.iter().map(|&n| {
         let id = format!("anatomy_{}", n_suffix(n));

@@ -11,7 +11,7 @@
 //! exactly like one loaded through routed inserts.
 
 use baton_net::SimRng;
-use baton_sim::{all_overlays, Profile};
+use baton_sim::{standard_overlays, Profile};
 use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
 
 /// Number of stored keys in `[low, high)` according to the sorted oracle.
@@ -40,7 +40,7 @@ fn bulk_built_overlays_answer_queries_like_join_built_ones() {
     let keys = seeded_keys();
 
     let mut checked = 0;
-    for spec in all_overlays() {
+    for spec in standard_overlays() {
         let mut joined = spec.build(&profile, 40, 77);
         // The registry's bulk constructor and the overlay's advertised
         // capability are the same fact stated twice; they must agree.
@@ -176,7 +176,7 @@ fn direct_load_matches_routed_load_through_the_overlay_interface() {
         .collect();
 
     let mut checked = 0;
-    for spec in all_overlays() {
+    for spec in standard_overlays() {
         if !spec.supports_bulk() {
             continue;
         }

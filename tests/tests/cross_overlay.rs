@@ -15,7 +15,7 @@ use baton_workload::{runner, ChurnWorkload, Query, QueryWorkload};
 #[test]
 fn all_nine_figures_produce_finite_series_through_the_generic_driver() {
     let profile = Profile::smoke();
-    let results = figures::run_all(&profile);
+    let results = figures::run_all(&profile, &standard_overlays());
     assert_eq!(results.len(), figures::all_figure_ids().len());
 
     // Which figures each comparison series appears in: the paper's

@@ -77,7 +77,7 @@ fn regional_latency_pins_op_frontiers_and_class_latency() {
 #[test]
 fn zero_latency_model_reproduces_the_seed_figures_exactly() {
     let fixture = include_str!("../fixtures/fig8_smoke_seed.json");
-    let results = figures::run_all(&Profile::smoke());
+    let results = figures::run_all(&Profile::smoke(), &baton_sim::standard_overlays());
     let rendered = render_json(&results);
     assert_eq!(
         rendered.trim(),
@@ -161,7 +161,7 @@ fn churned_overlay_reproduces_pinned_seeded_message_counts() {
 #[test]
 fn open_loop_retires_finished_ops_into_bounded_aggregates() {
     use baton_core::{BatonConfig, BatonSystem};
-    use baton_workload::{run_phased, FaultPlan, PhasedWorkload};
+    use baton_workload::{run_phased_with_metrics, FaultPlan, PhasedWorkload};
 
     let mut overlay = BatonSystem::build(BatonConfig::default(), 7, 40).expect("build");
     // Construction ran outside any runner, so its ops still sit in the live
@@ -173,13 +173,14 @@ fn open_loop_retires_finished_ops_into_bounded_aggregates() {
     let mut rng = SimRng::seeded(0xFEED);
     let events = workload.schedule(&mut rng.derive(1));
     assert!(events.len() > 1500, "want a long run, got {}", events.len());
-    let outcome = run_phased(
+    let outcome = run_phased_with_metrics(
         &mut overlay,
         &events,
         &workload,
         &FaultPlan::none(),
         &mut rng,
         1,
+        None,
     )
     .expect("run");
     assert_eq!(outcome.total_executed(), events.len() as u64);

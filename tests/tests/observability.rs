@@ -106,14 +106,14 @@ fn trace_spans_reconcile_with_message_stats_on_every_overlay() {
 #[test]
 fn ring_buffer_eviction_bounds_memory_under_an_open_loop_run() {
     let capacity = 8;
-    let (_, traces) = scenario::run_scenario_full(
-        "latency_under_churn",
-        &Profile::smoke(),
-        None,
-        None,
+    let profile = Profile::smoke();
+    let (_, traces) = scenario::run_plan(
+        &profile,
+        &scenario::specs::latency_under_churn_plan(&profile),
+        &standard_overlays(),
+        1,
         Some(TraceConfig::new(capacity)),
-    )
-    .expect("registered scenario");
+    );
     assert!(!traces.is_empty());
     for (overlay, buffer) in &traces {
         assert!(
@@ -138,14 +138,14 @@ fn ring_buffer_eviction_bounds_memory_under_an_open_loop_run() {
 /// about a third of the operations, deterministically.
 #[test]
 fn sampling_modulus_thins_the_recorded_spans() {
-    let (_, traces) = scenario::run_scenario_full(
-        "latency_under_churn",
-        &Profile::smoke(),
-        None,
-        None,
+    let profile = Profile::smoke();
+    let (_, traces) = scenario::run_plan(
+        &profile,
+        &scenario::specs::latency_under_churn_plan(&profile),
+        &standard_overlays(),
+        1,
         Some(TraceConfig::default().with_sample(3)),
-    )
-    .expect("registered scenario");
+    );
     for (overlay, buffer) in &traces {
         assert!(buffer.ops_seen() > 0, "{overlay}: no ops observed");
         assert!(
@@ -291,14 +291,14 @@ fn json_parser_never_panics_on_truncated_or_mutated_documents() {
 /// was recorded optimistically at send time and patched on a bounce.
 #[test]
 fn regional_failure_trace_pins_bounced_and_detour_hops() {
-    let (_, traces) = scenario::run_scenario_full(
-        "regional_failure",
-        &Profile::smoke(),
-        None,
-        Some(1),
+    let profile = Profile::smoke();
+    let (_, traces) = scenario::run_plan(
+        &profile,
+        &scenario::specs::regional_failure_plan(&profile),
+        &standard_overlays(),
+        1,
         Some(TraceConfig::default()),
-    )
-    .expect("registered scenario");
+    );
     let overlays: Vec<&str> = traces.iter().map(|(name, _)| name.as_str()).collect();
     assert_eq!(overlays, ["BATON", "Chord", "Multiway tree", "D3-Tree"]);
     let hops = || {

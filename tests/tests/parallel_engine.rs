@@ -6,23 +6,27 @@
 //! runs, never *what* it computes: every unit derives its seeds from its
 //! own indices, and aggregation walks the outcomes in canonical unit order.
 //! These tests pin that contract for every registered scenario.
-//!
-//! The thread budget (`baton_net::set_threads`) is process-global, so the
-//! comparison runs live in one test — splitting them into separate `#[test]`
-//! functions would race within the test binary.
 
-use baton_net::set_threads;
-use baton_sim::{render_scenarios_json, scenario, Profile};
+use baton_sim::scenario::{self, ScenarioResult, ScenarioSpec};
+use baton_sim::{render_scenarios_json, standard_overlays, Profile};
+
+/// Runs `spec` over all four overlays on `threads` worker threads.
+fn run_on(spec: &ScenarioSpec, threads: usize) -> ScenarioResult {
+    let profile = Profile::smoke();
+    let plan = (spec.build)(&profile);
+    let (series, _) = scenario::run_plan(&profile, &plan, &standard_overlays(), threads, None);
+    ScenarioResult {
+        id: spec.id.to_owned(),
+        title: plan.title,
+        series,
+    }
+}
 
 #[test]
 fn every_scenario_is_byte_identical_across_thread_counts() {
-    let profile = Profile::smoke();
     for spec in scenario::all_scenarios() {
-        set_threads(1);
-        let single = scenario::run_scenario(spec.id, &profile).expect("registered");
-        set_threads(4);
-        let parallel = scenario::run_scenario(spec.id, &profile).expect("registered");
-        set_threads(1);
+        let single = run_on(&spec, 1);
+        let parallel = run_on(&spec, 4);
         assert_eq!(
             single, parallel,
             "scenario {} diverged between 1 and 4 worker threads",
@@ -41,14 +45,12 @@ fn every_scenario_is_byte_identical_across_thread_counts() {
 fn thread_budget_exceeding_unit_count_is_harmless() {
     // More workers than (overlay × repetition) units: the engine must not
     // deadlock, panic, or change results when most workers have no work.
-    let profile = Profile::smoke();
-    set_threads(1);
-    let single = scenario::run_scenario("flash_crowd", &profile).expect("registered");
-    set_threads(64);
-    let oversubscribed = scenario::run_scenario("flash_crowd", &profile).expect("registered");
-    set_threads(1);
+    let flash_crowd = ScenarioSpec {
+        id: "flash_crowd",
+        build: scenario::specs::flash_crowd_plan,
+    };
     assert_eq!(
-        render_scenarios_json(&[single]),
-        render_scenarios_json(&[oversubscribed]),
+        render_scenarios_json(&[run_on(&flash_crowd, 1)]),
+        render_scenarios_json(&[run_on(&flash_crowd, 64)]),
     );
 }

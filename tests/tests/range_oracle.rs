@@ -15,7 +15,7 @@
 
 use baton_d3tree::D3TreeSystem;
 use baton_net::SimRng;
-use baton_sim::{all_overlays, Profile};
+use baton_sim::{standard_overlays, Profile};
 use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
 
 /// Number of stored keys in `[low, high)` according to the sorted oracle.
@@ -40,7 +40,7 @@ fn range_and_exact_results_match_a_sorted_vector_oracle() {
     keys.extend(repeats);
 
     let mut checked = 0;
-    for spec in all_overlays() {
+    for spec in standard_overlays() {
         let mut overlay = spec.build(&profile, 40, 77);
         if !overlay.capabilities().range_queries {
             continue;

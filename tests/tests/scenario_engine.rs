@@ -142,7 +142,7 @@ fn regional_failure_kills_peers_on_every_overlay() {
 #[test]
 fn targeted_region_kills_remove_exactly_the_selected_victims() {
     use baton_net::SimRng;
-    use baton_workload::run_phased;
+    use baton_workload::run_phased_with_metrics;
 
     let profile = Profile::smoke();
     let map = RegionMap::new(4, 0xFA11);
@@ -166,8 +166,16 @@ fn targeted_region_kills_remove_exactly_the_selected_victims() {
         let mut rng = SimRng::seeded(7);
         let events = workload.schedule(&mut rng.derive(1));
         assert!(events.is_empty(), "zero-rate workload schedules nothing");
-        let outcome =
-            run_phased(&mut *overlay, &events, &workload, &faults, &mut rng, 5).expect("run");
+        let outcome = run_phased_with_metrics(
+            &mut *overlay,
+            &events,
+            &workload,
+            &faults,
+            &mut rng,
+            5,
+            None,
+        )
+        .expect("run");
 
         let expected = (region_size as f64 * 0.5).round() as u64;
         assert_eq!(
@@ -211,7 +219,7 @@ fn targeted_region_kills_remove_exactly_the_selected_victims() {
 fn staggered_fault_waves_never_reselect_dead_victims() {
     use baton_core::{BatonConfig, BatonSystem};
     use baton_net::{Overlay, RepairPolicy, SimRng};
-    use baton_workload::{run_phased, PhasedWorkload};
+    use baton_workload::{run_phased_with_metrics, PhasedWorkload};
 
     let mut overlay = BatonSystem::build(BatonConfig::default(), 0xC0FFEE, 60).expect("build");
     overlay
@@ -235,7 +243,9 @@ fn staggered_fault_waves_never_reselect_dead_victims() {
     .with_repair(policy);
     let mut rng = SimRng::seeded(7);
     let events = workload.schedule(&mut rng.derive(1));
-    let outcome = run_phased(&mut overlay, &events, &workload, &faults, &mut rng, 5).expect("run");
+    let outcome =
+        run_phased_with_metrics(&mut overlay, &events, &workload, &faults, &mut rng, 5, None)
+            .expect("run");
 
     // 16 *distinct* peers died: dead victims are filtered out of the second
     // wave's selection pool, so no kill is wasted or skipped.
@@ -260,7 +270,7 @@ fn staggered_fault_waves_never_reselect_dead_victims() {
 fn fault_selection_leaves_the_key_stream_untouched() {
     use baton_core::{BatonConfig, BatonSystem};
     use baton_net::SimRng;
-    use baton_workload::{run_phased, PhasedWorkload};
+    use baton_workload::{run_phased_with_metrics, PhasedWorkload};
 
     let map = RegionMap::new(4, 0xFA11);
     let workload = PhasedWorkload::queries_only(SimTime::from_secs(2), 0.0);
@@ -276,8 +286,9 @@ fn fault_selection_leaves_the_key_stream_untouched() {
         let mut overlay = BatonSystem::build(BatonConfig::default(), 0xC0FFEE, 60).expect("build");
         let mut rng = SimRng::seeded(7);
         let events = workload.schedule(&mut rng.derive(1));
-        let outcome = run_phased(&mut overlay, &events, &workload, faults, &mut rng, 5)
-            .expect("run cannot fail");
+        let outcome =
+            run_phased_with_metrics(&mut overlay, &events, &workload, faults, &mut rng, 5, None)
+                .expect("run cannot fail");
         (outcome.fault_kills, rng.uniform_f64())
     };
     let (kills, with_faults) = next_draw_after(&faults);

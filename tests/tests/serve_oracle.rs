@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use baton_net::serve::ServeCounters;
 use baton_net::{SimRng, SnapshotCell, SnapshotReader};
-use baton_sim::{all_overlays, Profile};
+use baton_sim::{standard_overlays, Profile};
 use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
 
 /// Exact-match count through the snapshot path.
@@ -43,7 +43,7 @@ fn snapshot_answers_agree_with_the_routed_engine_on_every_overlay() {
 
     let mut snapshotting = 0;
     let mut ranged = 0;
-    for spec in all_overlays() {
+    for spec in standard_overlays() {
         let mut overlay = spec.build(&profile, 40, 2005);
         for key in &keys {
             overlay.insert(*key, *key).expect("insert");
@@ -131,7 +131,7 @@ fn snapshot_answers_agree_with_the_routed_engine_on_every_overlay() {
 #[test]
 fn stale_reader_answers_from_its_own_version_across_a_mid_stream_swap() {
     let profile = Profile::smoke();
-    let spec = all_overlays()
+    let spec = standard_overlays()
         .into_iter()
         .find(|spec| spec.series == "BATON")
         .expect("BATON registered");
