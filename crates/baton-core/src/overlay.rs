@@ -90,7 +90,7 @@ impl Overlay for BatonSystem {
     }
 
     fn fail_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
-        let report = self.fail(peer).map_err(op_err)?;
+        let report = self.fail(peer).map_err(avail_err)?;
         Ok((&report).into())
     }
 

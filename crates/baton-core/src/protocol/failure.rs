@@ -55,7 +55,10 @@ impl BatonSystem {
     }
 
     /// Runs the §III-C recovery protocol for a peer previously failed with
-    /// [`BatonSystem::fail_silently`].
+    /// [`BatonSystem::fail_silently`].  While none of its parent, children
+    /// and adjacent nodes is alive the repair is refused with
+    /// [`BatonError::PeerNotAlive`] and changes nothing; retry it after
+    /// theirs.
     pub fn recover_failed(&mut self, peer: PeerId) -> Result<FailureReport> {
         if self.node(peer).is_none() {
             return Err(BatonError::UnknownPeer(peer));
@@ -69,22 +72,59 @@ impl BatonSystem {
     }
 
     /// Simulates the abrupt failure of `peer` and runs the recovery
-    /// protocol.
+    /// protocol.  A failure no live neighbour could repair is refused with
+    /// [`BatonError::PeerNotAlive`] and changes nothing.
     pub fn fail(&mut self, peer: PeerId) -> Result<FailureReport> {
         self.check_alive(peer)?;
-        self.net.fail_peer(peer);
         self.recover_inner(peer)
     }
 
     fn recover_inner(&mut self, peer: PeerId) -> Result<FailureReport> {
-        self.in_op("failure", |system, op| system.recover_in_op(op, peer))
+        let coordinator = self.repair_coordinator(peer)?;
+        self.net.fail_peer(peer);
+        self.in_op("failure", |system, op| {
+            system.recover_in_op(op, peer, coordinator)
+        })
     }
 
-    fn recover_in_op(&mut self, op: OpScope, peer: PeerId) -> Result<FailureReport> {
-        // Special case: the overlay's only node fails — nothing to recover.
+    /// The peer that coordinates `peer`'s repair: its parent or, if the
+    /// parent is dead or `peer` is the root, the first live one of its
+    /// children and adjacent nodes.  `None` when `peer` is the only node.
+    /// With no live candidate the repair cannot run — every message of it
+    /// starts at the coordinator — so it is refused with the retryable
+    /// [`BatonError::PeerNotAlive`] (naming the first dead candidate)
+    /// before anything changes.
+    fn repair_coordinator(&self, peer: PeerId) -> Result<Option<PeerId>> {
+        let node = self.node_ref(peer)?;
         if self.node_count() == 1 {
+            return Ok(None);
+        }
+        let candidates = [
+            node.parent,
+            node.left_child,
+            node.right_child,
+            node.left_adjacent,
+            node.right_adjacent,
+        ];
+        let mut linked = candidates.into_iter().flatten().map(|l| l.peer).peekable();
+        let first = *linked.peek().ok_or_else(|| {
+            BatonError::InvariantViolation(
+                "failed node has no links but the overlay has other nodes".into(),
+            )
+        })?;
+        let live = linked.find(|p| self.net.is_alive(*p));
+        live.map(Some).ok_or(BatonError::PeerNotAlive(first))
+    }
+
+    fn recover_in_op(
+        &mut self,
+        op: OpScope,
+        peer: PeerId,
+        coordinator: Option<PeerId>,
+    ) -> Result<FailureReport> {
+        // Special case: the overlay's only node fails — nothing to recover.
+        let Some(coordinator) = coordinator else {
             let lost_items = self.node_ref(peer)?.store.len();
-            self.net.fail_peer(peer);
             let node = self.nodes.remove(peer).expect("checked above");
             self.vacate(node.position, peer);
             self.mark_repaired(peer);
@@ -96,37 +136,10 @@ impl BatonSystem {
                 departure_messages: 0,
                 lost_items,
             });
-        }
+        };
 
-        self.net.fail_peer(peer);
-
-        // The coordinator is the failed node's parent; if the root failed,
-        // one of its children (or, degenerately, an adjacent node) takes
-        // over the recovery.
-        let (coordinator, reporter, lost_items, is_removable_leaf) = {
+        let (reporter, lost_items, is_removable_leaf) = {
             let node = self.node_ref(peer)?;
-            // Prefer the first *alive* linked candidate: under deferred
-            // repair a neighbour may itself be dead and cannot coordinate.
-            // With no dead peers (every legacy run) the first candidate —
-            // the parent — is alive, so the order is unchanged.
-            let candidates = [
-                node.parent.map(|l| l.peer),
-                node.left_child.map(|l| l.peer),
-                node.right_child.map(|l| l.peer),
-                node.left_adjacent.map(|l| l.peer),
-                node.right_adjacent.map(|l| l.peer),
-            ];
-            let coordinator = candidates
-                .iter()
-                .flatten()
-                .copied()
-                .find(|p| self.net.is_alive(*p))
-                .or_else(|| candidates.iter().flatten().copied().next())
-                .ok_or_else(|| {
-                    BatonError::InvariantViolation(
-                        "failed node has no links but the overlay has other nodes".into(),
-                    )
-                })?;
             // Any peer that held a link to the failed node may be the one
             // that noticed; pick one different from the coordinator when
             // possible.
@@ -135,7 +148,6 @@ impl BatonSystem {
                 .find(|p| *p != coordinator)
                 .unwrap_or(coordinator);
             (
-                coordinator,
                 reporter,
                 node.store.len(),
                 node.can_leave_without_replacement(),

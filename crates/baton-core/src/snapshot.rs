@@ -2,17 +2,36 @@
 //!
 //! Serializes the overlay's current ownership into a
 //! [`RoutingSnapshot`]: the in-order traversal of the tree is an ordered
-//! partition of the key domain, so slots are the nodes sorted by range low,
-//! items are each node's store run-length-encoded by key, links carry the
-//! paper's §II link taxonomy (parent, children, adjacents, sideways routing
-//! tables) and replicas are the adjacent-link replica targets of the
-//! k-replica capability.  Extraction is read-only: statistics, RNG streams
-//! and the virtual clock are untouched.
+//! partition of the key domain, so slots are the nodes in in-order (one
+//! iterative walk of the position map), items are each node's store
+//! run-length-encoded by key, links carry the paper's §II link taxonomy
+//! (parent, children, adjacents, sideways routing tables) and replicas are
+//! the adjacent-link replica targets of the k-replica capability.
+//! Extraction is read-only: statistics, RNG streams and the virtual clock
+//! are untouched.
+//!
+//! The links are computed from positions, not read from the peers.  BATON
+//! places every link by position (§III): a node at number `n` on level `L`
+//! links to its parent, its children, its in-order neighbours and, on its
+//! own level, to the occupied positions `n − 2^i` (left routing table) and
+//! `n + 2^i` (right routing table).  The walk that assigns slots also fills
+//! a per-level position → slot table, and each slot's links come from that
+//! table by arithmetic, in the order a peer lists its own: parent, left and
+//! right child, left and right adjacent, left table then right table, `i`
+//! ascending.  Whenever [`crate::validate`] holds — its checks 2, 5 and 6
+//! assert that the peers' parent/child links, routing tables and adjacent
+//! links are exactly these — the output equals the snapshot of the peers'
+//! own links; `tests/tests/snapshot_export.rs` keeps a reference exporter
+//! that reads every routing table and requires equal snapshots after churn,
+//! deferred failures and repairs.
 
 use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
-use baton_net::{LinkKind, PeerId};
+use baton_net::LinkKind;
 
 use crate::system::BatonSystem;
+
+/// Position → slot table entry of an unoccupied position.
+const NO_SLOT: u32 = u32::MAX;
 
 impl BatonSystem {
     /// Builds a [`RoutingSnapshot`] of the overlay's current state.
@@ -25,35 +44,79 @@ impl BatonSystem {
             (domain.low(), domain.high()),
         );
         builder.reserve(self.node_count(), self.total_items());
-        // Slots in key order: the in-order traversal of the tree.
-        let mut nodes: Vec<(PeerId, &crate::node::BatonNode)> = self.iter_nodes().collect();
-        nodes.sort_by_key(|(_, node)| node.range.low());
-        for (peer, node) in &nodes {
+        // Slots in key order.  `slot_at[level][number − 1]` is the slot of a
+        // position, `order[slot]` its `(level, number − 1)`.
+        let mut slot_at = self.by_position.same_shape(NO_SLOT);
+        let mut order: Vec<(usize, usize)> = Vec::with_capacity(self.node_count());
+        self.by_position.walk_in_order(|level, index, peer| {
+            slot_at[level][index] = order.len() as u32;
+            order.push((level, index));
+            let node = self.node(peer).expect("the position map names members");
             // Registered nodes are dead only while awaiting a deferred repair.
-            builder.push_slot(peer.0, node.range.high(), self.net.is_alive(*peer));
+            builder.push_slot(peer.0, node.range.high(), self.net.is_alive(peer));
             builder.push_keys(node.store.keys().iter().copied());
             builder.seal_slot();
-        }
-        for (slot, (peer, node)) in nodes.iter().enumerate() {
-            if let Some(parent) = &node.parent {
-                builder.link_peer(slot, parent.peer.0, LinkKind::Parent);
-            }
-            for child in [&node.left_child, &node.right_child].into_iter().flatten() {
-                builder.link_peer(slot, child.peer.0, LinkKind::Child);
-            }
-            for adjacent in [&node.left_adjacent, &node.right_adjacent]
-                .into_iter()
-                .flatten()
-            {
-                builder.link_peer(slot, adjacent.peer.0, LinkKind::Adjacent);
-            }
-            for table in [&node.left_table, &node.right_table] {
-                for (_, entry) in table.iter() {
-                    builder.link_peer(slot, entry.link.peer.0, LinkKind::RoutingTable);
+        });
+        // The exact link count: a parent and a child link per non-root
+        // slot, two adjacent links per consecutive pair, and both ends of
+        // every pair of occupied positions 2^i apart on one level.
+        let mut links = 4 * order.len().saturating_sub(1);
+        for row in &slot_at {
+            for index in (0..row.len()).filter(|&index| row[index] != NO_SLOT) {
+                let mut distance = 1;
+                while index + distance < row.len() {
+                    links += 2 * usize::from(row[index + distance] != NO_SLOT);
+                    distance *= 2;
                 }
             }
-            for target in self.replica_pair(*peer).into_iter().flatten() {
-                builder.replica_peer(slot, target.0);
+        }
+        builder.reserve_links(links);
+        let slot = |level: usize, index: usize| {
+            let slot = *slot_at.get(level)?.get(index)?;
+            (slot != NO_SLOT).then_some(slot as usize)
+        };
+        let last = order.len().saturating_sub(1);
+        for (s, &(level, index)) in order.iter().enumerate() {
+            let parent = level.checked_sub(1).and_then(|up| slot(up, index / 2));
+            let children = [slot(level + 1, 2 * index), slot(level + 1, 2 * index + 1)];
+            let adjacents = [s.checked_sub(1), (s < last).then_some(s + 1)];
+            if let Some(target) = parent {
+                builder.link(s, target, LinkKind::Parent);
+            }
+            for target in children.into_iter().flatten() {
+                builder.link(s, target, LinkKind::Child);
+            }
+            for target in adjacents.into_iter().flatten() {
+                builder.link(s, target, LinkKind::Adjacent);
+            }
+            // Sideways: every occupied n − 2^i, then every occupied n + 2^i;
+            // no row is wider than its level's 2^level positions.
+            let mut distance = 1;
+            while distance <= index {
+                if let Some(target) = slot(level, index - distance) {
+                    builder.link(s, target, LinkKind::RoutingTable);
+                }
+                distance *= 2;
+            }
+            let mut distance = 1;
+            while index + distance < slot_at[level].len() {
+                if let Some(target) = slot(level, index + distance) {
+                    builder.link(s, target, LinkKind::RoutingTable);
+                }
+                distance *= 2;
+            }
+            // `replica_pair`'s rule: the right adjacent first; the left one
+            // as well at k = 3, or instead when there is no right one.
+            if self.replication > 1 {
+                let [left, right] = adjacents;
+                let pair = match right {
+                    Some(_) if self.replication > 2 => [right, left],
+                    Some(_) => [right, None],
+                    None => [left, None],
+                };
+                for target in pair.into_iter().flatten() {
+                    builder.replica(s, target);
+                }
             }
         }
         builder.finish()

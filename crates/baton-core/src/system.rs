@@ -110,6 +110,37 @@ impl PositionMap {
             .map(|level| level as u32 + 1)
             .unwrap_or(0)
     }
+
+    /// A table shaped like the map — one row per level, as long as the
+    /// level's row, so indexed by `[level][number − 1]` — filled with
+    /// `value`.
+    pub(crate) fn same_shape<T: Clone>(&self, value: T) -> Vec<Vec<T>> {
+        let row = |level: &Vec<Option<PeerId>>| vec![value.clone(); level.len()];
+        self.levels.iter().map(row).collect()
+    }
+
+    /// Visits the positions of the tree hanging from the root in in-order
+    /// (key order), as `(level, number − 1, occupant)`.  Iterative: the
+    /// stack holds one position per level.
+    pub(crate) fn walk_in_order(&self, mut visit: impl FnMut(usize, usize, PeerId)) {
+        let at = |level: usize, index: usize| {
+            let peer = *self.levels.get(level)?.get(index)?;
+            peer.map(|peer| (level, index, peer))
+        };
+        let mut stack = Vec::with_capacity(self.levels.len());
+        let mut next = at(0, 0);
+        loop {
+            while let Some((level, index, peer)) = next {
+                stack.push((level, index, peer));
+                next = at(level + 1, 2 * index);
+            }
+            let Some((level, index, peer)) = stack.pop() else {
+                return;
+            };
+            visit(level, index, peer);
+            next = at(level + 1, 2 * index + 1);
+        }
+    }
 }
 
 /// What a [`BatonSystem::broadcast_link_update`] refreshes at its receivers.

@@ -1160,21 +1160,26 @@ impl D3TreeSystem {
                 peers_of.push(peer);
             }
         }
-        for (index, head) in heads.iter().enumerate() {
-            // Backbone stand-in: bucket heads link at ±2^j bucket strides,
-            // giving greedy routing the O(log N) reach an LCA climb has.
-            let mut stride = 1usize;
-            while stride < heads.len() {
-                if index >= stride {
-                    builder.link(*head, heads[index - stride], LinkKind::Backbone);
-                }
-                if index + stride < heads.len() {
-                    builder.link(*head, heads[index + stride], LinkKind::Backbone);
-                }
-                stride *= 2;
-            }
-        }
+        // Per slot: a bucket head's backbone links, then the bucket links,
+        // then the replicas.
+        let mut index = 0;
         for (slot, peer) in peers_of.iter().enumerate() {
+            if heads.get(index) == Some(&slot) {
+                // Backbone stand-in: bucket heads link at ±2^j bucket
+                // strides, giving greedy routing the O(log N) reach an LCA
+                // climb has.
+                let mut stride = 1usize;
+                while stride < heads.len() {
+                    if index >= stride {
+                        builder.link(slot, heads[index - stride], LinkKind::Backbone);
+                    }
+                    if index + stride < heads.len() {
+                        builder.link(slot, heads[index + stride], LinkKind::Backbone);
+                    }
+                    stride *= 2;
+                }
+                index += 1;
+            }
             if slot > 0 {
                 builder.link(slot, slot - 1, LinkKind::Bucket);
             }

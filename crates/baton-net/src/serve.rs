@@ -487,49 +487,36 @@ impl RoutingSnapshot {
 ///
 /// Extraction order matters: partition overlays must push slots in key
 /// order, ring overlays in ascending identifier order.  Items must arrive
-/// sorted within each slot.  Links and replicas follow once all slots are
-/// pushed, in any slot order: each slot keeps its entries in emission
-/// order, which is the order greedy routing breaks ties in.
+/// sorted within each slot.  Links and replicas follow their slot's push,
+/// in ascending slot order (a lower slot than the last one emitted panics):
+/// they are appended straight to the CSR arrays, and each slot keeps its
+/// entries in emission order, which is the order greedy routing breaks ties
+/// in.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
     snapshot: RoutingSnapshot,
     /// Dense peer-id → slot table; the first slot pushed for a peer wins.
     slot_by_peer: Vec<u32>,
-    /// Source slot of each staged link, parallel to `link_target`.
-    link_src: Vec<u32>,
-    /// Source slot of each staged replica, parallel to `repl_target`.
-    repl_src: Vec<u32>,
 }
 
 /// `slot_by_peer` entry of a peer without a slot.
 const NO_SLOT: u32 = u32::MAX;
 
-/// CSR offsets (`len == slots + 1`) of entries staged under the source
-/// slots `src`: one counting pass, then prefix sums.
-fn csr_offsets(src: &[u32], slots: usize, overflow: &str) -> Vec<u32> {
-    u32::try_from(src.len()).expect(overflow);
-    let mut off = vec![0u32; slots + 1];
-    for &slot in src {
-        off[slot as usize + 1] += 1;
-    }
-    for slot in 0..slots {
-        off[slot + 1] += off[slot];
-    }
-    off
+/// `len` entries as a CSR offset.
+fn as_offset(len: usize, what: &str) -> u32 {
+    u32::try_from(len).unwrap_or_else(|_| panic!("more than u32::MAX {what}"))
 }
 
-/// Moves `values`, staged under `src`, into the CSR order of `off`.  Slot-
-/// ordered emission is already in place; any other order takes one stable
-/// counting-sort scatter.
-fn csr_place<T: Copy>(src: &[u32], off: &[u32], values: &mut [T]) {
-    if src.is_sorted() {
-        return;
-    }
-    let mut next = off.to_vec();
-    for (&slot, value) in src.iter().zip(values.to_vec()) {
-        values[next[slot as usize] as usize] = value;
-        next[slot as usize] += 1;
-    }
+/// Makes `slot` the open segment of the CSR offsets `off`, whose last entry
+/// is the start of the open segment: every segment between the open one and
+/// `slot` closes empty at `len` entries.  `slot` must be one of the `pushed`
+/// slots, and not below the open one.
+fn open_segment(off: &mut Vec<u32>, slot: usize, pushed: usize, len: usize, what: &str) {
+    assert!(
+        off.len() <= slot + 1 && slot < pushed,
+        "{what} must be emitted in ascending order of pushed slots"
+    );
+    off.resize(slot + 1, as_offset(len, what));
 }
 
 impl SnapshotBuilder {
@@ -553,15 +540,13 @@ impl SnapshotBuilder {
                 item_off: vec![0],
                 item_key: Vec::new(),
                 item_cum: vec![0],
-                link_off: Vec::new(),
+                link_off: vec![0],
                 link_target: Vec::new(),
                 link_kind: Vec::new(),
-                repl_off: Vec::new(),
+                repl_off: vec![0],
                 repl_target: Vec::new(),
             },
             slot_by_peer: Vec::new(),
-            link_src: Vec::new(),
-            repl_src: Vec::new(),
         }
     }
 
@@ -575,6 +560,15 @@ impl SnapshotBuilder {
         snapshot.item_off.reserve(slots);
         snapshot.item_key.reserve(items);
         snapshot.item_cum.reserve(items);
+        snapshot.link_off.reserve(slots);
+        snapshot.repl_off.reserve(slots);
+    }
+
+    /// Reserves the link arrays for exactly `links` links, for an overlay
+    /// that can count them before emitting them.
+    pub fn reserve_links(&mut self, links: usize) {
+        self.snapshot.link_target.reserve_exact(links);
+        self.snapshot.link_kind.reserve_exact(links);
     }
 
     /// Appends a slot for `peer` whose range ends at (exclusive) `high` —
@@ -599,6 +593,7 @@ impl SnapshotBuilder {
 
     /// Appends one distinct stored key (with its value count) to the most
     /// recently pushed slot.  Keys must arrive sorted per slot.
+    #[inline]
     pub fn push_item(&mut self, key: u64, count: u64) {
         debug_assert!(!self.snapshot.slot_peer.is_empty(), "push_slot first");
         debug_assert!(count > 0, "zero-count item");
@@ -639,11 +634,16 @@ impl SnapshotBuilder {
     }
 
     /// Records a routing link from `slot` to `target` of class `kind`.
+    #[inline]
     pub fn link(&mut self, slot: usize, target: usize, kind: LinkKind) {
+        let s = &mut self.snapshot;
+        if s.link_off.len() != slot + 1 {
+            let (pushed, len) = (s.slot_peer.len(), s.link_target.len());
+            open_segment(&mut s.link_off, slot, pushed, len, "links");
+        }
         if slot != target {
-            self.link_src.push(slot as u32);
-            self.snapshot.link_target.push(target as u32);
-            self.snapshot.link_kind.push(kind);
+            s.link_target.push(target as u32);
+            s.link_kind.push(kind);
         }
     }
 
@@ -655,10 +655,15 @@ impl SnapshotBuilder {
     }
 
     /// Records that `target` holds a replica of `slot`'s slice.
+    #[inline]
     pub fn replica(&mut self, slot: usize, target: usize) {
+        let s = &mut self.snapshot;
+        if s.repl_off.len() != slot + 1 {
+            let (pushed, len) = (s.slot_peer.len(), s.repl_target.len());
+            open_segment(&mut s.repl_off, slot, pushed, len, "replicas");
+        }
         if slot != target {
-            self.repl_src.push(slot as u32);
-            self.snapshot.repl_target.push(target as u32);
+            s.repl_target.push(target as u32);
         }
     }
 
@@ -669,18 +674,18 @@ impl SnapshotBuilder {
         }
     }
 
-    /// Computes the link/replica CSR offsets and returns the finished
-    /// snapshot (version 0 until published through a [`SnapshotCell`]).
+    /// Seals the link and replica segments of the slots after the last one
+    /// emitted and returns the finished snapshot (version 0 until published
+    /// through a [`SnapshotCell`]).
     pub fn finish(self) -> RoutingSnapshot {
-        let (mut s, links, replicas) = (self.snapshot, self.link_src, self.repl_src);
+        let mut s = self.snapshot;
         let slots = s.slot_peer.len();
         let sealed = s.item_off.len() == slots + 1;
         assert!(sealed, "every slot must be sealed exactly once");
-        s.link_off = csr_offsets(&links, slots, "link_off: more than u32::MAX links");
-        csr_place(&links, &s.link_off, &mut s.link_target);
-        csr_place(&links, &s.link_off, &mut s.link_kind);
-        s.repl_off = csr_offsets(&replicas, slots, "repl_off: more than u32::MAX replicas");
-        csr_place(&replicas, &s.repl_off, &mut s.repl_target);
+        s.link_off
+            .resize(slots + 1, as_offset(s.link_target.len(), "links"));
+        s.repl_off
+            .resize(slots + 1, as_offset(s.repl_target.len(), "replicas"));
         s
     }
 }

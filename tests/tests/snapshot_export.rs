@@ -1,14 +1,18 @@
 //! Differential check of [`RoutingSnapshot`] export.
 //!
 //! The production path resolves links through a dense peer→slot table and
-//! assembles the CSR arrays in place; the reference below keeps the builder
-//! it replaced — one `Vec` per slot and a linear-scan `slot_of` — and reads
-//! each overlay through its public accessors only.  The two must produce
-//! field-for-field equal snapshots on all four overlays after seeded churn,
-//! including BATON's replica and liveness arrays at k = 2 with an
-//! unrepaired dead peer.  A scale guard exports a 50,000-peer overlay under
-//! plain `cargo test`: it carries no wall-clock assertion, but a quadratic
-//! export turns its seconds into many minutes.
+//! appends them to the CSR arrays in slot order; BATON's exporter computes
+//! its links from the position map instead of reading them.  The reference
+//! below keeps the builder it replaced — one `Vec` per slot and a
+//! linear-scan `slot_of` — and reads each overlay through its public
+//! accessors only, BATON's parent, child and adjacent links and both
+//! routing tables included.  The two must produce field-for-field equal
+//! snapshots on all four overlays after seeded churn, including BATON's
+//! replica and liveness arrays at k = 2 with an unrepaired dead peer and
+//! along a schedule of deferred failures and repairs.  A scale guard
+//! exports a 50,000-peer overlay under plain `cargo test`: it carries no
+//! wall-clock assertion, but a quadratic export turns its seconds into many
+//! minutes.
 
 use baton_chord::ChordSystem;
 use baton_core::{BatonConfig, BatonSystem};
@@ -21,8 +25,8 @@ use baton_workload::{DOMAIN_HIGH, DOMAIN_LOW};
 /// The builder the production one replaced: per-slot staging `Vec`s and a
 /// `slot_of` that scans.  `finish` replays the staged state through the
 /// production builder slot by slot with every target already resolved, so
-/// the peer→slot table, the out-of-order placement and `push_keys` are all
-/// bypassed.
+/// the peer→slot table and `push_keys` are bypassed and links may be staged
+/// in any slot order.
 struct ReferenceBuilder {
     out: SnapshotBuilder,
     peers: Vec<u32>,
@@ -206,8 +210,8 @@ fn reference_d3tree(system: &D3TreeSystem) -> RoutingSnapshot {
             peers.push(peer.peer);
         }
     }
-    // Backbone links of every head first, bucket links after: the emission
-    // order that is *not* slot order.
+    // Backbone links of every head first, bucket links after: staged out of
+    // slot order, replayed per slot.
     for (index, head) in heads.iter().enumerate() {
         let mut stride = 1;
         while stride < heads.len() {
@@ -300,37 +304,39 @@ fn baton_export_carries_replicas_and_a_dead_peer_at_k2() {
     }
 }
 
+/// Four slots over [0, 40), peer 7 pushed twice, then `emission` as
+/// `(slot, target peer, kind)`: each entry one link and one replica.
+fn build_toy(emission: &[(usize, u32, LinkKind)]) -> RoutingSnapshot {
+    let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 40));
+    for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
+        b.push_slot(peer, high, true);
+        b.push_keys([high - 2, high - 2, high - 1]);
+        b.seal_slot();
+    }
+    // `slot_of` keeps answering the first slot of a twice-pushed peer.
+    assert_eq!(b.slot_of(7), Some(1));
+    assert_eq!(b.slot_of(4), None);
+    assert_eq!(b.slot_of(1_000_000), None);
+    for &(slot, peer, kind) in emission {
+        let target = b.slot_of(peer).unwrap();
+        b.link(slot, target, kind);
+        b.replica(slot, target);
+    }
+    b.finish()
+}
+
 #[test]
-fn builder_orders_out_of_order_links_and_keeps_the_first_slot_of_a_peer() {
-    let build = |emission: &[(usize, u32, LinkKind)]| {
-        let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 40));
-        // Peer 7 is pushed twice: `slot_of` must keep answering slot 1.
-        for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
-            b.push_slot(peer, high, true);
-            b.push_keys([high - 2, high - 2, high - 1]);
-            b.seal_slot();
-        }
-        assert_eq!(b.slot_of(7), Some(1));
-        assert_eq!(b.slot_of(4), None);
-        assert_eq!(b.slot_of(1_000_000), None);
-        for &(slot, peer, kind) in emission {
-            let target = b.slot_of(peer).unwrap();
-            b.link(slot, target, kind);
-            b.replica(slot, target);
-        }
-        b.finish()
-    };
-    // The same per-slot sequences, emitted in slot order and interleaved.
-    let ordered = [
+fn builder_takes_links_in_slot_order_and_keeps_the_first_slot_of_a_peer() {
+    // Slot 1 emits only a self-link, which is dropped; `finish` closes the
+    // last slot's segments.
+    let snapshot = build_toy(&[
         (0, 7, LinkKind::Child),
         (0, 5, LinkKind::Adjacent),
+        (1, 7, LinkKind::Adjacent),
         (2, 3, LinkKind::Parent),
         (2, 7, LinkKind::Adjacent),
-        (3, 5, LinkKind::RoutingTable),
-    ];
-    let shuffled = [ordered[2], ordered[4], ordered[0], ordered[3], ordered[1]];
-    let snapshot = build(&ordered);
-    assert_eq!(snapshot, build(&shuffled));
+        (3, 7, LinkKind::RoutingTable),
+    ]);
     let links = |slot| snapshot.links(slot).collect::<Vec<_>>();
     assert_eq!(
         links(0),
@@ -339,8 +345,91 @@ fn builder_orders_out_of_order_links_and_keeps_the_first_slot_of_a_peer() {
     );
     assert!(links(1).is_empty());
     assert_eq!(links(2), [(0, LinkKind::Parent), (1, LinkKind::Adjacent)]);
-    assert_eq!(snapshot.replicas(3), [2]);
+    assert_eq!(links(3), [(1, LinkKind::RoutingTable)]);
+    assert_eq!(snapshot.replicas(0), [1, 2]);
+    assert!(snapshot.replicas(1).is_empty());
+    assert_eq!(snapshot.replicas(2), [0, 1]);
+    assert_eq!(snapshot.replicas(3), [1]);
     assert_eq!(snapshot.total_items(), 12);
+    // The same CSR from the per-slot staging of the reference builder.
+    let mut reference = ReferenceBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 40));
+    for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
+        let items = [(high - 2, 2), (high - 1, 1)];
+        reference.push_slot(PeerId(peer), high, true, &items);
+    }
+    for (slot, target, kind) in [
+        (0, 1, LinkKind::Child),
+        (0, 2, LinkKind::Adjacent),
+        (2, 0, LinkKind::Parent),
+        (2, 1, LinkKind::Adjacent),
+        (3, 1, LinkKind::RoutingTable),
+    ] {
+        reference.link_slot(slot, target, kind);
+        reference.replicas[slot].push(target);
+    }
+    assert_eq!(snapshot, reference.finish());
+}
+
+#[test]
+#[should_panic(expected = "ascending order of pushed slots")]
+fn builder_rejects_a_link_for_a_lower_slot() {
+    build_toy(&[(2, 3, LinkKind::Parent), (0, 7, LinkKind::Child)]);
+}
+
+/// Joins, leaves, silent failures, their deferred repairs (last failed,
+/// first repaired), inserts and immediate failures in random order — the
+/// schedule that once left a repair coordinated by a dead peer — with
+/// `validate()` after every step and the export checked against the
+/// reference every 20th step and at the end.
+#[test]
+fn export_equals_the_reference_along_deferred_failures_and_repairs() {
+    for seed in [0u64, 4] {
+        for k in 1..=3 {
+            let mut system = BatonSystem::build(BatonConfig::default(), seed, 150).unwrap();
+            system.set_replication(k).unwrap();
+            let mut rng = SimRng::seeded(seed ^ 77);
+            for i in 0..300 {
+                system.insert(rng.uniform_u64(1, 999_999_999), i).unwrap();
+            }
+            let mut silenced = Vec::new();
+            for step in 0..600u64 {
+                // Errors are part of the schedule: a refused step is skipped.
+                match rng.index(7) {
+                    0 | 1 => {
+                        let _ = system.join_random();
+                    }
+                    2 => {
+                        let _ = system.leave_random();
+                    }
+                    3 => {
+                        let peer = system.random_peer().unwrap();
+                        let _ = system.fail_silently(peer);
+                        silenced.push(peer);
+                    }
+                    4 => {
+                        if let Some(peer) = silenced.pop() {
+                            let _ = system.recover_failed(peer);
+                        }
+                    }
+                    5 => {
+                        let _ = system.insert(rng.uniform_u64(1, 999_999_999), step);
+                    }
+                    _ => {
+                        let _ = Overlay::fail_random(&mut system);
+                    }
+                }
+                let at = format!("seed {seed}, k = {k}, step {step}");
+                system
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{at}: invalid: {e}"));
+                if step % 20 == 0 {
+                    let snapshot = system.build_routing_snapshot();
+                    assert!(snapshot == reference_baton(&system), "{at}: export differs");
+                }
+            }
+            assert_eq!(system.build_routing_snapshot(), reference_baton(&system));
+        }
+    }
 }
 
 #[test]
