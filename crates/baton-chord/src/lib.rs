@@ -11,6 +11,10 @@
 //! cannot answer range queries because consistent hashing destroys key
 //! order — precisely the two axes on which BATON improves.
 //!
+//! [`ChordSystem`] implements [`Overlay`] directly: its operations are the
+//! trait's methods, its errors are [`baton_net::OverlayError`]s, and a range
+//! query answers [`baton_net::OverlayError::Unsupported`].
+//!
 //! ```
 //! use baton_chord::{ChordSystem, Overlay};
 //!
@@ -25,10 +29,9 @@
 
 pub mod id;
 pub mod node;
-pub mod overlay;
 pub mod system;
 
 pub use baton_net::Overlay;
 pub use id::{ChordId, M, RING};
 pub use node::{ChordNode, Finger};
-pub use system::{ChordError, ChordSystem};
+pub use system::ChordSystem;

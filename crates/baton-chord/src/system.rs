@@ -16,48 +16,28 @@
 use std::collections::btree_map::Entry;
 use std::collections::HashSet;
 
-use baton_net::{ChurnCost, LinkKind, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
+use baton_net::{
+    ChurnCost, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
+    OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
+};
 
 use crate::id::{ChordId, M};
 use crate::node::{ChordNode, Finger};
 
-/// Errors returned by the Chord baseline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChordError {
-    /// The referenced peer does not exist.
-    UnknownPeer(PeerId),
-    /// The ring is empty.
-    EmptyRing,
-    /// The last node cannot leave.
-    LastNode,
-    /// The requested replication degree is outside the supported range.
-    ReplicationUnsupported(usize),
+/// The error of an operation naming a peer that is not in the ring.
+fn unknown_peer(peer: PeerId) -> OverlayError {
+    OverlayError::Op(format!("unknown peer {peer}"))
 }
 
-impl std::fmt::Display for ChordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChordError::UnknownPeer(p) => write!(f, "unknown peer {p}"),
-            ChordError::EmptyRing => write!(f, "the ring is empty"),
-            ChordError::LastNode => write!(f, "the last node cannot leave"),
-            ChordError::ReplicationUnsupported(k) => write!(
-                f,
-                "replication degree {k} outside 1..={}",
-                ChordSystem::MAX_REPLICATION
-            ),
-        }
-    }
+/// The error of an operation that needs a peer of an empty ring.
+fn empty_ring() -> OverlayError {
+    OverlayError::Op("the ring is empty".into())
 }
-
-impl std::error::Error for ChordError {}
-
-/// Result alias for Chord operations.
-pub type Result<T> = std::result::Result<T, ChordError>;
 
 /// A Chord ring over the shared simulator substrate.
 #[derive(Debug)]
 pub struct ChordSystem {
-    pub(crate) net: SimNetwork,
+    net: SimNetwork,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<ChordNode>,
@@ -88,7 +68,7 @@ impl ChordSystem {
     }
 
     /// Builds a ring of `n` nodes.
-    pub fn build(seed: u64, n: usize) -> Result<Self> {
+    pub fn build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
         for _ in 0..n {
             system.join_random()?;
@@ -106,7 +86,7 @@ impl ChordSystem {
     /// join-built ring under all subsequent operations, but is not
     /// byte-identical to one (identifier draw order differs), so the bulk
     /// path is opt-in — committed fixtures always use [`build`](Self::build).
-    pub fn bulk_build(seed: u64, n: usize) -> Result<Self> {
+    pub fn bulk_build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
         if n == 0 {
             return Ok(system);
@@ -160,89 +140,9 @@ impl ChordSystem {
         Ok(system)
     }
 
-    /// Places `data` directly into the owning nodes' stores without running
-    /// lookups — the data-load analogue of [`bulk_build`](Self::bulk_build).
-    /// Each key hashes to its ring identifier and lands at that
-    /// identifier's successor, the same node a routed insert reaches; no
-    /// messages are charged.
-    pub fn load_direct(&mut self, data: &[(u64, u64)]) {
-        if self.nodes.is_empty() {
-            return;
-        }
-        let mut ring: Vec<(ChordId, PeerId)> = self
-            .nodes
-            .iter()
-            .map(|(peer, node)| (node.id, peer))
-            .collect();
-        ring.sort_unstable();
-        // One stable sort by ring identifier, then a merge-style pass with
-        // a monotonic cursor (wrapping the top of the circle back to the
-        // first node) — every node's items arrive while it is cache-hot.
-        // The stable sort keeps identifier collisions in dataset order, so
-        // per-key value order matches a routed load exactly.
-        let mut items: Vec<(ChordId, u64)> = data
-            .iter()
-            .map(|&(key, value)| (ChordId::hash(key), value))
-            .collect();
-        items.sort_by_key(|&(id, _)| id);
-        let mut cursor = 0usize;
-        for &(id, value) in &items {
-            while cursor < ring.len() && ring[cursor].0 < id {
-                cursor += 1;
-            }
-            let slot = if cursor == ring.len() { 0 } else { cursor };
-            if let Some(node) = self.nodes.get_mut(ring[slot].1) {
-                node.store.entry(id.value()).or_default().push(value);
-            }
-        }
-    }
-
-    /// Number of nodes in the ring.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Approximate resident bytes of per-peer protocol state: the node
-    /// slab, every node's finger table and key store, the sampling list
-    /// and the live-id set.  The shared network substrate is excluded.
-    ///
-    /// The slab is counted by [`PeerDirectory::slot_count`] — every slot
-    /// ever opened, the holes departures leave included — not by its
-    /// allocated capacity: amortised doubling overshoots the slots in use
-    /// by up to 2×, which would make the figure jump with the growth
-    /// schedule rather than with the state the protocol keeps.  The
-    /// live-id hash set is modelled from `len()` (slots at the ~8/7
-    /// load-factor reciprocal), not `capacity()`: after delete/insert churn
-    /// the table's allocated capacity depends on the per-process
-    /// `RandomState` seed (rehash in place vs. grow is decided by where
-    /// hashes land), and this estimate is sampled into deterministic
-    /// scenario time series.
-    pub fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<ChordNode>>()) as u64;
-        let heap: u64 = self
-            .nodes
-            .values()
-            .map(|node| node.estimated_state_bytes() - std::mem::size_of::<ChordNode>() as u64)
-            .sum();
-        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
-        let ids = self.used_ids.len() as u64 * (std::mem::size_of::<u32>() as u64 + 1) * 8 / 7;
-        slab + heap + peers + ids
-    }
-
-    /// All peers in the ring, sorted by id — a borrowed view of the
-    /// sampling list.
-    pub fn peers(&self) -> &[PeerId] {
-        self.nodes.peers()
-    }
-
     /// Iterates over the ring's nodes in peer-id order.
     pub fn nodes(&self) -> impl Iterator<Item = &ChordNode> + '_ {
         self.nodes.values()
-    }
-
-    /// Total number of stored values.
-    pub fn total_items(&self) -> usize {
-        self.nodes.values().map(ChordNode::load).sum()
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
@@ -288,19 +188,22 @@ impl ChordSystem {
         }
     }
 
-    fn node(&self, peer: PeerId) -> Result<&ChordNode> {
-        self.nodes.get(peer).ok_or(ChordError::UnknownPeer(peer))
+    fn node(&self, peer: PeerId) -> OverlayResult<&ChordNode> {
+        self.nodes.get(peer).ok_or_else(|| unknown_peer(peer))
     }
 
-    fn node_mut(&mut self, peer: PeerId) -> Result<&mut ChordNode> {
-        self.nodes
-            .get_mut(peer)
-            .ok_or(ChordError::UnknownPeer(peer))
+    fn node_mut(&mut self, peer: PeerId) -> OverlayResult<&mut ChordNode> {
+        self.nodes.get_mut(peer).ok_or_else(|| unknown_peer(peer))
     }
 
     /// Iterative lookup of the successor of `target`, starting at `issuer`.
     /// Returns `(owner, messages)` — one message per overlay hop.
-    fn lookup(&mut self, op: OpScope, issuer: PeerId, target: ChordId) -> Result<(PeerId, u64)> {
+    fn lookup(
+        &mut self,
+        op: OpScope,
+        issuer: PeerId,
+        target: ChordId,
+    ) -> OverlayResult<(PeerId, u64)> {
         let mut current = issuer;
         let mut hops = 0u32;
         let limit = 4 * M + 32;
@@ -339,15 +242,9 @@ impl ChordSystem {
         }
     }
 
-    /// A new node joins the ring through a random existing node.
-    pub fn join_random(&mut self) -> Result<ChurnCost> {
-        let contact = self.random_peer();
-        self.join(contact)
-    }
-
     /// A new node joins the ring through `contact` (`None` bootstraps the
     /// first node).
-    pub fn join(&mut self, contact: Option<PeerId>) -> Result<ChurnCost> {
+    pub fn join(&mut self, contact: Option<PeerId>) -> OverlayResult<ChurnCost> {
         let peer = self.net.add_peer();
         let id = self.fresh_id();
         let op = self.net.begin_op("chord.join");
@@ -483,19 +380,166 @@ impl ChordSystem {
         })
     }
 
+    /// Highest replication degree the successor-list placement supports.
+    pub const MAX_REPLICATION: usize = 8;
+
+    /// The k−1 ring successors holding the replica copies of `peer`'s keys.
+    /// Empty at k = 1.
+    pub fn replica_targets(&self, peer: PeerId) -> Vec<PeerId> {
+        if self.replication <= 1 {
+            return Vec::new();
+        }
+        let mut targets = Vec::new();
+        let mut current = peer;
+        for _ in 0..self.replication - 1 {
+            let Some(node) = self.nodes.get(current) else {
+                break;
+            };
+            let successor = node.successor.0;
+            if successor == peer || targets.contains(&successor) {
+                break;
+            }
+            targets.push(successor);
+            current = successor;
+        }
+        targets
+    }
+
+    /// Charges the replica-copy messages a write at `owner` costs at k > 1.
+    fn charge_replica_copies(&mut self, op: OpScope, owner: PeerId) -> u64 {
+        let mut copies = 0u64;
+        for target in self.replica_targets(owner) {
+            self.net.count_message(op, "chord.replica", owner, target);
+            copies += 1;
+        }
+        copies
+    }
+
+    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the ring's current
+    /// state for the concurrent serve front-end: slots are the live nodes
+    /// in ascending identifier order (successor placement resolves a hashed
+    /// key to the first slot with `id >= hash`, wrapping), items are each
+    /// node's store keyed by identifier, links carry the successor and
+    /// finger tables, and replicas are the `k−1` following ring successors.
+    /// Extraction is read-only: statistics and RNG streams are untouched.
+    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
+        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
+
+        let mut builder = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, crate::id::RING));
+        builder.reserve(self.node_count(), self.total_items());
+        let mut order: Vec<&ChordNode> = self.nodes.values().collect();
+        order.sort_by_key(|node| node.id);
+        for node in &order {
+            builder.push_slot(node.peer.0, node.id.value(), true);
+            for (id_value, values) in &node.store {
+                builder.push_item(*id_value, values.len() as u64);
+            }
+            builder.seal_slot();
+        }
+        for (slot, node) in order.iter().enumerate() {
+            builder.link_peer(slot, node.successor.0 .0, LinkKind::Successor);
+            for finger in node.fingers.iter().flatten() {
+                builder.link_peer(slot, finger.node.0, LinkKind::Finger);
+            }
+            for target in self.replica_targets(node.peer) {
+                builder.replica_peer(slot, target.0);
+            }
+        }
+        builder.finish()
+    }
+}
+
+impl Overlay for ChordSystem {
+    fn name(&self) -> &'static str {
+        "Chord"
+    }
+
+    fn capabilities(&self) -> OverlayCapabilities {
+        OverlayCapabilities {
+            range_queries: false,
+        }
+    }
+
+    /// Number of nodes in the ring.
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Total number of stored values.
+    fn total_items(&self) -> usize {
+        self.nodes.values().map(ChordNode::load).sum()
+    }
+
+    fn net(&self) -> &SimNetwork {
+        &self.net
+    }
+
+    fn net_mut(&mut self) -> &mut SimNetwork {
+        &mut self.net
+    }
+
+    /// Approximate resident bytes of per-peer protocol state: the node
+    /// slab, every node's finger table and key store, the sampling list
+    /// and the live-id set.  The shared network substrate is excluded.
+    ///
+    /// The slab is counted by [`PeerDirectory::slot_count`] — every slot
+    /// ever opened, the holes departures leave included — not by its
+    /// allocated capacity: amortised doubling overshoots the slots in use
+    /// by up to 2×, which would make the figure jump with the growth
+    /// schedule rather than with the state the protocol keeps.  The
+    /// live-id hash set is modelled from `len()` (slots at the ~8/7
+    /// load-factor reciprocal), not `capacity()`: after delete/insert churn
+    /// the table's allocated capacity depends on the per-process
+    /// `RandomState` seed (rehash in place vs. grow is decided by where
+    /// hashes land), and this estimate is sampled into deterministic
+    /// scenario time series.
+    fn estimated_state_bytes(&self) -> u64 {
+        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<ChordNode>>()) as u64;
+        let heap: u64 = self
+            .nodes
+            .values()
+            .map(|node| node.estimated_state_bytes() - std::mem::size_of::<ChordNode>() as u64)
+            .sum();
+        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
+        let ids = self.used_ids.len() as u64 * (std::mem::size_of::<u32>() as u64 + 1) * 8 / 7;
+        slab + heap + peers + ids
+    }
+
+    fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
+        Some(self.build_routing_snapshot())
+    }
+
+    /// All peers in the ring, sorted by id — a borrowed view of the
+    /// sampling list.
+    fn peers(&self) -> &[PeerId] {
+        self.nodes.peers()
+    }
+
+    /// A new node joins the ring through a random existing node.
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
+        let contact = self.random_peer();
+        self.join(contact)
+    }
+
+    /// A random node leaves the ring.
+    fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
+        let peer = self.random_peer().ok_or_else(empty_ring)?;
+        self.leave_peer(peer)
+    }
+
     /// A node leaves the ring gracefully: keys go to its successor,
     /// neighbours re-link, and every stale finger pointing at it is repaired
     /// with a fresh lookup — one per stale finger, holders in peer-id order
     /// and each holder's fingers in table order, so the sequence of repair
     /// lookups (and with it every per-peer counter and latency draw) is a
     /// function of the seed alone.
-    pub fn leave(&mut self, peer: PeerId) -> Result<ChurnCost> {
+    fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
         if self.nodes.len() <= 1 {
-            return Err(ChordError::LastNode);
+            return Err(OverlayError::Op("the last node cannot leave".into()));
         }
         let departing = self
             .unregister_node(peer)
-            .ok_or(ChordError::UnknownPeer(peer))?;
+            .ok_or_else(|| unknown_peer(peer))?;
         let op = self.net.begin_op("chord.leave");
         let mut update_messages = 0u64;
 
@@ -557,65 +601,65 @@ impl ChordSystem {
         })
     }
 
-    /// A random node leaves the ring.
-    pub fn leave_random(&mut self) -> Result<ChurnCost> {
-        let peer = self.random_peer().ok_or(ChordError::EmptyRing)?;
-        self.leave(peer)
+    /// Places `data` directly into the owning nodes' stores without running
+    /// lookups — the data-load analogue of [`bulk_build`](Self::bulk_build).
+    /// Each key hashes to its ring identifier and lands at that
+    /// identifier's successor, the same node a routed insert reaches; no
+    /// messages are charged.
+    fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
+        if self.nodes.is_empty() {
+            return true;
+        }
+        let mut ring: Vec<(ChordId, PeerId)> = self
+            .nodes
+            .iter()
+            .map(|(peer, node)| (node.id, peer))
+            .collect();
+        ring.sort_unstable();
+        // One stable sort by ring identifier, then a merge-style pass with
+        // a monotonic cursor (wrapping the top of the circle back to the
+        // first node) — every node's items arrive while it is cache-hot.
+        // The stable sort keeps identifier collisions in dataset order, so
+        // per-key value order matches a routed load exactly.
+        let mut items: Vec<(ChordId, u64)> = data
+            .iter()
+            .map(|&(key, value)| (ChordId::hash(key), value))
+            .collect();
+        items.sort_by_key(|&(id, _)| id);
+        let mut cursor = 0usize;
+        for &(id, value) in &items {
+            while cursor < ring.len() && ring[cursor].0 < id {
+                cursor += 1;
+            }
+            let slot = if cursor == ring.len() { 0 } else { cursor };
+            if let Some(node) = self.nodes.get_mut(ring[slot].1) {
+                node.store.entry(id.value()).or_default().push(value);
+            }
+        }
+        true
     }
 
     /// The replication degree k in effect (1 = no replication).
-    pub fn replication(&self) -> usize {
+    fn replication(&self) -> usize {
         self.replication
     }
 
-    /// Highest replication degree the successor-list placement supports.
-    pub const MAX_REPLICATION: usize = 8;
-
     /// Sets the replication degree: each key's k−1 extra copies live on the
     /// owner's ring successors.
-    pub fn set_replication(&mut self, k: usize) -> Result<()> {
+    fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
         if k == 0 || k > Self::MAX_REPLICATION {
-            return Err(ChordError::ReplicationUnsupported(k));
+            return Err(OverlayError::Op(format!(
+                "replication degree {k} outside 1..={}",
+                Self::MAX_REPLICATION
+            )));
         }
         self.replication = k;
         Ok(())
     }
 
-    /// The k−1 ring successors holding the replica copies of `peer`'s keys.
-    /// Empty at k = 1.
-    pub fn replica_targets(&self, peer: PeerId) -> Vec<PeerId> {
-        if self.replication <= 1 {
-            return Vec::new();
-        }
-        let mut targets = Vec::new();
-        let mut current = peer;
-        for _ in 0..self.replication - 1 {
-            let Some(node) = self.nodes.get(current) else {
-                break;
-            };
-            let successor = node.successor.0;
-            if successor == peer || targets.contains(&successor) {
-                break;
-            }
-            targets.push(successor);
-            current = successor;
-        }
-        targets
-    }
-
-    /// Charges the replica-copy messages a write at `owner` costs at k > 1.
-    fn charge_replica_copies(&mut self, op: OpScope, owner: PeerId) -> u64 {
-        let mut copies = 0u64;
-        for target in self.replica_targets(owner) {
-            self.net.count_message(op, "chord.replica", owner, target);
-            copies += 1;
-        }
-        copies
-    }
-
     /// Inserts `value` under `key` (hashed onto the ring).
-    pub fn insert(&mut self, key: u64, value: u64) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(ChordError::EmptyRing)?;
+    fn insert(&mut self, key: u64, value: u64) -> OverlayResult<OpCost> {
+        let issuer = self.random_peer().ok_or_else(empty_ring)?;
         let op = self.net.begin_op("chord.insert");
         let id = ChordId::hash(key);
         let (owner, mut messages) = self.lookup(op, issuer, id)?;
@@ -637,8 +681,8 @@ impl ChordSystem {
     }
 
     /// Deletes one value stored under `key`.
-    pub fn delete(&mut self, key: u64) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(ChordError::EmptyRing)?;
+    fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
+        let issuer = self.random_peer().ok_or_else(empty_ring)?;
         let op = self.net.begin_op("chord.delete");
         let id = ChordId::hash(key);
         let (owner, mut messages) = self.lookup(op, issuer, id)?;
@@ -670,8 +714,8 @@ impl ChordSystem {
     }
 
     /// Exact-match query for `key`.
-    pub fn search_exact(&mut self, key: u64) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(ChordError::EmptyRing)?;
+    fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
+        let issuer = self.random_peer().ok_or_else(empty_ring)?;
         let op = self.net.begin_op("chord.search");
         let id = ChordId::hash(key);
         let (owner, messages) = self.lookup(op, issuer, id)?;
@@ -690,12 +734,18 @@ impl ChordSystem {
         })
     }
 
+    fn search_range(&mut self, _low: u64, _high: u64) -> OverlayResult<OpCost> {
+        // Consistent hashing destroys key order: there is no range query
+        // to route.
+        Err(OverlayError::Unsupported("range queries on a DHT"))
+    }
+
     /// Verifies ring invariants: successor/predecessor pointers are mutually
     /// consistent and the identifiers strictly increase around the ring.
     /// Nodes are checked in peer-id order and the successor walk starts at
     /// the lowest live id, so a broken ring reports the same violation on
     /// every run.
-    pub fn validate(&self) -> std::result::Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Ok(());
         }
@@ -735,44 +785,6 @@ impl ChordSystem {
             return Err("successor walk does not return to the start".into());
         }
         Ok(())
-    }
-
-    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the ring's current
-    /// state for the concurrent serve front-end: slots are the live nodes
-    /// in ascending identifier order (successor placement resolves a hashed
-    /// key to the first slot with `id >= hash`, wrapping), items are each
-    /// node's store keyed by identifier, links carry the successor and
-    /// finger tables, and replicas are the `k−1` following ring successors.
-    /// Extraction is read-only: statistics and RNG streams are untouched.
-    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
-        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
-
-        let mut builder = SnapshotBuilder::new(
-            "Chord",
-            ExactPlacement::HashedRing,
-            false,
-            (0, crate::id::RING),
-        );
-        builder.reserve(self.node_count(), self.total_items());
-        let mut order: Vec<&ChordNode> = self.nodes.values().collect();
-        order.sort_by_key(|node| node.id);
-        for node in &order {
-            builder.push_slot(node.peer.0, node.id.value(), true);
-            for (id_value, values) in &node.store {
-                builder.push_item(*id_value, values.len() as u64);
-            }
-            builder.seal_slot();
-        }
-        for (slot, node) in order.iter().enumerate() {
-            builder.link_peer(slot, node.successor.0 .0, LinkKind::Successor);
-            for finger in node.fingers.iter().flatten() {
-                builder.link_peer(slot, finger.node.0, LinkKind::Finger);
-            }
-            for target in self.replica_targets(node.peer) {
-                builder.replica_peer(slot, target.0);
-            }
-        }
-        builder.finish()
     }
 }
 
@@ -925,17 +937,21 @@ mod tests {
     fn last_node_cannot_leave_and_empty_ring_errors() {
         let mut system = ChordSystem::build(1, 1).unwrap();
         let peer = system.peers()[0];
-        assert_eq!(system.leave(peer).unwrap_err(), ChordError::LastNode);
+        let op = |message: &str| OverlayError::Op(message.into());
+        assert_eq!(
+            system.leave_peer(peer).unwrap_err(),
+            op("the last node cannot leave")
+        );
         let mut empty = ChordSystem::new(1);
-        assert_eq!(empty.search_exact(1).unwrap_err(), ChordError::EmptyRing);
+        assert_eq!(empty.search_exact(1).unwrap_err(), op("the ring is empty"));
 
         // A refused leave opens no operation, so the retire queue keeps
         // draining afterwards.
         let mut ring = ChordSystem::build(1, 8).unwrap();
         let stranger = PeerId(u32::MAX);
         assert_eq!(
-            ring.leave(stranger).unwrap_err(),
-            ChordError::UnknownPeer(stranger)
+            ring.leave_peer(stranger).unwrap_err(),
+            op(&format!("unknown peer {stranger}"))
         );
         ring.net.stats_mut().retire_finished();
         assert_eq!(ring.net.stats().live_op_count(), 0);

@@ -36,7 +36,9 @@ impl Overlay for BatonSystem {
     }
 
     fn capabilities(&self) -> OverlayCapabilities {
-        OverlayCapabilities::FULL.with_bulk_build()
+        OverlayCapabilities {
+            range_queries: true,
+        }
     }
 
     fn node_count(&self) -> usize {
@@ -153,7 +155,10 @@ impl Overlay for BatonSystem {
     }
 
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
-        BatonSystem::search_range_count(self, KeyRange::new(low, high)).map_err(avail_err)
+        // An inverted range is empty, like one outside the domain: the walk
+        // clamps it away and answers without a message.
+        let range = KeyRange::new(low, high.max(low));
+        BatonSystem::search_range_count(self, range).map_err(avail_err)
     }
 
     fn access_load_by_level(&self) -> Vec<(u32, f64)> {
@@ -182,10 +187,7 @@ mod tests {
     fn baton_is_fully_capable_through_the_trait() {
         let mut overlay = boxed(30, 1);
         assert_eq!(overlay.name(), "BATON");
-        assert_eq!(
-            overlay.capabilities(),
-            OverlayCapabilities::FULL.with_bulk_build()
-        );
+        assert!(overlay.capabilities().range_queries);
         assert_eq!(overlay.node_count(), 30);
 
         let insert = overlay.insert(123_456, 7).unwrap();

@@ -38,9 +38,7 @@ impl BatonSystem {
     pub fn build_routing_snapshot(&self) -> RoutingSnapshot {
         let domain = self.domain();
         let mut builder = SnapshotBuilder::new(
-            "BATON",
             ExactPlacement::DomainPartition,
-            true,
             (domain.low(), domain.high()),
         );
         builder.reserve(self.node_count(), self.total_items());
@@ -136,7 +134,6 @@ mod tests {
         let system = BatonSystem::build(BatonConfig::default(), 7, 40).unwrap();
         let snapshot = system.build_routing_snapshot();
         assert_eq!(snapshot.slots(), 40);
-        assert_eq!(snapshot.overlay(), "BATON");
         assert!(snapshot.range_supported());
         assert_eq!(
             snapshot.total_items() as usize,

@@ -20,15 +20,17 @@
 //! * departures and failures repair bucket-locally (an emptied bucket
 //!   steals from its backbone sibling before any global restructuring).
 //!
-//! The system implements [`baton_net::Overlay`] with every capability
-//! enabled, so registering one `OverlaySpec` in `baton_sim::driver` puts it
-//! in all nine Figure-8 drivers and every time-domain scenario.
+//! [`D3TreeSystem`] implements [`Overlay`] directly — its operations are the
+//! trait's methods, failures and the balance histogram included, and its
+//! errors are [`baton_net::OverlayError`]s — so registering one `OverlaySpec`
+//! in `baton_sim::driver` puts it in all nine Figure-8 drivers and every
+//! time-domain scenario.
 //!
 //! ```
-//! use baton_d3tree::D3TreeSystem;
+//! use baton_d3tree::{D3TreeSystem, Overlay};
 //!
 //! let mut tree = D3TreeSystem::build(42, 30).unwrap();
-//! tree.insert(123_456).unwrap();
+//! tree.insert(123_456, 0).unwrap();
 //! assert_eq!(tree.search_exact(123_456).unwrap().matches, 1);
 //! tree.validate().unwrap();
 //! ```
@@ -37,11 +39,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod node;
-pub mod overlay;
 pub mod range;
 pub mod system;
 
 pub use baton_net::Overlay;
 pub use node::{Bucket, BucketPeer};
 pub use range::DRange;
-pub use system::{D3Error, D3TreeSystem};
+pub use system::D3TreeSystem;

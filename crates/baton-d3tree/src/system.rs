@@ -30,7 +30,8 @@
 //!   only when that fails does the backbone contract.
 
 use baton_net::{
-    ChurnCost, Histogram, LinkKind, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng,
+    ChurnCost, Histogram, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
+    OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
 };
 
 use crate::node::{Bucket, BucketPeer};
@@ -47,46 +48,20 @@ const ITEM_RATIO: u64 = 4;
 /// Absolute slack of the item-count tolerance.
 const ITEM_SLACK: u64 = 32;
 
-/// Errors of the D3-Tree baseline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum D3Error {
-    /// The referenced peer does not exist.
-    UnknownPeer(PeerId),
-    /// The overlay is empty.
-    Empty,
-    /// The last node cannot leave.
-    LastNode,
-    /// The key is outside the indexed domain.
-    KeyOutOfDomain(u64),
-    /// The requested replication degree is outside the supported range.
-    ReplicationUnsupported(usize),
+/// The error of an operation naming a peer that is not in the overlay.
+fn unknown_peer(peer: PeerId) -> OverlayError {
+    OverlayError::Op(format!("unknown peer {peer}"))
 }
 
-impl std::fmt::Display for D3Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            D3Error::UnknownPeer(p) => write!(f, "unknown peer {p}"),
-            D3Error::Empty => write!(f, "the overlay is empty"),
-            D3Error::LastNode => write!(f, "the last node cannot leave"),
-            D3Error::KeyOutOfDomain(k) => write!(f, "key {k} outside the domain"),
-            D3Error::ReplicationUnsupported(k) => write!(
-                f,
-                "replication degree {k} outside 1..={}",
-                D3TreeSystem::MAX_REPLICATION
-            ),
-        }
-    }
+/// The error of an operation that needs a peer of an empty overlay.
+fn empty() -> OverlayError {
+    OverlayError::Op("the overlay is empty".into())
 }
-
-impl std::error::Error for D3Error {}
-
-/// Result alias for D3-Tree operations.
-pub type Result<T> = std::result::Result<T, D3Error>;
 
 /// The D3-Tree overlay.
 #[derive(Debug)]
 pub struct D3TreeSystem {
-    pub(crate) net: SimNetwork,
+    net: SimNetwork,
     rng: SimRng,
     domain: DRange,
     /// Backbone height; the backbone has `1 << height` leaf buckets.
@@ -132,55 +107,12 @@ impl D3TreeSystem {
     }
 
     /// Builds an overlay of `n` nodes.
-    pub fn build(seed: u64, n: usize) -> Result<Self> {
+    pub fn build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
         for _ in 0..n {
             system.join_random()?;
         }
         Ok(system)
-    }
-
-    /// Number of live nodes.
-    pub fn node_count(&self) -> usize {
-        self.bucket_of.len()
-    }
-
-    /// Approximate resident bytes of per-peer protocol state: the bucket
-    /// vectors and their peers' key multisets, the peer→bucket slab, the
-    /// sampling list and the backbone weight matrices.  The shared network
-    /// substrate is excluded.  The slab is counted by
-    /// [`PeerDirectory::slot_count`] — every slot ever opened, the holes
-    /// departures leave included — not by its allocated capacity:
-    /// amortised doubling overshoots the slots in use by up to 2×, which
-    /// would make the figure jump with the growth schedule rather than
-    /// with the state the protocol keeps.
-    pub fn estimated_state_bytes(&self) -> u64 {
-        let buckets = (self.buckets.capacity() * std::mem::size_of::<Bucket>()) as u64;
-        let peers_in_buckets: u64 = self
-            .buckets
-            .iter()
-            .map(|b| {
-                (b.peers.capacity() * std::mem::size_of::<BucketPeer>()) as u64
-                    + b.peers
-                        .iter()
-                        .map(|p| (p.keys.capacity() * std::mem::size_of::<u64>()) as u64)
-                        .sum::<u64>()
-            })
-            .sum();
-        let slab = (self.bucket_of.slot_count() * std::mem::size_of::<Option<usize>>()) as u64;
-        let peers = (self.bucket_of.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
-        let weights: u64 = self
-            .peer_weights
-            .iter()
-            .chain(self.item_weights.iter())
-            .map(|level| (level.capacity() * std::mem::size_of::<u64>()) as u64)
-            .sum();
-        buckets + peers_in_buckets + slab + peers + weights
-    }
-
-    /// All peers, sorted by id — a borrowed view of the sampling list.
-    pub fn peers(&self) -> &[PeerId] {
-        self.bucket_of.peers()
     }
 
     /// Backbone height (`0` for a single bucket).
@@ -191,16 +123,6 @@ impl D3TreeSystem {
     /// The leaf buckets in key order (empty ones included).
     pub fn buckets(&self) -> &[Bucket] {
         &self.buckets
-    }
-
-    /// Total stored items.
-    pub fn total_items(&self) -> usize {
-        self.item_weights[0][0] as usize
-    }
-
-    /// Distribution of item-redistribution shift sizes.
-    pub fn balance_shift_histogram(&self) -> &Histogram {
-        &self.balance_hist
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
@@ -248,11 +170,11 @@ impl D3TreeSystem {
         op: OpScope,
         issuer: PeerId,
         key: u64,
-    ) -> Result<(usize, usize, u64)> {
+    ) -> OverlayResult<(usize, usize, u64)> {
         let start = *self
             .bucket_of
             .get(issuer)
-            .ok_or(D3Error::UnknownPeer(issuer))?;
+            .ok_or_else(|| unknown_peer(issuer))?;
         let target = self.leaf_of_key(key);
         let mut messages = 0u64;
         let mut hop_no = 0u32;
@@ -554,109 +476,13 @@ impl D3TreeSystem {
         messages
     }
 
-    /// A new node joins: the request climbs from a random contact to the
-    /// root, then descends towards the lighter child at every backbone node
-    /// (the deterministic node balancer), and the newcomer takes over half
-    /// of the most loaded peer of the chosen bucket.
-    pub fn join_random(&mut self) -> Result<ChurnCost> {
-        let peer = self.net.add_peer();
-        let op = self.net.begin_op("d3.join");
-        if self.bucket_of.is_empty() {
-            self.buckets[0]
-                .peers
-                .push(BucketPeer::new(peer, self.domain));
-            self.bucket_of.insert(peer, 0);
-            self.rebuild_weights();
-            self.net.finish_op(op);
-            return Ok(ChurnCost::default());
-        }
-        let contact = self.random_peer().expect("non-empty");
-        let mut locate_messages = 0u64;
-        let mut hop_no = 0u32;
-        let mut current = contact;
-
-        // Climb from the contact's leaf to the root…
-        let start = *self
-            .bucket_of
-            .get(contact)
-            .expect("sampled from the live list");
-        let start_head = self.buckets[start].head();
-        locate_messages += self.hop(op, current, start_head, &mut hop_no, LinkKind::Bucket);
-        current = start_head;
-        for k in 1..=self.height {
-            let next = self.host(self.height - k, start >> k);
-            locate_messages += self.hop(op, current, next, &mut hop_no, LinkKind::Backbone);
-            current = next;
-        }
-        // …then descend towards the lighter child (ties go left).
-        let mut node = 0usize;
-        for level in 0..self.height {
-            let left = self.peer_weights[level as usize + 1][2 * node];
-            let right = self.peer_weights[level as usize + 1][2 * node + 1];
-            node = if right < left { 2 * node + 1 } else { 2 * node };
-            let next = self.host(level + 1, node);
-            locate_messages += self.hop(op, current, next, &mut hop_no, LinkKind::Backbone);
-            current = next;
-        }
-        let target = node;
-
-        // The newcomer takes the upper half of the bucket's most loaded
-        // peer (most items; ties go to the widest slice, then the lowest
-        // position — fully deterministic).
-        let split_pos = {
-            let bucket = &self.buckets[target];
-            (0..bucket.len())
-                .max_by_key(|p| {
-                    (
-                        bucket.peers[*p].keys.len(),
-                        bucket.peers[*p].range.width(),
-                        std::cmp::Reverse(*p),
-                    )
-                })
-                .expect("bucket is never empty")
-        };
-        let mut update_messages = 0u64;
-        let (new_range, new_keys, splitter_peer) = {
-            let splitter = &mut self.buckets[target].peers[split_pos];
-            let (low, high) = (splitter.range.low, splitter.range.high);
-            let mid = if splitter.range.width() < 2 {
-                high
-            } else if splitter.keys.len() >= 2 {
-                splitter.keys[splitter.keys.len() / 2].clamp(low + 1, high)
-            } else {
-                low + splitter.range.width() / 2
-            };
-            splitter.range = DRange::new(low, mid);
-            let at = splitter.keys.partition_point(|k| *k < mid);
-            let moved = splitter.keys.split_off(at);
-            (DRange::new(mid, high), moved, splitter.peer)
-        };
-        let mut newcomer = BucketPeer::new(peer, new_range);
-        newcomer.keys = new_keys;
-        self.buckets[target].peers.insert(split_pos + 1, newcomer);
-        self.bucket_of.insert(peer, target);
-        self.net.count_message(op, "d3.join", splitter_peer, peer);
-        update_messages += 1;
-        self.shift_peer_weights(target, 1);
-        update_messages += self.count_path_update(op, target);
-        update_messages += self.rebalance_peers_on_path(op, target);
-        update_messages += self.maybe_resize(op);
-
-        self.net.finish_op(op);
-        Ok(ChurnCost {
-            locate_messages: locate_messages.max(1),
-            update_messages,
-            lost_items: 0,
-        })
-    }
-
     /// Removes `peer` from its bucket, returning the removed state and its
     /// bucket index; the caller decides what happens to keys and range.
-    fn detach(&mut self, peer: PeerId) -> Result<(usize, BucketPeer)> {
-        let bucket = *self.bucket_of.get(peer).ok_or(D3Error::UnknownPeer(peer))?;
+    fn detach(&mut self, peer: PeerId) -> OverlayResult<(usize, BucketPeer)> {
+        let bucket = *self.bucket_of.get(peer).ok_or_else(|| unknown_peer(peer))?;
         let position = self.buckets[bucket]
             .position_of_peer(peer)
-            .ok_or(D3Error::UnknownPeer(peer))?;
+            .ok_or_else(|| unknown_peer(peer))?;
         let departing = self.buckets[bucket].peers.remove(position);
         self.bucket_of.remove(peer);
         Ok((bucket, departing))
@@ -700,9 +526,9 @@ impl D3TreeSystem {
     /// Shared tail of departures and failures: hand the vacated slice (and,
     /// for graceful leaves, the keys) to the in-order heir, repair an
     /// emptied bucket, update counters, rebalance, resize.
-    fn remove_peer(&mut self, peer: PeerId, keep_keys: bool) -> Result<ChurnCost> {
+    fn remove_peer(&mut self, peer: PeerId, keep_keys: bool) -> OverlayResult<ChurnCost> {
         if self.node_count() <= 1 {
-            return Err(D3Error::LastNode);
+            return Err(OverlayError::Op("the last node cannot leave".into()));
         }
         let label = if keep_keys { "d3.leave" } else { "d3.fail" };
         let op = self.net.begin_op(label);
@@ -806,55 +632,16 @@ impl D3TreeSystem {
         })
     }
 
-    /// A specific node departs gracefully.
-    pub fn leave(&mut self, peer: PeerId) -> Result<ChurnCost> {
-        self.remove_peer(peer, true)
-    }
-
-    /// A random node departs gracefully.
-    pub fn leave_random(&mut self) -> Result<ChurnCost> {
-        let peer = self.random_peer().ok_or(D3Error::Empty)?;
-        self.leave(peer)
-    }
-
-    /// A specific node fails abruptly: its stored items are lost and the
-    /// overlay repairs bucket-locally.
-    pub fn fail(&mut self, peer: PeerId) -> Result<ChurnCost> {
-        self.remove_peer(peer, false)
-    }
-
-    /// A random node fails abruptly.
-    pub fn fail_random(&mut self) -> Result<ChurnCost> {
-        let peer = self.random_peer().ok_or(D3Error::Empty)?;
-        self.fail(peer)
-    }
-
-    fn check_key(&self, key: u64) -> Result<()> {
+    fn check_key(&self, key: u64) -> OverlayResult<()> {
         if self.domain.contains(key) {
             Ok(())
         } else {
-            Err(D3Error::KeyOutOfDomain(key))
+            Err(OverlayError::Op(format!("key {key} outside the domain")))
         }
-    }
-
-    /// The replication degree k in effect (1 = no replication).
-    pub fn replication(&self) -> usize {
-        self.replication
     }
 
     /// Highest replication degree the bucket-sibling placement supports.
     pub const MAX_REPLICATION: usize = 4;
-
-    /// Sets the replication degree: each key's k−1 extra copies live on
-    /// siblings of the owner's leaf bucket.  With a sibling alive, a failed
-    /// peer's items survive the failure (`lost_items == 0`).
-    pub fn set_replication(&mut self, k: usize) -> Result<()> {
-        if k == 0 || k > Self::MAX_REPLICATION {
-            return Err(D3Error::ReplicationUnsupported(k));
-        }
-        self.replication = k;
-        Ok(())
-    }
 
     /// The bucket siblings holding the k−1 replica copies of `peer`'s keys
     /// (in bucket order, the owner excluded).  Empty at k = 1.
@@ -884,10 +671,285 @@ impl D3TreeSystem {
         copies
     }
 
+    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the overlay's
+    /// current state for the concurrent serve front-end: slots are the
+    /// bucket peers in global key order (bucket order × in-bucket order
+    /// partitions the domain), items are the sorted key multisets
+    /// run-length-encoded, links carry the in-bucket adjacency
+    /// ([`LinkKind::Bucket`]) plus power-of-two jumps between bucket heads
+    /// standing in for the backbone ([`LinkKind::Backbone`]), and replicas
+    /// are the bucket-sibling replica targets.  Extraction is read-only.
+    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
+        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
+
+        let mut builder = SnapshotBuilder::new(
+            ExactPlacement::DomainPartition,
+            (self.domain.low, self.domain.high),
+        );
+        // Slot layout: global in-order peer sequence, with each bucket's
+        // first slot remembered as its head.
+        let mut heads: Vec<usize> = Vec::with_capacity(self.buckets.len());
+        let mut peers_of: Vec<&BucketPeer> = Vec::with_capacity(self.node_count());
+        builder.reserve(self.node_count(), self.total_items());
+        for bucket in &self.buckets {
+            if !bucket.is_empty() {
+                heads.push(peers_of.len());
+            }
+            for peer in &bucket.peers {
+                builder.push_slot(peer.peer.0, peer.range.high, true);
+                builder.push_keys(peer.keys.iter().copied());
+                builder.seal_slot();
+                peers_of.push(peer);
+            }
+        }
+        // Per slot: a bucket head's backbone links, then the bucket links,
+        // then the replicas.
+        let mut index = 0;
+        for (slot, peer) in peers_of.iter().enumerate() {
+            if heads.get(index) == Some(&slot) {
+                // Backbone stand-in: bucket heads link at ±2^j bucket
+                // strides, giving greedy routing the O(log N) reach an LCA
+                // climb has.
+                let mut stride = 1usize;
+                while stride < heads.len() {
+                    if index >= stride {
+                        builder.link(slot, heads[index - stride], LinkKind::Backbone);
+                    }
+                    if index + stride < heads.len() {
+                        builder.link(slot, heads[index + stride], LinkKind::Backbone);
+                    }
+                    stride *= 2;
+                }
+                index += 1;
+            }
+            if slot > 0 {
+                builder.link(slot, slot - 1, LinkKind::Bucket);
+            }
+            if slot + 1 < peers_of.len() {
+                builder.link(slot, slot + 1, LinkKind::Bucket);
+            }
+            for target in self.replica_targets(peer.peer) {
+                builder.replica_peer(slot, target.0);
+            }
+        }
+        builder.finish()
+    }
+}
+
+impl Overlay for D3TreeSystem {
+    fn name(&self) -> &'static str {
+        "D3-Tree"
+    }
+
+    fn capabilities(&self) -> OverlayCapabilities {
+        OverlayCapabilities {
+            range_queries: true,
+        }
+    }
+
+    /// Number of live nodes.
+    fn node_count(&self) -> usize {
+        self.bucket_of.len()
+    }
+
+    /// Total stored items.
+    fn total_items(&self) -> usize {
+        self.item_weights[0][0] as usize
+    }
+
+    fn net(&self) -> &SimNetwork {
+        &self.net
+    }
+
+    fn net_mut(&mut self) -> &mut SimNetwork {
+        &mut self.net
+    }
+
+    /// Approximate resident bytes of per-peer protocol state: the bucket
+    /// vectors and their peers' key multisets, the peer→bucket slab, the
+    /// sampling list and the backbone weight matrices.  The shared network
+    /// substrate is excluded.  The slab is counted by
+    /// [`PeerDirectory::slot_count`] — every slot ever opened, the holes
+    /// departures leave included — not by its allocated capacity:
+    /// amortised doubling overshoots the slots in use by up to 2×, which
+    /// would make the figure jump with the growth schedule rather than
+    /// with the state the protocol keeps.
+    fn estimated_state_bytes(&self) -> u64 {
+        let buckets = (self.buckets.capacity() * std::mem::size_of::<Bucket>()) as u64;
+        let peers_in_buckets: u64 = self
+            .buckets
+            .iter()
+            .map(|b| {
+                (b.peers.capacity() * std::mem::size_of::<BucketPeer>()) as u64
+                    + b.peers
+                        .iter()
+                        .map(|p| (p.keys.capacity() * std::mem::size_of::<u64>()) as u64)
+                        .sum::<u64>()
+            })
+            .sum();
+        let slab = (self.bucket_of.slot_count() * std::mem::size_of::<Option<usize>>()) as u64;
+        let peers = (self.bucket_of.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
+        let weights: u64 = self
+            .peer_weights
+            .iter()
+            .chain(self.item_weights.iter())
+            .map(|level| (level.capacity() * std::mem::size_of::<u64>()) as u64)
+            .sum();
+        buckets + peers_in_buckets + slab + peers + weights
+    }
+
+    fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
+        Some(self.build_routing_snapshot())
+    }
+
+    /// All peers, sorted by id — a borrowed view of the sampling list.
+    fn peers(&self) -> &[PeerId] {
+        self.bucket_of.peers()
+    }
+
+    /// A new node joins: the request climbs from a random contact to the
+    /// root, then descends towards the lighter child at every backbone node
+    /// (the deterministic node balancer), and the newcomer takes over half
+    /// of the most loaded peer of the chosen bucket.
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
+        let peer = self.net.add_peer();
+        let op = self.net.begin_op("d3.join");
+        if self.bucket_of.is_empty() {
+            self.buckets[0]
+                .peers
+                .push(BucketPeer::new(peer, self.domain));
+            self.bucket_of.insert(peer, 0);
+            self.rebuild_weights();
+            self.net.finish_op(op);
+            return Ok(ChurnCost::default());
+        }
+        let contact = self.random_peer().expect("non-empty");
+        let mut locate_messages = 0u64;
+        let mut hop_no = 0u32;
+        let mut current = contact;
+
+        // Climb from the contact's leaf to the root…
+        let start = *self
+            .bucket_of
+            .get(contact)
+            .expect("sampled from the live list");
+        let start_head = self.buckets[start].head();
+        locate_messages += self.hop(op, current, start_head, &mut hop_no, LinkKind::Bucket);
+        current = start_head;
+        for k in 1..=self.height {
+            let next = self.host(self.height - k, start >> k);
+            locate_messages += self.hop(op, current, next, &mut hop_no, LinkKind::Backbone);
+            current = next;
+        }
+        // …then descend towards the lighter child (ties go left).
+        let mut node = 0usize;
+        for level in 0..self.height {
+            let left = self.peer_weights[level as usize + 1][2 * node];
+            let right = self.peer_weights[level as usize + 1][2 * node + 1];
+            node = if right < left { 2 * node + 1 } else { 2 * node };
+            let next = self.host(level + 1, node);
+            locate_messages += self.hop(op, current, next, &mut hop_no, LinkKind::Backbone);
+            current = next;
+        }
+        let target = node;
+
+        // The newcomer takes the upper half of the bucket's most loaded
+        // peer (most items; ties go to the widest slice, then the lowest
+        // position — fully deterministic).
+        let split_pos = {
+            let bucket = &self.buckets[target];
+            (0..bucket.len())
+                .max_by_key(|p| {
+                    (
+                        bucket.peers[*p].keys.len(),
+                        bucket.peers[*p].range.width(),
+                        std::cmp::Reverse(*p),
+                    )
+                })
+                .expect("bucket is never empty")
+        };
+        let mut update_messages = 0u64;
+        let (new_range, new_keys, splitter_peer) = {
+            let splitter = &mut self.buckets[target].peers[split_pos];
+            let (low, high) = (splitter.range.low, splitter.range.high);
+            let mid = if splitter.range.width() < 2 {
+                high
+            } else if splitter.keys.len() >= 2 {
+                splitter.keys[splitter.keys.len() / 2].clamp(low + 1, high)
+            } else {
+                low + splitter.range.width() / 2
+            };
+            splitter.range = DRange::new(low, mid);
+            let at = splitter.keys.partition_point(|k| *k < mid);
+            let moved = splitter.keys.split_off(at);
+            (DRange::new(mid, high), moved, splitter.peer)
+        };
+        let mut newcomer = BucketPeer::new(peer, new_range);
+        newcomer.keys = new_keys;
+        self.buckets[target].peers.insert(split_pos + 1, newcomer);
+        self.bucket_of.insert(peer, target);
+        self.net.count_message(op, "d3.join", splitter_peer, peer);
+        update_messages += 1;
+        self.shift_peer_weights(target, 1);
+        update_messages += self.count_path_update(op, target);
+        update_messages += self.rebalance_peers_on_path(op, target);
+        update_messages += self.maybe_resize(op);
+
+        self.net.finish_op(op);
+        Ok(ChurnCost {
+            locate_messages: locate_messages.max(1),
+            update_messages,
+            lost_items: 0,
+        })
+    }
+
+    /// A random node departs gracefully.
+    fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
+        let peer = self.random_peer().ok_or_else(empty)?;
+        self.leave_peer(peer)
+    }
+
+    /// A specific node departs gracefully.
+    fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
+        self.remove_peer(peer, true)
+    }
+
+    /// A random node fails abruptly.
+    fn fail_random(&mut self) -> OverlayResult<ChurnCost> {
+        let peer = self.random_peer().ok_or_else(empty)?;
+        self.fail_peer(peer)
+    }
+
+    /// A specific node fails abruptly: its stored items are lost and the
+    /// overlay repairs bucket-locally.
+    fn fail_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
+        self.remove_peer(peer, false)
+    }
+
+    /// The replication degree k in effect (1 = no replication).
+    fn replication(&self) -> usize {
+        self.replication
+    }
+
+    /// Sets the replication degree: each key's k−1 extra copies live on
+    /// siblings of the owner's leaf bucket.  With a sibling alive, a failed
+    /// peer's items survive the failure (`lost_items == 0`).
+    fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
+        if k == 0 || k > Self::MAX_REPLICATION {
+            return Err(OverlayError::Op(format!(
+                "replication degree {k} outside 1..={}",
+                Self::MAX_REPLICATION
+            )));
+        }
+        self.replication = k;
+        Ok(())
+    }
+
     /// Inserts a value under `key` from a random issuer.
-    pub fn insert(&mut self, key: u64) -> Result<OpCost> {
+    fn insert(&mut self, key: u64, _value: u64) -> OverlayResult<OpCost> {
+        // The baseline tracks key multisets; values are not materialised.
         self.check_key(key)?;
-        let issuer = self.random_peer().ok_or(D3Error::Empty)?;
+        let issuer = self.random_peer().ok_or_else(empty)?;
         let op = self.net.begin_op("d3.insert");
         let (bucket, position, mut messages) = self.route_to_owner(op, issuer, key)?;
         self.buckets[bucket].peers[position].insert_key(key);
@@ -905,9 +967,9 @@ impl D3TreeSystem {
     }
 
     /// Deletes one value stored under `key` from a random issuer.
-    pub fn delete(&mut self, key: u64) -> Result<OpCost> {
+    fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
         self.check_key(key)?;
-        let issuer = self.random_peer().ok_or(D3Error::Empty)?;
+        let issuer = self.random_peer().ok_or_else(empty)?;
         let op = self.net.begin_op("d3.delete");
         let (bucket, position, mut messages) = self.route_to_owner(op, issuer, key)?;
         let removed = self.buckets[bucket].peers[position].remove_key(key);
@@ -928,9 +990,9 @@ impl D3TreeSystem {
     }
 
     /// Exact-match query for `key` from a random issuer.
-    pub fn search_exact(&mut self, key: u64) -> Result<OpCost> {
+    fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
         self.check_key(key)?;
-        let issuer = self.random_peer().ok_or(D3Error::Empty)?;
+        let issuer = self.random_peer().ok_or_else(empty)?;
         let op = self.net.begin_op("d3.search");
         let (bucket, position, messages) = self.route_to_owner(op, issuer, key)?;
         let matches = self.buckets[bucket].peers[position].count_key(key);
@@ -945,14 +1007,17 @@ impl D3TreeSystem {
 
     /// Range query for `[low, high)`: route to the owner of `low`, then
     /// sweep right over the peer adjacency until the range is covered.
-    pub fn search_range(&mut self, low: u64, high: u64) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(D3Error::Empty)?;
-        let op = self.net.begin_op("d3.range");
+    fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
+        let issuer = self.random_peer().ok_or_else(empty)?;
+        // Clamped to the domain; an empty clamp (an inverted range included)
+        // matches nothing and costs nothing.
         let lo = low.max(self.domain.low);
         let hi = high.min(self.domain.high);
-        let start_key = lo.min(self.domain.high - 1);
-        let (mut bucket, mut position, mut messages) =
-            self.route_to_owner(op, issuer, start_key)?;
+        if lo >= hi {
+            return Ok(OpCost::default());
+        }
+        let op = self.net.begin_op("d3.range");
+        let (mut bucket, mut position, mut messages) = self.route_to_owner(op, issuer, lo)?;
         let mut nodes_visited = 0usize;
         let mut matches = 0usize;
         let mut hop_no = messages as u32;
@@ -960,9 +1025,7 @@ impl D3TreeSystem {
         loop {
             let peer = &self.buckets[bucket].peers[position];
             nodes_visited += 1;
-            if lo < hi {
-                matches += peer.count_in(lo, hi);
-            }
+            matches += peer.count_in(lo, hi);
             if peer.range.high >= hi || nodes_visited > limit {
                 break;
             }
@@ -992,7 +1055,7 @@ impl D3TreeSystem {
     /// Average messages received per hosting peer at each backbone level
     /// (level 0 = root); bucket members that host no backbone node are
     /// reported one level below the leaves.
-    pub fn access_load_by_level(&self) -> Vec<(u32, f64)> {
+    fn access_load_by_level(&self) -> Vec<(u32, f64)> {
         let mut levels = Vec::new();
         for level in 0..=self.height {
             let hosts: std::collections::BTreeSet<PeerId> =
@@ -1021,6 +1084,11 @@ impl D3TreeSystem {
         levels
     }
 
+    /// Distribution of item-redistribution shift sizes.
+    fn balance_shift_histogram(&self) -> Option<&Histogram> {
+        Some(&self.balance_hist)
+    }
+
     /// Checks the overlay's structural and balance invariants:
     ///
     /// * the backbone is perfect (`2^height` buckets, none empty);
@@ -1031,7 +1099,7 @@ impl D3TreeSystem {
     ///   holds exactly the peers in the buckets, each under its bucket;
     /// * the deterministic balancer's rest invariant holds: no backbone
     ///   node's children violate the peer-count tolerance.
-    pub fn validate(&self) -> std::result::Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.bucket_of.is_empty() {
             return Ok(());
         }
@@ -1126,72 +1194,6 @@ impl D3TreeSystem {
         }
         Ok(())
     }
-
-    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the overlay's
-    /// current state for the concurrent serve front-end: slots are the
-    /// bucket peers in global key order (bucket order × in-bucket order
-    /// partitions the domain), items are the sorted key multisets
-    /// run-length-encoded, links carry the in-bucket adjacency
-    /// ([`LinkKind::Bucket`]) plus power-of-two jumps between bucket heads
-    /// standing in for the backbone ([`LinkKind::Backbone`]), and replicas
-    /// are the bucket-sibling replica targets.  Extraction is read-only.
-    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
-        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
-
-        let mut builder = SnapshotBuilder::new(
-            "D3-Tree",
-            ExactPlacement::DomainPartition,
-            true,
-            (self.domain.low, self.domain.high),
-        );
-        // Slot layout: global in-order peer sequence, with each bucket's
-        // first slot remembered as its head.
-        let mut heads: Vec<usize> = Vec::with_capacity(self.buckets.len());
-        let mut peers_of: Vec<&BucketPeer> = Vec::with_capacity(self.node_count());
-        builder.reserve(self.node_count(), self.total_items());
-        for bucket in &self.buckets {
-            if !bucket.is_empty() {
-                heads.push(peers_of.len());
-            }
-            for peer in &bucket.peers {
-                builder.push_slot(peer.peer.0, peer.range.high, true);
-                builder.push_keys(peer.keys.iter().copied());
-                builder.seal_slot();
-                peers_of.push(peer);
-            }
-        }
-        // Per slot: a bucket head's backbone links, then the bucket links,
-        // then the replicas.
-        let mut index = 0;
-        for (slot, peer) in peers_of.iter().enumerate() {
-            if heads.get(index) == Some(&slot) {
-                // Backbone stand-in: bucket heads link at ±2^j bucket
-                // strides, giving greedy routing the O(log N) reach an LCA
-                // climb has.
-                let mut stride = 1usize;
-                while stride < heads.len() {
-                    if index >= stride {
-                        builder.link(slot, heads[index - stride], LinkKind::Backbone);
-                    }
-                    if index + stride < heads.len() {
-                        builder.link(slot, heads[index + stride], LinkKind::Backbone);
-                    }
-                    stride *= 2;
-                }
-                index += 1;
-            }
-            if slot > 0 {
-                builder.link(slot, slot - 1, LinkKind::Bucket);
-            }
-            if slot + 1 < peers_of.len() {
-                builder.link(slot, slot + 1, LinkKind::Bucket);
-            }
-            for target in self.replica_targets(peer.peer) {
-                builder.replica_peer(slot, target.0);
-            }
-        }
-        builder.finish()
-    }
 }
 
 #[cfg(test)]
@@ -1226,8 +1228,8 @@ mod tests {
     #[test]
     fn search_reaches_the_owner_and_counts_matches() {
         let mut system = D3TreeSystem::build(9, 100).unwrap();
-        system.insert(123_456).unwrap();
-        system.insert(123_456).unwrap();
+        system.insert(123_456, 0).unwrap();
+        system.insert(123_456, 0).unwrap();
         let report = system.search_exact(123_456).unwrap();
         assert_eq!(report.matches, 2);
         assert!(report.messages > 0);
@@ -1254,7 +1256,7 @@ mod tests {
         let mut system = D3TreeSystem::build(13, 120).unwrap();
         let keys: Vec<u64> = (0..500u64).map(|i| 1 + i * 1_999_993).collect();
         for k in &keys {
-            system.insert(*k).unwrap();
+            system.insert(*k, 0).unwrap();
         }
         let (lo, hi) = (100_000_000u64, 400_000_000u64);
         let expected = keys.iter().filter(|k| (lo..hi).contains(*k)).count();
@@ -1289,7 +1291,7 @@ mod tests {
     fn failures_lose_the_victims_items_only() {
         let mut system = D3TreeSystem::build(17, 40).unwrap();
         for i in 0..400u64 {
-            system.insert(1 + i * 2_222_221).unwrap();
+            system.insert(1 + i * 2_222_221, 0).unwrap();
         }
         let before = system.total_items();
         let report = system.fail_random().unwrap();
@@ -1310,12 +1312,12 @@ mod tests {
         // eventually trip the deterministic redistribution.
         for i in 0..800u64 {
             balance += system
-                .insert(1_000 + (i % 97) * 13)
+                .insert(1_000 + (i % 97) * 13, 0)
                 .unwrap()
                 .balance_messages;
         }
         assert!(balance > 0, "no redistribution under heavy skew");
-        assert!(system.balance_shift_histogram().total() > 0);
+        assert!(system.balance_hist.total() > 0);
         system.validate().unwrap();
     }
 
@@ -1327,13 +1329,13 @@ mod tests {
         let mut system = D3TreeSystem::build(3, 60).unwrap();
         let top = 999_999_999u64;
         for _ in 0..500 {
-            system.insert(top).unwrap();
+            system.insert(top, 0).unwrap();
         }
         assert_eq!(system.search_exact(top).unwrap().matches, 500);
         system.validate().unwrap();
         // The same pile-up at the bottom of the domain.
         for _ in 0..500 {
-            system.insert(1).unwrap();
+            system.insert(1, 0).unwrap();
         }
         assert_eq!(system.search_exact(1).unwrap().matches, 500);
         system.validate().unwrap();
@@ -1341,15 +1343,29 @@ mod tests {
 
     #[test]
     fn errors_for_bad_inputs() {
+        let op = |message: &str| OverlayError::Op(message.into());
         let mut system = D3TreeSystem::build(21, 3).unwrap();
-        assert!(matches!(
-            system.search_exact(0),
-            Err(D3Error::KeyOutOfDomain(0))
-        ));
+        let error = system.search_exact(0).unwrap_err();
+        assert_eq!(error, op("key 0 outside the domain"));
         let mut empty = D3TreeSystem::new(1);
-        assert!(matches!(empty.search_range(1, 2), Err(D3Error::Empty)));
+        let error = empty.search_range(1, 2).unwrap_err();
+        assert_eq!(error, op("the overlay is empty"));
         let mut single = D3TreeSystem::build(23, 1).unwrap();
-        assert_eq!(single.leave_random().unwrap_err(), D3Error::LastNode);
+        let error = single.leave_random().unwrap_err();
+        assert_eq!(error, op("the last node cannot leave"));
+    }
+
+    #[test]
+    fn d3tree_reports_per_level_access_load() {
+        let mut system = D3TreeSystem::build(2, 120).unwrap();
+        for i in 0..200u64 {
+            system.search_exact(1 + i * 4_999_999).unwrap();
+        }
+        let by_level = system.access_load_by_level();
+        assert!(by_level.len() >= 2);
+        assert!(by_level.iter().any(|(_, load)| *load > 0.0));
+        // The root host concentrates routed traffic.
+        assert!(by_level[0].1 > 0.0);
     }
 
     #[test]

@@ -18,11 +18,16 @@
 //! which is exactly the qualitative behaviour Figure 8 of the BATON paper
 //! reports for this baseline.
 //!
+//! [`MTreeSystem`] implements [`Overlay`] directly: its operations are the
+//! trait's methods and its errors are [`baton_net::OverlayError`]s.  It keeps
+//! the trait's defaulted failure hooks — the baseline has no failure
+//! protocol — and no balance histogram.
+//!
 //! ```
-//! use baton_mtree::MTreeSystem;
+//! use baton_mtree::{MTreeSystem, Overlay};
 //!
 //! let mut tree = MTreeSystem::build(42, 30).unwrap();
-//! tree.insert(123_456).unwrap();
+//! tree.insert(123_456, 0).unwrap();
 //! assert_eq!(tree.search_exact(123_456).unwrap().matches, 1);
 //! ```
 
@@ -30,11 +35,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod node;
-pub mod overlay;
 pub mod range;
 pub mod system;
 
 pub use baton_net::Overlay;
 pub use node::{MLink, MNode};
 pub use range::MRange;
-pub use system::{MTreeError, MTreeSystem};
+pub use system::MTreeSystem;

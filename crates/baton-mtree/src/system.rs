@@ -16,51 +16,30 @@
 //!   skewed splits,
 //! * the tree is not height-balanced; with skewed join points it degenerates.
 
-use baton_net::{ChurnCost, LinkKind, OpCost, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
+use std::collections::HashMap;
+
+use baton_net::{
+    ChurnCost, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
+    OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
+};
 
 use crate::node::{MLink, MNode};
 use crate::range::MRange;
 
-/// Errors of the multiway-tree baseline.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum MTreeError {
-    /// The referenced peer does not exist.
-    UnknownPeer(PeerId),
-    /// The overlay is empty.
-    Empty,
-    /// The last node cannot leave.
-    LastNode,
-    /// The key is outside the indexed domain.
-    KeyOutOfDomain(u64),
-    /// The requested replication degree is outside the supported range.
-    ReplicationUnsupported(usize),
+/// The error of an operation naming a peer that is not in the tree.
+fn unknown_peer(peer: PeerId) -> OverlayError {
+    OverlayError::Op(format!("unknown peer {peer}"))
 }
 
-impl std::fmt::Display for MTreeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MTreeError::UnknownPeer(p) => write!(f, "unknown peer {p}"),
-            MTreeError::Empty => write!(f, "the overlay is empty"),
-            MTreeError::LastNode => write!(f, "the last node cannot leave"),
-            MTreeError::KeyOutOfDomain(k) => write!(f, "key {k} outside the domain"),
-            MTreeError::ReplicationUnsupported(k) => write!(
-                f,
-                "replication degree {k} outside 1..={}",
-                MTreeSystem::MAX_REPLICATION
-            ),
-        }
-    }
+/// The error of an operation that needs a peer of an empty tree.
+fn empty() -> OverlayError {
+    OverlayError::Op("the overlay is empty".into())
 }
-
-impl std::error::Error for MTreeError {}
-
-/// Result alias for multiway-tree operations.
-pub type Result<T> = std::result::Result<T, MTreeError>;
 
 /// The multiway-tree overlay.
 #[derive(Debug)]
 pub struct MTreeSystem {
-    pub(crate) net: SimNetwork,
+    net: SimNetwork,
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<MNode>,
@@ -101,44 +80,12 @@ impl MTreeSystem {
     }
 
     /// Builds an overlay of `n` nodes.
-    pub fn build(seed: u64, n: usize) -> Result<Self> {
+    pub fn build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
         for _ in 0..n {
             system.join_random()?;
         }
         Ok(system)
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Approximate resident bytes of per-peer protocol state: the node
-    /// slab, every node's child-link and key vectors, and the sampling
-    /// list.  The shared network substrate is excluded.  The slab is
-    /// counted by [`PeerDirectory::slot_count`] — every slot ever opened,
-    /// the holes departures leave included — not by its allocated
-    /// capacity: amortised doubling overshoots the slots in use by up to
-    /// 2×, which would make the figure jump with the growth schedule
-    /// rather than with the state the protocol keeps.
-    pub fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<MNode>>()) as u64;
-        let heap: u64 = self
-            .nodes
-            .values()
-            .map(|node| {
-                (node.children.capacity() * std::mem::size_of::<MLink>()
-                    + node.keys.capacity() * std::mem::size_of::<u64>()) as u64
-            })
-            .sum();
-        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
-        slab + heap + peers
-    }
-
-    /// All peers, sorted by id — a borrowed view of the sampling list.
-    pub fn peers(&self) -> &[PeerId] {
-        self.nodes.peers()
     }
 
     /// Iterates over `(peer, node)` pairs in peer-id order.
@@ -155,19 +102,12 @@ impl MTreeSystem {
             .map_or(0, |depth| depth as u32 + 1)
     }
 
-    /// Total stored items.
-    pub fn total_items(&self) -> usize {
-        self.nodes.values().map(|n| n.items()).sum()
+    fn node(&self, peer: PeerId) -> OverlayResult<&MNode> {
+        self.nodes.get(peer).ok_or_else(|| unknown_peer(peer))
     }
 
-    fn node(&self, peer: PeerId) -> Result<&MNode> {
-        self.nodes.get(peer).ok_or(MTreeError::UnknownPeer(peer))
-    }
-
-    fn node_mut(&mut self, peer: PeerId) -> Result<&mut MNode> {
-        self.nodes
-            .get_mut(peer)
-            .ok_or(MTreeError::UnknownPeer(peer))
+    fn node_mut(&mut self, peer: PeerId) -> OverlayResult<&mut MNode> {
+        self.nodes.get_mut(peer).ok_or_else(|| unknown_peer(peer))
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
@@ -194,11 +134,8 @@ impl MTreeSystem {
 
     /// Moves the live node `peer` to `depth` (no deeper than a registered
     /// node has been).
-    fn set_depth(&mut self, peer: PeerId, depth: u32) -> Result<()> {
-        let node = self
-            .nodes
-            .get_mut(peer)
-            .ok_or(MTreeError::UnknownPeer(peer))?;
+    fn set_depth(&mut self, peer: PeerId, depth: u32) -> OverlayResult<()> {
+        let node = self.nodes.get_mut(peer).ok_or_else(|| unknown_peer(peer))?;
         self.live_at_depth[node.depth as usize] -= 1;
         self.live_at_depth[depth as usize] += 1;
         node.depth = depth;
@@ -209,7 +146,12 @@ impl MTreeSystem {
     /// up through parents until the coverage contains the key, then down
     /// through the covering children — one message per hop, no sideways
     /// shortcuts.
-    fn route_to_owner(&mut self, op: OpScope, issuer: PeerId, key: u64) -> Result<(PeerId, u64)> {
+    fn route_to_owner(
+        &mut self,
+        op: OpScope,
+        issuer: PeerId,
+        key: u64,
+    ) -> OverlayResult<(PeerId, u64)> {
         let mut current = issuer;
         let mut messages = 0u64;
         let limit = 4 * self.height() as u64 + self.node_count() as u64 + 8;
@@ -240,10 +182,181 @@ impl MTreeSystem {
         }
     }
 
+    fn splice_neighbors(&mut self, op: OpScope, departing: &MNode) -> OverlayResult<u64> {
+        let mut messages = 0u64;
+        if let (Some(l), Some(r)) = (departing.left_neighbor, departing.right_neighbor) {
+            if let Some(ln) = self.nodes.get_mut(l.peer) {
+                ln.right_neighbor = Some(r);
+            }
+            if let Some(rn) = self.nodes.get_mut(r.peer) {
+                rn.left_neighbor = Some(l);
+            }
+            self.net
+                .count_message(op, "mtree.maintenance", departing.peer, l.peer);
+            self.net
+                .count_message(op, "mtree.maintenance", departing.peer, r.peer);
+            messages += 2;
+        } else if let Some(l) = departing.left_neighbor {
+            if let Some(ln) = self.nodes.get_mut(l.peer) {
+                ln.right_neighbor = None;
+            }
+            self.net
+                .count_message(op, "mtree.maintenance", departing.peer, l.peer);
+            messages += 1;
+        } else if let Some(r) = departing.right_neighbor {
+            if let Some(rn) = self.nodes.get_mut(r.peer) {
+                rn.left_neighbor = None;
+            }
+            self.net
+                .count_message(op, "mtree.maintenance", departing.peer, r.peer);
+            messages += 1;
+        }
+        Ok(messages)
+    }
+
+    /// Highest replication degree the neighbour-link placement supports:
+    /// the owner plus its two in-order neighbours.
+    pub const MAX_REPLICATION: usize = 3;
+
+    /// The in-order neighbours holding the k−1 replica copies of `peer`'s
+    /// keys: the right neighbour first, then the left.  Empty at k = 1.
+    pub fn replica_targets(&self, peer: PeerId) -> Vec<PeerId> {
+        if self.replication <= 1 {
+            return Vec::new();
+        }
+        let Some(node) = self.nodes.get(peer) else {
+            return Vec::new();
+        };
+        let mut targets = Vec::new();
+        for link in [node.right_neighbor, node.left_neighbor]
+            .into_iter()
+            .flatten()
+        {
+            if link.peer != peer && !targets.contains(&link.peer) {
+                targets.push(link.peer);
+            }
+        }
+        targets.truncate(self.replication - 1);
+        targets
+    }
+
+    /// Charges the replica-copy messages a write at `owner` costs at k > 1.
+    fn charge_replica_copies(&mut self, op: OpScope, owner: PeerId) -> u64 {
+        let mut copies = 0u64;
+        for target in self.replica_targets(owner) {
+            self.net.count_message(op, "mtree.replica", owner, target);
+            copies += 1;
+        }
+        copies
+    }
+
+    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the tree's current
+    /// state for the concurrent serve front-end: slots are the nodes in key
+    /// order (their direct ranges partition the domain), items are the
+    /// sorted key multisets run-length-encoded, links carry the
+    /// parent/child tree edges and the in-order neighbour chain range
+    /// sweeps walk, and replicas are the in-order replica targets of the
+    /// k-replica capability.  Extraction is read-only.
+    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
+        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
+
+        let mut builder = SnapshotBuilder::new(
+            ExactPlacement::DomainPartition,
+            (self.domain.low, self.domain.high),
+        );
+        builder.reserve(self.node_count(), self.total_items());
+        let mut order: Vec<&MNode> = self.nodes.values().collect();
+        order.sort_by_key(|node| node.range.low);
+        for node in &order {
+            builder.push_slot(node.peer.0, node.range.high, true);
+            builder.push_keys(node.keys.iter().copied());
+            builder.seal_slot();
+        }
+        for (slot, node) in order.iter().enumerate() {
+            if let Some(parent) = &node.parent {
+                builder.link_peer(slot, parent.peer.0, LinkKind::Parent);
+            }
+            for child in &node.children {
+                builder.link_peer(slot, child.peer.0, LinkKind::Child);
+            }
+            for neighbor in [&node.left_neighbor, &node.right_neighbor]
+                .into_iter()
+                .flatten()
+            {
+                builder.link_peer(slot, neighbor.peer.0, LinkKind::Neighbor);
+            }
+            for target in self.replica_targets(node.peer) {
+                builder.replica_peer(slot, target.0);
+            }
+        }
+        builder.finish()
+    }
+}
+
+impl Overlay for MTreeSystem {
+    fn name(&self) -> &'static str {
+        "Multiway tree"
+    }
+
+    fn capabilities(&self) -> OverlayCapabilities {
+        OverlayCapabilities {
+            range_queries: true,
+        }
+    }
+
+    /// Number of nodes.
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Total stored items.
+    fn total_items(&self) -> usize {
+        self.nodes.values().map(|n| n.items()).sum()
+    }
+
+    fn net(&self) -> &SimNetwork {
+        &self.net
+    }
+
+    fn net_mut(&mut self) -> &mut SimNetwork {
+        &mut self.net
+    }
+
+    /// Approximate resident bytes of per-peer protocol state: the node
+    /// slab, every node's child-link and key vectors, and the sampling
+    /// list.  The shared network substrate is excluded.  The slab is
+    /// counted by [`PeerDirectory::slot_count`] — every slot ever opened,
+    /// the holes departures leave included — not by its allocated
+    /// capacity: amortised doubling overshoots the slots in use by up to
+    /// 2×, which would make the figure jump with the growth schedule
+    /// rather than with the state the protocol keeps.
+    fn estimated_state_bytes(&self) -> u64 {
+        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<MNode>>()) as u64;
+        let heap: u64 = self
+            .nodes
+            .values()
+            .map(|node| {
+                (node.children.capacity() * std::mem::size_of::<MLink>()
+                    + node.keys.capacity() * std::mem::size_of::<u64>()) as u64
+            })
+            .sum();
+        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
+        slab + heap + peers
+    }
+
+    fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
+        Some(self.build_routing_snapshot())
+    }
+
+    /// All peers, sorted by id — a borrowed view of the sampling list.
+    fn peers(&self) -> &[PeerId] {
+        self.nodes.peers()
+    }
+
     /// A new node joins: the request is routed to the node owning a random
     /// point of the key space, which accepts the newcomer as a child
     /// directly (fan-out is unconstrained) and hands it half of its range.
-    pub fn join_random(&mut self) -> Result<ChurnCost> {
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
         let peer = self.net.add_peer();
         let op = self.net.begin_op("mtree.join");
         if self.nodes.is_empty() {
@@ -366,17 +479,23 @@ impl MTreeSystem {
         })
     }
 
+    /// A random node leaves.
+    fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
+        let peer = self.random_peer().ok_or_else(empty)?;
+        self.leave_peer(peer)
+    }
+
     /// A node leaves: it must query **all** of its children to pick a
     /// replacement (this is what makes multiway-tree departures expensive),
     /// the replacement absorbs its range and items, and every link to the
     /// departed node is repointed.
-    pub fn leave(&mut self, peer: PeerId) -> Result<ChurnCost> {
+    fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
         if self.nodes.len() <= 1 {
-            return Err(MTreeError::LastNode);
+            return Err(OverlayError::Op("the last node cannot leave".into()));
         }
         let mut departing = self
             .unregister_node(peer)
-            .ok_or(MTreeError::UnknownPeer(peer))?;
+            .ok_or_else(|| unknown_peer(peer))?;
         let departing_keys = std::mem::take(&mut departing.keys);
         let op = self.net.begin_op("mtree.leave");
 
@@ -545,101 +664,31 @@ impl MTreeSystem {
         })
     }
 
-    /// A random node leaves.
-    pub fn leave_random(&mut self) -> Result<ChurnCost> {
-        let peer = self.random_peer().ok_or(MTreeError::Empty)?;
-        self.leave(peer)
-    }
-
-    fn splice_neighbors(&mut self, op: OpScope, departing: &MNode) -> Result<u64> {
-        let mut messages = 0u64;
-        if let (Some(l), Some(r)) = (departing.left_neighbor, departing.right_neighbor) {
-            if let Some(ln) = self.nodes.get_mut(l.peer) {
-                ln.right_neighbor = Some(r);
-            }
-            if let Some(rn) = self.nodes.get_mut(r.peer) {
-                rn.left_neighbor = Some(l);
-            }
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, l.peer);
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, r.peer);
-            messages += 2;
-        } else if let Some(l) = departing.left_neighbor {
-            if let Some(ln) = self.nodes.get_mut(l.peer) {
-                ln.right_neighbor = None;
-            }
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, l.peer);
-            messages += 1;
-        } else if let Some(r) = departing.right_neighbor {
-            if let Some(rn) = self.nodes.get_mut(r.peer) {
-                rn.left_neighbor = None;
-            }
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, r.peer);
-            messages += 1;
-        }
-        Ok(messages)
-    }
-
     /// The replication degree k in effect (1 = no replication).
-    pub fn replication(&self) -> usize {
+    fn replication(&self) -> usize {
         self.replication
     }
 
-    /// Highest replication degree the neighbour-link placement supports:
-    /// the owner plus its two in-order neighbours.
-    pub const MAX_REPLICATION: usize = 3;
-
     /// Sets the replication degree: each key's k−1 extra copies live on the
     /// owner's in-order neighbours.
-    pub fn set_replication(&mut self, k: usize) -> Result<()> {
+    fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
         if k == 0 || k > Self::MAX_REPLICATION {
-            return Err(MTreeError::ReplicationUnsupported(k));
+            return Err(OverlayError::Op(format!(
+                "replication degree {k} outside 1..={}",
+                Self::MAX_REPLICATION
+            )));
         }
         self.replication = k;
         Ok(())
     }
 
-    /// The in-order neighbours holding the k−1 replica copies of `peer`'s
-    /// keys: the right neighbour first, then the left.  Empty at k = 1.
-    pub fn replica_targets(&self, peer: PeerId) -> Vec<PeerId> {
-        if self.replication <= 1 {
-            return Vec::new();
-        }
-        let Some(node) = self.nodes.get(peer) else {
-            return Vec::new();
-        };
-        let mut targets = Vec::new();
-        for link in [node.right_neighbor, node.left_neighbor]
-            .into_iter()
-            .flatten()
-        {
-            if link.peer != peer && !targets.contains(&link.peer) {
-                targets.push(link.peer);
-            }
-        }
-        targets.truncate(self.replication - 1);
-        targets
-    }
-
-    /// Charges the replica-copy messages a write at `owner` costs at k > 1.
-    fn charge_replica_copies(&mut self, op: OpScope, owner: PeerId) -> u64 {
-        let mut copies = 0u64;
-        for target in self.replica_targets(owner) {
-            self.net.count_message(op, "mtree.replica", owner, target);
-            copies += 1;
-        }
-        copies
-    }
-
     /// Inserts a value under `key`.
-    pub fn insert(&mut self, key: u64) -> Result<OpCost> {
+    fn insert(&mut self, key: u64, _value: u64) -> OverlayResult<OpCost> {
+        // The baseline tracks key multisets; values are not materialised.
         if !self.domain.contains(key) {
-            return Err(MTreeError::KeyOutOfDomain(key));
+            return Err(OverlayError::Op(format!("key {key} outside the domain")));
         }
-        let issuer = self.random_peer().ok_or(MTreeError::Empty)?;
+        let issuer = self.random_peer().ok_or_else(empty)?;
         let op = self.net.begin_op("mtree.insert");
         let (owner, mut messages) = self.route_to_owner(op, issuer, key)?;
         self.node_mut(owner)?.insert_key(key);
@@ -654,11 +703,11 @@ impl MTreeSystem {
     }
 
     /// Deletes one stored occurrence of `key`, if any.
-    pub fn delete(&mut self, key: u64) -> Result<OpCost> {
+    fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
         if !self.domain.contains(key) {
-            return Err(MTreeError::KeyOutOfDomain(key));
+            return Err(OverlayError::Op(format!("key {key} outside the domain")));
         }
-        let issuer = self.random_peer().ok_or(MTreeError::Empty)?;
+        let issuer = self.random_peer().ok_or_else(empty)?;
         let op = self.net.begin_op("mtree.delete");
         let (owner, mut messages) = self.route_to_owner(op, issuer, key)?;
         let removed = usize::from(self.node_mut(owner)?.remove_key(key));
@@ -675,11 +724,11 @@ impl MTreeSystem {
     }
 
     /// Exact-match query for `key`.
-    pub fn search_exact(&mut self, key: u64) -> Result<OpCost> {
+    fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
         if !self.domain.contains(key) {
-            return Err(MTreeError::KeyOutOfDomain(key));
+            return Err(OverlayError::Op(format!("key {key} outside the domain")));
         }
-        let issuer = self.random_peer().ok_or(MTreeError::Empty)?;
+        let issuer = self.random_peer().ok_or_else(empty)?;
         let op = self.net.begin_op("mtree.search");
         let (owner, messages) = self.route_to_owner(op, issuer, key)?;
         let matches = self.node(owner)?.count_key(key);
@@ -694,12 +743,17 @@ impl MTreeSystem {
 
     /// Range query: find the first intersecting node, then walk right
     /// neighbours one by one.
-    pub fn search_range(&mut self, low: u64, high: u64) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(MTreeError::Empty)?;
+    fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
+        let issuer = self.random_peer().ok_or_else(empty)?;
+        // Clamped to the domain; an empty clamp (an inverted range included)
+        // matches nothing and costs nothing.
+        let (low, high) = (low.max(self.domain.low), high.min(self.domain.high));
+        if low >= high {
+            return Ok(OpCost::default());
+        }
         let op = self.net.begin_op("mtree.range");
-        let start_key = low.max(self.domain.low).min(self.domain.high - 1);
-        let (mut current, mut messages) = self.route_to_owner(op, issuer, start_key)?;
-        let range = MRange::new(low.max(self.domain.low), high.min(self.domain.high));
+        let (mut current, mut messages) = self.route_to_owner(op, issuer, low)?;
+        let range = MRange::new(low, high);
         let mut nodes_visited = 0usize;
         let mut matches = 0usize;
         let limit = self.node_count() + 2;
@@ -740,10 +794,27 @@ impl MTreeSystem {
         })
     }
 
+    /// Average messages received per node at each depth of the tree.
+    fn access_load_by_level(&self) -> Vec<(u32, f64)> {
+        let mut per_level: HashMap<u32, (u64, u64)> = HashMap::new();
+        for (peer, node) in self.nodes() {
+            let received = self.stats().received_count(peer);
+            let entry = per_level.entry(node.depth).or_insert((0, 0));
+            entry.0 += received;
+            entry.1 += 1;
+        }
+        let mut levels: Vec<(u32, f64)> = per_level
+            .into_iter()
+            .map(|(level, (msgs, count))| (level, msgs as f64 / count.max(1) as f64))
+            .collect();
+        levels.sort_unstable_by_key(|(l, _)| *l);
+        levels
+    }
+
     /// Basic structural validation: children are reachable, parents point
     /// back, coverage nests, and every key of the domain is owned by exactly
     /// one node's direct range.
-    pub fn validate(&self) -> std::result::Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Ok(());
         }
@@ -785,50 +856,6 @@ impl MTreeSystem {
         }
         Ok(())
     }
-
-    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the tree's current
-    /// state for the concurrent serve front-end: slots are the nodes in key
-    /// order (their direct ranges partition the domain), items are the
-    /// sorted key multisets run-length-encoded, links carry the
-    /// parent/child tree edges and the in-order neighbour chain range
-    /// sweeps walk, and replicas are the in-order replica targets of the
-    /// k-replica capability.  Extraction is read-only.
-    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
-        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
-
-        let mut builder = SnapshotBuilder::new(
-            "Multiway tree",
-            ExactPlacement::DomainPartition,
-            true,
-            (self.domain.low, self.domain.high),
-        );
-        builder.reserve(self.node_count(), self.total_items());
-        let mut order: Vec<&MNode> = self.nodes.values().collect();
-        order.sort_by_key(|node| node.range.low);
-        for node in &order {
-            builder.push_slot(node.peer.0, node.range.high, true);
-            builder.push_keys(node.keys.iter().copied());
-            builder.seal_slot();
-        }
-        for (slot, node) in order.iter().enumerate() {
-            if let Some(parent) = &node.parent {
-                builder.link_peer(slot, parent.peer.0, LinkKind::Parent);
-            }
-            for child in &node.children {
-                builder.link_peer(slot, child.peer.0, LinkKind::Child);
-            }
-            for neighbor in [&node.left_neighbor, &node.right_neighbor]
-                .into_iter()
-                .flatten()
-            {
-                builder.link_peer(slot, neighbor.peer.0, LinkKind::Neighbor);
-            }
-            for target in self.replica_targets(node.peer) {
-                builder.replica_peer(slot, target.0);
-            }
-        }
-        builder.finish()
-    }
 }
 
 #[cfg(test)]
@@ -858,7 +885,7 @@ mod tests {
     #[test]
     fn search_reaches_the_owner() {
         let mut system = MTreeSystem::build(9, 100).unwrap();
-        system.insert(123_456).unwrap();
+        system.insert(123_456, 0).unwrap();
         let report = system.search_exact(123_456).unwrap();
         assert_eq!(report.matches, 1);
         assert!(report.messages > 0);
@@ -875,7 +902,7 @@ mod tests {
             .max_by_key(|p| system.node(*p).unwrap().children.len())
             .unwrap();
         let child_count = system.node(busiest).unwrap().children.len() as u64;
-        let report = system.leave(busiest).unwrap();
+        let report = system.leave_peer(busiest).unwrap();
         assert!(report.locate_messages >= 2 * child_count);
         system.validate().unwrap();
     }
@@ -904,15 +931,27 @@ mod tests {
 
     #[test]
     fn errors_for_bad_inputs() {
+        let op = |message: &str| OverlayError::Op(message.into());
         let mut system = MTreeSystem::build(17, 3).unwrap();
-        assert!(matches!(
-            system.search_exact(0),
-            Err(MTreeError::KeyOutOfDomain(0))
-        ));
+        let error = system.search_exact(0).unwrap_err();
+        assert_eq!(error, op("key 0 outside the domain"));
         let mut empty = MTreeSystem::new(1);
-        assert!(matches!(empty.search_range(1, 2), Err(MTreeError::Empty)));
+        let error = empty.search_range(1, 2).unwrap_err();
+        assert_eq!(error, op("the overlay is empty"));
         let only = MTreeSystem::build(19, 1).unwrap().peers()[0];
         let mut single = MTreeSystem::build(19, 1).unwrap();
-        assert_eq!(single.leave(only).unwrap_err(), MTreeError::LastNode);
+        let error = single.leave_peer(only).unwrap_err();
+        assert_eq!(error, op("the last node cannot leave"));
+    }
+
+    #[test]
+    fn mtree_reports_per_level_access_load() {
+        let mut system = MTreeSystem::build(2, 60).unwrap();
+        for i in 0..100u64 {
+            system.search_exact(1 + i * 9_999_991).unwrap();
+        }
+        let by_level = system.access_load_by_level();
+        assert!(!by_level.is_empty());
+        assert!(by_level.iter().any(|(_, load)| *load > 0.0));
     }
 }

@@ -5,16 +5,18 @@
 //! (`baton-d3tree`) — on identical workloads, in one currency: messages per
 //! join, leave, query and balance step ([`ChurnCost`], [`OpCost`]) over one
 //! simulated network ([`Overlay::net`]).  An implementation states what
-//! differs between overlays — its name, capabilities, operations and
-//! invariants — and hands out its network; statistics, the virtual clock,
-//! the latency model and the route recorder are provided methods over that
-//! one accessor pair.
+//! differs between overlays — its name, operations and invariants — and
+//! hands out its network; statistics, the virtual clock, the latency model
+//! and the route recorder are provided methods over that one accessor pair.
 //!
-//! Anything a system cannot do is a *capability*, not a special case in the
-//! harness: Chord reports `range_queries: false` and its
-//! [`Overlay::search_range`] returns [`OverlayError::Unsupported`], so a
-//! generic driver simply skips the series — exactly how the paper's
-//! Figure 8(e) omits Chord.
+//! Anything a system cannot do is stated once, by the operation's own
+//! answer, not by a special case in the harness: Chord's
+//! [`Overlay::search_range`] returns [`OverlayError::Unsupported`], an
+//! overlay without a failure protocol keeps the defaulted
+//! [`Overlay::fail_random`], one without balancing has no
+//! [`Overlay::balance_shift_histogram`].  The one flag left,
+//! [`OverlayCapabilities::range_queries`], lets a driver skip a series
+//! before building it — exactly how the paper's Figure 8(e) omits Chord.
 
 use crate::network::SimNetwork;
 use crate::peer::PeerId;
@@ -51,68 +53,14 @@ impl RepairPolicy {
     }
 }
 
-/// What an overlay implementation can and cannot do.
-///
-/// Drivers consult the capabilities instead of hard-coding system names, so
-/// adding a baseline never means touching the harness.
+/// What a driver needs to know about an overlay before it runs an
+/// operation.  Everything else an overlay can or cannot do is answered by
+/// the operation itself.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverlayCapabilities {
     /// The overlay preserves key order and can answer range queries.
     /// (`false` for DHTs such as Chord: hashing destroys order.)
     pub range_queries: bool,
-    /// The overlay runs a load-balancing protocol; the
-    /// `balance_messages` field of [`OpCost`] and
-    /// [`Overlay::balance_shift_histogram`] are meaningful.
-    pub load_balancing: bool,
-    /// The overlay supports abrupt node failures via
-    /// [`Overlay::fail_random`].
-    pub failures: bool,
-    /// The overlay is a tree and [`Overlay::access_load_by_level`] reports
-    /// per-level load.
-    pub level_load: bool,
-    /// The overlay offers a direct deterministic bulk construction next to
-    /// its default join-by-join build (registered as the `bulk` constructor
-    /// of its `OverlaySpec`).  A bulk-built overlay is structurally valid
-    /// and behaviourally equivalent to a join-built one, but not
-    /// byte-identical — drivers only take the fast path when explicitly
-    /// asked (`build: Bulk` scenario knob, perf-harness scale rows).
-    pub bulk_build: bool,
-}
-
-impl OverlayCapabilities {
-    /// Capabilities of a plain DHT: exact queries and churn only.
-    pub const DHT: Self = Self {
-        range_queries: false,
-        load_balancing: false,
-        failures: false,
-        level_load: false,
-        bulk_build: false,
-    };
-
-    /// Capabilities of an order-preserving tree without balancing.
-    pub const PLAIN_TREE: Self = Self {
-        range_queries: true,
-        load_balancing: false,
-        failures: false,
-        level_load: true,
-        bulk_build: false,
-    };
-
-    /// Every workload capability enabled (bulk construction stays a
-    /// per-overlay opt-in via [`with_bulk_build`](Self::with_bulk_build)).
-    pub const FULL: Self = Self {
-        range_queries: true,
-        load_balancing: true,
-        failures: true,
-        level_load: true,
-        bulk_build: false,
-    };
-
-    /// This preset, plus the bulk-construction capability.
-    pub const fn with_bulk_build(mut self) -> Self {
-        self.bulk_build = true;
-        self
-    }
 }
 
 /// Message cost of one churn event (join, leave or failure recovery).
@@ -195,7 +143,8 @@ pub trait Overlay {
     /// label in figures.
     fn name(&self) -> &'static str;
 
-    /// What this overlay can do; drivers skip unsupported series.
+    /// Whether this overlay answers range queries; drivers skip
+    /// unsupported series.
     fn capabilities(&self) -> OverlayCapabilities;
 
     /// Number of live nodes.
@@ -314,7 +263,7 @@ pub trait Overlay {
 
     /// A random node fails abruptly and the overlay recovers.
     ///
-    /// Default: unsupported (see [`OverlayCapabilities::failures`]).
+    /// Default: unsupported — the overlay has no failure protocol.
     fn fail_random(&mut self) -> OverlayResult<ChurnCost> {
         Err(OverlayError::Unsupported("failure injection"))
     }
@@ -409,8 +358,8 @@ pub trait Overlay {
     /// inserts.  Like bulk construction itself, drivers only take this path
     /// when explicitly asked (`build: Bulk` scenario runs).
     ///
-    /// Default: `false` — only overlays advertising
-    /// [`OverlayCapabilities::bulk_build`] are expected to implement it.
+    /// Default: `false` — only overlays with a bulk constructor (registered
+    /// on their `OverlaySpec`) are expected to implement it.
     fn load_direct(&mut self, _data: &[(u64, u64)]) -> bool {
         false
     }
@@ -432,14 +381,14 @@ pub trait Overlay {
 
     /// Average messages received per node at each tree level (Figure 8(f)).
     ///
-    /// Default: empty (see [`OverlayCapabilities::level_load`]).
+    /// Default: empty — the overlay has no levels.
     fn access_load_by_level(&self) -> Vec<(u32, f64)> {
         Vec::new()
     }
 
     /// Distribution of load-balancing shift sizes (Figure 8(h)).
     ///
-    /// Default: `None` (see [`OverlayCapabilities::load_balancing`]).
+    /// Default: `None` — the overlay runs no load balancing.
     fn balance_shift_histogram(&self) -> Option<&Histogram> {
         None
     }
@@ -476,7 +425,9 @@ mod tests {
             "Toy"
         }
         fn capabilities(&self) -> OverlayCapabilities {
-            OverlayCapabilities::DHT
+            OverlayCapabilities {
+                range_queries: false,
+            }
         }
         fn node_count(&self) -> usize {
             self.nodes
@@ -578,18 +529,6 @@ mod tests {
             .to_string()
             .contains("range query"));
         assert!(OverlayError::Op("boom".into()).to_string().contains("boom"));
-        let presets = [
-            OverlayCapabilities::FULL,
-            OverlayCapabilities::DHT,
-            OverlayCapabilities::PLAIN_TREE,
-        ];
-        assert_eq!(presets.iter().filter(|c| c.range_queries).count(), 2);
-        assert_eq!(presets.iter().filter(|c| c.load_balancing).count(), 1);
-        assert_eq!(presets.iter().filter(|c| c.level_load).count(), 2);
-        // Bulk construction is never part of a preset; overlays opt in.
-        assert_eq!(presets.iter().filter(|c| c.bulk_build).count(), 0);
-        let bulk = OverlayCapabilities::FULL.with_bulk_build();
-        assert!(bulk.bulk_build && bulk.range_queries);
     }
 
     #[test]

@@ -153,9 +153,7 @@ impl ServeCounters {
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingSnapshot {
     version: u64,
-    overlay: String,
     placement: ExactPlacement,
-    range_supported: bool,
     /// `[low, high)` key domain (partition) or `[0, ring_size)` (ring).
     domain: (u64, u64),
     /// Peer address of each slot ([`crate::PeerId::raw`]-compatible).
@@ -202,19 +200,15 @@ impl RoutingSnapshot {
         self.version
     }
 
-    /// Name of the overlay this snapshot was extracted from.
-    pub fn overlay(&self) -> &str {
-        &self.overlay
-    }
-
     /// Number of slots (peers) in the snapshot.
     pub fn slots(&self) -> usize {
         self.slot_peer.len()
     }
 
-    /// `true` if the snapshot can answer range queries.
+    /// `true` if the snapshot can answer range queries: its slots
+    /// partition the key domain in key order (a hashed ring has no order).
     pub fn range_supported(&self) -> bool {
-        self.range_supported
+        self.placement == ExactPlacement::DomainPartition
     }
 
     /// The snapshot's key domain `[low, high)` (ring size for hashed
@@ -440,7 +434,7 @@ impl RoutingSnapshot {
             slots: 0,
             status: ServeStatus::Ok,
         };
-        if !self.range_supported {
+        if !self.range_supported() {
             answer.status = ServeStatus::Unsupported;
             counters.record(answer);
             return answer;
@@ -520,19 +514,12 @@ fn open_segment(off: &mut Vec<u32>, slot: usize, pushed: usize, len: usize, what
 }
 
 impl SnapshotBuilder {
-    /// Starts a snapshot of `overlay` with the given placement and domain.
-    pub fn new(
-        overlay: &str,
-        placement: ExactPlacement,
-        range_supported: bool,
-        domain: (u64, u64),
-    ) -> Self {
+    /// Starts a snapshot with the given placement and domain.
+    pub fn new(placement: ExactPlacement, domain: (u64, u64)) -> Self {
         Self {
             snapshot: RoutingSnapshot {
                 version: 0,
-                overlay: overlay.to_string(),
                 placement,
-                range_supported,
                 domain,
                 slot_peer: Vec::new(),
                 slot_high: Vec::new(),
@@ -794,7 +781,7 @@ mod tests {
     /// Four slots over [0, 100): ranges [0,25) [25,50) [50,75) [75,100),
     /// a chain of adjacent links, one item per slot.
     fn toy() -> RoutingSnapshot {
-        let mut b = SnapshotBuilder::new("toy", ExactPlacement::DomainPartition, true, (0, 100));
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
         for (i, high) in [25u64, 50, 75, 100].into_iter().enumerate() {
             b.push_slot(i as u32, high, true);
             b.push_item(i as u64 * 25 + 10, (i + 1) as u64);
@@ -849,7 +836,7 @@ mod tests {
 
     #[test]
     fn ring_placement_wraps_to_successor() {
-        let mut b = SnapshotBuilder::new("ring", ExactPlacement::HashedRing, false, (0, 1 << 32));
+        let mut b = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, 1 << 32));
         b.push_slot(7, 1_000, true);
         b.seal_slot();
         b.push_slot(9, 3_000_000_000, true);
@@ -875,7 +862,7 @@ mod tests {
 
     #[test]
     fn dead_owner_fails_over_then_unavailable() {
-        let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 100));
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
         b.push_slot(0, 50, false);
         b.push_item(10, 4);
         b.seal_slot();
@@ -887,7 +874,7 @@ mod tests {
         let a = snap.exact(10, 1, &mut c);
         assert_eq!((a.status, a.matches), (ServeStatus::Failover, 4));
 
-        let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 100));
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
         b.push_slot(0, 50, false);
         b.push_item(10, 4);
         b.seal_slot();
@@ -908,7 +895,7 @@ mod tests {
         reader.refresh();
         assert_eq!(reader.refreshes, 0, "no publish, no refresh");
 
-        let mut b = SnapshotBuilder::new("toy", ExactPlacement::DomainPartition, true, (0, 100));
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
         b.push_slot(0, 100, true);
         b.push_item(42, 9);
         b.seal_slot();

@@ -319,7 +319,6 @@ impl ClassStats {
 #[derive(Clone, Debug, Default)]
 pub struct MessageStats {
     total_sent: u64,
-    total_delivered: u64,
     total_failed: u64,
     /// One `(kind, messages sent)` row per message kind, in first-seen
     /// order.  Kinds are a few dozen string literals, so a send finds its
@@ -348,9 +347,10 @@ impl MessageStats {
         self.total_sent
     }
 
-    /// Total messages successfully delivered to an alive peer.
+    /// Total messages successfully delivered to an alive peer: every
+    /// message sent is either delivered or failed.
     pub fn total_delivered(&self) -> u64 {
-        self.total_delivered
+        self.total_sent - self.total_failed
     }
 
     /// Total messages whose destination was dead at delivery time.
@@ -581,7 +581,6 @@ impl MessageStats {
 
     /// Records a successful delivery to `peer`.
     pub(crate) fn record_delivery(&mut self, peer: PeerId) {
-        self.total_delivered += 1;
         let index = peer.0 as usize;
         if self.received_by_peer.len() <= index {
             self.received_by_peer.resize(index + 1, 0);

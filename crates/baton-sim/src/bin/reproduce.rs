@@ -300,14 +300,13 @@ fn print_catalog() {
     }
     println!("serve (lock-free snapshot reads; --serve-check verifies parity):");
     for spec in baton_sim::standard_overlays() {
+        // Asked of a two-node build: what the overlay exports and answers.
+        let overlay = spec.build(&Profile::smoke(), 2, 0);
         let mut modes = Vec::new();
-        if spec.serve.snapshot {
-            modes.push("snapshot");
+        if overlay.routing_snapshot().is_some() {
+            modes.extend(["snapshot", "exact"]);
         }
-        if spec.serve.exact {
-            modes.push("exact");
-        }
-        if spec.serve.range {
+        if overlay.capabilities().range_queries {
             modes.push("range");
         }
         println!("  {}: {}", spec.series, modes.join(", "));

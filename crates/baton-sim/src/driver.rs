@@ -5,7 +5,11 @@
 //! `dyn Overlay` and a list of [`OverlaySpec`]s — there is exactly **one**
 //! measurement loop per experiment, not one per system.  Adding a new
 //! baseline to every figure therefore means adding one [`OverlaySpec`]
-//! here (and implementing [`Overlay`] for the system), nothing else.
+//! here (and implementing [`Overlay`] for the system), nothing else.  A
+//! spec states only what the built overlay cannot answer for itself: its
+//! constructors, its replication bound and its link-kind taxonomy.  What
+//! the overlay serves, ranges and snapshots included, is asked of the
+//! overlay (`reproduce --list` probes a two-node build).
 //!
 //! The list a run covers is an argument: [`select_overlays`] turns the names
 //! of `reproduce --overlays` into specs, and every driver takes the
@@ -31,35 +35,18 @@ pub struct OverlaySpec {
     /// [`Overlay::name`] of the built system.
     pub series: &'static str,
     build: BuildFn,
-    /// Direct deterministic construction, for overlays that offer one
-    /// (`OverlayCapabilities::bulk_build`).  Behaviourally equivalent to
-    /// `build` but not byte-identical, so it is only taken when explicitly
-    /// requested.
+    /// Direct deterministic construction, for overlays that offer one.
+    /// Behaviourally equivalent to `build` but not byte-identical, so it is
+    /// only taken when explicitly requested (`build: Bulk` scenario knob,
+    /// perf-harness scale rows).
     bulk: Option<BuildFn>,
     /// The overlay's replication capability.
     pub replication: Replication,
     /// The link-kind taxonomy this overlay's route recorder emits: the
     /// tagged kinds of its send sites, plus `Notify` (fire-and-forget
-    /// notifications) and `Other` (untagged protocol sends).  `--list`
-    /// prints this matrix.
+    /// notifications) and, for BATON, `Other` (untagged protocol sends).
+    /// `--list` prints this matrix.
     pub link_kinds: &'static [LinkKind],
-    /// What the overlay's routing snapshot can serve; `--list` prints this
-    /// matrix too.
-    pub serve: ServeSupport,
-}
-
-/// Serve-mode capabilities of one overlay: whether it exports a
-/// [`baton_net::RoutingSnapshot`] and which query shapes the snapshot can
-/// answer without touching the routed engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ServeSupport {
-    /// [`Overlay::routing_snapshot`] returns `Some`.
-    pub snapshot: bool,
-    /// Exact-match queries over the snapshot.
-    pub exact: bool,
-    /// Range queries over the snapshot — key-ordered partitions only, so
-    /// every overlay but Chord (hashed placement destroys key order).
-    pub range: bool,
 }
 
 /// Parses the value of a `--threads` flag, shared by `reproduce` and
@@ -171,11 +158,6 @@ pub fn reference_overlay() -> OverlaySpec {
             LinkKind::Notify,
             LinkKind::Other,
         ],
-        serve: ServeSupport {
-            snapshot: true,
-            exact: true,
-            range: true,
-        },
     }
 }
 
@@ -191,17 +173,7 @@ pub fn standard_overlays() -> Vec<OverlaySpec> {
             replication: Replication {
                 max_k: ChordSystem::MAX_REPLICATION,
             },
-            link_kinds: &[
-                LinkKind::Successor,
-                LinkKind::Finger,
-                LinkKind::Notify,
-                LinkKind::Other,
-            ],
-            serve: ServeSupport {
-                snapshot: true,
-                exact: true,
-                range: false,
-            },
+            link_kinds: &[LinkKind::Successor, LinkKind::Finger, LinkKind::Notify],
         },
         OverlaySpec {
             series: super::figures::SERIES_MTREE,
@@ -215,13 +187,7 @@ pub fn standard_overlays() -> Vec<OverlaySpec> {
                 LinkKind::Child,
                 LinkKind::Neighbor,
                 LinkKind::Notify,
-                LinkKind::Other,
             ],
-            serve: ServeSupport {
-                snapshot: true,
-                exact: true,
-                range: true,
-            },
         },
         OverlaySpec {
             series: super::figures::SERIES_D3TREE,
@@ -230,17 +196,7 @@ pub fn standard_overlays() -> Vec<OverlaySpec> {
             replication: Replication {
                 max_k: D3TreeSystem::MAX_REPLICATION,
             },
-            link_kinds: &[
-                LinkKind::Backbone,
-                LinkKind::Bucket,
-                LinkKind::Notify,
-                LinkKind::Other,
-            ],
-            serve: ServeSupport {
-                snapshot: true,
-                exact: true,
-                range: true,
-            },
+            link_kinds: &[LinkKind::Backbone, LinkKind::Bucket, LinkKind::Notify],
         },
     ]
 }
@@ -372,13 +328,6 @@ mod tests {
     fn bulk_builds_agree_with_the_advertised_capability() {
         let profile = Profile::smoke();
         for spec in standard_overlays() {
-            let joined = spec.build(&profile, 12, 5);
-            assert_eq!(
-                spec.supports_bulk(),
-                joined.capabilities().bulk_build,
-                "spec registry and trait capability disagree for {}",
-                spec.series
-            );
             // build_bulk always yields a usable overlay: the fast path when
             // one is registered, the join-by-join build otherwise.
             let bulk = spec.build_bulk(&profile, 12, 5);
@@ -399,30 +348,6 @@ mod tests {
             let data = load_overlay(&profile, &mut *overlay, KeyDistribution::Uniform, 3);
             assert_eq!(data.len(), profile.dataset_size(10));
             assert_eq!(overlay.total_items(), data.len());
-        }
-    }
-
-    #[test]
-    fn serve_matrix_matches_what_snapshots_actually_support() {
-        let profile = Profile::smoke();
-        for spec in standard_overlays() {
-            let overlay = spec.build(&profile, 15, 7);
-            let snapshot = overlay.routing_snapshot();
-            assert_eq!(
-                snapshot.is_some(),
-                spec.serve.snapshot,
-                "{}: spec registry and routing_snapshot() disagree",
-                spec.series
-            );
-            if let Some(snapshot) = snapshot {
-                assert!(spec.serve.exact, "{}: snapshots serve exact", spec.series);
-                assert_eq!(
-                    snapshot.range_supported(),
-                    spec.serve.range,
-                    "{}: spec registry and snapshot range support disagree",
-                    spec.series
-                );
-            }
         }
     }
 

@@ -3,9 +3,10 @@
 //! BATON answers a range query in `O(log N + X)` messages, where `X` is the
 //! number of nodes whose ranges intersect the query.  Chord cannot answer
 //! range queries at all (hashing destroys order) — the generic driver
-//! discovers that through [`baton_net::OverlayCapabilities::range_queries`]
-//! and omits the series, as the paper does; the multiway tree answers them
-//! by walking neighbour links after a more expensive initial descent.
+//! probes [`baton_net::OverlayCapabilities::range_queries`] on a two-node
+//! build of each overlay and omits the series, as the paper does; the
+//! multiway tree answers them by walking neighbour links after a more
+//! expensive initial descent.
 
 use baton_net::SimRng;
 use baton_workload::{KeyDistribution, Query, QueryWorkload};

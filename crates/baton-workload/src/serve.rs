@@ -171,9 +171,7 @@ mod tests {
 
     fn cell() -> Arc<SnapshotCell> {
         let mut b = SnapshotBuilder::new(
-            "toy",
             ExactPlacement::DomainPartition,
-            true,
             (crate::keys::DOMAIN_LOW, crate::keys::DOMAIN_HIGH),
         );
         let step = (crate::keys::DOMAIN_HIGH - crate::keys::DOMAIN_LOW) / 8;

@@ -5,8 +5,8 @@
 //!
 //! The entire comparison is written against the [`baton_net::Overlay`]
 //! trait: one measurement loop runs every system, and Chord drops out of the
-//! range-query row because its capabilities say so, not because this program
-//! special-cases it.
+//! range-query row because its `search_range` answers `Unsupported`, not
+//! because this program special-cases it.
 //!
 //! ```text
 //! cargo run -p baton-examples --example baseline_comparison --release

@@ -103,19 +103,24 @@ fn one_workload_drives_every_overlay_through_the_runners() {
     }
 }
 
+/// What each system can do, asked of its operations: a range query, the
+/// balance histogram, a failure.
 #[test]
 fn capability_gates_match_the_systems() {
     let profile = Profile::smoke();
+    let answers =
+        |error: Option<OverlayError>| !matches!(error, Some(OverlayError::Unsupported(_)));
     let mut by_name: Vec<(String, bool, bool, bool)> = standard_overlays()
         .iter()
         .map(|spec| {
-            let overlay = spec.build(&profile, 8, 1);
-            let caps = overlay.capabilities();
+            let mut overlay = spec.build(&profile, 8, 1);
+            let ranges = answers(overlay.search_range(1, 100).err());
+            assert_eq!(ranges, overlay.capabilities().range_queries);
             (
                 overlay.name().to_owned(),
-                caps.range_queries,
-                caps.load_balancing,
-                caps.failures,
+                ranges,
+                overlay.balance_shift_histogram().is_some(),
+                answers(overlay.fail_random().err()),
             )
         })
         .collect();
@@ -136,17 +141,15 @@ fn unsupported_operations_are_errors_not_panics() {
     let profile = Profile::smoke();
     for spec in standard_overlays() {
         let mut overlay = spec.build(&profile, 10, 5);
-        if !overlay.capabilities().range_queries {
-            assert!(matches!(
-                overlay.search_range(1, 100),
-                Err(OverlayError::Unsupported(_))
-            ));
-        }
-        if !overlay.capabilities().failures {
-            assert!(matches!(
-                overlay.fail_random(),
-                Err(OverlayError::Unsupported(_))
-            ));
+        for error in [
+            overlay.search_range(1, 100).err(),
+            overlay.fail_random().err(),
+        ] {
+            assert!(
+                matches!(error, None | Some(OverlayError::Unsupported(_))),
+                "{}: {error:?}",
+                spec.series
+            );
         }
     }
 }

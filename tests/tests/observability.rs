@@ -2,11 +2,12 @@
 //! with the [`baton_net::MessageStats`] accounting (trace ↔ stats oracle),
 //! the recorder's ring buffer must bound memory under long runs, and the
 //! per-class detour split (`messages == primary + detour`) must hold with
-//! and without failures.  The JSON reader behind `--check-trace` must
-//! answer malformed input with an error, not a panic.
+//! and without failures, and each overlay's registered link kinds must be
+//! exactly the kinds its route recorder sees.  The JSON reader behind
+//! `--check-trace` must answer malformed input with an error, not a panic.
 
 use baton_core::{BatonConfig, BatonSystem};
-use baton_net::{LatencyModel, Overlay, SimRng, SimTime, TraceConfig};
+use baton_net::{LatencyModel, LinkKind, Overlay, SimRng, SimTime, TraceConfig};
 use baton_sim::{scenario, standard_overlays, Profile};
 use baton_workload::{runner, QueryWorkload};
 
@@ -315,4 +316,33 @@ fn regional_failure_trace_pins_bounced_and_detour_hops() {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
         });
     assert_eq!((bounced, detoured, digest), (185, 615, 4153065912139017487));
+}
+
+/// `--list`'s link-kind matrix is what the route recorder sees: every
+/// registered scenario at smoke, traced in full, records on each overlay
+/// exactly the kinds its `OverlaySpec::link_kinds` lists — none missing,
+/// none unlisted.
+#[test]
+fn recorded_link_kinds_are_exactly_each_overlays_list() {
+    let profile = Profile::smoke();
+    let specs = standard_overlays();
+    let mut hops = vec![[0u64; LinkKind::ALL.len()]; specs.len()];
+    for scenario in scenario::all_scenarios() {
+        let plan = (scenario.build)(&profile);
+        let trace = Some(TraceConfig::new(usize::MAX));
+        let (_, traces) = scenario::run_plan(&profile, &plan, &specs, 1, trace);
+        for (overlay, buffer) in &traces {
+            let at = specs.iter().position(|s| s.series == overlay).unwrap();
+            for (total, count) in hops[at].iter_mut().zip(buffer.hop_counts_by_kind()) {
+                *total += count;
+            }
+        }
+    }
+    for (spec, hops) in specs.iter().zip(&hops) {
+        let recorded: Vec<LinkKind> = LinkKind::ALL
+            .into_iter()
+            .filter(|kind| hops[kind.index()] > 0)
+            .collect();
+        assert_eq!(recorded, spec.link_kinds, "{}", spec.series);
+    }
 }

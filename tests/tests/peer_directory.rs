@@ -270,7 +270,7 @@ fn routed_ops_on_a_large_multiway_tree_do_not_scan_the_overlay() {
     let mut found = 0usize;
     for _ in 0..100_000 {
         let key = rng.uniform_u64(1, 1_000_000_000);
-        system.insert(key).unwrap();
+        system.insert(key, 0).unwrap();
         found += system.search_exact(key).unwrap().matches;
     }
     assert!(found >= 100_000);

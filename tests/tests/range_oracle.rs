@@ -3,7 +3,9 @@
 //! each overlay's results are checked against a brute-force sorted-vector
 //! oracle — exact counts, not shapes:
 //!
-//! * every seeded range query returns exactly the oracle's count;
+//! * every seeded range query returns exactly the oracle's count, and an
+//!   empty one — inverted, or clamped away by the domain — answers zero
+//!   matches for zero messages;
 //! * exact-match queries return the key's exact multiplicity (and zero for
 //!   absent keys), which together with the range counts pins membership;
 //! * deletes remove exactly one occurrence and the oracle tracks it.
@@ -14,7 +16,7 @@
 //! extensions and contractions.
 
 use baton_d3tree::D3TreeSystem;
-use baton_net::SimRng;
+use baton_net::{Overlay, SimRng};
 use baton_sim::{standard_overlays, Profile};
 use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
 
@@ -75,6 +77,17 @@ fn range_and_exact_results_match_a_sorted_vector_oracle() {
                 spec.series
             );
         }
+        // Empty after clamping to the domain: inverted, a point, and wholly
+        // above the domain.
+        for (low, high) in [(10, 5), (5, 5), (1_000_000_010, 1_000_000_020)] {
+            let cost = overlay.search_range(low, high).expect("empty range");
+            assert_eq!(
+                (cost.matches, cost.messages),
+                (0, 0),
+                "{}: empty range [{low}, {high})",
+                spec.series
+            );
+        }
 
         // Exact matches report the key's multiplicity; absent keys report
         // zero.
@@ -132,7 +145,7 @@ fn d3tree_balance_invariants_survive_growth_churn_and_shrink() {
         }
         if round % 3 == 0 {
             system
-                .insert(1 + (round as u64 * 7_919_993) % 999_999_998)
+                .insert(1 + (round as u64 * 7_919_993) % 999_999_998, 0)
                 .unwrap();
             inserted += 1;
         }

@@ -35,9 +35,9 @@ struct ReferenceBuilder {
 }
 
 impl ReferenceBuilder {
-    fn new(overlay: &str, placement: ExactPlacement, ranges: bool, domain: (u64, u64)) -> Self {
+    fn new(placement: ExactPlacement, domain: (u64, u64)) -> Self {
         Self {
-            out: SnapshotBuilder::new(overlay, placement, ranges, domain),
+            out: SnapshotBuilder::new(placement, domain),
             peers: Vec::new(),
             links: Vec::new(),
             replicas: Vec::new(),
@@ -109,7 +109,7 @@ fn run_lengths(keys: impl IntoIterator<Item = u64>) -> Vec<(u64, u64)> {
 
 fn reference_baton(system: &BatonSystem) -> RoutingSnapshot {
     let domain = (system.domain().low(), system.domain().high());
-    let mut b = ReferenceBuilder::new("BATON", ExactPlacement::DomainPartition, true, domain);
+    let mut b = ReferenceBuilder::new(ExactPlacement::DomainPartition, domain);
     let mut nodes: Vec<_> = system.iter_nodes().collect();
     nodes.sort_by_key(|(_, node)| node.range.low());
     for (peer, node) in &nodes {
@@ -142,7 +142,7 @@ fn reference_baton(system: &BatonSystem) -> RoutingSnapshot {
 
 fn reference_chord(system: &ChordSystem) -> RoutingSnapshot {
     let domain = (0, baton_chord::RING);
-    let mut b = ReferenceBuilder::new("Chord", ExactPlacement::HashedRing, false, domain);
+    let mut b = ReferenceBuilder::new(ExactPlacement::HashedRing, domain);
     let mut order: Vec<_> = system.nodes().collect();
     order.sort_by_key(|node| node.id);
     for node in &order {
@@ -168,8 +168,7 @@ fn reference_mtree(system: &MTreeSystem) -> RoutingSnapshot {
     order.sort_by_key(|node| node.range.low);
     // The direct ranges partition the domain.
     let domain = (order[0].range.low, order[order.len() - 1].range.high);
-    let placement = ExactPlacement::DomainPartition;
-    let mut b = ReferenceBuilder::new("Multiway tree", placement, true, domain);
+    let mut b = ReferenceBuilder::new(ExactPlacement::DomainPartition, domain);
     for node in &order {
         let items = run_lengths(node.keys.iter().copied());
         b.push_slot(node.peer, node.range.high, true, &items);
@@ -197,7 +196,7 @@ fn reference_d3tree(system: &D3TreeSystem) -> RoutingSnapshot {
     let low = buckets.iter().flat_map(|b| b.peers.first()).next();
     let high = buckets.iter().flat_map(|b| b.peers.last()).next_back();
     let domain = (low.unwrap().range.low, high.unwrap().range.high);
-    let mut b = ReferenceBuilder::new("D3-Tree", ExactPlacement::DomainPartition, true, domain);
+    let mut b = ReferenceBuilder::new(ExactPlacement::DomainPartition, domain);
     let mut heads = Vec::new();
     let mut peers = Vec::new();
     for bucket in buckets {
@@ -307,7 +306,7 @@ fn baton_export_carries_replicas_and_a_dead_peer_at_k2() {
 /// Four slots over [0, 40), peer 7 pushed twice, then `emission` as
 /// `(slot, target peer, kind)`: each entry one link and one replica.
 fn build_toy(emission: &[(usize, u32, LinkKind)]) -> RoutingSnapshot {
-    let mut b = SnapshotBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 40));
+    let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 40));
     for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
         b.push_slot(peer, high, true);
         b.push_keys([high - 2, high - 2, high - 1]);
@@ -352,7 +351,7 @@ fn builder_takes_links_in_slot_order_and_keeps_the_first_slot_of_a_peer() {
     assert_eq!(snapshot.replicas(3), [1]);
     assert_eq!(snapshot.total_items(), 12);
     // The same CSR from the per-slot staging of the reference builder.
-    let mut reference = ReferenceBuilder::new("t", ExactPlacement::DomainPartition, true, (0, 40));
+    let mut reference = ReferenceBuilder::new(ExactPlacement::DomainPartition, (0, 40));
     for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
         let items = [(high - 2, 2), (high - 1, 1)];
         reference.push_slot(PeerId(peer), high, true, &items);
