@@ -450,10 +450,6 @@ impl ChordSystem {
 }
 
 impl Overlay for ChordSystem {
-    fn name(&self) -> &'static str {
-        "Chord"
-    }
-
     fn capabilities(&self) -> OverlayCapabilities {
         OverlayCapabilities {
             range_queries: false,
@@ -637,11 +633,6 @@ impl Overlay for ChordSystem {
             }
         }
         true
-    }
-
-    /// The replication degree k in effect (1 = no replication).
-    fn replication(&self) -> usize {
-        self.replication
     }
 
     /// Sets the replication degree: each key's k−1 extra copies live on the

@@ -4,8 +4,8 @@
 //! programs against.
 
 use baton_net::{
-    ChurnCost, Histogram, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult,
-    PeerId, RepairPolicy, SimNetwork, SimTime,
+    ChurnCost, OpCost, Overlay, OverlayCapabilities, OverlayError, OverlayResult, PeerId,
+    RepairPolicy, SimNetwork, SimTime,
 };
 
 use crate::error::BatonError;
@@ -31,10 +31,6 @@ fn avail_err(error: BatonError) -> OverlayError {
 }
 
 impl Overlay for BatonSystem {
-    fn name(&self) -> &'static str {
-        "BATON"
-    }
-
     fn capabilities(&self) -> OverlayCapabilities {
         OverlayCapabilities {
             range_queries: true,
@@ -96,16 +92,8 @@ impl Overlay for BatonSystem {
         Ok((&report).into())
     }
 
-    fn replication(&self) -> usize {
-        BatonSystem::replication(self)
-    }
-
     fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
         BatonSystem::set_replication(self, k).map_err(op_err)
-    }
-
-    fn peer_alive(&self, peer: PeerId) -> bool {
-        self.node(peer).is_some() && self.net.is_alive(peer)
     }
 
     fn fail_peer_deferred(
@@ -161,14 +149,6 @@ impl Overlay for BatonSystem {
         BatonSystem::search_range_count(self, range).map_err(avail_err)
     }
 
-    fn access_load_by_level(&self) -> Vec<(u32, f64)> {
-        BatonSystem::access_load_by_level(self)
-    }
-
-    fn balance_shift_histogram(&self) -> Option<&Histogram> {
-        Some(BatonSystem::balance_shift_histogram(self))
-    }
-
     fn validate(&self) -> Result<(), String> {
         crate::validate(self).map_err(|e| e.to_string())
     }
@@ -186,7 +166,6 @@ mod tests {
     #[test]
     fn baton_is_fully_capable_through_the_trait() {
         let mut overlay = boxed(30, 1);
-        assert_eq!(overlay.name(), "BATON");
         assert!(overlay.capabilities().range_queries);
         assert_eq!(overlay.node_count(), 30);
 
@@ -219,16 +198,5 @@ mod tests {
         assert_eq!(overlay.node_count(), 19);
         assert_eq!(overlay.total_items() + cost.lost_items, before);
         overlay.validate().unwrap();
-    }
-
-    #[test]
-    fn baton_reports_level_load_and_shift_histogram() {
-        let mut overlay = boxed(40, 3);
-        for i in 0..50u64 {
-            overlay.insert(1 + i * 13_999_999, i).unwrap();
-            overlay.search_exact(1 + i * 13_999_999).unwrap();
-        }
-        assert!(!overlay.access_load_by_level().is_empty());
-        assert!(overlay.balance_shift_histogram().is_some());
     }
 }

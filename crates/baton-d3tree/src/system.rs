@@ -30,7 +30,7 @@
 //!   only when that fails does the backbone contract.
 
 use baton_net::{
-    ChurnCost, Histogram, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
+    ChurnCost, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
     OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
 };
 
@@ -76,8 +76,6 @@ pub struct D3TreeSystem {
     peer_weights: Vec<Vec<u64>>,
     /// `item_weights[level][node]`: stored items in the subtree.
     item_weights: Vec<Vec<u64>>,
-    /// Shift sizes of every item redistribution (Figure 8(h) analogue).
-    balance_hist: Histogram,
     /// Replication degree k: each key lives at its routed owner plus up to
     /// k−1 siblings of the same leaf bucket.  1 = no replication (the
     /// default and the byte-identical legacy configuration).
@@ -101,7 +99,6 @@ impl D3TreeSystem {
             bucket_of: PeerDirectory::new(),
             peer_weights: vec![vec![0]],
             item_weights: vec![vec![0]],
-            balance_hist: Histogram::new(),
             replication: 1,
         }
     }
@@ -405,7 +402,6 @@ impl D3TreeSystem {
             let moved = old_cuts[i - 1].abs_diff(new_cut) as u64;
             if moved > 0 {
                 messages += moved;
-                self.balance_hist.record(moved as usize);
                 let from = self.buckets[owners[i - 1].0].peers[owners[i - 1].1].peer;
                 let to = self.buckets[owners[i].0].peers[owners[i].1].peer;
                 self.net.count_message(op, "d3.balance", from, to);
@@ -737,10 +733,6 @@ impl D3TreeSystem {
 }
 
 impl Overlay for D3TreeSystem {
-    fn name(&self) -> &'static str {
-        "D3-Tree"
-    }
-
     fn capabilities(&self) -> OverlayCapabilities {
         OverlayCapabilities {
             range_queries: true,
@@ -926,11 +918,6 @@ impl Overlay for D3TreeSystem {
         self.remove_peer(peer, false)
     }
 
-    /// The replication degree k in effect (1 = no replication).
-    fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Sets the replication degree: each key's k−1 extra copies live on
     /// siblings of the owner's leaf bucket.  With a sibling alive, a failed
     /// peer's items survive the failure (`lost_items == 0`).
@@ -1050,43 +1037,6 @@ impl Overlay for D3TreeSystem {
             nodes_visited,
             balance_messages: 0,
         })
-    }
-
-    /// Average messages received per hosting peer at each backbone level
-    /// (level 0 = root); bucket members that host no backbone node are
-    /// reported one level below the leaves.
-    fn access_load_by_level(&self) -> Vec<(u32, f64)> {
-        let mut levels = Vec::new();
-        for level in 0..=self.height {
-            let hosts: std::collections::BTreeSet<PeerId> =
-                (0..1usize << level).map(|j| self.host(level, j)).collect();
-            let total: u64 = hosts
-                .iter()
-                .map(|p| self.net.stats().received_count(*p))
-                .sum();
-            levels.push((level, total as f64 / hosts.len().max(1) as f64));
-        }
-        let heads: std::collections::BTreeSet<PeerId> =
-            self.buckets.iter().map(Bucket::head).collect();
-        let members: Vec<PeerId> = self
-            .peers()
-            .iter()
-            .copied()
-            .filter(|p| !heads.contains(p))
-            .collect();
-        if !members.is_empty() {
-            let total: u64 = members
-                .iter()
-                .map(|p| self.net.stats().received_count(*p))
-                .sum();
-            levels.push((self.height + 1, total as f64 / members.len() as f64));
-        }
-        levels
-    }
-
-    /// Distribution of item-redistribution shift sizes.
-    fn balance_shift_histogram(&self) -> Option<&Histogram> {
-        Some(&self.balance_hist)
     }
 
     /// Checks the overlay's structural and balance invariants:
@@ -1317,7 +1267,6 @@ mod tests {
                 .balance_messages;
         }
         assert!(balance > 0, "no redistribution under heavy skew");
-        assert!(system.balance_hist.total() > 0);
         system.validate().unwrap();
     }
 
@@ -1353,19 +1302,6 @@ mod tests {
         let mut single = D3TreeSystem::build(23, 1).unwrap();
         let error = single.leave_random().unwrap_err();
         assert_eq!(error, op("the last node cannot leave"));
-    }
-
-    #[test]
-    fn d3tree_reports_per_level_access_load() {
-        let mut system = D3TreeSystem::build(2, 120).unwrap();
-        for i in 0..200u64 {
-            system.search_exact(1 + i * 4_999_999).unwrap();
-        }
-        let by_level = system.access_load_by_level();
-        assert!(by_level.len() >= 2);
-        assert!(by_level.iter().any(|(_, load)| *load > 0.0));
-        // The root host concentrates routed traffic.
-        assert!(by_level[0].1 > 0.0);
     }
 
     #[test]

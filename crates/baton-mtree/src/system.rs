@@ -16,8 +16,6 @@
 //!   skewed splits,
 //! * the tree is not height-balanced; with skewed join points it degenerates.
 
-use std::collections::HashMap;
-
 use baton_net::{
     ChurnCost, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
     OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
@@ -294,10 +292,6 @@ impl MTreeSystem {
 }
 
 impl Overlay for MTreeSystem {
-    fn name(&self) -> &'static str {
-        "Multiway tree"
-    }
-
     fn capabilities(&self) -> OverlayCapabilities {
         OverlayCapabilities {
             range_queries: true,
@@ -664,11 +658,6 @@ impl Overlay for MTreeSystem {
         })
     }
 
-    /// The replication degree k in effect (1 = no replication).
-    fn replication(&self) -> usize {
-        self.replication
-    }
-
     /// Sets the replication degree: each key's k−1 extra copies live on the
     /// owner's in-order neighbours.
     fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
@@ -792,23 +781,6 @@ impl Overlay for MTreeSystem {
             nodes_visited,
             balance_messages: 0,
         })
-    }
-
-    /// Average messages received per node at each depth of the tree.
-    fn access_load_by_level(&self) -> Vec<(u32, f64)> {
-        let mut per_level: HashMap<u32, (u64, u64)> = HashMap::new();
-        for (peer, node) in self.nodes() {
-            let received = self.stats().received_count(peer);
-            let entry = per_level.entry(node.depth).or_insert((0, 0));
-            entry.0 += received;
-            entry.1 += 1;
-        }
-        let mut levels: Vec<(u32, f64)> = per_level
-            .into_iter()
-            .map(|(level, (msgs, count))| (level, msgs as f64 / count.max(1) as f64))
-            .collect();
-        levels.sort_unstable_by_key(|(l, _)| *l);
-        levels
     }
 
     /// Basic structural validation: children are reachable, parents point
@@ -942,16 +914,5 @@ mod tests {
         let mut single = MTreeSystem::build(19, 1).unwrap();
         let error = single.leave_peer(only).unwrap_err();
         assert_eq!(error, op("the last node cannot leave"));
-    }
-
-    #[test]
-    fn mtree_reports_per_level_access_load() {
-        let mut system = MTreeSystem::build(2, 60).unwrap();
-        for i in 0..100u64 {
-            system.search_exact(1 + i * 9_999_991).unwrap();
-        }
-        let by_level = system.access_load_by_level();
-        assert!(!by_level.is_empty());
-        assert!(by_level.iter().any(|(_, load)| *load > 0.0));
     }
 }

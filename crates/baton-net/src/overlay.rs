@@ -5,22 +5,26 @@
 //! (`baton-d3tree`) — on identical workloads, in one currency: messages per
 //! join, leave, query and balance step ([`ChurnCost`], [`OpCost`]) over one
 //! simulated network ([`Overlay::net`]).  An implementation states what
-//! differs between overlays — its name, operations and invariants — and
-//! hands out its network; statistics, the virtual clock, the latency model
-//! and the route recorder are provided methods over that one accessor pair.
+//! differs between overlays — its operations and invariants — and hands out
+//! its network; statistics, the virtual clock, the latency model and the
+//! route recorder are provided methods over that one accessor pair.
+//!
+//! The trait carries only what the harness calls on every overlay.  A
+//! measurement that one overlay alone reports — BATON's per-level access
+//! load (Figure 8(f)) and balance shift sizes (Figure 8(h)) — is an
+//! inherent method its figure reads from the concrete system.
 //!
 //! Anything a system cannot do is stated once, by the operation's own
 //! answer, not by a special case in the harness: Chord's
-//! [`Overlay::search_range`] returns [`OverlayError::Unsupported`], an
+//! [`Overlay::search_range`] returns [`OverlayError::Unsupported`], and an
 //! overlay without a failure protocol keeps the defaulted
-//! [`Overlay::fail_random`], one without balancing has no
-//! [`Overlay::balance_shift_histogram`].  The one flag left,
+//! [`Overlay::fail_random`].  The one flag left,
 //! [`OverlayCapabilities::range_queries`], lets a driver skip a series
 //! before building it — exactly how the paper's Figure 8(e) omits Chord.
 
 use crate::network::SimNetwork;
 use crate::peer::PeerId;
-use crate::stats::{Histogram, MessageStats};
+use crate::stats::MessageStats;
 use crate::time::{LatencyModel, SimTime};
 use crate::trace::{TraceBuffer, TraceConfig};
 
@@ -139,10 +143,6 @@ pub type OverlayResult<T> = Result<T, OverlayError>;
 /// Implementations exist for `BatonSystem`, `ChordSystem`, `MTreeSystem`
 /// and `D3TreeSystem`; the harness holds them as `Box<dyn Overlay>`.
 pub trait Overlay {
-    /// Short human-readable name ("BATON", "Chord", …), used as the series
-    /// label in figures.
-    fn name(&self) -> &'static str;
-
     /// Whether this overlay answers range queries; drivers skip
     /// unsupported series.
     fn capabilities(&self) -> OverlayCapabilities;
@@ -232,11 +232,14 @@ pub trait Overlay {
         None
     }
 
-    /// The live peers, sorted by id.
+    /// The member peers, sorted by id.
     ///
     /// Fault plans use this to target *specific* peers (e.g. "kill half of
     /// region 2"); the id order is the stable sampling order the systems
-    /// maintain for `random_peer`.
+    /// maintain for `random_peer`.  Under deferred repair a failed peer
+    /// stays a member (its slice is still owned, just unavailable) until
+    /// its repair runs, so the list may hold dead peers: ask
+    /// `net().is_alive(peer)` for liveness.
     ///
     /// Default: empty — overlays that do not expose their peer list cannot
     /// be targeted by region-scoped faults (region kills degrade to no-ops).
@@ -250,16 +253,9 @@ pub trait Overlay {
     /// A random node departs gracefully.
     fn leave_random(&mut self) -> OverlayResult<ChurnCost>;
 
-    /// The *specific* peer `peer` departs gracefully.
-    ///
-    /// Default: unsupported — an overlay supporting neither this nor
-    /// [`fail_peer`](Self::fail_peer) cannot be hit by targeted fault
-    /// plans: its fault kills are *skipped* (never degraded to removing a
-    /// random peer, which would misreport a correlated failure as an
-    /// uncorrelated one).
-    fn leave_peer(&mut self, _peer: PeerId) -> OverlayResult<ChurnCost> {
-        Err(OverlayError::Unsupported("targeted departure"))
-    }
+    /// The *specific* peer `peer` departs gracefully.  Fault plans fall back
+    /// to this on overlays without [`fail_peer`](Self::fail_peer).
+    fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost>;
 
     /// A random node fails abruptly and the overlay recovers.
     ///
@@ -273,18 +269,9 @@ pub trait Overlay {
     /// Default: unsupported — fault plans degrade a targeted failure to a
     /// targeted graceful departure ([`leave_peer`](Self::leave_peer)),
     /// mirroring how [`fail_random`](Self::fail_random) degrades on
-    /// overlays without a failure protocol; an overlay supporting neither
-    /// targeted form is skipped rather than losing a random peer.
+    /// overlays without a failure protocol.
     fn fail_peer(&mut self, _peer: PeerId) -> OverlayResult<ChurnCost> {
         Err(OverlayError::Unsupported("targeted failure"))
-    }
-
-    /// The replication degree k currently in effect: every key lives at its
-    /// routed owner plus k−1 deterministic replica peers.
-    ///
-    /// Default: 1 — no replication.
-    fn replication(&self) -> usize {
-        1
     }
 
     /// Sets the replication degree.  k = 1 (no replication) always
@@ -296,18 +283,6 @@ pub trait Overlay {
         } else {
             Err(OverlayError::Unsupported("replication"))
         }
-    }
-
-    /// `true` if `peer` is a member of the overlay and currently alive.
-    ///
-    /// Under deferred repair a failed peer stays in [`peers`](Self::peers)
-    /// (its slice is still owned, just unavailable) until its repair runs,
-    /// so fault plans filter victims through this instead of membership.
-    ///
-    /// Default: membership — for overlays that remove dead peers
-    /// immediately, membership and liveness coincide.
-    fn peer_alive(&self, peer: PeerId) -> bool {
-        self.peers().binary_search(&peer).is_ok()
     }
 
     /// The *specific* peer `peer` fails abruptly but is **not** repaired
@@ -379,20 +354,6 @@ pub trait Overlay {
     /// [`OverlayCapabilities::range_queries`] is `false`.
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost>;
 
-    /// Average messages received per node at each tree level (Figure 8(f)).
-    ///
-    /// Default: empty — the overlay has no levels.
-    fn access_load_by_level(&self) -> Vec<(u32, f64)> {
-        Vec::new()
-    }
-
-    /// Distribution of load-balancing shift sizes (Figure 8(h)).
-    ///
-    /// Default: `None` — the overlay runs no load balancing.
-    fn balance_shift_histogram(&self) -> Option<&Histogram> {
-        None
-    }
-
     /// Checks the overlay's structural invariants.
     fn validate(&self) -> Result<(), String>;
 }
@@ -421,9 +382,6 @@ mod tests {
     }
 
     impl Overlay for Toy {
-        fn name(&self) -> &'static str {
-            "Toy"
-        }
         fn capabilities(&self) -> OverlayCapabilities {
             OverlayCapabilities {
                 range_queries: false,
@@ -452,6 +410,9 @@ mod tests {
             self.nodes -= 1;
             Ok(ChurnCost::default())
         }
+        fn leave_peer(&mut self, _peer: PeerId) -> OverlayResult<ChurnCost> {
+            self.leave_random()
+        }
         fn insert(&mut self, _key: u64, _value: u64) -> OverlayResult<OpCost> {
             self.items += 1;
             Ok(OpCost {
@@ -477,11 +438,8 @@ mod tests {
     fn trait_objects_expose_defaults_and_capabilities() {
         let mut toy = Toy::new();
         let overlay: &mut dyn Overlay = &mut toy;
-        assert_eq!(overlay.name(), "Toy");
         assert!(!overlay.capabilities().range_queries);
         assert!(overlay.fail_random().is_err());
-        assert!(overlay.access_load_by_level().is_empty());
-        assert!(overlay.balance_shift_histogram().is_none());
         overlay.join_random().unwrap();
         assert_eq!(overlay.node_count(), 2);
         overlay.insert(1, 2).unwrap();
@@ -535,14 +493,12 @@ mod tests {
     fn replication_and_repair_defaults_are_off() {
         let mut toy = Toy::new();
         let overlay: &mut dyn Overlay = &mut toy;
-        assert_eq!(overlay.replication(), 1);
         overlay.set_replication(1).unwrap();
         assert!(matches!(
             overlay.set_replication(2),
             Err(OverlayError::Unsupported(_))
         ));
-        // No peer list exposed: nothing is alive.
-        assert!(!overlay.peer_alive(PeerId(0)));
+        assert!(overlay.peers().is_empty());
         let policy = RepairPolicy {
             fast: SimTime::from_millis(500),
             slow: SimTime::from_secs(10),

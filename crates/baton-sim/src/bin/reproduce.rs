@@ -17,12 +17,6 @@
 //! exits — the machine-checkable catalog, so CI and users never have to grep
 //! the source for valid identifiers.
 //!
-//! `--serve-check` runs the snapshot-vs-routed parity check first (every
-//! overlay's exact and range answers from its [`baton_net::RoutingSnapshot`]
-//! must equal the routed engine's), reporting to **stderr** only, then
-//! continues normally — stdout stays byte-identical with or without the
-//! flag, so fixture diffs hold.
-//!
 //! `--seed N` overrides the profile's base RNG seed for quick variance
 //! spot-checks.  The committed fixtures (`tests/fixtures/*.json`) assume the
 //! default seed; a run with an overridden seed will not diff clean against
@@ -86,7 +80,6 @@ struct Options {
     json: bool,
     csv: bool,
     list: bool,
-    serve_check: bool,
     trace: Option<String>,
     trace_format: TraceFormat,
     trace_sample: u64,
@@ -111,7 +104,6 @@ fn parse_args() -> Result<Options, String> {
     let mut json = false;
     let mut csv = false;
     let mut list = false;
-    let mut serve_check = false;
     let mut trace = None;
     let mut trace_format = TraceFormat::Jsonl;
     let mut trace_sample = 1u64;
@@ -183,7 +175,6 @@ fn parse_args() -> Result<Options, String> {
             "--json" => json = true,
             "--csv" => csv = true,
             "--list" => list = true,
-            "--serve-check" => serve_check = true,
             "--trace" => {
                 trace = Some(args.next().ok_or("--trace needs an output path")?);
             }
@@ -217,7 +208,7 @@ fn parse_args() -> Result<Options, String> {
                      [--profile smoke|quick|full|paper] [--seed N] \
                      [--threads N (default: available parallelism)] \
                      [--overlays NAME[,NAME...]] [--build join|bulk] \
-                     [--replicas N] [--json] [--csv] [--list] [--serve-check] \
+                     [--replicas N] [--json] [--csv] [--list] \
                      [--trace PATH] [--trace-format jsonl|chrome] \
                      [--trace-sample N] [--check-trace PATH]",
                     scenario::all_scenario_ids().join("|")
@@ -242,7 +233,6 @@ fn parse_args() -> Result<Options, String> {
         json,
         csv,
         list,
-        serve_check,
         trace,
         trace_format,
         trace_sample,
@@ -291,14 +281,14 @@ fn print_catalog() {
     }
     println!("replication (--replicas clamps to each overlay's maximum):");
     for spec in baton_sim::standard_overlays() {
-        println!("  {}: k = 1..={}", spec.series, spec.replication.max_k);
+        println!("  {}: k = 1..={}", spec.series, spec.max_replication);
     }
     println!("link kinds (--trace tags every hop with one of these):");
     for spec in baton_sim::standard_overlays() {
         let kinds: Vec<&str> = spec.link_kinds.iter().map(|kind| kind.name()).collect();
         println!("  {}: {}", spec.series, kinds.join(", "));
     }
-    println!("serve (lock-free snapshot reads; --serve-check verifies parity):");
+    println!("serve (lock-free snapshot reads):");
     for spec in baton_sim::standard_overlays() {
         // Asked of a two-node build: what the overlay exports and answers.
         let overlay = spec.build(&Profile::smoke(), 2, 0);
@@ -371,22 +361,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // The serve check runs before figures and scenarios, and writes only to
-    // stderr: stdout stays byte-identical with or without the flag, so CI
-    // can diff a `--serve-check` run against the committed fixtures.
-    if options.serve_check {
-        match baton_sim::run_serve_check(&options.profile, &overlays) {
-            Ok(report) => eprintln!(
-                "serve-check ok: {} overlay(s), {} exact, {} range queries byte-agree with the \
-                 routed engine",
-                report.overlays, report.exact_checked, report.range_checked
-            ),
-            Err(msg) => {
-                eprintln!("serve-check FAILED: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     // Validate the scenario selection before any figure runs: a typo'd id
     // must not cost a full (possibly paper-profile) figure pass first.
     let scenario_ids = match resolve_scenarios(&options.scenarios) {

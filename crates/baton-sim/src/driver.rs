@@ -7,9 +7,9 @@
 //! baseline to every figure therefore means adding one [`OverlaySpec`]
 //! here (and implementing [`Overlay`] for the system), nothing else.  A
 //! spec states only what the built overlay cannot answer for itself: its
-//! constructors, its replication bound and its link-kind taxonomy.  What
-//! the overlay serves, ranges and snapshots included, is asked of the
-//! overlay (`reproduce --list` probes a two-node build).
+//! series label, its constructors, its replication bound and its link-kind
+//! taxonomy.  What the overlay serves, ranges and snapshots included, is
+//! asked of the overlay (`reproduce --list` probes a two-node build).
 //!
 //! The list a run covers is an argument: [`select_overlays`] turns the names
 //! of `reproduce --overlays` into specs, and every driver takes the
@@ -31,8 +31,8 @@ type BuildFn = fn(&Profile, usize, u64) -> Box<dyn Overlay>;
 
 /// How to build one overlay system for an experiment.
 pub struct OverlaySpec {
-    /// Series label used in figures ("BATON", "Chord", …).  Matches
-    /// [`Overlay::name`] of the built system.
+    /// Series label of the overlay ("BATON", "Chord", …): the name every
+    /// figure, scenario row and trace prints.
     pub series: &'static str,
     build: BuildFn,
     /// Direct deterministic construction, for overlays that offer one.
@@ -40,8 +40,11 @@ pub struct OverlaySpec {
     /// only taken when explicitly requested (`build: Bulk` scenario knob,
     /// perf-harness scale rows).
     bulk: Option<BuildFn>,
-    /// The overlay's replication capability.
-    pub replication: Replication,
+    /// Largest replication degree the overlay's placement rule maintains:
+    /// each key lives at its routed owner plus up to `max_replication − 1`
+    /// deterministic replica peers (adjacent links, ring successors or
+    /// bucket siblings, depending on the overlay).
+    pub max_replication: usize,
     /// The link-kind taxonomy this overlay's route recorder emits: the
     /// tagged kinds of its send sites, plus `Notify` (fire-and-forget
     /// notifications) and, for BATON, `Other` (untagged protocol sends).
@@ -62,23 +65,6 @@ pub fn parse_threads(value: Option<String>) -> Result<usize, String> {
         Err(_) => Err(format!(
             "--threads needs an unsigned integer, got '{value}'"
         )),
-    }
-}
-
-/// How many replicas an overlay's placement rule can maintain: each key
-/// lives at its routed owner plus up to `max_k − 1` deterministic replica
-/// peers (adjacent links, ring successors or bucket siblings, depending on
-/// the overlay).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Replication {
-    /// Largest supported replication degree (1 = owner only).
-    pub max_k: usize,
-}
-
-impl Replication {
-    /// Clamps a requested degree to what this overlay supports.
-    pub fn clamp(&self, k: usize) -> usize {
-        k.clamp(1, self.max_k)
     }
 }
 
@@ -111,9 +97,16 @@ fn baton_config(profile: &Profile, n: usize) -> BatonConfig {
     BatonConfig::default().with_load_balance(LoadBalanceConfig::for_average_load(avg_load))
 }
 
-fn build_baton(profile: &Profile, n: usize, seed: u64) -> Box<dyn Overlay> {
+/// Builds the reference overlay as the concrete [`BatonSystem`], for the
+/// BATON-only figures that read its per-level access load (8(f)) and balance
+/// shift sizes (8(h)).  [`reference_overlay`] boxes the same construction.
+pub fn build_baton_system(profile: &Profile, n: usize, seed: u64) -> BatonSystem {
     let config = baton_config(profile, n);
-    Box::new(BatonSystem::build(config, seed, n).expect("building the BATON overlay cannot fail"))
+    BatonSystem::build(config, seed, n).expect("building the BATON overlay cannot fail")
+}
+
+fn build_baton(profile: &Profile, n: usize, seed: u64) -> Box<dyn Overlay> {
+    Box::new(build_baton_system(profile, n, seed))
 }
 
 fn bulk_baton(profile: &Profile, n: usize, seed: u64) -> Box<dyn Overlay> {
@@ -141,15 +134,15 @@ fn build_d3tree(_profile: &Profile, n: usize, seed: u64) -> Box<dyn Overlay> {
 }
 
 /// The system under study: BATON.  Figures 8(f)–(i) plot it alone, as the
-/// paper does; an overlay selection does not apply to them.
+/// paper does; an overlay selection does not apply to them.  8(f) and 8(h)
+/// read BATON-only measurements, so they build through
+/// [`build_baton_system`] instead of this spec.
 pub fn reference_overlay() -> OverlaySpec {
     OverlaySpec {
         series: super::figures::SERIES_BATON,
         build: build_baton,
         bulk: Some(bulk_baton),
-        replication: Replication {
-            max_k: baton_core::BatonSystem::MAX_REPLICATION,
-        },
+        max_replication: BatonSystem::MAX_REPLICATION,
         link_kinds: &[
             LinkKind::Parent,
             LinkKind::Child,
@@ -170,18 +163,14 @@ pub fn standard_overlays() -> Vec<OverlaySpec> {
             series: super::figures::SERIES_CHORD,
             build: build_chord,
             bulk: Some(bulk_chord),
-            replication: Replication {
-                max_k: ChordSystem::MAX_REPLICATION,
-            },
+            max_replication: ChordSystem::MAX_REPLICATION,
             link_kinds: &[LinkKind::Successor, LinkKind::Finger, LinkKind::Notify],
         },
         OverlaySpec {
             series: super::figures::SERIES_MTREE,
             build: build_mtree,
             bulk: None,
-            replication: Replication {
-                max_k: MTreeSystem::MAX_REPLICATION,
-            },
+            max_replication: MTreeSystem::MAX_REPLICATION,
             link_kinds: &[
                 LinkKind::Parent,
                 LinkKind::Child,
@@ -193,9 +182,7 @@ pub fn standard_overlays() -> Vec<OverlaySpec> {
             series: super::figures::SERIES_D3TREE,
             build: build_d3tree,
             bulk: None,
-            replication: Replication {
-                max_k: D3TreeSystem::MAX_REPLICATION,
-            },
+            max_replication: D3TreeSystem::MAX_REPLICATION,
             link_kinds: &[LinkKind::Backbone, LinkKind::Bucket, LinkKind::Notify],
         },
     ]
@@ -288,7 +275,6 @@ mod tests {
         let mut range_capable = 0;
         for spec in &specs {
             let overlay = spec.build(&profile, 15, 7);
-            assert_eq!(overlay.name(), spec.series);
             assert_eq!(overlay.node_count(), 15);
             overlay.validate().unwrap();
             if overlay.capabilities().range_queries {
@@ -304,23 +290,19 @@ mod tests {
     fn every_overlay_accepts_its_advertised_replication_range() {
         let profile = Profile::smoke();
         for spec in standard_overlays() {
-            let max_k = spec.replication.max_k;
+            let max_k = spec.max_replication;
             assert!(max_k >= 2, "{}: k = 2 must be available", spec.series);
             let mut overlay = spec.build(&profile, 20, 11);
-            assert_eq!(overlay.replication(), 1, "{}", spec.series);
             for k in 1..=max_k {
                 overlay
                     .set_replication(k)
                     .unwrap_or_else(|e| panic!("{} rejected k = {k}: {e}", spec.series));
-                assert_eq!(overlay.replication(), k);
             }
             assert!(
                 overlay.set_replication(max_k + 1).is_err(),
                 "{} accepted k beyond its advertised max {max_k}",
                 spec.series
             );
-            assert_eq!(spec.replication.clamp(0), 1);
-            assert_eq!(spec.replication.clamp(max_k + 5), max_k);
         }
     }
 
@@ -331,7 +313,6 @@ mod tests {
             // build_bulk always yields a usable overlay: the fast path when
             // one is registered, the join-by-join build otherwise.
             let bulk = spec.build_bulk(&profile, 12, 5);
-            assert_eq!(bulk.name(), spec.series);
             assert_eq!(bulk.node_count(), 12);
             bulk.validate().unwrap();
             if spec.supports_bulk() {

@@ -7,16 +7,16 @@
 //! insert load is roughly flat across levels and the search load at the
 //! leaves is at least as high as at the root.
 //!
-//! The paper plots BATON alone, so the driver runs the
-//! [`reference_overlay`](crate::driver::reference_overlay) through the
-//! generic [`Overlay`](baton_net::Overlay) interface; the levels are
-//! whatever [`access_load_by_level`](baton_net::Overlay::access_load_by_level)
-//! reports.
+//! The paper plots BATON alone, so the driver builds the reference overlay
+//! as a concrete [`BatonSystem`](baton_core::BatonSystem)
+//! ([`build_baton_system`]), drives its inserts and searches through the
+//! generic [`Overlay`] interface, and reads the levels from BATON's own
+//! [`access_load_by_level`](baton_core::BatonSystem::access_load_by_level).
 
-use baton_net::SimRng;
+use baton_net::{Overlay, SimRng};
 use baton_workload::{KeyDistribution, KeyGenerator};
 
-use crate::driver::{load_overlay, reference_overlay};
+use crate::driver::{build_baton_system, load_overlay};
 use crate::profile::Profile;
 use crate::result::{FigureResult, SeriesPoint};
 
@@ -35,22 +35,22 @@ pub fn run(profile: &Profile) -> FigureResult {
     );
     let n = *profile.network_sizes.last().expect("profile has sizes");
     let seed = profile.rep_seed(0);
-    let mut overlay = reference_overlay().build(profile, n, seed);
+    let mut system = build_baton_system(profile, n, seed);
 
     // Phase 1: inserts.
-    overlay.stats_mut().reset_received_counters();
-    load_overlay(profile, &mut *overlay, KeyDistribution::Uniform, seed);
-    let insert_load = overlay.access_load_by_level();
+    system.stats_mut().reset_received_counters();
+    load_overlay(profile, &mut system, KeyDistribution::Uniform, seed);
+    let insert_load = system.access_load_by_level();
 
     // Phase 2: exact queries.
-    overlay.stats_mut().reset_received_counters();
+    system.stats_mut().reset_received_counters();
     let generator = KeyGenerator::paper(KeyDistribution::Uniform);
     let mut rng = SimRng::seeded(seed ^ 0xF1F1);
     for _ in 0..(profile.query_count() * 4) {
         let key = generator.next_key(&mut rng);
-        overlay.search_exact(key).expect("search");
+        Overlay::search_exact(&mut system, key).expect("search");
     }
-    let search_load = overlay.access_load_by_level();
+    let search_load = system.access_load_by_level();
 
     let max_level = insert_load
         .iter()

@@ -6,15 +6,16 @@
 //! restructuring shifts falls off roughly exponentially with the shift
 //! length.
 //!
-//! BATON-only (the baselines have no balancing): runs the
-//! [`reference_overlay`](crate::driver::reference_overlay) through the
-//! generic interface and reads
-//! [`balance_shift_histogram`](baton_net::Overlay::balance_shift_histogram).
+//! BATON-only (the baselines have no balancing): builds the reference
+//! overlay as a concrete [`BatonSystem`](baton_core::BatonSystem)
+//! ([`build_baton_system`]), loads it through the generic
+//! [`Overlay`](baton_net::Overlay) interface, and reads BATON's own
+//! [`balance_shift_histogram`](baton_core::BatonSystem::balance_shift_histogram).
 
 use baton_net::SimRng;
 use baton_workload::{runner, DatasetPlan, KeyDistribution};
 
-use crate::driver::reference_overlay;
+use crate::driver::build_baton_system;
 use crate::profile::Profile;
 use crate::result::{FigureResult, SeriesPoint};
 
@@ -33,7 +34,7 @@ pub fn run(profile: &Profile) -> FigureResult {
     let mut histogram = baton_net::Histogram::new();
     for rep in 0..profile.repetitions {
         let seed = profile.rep_seed(rep);
-        let mut overlay = reference_overlay().build(profile, n, seed);
+        let mut system = build_baton_system(profile, n, seed);
         let plan = DatasetPlan {
             values_per_node: 1000,
             distribution: KeyDistribution::Zipf { theta: 1.0 },
@@ -41,15 +42,12 @@ pub fn run(profile: &Profile) -> FigureResult {
         .scaled(profile.data_scale);
         let mut rng = SimRng::seeded(seed ^ 0x51FE);
         let data = plan.generate(&mut rng, n);
-        runner::bulk_load(&mut *overlay, &data).expect("bulk load");
-        if let Some(shifts) = overlay.balance_shift_histogram() {
-            histogram.merge(shifts);
-        }
+        runner::bulk_load(&mut system, &data).expect("bulk load");
+        histogram.merge(system.balance_shift_histogram());
     }
     if histogram.total() == 0 {
-        // No balancing triggered at this scale (or the reference overlay has
-        // no balancing); report an explicit zero point so the table is never
-        // empty.
+        // No balancing triggered at this scale; report an explicit zero
+        // point so the table is never empty.
         figure
             .points
             .push(SeriesPoint::at(0.0).set(SERIES_FREQUENCY, 0.0));

@@ -60,7 +60,6 @@ pub mod profile;
 pub mod report;
 pub mod result;
 pub mod scenario;
-pub mod serve_check;
 
 pub use driver::{
     load_overlay, overlay_names, parse_threads, reference_overlay, select_overlays,
@@ -76,4 +75,3 @@ pub use scenario::{
     all_scenarios, run_scenario, BuildKind, ScenarioPlan, ScenarioResult, ScenarioSeries,
     ScenarioSpec,
 };
-pub use serve_check::{run_serve_check, ServeCheckReport};

@@ -32,7 +32,9 @@ pub mod specs;
 use std::fmt::Write as _;
 
 use baton_net::{SimRng, TraceBuffer, TraceConfig};
-use baton_workload::{run_phased_with_metrics, LatencySummary, MetricsSample, OpClass};
+use baton_workload::{
+    availability, run_phased_with_metrics, LatencySummary, MetricsSample, OpClass,
+};
 
 use crate::driver::{load_overlay, load_overlay_direct, standard_overlays, OverlaySpec};
 use crate::profile::Profile;
@@ -355,7 +357,7 @@ pub fn run_plan(
         };
         // k = 1 skips the call entirely: replication is strictly additive
         // and the legacy fixtures pin the k = 1 byte stream.
-        let k = spec.replication.clamp(plan.replicas);
+        let k = plan.replicas.clamp(1, spec.max_replication);
         if k > 1 {
             overlay
                 .set_replication(k)
@@ -422,11 +424,8 @@ pub fn run_plan(
         // The numerator is the in-window failure count: a straggling
         // repair can fail an operation after its assessment window
         // closed, and that failure belongs to `unavailable` but not to
-        // the availability fraction (see `OpenLoopOutcome::availability`).
-        let availability = (window_attempts > 0).then(|| {
-            (window_attempts - window_unavailable.min(window_attempts)) as f64
-                / window_attempts as f64
-        });
+        // the availability fraction.
+        let availability = availability(window_attempts, window_unavailable);
         let repair_summary = LatencySummary::from_samples(&repair_samples);
         let divisor = reps.max(1) as f64;
         let classes = OpClass::ALL

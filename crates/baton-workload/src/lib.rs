@@ -43,8 +43,8 @@ pub use dataset::DatasetPlan;
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use keys::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
 pub use openloop::{
-    run_phased_with_metrics, ArrivalEvent, LatencySummary, MetricsConfig, MetricsSample, OpClass,
-    OpenLoopOutcome,
+    availability, run_phased_with_metrics, ArrivalEvent, LatencySummary, MetricsConfig,
+    MetricsSample, OpClass, OpenLoopOutcome,
 };
 pub use phases::{KeyMix, KeyWindow, OpRates, Phase, PhasedWorkload, ResolvedKeys};
 pub use queries::{Query, QueryWorkload};

@@ -234,6 +234,14 @@ impl Sampler {
     }
 }
 
+/// Fraction of `attempts` fault-window dispatches that succeeded when
+/// `failed` of them surfaced unavailability, in `[0, 1]`; `None` when no
+/// operation was dispatched during a window (nothing to measure — in
+/// particular every faultless legacy run).
+pub fn availability(attempts: u64, failed: u64) -> Option<f64> {
+    (attempts > 0).then(|| (attempts - failed.min(attempts)) as f64 / attempts as f64)
+}
+
 /// Aggregate outcome of an open-loop run.
 #[derive(Clone, Debug, Default)]
 pub struct OpenLoopOutcome {
@@ -319,16 +327,13 @@ impl OpenLoopOutcome {
         self.unavailable.values().sum()
     }
 
-    /// Fraction of fault-window dispatches that succeeded, in `[0, 1]`;
-    /// `None` when no operation was dispatched during a window (nothing to
-    /// measure — in particular every faultless legacy run).
+    /// Fraction of this run's fault-window dispatches that succeeded (see
+    /// [`availability`]).
     pub fn availability(&self) -> Option<f64> {
-        let attempts: u64 = self.window_attempts.values().sum();
-        if attempts == 0 {
-            return None;
-        }
-        let failed = self.window_unavailable.values().sum::<u64>().min(attempts);
-        Some((attempts - failed) as f64 / attempts as f64)
+        availability(
+            self.window_attempts.values().sum(),
+            self.window_unavailable.values().sum(),
+        )
     }
 
     /// Latency percentiles of the time-to-repair samples; `None` if no
@@ -360,20 +365,13 @@ impl OpenLoopOutcome {
 
 /// Kills one specific peer: abruptly when the overlay supports targeted
 /// failures, degrading to a targeted graceful departure otherwise.
-/// Returns the messages spent, or `None` if the overlay supports no
-/// *targeted* departure at all — a fault kill that silently removed some
-/// other random peer would misreport an uncorrelated failure pattern as a
-/// correlated one, so untargetable overlays skip instead.
-fn kill_peer(overlay: &mut dyn Overlay, victim: PeerId) -> OverlayResult<Option<u64>> {
-    match overlay.fail_peer(victim) {
-        Ok(cost) => Ok(Some(cost.total_messages())),
-        Err(OverlayError::Unsupported(_)) => match overlay.leave_peer(victim) {
-            Ok(cost) => Ok(Some(cost.total_messages())),
-            Err(OverlayError::Unsupported(_)) => Ok(None),
-            Err(other) => Err(other),
-        },
-        Err(other) => Err(other),
-    }
+/// Returns the messages spent.
+fn kill_peer(overlay: &mut dyn Overlay, victim: PeerId) -> OverlayResult<u64> {
+    let cost = match overlay.fail_peer(victim) {
+        Err(OverlayError::Unsupported(_)) => overlay.leave_peer(victim),
+        result => result,
+    }?;
+    Ok(cost.total_messages())
 }
 
 /// A deferred repair awaiting its scheduled instant.
@@ -515,7 +513,7 @@ fn apply_fault(
         .peers()
         .iter()
         .copied()
-        .filter(|p| overlay.peer_alive(*p))
+        .filter(|p| overlay.net().is_alive(*p))
         .collect();
     let victims = fault.select_victims(&pool, fault_rng);
     for victim in victims {
@@ -524,8 +522,9 @@ fn apply_fault(
             continue;
         }
         // A victim can die or disappear between selection and execution (an
-        // earlier kill's replacement protocol may have vacated it).
-        if !overlay.peer_alive(victim) {
+        // earlier kill's replacement protocol may have vacated it); a peer
+        // that left the overlay is dead on the network too.
+        if !overlay.net().is_alive(victim) {
             *outcome.skipped.entry(OpClass::Fail.name()).or_insert(0) += 1;
             continue;
         }
@@ -548,10 +547,7 @@ fn apply_fault(
             }
         }
         let first_op = OpId(overlay.stats().next_op_id());
-        let Some(messages) = kill_peer(overlay, victim)? else {
-            *outcome.skipped.entry(OpClass::Fail.name()).or_insert(0) += 1;
-            continue;
-        };
+        let messages = kill_peer(overlay, victim)?;
         outcome.fault_kills += 1;
         outcome.record(overlay, OpClass::Fail, first_op, messages);
     }

@@ -212,7 +212,9 @@ pub fn run_queries(overlay: &mut dyn Overlay, queries: &[Query]) -> OverlayResul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::{ChurnCost, OpCost, OverlayCapabilities, OverlayResult as OR, SimNetwork};
+    use baton_net::{
+        ChurnCost, OpCost, OverlayCapabilities, OverlayResult as OR, PeerId, SimNetwork,
+    };
 
     /// Deterministic fake overlay: every operation costs one message;
     /// range queries and failures are unsupported.  Holds a network and
@@ -224,9 +226,6 @@ mod tests {
     }
 
     impl Overlay for Fake {
-        fn name(&self) -> &'static str {
-            "Fake"
-        }
         fn capabilities(&self) -> OverlayCapabilities {
             OverlayCapabilities {
                 range_queries: false,
@@ -259,6 +258,9 @@ mod tests {
                 update_messages: 3,
                 lost_items: 0,
             })
+        }
+        fn leave_peer(&mut self, _peer: PeerId) -> OR<ChurnCost> {
+            self.leave_random()
         }
         fn insert(&mut self, _key: u64, _value: u64) -> OR<OpCost> {
             self.items += 1;

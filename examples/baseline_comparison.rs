@@ -29,7 +29,13 @@ struct Row {
     leave: f64,
 }
 
-fn measure(overlay: &mut dyn Overlay, seed: u64, n_keys: usize, queries: usize) -> Row {
+fn measure(
+    name: &'static str,
+    overlay: &mut dyn Overlay,
+    seed: u64,
+    n_keys: usize,
+    queries: usize,
+) -> Row {
     let generator = KeyGenerator::paper(KeyDistribution::Uniform);
     let mut rng = SimRng::seeded(seed);
 
@@ -68,7 +74,7 @@ fn measure(overlay: &mut dyn Overlay, seed: u64, n_keys: usize, queries: usize) 
 
     overlay.validate().expect("overlay stays consistent");
     Row {
-        name: overlay.name(),
+        name,
         insert: load.mean_messages(),
         exact: query_outcome.mean_exact_messages(),
         range: (query_outcome.range_executed > 0).then(|| query_outcome.mean_range_messages()),
@@ -89,10 +95,12 @@ fn main() {
         Box::new(MTreeSystem::build(seed, n).expect("mtree")),
         Box::new(D3TreeSystem::build(seed, n).expect("d3tree")),
     ];
+    let names = ["BATON", "Chord", "Multiway tree", "D3-Tree"];
 
     let rows: Vec<Row> = overlays
         .iter_mut()
-        .map(|overlay| measure(overlay.as_mut(), seed, 5_000, queries))
+        .zip(names)
+        .map(|(overlay, name)| measure(name, overlay.as_mut(), seed, 5_000, queries))
         .collect();
 
     println!(

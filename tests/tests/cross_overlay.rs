@@ -103,35 +103,30 @@ fn one_workload_drives_every_overlay_through_the_runners() {
     }
 }
 
-/// What each system can do, asked of its operations: a range query, the
-/// balance histogram, a failure.
+/// What each system can do, asked of its operations: a range query and a
+/// failure.
 #[test]
 fn capability_gates_match_the_systems() {
     let profile = Profile::smoke();
     let answers =
         |error: Option<OverlayError>| !matches!(error, Some(OverlayError::Unsupported(_)));
-    let mut by_name: Vec<(String, bool, bool, bool)> = standard_overlays()
+    let mut by_name: Vec<(&str, bool, bool)> = standard_overlays()
         .iter()
         .map(|spec| {
             let mut overlay = spec.build(&profile, 8, 1);
             let ranges = answers(overlay.search_range(1, 100).err());
             assert_eq!(ranges, overlay.capabilities().range_queries);
-            (
-                overlay.name().to_owned(),
-                ranges,
-                overlay.balance_shift_histogram().is_some(),
-                answers(overlay.fail_random().err()),
-            )
+            (spec.series, ranges, answers(overlay.fail_random().err()))
         })
         .collect();
     by_name.sort();
     assert_eq!(
         by_name,
         vec![
-            ("BATON".to_owned(), true, true, true),
-            ("Chord".to_owned(), false, false, false),
-            ("D3-Tree".to_owned(), true, true, true),
-            ("Multiway tree".to_owned(), true, false, false),
+            ("BATON", true, true),
+            ("Chord", false, false),
+            ("D3-Tree", true, true),
+            ("Multiway tree", true, false),
         ]
     );
 }
@@ -159,8 +154,7 @@ fn unsupported_operations_are_errors_not_panics() {
 /// the latency model shape the next query's timing, the recorder captures
 /// that query's hops, and `stats_mut` resets the per-peer counters the
 /// overlay's traffic filled.
-fn drives_its_own_network(mut overlay: Box<dyn Overlay>) {
-    let name = overlay.name();
+fn drives_its_own_network(name: &str, mut overlay: Box<dyn Overlay>) {
     overlay.search_exact(123_456_789).unwrap();
     assert_eq!(overlay.now(), SimTime::ZERO, "{name}: zero-latency default");
     assert!(overlay.stats().received_counts().any(|(_, n)| n > 0));
@@ -193,20 +187,23 @@ fn drives_its_own_network(mut overlay: Box<dyn Overlay>) {
 #[test]
 fn baton_drives_its_own_network_through_the_trait() {
     let system = baton_core::BatonSystem::build(Default::default(), 5, 30).unwrap();
-    drives_its_own_network(Box::new(system));
+    drives_its_own_network("BATON", Box::new(system));
 }
 
 #[test]
 fn chord_drives_its_own_network_through_the_trait() {
-    drives_its_own_network(Box::new(baton_chord::ChordSystem::build(5, 30).unwrap()));
+    let system = baton_chord::ChordSystem::build(5, 30).unwrap();
+    drives_its_own_network("Chord", Box::new(system));
 }
 
 #[test]
 fn mtree_drives_its_own_network_through_the_trait() {
-    drives_its_own_network(Box::new(baton_mtree::MTreeSystem::build(5, 30).unwrap()));
+    let system = baton_mtree::MTreeSystem::build(5, 30).unwrap();
+    drives_its_own_network("Multiway tree", Box::new(system));
 }
 
 #[test]
 fn d3tree_drives_its_own_network_through_the_trait() {
-    drives_its_own_network(Box::new(baton_d3tree::D3TreeSystem::build(5, 30).unwrap()));
+    let system = baton_d3tree::D3TreeSystem::build(5, 30).unwrap();
+    drives_its_own_network("D3-Tree", Box::new(system));
 }

@@ -96,13 +96,13 @@ fn zero_latency_model_reports_zero_latencies() {
         let mut overlay = spec.build(&profile, 30, 11);
         overlay.search_exact(123_456_789).unwrap();
         overlay.join_random().unwrap();
-        assert_eq!(overlay.now(), SimTime::ZERO, "{}", overlay.name());
+        assert_eq!(overlay.now(), SimTime::ZERO, "{}", spec.series);
         let latencies = overlay.stats().op_latencies();
-        assert!(!latencies.is_empty(), "{} recorded no ops", overlay.name());
+        assert!(!latencies.is_empty(), "{} recorded no ops", spec.series);
         assert!(
             latencies.iter().all(|(_, l)| l.is_zero()),
             "{} leaked non-zero latency under the zero model",
-            overlay.name()
+            spec.series
         );
     }
 }

@@ -178,10 +178,10 @@ fn assert_pinned(overlay: &dyn Overlay, messages: u64, by_kind: &[(&str, u64)], 
     let stats = overlay.stats();
     let mut rows: Vec<(&str, u64)> = stats.by_kind().collect();
     rows.sort_unstable();
-    assert_eq!(rows, by_kind, "{}", overlay.name());
-    assert_eq!(stats.total_sent(), messages, "{}", overlay.name());
-    assert_eq!(overlay.total_items(), items, "{}", overlay.name());
-    assert_eq!(overlay.node_count(), PINNED_N, "{}", overlay.name());
+    assert_eq!(rows, by_kind);
+    assert_eq!(stats.total_sent(), messages);
+    assert_eq!(overlay.total_items(), items);
+    assert_eq!(overlay.node_count(), PINNED_N);
 }
 
 #[test]

@@ -149,9 +149,9 @@ fn targeted_region_kills_remove_exactly_the_selected_victims() {
     for spec in baton_sim::standard_overlays() {
         let mut overlay = spec.build(&profile, 60, 0xC0FFEE);
         let before = overlay.peers().to_vec();
-        assert_eq!(before.len(), 60, "{}", overlay.name());
+        assert_eq!(before.len(), 60, "{}", spec.series);
         let region_size = before.iter().filter(|p| map.region_of(**p) == 2).count();
-        assert!(region_size > 0, "{}: empty region", overlay.name());
+        assert!(region_size > 0, "{}: empty region", spec.series);
 
         // An empty workload whose fault plan kills 50% of region 2 at t=1s.
         let workload = baton_workload::PhasedWorkload::queries_only(SimTime::from_secs(2), 0.0);
@@ -179,10 +179,9 @@ fn targeted_region_kills_remove_exactly_the_selected_victims() {
 
         let expected = (region_size as f64 * 0.5).round() as u64;
         assert_eq!(
-            outcome.fault_kills,
-            expected,
+            outcome.fault_kills, expected,
             "{}: expected {expected} kills of region 2's {region_size} peers",
-            overlay.name()
+            spec.series
         );
         assert_eq!(overlay.node_count(), 60 - expected as usize);
         // BATON's leave/failure protocol relocates *other* peers into the
@@ -193,18 +192,15 @@ fn targeted_region_kills_remove_exactly_the_selected_victims() {
             .iter()
             .filter(|p| after.binary_search(p).is_err())
             .collect();
-        assert_eq!(gone.len(), expected as usize, "{}", overlay.name());
+        assert_eq!(gone.len(), expected as usize, "{}", spec.series);
         assert!(
             gone.iter().all(|p| map.region_of(**p) == 2),
             "{}: a victim fell outside region 2",
-            overlay.name()
+            spec.series
         );
-        overlay.validate().unwrap_or_else(|e| {
-            panic!(
-                "{} invariants broken after region kill: {e}",
-                overlay.name()
-            )
-        });
+        overlay
+            .validate()
+            .unwrap_or_else(|e| panic!("{} invariants broken after region kill: {e}", spec.series));
     }
 }
 

@@ -3,8 +3,8 @@
 //!
 //! * On every overlay (each exports a [`RoutingSnapshot`]), seeded exact
 //!   queries (hits, duplicates and guaranteed misses) and — where ranges
-//!   are supported — seeded range queries (degenerate, domain-spanning and
-//!   random spans) return the same match counts through
+//!   are supported — seeded range queries (empty, single-key, top-edge,
+//!   domain-spanning and random spans) return the same match counts through
 //!   `RoutingSnapshot::{exact,range}` as through
 //!   `Overlay::{search_exact,search_range}`.
 //! * Under churn with a mid-stream [`SnapshotCell`] swap, a reader that has
@@ -78,14 +78,17 @@ fn snapshot_answers_agree_with_the_routed_engine_on_every_overlay() {
         }
         ranged += 1;
 
-        // Ranges: degenerate, domain-spanning, and seeded random spans.
+        // Ranges: empty, single-key, top-edge, domain-spanning, and seeded
+        // random spans.
         let mut query_rng = SimRng::seeded(0x5EED_2005);
-        for case in 0..50 {
+        for case in 0..52 {
             let (low, high) = match case {
                 0 => (DOMAIN_LOW, DOMAIN_HIGH),
                 1 => (keys[0], keys[0] + 1),
                 2 => (DOMAIN_HIGH - 1, DOMAIN_HIGH),
                 3 => (DOMAIN_LOW, DOMAIN_LOW + 1),
+                4 => (DOMAIN_LOW, DOMAIN_LOW),
+                5 => (DOMAIN_HIGH - 5, DOMAIN_HIGH),
                 _ => {
                     let low = query_rng.uniform_u64(DOMAIN_LOW, DOMAIN_HIGH);
                     let width = query_rng.uniform_u64(1, (DOMAIN_HIGH - DOMAIN_LOW) / 4);

@@ -114,7 +114,7 @@ fn reference_baton(system: &BatonSystem) -> RoutingSnapshot {
     nodes.sort_by_key(|(_, node)| node.range.low());
     for (peer, node) in &nodes {
         let items = run_lengths(node.store.iter().map(|(key, _)| key));
-        let alive = Overlay::peer_alive(system, *peer);
+        let alive = system.net().is_alive(*peer);
         b.push_slot(*peer, node.range.high(), alive, &items);
     }
     for (slot, (peer, node)) in nodes.iter().enumerate() {
