@@ -9,8 +9,9 @@
 //! wall-clock latency on a particular testbed.  The substrate is therefore a
 //! *deterministic* simulator: peers are logical entities identified by a
 //! [`PeerId`], a message is one [`SimNetwork::transmit`] call — who sent
-//! what kind to whom at which hop — and the network records per-kind,
-//! per-peer and per-operation counters in [`MessageStats`].
+//! what kind to whom at which hop — and the network records global,
+//! per-peer and per-operation counters in [`MessageStats`]; the opt-in route
+//! recorder ([`TraceBuffer`]) keeps each message's kind, hop and link class.
 //!
 //! Beyond the paper's count-only evaluation, every transmission draws a link
 //! latency from a pluggable [`LatencyModel`] ([`time`]).  There is no event
@@ -88,7 +89,5 @@ pub use serve::{
     SnapshotCell, SnapshotReader,
 };
 pub use stats::{ClassStats, Histogram, MessageStats, OpId, OpScope, OpStats};
-pub use time::{
-    LatencyModel, LatencyPlan, LinkDegradation, LinkScope, RegionMap, RegionalLatency, SimTime,
-};
+pub use time::{LatencyModel, LatencyPlan, LinkDegradation, RegionMap, RegionalLatency, SimTime};
 pub use trace::{HopRecord, LinkKind, Span, TraceBuffer, TraceConfig};

@@ -460,7 +460,7 @@ mod tests {
         overlay.set_latency_model(LatencyModel::constant(SimTime::from_millis(3)));
         overlay.set_trace(TraceConfig::new(8));
         let op = overlay.stats_mut().begin_op("probe");
-        assert_eq!(overlay.stats().op_count(), 1);
+        assert_eq!(overlay.stats().next_op_id(), 1);
 
         // Every call above landed on the network the double holds.
         assert_eq!(toy.net.now(), SimTime::from_millis(7));

@@ -9,6 +9,12 @@
 //! when they are dispatched, so virtual time is accounting, not scheduling.
 //! It is deterministic — derived purely from the seeded latency model, never
 //! from the wall clock.
+//!
+//! A [`LatencyModel`] is constant (zero is the count-only substrate),
+//! seeded log-normal, or regional: peers hash into regions, links inside and
+//! between regions draw from separate models, and timed
+//! [`LinkDegradation`]s slow the links between regions.  A [`LatencyPlan`]
+//! is the same description without a seed.
 
 use std::ops::{Add, AddAssign, Sub};
 
@@ -145,33 +151,8 @@ impl RegionMap {
     }
 }
 
-/// Which links a [`LinkDegradation`] applies to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LinkScope {
-    /// Every link.
-    All,
-    /// Links whose endpoints share a region.
-    IntraRegion,
-    /// Links whose endpoints sit in different regions.
-    InterRegion,
-    /// Links with at least one endpoint in the given region.
-    Region(u32),
-}
-
-impl LinkScope {
-    /// `true` if a link between regions `from` and `to` is in scope.
-    pub fn covers(&self, from: u32, to: u32) -> bool {
-        match self {
-            LinkScope::All => true,
-            LinkScope::IntraRegion => from == to,
-            LinkScope::InterRegion => from != to,
-            LinkScope::Region(r) => from == *r || to == *r,
-        }
-    }
-}
-
 /// A virtual-time-scheduled latency multiplier: while active, every sampled
-/// latency on an in-scope link is scaled by up to `factor`.
+/// latency on a link between two regions is scaled by up to `factor`.
 ///
 /// The multiplier ramps linearly from 1 to `factor` over the first `ramp` of
 /// the window (a zero `ramp` switches instantly) and drops back to 1 at
@@ -186,8 +167,6 @@ pub struct LinkDegradation {
     pub ramp: SimTime,
     /// Latency multiplier at full strength (≥ 1 slows links down).
     pub factor: f64,
-    /// Which links are affected.
-    pub scope: LinkScope,
 }
 
 impl LinkDegradation {
@@ -208,8 +187,8 @@ impl LinkDegradation {
 
 /// The topology-aware latency model: peers hash into regions, links inside a
 /// region draw from `intra`, links between regions draw from `inter`, and a
-/// schedule of [`LinkDegradation`]s scales in-scope links as virtual time
-/// passes.
+/// schedule of [`LinkDegradation`]s scales the links between regions as
+/// virtual time passes.
 #[derive(Clone, Debug)]
 pub struct RegionalLatency {
     /// The seeded peer → region assignment.
@@ -229,19 +208,12 @@ pub struct RegionalLatency {
 
 impl RegionalLatency {
     fn sample(&mut self, from: PeerId, to: PeerId, at: SimTime) -> SimTime {
-        let from_region = self.map.region_of(from);
         let to_region = self.map.region_of(to);
-        let base = if from_region == to_region {
-            self.intra[to_region as usize].sample(from, to, at)
-        } else {
-            self.inter.sample(from, to, at)
-        };
-        let mut factor = 1.0f64;
-        for degradation in &self.degradations {
-            if degradation.scope.covers(from_region, to_region) {
-                factor *= degradation.factor_at(at);
-            }
+        if self.map.region_of(from) == to_region {
+            return self.intra[to_region as usize].sample(from, to, at);
         }
+        let base = self.inter.sample(from, to, at);
+        let factor: f64 = self.degradations.iter().map(|d| d.factor_at(at)).product();
         if factor == 1.0 {
             base
         } else {
@@ -262,16 +234,6 @@ pub enum LatencyModel {
     /// the legacy count-only behaviour: all messages deliver "instantly"
     /// and every operation has zero virtual latency.
     Constant(SimTime),
-    /// Uniform jitter in `[min, max]` — a flat random spread around a LAN- or
-    /// WAN-like base latency.
-    Uniform {
-        /// Smallest possible link latency.
-        min: SimTime,
-        /// Largest possible link latency.
-        max: SimTime,
-        /// Seeded generator for the jitter stream.
-        rng: SimRng,
-    },
     /// Log-normal latency — the standard heavy-tailed model of internet
     /// round-trip times: most links are near the median, a few are much
     /// slower.
@@ -308,20 +270,6 @@ impl LatencyModel {
         LatencyModel::Constant(latency)
     }
 
-    /// Uniform jitter in `[min, max]`, drawn from a stream seeded with
-    /// `seed`.
-    ///
-    /// # Panics
-    /// Panics if `min > max`.
-    pub fn uniform(min: SimTime, max: SimTime, seed: u64) -> Self {
-        assert!(min <= max, "uniform latency requires min <= max");
-        LatencyModel::Uniform {
-            min,
-            max,
-            rng: SimRng::seeded(seed),
-        }
-    }
-
     /// Log-normal latency with the given median and shape, drawn from a
     /// stream seeded with `seed`.
     pub fn log_normal(median: SimTime, sigma: f64, seed: u64) -> Self {
@@ -334,7 +282,7 @@ impl LatencyModel {
 
     /// Topology-aware latency over `map`: intra-region links draw from
     /// `intra`, cross-region links from `inter`, with `degradations` scaling
-    /// in-scope links as virtual time passes.
+    /// the cross-region links as virtual time passes.
     ///
     /// `intra` is replicated into one model per region, each with a jitter
     /// stream deterministically derived from the original (region `r` gets
@@ -363,11 +311,6 @@ impl LatencyModel {
     fn with_derived_stream(&self, salt: u64) -> LatencyModel {
         match self {
             LatencyModel::Constant(latency) => LatencyModel::Constant(*latency),
-            LatencyModel::Uniform { min, max, rng } => LatencyModel::Uniform {
-                min: *min,
-                max: *max,
-                rng: rng.derive(salt),
-            },
             LatencyModel::LogNormal { median, sigma, rng } => LatencyModel::LogNormal {
                 median: *median,
                 sigma: *sigma,
@@ -400,13 +343,6 @@ impl LatencyModel {
     pub fn sample(&mut self, from: PeerId, to: PeerId, at: SimTime) -> SimTime {
         match self {
             LatencyModel::Constant(latency) => *latency,
-            LatencyModel::Uniform { min, max, rng } => {
-                if min == max {
-                    *min
-                } else {
-                    SimTime::from_micros(rng.uniform_u64(min.as_micros(), max.as_micros() + 1))
-                }
-            }
             LatencyModel::LogNormal { median, sigma, rng } => {
                 // Box–Muller transform: two uniforms -> one standard normal.
                 let u1 = rng.uniform_f64().max(f64::MIN_POSITIVE);
@@ -430,13 +366,6 @@ impl LatencyModel {
 pub enum LatencyPlan {
     /// Fixed per-link latency (zero = the count-only model).
     Constant(SimTime),
-    /// Uniform jitter in `[min, max]`.
-    Uniform {
-        /// Smallest possible link latency.
-        min: SimTime,
-        /// Largest possible link latency.
-        max: SimTime,
-    },
     /// Log-normal latency with the given median and shape.
     LogNormal {
         /// Median link latency.
@@ -469,7 +398,6 @@ impl LatencyPlan {
     pub fn build(&self, seed: u64) -> LatencyModel {
         match self {
             LatencyPlan::Constant(latency) => LatencyModel::constant(*latency),
-            LatencyPlan::Uniform { min, max } => LatencyModel::uniform(*min, *max, seed),
             LatencyPlan::LogNormal { median, sigma } => {
                 LatencyModel::log_normal(*median, *sigma, seed)
             }
@@ -540,19 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_model_respects_bounds() {
-        let min = SimTime::from_micros(100);
-        let max = SimTime::from_micros(200);
-        let mut model = LatencyModel::uniform(min, max, 42);
-        for _ in 0..1000 {
-            let s = model.sample(PeerId(0), PeerId(1), SimTime::ZERO);
-            assert!(s >= min && s <= max, "sample {s} out of bounds");
-        }
-        let mut degenerate = LatencyModel::uniform(min, min, 42);
-        assert_eq!(degenerate.sample(PeerId(0), PeerId(1), SimTime::ZERO), min);
-    }
-
-    #[test]
     fn log_normal_model_is_positive_and_centred_near_the_median() {
         let median = SimTime::from_millis(40);
         let mut model = LatencyModel::log_normal(median, 0.5, 7);
@@ -609,25 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn link_scopes_cover_the_expected_region_pairs() {
-        assert!(LinkScope::All.covers(0, 1));
-        assert!(LinkScope::IntraRegion.covers(2, 2));
-        assert!(!LinkScope::IntraRegion.covers(0, 1));
-        assert!(LinkScope::InterRegion.covers(0, 1));
-        assert!(!LinkScope::InterRegion.covers(2, 2));
-        assert!(LinkScope::Region(1).covers(1, 3));
-        assert!(LinkScope::Region(1).covers(3, 1));
-        assert!(!LinkScope::Region(1).covers(0, 3));
-    }
-
-    #[test]
     fn degradation_ramps_linearly_and_ends() {
         let degradation = LinkDegradation {
             from: SimTime::from_secs(10),
             until: SimTime::from_secs(30),
             ramp: SimTime::from_secs(4),
             factor: 5.0,
-            scope: LinkScope::All,
         };
         assert_eq!(degradation.factor_at(SimTime::from_secs(9)), 1.0);
         assert_eq!(degradation.factor_at(SimTime::from_secs(10)), 1.0);
@@ -667,7 +569,6 @@ mod tests {
                 until: SimTime::from_secs(20),
                 ramp: SimTime::ZERO,
                 factor: 5.0,
-                scope: LinkScope::InterRegion,
             }],
         );
         assert!(!model.is_zero());
@@ -749,9 +650,9 @@ mod tests {
         let regional = LatencyPlan::Regional {
             map: RegionMap::new(3, 9),
             intra: Box::new(LatencyPlan::Constant(SimTime::from_millis(1))),
-            inter: Box::new(LatencyPlan::Uniform {
-                min: SimTime::from_millis(10),
-                max: SimTime::from_millis(20),
+            inter: Box::new(LatencyPlan::LogNormal {
+                median: SimTime::from_millis(15),
+                sigma: 0.3,
             }),
             degradations: Vec::new(),
         };

@@ -334,17 +334,6 @@ impl TraceBuffer {
         }
         counts
     }
-
-    /// Absorbs another recorder's finished spans and counters (used when a
-    /// harness aggregates per-phase buffers).
-    pub fn merge(&mut self, other: TraceBuffer) {
-        self.ops_seen += other.ops_seen;
-        self.sampled += other.sampled;
-        self.evicted += other.evicted;
-        for span in other.done {
-            self.push_done(span);
-        }
-    }
 }
 
 #[cfg(test)]

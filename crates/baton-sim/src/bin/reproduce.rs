@@ -92,7 +92,22 @@ enum TraceFormat {
     Chrome,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn usage() -> String {
+    format!(
+        "usage: reproduce [--figure 8a..8i|all|none] \
+         [--scenario {}|all|none (comma-separated)] \
+         [--profile smoke|quick|full|paper] [--seed N] \
+         [--threads N (default: available parallelism)] \
+         [--overlays NAME[,NAME...]] [--build join|bulk] \
+         [--replicas N] [--json] [--csv] [--list] \
+         [--trace PATH] [--trace-format jsonl|chrome] \
+         [--trace-sample N] [--check-trace PATH]",
+        scenario::all_scenario_ids().join("|")
+    )
+}
+
+/// The options, or `None` when `--help` asks for the usage text instead.
+fn parse_args() -> Result<Option<Options>, String> {
     let mut figure = "all".to_owned();
     let mut scenarios = vec!["all".to_owned()];
     let mut profile = Profile::quick();
@@ -201,19 +216,7 @@ fn parse_args() -> Result<Options, String> {
             "--check-trace" => {
                 check_trace = Some(args.next().ok_or("--check-trace needs a path")?);
             }
-            "--help" | "-h" => {
-                return Err(format!(
-                    "usage: reproduce [--figure 8a..8i|all|none] \
-                     [--scenario {}|all|none (comma-separated)] \
-                     [--profile smoke|quick|full|paper] [--seed N] \
-                     [--threads N (default: available parallelism)] \
-                     [--overlays NAME[,NAME...]] [--build join|bulk] \
-                     [--replicas N] [--json] [--csv] [--list] \
-                     [--trace PATH] [--trace-format jsonl|chrome] \
-                     [--trace-sample N] [--check-trace PATH]",
-                    scenario::all_scenario_ids().join("|")
-                ))
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
@@ -222,7 +225,7 @@ fn parse_args() -> Result<Options, String> {
     if let Some(seed) = seed {
         profile.seed = seed;
     }
-    Ok(Options {
+    Ok(Some(Options {
         figure,
         scenarios,
         profile,
@@ -237,7 +240,7 @@ fn parse_args() -> Result<Options, String> {
         trace_format,
         trace_sample,
         check_trace,
-    })
+    }))
 }
 
 /// Resolves the `--scenario` selection into registered identifiers, or an
@@ -341,7 +344,11 @@ fn run_check_trace(path: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let options = match parse_args() {
-        Ok(o) => o,
+        Ok(Some(o)) => o,
+        Ok(None) => {
+            println!("{}", usage());
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;

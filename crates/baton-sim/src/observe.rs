@@ -287,7 +287,7 @@ mod tests {
         let mut system = baton_core::BatonSystem::build(Default::default(), 7, 30).unwrap();
         Overlay::set_latency_model(
             &mut system,
-            baton_net::LatencyModel::uniform(SimTime::from_millis(5), SimTime::from_millis(20), 7),
+            baton_net::LatencyModel::log_normal(SimTime::from_millis(10), 0.5, 7),
         );
         Overlay::set_trace(&mut system, TraceConfig::default());
         for i in 0..40u64 {

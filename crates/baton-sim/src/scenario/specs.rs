@@ -11,7 +11,7 @@
 //! `tests/fixtures/scenario_smoke_seed.json`): their rate arithmetic, seeds
 //! and key-draw order are deliberately identical.
 
-use baton_net::{LatencyPlan, LinkDegradation, LinkScope, RegionMap, RepairPolicy, SimTime};
+use baton_net::{LatencyPlan, LinkDegradation, RegionMap, RepairPolicy, SimTime};
 use baton_workload::{
     FaultEvent, FaultKind, FaultPlan, KeyDistribution, KeyMix, KeyWindow, MetricsConfig, OpRates,
     Phase, PhasedWorkload, DOMAIN_HIGH, DOMAIN_LOW,
@@ -355,7 +355,6 @@ pub fn degraded_links_plan(profile: &Profile) -> ScenarioPlan {
             until: SimTime::from_secs(45),
             ramp: SimTime::from_secs(5),
             factor: 5.0,
-            scope: LinkScope::InterRegion,
         });
     }
     let search_rate = (profile.query_count() as f64 / 60.0).max(0.5);
@@ -495,7 +494,6 @@ mod tests {
             LatencyPlan::Regional { degradations, .. } => {
                 assert_eq!(degradations.len(), 1);
                 assert_eq!(degradations[0].factor, 5.0);
-                assert_eq!(degradations[0].scope, LinkScope::InterRegion);
             }
             other => panic!("degraded_links wants a regional plan, got {other:?}"),
         }

@@ -97,9 +97,9 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarises a set of latency samples; `None` if empty.
     ///
-    /// Percentile convention matches
-    /// [`Histogram::percentile`](baton_net::Histogram::percentile): the
-    /// smallest sample such that at least `q · count` samples are ≤ it.
+    /// Percentiles are nearest-rank: the `q`-quantile is the smallest sample
+    /// such that at least `q · count` samples are ≤ it.  The mean is the
+    /// microsecond sum divided by the count, rounded down.
     pub fn from_samples(samples: &[SimTime]) -> Option<Self> {
         if samples.is_empty() {
             return None;

@@ -11,7 +11,9 @@ use baton_core::{
     validate, BatonConfig, BatonNode, BatonSystem, KeyRange, LoadBalanceConfig, NodeLink, PeerId,
     Position, RoutingEntry, Side,
 };
-use baton_net::{LatencyPlan, Overlay, SimRng, SimTime};
+use baton_net::{LatencyPlan, Overlay, SimRng, SimTime, TraceConfig};
+use baton_tests::{class_latencies, messages_by_kind};
+use baton_workload::LatencySummary;
 
 // ----------------------------------------------------------------------
 // Reference: every receiver update as a scan of both routing tables
@@ -272,7 +274,9 @@ fn table_slot_of_inverts_routing_neighbor() {
 /// notify-and-update loops, scanning receivers).  Message counts pin what is
 /// sent.  The virtual latencies pin where in the one seeded log-normal
 /// stream each message draws: a notification charged on the other side of a
-/// hop, or one draw more or fewer, shifts every later draw.
+/// hop, or one draw more or fewer, shifts every later draw.  Kinds and
+/// latencies are read from the route recorder, installed before the first
+/// operation so that it sees the whole run.
 #[test]
 fn seeded_churn_reproduces_the_pinned_counters() {
     let mut system = BatonSystem::new(balancing_config(), 2005);
@@ -281,6 +285,7 @@ fn seeded_churn_reproduces_the_pinned_counters() {
         sigma: 0.6,
     };
     system.set_latency_model(plan.build(2005));
+    system.set_trace(TraceConfig::new(1 << 22));
     system.bootstrap().unwrap();
     for _ in 1..2_000 {
         system.join_random().unwrap();
@@ -289,20 +294,25 @@ fn seeded_churn_reproduces_the_pinned_counters() {
 
     let shifted = churn(&mut system, &mut SimRng::seeded(14), 5_000);
     validate(&system).unwrap();
-    system.stats_mut().retire_finished();
-    let stats = system.stats();
+    let trace = system.take_trace().unwrap();
+    assert_eq!(trace.evicted(), 0);
 
     assert_eq!(shifted, PINNED_NODES_SHIFTED);
-    assert_eq!(stats.total_sent() - sent_by_build, PINNED_MESSAGES);
+    assert_eq!(system.stats().total_sent() - sent_by_build, PINNED_MESSAGES);
+    let by_kind = messages_by_kind(&trace);
     for (kind, count) in PINNED_BY_KIND {
-        assert_eq!(stats.kind_count(kind), count, "{kind}");
+        let row = by_kind.iter().find(|(k, _)| *k == kind);
+        assert_eq!(row.map_or(0, |(_, n)| *n), count, "{kind}");
     }
-    let exact = stats.class_stats("search.exact").unwrap();
-    let latency = exact.latency_ms_histogram();
-    assert_eq!((latency.p50(), latency.p99()), PINNED_EXACT_P50_P99_MS);
+    let summary = |class| LatencySummary::from_samples(&class_latencies(&trace, class)).unwrap();
+    let exact = summary("search.exact");
+    let whole_ms = |t: SimTime| t.as_micros() / 1_000;
+    assert_eq!(
+        (whole_ms(exact.p50), whole_ms(exact.p99)),
+        PINNED_EXACT_P50_P99_MS
+    );
     for (class, mean_us) in PINNED_MEAN_LATENCY_US {
-        let mean = stats.class_stats(class).unwrap().mean_latency().unwrap();
-        assert_eq!(mean.as_micros(), mean_us, "{class}");
+        assert_eq!(summary(class).mean.as_micros(), mean_us, "{class}");
     }
 }
 
@@ -316,7 +326,8 @@ const PINNED_BY_KIND: [(&str, u64); 5] = [
     ("leave.replacement_announce", 14_024),
     ("table.fill", 52_850),
 ];
-const PINNED_EXACT_P50_P99_MS: (Option<usize>, Option<usize>) = (Some(268), Some(580));
+/// `search.exact` latency percentiles (nearest rank), in whole milliseconds.
+const PINNED_EXACT_P50_P99_MS: (u64, u64) = (268, 580);
 /// Exact microsecond means per operation class, the build's joins included.
 const PINNED_MEAN_LATENCY_US: [(&str, u64); 4] = [
     ("search.exact", 278_245),

@@ -40,11 +40,7 @@ fn trace_spans_reconcile_with_message_stats_on_every_overlay() {
     for spec in standard_overlays() {
         let mut overlay = spec.build(&profile, 60, 99);
         runner::bulk_load(&mut *overlay, &data).expect("load");
-        overlay.set_latency_model(LatencyModel::uniform(
-            SimTime::from_millis(2),
-            SimTime::from_millis(9),
-            5,
-        ));
+        overlay.set_latency_model(LatencyModel::log_normal(SimTime::from_millis(5), 0.4, 5));
         overlay.stats_mut().retire_finished();
         let before = retired_messages(&*overlay);
 

@@ -5,7 +5,9 @@
 //!   against a from-scratch scan after every op of a seeded churn;
 //! * per-baseline counters recorded on the commit that still kept a
 //!   `HashMap<PeerId, _>` and four private peer lists: the move to the
-//!   directory changes no message, so they must reproduce exactly;
+//!   directory changes no message, so they must reproduce exactly (the
+//!   per-kind rows cover the traced drive phase; the build runs before a
+//!   recorder can be installed);
 //! * same-seed Chord rings agree on every counter after 300 departures
 //!   (the stale-finger repair used to run in `RandomState` order);
 //! * a scale guard without a wall-clock assertion: 200,000 routed
@@ -20,7 +22,8 @@ use std::collections::BTreeMap;
 use baton_chord::ChordSystem;
 use baton_d3tree::D3TreeSystem;
 use baton_mtree::MTreeSystem;
-use baton_net::{Overlay, OverlayError, PeerDirectory, PeerId, SimRng};
+use baton_net::{Overlay, OverlayError, PeerDirectory, PeerId, SimRng, TraceConfig};
+use baton_tests::messages_by_kind;
 
 // ----------------------------------------------------------------------
 // (a) The directory against a model
@@ -143,8 +146,10 @@ fn mtree_height_matches_a_scan_after_every_churn_op() {
 const PINNED_N: usize = 2_000;
 
 /// 5,000 mixed inserts / exact searches / range queries with 200 joins and
-/// 200 departures spread evenly through them.
-fn drive(overlay: &mut dyn Overlay) {
+/// 200 departures spread evenly through them, traced; returns the messages
+/// the drive sent per kind.
+fn drive(overlay: &mut dyn Overlay) -> Vec<(&'static str, u64)> {
+    overlay.set_trace(TraceConfig::new(1 << 16));
     let mut rng = SimRng::seeded(15);
     for step in 0..5_400u64 {
         match step % 27 {
@@ -171,15 +176,17 @@ fn drive(overlay: &mut dyn Overlay) {
             }
         }
     }
+    let trace = overlay.take_trace().unwrap();
+    assert_eq!(trace.evicted(), 0);
+    messages_by_kind(&trace)
 }
 
-fn assert_pinned(overlay: &dyn Overlay, messages: u64, by_kind: &[(&str, u64)], items: usize) {
+/// Drives `overlay` and checks the drive phase's per-kind rows, then the
+/// whole run's message total (the build included).
+fn assert_pinned(overlay: &mut dyn Overlay, messages: u64, by_kind: &[(&str, u64)], items: usize) {
+    assert_eq!(drive(overlay), by_kind);
     overlay.validate().unwrap();
-    let stats = overlay.stats();
-    let mut rows: Vec<(&str, u64)> = stats.by_kind().collect();
-    rows.sort_unstable();
-    assert_eq!(rows, by_kind);
-    assert_eq!(stats.total_sent(), messages);
+    assert_eq!(overlay.stats().total_sent(), messages);
     assert_eq!(overlay.total_items(), items);
     assert_eq!(overlay.node_count(), PINNED_N);
 }
@@ -187,31 +194,28 @@ fn assert_pinned(overlay: &dyn Overlay, messages: u64, by_kind: &[(&str, u64)], 
 #[test]
 fn multiway_tree_reproduces_the_parents_counters() {
     let mut system = MTreeSystem::build(2005, PINNED_N).unwrap();
-    drive(&mut system);
-    assert_pinned(&system, MTREE_MESSAGES, &MTREE_BY_KIND, MTREE_ITEMS);
+    assert_pinned(&mut system, MTREE_MESSAGES, &MTREE_BY_KIND, MTREE_ITEMS);
     assert_eq!(system.height(), MTREE_HEIGHT);
 }
 
 #[test]
 fn chord_reproduces_the_parents_counters() {
     let mut system = ChordSystem::build(2005, PINNED_N).unwrap();
-    drive(&mut system);
-    assert_pinned(&system, CHORD_MESSAGES, &CHORD_BY_KIND, CHORD_ITEMS);
+    assert_pinned(&mut system, CHORD_MESSAGES, &CHORD_BY_KIND, CHORD_ITEMS);
 }
 
 #[test]
 fn d3tree_reproduces_the_parents_counters() {
     let mut system = D3TreeSystem::build(2005, PINNED_N).unwrap();
-    drive(&mut system);
-    assert_pinned(&system, D3TREE_MESSAGES, &D3TREE_BY_KIND, D3TREE_ITEMS);
+    assert_pinned(&mut system, D3TREE_MESSAGES, &D3TREE_BY_KIND, D3TREE_ITEMS);
     assert_eq!(system.height(), D3TREE_HEIGHT);
 }
 
 const MTREE_MESSAGES: u64 = 85_501;
 const MTREE_BY_KIND: [(&str, u64); 3] = [
     ("mtree.leave", 600),
-    ("mtree.maintenance", 11_776),
-    ("mtree.search", 73_125),
+    ("mtree.maintenance", 1_857),
+    ("mtree.search", 55_821),
 ];
 const MTREE_ITEMS: usize = 2_044;
 const MTREE_HEIGHT: u32 = 13;
@@ -219,17 +223,17 @@ const MTREE_HEIGHT: u32 = 13;
 const CHORD_MESSAGES: u64 = 415_474;
 const CHORD_BY_KIND: [(&str, u64); 3] = [
     ("chord.data", 2_044),
-    ("chord.lookup", 336_490),
-    ("chord.maintenance", 76_940),
+    ("chord.lookup", 74_356),
+    ("chord.maintenance", 7_378),
 ];
 const CHORD_ITEMS: usize = 2_044;
 
 const D3TREE_MESSAGES: u64 = 104_905;
 const D3TREE_BY_KIND: [(&str, u64); 4] = [
-    ("d3.join", 2_199),
+    ("d3.join", 200),
     ("d3.leave", 200),
-    ("d3.maintenance", 8_988),
-    ("d3.search", 93_518),
+    ("d3.maintenance", 1_414),
+    ("d3.search", 79_604),
 ];
 const D3TREE_ITEMS: usize = 2_044;
 const D3TREE_HEIGHT: u32 = 7;
@@ -242,6 +246,7 @@ const D3TREE_HEIGHT: u32 = 7;
 fn same_seed_chord_rings_agree_after_300_leaves() {
     let run = || {
         let mut system = ChordSystem::build(2005, 500).unwrap();
+        system.set_trace(TraceConfig::new(1 << 12));
         for key in 0..400u64 {
             system.insert(1 + key * 2_499_999, key).unwrap();
         }
@@ -249,9 +254,11 @@ fn same_seed_chord_rings_agree_after_300_leaves() {
             system.leave_random().unwrap();
         }
         system.validate().unwrap();
+        let by_kind = messages_by_kind(&system.take_trace().unwrap());
         let stats = system.stats();
-        let by_kind: Vec<(&str, u64)> = stats.by_kind().collect();
-        let received: Vec<(PeerId, u64)> = stats.received_counts().collect();
+        let received: Vec<u64> = (0..system.net().peers().total() as u32)
+            .map(|id| stats.received_count(PeerId(id)))
+            .collect();
         (by_kind, received, stats.total_sent(), system.total_items())
     };
     let first = run();
