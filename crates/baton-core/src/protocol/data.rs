@@ -243,4 +243,55 @@ mod tests {
             "unavailable writes left unfinished ops behind"
         );
     }
+
+    /// Asserts that `result` is the k = 1 owner-bounce exit naming `dead`,
+    /// that it left no op open and that the stores still hold `items`.
+    fn assert_stopped_at<T: std::fmt::Debug>(
+        system: &mut BatonSystem,
+        result: Result<T>,
+        dead: PeerId,
+        items: usize,
+    ) {
+        assert_eq!(result.unwrap_err(), BatonError::PeerNotAlive(dead));
+        system.net.stats_mut().retire_finished();
+        assert_eq!(system.net.stats().live_op_count(), 0);
+        assert_eq!(system.total_items(), items);
+    }
+
+    #[test]
+    fn k1_writes_to_a_dead_owner_end_at_the_first_bounce() {
+        let mut system = build(200, 31);
+        let mut by_range = system.peers().to_vec();
+        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        let (issuer, owner) = (by_range[10], by_range[150]);
+        let key = system.node(owner).unwrap().range.low() + 1;
+        system.insert_from(issuer, key, 1).unwrap();
+        let items = system.total_items();
+        system.fail_silently(owner).unwrap();
+
+        let insert = system.insert_from(issuer, key, 2);
+        assert_stopped_at(&mut system, insert, owner, items);
+        let delete = system.delete_from(issuer, key);
+        assert_stopped_at(&mut system, delete, owner, items);
+        // One bounce each: the walks stopped at the owner.
+        assert_eq!(system.net.stats().total_failed(), 2);
+    }
+
+    #[test]
+    fn k1_out_of_domain_insert_ends_at_a_dead_boundary_node() {
+        let config = BatonConfig::default()
+            .with_domain(KeyRange::new(1000, 2000))
+            .with_load_balance(LoadBalanceConfig::disabled());
+        let mut system = BatonSystem::build(config, 4, 20).unwrap();
+        let mut by_range = system.peers().to_vec();
+        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        let (leftmost, issuer) = (by_range[0], by_range[15]);
+        let items = system.total_items();
+        system.fail_silently(leftmost).unwrap();
+
+        let insert = system.insert_from(issuer, 5, 99);
+        assert_stopped_at(&mut system, insert, leftmost, items);
+        assert_eq!(system.domain(), KeyRange::new(1000, 2000));
+        assert_eq!(system.net.stats().total_failed(), 1);
+    }
 }

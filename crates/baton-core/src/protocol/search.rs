@@ -7,6 +7,12 @@
 //! intersecting node the same way and then sweep along adjacent links until
 //! the range is covered — `O(log N + X)` messages for a range spanning `X`
 //! nodes.
+//!
+//! Under unrepaired failures the walk routes around dead peers (§III-D).
+//! At k = 1 it gives up at the first bounce off the key's owner: a dead
+//! owner keeps its range until repaired, so no live peer could answer, and
+//! a failed lookup costs about what a healthy one does instead of a sweep
+//! of the live graph.
 
 use std::ops::ControlFlow;
 
@@ -358,11 +364,16 @@ impl BatonSystem {
     /// or it is the boundary node that would expand its range to cover an
     /// out-of-domain key (§IV-C).
     fn walk_terminates_at(&self, peer: PeerId, key: Key) -> Result<bool> {
+        Ok(self.terminates_walk(self.node_ref(peer)?, key))
+    }
+
+    /// [`walk_terminates_at`](Self::walk_terminates_at) on a node already
+    /// in hand.
+    fn terminates_walk(&self, node: &BatonNode, key: Key) -> bool {
         let domain = self.domain;
-        let node = self.node_ref(peer)?;
-        Ok(node.range.contains(key)
+        node.range.contains(key)
             || (key >= node.range.high() && node.range.high() >= domain.high())
-            || (key < node.range.low() && node.range.low() <= domain.low()))
+            || (key < node.range.low() && node.range.low() <= domain.low())
     }
 
     /// Failover termination at k > 1: an alive node also terminates the
@@ -481,6 +492,15 @@ impl BatonSystem {
     /// network the first candidate is always alive and unvisited, so the
     /// walk — and its message count — is exactly the greedy §IV-A descent,
     /// and no candidate list is ever written out (see [`WalkFrame`]).
+    ///
+    /// At k = 1 a bounce off the node that terminates the walk (the key's
+    /// owner, or the §IV-C boundary node) ends it with
+    /// [`BatonError::PeerNotAlive`] naming that node.  The exit is exact:
+    /// ranges partition the domain and a dead node keeps its range until
+    /// repaired, so the DFS could only have swept every live node and
+    /// failed the same way.  At k > 1 a live replica holder still ends the
+    /// walk ([`replica_terminates_at`](Self::replica_terminates_at)); when
+    /// every holder is dead the DFS still sweeps before failing.
     pub(crate) fn locate_owner(
         &mut self,
         op: OpScope,
@@ -515,7 +535,9 @@ impl BatonSystem {
 
     /// The DFS itself, running entirely inside `scratch` (see
     /// [`WalkScratch`]): no allocation on a healthy walk after the buffers
-    /// have warmed up.
+    /// have warmed up.  At k = 1 it returns at the first bounce off the
+    /// node that terminates the walk, so an unavailable key costs one
+    /// greedy descent plus the bounces on the way, not a sweep.
     fn locate_owner_walk(
         &mut self,
         op: OpScope,
@@ -611,6 +633,15 @@ impl BatonSystem {
                 return Err(BatonError::RoutingLoop { operation, hops });
             }
             if !delivered {
+                // A dead owner at k = 1: no live peer can end this walk
+                // (see `locate_owner`), so stop rather than sweep.
+                if self.replication <= 1
+                    && self
+                        .node(candidate)
+                        .is_some_and(|node| self.terminates_walk(node, key))
+                {
+                    return Err(BatonError::PeerNotAlive(candidate));
+                }
                 continue;
             }
             scratch.mark_visited(candidate);
@@ -816,6 +847,88 @@ mod tests {
         let mut system = build(25, 17);
         let report = system.search_range(KeyRange::paper_domain()).unwrap();
         assert_eq!(report.nodes_visited, system.node_count());
+    }
+
+    /// A 200-node overlay at replication `k`, an issuer and the owner of
+    /// `key` far apart in key order, and the issuer's healthy search for
+    /// `key` traced as `(from, to, delivered)` per hop.  Nothing is failed.
+    fn owner_far_from_issuer(k: usize) -> (BatonSystem, PeerId, PeerId, Key, Vec<TracedHop>) {
+        let mut system = build(200, 31);
+        system.set_replication(k).unwrap();
+        let mut by_range = system.peers().to_vec();
+        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        let (issuer, owner) = (by_range[10], by_range[150]);
+        let key = system.node(owner).unwrap().range.low() + 1;
+        let (report, hops) = traced(&mut system, |s| s.search_exact_from(issuer, key));
+        assert_eq!(report.unwrap().owner, owner);
+        (system, issuer, owner, key, hops)
+    }
+
+    type TracedHop = (PeerId, PeerId, bool);
+
+    /// Runs `op` with the route recorder on and returns its hops.
+    fn traced<T>(
+        system: &mut BatonSystem,
+        op: impl FnOnce(&mut BatonSystem) -> T,
+    ) -> (T, Vec<TracedHop>) {
+        system.net.set_trace(baton_net::TraceConfig::default());
+        let result = op(system);
+        let trace = system.net.take_trace().expect("trace was installed");
+        let hops = trace
+            .spans()
+            .flat_map(|span| &span.hops)
+            .map(|hop| (hop.from, hop.to, hop.delivered))
+            .collect();
+        (result, hops)
+    }
+
+    /// Asserts that no errored operation is left open.
+    fn assert_no_open_op(system: &mut BatonSystem) {
+        system.net.stats_mut().retire_finished();
+        assert_eq!(system.net.stats().live_op_count(), 0);
+    }
+
+    #[test]
+    fn k1_search_ends_at_the_first_bounce_off_a_dead_owner() {
+        let (mut system, issuer, owner, key, healthy) = owner_far_from_issuer(1);
+        let items = system.total_items();
+        system.fail_silently(owner).unwrap();
+
+        // The same greedy walk as on the healthy overlay, up to and
+        // including the hop to the owner, which now bounces — and no more.
+        let (result, hops) = traced(&mut system, |s| s.search_exact_from(issuer, key));
+        assert_eq!(result.unwrap_err(), BatonError::PeerNotAlive(owner));
+        let (last, walk) = healthy.split_last().expect("owner is not the issuer");
+        assert_eq!(&hops[..walk.len()], walk);
+        assert_eq!(hops[walk.len()..], [(last.0, owner, false)]);
+        assert_eq!(system.net.stats().total_failed(), 1);
+        assert_no_open_op(&mut system);
+
+        // A range whose lower bound lies in the dead slice stops the same way.
+        let range = KeyRange::new(key, key + 1_000);
+        assert_eq!(
+            system.search_range_from(issuer, range).unwrap_err(),
+            BatonError::PeerNotAlive(owner)
+        );
+        assert_eq!(system.net.stats().total_failed(), 2);
+        assert_no_open_op(&mut system);
+        assert_eq!(system.total_items(), items);
+    }
+
+    #[test]
+    fn k2_search_with_a_dead_owner_is_answered_from_the_replica() {
+        let (mut system, issuer, owner, key, _) = owner_far_from_issuer(2);
+        system.insert(key, 7).unwrap();
+        system.fail_silently(owner).unwrap();
+        let sent = system.net.stats().total_sent();
+        let report = system.search_exact_from(issuer, key).unwrap();
+        assert_ne!(report.owner, owner);
+        assert_eq!(report.matches, vec![7]);
+        // The failover walk's cost, recorded before the k = 1 owner-bounce
+        // exit existed: k > 1 walks are untouched by it.
+        assert_eq!((report.messages, report.hops), (14, 12));
+        assert_eq!(system.net.stats().total_sent() - sent, report.messages);
+        assert_no_open_op(&mut system);
     }
 
     #[test]

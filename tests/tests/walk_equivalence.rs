@@ -6,11 +6,17 @@
 //! walk (the commit before the lazy walk) and are pinned here: 5,000 exact
 //! and 1,000 range queries on a seeded 2,000-node overlay with 0 %, 5 % and
 //! 20 % of the peers failed silently, at k = 1 and k = 2 (one test per
-//! scenario, so they run in parallel).  The 20 % scenarios run a tenth of
-//! the queries: more than half of them find their key unreachable and sweep
-//! the whole live graph before giving up (~8,000 messages each), which at
-//! full size costs 24 M messages — 45 s in a debug build — for no behaviour
-//! the first few hundred sweeps have not already covered.
+//! scenario, so they run in parallel).
+//!
+//! At k = 1 a walk ends at its first bounce off the key's dead owner
+//! instead of sweeping the live graph (~8,000 messages) towards the same
+//! `Err`.  The answer fields — `messages`, `hops`, `nodes_visited`,
+//! `matches`, `errors`, `owner_xor` — are still the sweeping walk's; only
+//! `sent` and `failed_deliveries`, which also count the messages of failed
+//! walks, dropped.  That made the k = 1 20 % scenario cheap enough to run
+//! at full size (its sweeping walk sent 24 M messages).  The k = 2 20 %
+//! scenario still runs a tenth of the queries: a key whose every holder
+//! is dead is still swept for.
 
 use baton_core::{BatonConfig, BatonSystem, KeyRange};
 use baton_net::{Overlay, SimRng};
@@ -100,7 +106,7 @@ fn k1_5_percent_failed() {
 
 #[test]
 fn k1_20_percent_failed() {
-    assert_eq!(run(1, 20, 500, 100), PINNED_K1_20PCT);
+    assert_eq!(run(1, 20, 5_000, 1_000), PINNED_K1_20PCT);
 }
 
 #[test]
@@ -137,10 +143,11 @@ const fn pinned(t: [u64; 8]) -> Totals {
 const PINNED_K1_HEALTHY: Totals = pinned([40_943, 30_081, 5_777, 60_002, 113_279, 0, 0, 7_801_837]);
 const PINNED_K2_HEALTHY: Totals = PINNED_K1_HEALTHY;
 const PINNED_K1_5PCT: Totals = pinned([
-    41_494, 30_633, 3_408, 54_642, 509_866, 181_823, 57, 10_938_532,
+    41_494, 30_633, 3_408, 54_642, 114_141, 2_335, 57, 10_938_532,
 ]);
-const PINNED_K1_20PCT: Totals =
-    pinned([2_769, 1_756, 119, 2_132, 2_598_990, 1_821_408, 301, 493_882]);
+const PINNED_K1_20PCT: Totals = pinned([
+    27_345, 17_438, 1_365, 23_924, 128_670, 16_703, 2_908, 10_606_598,
+]);
 const PINNED_K2_5PCT: Totals =
     pinned([44_013, 30_909, 5_701, 59_212, 123_387, 5_570, 4, 2_154_178]);
 const PINNED_K2_20PCT: Totals = pinned([4_924, 2_874, 219, 4_537, 773_384, 510_446, 92, 821_768]);
