@@ -69,22 +69,20 @@ impl Shape {
         position.level() < self.full_levels
             || (position.level() == self.full_levels && position.number() <= self.remainder)
     }
+}
 
-    /// Level-order index of a position: positions are numbered 0, 1, 2, …
-    /// across levels top to bottom, left to right — the order peers are
-    /// created in, so the index doubles as the peer-vector index.
-    #[inline]
-    fn level_order_index(position: Position) -> usize {
-        ((1u64 << position.level()) - 1 + position.number() - 1) as usize
-    }
+/// Level-order index of a position: positions are numbered 0, 1, 2, …
+/// across levels top to bottom, left to right — the order peers are created
+/// in, so the index doubles as the peer-vector index.
+#[inline]
+fn level_order_index(position: Position) -> usize {
+    (position.heap_index() - 1) as usize
+}
 
-    /// Inverse of [`Self::level_order_index`].
-    #[inline]
-    fn position_of_index(index: usize) -> Position {
-        let k = index as u64 + 1;
-        let level = k.ilog2();
-        Position::new(level, k - (1u64 << level) + 1)
-    }
+/// Inverse of [`level_order_index`].
+#[inline]
+fn position_of_index(index: usize) -> Position {
+    Position::from_heap_index(index as u64 + 1)
 }
 
 impl BatonSystem {
@@ -120,7 +118,7 @@ impl BatonSystem {
                 cursor = shape.occupied(left).then_some(left);
             }
             let position = stack.pop().expect("cursor exhausted with non-empty stack");
-            let index = Shape::level_order_index(position);
+            let index = level_order_index(position);
             rank_of[index] = inorder.len() as u32;
             inorder.push(index as u32);
             let right = position.right_child();
@@ -141,14 +139,14 @@ impl BatonSystem {
             .collect();
 
         let link_at = |position: Position| {
-            let index = Shape::level_order_index(position);
+            let index = level_order_index(position);
             NodeLink::new(peers[index], position, ranges[index])
         };
-        let link_by_index = |index: u32| link_at(Shape::position_of_index(index as usize));
+        let link_by_index = |index: u32| link_at(position_of_index(index as usize));
         let occupant = |position: Position| {
             shape
                 .occupied(position)
-                .then(|| peers[Shape::level_order_index(position)])
+                .then(|| peers[level_order_index(position)])
         };
 
         // Pass B: materialise every node with its links and tables, in
@@ -156,7 +154,7 @@ impl BatonSystem {
         // is collected by O(1) appends.
         system.nodes = (0..n)
             .map(|index| {
-                let position = Shape::position_of_index(index);
+                let position = position_of_index(index);
                 let mut node = BatonNode::new(peers[index], position, ranges[index]);
                 if let Some(parent) = position.parent() {
                     node.parent = Some(link_at(parent));
@@ -182,8 +180,10 @@ impl BatonSystem {
                         if !shape.occupied(target) {
                             continue;
                         }
+                        let at = level_order_index(target);
                         let entry = RoutingEntry::with_children(
-                            link_at(target),
+                            peers[at],
+                            ranges[at],
                             occupant(target.left_child()),
                             occupant(target.right_child()),
                         );
@@ -194,7 +194,7 @@ impl BatonSystem {
             })
             .collect();
         for (index, &peer) in peers.iter().enumerate() {
-            system.occupy(Shape::position_of_index(index), peer);
+            system.occupy(position_of_index(index), peer);
         }
         Ok(system)
     }
@@ -206,7 +206,8 @@ impl BatonSystem {
     /// subsequent queries see exactly the dataset a routed load produces.
     /// Keys outside the domain are absorbed by the boundary nodes via the
     /// leftmost/rightmost expansion a routed insert performs (linked peers'
-    /// recorded ranges are refreshed in place).
+    /// recorded ranges are refreshed in place); `Key::MAX`, which a routed
+    /// insert refuses, is skipped.
     ///
     /// Load balancing is not triggered: like bulk construction, a direct
     /// load models an out-of-band transfer, not a protocol exchange.
@@ -228,6 +229,9 @@ impl BatonSystem {
         sorted.sort_by_key(|&(key, _)| key);
         let mut cursor = 0usize;
         for &(key, value) in &sorted {
+            if key == Key::MAX {
+                continue;
+            }
             while cursor + 1 < owners.len() && owners[cursor + 1].0 <= key {
                 cursor += 1;
             }
@@ -280,8 +284,8 @@ mod tests {
     #[test]
     fn level_order_index_round_trips() {
         for index in 0..1000usize {
-            let position = Shape::position_of_index(index);
-            assert_eq!(Shape::level_order_index(position), index);
+            let position = position_of_index(index);
+            assert_eq!(level_order_index(position), index);
         }
     }
 
@@ -336,9 +340,11 @@ mod tests {
     fn direct_load_expands_the_domain_like_a_routed_insert() {
         let config = BatonConfig::default().with_domain(KeyRange::new(1000, 2000));
         let mut system = BatonSystem::bulk_build(config, 4, 20).unwrap();
-        system.load_direct(&[(5, 99), (5000, 1)]);
+        // `Key::MAX` is refused by a routed insert, so a direct load skips it.
+        system.load_direct(&[(5, 99), (5000, 1), (Key::MAX, 2)]);
         assert_eq!(system.domain().low(), 5);
         assert_eq!(system.domain().high(), 5001);
+        assert_eq!(system.total_items(), 2);
         validate(&system).unwrap();
         assert_eq!(system.search_exact(5).unwrap().matches, vec![99]);
         assert_eq!(system.search_exact(5000).unwrap().matches, vec![1]);

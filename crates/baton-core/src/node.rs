@@ -73,6 +73,17 @@ impl BatonNode {
         NodeLink::new(self.peer, self.position, self.range)
     }
 
+    /// The entry this node's same-level neighbours hold for it: its address,
+    /// current range and children.
+    pub(crate) fn routing_entry(&self) -> RoutingEntry {
+        RoutingEntry::with_children(
+            self.peer,
+            self.range,
+            self.left_child.map(|l| l.peer),
+            self.right_child.map(|l| l.peer),
+        )
+    }
+
     /// Level of this node in the tree.
     pub fn level(&self) -> u32 {
         self.position.level()
@@ -189,7 +200,7 @@ impl BatonNode {
 
     /// The targets of both routing tables, in [`Self::table_entries`] order.
     pub fn table_peers(&self) -> impl Iterator<Item = PeerId> + '_ {
-        self.table_entries().map(|e| e.link.peer)
+        self.table_entries().map(|e| e.peer)
     }
 
     /// The target of every link this node holds, in link order — parent,
@@ -227,9 +238,8 @@ impl BatonNode {
     /// itself, a distance that is not a power of two).
     ///
     /// A membership notification carries its sender's position, so the
-    /// receiver updates this one slot instead of scanning both tables —
-    /// every entry sits in the slot of its recorded position
-    /// ([`RoutingTable::set`] enforces it, [`crate::validate`] checks it).
+    /// receiver updates this one slot instead of scanning both tables: an
+    /// entry's position is its slot's, so no other slot can refer to it.
     pub fn table_slot_of(&self, position: Position) -> Option<(Side, usize)> {
         let owner = self.left_table.owner();
         if position.level() != owner.level() {
@@ -254,14 +264,10 @@ impl BatonNode {
             Side::BOTH.into_iter().all(|s| self
                 .table(s)
                 .iter()
-                .all(|(i, e)| e.link.peer != peer || slot == Some((s, i)))),
+                .all(|(i, e)| e.peer != peer || slot == Some((s, i)))),
             "{peer} is named outside the slot of {position:?}"
         );
-        slot.filter(|&(side, i)| {
-            self.table(side)
-                .entry(i)
-                .is_some_and(|e| e.link.peer == peer)
-        })
+        slot.filter(|&(side, i)| self.table(side).entry(i).is_some_and(|e| e.peer == peer))
     }
 
     /// The routing-table entry naming `peer`, which sits at `position`.
@@ -294,7 +300,8 @@ impl BatonNode {
             *link = new_link;
         }
         if let Some(entry) = self.table_entry_of(old, new_link.position) {
-            entry.link = new_link;
+            entry.peer = new_link.peer;
+            entry.range = new_link.range;
         }
         // Child knowledge names `old` only in the entry of its parent.
         let parent_slot = new_link
@@ -302,11 +309,14 @@ impl BatonNode {
             .parent()
             .and_then(|p| self.table_slot_of(p));
         if let Some(entry) = parent_slot.and_then(|(side, i)| self.table_mut(side).entry_mut(i)) {
-            for child in [&mut entry.left_child, &mut entry.right_child] {
-                if *child == Some(old) {
-                    *child = Some(new_link.peer);
+            let renamed = |child: Option<PeerId>| {
+                if child == Some(old) {
+                    Some(new_link.peer)
+                } else {
+                    child
                 }
-            }
+            };
+            entry.set_children(renamed(entry.left_child()), renamed(entry.right_child()));
         }
     }
 
@@ -317,7 +327,7 @@ impl BatonNode {
             link.range = range;
         }
         if let Some(entry) = self.table_entry_of(peer, position) {
-            entry.link.range = range;
+            entry.range = range;
         }
     }
 
@@ -331,8 +341,7 @@ impl BatonNode {
         right_child: Option<PeerId>,
     ) {
         if let Some(entry) = self.table_entry_of(peer, position) {
-            entry.left_child = left_child;
-            entry.right_child = right_child;
+            entry.set_children(left_child, right_child);
         }
     }
 
@@ -359,6 +368,17 @@ mod tests {
 
     fn link_to(n: &BatonNode) -> NodeLink {
         n.link()
+    }
+
+    #[test]
+    fn state_layout_stays_within_its_byte_budgets() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<Position>(), 8);
+        assert_eq!(size_of::<Option<Position>>(), 8);
+        assert!(size_of::<Option<NodeLink>>() <= 32);
+        // A routing slot, empty or not: peer, range and two child ids.
+        assert!(size_of::<Option<RoutingEntry>>() <= 32);
+        assert!(size_of::<Option<BatonNode>>() <= 336);
     }
 
     #[test]
@@ -407,7 +427,7 @@ mod tests {
         let mut n = node(1, 1, 1);
         assert!(!n.can_accept_child(), "right table not yet full");
         let sibling = node(2, 1, 2);
-        n.right_table.set(0, RoutingEntry::new(link_to(&sibling)));
+        n.right_table.set(0, sibling.routing_entry());
         assert!(n.can_accept_child());
         // Give it two children: still full tables but no capacity.
         n.set_child(Side::Left, Some(link_to(&sibling)));
@@ -424,7 +444,7 @@ mod tests {
         let neighbor = node(2, 2, 3);
         n.right_table.set(
             0,
-            RoutingEntry::with_children(link_to(&neighbor), Some(PeerId(9)), None),
+            RoutingEntry::with_children(neighbor.peer, neighbor.range, Some(PeerId(9)), None),
         );
         assert!(!n.can_leave_without_replacement());
         // Non-leaf can never depart directly.
@@ -440,7 +460,7 @@ mod tests {
         let other_link = link_to(&other);
         n.parent = Some(other_link);
         n.left_adjacent = Some(other_link);
-        n.left_table.set(0, RoutingEntry::new(other_link));
+        n.left_table.set(0, other.routing_entry());
         assert_eq!(n.linked_peers(), vec![PeerId(5)]);
     }
 
@@ -463,12 +483,16 @@ mod tests {
         let old_link = link_to(&old);
         n.parent = Some(old_link);
         n.left_adjacent = Some(old_link);
-        n.left_table.set(0, RoutingEntry::new(old_link));
+        n.left_table.set(0, old.routing_entry());
         let replacement = NodeLink::new(PeerId(9), Position::new(2, 1), KeyRange::new(0, 10));
         n.rewrite_links(PeerId(5), replacement);
         assert_eq!(n.parent, Some(replacement));
         assert_eq!(n.left_adjacent, Some(replacement));
-        assert_eq!(n.left_table.entry(0).unwrap().link, replacement);
+        let entry = n.left_table.entry(0).unwrap();
+        assert_eq!(
+            (entry.peer, entry.range),
+            (replacement.peer, replacement.range)
+        );
         // No references to the old peer remain.
         assert!(!n.linked_peers().contains(&PeerId(5)));
     }
@@ -479,13 +503,13 @@ mod tests {
         let neighbor = node(5, 2, 1);
         n.left_table.set(
             0,
-            RoutingEntry::with_children(link_to(&neighbor), Some(PeerId(7)), None),
+            RoutingEntry::with_children(neighbor.peer, neighbor.range, Some(PeerId(7)), None),
         );
         let replacement = NodeLink::new(PeerId(8), Position::new(3, 1), KeyRange::new(0, 10));
         n.rewrite_links(PeerId(7), replacement);
         let entry = n.left_table.entry(0).unwrap();
-        assert_eq!(entry.left_child, Some(PeerId(8)));
-        assert_eq!(entry.link, link_to(&neighbor));
+        assert_eq!(entry.left_child(), Some(PeerId(8)));
+        assert_eq!((entry.peer, entry.range), (neighbor.peer, neighbor.range));
     }
 
     #[test]
@@ -495,15 +519,12 @@ mod tests {
         let other_link = link_to(&other);
         n.parent = Some(other_link);
         n.right_adjacent = Some(other_link);
-        n.left_table.set(0, RoutingEntry::new(other_link));
+        n.left_table.set(0, other.routing_entry());
         let before = n.clone();
         n.update_link_range(PeerId(5), other.position, KeyRange::new(40, 60));
         assert_eq!(n.parent.unwrap().range, KeyRange::new(40, 60));
         assert_eq!(n.right_adjacent.unwrap().range, KeyRange::new(40, 60));
-        assert_eq!(
-            n.left_table.entry(0).unwrap().link.range,
-            KeyRange::new(40, 60)
-        );
+        assert_eq!(n.left_table.entry(0).unwrap().range, KeyRange::new(40, 60));
         // A peer this node holds no link to changes nothing.
         let mut untouched = before.clone();
         untouched.update_link_range(PeerId(99), other.position, KeyRange::new(0, 1));
@@ -514,10 +535,13 @@ mod tests {
     fn update_neighbor_children_sets_table_knowledge() {
         let mut n = node(1, 2, 2);
         let neighbor = node(5, 2, 3);
-        n.right_table.set(0, RoutingEntry::new(link_to(&neighbor)));
+        n.right_table.set(0, neighbor.routing_entry());
         assert!(!n.right_table.entry(0).unwrap().has_any_child());
         n.update_neighbor_children(PeerId(5), neighbor.position, Some(PeerId(8)), None);
-        assert_eq!(n.right_table.entry(0).unwrap().left_child, Some(PeerId(8)));
+        assert_eq!(
+            n.right_table.entry(0).unwrap().left_child(),
+            Some(PeerId(8))
+        );
         let before = n.clone();
         n.update_neighbor_children(PeerId(99), neighbor.position, None, None);
         assert_eq!(n, before);
@@ -528,14 +552,14 @@ mod tests {
         let mut n = node(1, 3, 4);
         let near = node(10, 3, 3);
         let far = node(11, 3, 2);
-        n.left_table.set(0, RoutingEntry::new(link_to(&near)));
-        n.left_table.set(1, RoutingEntry::new(link_to(&far)));
+        n.left_table.set(0, near.routing_entry());
+        n.left_table.set(1, far.routing_entry());
         // The slot is held by another peer: nothing is dropped.
         n.drop_table_link(PeerId(99), near.position);
         assert_eq!(n.left_table.iter().count(), 2);
         n.drop_table_link(PeerId(10), near.position);
         assert_eq!(n.left_table.entry(0), None);
-        assert_eq!(n.left_table.entry(1).unwrap().link.peer, PeerId(11));
+        assert_eq!(n.left_table.entry(1).unwrap().peer, PeerId(11));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use std::cmp::Ordering;
 use std::fmt;
+use std::num::NonZeroU64;
 
 /// Which side of a node: used for children, adjacent links and routing
 /// tables throughout the crate.
@@ -49,21 +50,24 @@ impl fmt::Display for Side {
 
 /// A logical position in the BATON tree: `(level, number)` with
 /// `1 <= number <= 2^level`.
+///
+/// Stored as the position's non-zero heap index `2^level + number − 1`
+/// (root 1, its children 2 and 3, …), so a position is 8 bytes and an
+/// `Option<Position>` — or any `Option` of a struct holding one — costs
+/// nothing extra.  Parent and children are a shift away; level and number
+/// are recovered from the index's leading bit.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Position {
-    level: u32,
-    number: u64,
-}
+pub struct Position(NonZeroU64);
 
 impl fmt::Debug for Position {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(L{},#{})", self.level, self.number)
+        write!(f, "(L{},#{})", self.level(), self.number())
     }
 }
 
 impl fmt::Display for Position {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "level {} number {}", self.level, self.number)
+        write!(f, "level {} number {}", self.level(), self.number())
     }
 }
 
@@ -75,10 +79,7 @@ impl Position {
     pub const MAX_LEVEL: u32 = 60;
 
     /// The root position: level 0, number 1.
-    pub const ROOT: Position = Position {
-        level: 0,
-        number: 1,
-    };
+    pub const ROOT: Position = Position(NonZeroU64::MIN);
 
     /// Creates a position, validating that `number` is within `1 ..= 2^level`.
     ///
@@ -95,41 +96,62 @@ impl Position {
             number >= 1 && number <= (1u64 << level),
             "number {number} out of range for level {level}"
         );
-        Self { level, number }
+        Self::from_heap_index((1u64 << level) + number - 1)
     }
 
     /// Creates a position without validation; `None` if out of range.
     pub fn checked_new(level: u32, number: u64) -> Option<Self> {
         if level <= Self::MAX_LEVEL && number >= 1 && number <= (1u64 << level) {
-            Some(Self { level, number })
+            Some(Self::from_heap_index((1u64 << level) + number - 1))
         } else {
             None
         }
     }
 
+    /// The position with heap index `index` (`2^level + number − 1`).
+    ///
+    /// # Panics
+    /// Panics if `index` is 0 or its level exceeds [`Position::MAX_LEVEL`].
+    #[inline]
+    pub(crate) fn from_heap_index(index: u64) -> Self {
+        assert!(
+            index != 0 && index.ilog2() <= Self::MAX_LEVEL,
+            "heap index {index} out of range"
+        );
+        Self(NonZeroU64::new(index).expect("checked non-zero"))
+    }
+
+    /// Heap index of the position: `2^level + number − 1`, so the root is
+    /// 1 and the positions of a complete tree are numbered `1 ..= n` in
+    /// level order.
+    #[inline]
+    pub(crate) fn heap_index(self) -> u64 {
+        self.0.get()
+    }
+
     /// Level of the position (root = 0).
     #[inline]
     pub fn level(self) -> u32 {
-        self.level
+        self.0.ilog2()
     }
 
     /// Number of the position within its level (1-based).
     #[inline]
     pub fn number(self) -> u64 {
-        self.number
+        self.heap_index() - self.level_width() + 1
     }
 
     /// `true` for the root position.
     #[inline]
     pub fn is_root(self) -> bool {
-        self.level == 0
+        self == Self::ROOT
     }
 
     /// `true` if this position is the left child of its parent
-    /// (left children have odd numbers).
+    /// (left children have odd numbers, hence even heap indices).
     #[inline]
     pub fn is_left_child(self) -> bool {
-        !self.is_root() && self.number % 2 == 1
+        !self.is_root() && self.heap_index().is_multiple_of(2)
     }
 
     /// Which child of its parent this position is, or `None` for the root.
@@ -145,14 +167,7 @@ impl Position {
 
     /// Position of the parent, or `None` for the root.
     pub fn parent(self) -> Option<Position> {
-        if self.is_root() {
-            None
-        } else {
-            Some(Position {
-                level: self.level - 1,
-                number: self.number.div_ceil(2),
-            })
-        }
+        NonZeroU64::new(self.heap_index() / 2).map(Position)
     }
 
     /// Position of the left child.
@@ -160,7 +175,7 @@ impl Position {
     /// # Panics
     /// Panics if the child level would exceed [`Position::MAX_LEVEL`].
     pub fn left_child(self) -> Position {
-        Position::new(self.level + 1, 2 * self.number - 1)
+        self.child(Side::Left)
     }
 
     /// Position of the right child.
@@ -168,21 +183,24 @@ impl Position {
     /// # Panics
     /// Panics if the child level would exceed [`Position::MAX_LEVEL`].
     pub fn right_child(self) -> Position {
-        Position::new(self.level + 1, 2 * self.number)
+        self.child(Side::Right)
     }
 
     /// Position of the child on `side`.
     pub fn child(self, side: Side) -> Position {
-        match side {
-            Side::Left => self.left_child(),
-            Side::Right => self.right_child(),
-        }
+        assert!(
+            self.level() < Self::MAX_LEVEL,
+            "level {} exceeds MAX_LEVEL {}",
+            self.level() + 1,
+            Self::MAX_LEVEL
+        );
+        Position::from_heap_index(2 * self.heap_index() + u64::from(side == Side::Right))
     }
 
     /// Number of the last position at this level (`2^level`).
     #[inline]
     pub fn level_width(self) -> u64 {
-        1u64 << self.level
+        1u64 << self.level()
     }
 
     /// Number of routing-table slots at this level.
@@ -193,7 +211,7 @@ impl Position {
     /// entries (paper §III).
     #[inline]
     pub fn routing_table_size(self) -> usize {
-        self.level as usize
+        self.level() as usize
     }
 
     /// Neighbour position targeted by routing-table entry `index` on `side`,
@@ -203,20 +221,19 @@ impl Position {
             return None;
         }
         let distance = 1u64 << index;
-        let number = match side {
-            Side::Left => self.number.checked_sub(distance).filter(|&n| n >= 1)?,
-            Side::Right => {
-                let n = self.number.checked_add(distance)?;
-                if n > self.level_width() {
-                    return None;
-                }
-                n
-            }
+        // A level's heap indices are `2^level ..= 2^(level+1) − 1`.
+        let first = self.level_width();
+        let target = match side {
+            Side::Left => self
+                .heap_index()
+                .checked_sub(distance)
+                .filter(|&t| t >= first)?,
+            Side::Right => self
+                .heap_index()
+                .checked_add(distance)
+                .filter(|&t| t < 2 * first)?,
         };
-        Some(Position {
-            level: self.level,
-            number,
-        })
+        Some(Position::from_heap_index(target))
     }
 
     /// In-order rank of the position in the *infinite* binary tree, as the
@@ -226,7 +243,7 @@ impl Position {
     /// Two positions compare in the in-order traversal order exactly as
     /// their fractions compare; see [`Position::inorder_cmp`].
     pub fn inorder_fraction(self) -> (u64, u32) {
-        (2 * self.number - 1, self.level + 1)
+        (2 * self.number() - 1, self.level() + 1)
     }
 
     /// Compares two positions by their order in an in-order traversal of
@@ -301,6 +318,36 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn new_panics_out_of_range() {
         Position::new(3, 9);
+    }
+
+    #[test]
+    fn heap_index_numbers_positions_in_level_order() {
+        assert_eq!(Position::ROOT.heap_index(), 1);
+        assert_eq!(Position::new(1, 1).heap_index(), 2);
+        assert_eq!(Position::new(1, 2).heap_index(), 3);
+        assert_eq!(Position::new(3, 5).heap_index(), 12);
+        for index in 1..64 {
+            let p = Position::from_heap_index(index);
+            assert_eq!(Position::new(p.level(), p.number()), p);
+        }
+        // The deepest level keeps its full number range.
+        let last = Position::new(Position::MAX_LEVEL, 1u64 << Position::MAX_LEVEL);
+        assert_eq!(
+            (last.level(), last.number()),
+            (Position::MAX_LEVEL, 1u64 << Position::MAX_LEVEL)
+        );
+        assert_eq!(last.routing_neighbor(Side::Right, 0), None);
+        assert_eq!(
+            last.routing_neighbor(Side::Left, 59),
+            Some(Position::new(Position::MAX_LEVEL, 1u64 << 59))
+        );
+        assert_eq!(last.parent(), Some(Position::new(59, 1u64 << 59)));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_LEVEL")]
+    fn children_stop_at_max_level() {
+        Position::new(Position::MAX_LEVEL, 1).left_child();
     }
 
     #[test]

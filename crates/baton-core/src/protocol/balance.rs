@@ -405,13 +405,8 @@ impl BatonSystem {
             let mut targets = Vec::new();
             for side in Side::BOTH {
                 for (_, e) in node.table(side).iter() {
-                    targets.push(e.link.peer);
-                    if let Some(c) = e.left_child {
-                        targets.push(c);
-                    }
-                    if let Some(c) = e.right_child {
-                        targets.push(c);
-                    }
+                    targets.push(e.peer);
+                    targets.extend(e.children());
                 }
             }
             (node.load(), exclude, targets)

@@ -27,9 +27,14 @@ impl BatonSystem {
     ///
     /// Keys outside the current domain are accepted: the leftmost (or
     /// rightmost) node expands its range to cover them, and the overlay's
-    /// domain grows accordingly (paper §IV-C).
+    /// domain grows accordingly (paper §IV-C).  The one exception is
+    /// `Key::MAX`, which no exclusive upper bound can cover: it is refused
+    /// with [`BatonError::KeyOutOfDomain`] before any message is sent.
     pub fn insert_from(&mut self, issuer: PeerId, key: Key, value: Value) -> Result<InsertReport> {
         self.check_alive(issuer)?;
+        if key == Key::MAX {
+            return Err(BatonError::KeyOutOfDomain(key));
+        }
         self.in_op("insert", |system, op| {
             let walk = system.locate_owner(op, issuer, key, "insert")?;
             let mut expansion_messages = 0u64;
@@ -191,6 +196,27 @@ mod tests {
         assert_eq!(system.domain().high(), 5001);
         validate(&system).unwrap();
         assert_eq!(system.search_exact(5000).unwrap().matches, vec![1]);
+    }
+
+    #[test]
+    fn insert_of_the_largest_key_is_refused_before_the_walk() {
+        // An exclusive upper bound cannot cover `Key::MAX`; the key one
+        // below it still expands the rightmost node up to that bound.
+        let config = BatonConfig::default().with_load_balance(LoadBalanceConfig::disabled());
+        let mut system = BatonSystem::build(config, 6, 20).unwrap();
+        let sent = system.net.stats().total_sent();
+        assert_eq!(
+            system.insert(Key::MAX, 1).unwrap_err(),
+            BatonError::KeyOutOfDomain(Key::MAX)
+        );
+        assert_eq!(system.net.stats().total_sent(), sent);
+        system.net.stats_mut().retire_finished();
+        assert_eq!(system.net.stats().live_op_count(), 0);
+        let report = system.insert(Key::MAX - 1, 2).unwrap();
+        assert!(report.expansion_messages > 0);
+        assert_eq!(system.domain().high(), Key::MAX);
+        assert_eq!(system.search_exact(Key::MAX - 1).unwrap().matches, vec![2]);
+        validate(&system).unwrap();
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::node::BatonNode;
 use crate::position::{Position, Side};
 use crate::range::KeyRange;
 use crate::reports::JoinReport;
-use crate::routing::{NodeLink, RoutingEntry};
+use crate::routing::NodeLink;
 use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
@@ -98,7 +98,7 @@ impl BatonSystem {
                     .left_table
                     .first_without_both_children()
                     .or_else(|| node.right_table.first_without_both_children())
-                    .map(|(_, e)| e.link.peer);
+                    .map(|(_, e)| e.peer);
                 match candidate {
                     Some(p) => p,
                     None => {
@@ -275,46 +275,21 @@ impl BatonSystem {
                     let entry = parent
                         .table_slot_of(target_parent_pos)
                         .and_then(|(s, i)| parent.table(s).entry(i));
-                    entry.and_then(|e| match target_pos.child_side().expect("non-root") {
-                        Side::Left => e.left_child,
-                        Side::Right => e.right_child,
-                    })
+                    entry.and_then(|e| e.child(target_pos.child_side().expect("non-root")))
                 };
                 let Some(occupant) = occupant else { continue };
                 // Query + response pair.
                 self.notify(op, "table.fill", parent_peer, occupant);
                 self.notify(op, "table.fill", occupant, child_peer);
                 messages += 2;
-                let occupant_link = self.link_of(occupant)?;
-                let (occ_left, occ_right) = {
-                    let occ = self.node_ref(occupant)?;
-                    (
-                        occ.left_child.map(|l| l.peer),
-                        occ.right_child.map(|l| l.peer),
-                    )
-                };
-                let child_link = self.link_of(child_peer)?;
-                let (child_left, child_right) = {
-                    let child = self.node_ref(child_peer)?;
-                    (
-                        child.left_child.map(|l| l.peer),
-                        child.right_child.map(|l| l.peer),
-                    )
-                };
-                {
-                    let child = self.node_mut(child_peer)?;
-                    child.table_mut(side).set(
-                        index,
-                        RoutingEntry::with_children(occupant_link, occ_left, occ_right),
-                    );
-                }
-                {
-                    let occ = self.node_mut(occupant)?;
-                    occ.table_mut(side.opposite()).set(
-                        index,
-                        RoutingEntry::with_children(child_link, child_left, child_right),
-                    );
-                }
+                let occupant_entry = self.node_ref(occupant)?.routing_entry();
+                let child_entry = self.node_ref(child_peer)?.routing_entry();
+                self.node_mut(child_peer)?
+                    .table_mut(side)
+                    .set(index, occupant_entry);
+                self.node_mut(occupant)?
+                    .table_mut(side.opposite())
+                    .set(index, child_entry);
             }
         }
         Ok(messages)

@@ -16,13 +16,13 @@ use baton_net::{OpScope, PeerId};
 use crate::error::{BatonError, Result};
 use crate::node::BatonNode;
 use crate::reports::LeaveReport;
+use crate::routing::RoutingEntry;
 use crate::system::{BatonSystem, LinkUpdate};
 
 /// The children recorded for `node`'s routing-table neighbours, in table
 /// order — the FINDREPLACEMENT candidates of a leaf.
 fn neighbor_children(node: &BatonNode) -> impl Iterator<Item = PeerId> + '_ {
-    node.table_entries()
-        .flat_map(|e| [e.left_child, e.right_child].into_iter().flatten())
+    node.table_entries().flat_map(RoutingEntry::children)
 }
 
 impl BatonSystem {

@@ -29,7 +29,7 @@ use baton_net::{OpScope, PeerId};
 use crate::error::{BatonError, Result};
 use crate::position::{Position, Side};
 use crate::reports::RestructureReport;
-use crate::routing::{NodeLink, RoutingEntry, RoutingTable};
+use crate::routing::{NodeLink, RoutingTable};
 use crate::system::{BatonSystem, LinkUpdate};
 
 /// A planned restructuring: which peer moves to which position, plus the
@@ -338,12 +338,7 @@ impl BatonSystem {
                 let Some(occupant) = self.by_position.get(target) else {
                     continue;
                 };
-                let link = self.link_of(occupant)?;
-                let (lc, rc) = {
-                    let n = self.node_ref(occupant)?;
-                    (n.left_child.map(|l| l.peer), n.right_child.map(|l| l.peer))
-                };
-                let entry = RoutingEntry::with_children(link, lc, rc);
+                let entry = self.node_ref(occupant)?.routing_entry();
                 match side {
                     Side::Left => left_table.set(index, entry),
                     Side::Right => right_table.set(index, entry),
@@ -388,24 +383,19 @@ impl BatonSystem {
                     let Some(neighbor_peer) = self.by_position.get(neighbor_pos) else {
                         continue;
                     };
+                    // The neighbour's slot `index` on the facing side is
+                    // the one targeting `position`.
                     let neighbor = self.node_mut(neighbor_peer)?;
-                    let table = neighbor.table_mut(side.opposite());
-                    if table
-                        .entry(index)
-                        .is_some_and(|e| e.link.position == position)
-                    {
-                        table.clear(index);
-                    }
+                    neighbor.table_mut(side.opposite()).clear(index);
                 }
             }
             return Ok(());
         };
-        let link = self.link_of(occupant)?;
-        let (occ_left, occ_right, occ_left_adj, occ_right_adj) = {
+        let (link, entry, occ_left_adj, occ_right_adj) = {
             let n = self.node_ref(occupant)?;
             (
-                n.left_child.map(|l| l.peer),
-                n.right_child.map(|l| l.peer),
+                n.link(),
+                n.routing_entry(),
                 n.left_adjacent.map(|l| l.peer),
                 n.right_adjacent.map(|l| l.peer),
             )
@@ -442,10 +432,7 @@ impl BatonSystem {
                     continue;
                 };
                 let neighbor = self.node_mut(neighbor_peer)?;
-                neighbor.table_mut(side.opposite()).set(
-                    index,
-                    RoutingEntry::with_children(link, occ_left, occ_right),
-                );
+                neighbor.table_mut(side.opposite()).set(index, entry);
             }
         }
         // Adjacent peers' recorded position/range for the occupant.

@@ -148,20 +148,20 @@ fn walk_candidates<B>(
     };
     for (_, entry) in near_table.iter().rev() {
         let matching = if towards_right {
-            entry.link.range.low() <= key
+            entry.range.low() <= key
         } else {
-            entry.link.range.high() > key
+            entry.range.high() > key
         };
         if !matching {
             continue;
         }
-        visit(entry.link.peer)?;
+        visit(entry.peer)?;
         // §III-D detour: if the neighbour is unreachable, its children
         // (recorded in the entry) still lead towards the key.
         let (first, second) = if towards_right {
-            (entry.right_child, entry.left_child)
+            (entry.right_child(), entry.left_child())
         } else {
-            (entry.left_child, entry.right_child)
+            (entry.left_child(), entry.right_child())
         };
         for candidate in first.into_iter().chain(second) {
             visit(candidate)?;
@@ -441,8 +441,8 @@ impl BatonSystem {
         let node = self.node_ref(peer)?;
         let towards_right = key >= node.range.high();
         let push_entry = |arena: &mut Vec<PeerId>, entry: &crate::routing::RoutingEntry| {
-            push_candidate(arena, start, peer, entry.link.peer);
-            for candidate in entry.left_child.into_iter().chain(entry.right_child) {
+            push_candidate(arena, start, peer, entry.peer);
+            for candidate in entry.children() {
                 push_candidate(arena, start, peer, candidate);
             }
         };

@@ -5,9 +5,11 @@
 //! level whose number differs by a power of two (paper §III).  Every link
 //! records the key range managed by its target (paper §IV: "We record for
 //! each link the range of values managed by the node at the target of the
-//! link"), and routing-table entries additionally record whether the target
-//! currently has children — the information the join algorithm (Algorithm 1)
-//! and Theorem 1 rely on.
+//! link"), and routing-table entries additionally record the target's
+//! children — the information the join algorithm (Algorithm 1) and
+//! Theorem 1 rely on.  A routing-table entry does not record its target's
+//! position: slot `i` of a table always targets the position `2^i` away
+//! from the owner ([`RoutingTable::target_position`]).
 
 use baton_net::PeerId;
 
@@ -37,48 +39,87 @@ impl NodeLink {
     }
 }
 
-/// One entry of a sideways routing table.
+/// One entry of a sideways routing table: the neighbour's address, the key
+/// range it last advertised and the peers at its child positions.
+///
+/// The children are stored as two ids plus two presence flags rather than
+/// two `Option<PeerId>`s, which keeps an entry — and, through the flags'
+/// niche, an `Option<RoutingEntry>` slot — at 32 bytes.  An absent child's
+/// id is always `PeerId(0)`, so the derived equality compares only what
+/// the accessors expose.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoutingEntry {
-    /// Link to the neighbour node.
-    pub link: NodeLink,
-    /// Peer occupying the neighbour's left child position, if known.
-    pub left_child: Option<PeerId>,
-    /// Peer occupying the neighbour's right child position, if known.
-    pub right_child: Option<PeerId>,
+    /// Physical address of the neighbour peer.
+    pub peer: PeerId,
+    /// Key range managed by the neighbour, as last advertised.
+    pub range: KeyRange,
+    children: [PeerId; 2],
+    has_child: [bool; 2],
 }
 
 impl RoutingEntry {
     /// Creates an entry with no known children.
-    pub fn new(link: NodeLink) -> Self {
-        Self {
-            link,
-            left_child: None,
-            right_child: None,
-        }
+    pub fn new(peer: PeerId, range: KeyRange) -> Self {
+        Self::with_children(peer, range, None, None)
     }
 
     /// Creates an entry with explicit child knowledge.
     pub fn with_children(
-        link: NodeLink,
+        peer: PeerId,
+        range: KeyRange,
         left_child: Option<PeerId>,
         right_child: Option<PeerId>,
     ) -> Self {
-        Self {
-            link,
-            left_child,
-            right_child,
+        let mut entry = Self {
+            peer,
+            range,
+            children: [PeerId(0); 2],
+            has_child: [false; 2],
+        };
+        entry.set_children(left_child, right_child);
+        entry
+    }
+
+    /// Peer occupying the neighbour's child position on `side`, if known.
+    #[inline]
+    pub fn child(&self, side: Side) -> Option<PeerId> {
+        let i = usize::from(side == Side::Right);
+        self.has_child[i].then_some(self.children[i])
+    }
+
+    /// Peer occupying the neighbour's left child position, if known.
+    #[inline]
+    pub fn left_child(&self) -> Option<PeerId> {
+        self.child(Side::Left)
+    }
+
+    /// Peer occupying the neighbour's right child position, if known.
+    #[inline]
+    pub fn right_child(&self) -> Option<PeerId> {
+        self.child(Side::Right)
+    }
+
+    /// The known children, left first.
+    pub fn children(&self) -> impl Iterator<Item = PeerId> {
+        self.left_child().into_iter().chain(self.right_child())
+    }
+
+    /// Records the neighbour's children.
+    pub fn set_children(&mut self, left_child: Option<PeerId>, right_child: Option<PeerId>) {
+        for (i, child) in [left_child, right_child].into_iter().enumerate() {
+            self.children[i] = child.unwrap_or(PeerId(0));
+            self.has_child[i] = child.is_some();
         }
     }
 
     /// `true` if the target is known to have at least one child.
     pub fn has_any_child(&self) -> bool {
-        self.left_child.is_some() || self.right_child.is_some()
+        self.has_child[0] || self.has_child[1]
     }
 
     /// `true` if the target is known to have both children.
     pub fn has_both_children(&self) -> bool {
-        self.left_child.is_some() && self.right_child.is_some()
+        self.has_child[0] && self.has_child[1]
     }
 }
 
@@ -143,19 +184,16 @@ impl RoutingTable {
         self.slots.get_mut(index).and_then(|s| s.as_mut())
     }
 
-    /// Sets slot `index` to `entry`.
+    /// Sets slot `index` to `entry`, the neighbour at the slot's target
+    /// position.
     ///
     /// # Panics
-    /// Panics if the slot is invalid for the owner's position, or if the
-    /// entry's position does not match the slot's target position.
+    /// Panics if the slot is invalid for the owner's position.
     pub fn set(&mut self, index: usize, entry: RoutingEntry) {
-        let target = self
-            .target_position(index)
-            .unwrap_or_else(|| panic!("slot {index} is invalid for owner {:?}", self.owner));
-        assert_eq!(
-            entry.link.position, target,
-            "entry position {:?} does not match slot target {:?}",
-            entry.link.position, target
+        assert!(
+            self.target_position(index).is_some(),
+            "slot {index} is invalid for owner {:?}",
+            self.owner
         );
         self.slots[index] = Some(entry);
     }
@@ -210,8 +248,8 @@ impl RoutingTable {
 mod tests {
     use super::*;
 
-    fn link(peer: u32, pos: Position) -> NodeLink {
-        NodeLink::new(PeerId(peer), pos, KeyRange::new(0, 1))
+    fn entry(peer: u32) -> RoutingEntry {
+        RoutingEntry::new(PeerId(peer), KeyRange::new(0, 1))
     }
 
     #[test]
@@ -232,25 +270,21 @@ mod tests {
         // A table with no valid slots is trivially full.
         assert!(left.is_full());
         assert!(!right.is_full());
+        // The slot vector is allocated exactly: its capacity is the slot
+        // count the state estimate multiplies by the slot size.
+        assert_eq!(right.slots.capacity(), right.slot_count());
     }
 
     #[test]
     fn set_and_get_entries() {
         let owner = Position::new(2, 2);
         let mut table = RoutingTable::new(Side::Right, owner);
-        let target = Position::new(2, 3);
-        table.set(0, RoutingEntry::new(link(7, target)));
+        table.set(0, entry(7));
         assert_eq!(table.iter().count(), 1);
-        assert_eq!(table.entry(0).unwrap().link.peer, PeerId(7));
+        assert_eq!(table.entry(0).unwrap().peer, PeerId(7));
         assert_eq!(table.entry(1), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match slot target")]
-    fn set_rejects_wrong_position() {
-        let owner = Position::new(2, 2);
-        let mut table = RoutingTable::new(Side::Right, owner);
-        table.set(0, RoutingEntry::new(link(7, Position::new(2, 4))));
+        // The slot supplies the position the entry does not store.
+        assert_eq!(table.target_position(0), Some(Position::new(2, 3)));
     }
 
     #[test]
@@ -258,7 +292,7 @@ mod tests {
     fn set_rejects_invalid_slot() {
         let owner = Position::new(2, 4); // rightmost of level 2
         let mut table = RoutingTable::new(Side::Right, owner);
-        table.set(0, RoutingEntry::new(link(7, Position::new(2, 4))));
+        table.set(0, entry(7));
     }
 
     #[test]
@@ -270,9 +304,9 @@ mod tests {
         assert!(right.is_full());
         let mut left = RoutingTable::new(Side::Left, owner);
         assert!(!left.is_full());
-        left.set(0, RoutingEntry::new(link(1, Position::new(2, 3))));
+        left.set(0, entry(1));
         assert!(!left.is_full());
-        left.set(1, RoutingEntry::new(link(2, Position::new(2, 2))));
+        left.set(1, entry(2));
         assert!(left.is_full());
         left.clear(0);
         assert!(!left.is_full());
@@ -282,50 +316,46 @@ mod tests {
     fn farthest_and_matching_selectors() {
         let owner = Position::new(3, 1);
         let mut table = RoutingTable::new(Side::Right, owner);
-        let mk = |peer: u32, num: u64, low: u64| {
-            RoutingEntry::new(NodeLink::new(
-                PeerId(peer),
-                Position::new(3, num),
-                KeyRange::new(low, low + 10),
-            ))
-        };
-        table.set(0, mk(1, 2, 10));
-        table.set(1, mk(2, 3, 20));
-        table.set(2, mk(3, 5, 40));
+        let mk =
+            |peer: u32, low: u64| RoutingEntry::new(PeerId(peer), KeyRange::new(low, low + 10));
+        table.set(0, mk(1, 10));
+        table.set(1, mk(2, 20));
+        table.set(2, mk(3, 40));
         // The search hot path walks `iter().rev()`: farthest first.
         let (idx, e) = table.iter().next_back().unwrap();
-        assert_eq!((idx, e.link.peer), (2, PeerId(3)));
+        assert_eq!((idx, e.peer), (2, PeerId(3)));
         // Nearest entry whose lower bound >= 20 is the one at number 3.
-        let (idx, e) = table
-            .nearest_matching(|e| e.link.range.low() >= 20)
-            .unwrap();
-        assert_eq!((idx, e.link.peer), (1, PeerId(2)));
-        assert!(table
-            .nearest_matching(|e| e.link.range.low() >= 50)
-            .is_none());
+        let (idx, e) = table.nearest_matching(|e| e.range.low() >= 20).unwrap();
+        assert_eq!((idx, e.peer), (1, PeerId(2)));
+        assert!(table.nearest_matching(|e| e.range.low() >= 50).is_none());
     }
 
     #[test]
     fn child_knowledge_helpers() {
         let owner = Position::new(2, 1);
         let mut table = RoutingTable::new(Side::Right, owner);
-        let l1 = link(5, Position::new(2, 2));
-        let l2 = link(6, Position::new(2, 3));
-        table.set(0, RoutingEntry::with_children(l1, Some(PeerId(50)), None));
-        table.set(1, RoutingEntry::new(l2));
+        let range = KeyRange::new(0, 1);
+        table.set(
+            0,
+            RoutingEntry::with_children(PeerId(5), range, Some(PeerId(50)), None),
+        );
+        table.set(1, entry(6));
         assert!(table.entry(0).unwrap().has_any_child());
         assert!(!table.entry(0).unwrap().has_both_children());
         assert!(!table.entry(1).unwrap().has_any_child());
         assert!(table.any_neighbor_has_child());
         assert_eq!(
-            table.first_without_both_children().unwrap().1.link.peer,
+            table.first_without_both_children().unwrap().1.peer,
             PeerId(5)
         );
         // Fill both children of slot 0; now the first without both children is slot 1.
-        table.entry_mut(0).unwrap().right_child = Some(PeerId(51));
+        table
+            .entry_mut(0)
+            .unwrap()
+            .set_children(Some(PeerId(50)), Some(PeerId(51)));
         assert!(table.entry(0).unwrap().has_both_children());
         assert_eq!(
-            table.first_without_both_children().unwrap().1.link.peer,
+            table.first_without_both_children().unwrap().1.peer,
             PeerId(6)
         );
     }
@@ -334,10 +364,25 @@ mod tests {
     fn iter_orders_slots_nearest_first() {
         let owner = Position::new(3, 8);
         let mut table = RoutingTable::new(Side::Left, owner);
-        table.set(2, RoutingEntry::new(link(3, Position::new(3, 4))));
-        table.set(0, RoutingEntry::new(link(1, Position::new(3, 7))));
+        table.set(2, entry(3));
+        table.set(0, entry(1));
         let indices: Vec<usize> = table.iter().map(|(i, _)| i).collect();
         assert_eq!(indices, vec![0, 2]);
+    }
+
+    #[test]
+    fn entry_children_round_trip_and_compare_by_value() {
+        let range = KeyRange::new(0, 1);
+        let mut e = RoutingEntry::with_children(PeerId(1), range, None, Some(PeerId(9)));
+        assert_eq!((e.left_child(), e.right_child()), (None, Some(PeerId(9))));
+        assert_eq!(e.child(Side::Right), Some(PeerId(9)));
+        assert_eq!(e.children().collect::<Vec<_>>(), vec![PeerId(9)]);
+        e.set_children(Some(PeerId(4)), None);
+        assert_eq!(e.children().collect::<Vec<_>>(), vec![PeerId(4)]);
+        // Clearing a child forgets its id: equal knowledge, equal entries.
+        e.set_children(None, None);
+        assert_eq!(e, RoutingEntry::new(PeerId(1), range));
+        assert!(!e.has_any_child());
     }
 
     #[test]

@@ -176,6 +176,59 @@ mod tests {
     use super::*;
 
     #[test]
+    fn system_state_estimate_is_the_sum_of_its_allocations() {
+        use crate::config::BatonConfig;
+        use crate::node::BatonNode;
+        use crate::routing::RoutingEntry;
+        use crate::system::BatonSystem;
+        use baton_net::{PeerId, RepairPolicy, SimTime};
+        use std::mem::size_of;
+
+        // Joins, leaves and inserts, then one failure left awaiting its
+        // repair: the dead node keeps its slot and its state.
+        let mut system = BatonSystem::build(BatonConfig::default(), 12, 40).unwrap();
+        let mut rng = baton_net::SimRng::seeded(0x57A7);
+        for i in 0..200u64 {
+            match i % 10 {
+                0 | 1 => drop(system.join_random().unwrap()),
+                2 => {
+                    let peer = system.peers()[rng.index(system.node_count())];
+                    system.leave(peer).unwrap();
+                }
+                _ => drop(system.insert(rng.uniform_u64(1, 1 << 40), i).unwrap()),
+            }
+        }
+        let policy = RepairPolicy {
+            fast: SimTime::from_millis(10),
+            slow: SimTime::from_millis(100),
+        };
+        let victim = system.peers()[7];
+        system.fail_deferred(victim, &policy).unwrap();
+        assert!(system.node(victim).is_some());
+
+        let nodes: Vec<&BatonNode> = system.nodes.values().collect();
+        let slot = size_of::<Option<RoutingEntry>>();
+        let tables: usize = nodes
+            .iter()
+            .map(|n| (n.left_table.slot_count() + n.right_table.slot_count()) * slot)
+            .sum();
+        let stores: usize = nodes
+            .iter()
+            .map(|n| {
+                n.store.keys.capacity() * size_of::<Key>()
+                    + n.store.values.capacity() * size_of::<Value>()
+            })
+            .sum();
+        let slab = system.nodes.slot_capacity() * size_of::<Option<BatonNode>>();
+        let peers = system.nodes.list_capacity() * size_of::<PeerId>();
+        assert!(stores > 0);
+        assert_eq!(
+            system.estimated_state_bytes(),
+            (slab + tables + stores + peers) as u64
+        );
+    }
+
+    #[test]
     fn insert_get_and_len() {
         let mut store = LocalStore::new();
         assert!(store.is_empty());

@@ -246,25 +246,26 @@ fn check_routing_tables(system: &BatonSystem) -> Result<()> {
                         )))
                     }
                     (Some(occupant), Some(entry)) => {
-                        if entry.link.peer != occupant {
+                        if entry.peer != occupant {
                             return Err(violation(format!(
                                 "{peer} {side} table slot {index} points at {} but {target_pos:?} is held by {occupant}",
-                                entry.link.peer
+                                entry.peer
                             )));
                         }
                         let target = system.node(occupant).unwrap();
-                        if entry.link.range != target.range {
+                        if entry.range != target.range {
                             return Err(violation(format!(
                                 "{peer} {side} table slot {index} records range {} but {occupant} manages {}",
-                                entry.link.range, target.range
+                                entry.range, target.range
                             )));
                         }
                         let actual_left = target.left_child.map(|l| l.peer);
                         let actual_right = target.right_child.map(|l| l.peer);
-                        if entry.left_child != actual_left || entry.right_child != actual_right {
+                        let recorded = (entry.left_child(), entry.right_child());
+                        if recorded != (actual_left, actual_right) {
                             return Err(violation(format!(
                                 "{peer} {side} table slot {index} child knowledge {:?}/{:?} disagrees with {occupant}'s children {:?}/{:?}",
-                                entry.left_child, entry.right_child, actual_left, actual_right
+                                recorded.0, recorded.1, actual_left, actual_right
                             )));
                         }
                     }
@@ -513,7 +514,7 @@ mod tests {
                 let table = node.table_mut(side);
                 for i in 0..table.slot_count() {
                     if let Some(e) = table.entry_mut(i) {
-                        e.link.range = KeyRange::new(0, 1);
+                        e.range = KeyRange::new(0, 1);
                         break 'outer;
                     }
                 }

@@ -7,7 +7,7 @@
 
 use std::collections::HashSet;
 
-use baton_net::{LatencyModel, Overlay, OverlayError, SimTime, TraceConfig};
+use baton_net::{LatencyModel, OpCost, Overlay, OverlayError, OverlayResult, SimTime, TraceConfig};
 use baton_sim::figures::{SERIES_BATON, SERIES_CHORD, SERIES_D3TREE, SERIES_MTREE};
 use baton_sim::{figures, standard_overlays, Profile};
 use baton_workload::{runner, ChurnWorkload, Query, QueryWorkload};
@@ -145,6 +145,44 @@ fn unsupported_operations_are_errors_not_panics() {
                 "{}: {error:?}",
                 spec.series
             );
+        }
+    }
+}
+
+#[test]
+fn keys_at_the_top_of_the_domain_are_answered_not_panicked_on() {
+    // `u64::MAX` is the one key an exclusive upper bound cannot cover; the
+    // key below it and key 0 sit on the domain's edges.  Every call returns
+    // (`Ok` or `Err` alike), leaves the overlay consistent and closes its op.
+    type Call = fn(&mut dyn Overlay, u64) -> OverlayResult<OpCost>;
+    let calls: [(&str, Call); 4] = [
+        ("insert", |o, key| o.insert(key, 1)),
+        ("exact", |o, key| o.search_exact(key)),
+        ("range", |o, key| {
+            o.search_range(key, key.saturating_add(10))
+        }),
+        ("delete", |o, key| o.delete(key)),
+    ];
+    let profile = Profile::smoke();
+    for spec in standard_overlays() {
+        let mut overlay = spec.build(&profile, 20, 7);
+        for key in [0, u64::MAX - 1, u64::MAX] {
+            for (op, call) in calls {
+                let _answer = call(overlay.as_mut(), key);
+                overlay.validate().unwrap_or_else(|e| {
+                    panic!(
+                        "{}: {op}({key}) left the overlay inconsistent: {e}",
+                        spec.series
+                    )
+                });
+                overlay.stats_mut().retire_finished();
+                assert_eq!(
+                    overlay.stats().live_op_count(),
+                    0,
+                    "{}: {op}({key}) left an op open",
+                    spec.series
+                );
+            }
         }
     }
 }

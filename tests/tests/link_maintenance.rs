@@ -47,15 +47,18 @@ fn scan_rewrite_links(node: &mut BatonNode, old: PeerId, new_link: NodeLink) {
         *link = new_link;
     }
     for_each_entry(node, |e| {
-        if e.link.peer == old {
-            e.link = new_link;
+        if e.peer == old {
+            e.peer = new_link.peer;
+            e.range = new_link.range;
         }
-        if e.left_child == Some(old) {
-            e.left_child = Some(new_link.peer);
-        }
-        if e.right_child == Some(old) {
-            e.right_child = Some(new_link.peer);
-        }
+        let renamed = |child: Option<PeerId>| {
+            if child == Some(old) {
+                Some(new_link.peer)
+            } else {
+                child
+            }
+        };
+        e.set_children(renamed(e.left_child()), renamed(e.right_child()));
     });
 }
 
@@ -64,8 +67,8 @@ fn scan_update_link_range(node: &mut BatonNode, peer: PeerId, range: KeyRange) {
         link.range = range;
     }
     for_each_entry(node, |e| {
-        if e.link.peer == peer {
-            e.link.range = range;
+        if e.peer == peer {
+            e.range = range;
         }
     });
 }
@@ -77,9 +80,8 @@ fn scan_update_neighbor_children(
     right_child: Option<PeerId>,
 ) {
     for_each_entry(node, |e| {
-        if e.link.peer == neighbor {
-            e.left_child = left_child;
-            e.right_child = right_child;
+        if e.peer == neighbor {
+            e.set_children(left_child, right_child);
         }
     });
 }
@@ -88,7 +90,7 @@ fn scan_remove_peer(node: &mut BatonNode, peer: PeerId) {
     for side in Side::BOTH {
         let table = node.table_mut(side);
         for index in 0..table.slot_count() {
-            if table.entry(index).is_some_and(|e| e.link.peer == peer) {
+            if table.entry(index).is_some_and(|e| e.peer == peer) {
                 table.clear(index);
             }
         }

@@ -7,7 +7,7 @@
 //! same coverage shape while staying reproducible.
 
 use baton_core::{validate, BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig};
-use baton_net::SimRng;
+use baton_net::{Overlay, SimRng};
 
 /// The operations the property tests draw from.
 #[derive(Clone, Debug)]
@@ -92,6 +92,14 @@ fn random_operation_sequences_preserve_every_invariant() {
             apply(&mut overlay, op, &mut expected_items);
             validate(&overlay)
                 .unwrap_or_else(|e| panic!("case {case}: invariant violated after {op:?}: {e}"));
+            // Every op, answered or refused, closes: one left open would
+            // block stats retirement for the rest of a run.
+            overlay.stats_mut().retire_finished();
+            assert_eq!(
+                overlay.stats().live_op_count(),
+                0,
+                "case {case}: {op:?} left an op open"
+            );
         }
         assert_eq!(
             overlay.total_items() as i64,

@@ -132,7 +132,7 @@ fn reference_baton(system: &BatonSystem) -> RoutingSnapshot {
         }
         for table in [&node.left_table, &node.right_table] {
             for (_, entry) in table.iter() {
-                b.link(slot, entry.link.peer, LinkKind::RoutingTable);
+                b.link(slot, entry.peer, LinkKind::RoutingTable);
             }
         }
         b.replicas(slot, system.replica_targets(*peer));
