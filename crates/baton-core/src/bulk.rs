@@ -194,7 +194,7 @@ impl BatonSystem {
             })
             .collect();
         for (index, &peer) in peers.iter().enumerate() {
-            system.occupy(position_of_index(index), peer);
+            system.occupy(position_of_index(index), peer, ranges[index]);
         }
         Ok(system)
     }
@@ -244,22 +244,20 @@ impl BatonSystem {
             let Some(node) = self.node_opt_mut(peer) else {
                 continue;
             };
-            let expanded = if node.range.contains(key) {
-                None
-            } else {
-                if key < node.range.low() {
-                    node.range = node.range.extend_low(key);
-                } else {
-                    node.range = node.range.extend_high(key + 1);
-                }
-                Some((node.position, node.range, node.linked_peers()))
-            };
             node.store.insert(key, value);
-            if let Some((position, range, linked)) = expanded {
-                for other in linked {
-                    if let Some(other_node) = self.node_opt_mut(other) {
-                        other_node.update_link_range(peer, position, range);
-                    }
+            if node.range.contains(key) {
+                continue;
+            }
+            let range = if key < node.range.low() {
+                node.range.extend_low(key)
+            } else {
+                node.range.extend_high(key + 1)
+            };
+            let (position, linked) = (node.position, node.linked_peers());
+            self.set_range(peer, range).expect("resolved above");
+            for other in linked {
+                if let Some(other_node) = self.node_opt_mut(other) {
+                    other_node.update_link_range(peer, position, range);
                 }
             }
         }

@@ -178,25 +178,25 @@ impl BatonSystem {
                 (moved, kept)
             }
         };
-        let moved_items = {
-            let node = self.node_mut(overloaded)?;
-            let moved = node.store.split_off_range(moved_range);
-            node.range = kept_range;
-            moved
-        };
+        let moved_items = self
+            .node_mut(overloaded)?
+            .store
+            .split_off_range(moved_range);
+        self.set_range(overloaded, kept_range)?;
         let items_moved = moved_items.len();
         self.hop(op, overloaded, adjacent, 1, "balance.migrate")?;
         messages += 1;
-        {
+        let merged = {
             let adj = self.node_mut(adjacent)?;
             adj.store.absorb(moved_items);
-            adj.range = adj.range.merge(moved_range).ok_or_else(|| {
+            adj.range.merge(moved_range).ok_or_else(|| {
                 BatonError::InvariantViolation(format!(
                     "migrated range {moved_range} not contiguous with adjacent range {}",
                     adj.range
                 ))
-            })?;
-        }
+            })?
+        };
+        self.set_range(adjacent, merged)?;
         // Both nodes' ranges changed: refresh every link recording them.
         messages += self.broadcast_link_update(op, overloaded, LinkUpdate::Range)?;
         messages += self.broadcast_link_update(op, adjacent, LinkUpdate::Range)?;
@@ -351,11 +351,10 @@ impl BatonSystem {
         // registered in the position map; the restructuring pass assigns the
         // real one.
         let mut light_node = crate::node::BatonNode::new(light, g_position, light_range);
-        {
-            let g = self.node_mut(overloaded)?;
-            light_node.store = g.store.split_off_range(light_range);
-            g.range = crate::range::KeyRange::new(light_range.high(), g.range.high());
-        }
+        let g = self.node_mut(overloaded)?;
+        light_node.store = g.store.split_off_range(light_range);
+        let g_range = crate::range::KeyRange::new(light_range.high(), g.range.high());
+        self.set_range(overloaded, g_range)?;
         // Adjacency: predecessor(g) <-> light <-> g.
         let outer = {
             let g = self.node_ref(overloaded)?;

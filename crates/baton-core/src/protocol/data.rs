@@ -46,14 +46,12 @@ impl BatonSystem {
             let target_range = system.node_ref(walk.data)?.range;
             if !target_range.contains(key) {
                 // Leftmost / rightmost expansion.
-                {
-                    let node = system.node_mut(walk.data)?;
-                    if key < node.range.low() {
-                        node.range = node.range.extend_low(key);
-                    } else {
-                        node.range = node.range.extend_high(key + 1);
-                    }
-                }
+                let expanded = if key < target_range.low() {
+                    target_range.extend_low(key)
+                } else {
+                    target_range.extend_high(key + 1)
+                };
+                system.set_range(walk.data, expanded)?;
                 if key < system.domain.low() {
                     system.domain = system.domain.extend_low(key);
                 } else if key >= system.domain.high() {

@@ -172,8 +172,8 @@ impl BatonSystem {
         {
             let parent = self.node_mut(parent_peer)?;
             child.store = parent.store.split_off_range(child_range);
-            parent.range = parent_new_range;
         }
+        self.set_range(parent_peer, parent_new_range)?;
         child.parent = Some(NodeLink::new(parent_peer, parent_pos, parent_new_range));
 
         // One message: the parent accepts the joiner and hands over its half
@@ -207,7 +207,7 @@ impl BatonSystem {
 
         // Register the new node before notifications so that helpers can
         // resolve its link.
-        self.occupy(child_pos, joiner);
+        self.occupy(child_pos, joiner, child_range);
         self.nodes.insert(joiner, child);
 
         // The new node notifies the node on the far side of its adjacency

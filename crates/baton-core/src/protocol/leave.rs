@@ -212,17 +212,18 @@ impl BatonSystem {
         // 2. Transfer content and range to the parent.
         self.hop(op, actor, parent_link.peer, 1, "leave.transfer")?;
         messages += 1;
-        {
+        let merged = {
             let parent = self.node_mut(parent_link.peer)?;
             parent.store.absorb(store);
-            parent.range = parent.range.merge(range).ok_or_else(|| {
+            parent.set_child(side, None);
+            parent.range.merge(range).ok_or_else(|| {
                 BatonError::InvariantViolation(format!(
                     "leaf range {range} not contiguous with parent range {}",
                     parent.range
                 ))
-            })?;
-            parent.set_child(side, None);
-        }
+            })?
+        };
+        self.set_range(parent_link.peer, merged)?;
 
         // 3. Splice the adjacency chain: the parent inherits the leaf's
         //    outward adjacent link, and that node points back at the parent.
@@ -278,7 +279,7 @@ impl BatonSystem {
         let mut new_node = old_node;
         new_node.peer = new_peer;
         let position = new_node.position;
-        self.occupy(position, new_peer);
+        self.occupy(position, new_peer, new_node.range);
         self.nodes.insert(new_peer, new_node);
 
         // Repoint every node that held a link to the departed peer.

@@ -238,11 +238,12 @@ impl BatonSystem {
 
         // 2. Assign the new positions.
         for (peer, new_pos) in &plan.assignments {
-            {
+            let range = {
                 let node = self.node_mut(*peer)?;
                 node.position = *new_pos;
-            }
-            self.occupy(*new_pos, *peer);
+                node.range
+            };
+            self.occupy(*new_pos, *peer, range);
         }
 
         // 3. Rebuild the moved peers' own structural links and the links of

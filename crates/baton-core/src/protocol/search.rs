@@ -13,6 +13,22 @@
 //! owner keeps its range until repaired, so no live peer could answer, and
 //! a failed lookup costs about what a healthy one does instead of a sweep
 //! of the live graph.
+//!
+//! ### Where a hop's first candidate is read
+//!
+//! A healthy hop needs only its node's first candidate and the next node's
+//! termination test.  Both come from the routing plane
+//! ([`BatonSystem::plane_first_candidate`]): one flat array indexed by heap
+//! position, holding each occupant and its current range.  This is the
+//! second exception to the simulation-honesty rule in [`crate::system`].
+//! A routing-table slot `k` of the node at heap index `h` names the
+//! occupant of `h ± 2^k` and records its range; whenever `validate` checks
+//! 5, 8 and 10 hold, the slot and the plane entry agree, so the farthest
+//! matching slot and the farthest matching occupied position are the same
+//! peer and the walk sends the same messages.  Debug builds assert that
+//! equality on every hop against [`walk_candidates`].  The adjacent/parent
+//! fallback, the full candidate and detour lists a bounce writes out, the
+//! k > 1 replica termination and the range sweep still read the nodes.
 
 use std::ops::ControlFlow;
 
@@ -41,15 +57,16 @@ pub(crate) struct OwnerWalk {
     pub hops: u32,
 }
 
-/// One suspended step of the fault-tolerant DFS walk: the candidates of
-/// `peer` occupy `arena[start..end]` of the shared candidate arena and the
-/// walk has tried the first `next` of them.  A frame starts with nothing
-/// [`Built`] and an empty segment: a healthy walk follows a node's first
-/// candidate and never comes back, so the list is only written out once that
-/// first candidate has failed.
+/// One suspended step of the fault-tolerant DFS walk: `peer`, at heap index
+/// `h`, has its candidates in `arena[start..end]` of the shared candidate
+/// arena and the walk has tried the first `next` of them.  A frame starts
+/// with nothing [`Built`] and an empty segment: a healthy walk follows a
+/// node's first candidate and never comes back, so the list is only written
+/// out once that first candidate has failed.
 #[derive(Clone, Copy, Debug)]
 struct WalkFrame {
     peer: PeerId,
+    h: usize,
     start: usize,
     end: usize,
     next: usize,
@@ -364,16 +381,24 @@ impl BatonSystem {
     /// or it is the boundary node that would expand its range to cover an
     /// out-of-domain key (§IV-C).
     fn walk_terminates_at(&self, peer: PeerId, key: Key) -> Result<bool> {
-        Ok(self.terminates_walk(self.node_ref(peer)?, key))
+        Ok(self.terminates_walk(self.node_ref(peer)?.range, key))
     }
 
-    /// [`walk_terminates_at`](Self::walk_terminates_at) on a node already
-    /// in hand.
-    fn terminates_walk(&self, node: &BatonNode, key: Key) -> bool {
+    /// [`walk_terminates_at`](Self::walk_terminates_at) for a node managing
+    /// `range`.
+    fn terminates_walk(&self, range: KeyRange, key: Key) -> bool {
         let domain = self.domain;
-        node.range.contains(key)
-            || (key >= node.range.high() && node.range.high() >= domain.high())
-            || (key < node.range.low() && node.range.low() <= domain.low())
+        range.contains(key)
+            || (key >= range.high() && range.high() >= domain.high())
+            || (key < range.low() && range.low() <= domain.low())
+    }
+
+    /// [`walk_terminates_at`](Self::walk_terminates_at) for the occupant of
+    /// heap index `h`, read from the routing plane.
+    #[inline]
+    fn plane_terminates(&self, h: usize, key: Key) -> bool {
+        let (_, range) = self.by_position.at(h).expect("walk frames are occupied");
+        self.terminates_walk(range, key)
     }
 
     /// Failover termination at k > 1: an alive node also terminates the
@@ -409,7 +434,71 @@ impl BatonSystem {
         Ok(None)
     }
 
-    /// The first of `peer`'s [`walk_candidates`] — all a healthy hop needs.
+    /// The first of the [`walk_candidates`] of the node at heap index `h`,
+    /// with its own heap index — all a healthy hop needs — read from the
+    /// routing plane where it can be.
+    ///
+    /// Towards the right it is the occupant of the farthest `h + 2^k` on
+    /// `h`'s level whose range starts at or below `key`; towards the left,
+    /// of the farthest `h − 2^k` whose range ends above `key`; failing
+    /// both, the key-side child `2h + 1` or `2h`.  Those are the farthest
+    /// matching table entry and the key-side child link as long as
+    /// `validate` checks 5 and 8 hold: every table slot names the occupant
+    /// of its position with that occupant's current range.  Only a node
+    /// with neither reads its own adjacent and parent links.
+    fn plane_first_candidate(
+        &self,
+        peer: PeerId,
+        h: usize,
+        key: Key,
+    ) -> Result<Option<(PeerId, usize)>> {
+        let plane = &self.by_position;
+        let (_, range) = plane.at(h).expect("walk frames are occupied");
+        let level_start = 1usize << h.ilog2();
+        let towards_right = key >= range.high();
+        let (room, child) = if towards_right {
+            (2 * level_start - 1 - h, 2 * h + 1)
+        } else {
+            (h - level_start, 2 * h)
+        };
+        if room > 0 {
+            for k in (0..=room.ilog2()).rev() {
+                let target = if towards_right {
+                    h + (1 << k)
+                } else {
+                    h - (1 << k)
+                };
+                let Some((candidate, candidate_range)) = plane.at(target) else {
+                    continue;
+                };
+                let matching = if towards_right {
+                    candidate_range.low() <= key
+                } else {
+                    candidate_range.high() > key
+                };
+                if matching {
+                    return Ok(Some((candidate, target)));
+                }
+            }
+        }
+        if let Some((candidate, _)) = plane.at(child) {
+            return Ok(Some((candidate, child)));
+        }
+        let node = self.node_ref(peer)?;
+        let adjacent = if towards_right {
+            node.right_adjacent
+        } else {
+            node.left_adjacent
+        };
+        let fallback = [adjacent, node.parent].into_iter().flatten();
+        Ok(fallback
+            .map(|link| (link.peer, link.position.heap_index() as usize))
+            .find(|&(candidate, _)| candidate != peer))
+    }
+
+    /// The first of `peer`'s [`walk_candidates`], read from its routing
+    /// table — the reference [`plane_first_candidate`](Self::plane_first_candidate)
+    /// is checked against.
     fn first_walk_candidate(&self, peer: PeerId, key: Key) -> Result<Option<PeerId>> {
         let first = walk_candidates(self.node_ref(peer)?, key, |candidate| {
             if candidate == peer {
@@ -508,7 +597,9 @@ impl BatonSystem {
         key: Key,
         operation: &'static str,
     ) -> Result<OwnerWalk> {
-        if self.walk_terminates_at(issuer, key)? {
+        let issuer_node = self.node_ref(issuer)?;
+        let issuer_h = issuer_node.position.heap_index() as usize;
+        if self.terminates_walk(issuer_node.range, key) {
             return Ok(OwnerWalk {
                 owner: issuer,
                 data: issuer,
@@ -528,7 +619,7 @@ impl BatonSystem {
         // walk also sends messages through `self`, so take them out for the
         // duration of the walk and put them back whatever the outcome.
         let mut scratch = std::mem::take(&mut self.walk_scratch);
-        let result = self.locate_owner_walk(op, issuer, key, operation, &mut scratch);
+        let result = self.locate_owner_walk(op, issuer, issuer_h, key, operation, &mut scratch);
         self.walk_scratch = scratch;
         result
     }
@@ -542,6 +633,7 @@ impl BatonSystem {
         &mut self,
         op: OpScope,
         issuer: PeerId,
+        issuer_h: usize,
         key: Key,
         operation: &'static str,
         scratch: &mut WalkScratch,
@@ -554,6 +646,7 @@ impl BatonSystem {
         scratch.mark_visited(issuer);
         scratch.frames.push(WalkFrame {
             peer: issuer,
+            h: issuer_h,
             start: 0,
             end: 0,
             next: 0,
@@ -567,8 +660,17 @@ impl BatonSystem {
                 .last()
                 .expect("stack never drains in the loop");
             let current = top.peer;
-            let candidate = match top.built {
-                Built::Nothing if top.next == 0 => self.first_walk_candidate(current, key)?,
+            // The candidate, with its heap index when the plane gave it.
+            let (candidate, candidate_h) = match top.built {
+                Built::Nothing if top.next == 0 => {
+                    let first = self.plane_first_candidate(current, top.h, key)?;
+                    debug_assert_eq!(
+                        first.map(|(candidate, _)| candidate),
+                        self.first_walk_candidate(current, key)?,
+                        "the routing plane disagrees with {current}'s routing table"
+                    );
+                    (first.map(|(candidate, _)| candidate), first.map(|(_, h)| h))
+                }
                 Built::Nothing => {
                     // The first candidate was dead, visited or a dead end:
                     // write out the full greedy list and resume behind its
@@ -589,7 +691,10 @@ impl BatonSystem {
                     frame.end = scratch.arena.len();
                     continue;
                 }
-                _ => scratch.arena[top.start..top.end].get(top.next).copied(),
+                _ => (
+                    scratch.arena[top.start..top.end].get(top.next).copied(),
+                    None,
+                ),
             };
             let Some(candidate) = candidate else {
                 if top.built != Built::Fallback {
@@ -638,7 +743,7 @@ impl BatonSystem {
                 if self.replication <= 1
                     && self
                         .node(candidate)
-                        .is_some_and(|node| self.terminates_walk(node, key))
+                        .is_some_and(|node| self.terminates_walk(node.range, key))
                 {
                     return Err(BatonError::PeerNotAlive(candidate));
                 }
@@ -646,7 +751,13 @@ impl BatonSystem {
             }
             scratch.mark_visited(candidate);
             hops += 1;
-            if self.walk_terminates_at(candidate, key)? {
+            let candidate_h = match candidate_h {
+                Some(h) => h,
+                None => self.node_ref(candidate)?.position.heap_index() as usize,
+            };
+            let terminates = self.plane_terminates(candidate_h, key);
+            debug_assert_eq!(terminates, self.walk_terminates_at(candidate, key)?);
+            if terminates {
                 return Ok(OwnerWalk {
                     owner: candidate,
                     data: candidate,
@@ -664,6 +775,7 @@ impl BatonSystem {
             }
             scratch.frames.push(WalkFrame {
                 peer: candidate,
+                h: candidate_h,
                 start: scratch.arena.len(),
                 end: scratch.arena.len(),
                 next: 0,
@@ -678,6 +790,7 @@ mod tests {
     use super::*;
     use crate::config::BatonConfig;
     use crate::validate::validate;
+    use baton_net::SimRng;
 
     fn build(n: usize, seed: u64) -> BatonSystem {
         BatonSystem::build(BatonConfig::default(), seed, n).expect("build network")
@@ -929,6 +1042,140 @@ mod tests {
         assert_eq!((report.messages, report.hops), (14, 12));
         assert_eq!(system.net.stats().total_sent() - sent, report.messages);
         assert_no_open_op(&mut system);
+    }
+
+    /// Asserts, for 64 random (issuer, key) pairs — one key in eight
+    /// outside the domain, as an expanding insert routes, and one in four on
+    /// either side of a node's range boundary — that the routing plane gives
+    /// the first candidate and the termination test the issuer's own tables
+    /// and range give.
+    fn assert_plane_matches_tables(system: &BatonSystem, rng: &mut SimRng, at: &str) {
+        let domain = system.domain();
+        for _ in 0..64 {
+            let issuer = system.peers()[rng.index(system.node_count())];
+            let key = match rng.index(8) {
+                0 if domain.low() > 0 => rng.uniform_u64(0, domain.low()),
+                0 => domain.high() + rng.uniform_u64(0, 1_000),
+                1 | 2 => {
+                    let peers = system.peers();
+                    let range = system.node(peers[rng.index(peers.len())]).unwrap().range;
+                    [range.low(), range.high().saturating_sub(1)][rng.index(2)]
+                }
+                _ => rng.uniform_u64(domain.low(), domain.high()),
+            };
+            let h = system.node(issuer).unwrap().position.heap_index() as usize;
+            let plane = system.plane_first_candidate(issuer, h, key).unwrap();
+            assert_eq!(
+                plane.map(|(candidate, _)| candidate),
+                system.first_walk_candidate(issuer, key).unwrap(),
+                "{at}: first candidate of {issuer} towards {key}"
+            );
+            if let Some((candidate, candidate_h)) = plane {
+                let position = system.node(candidate).unwrap().position;
+                assert_eq!(position.heap_index() as usize, candidate_h, "{at}");
+            }
+            assert_eq!(
+                system.plane_terminates(h, key),
+                system.walk_terminates_at(issuer, key).unwrap(),
+                "{at}: termination at {issuer} for {key}"
+            );
+        }
+    }
+
+    /// The routing plane against the routing tables, in the build where the
+    /// walk's `debug_assert`s are compiled out: random op sequences at
+    /// N = 500–2,000 drive every occupancy change and range write — joins,
+    /// leaves, failures repaired at once or later, inserts that grow the
+    /// domain, deletes, forced balancing and replication changes.  After
+    /// every op the overlay validates (check 10 is the plane), no op is
+    /// left open, and the plane routes like the tables.
+    #[test]
+    fn routing_plane_matches_the_tables_under_random_ops() {
+        let config = BatonConfig::default()
+            .with_load_balance(crate::config::LoadBalanceConfig::for_average_load(2));
+        let policy = baton_net::RepairPolicy {
+            fast: baton_net::SimTime::from_millis(10),
+            slow: baton_net::SimTime::from_millis(100),
+        };
+        let mut rng = SimRng::seeded(0x91A4E);
+        for n in [500usize, 1_000, 2_000] {
+            let mut system = BatonSystem::build(config, n as u64, n).unwrap();
+            let mut keys: Vec<Key> = Vec::new();
+            let mut pending: Vec<PeerId> = Vec::new();
+            for step in 0..300 {
+                let domain = system.domain();
+                let (label, result) = match rng.index(11) {
+                    0 => ("join", system.join_random().map(drop)),
+                    1 => ("leave", system.leave_random().map(drop)),
+                    2 => {
+                        let victim = system.random_peer().unwrap();
+                        ("fail", system.fail(victim).map(drop))
+                    }
+                    3 if pending.len() < 3 => {
+                        let victim = system.random_peer().unwrap();
+                        pending.push(victim);
+                        (
+                            "fail deferred",
+                            system.fail_deferred(victim, &policy).map(drop),
+                        )
+                    }
+                    3 | 4 if !pending.is_empty() => {
+                        let victim = pending.remove(0);
+                        match system.recover_failed(victim) {
+                            // No live neighbour yet: retry after theirs.
+                            Err(BatonError::PeerNotAlive(_)) => pending.push(victim),
+                            // Absorbed as an earlier repair's replacement.
+                            Err(BatonError::UnknownPeer(_)) | Ok(_) => {}
+                            Err(e) => panic!("N={n} step {step}: repair of {victim}: {e}"),
+                        }
+                        ("repair", Ok(()))
+                    }
+                    5 => {
+                        let key = if domain.low() > 0 && rng.index(2) == 0 {
+                            domain.low() - 1
+                        } else {
+                            domain.high() + rng.uniform_u64(0, 1_000)
+                        };
+                        keys.push(key);
+                        ("insert out of domain", system.insert(key, step).map(drop))
+                    }
+                    6 if !keys.is_empty() => {
+                        let key = keys.swap_remove(rng.index(keys.len()));
+                        ("delete", system.delete(key).map(drop))
+                    }
+                    7 => {
+                        // A burst inside one node's range overloads it.
+                        let peer = system.random_peer().unwrap();
+                        let range = system.node(peer).unwrap().range;
+                        let burst = (0..24).map(|_| rng.uniform_u64(range.low(), range.high()));
+                        let burst: Vec<Key> = burst.collect();
+                        let result = burst.iter().try_for_each(|&key| {
+                            keys.push(key);
+                            system.insert(key, step).map(drop)
+                        });
+                        ("forced balance", result)
+                    }
+                    8 => {
+                        let k = 1 + rng.index(3);
+                        ("set replication", system.set_replication(k))
+                    }
+                    _ => {
+                        let key = rng.uniform_u64(domain.low(), domain.high());
+                        keys.push(key);
+                        ("insert", system.insert(key, step).map(drop))
+                    }
+                };
+                let at = format!("N={n} step {step} ({label})");
+                match result {
+                    // Unavailable while a deferred failure awaits repair.
+                    Ok(()) | Err(BatonError::PeerNotAlive(_)) => {}
+                    Err(e) => panic!("{at}: {e}"),
+                }
+                validate(&system).unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_no_open_op(&mut system);
+                assert_plane_matches_tables(&system, &mut rng, &at);
+            }
+        }
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //! links to its parent, its children, its in-order neighbours and, on its
 //! own level, to the occupied positions `n − 2^i` (left routing table) and
 //! `n + 2^i` (right routing table).  The walk that assigns slots also fills
-//! a per-level position → slot table, and each slot's links come from that
-//! table by arithmetic, in the order a peer lists its own: parent, left and
-//! right child, left and right adjacent, left table then right table, `i`
-//! ascending.  Whenever [`crate::validate`] holds — its checks 2, 5 and 6
-//! assert that the peers' parent/child links, routing tables and adjacent
-//! links are exactly these — the output equals the snapshot of the peers'
-//! own links; `tests/tests/snapshot_export.rs` keeps a reference exporter
-//! that reads every routing table and requires equal snapshots after churn,
-//! deferred failures and repairs.
+//! a position → slot table indexed like the routing plane, by heap index
+//! `h`, and each slot's links come from that table by arithmetic — parent
+//! `h/2`, children `2h` and `2h+1`, table neighbours `h ± 2^i` — in the
+//! order a peer lists its own: parent, left and right child, left and right
+//! adjacent, left table then right table, `i` ascending.  Whenever
+//! [`crate::validate`] holds — its checks 2, 5 and 6 assert that the peers'
+//! parent/child links, routing tables and adjacent links are exactly these
+//! — the output equals the snapshot of the peers' own links;
+//! `tests/tests/snapshot_export.rs` keeps a reference exporter that reads
+//! every routing table and requires equal snapshots after churn, deferred
+//! failures and repairs.
 
 use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
 use baton_net::LinkKind;
@@ -42,41 +44,42 @@ impl BatonSystem {
             (domain.low(), domain.high()),
         );
         builder.reserve(self.node_count(), self.total_items());
-        // Slots in key order.  `slot_at[level][number − 1]` is the slot of a
-        // position, `order[slot]` its `(level, number − 1)`.
-        let mut slot_at = self.by_position.same_shape(NO_SLOT);
-        let mut order: Vec<(usize, usize)> = Vec::with_capacity(self.node_count());
-        self.by_position.walk_in_order(|level, index, peer| {
-            slot_at[level][index] = order.len() as u32;
-            order.push((level, index));
+        // Slots in key order.  `slot_at[h]` is the slot of the position at
+        // heap index `h`, `order[slot]` its heap index.
+        let mut slot_at = vec![NO_SLOT; self.by_position.heap_len()];
+        let mut order: Vec<usize> = Vec::with_capacity(self.node_count());
+        self.by_position.walk_in_order(|h, peer| {
+            slot_at[h] = order.len() as u32;
+            order.push(h);
             let node = self.node(peer).expect("the position map names members");
             // Registered nodes are dead only while awaiting a deferred repair.
             builder.push_slot(peer.0, node.range.high(), self.net.is_alive(peer));
             builder.push_keys(node.store.keys().iter().copied());
             builder.seal_slot();
         });
+        let slot = |h: usize| {
+            let slot = *slot_at.get(h)?;
+            (slot != NO_SLOT).then_some(slot as usize)
+        };
+        // The heap indices of `h`'s level are `level_start ..< 2·level_start`.
+        let level_start = |h: usize| 1usize << h.ilog2();
         // The exact link count: a parent and a child link per non-root
         // slot, two adjacent links per consecutive pair, and both ends of
         // every pair of occupied positions 2^i apart on one level.
         let mut links = 4 * order.len().saturating_sub(1);
-        for row in &slot_at {
-            for index in (0..row.len()).filter(|&index| row[index] != NO_SLOT) {
-                let mut distance = 1;
-                while index + distance < row.len() {
-                    links += 2 * usize::from(row[index + distance] != NO_SLOT);
-                    distance *= 2;
-                }
+        for &h in &order {
+            let mut distance = 1;
+            while h + distance < 2 * level_start(h) {
+                links += 2 * usize::from(slot(h + distance).is_some());
+                distance *= 2;
             }
         }
         builder.reserve_links(links);
-        let slot = |level: usize, index: usize| {
-            let slot = *slot_at.get(level)?.get(index)?;
-            (slot != NO_SLOT).then_some(slot as usize)
-        };
         let last = order.len().saturating_sub(1);
-        for (s, &(level, index)) in order.iter().enumerate() {
-            let parent = level.checked_sub(1).and_then(|up| slot(up, index / 2));
-            let children = [slot(level + 1, 2 * index), slot(level + 1, 2 * index + 1)];
+        for (s, &h) in order.iter().enumerate() {
+            // Heap index 0 is never occupied, so the root finds no parent.
+            let parent = slot(h / 2);
+            let children = [slot(2 * h), slot(2 * h + 1)];
             let adjacents = [s.checked_sub(1), (s < last).then_some(s + 1)];
             if let Some(target) = parent {
                 builder.link(s, target, LinkKind::Parent);
@@ -87,18 +90,19 @@ impl BatonSystem {
             for target in adjacents.into_iter().flatten() {
                 builder.link(s, target, LinkKind::Adjacent);
             }
-            // Sideways: every occupied n − 2^i, then every occupied n + 2^i;
-            // no row is wider than its level's 2^level positions.
+            // Sideways: every occupied h − 2^i, then every occupied h + 2^i,
+            // staying on h's level.
+            let start = level_start(h);
             let mut distance = 1;
-            while distance <= index {
-                if let Some(target) = slot(level, index - distance) {
+            while distance <= h - start {
+                if let Some(target) = slot(h - distance) {
                     builder.link(s, target, LinkKind::RoutingTable);
                 }
                 distance *= 2;
             }
             let mut distance = 1;
-            while index + distance < slot_at[level].len() {
-                if let Some(target) = slot(level, index + distance) {
+            while h + distance < 2 * start {
+                if let Some(target) = slot(h + distance) {
                     builder.link(s, target, LinkKind::RoutingTable);
                 }
                 distance *= 2;

@@ -13,12 +13,24 @@
 //! Protocol code only navigates the overlay through links a real node would
 //! hold (parent, children, adjacent nodes, routing tables), and every hop or
 //! notification is charged to the operation through the network's
-//! statistics.  The one exception is documented in
-//! [`crate::protocol::restructure`]: after a restructuring shift the
-//! affected links are rebuilt from the global position map, with messages
-//! charged per the paper's cost model, because simulating the link-repair
-//! handshakes peer by peer adds no fidelity to the message counts the paper
-//! reports.
+//! statistics.  There are two documented exceptions:
+//!
+//! 1. [`crate::protocol::restructure`]: after a restructuring shift the
+//!    affected links are rebuilt from the global position map, with messages
+//!    charged per the paper's cost model, because simulating the link-repair
+//!    handshakes peer by peer adds no fidelity to the message counts the
+//!    paper reports.
+//! 2. [`crate::protocol::search`]: the §IV-A walk reads a hop's first
+//!    candidate and its termination test from the routing plane (the
+//!    position map, which records every occupant's current range) instead of
+//!    from the forwarding node's routing table.  The answer is the same
+//!    peer: `validate` checks 5 and 8 say every table slot names the real
+//!    occupant of its position with that occupant's current range, so the
+//!    farthest matching slot is the farthest matching occupied position,
+//!    and check 10 says the plane records exactly those occupants and
+//!    ranges.  Messages, hops and every statistic are unchanged; only the
+//!    host's memory loads differ.  Debug builds assert the equality on
+//!    every hop, and a release differential checks it under random churn.
 //!
 //! ### Membership fan-out
 //!
@@ -40,17 +52,43 @@ use crate::position::Position;
 use crate::range::{Key, KeyRange};
 use crate::routing::NodeLink;
 
-/// Dense position-to-peer index: one vector per tree level, indexed by the
-/// position number within the level.
+/// One position of the [`PositionMap`]: its occupant, if any, and the key
+/// range that occupant manages now (meaningless while unoccupied).  24 bytes.
+#[derive(Clone, Copy, Debug)]
+struct PlaneSlot {
+    range: KeyRange,
+    peer: Option<PeerId>,
+}
+
+const _: () = assert!(std::mem::size_of::<PlaneSlot>() == 24);
+
+impl PlaneSlot {
+    fn empty() -> Self {
+        Self {
+            range: KeyRange::new(0, 0),
+            peer: None,
+        }
+    }
+}
+
+/// The routing plane: one flat array indexed by [`Position::heap_index`]
+/// whose entries hold each occupied position's peer and that peer's current
+/// key range.
+///
+/// It is the simulator's position index — restructuring probes occupancy
+/// through it, the snapshot exporter walks it — and the §IV-A walk reads a
+/// hop's first candidate and termination test from it instead of loading
+/// the node and its routing table (see [`crate::protocol::search`]).  It
+/// changes only through [`BatonSystem::occupy`] / [`BatonSystem::vacate`]
+/// and [`BatonSystem::set_range`], and `validate` check 10 holds it to the
+/// nodes' own state.
 ///
 /// BATON keeps the tree balanced, so the occupied positions of an `N`-node
-/// overlay span `O(N)` slots across `O(log N)` levels — dense rows cost the
-/// same order of memory as a hash map while every occupancy probe (several
-/// per restructuring step) is two array indexes.  Rows grow lazily to the
-/// highest number occupied on their level.
+/// overlay span `O(N)` heap indices.  The array grows lazily to the highest
+/// index occupied; index 0 is never a position and stays empty.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct PositionMap {
-    levels: Vec<Vec<Option<PeerId>>>,
+    slots: Vec<PlaneSlot>,
     /// Occupied positions per level, so the tree height — consulted by
     /// every search walk for its loop budget — is an O(levels) scan
     /// instead of an O(N) sweep over the nodes.
@@ -58,13 +96,17 @@ pub(crate) struct PositionMap {
 }
 
 impl PositionMap {
+    /// Occupant and range at heap index `h`, if occupied.
+    #[inline]
+    pub(crate) fn at(&self, h: usize) -> Option<(PeerId, KeyRange)> {
+        let slot = self.slots.get(h)?;
+        Some((slot.peer?, slot.range))
+    }
+
     /// The peer occupying `position`, if any.
     #[inline]
     pub(crate) fn get(&self, position: Position) -> Option<PeerId> {
-        *self
-            .levels
-            .get(position.level() as usize)?
-            .get((position.number() - 1) as usize)?
+        self.slots.get(position.heap_index() as usize)?.peer
     }
 
     /// `true` if `position` is occupied.
@@ -73,31 +115,42 @@ impl PositionMap {
         self.get(position).is_some()
     }
 
-    /// Records that `peer` occupies `position`.
-    pub(crate) fn insert(&mut self, position: Position, peer: PeerId) {
+    /// Records that `peer`, managing `range`, occupies `position`.
+    pub(crate) fn insert(&mut self, position: Position, peer: PeerId, range: KeyRange) {
         let level = position.level() as usize;
-        if self.levels.len() <= level {
-            self.levels.resize_with(level + 1, Vec::new);
+        if self.occupied.len() <= level {
             self.occupied.resize(level + 1, 0);
         }
-        let row = &mut self.levels[level];
-        let index = (position.number() - 1) as usize;
-        if row.len() <= index {
-            row.resize(index + 1, None);
+        let h = position.heap_index() as usize;
+        if self.slots.len() <= h {
+            self.slots.resize(h + 1, PlaneSlot::empty());
         }
-        if row[index].is_none() {
+        let slot = &mut self.slots[h];
+        if slot.peer.is_none() {
             self.occupied[level] += 1;
         }
-        row[index] = Some(peer);
+        *slot = PlaneSlot {
+            range,
+            peer: Some(peer),
+        };
     }
 
     /// Clears the occupancy record of `position`.
     pub(crate) fn remove(&mut self, position: Position) {
-        if let Some(row) = self.levels.get_mut(position.level() as usize) {
-            if let Some(slot) = row.get_mut((position.number() - 1) as usize) {
-                if slot.take().is_some() {
-                    self.occupied[position.level() as usize] -= 1;
-                }
+        if let Some(slot) = self.slots.get_mut(position.heap_index() as usize) {
+            if slot.peer.is_some() {
+                *slot = PlaneSlot::empty();
+                self.occupied[position.level() as usize] -= 1;
+            }
+        }
+    }
+
+    /// Records `peer`'s new range, if `peer` occupies `position` (a node
+    /// spliced in ahead of its restructuring has no position yet).
+    pub(crate) fn set_range(&mut self, position: Position, peer: PeerId, range: KeyRange) {
+        if let Some(slot) = self.slots.get_mut(position.heap_index() as usize) {
+            if slot.peer == Some(peer) {
+                slot.range = range;
             }
         }
     }
@@ -111,34 +164,40 @@ impl PositionMap {
             .unwrap_or(0)
     }
 
-    /// A table shaped like the map — one row per level, as long as the
-    /// level's row, so indexed by `[level][number − 1]` — filled with
-    /// `value`.
-    pub(crate) fn same_shape<T: Clone>(&self, value: T) -> Vec<Vec<T>> {
-        let row = |level: &Vec<Option<PeerId>>| vec![value.clone(); level.len()];
-        self.levels.iter().map(row).collect()
+    /// Occupied positions per level, shallowest first.
+    pub(crate) fn level_counts(&self) -> &[usize] {
+        &self.occupied
+    }
+
+    /// One past the highest heap index the array covers: every occupied
+    /// heap index is below it.
+    pub(crate) fn heap_len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Every occupied heap index with its occupant and range, in heap order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, PeerId, KeyRange)> + '_ {
+        let occupied = |(h, slot): (usize, &PlaneSlot)| Some((h, slot.peer?, slot.range));
+        self.slots.iter().enumerate().filter_map(occupied)
     }
 
     /// Visits the positions of the tree hanging from the root in in-order
-    /// (key order), as `(level, number − 1, occupant)`.  Iterative: the
-    /// stack holds one position per level.
-    pub(crate) fn walk_in_order(&self, mut visit: impl FnMut(usize, usize, PeerId)) {
-        let at = |level: usize, index: usize| {
-            let peer = *self.levels.get(level)?.get(index)?;
-            peer.map(|peer| (level, index, peer))
-        };
-        let mut stack = Vec::with_capacity(self.levels.len());
-        let mut next = at(0, 0);
+    /// (key order), as `(heap index, occupant)`.  Iterative: the stack holds
+    /// one position per level.
+    pub(crate) fn walk_in_order(&self, mut visit: impl FnMut(usize, PeerId)) {
+        let at = |h: usize| Some((h, self.slots.get(h)?.peer?));
+        let mut stack = Vec::with_capacity(self.occupied.len());
+        let mut next = at(1);
         loop {
-            while let Some((level, index, peer)) = next {
-                stack.push((level, index, peer));
-                next = at(level + 1, 2 * index);
+            while let Some((h, peer)) = next {
+                stack.push((h, peer));
+                next = at(2 * h);
             }
-            let Some((level, index, peer)) = stack.pop() else {
+            let Some((h, peer)) = stack.pop() else {
                 return;
             };
-            visit(level, index, peer);
-            next = at(level + 1, 2 * index + 1);
+            visit(h, peer);
+            next = at(2 * h + 1);
         }
     }
 }
@@ -214,9 +273,8 @@ impl BatonSystem {
         }
         let peer = self.net.add_peer();
         let node = BatonNode::new(peer, Position::ROOT, self.domain);
-        self.by_position.insert(Position::ROOT, peer);
+        self.occupy(Position::ROOT, peer, self.domain);
         self.nodes.insert(peer, node);
-        self.root = Some(peer);
         Ok(peer)
     }
 
@@ -572,9 +630,9 @@ impl BatonSystem {
         self.net.count_message(op, kind, from, to);
     }
 
-    /// Registers that `peer` now occupies `position`.
-    pub(crate) fn occupy(&mut self, position: Position, peer: PeerId) {
-        self.by_position.insert(position, peer);
+    /// Registers that `peer`, managing `range`, now occupies `position`.
+    pub(crate) fn occupy(&mut self, position: Position, peer: PeerId, range: KeyRange) {
+        self.by_position.insert(position, peer, range);
         if position.is_root() {
             self.root = Some(peer);
         }
@@ -588,6 +646,17 @@ impl BatonSystem {
                 self.root = None;
             }
         }
+    }
+
+    /// Sets `peer`'s key range.  Every range write goes through here, so the
+    /// routing plane ([`PositionMap`]) always records the range the node
+    /// manages.
+    pub(crate) fn set_range(&mut self, peer: PeerId, range: KeyRange) -> Result<()> {
+        let node = self.node_mut(peer)?;
+        node.range = range;
+        let position = node.position;
+        self.by_position.set_range(position, peer, range);
+        Ok(())
     }
 
     /// Sends one `kind` notification from `from` to every target, each of

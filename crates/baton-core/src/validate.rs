@@ -15,7 +15,10 @@
 //!    positions;
 //! 7. the nodes' ranges, read in in-order, partition the key domain;
 //! 8. every link's recorded range matches the target's actual range;
-//! 9. every stored key lies inside its node's range.
+//! 9. every stored key lies inside its node's range;
+//! 10. the routing plane mirrors the nodes: every occupied position's entry
+//!     names its occupant with that occupant's current range, and no
+//!     unoccupied position has an entry.
 //!
 //! The test suites call `validate` after every mutating operation, making it
 //! the central correctness oracle for the whole protocol implementation.
@@ -32,6 +35,7 @@ pub fn validate(system: &BatonSystem) -> Result<()> {
     }
     check_peer_list(system)?;
     check_position_bookkeeping(system)?;
+    check_routing_plane(system)?;
     check_tree_links(system)?;
     check_balance(system)?;
     check_theorem1(system)?;
@@ -108,6 +112,43 @@ fn check_position_bookkeeping(system: &BatonSystem) -> Result<()> {
                 "non-empty overlay with no node at the root position".into(),
             ))
         }
+    }
+    Ok(())
+}
+
+/// Check 10.  Runs before the link and range checks: a range written past
+/// [`BatonSystem::set_range`] is reported as the stale plane entry it
+/// leaves, whatever else it breaks.
+fn check_routing_plane(system: &BatonSystem) -> Result<()> {
+    let plane = &system.by_position;
+    let mut per_level = vec![0usize; plane.level_counts().len()];
+    for (h, peer, range) in plane.iter() {
+        let Some(node) = system.node(peer) else {
+            return Err(violation(format!(
+                "routing plane entry {h} names {peer}, which is not a member"
+            )));
+        };
+        if node.position.heap_index() as usize != h {
+            return Err(violation(format!(
+                "routing plane entry {h} names {peer}, which is at {:?}",
+                node.position
+            )));
+        }
+        if range != node.range {
+            return Err(violation(format!(
+                "routing plane entry {h} records range {range} but {peer} manages {}",
+                node.range
+            )));
+        }
+        per_level[node.position.level() as usize] += 1;
+    }
+    // The per-level counters the tree height is read from count exactly
+    // these entries.
+    if per_level != plane.level_counts() {
+        return Err(violation(format!(
+            "routing plane counts {:?} occupied positions per level but holds {per_level:?}",
+            plane.level_counts()
+        )));
     }
     Ok(())
 }
@@ -480,6 +521,58 @@ mod tests {
             node.range = KeyRange::new(0, 1);
         }
         assert!(validate(&system).is_err());
+    }
+
+    /// Moves the boundary between a node and its right adjacent node to the
+    /// middle of the first one's range and refreshes every link recording
+    /// either range — through [`BatonSystem::set_range`], or by writing the
+    /// nodes' ranges directly.
+    fn shift_boundary(through_set_range: bool) -> BatonSystem {
+        let mut system = BatonSystem::build(BatonConfig::default(), 5, 16).unwrap();
+        let left = system.peers()[0];
+        let (left_range, right) = {
+            let node = system.node(left).unwrap();
+            let right = node.right_adjacent.or(node.left_adjacent).unwrap().peer;
+            (node.range, right)
+        };
+        let (left, right, left_range, right_range) = {
+            let other = system.node(right).unwrap().range;
+            if other.low() == left_range.high() {
+                (left, right, left_range, other)
+            } else {
+                (right, left, other, left_range)
+            }
+        };
+        let middle = (left_range.low() + left_range.high()) / 2;
+        let moved = [
+            (left, KeyRange::new(left_range.low(), middle)),
+            (right, KeyRange::new(middle, right_range.high())),
+        ];
+        for (peer, range) in moved {
+            if through_set_range {
+                system.set_range(peer, range).unwrap();
+            } else {
+                system.node_opt_mut(peer).unwrap().range = range;
+            }
+            let node = system.node(peer).unwrap();
+            let (position, linked) = (node.position, node.linked_peers());
+            for other in linked {
+                let other = system.node_opt_mut(other).unwrap();
+                other.update_link_range(peer, position, range);
+            }
+        }
+        system
+    }
+
+    #[test]
+    fn detects_stale_plane_range() {
+        validate(&shift_boundary(true)).expect("a boundary shift through set_range is valid");
+        match validate(&shift_boundary(false)) {
+            Err(BatonError::InvariantViolation(message)) => {
+                assert!(message.contains("routing plane"), "{message}")
+            }
+            other => panic!("a stale routing plane went unnoticed: {other:?}"),
+        }
     }
 
     #[test]

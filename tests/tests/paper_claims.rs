@@ -3,7 +3,8 @@
 //! * exact and range queries cost `O(log N)` / `O(log N + X)` messages;
 //! * joins and departures update routing tables in `O(log N)` messages,
 //!   cheaper than Chord's `O(log² N)`;
-//! * the tree stays height-balanced (≤ 1.44 log₂ N);
+//! * the tree stays height-balanced (≤ 1.44 log₂ N + 1) and an exact query
+//!   costs at most log₂ N messages on average, from N = 10 to 10,000;
 //! * the root is not an access hotspot;
 //! * Chord cannot answer range queries, BATON and the multiway tree can.
 
@@ -90,6 +91,45 @@ fn tree_height_is_within_the_balanced_bound() {
             height <= bound,
             "height {height} exceeds 1.44·log2 N bound {bound:.1} (seed {seed})"
         );
+    }
+}
+
+/// Both constructions at N = 10, 100, 1,000 and 10,000: the height stays
+/// within `1.44·log₂N + 1` (the AVL bound BATON inherits, §III) and an
+/// exact query from a random peer costs at most `log₂N` messages on
+/// average (§IV-A).
+#[test]
+fn paper_bounds_hold_at_every_size() {
+    let generator = KeyGenerator::paper(KeyDistribution::Uniform);
+    for build in ["join-built", "bulk-built"] {
+        for n in [10usize, 100, 1_000, 10_000] {
+            let mut overlay = if build == "join-built" {
+                BatonSystem::build(BatonConfig::default(), 11, n).unwrap()
+            } else {
+                BatonSystem::bulk_build(BatonConfig::default(), 11, n).unwrap()
+            };
+            let log_n = (n as f64).log2();
+            let height = overlay.height() as f64;
+            let bound = 1.44 * log_n + 1.0;
+            assert!(
+                height <= bound,
+                "{build} N={n}: height {height} exceeds 1.44·log2 N + 1 = {bound:.1}"
+            );
+            let mut rng = SimRng::seeded(n as u64);
+            let queries = 500;
+            let mut messages = 0u64;
+            for _ in 0..queries {
+                messages += overlay
+                    .search_exact(generator.next_key(&mut rng))
+                    .unwrap()
+                    .messages;
+            }
+            let mean = messages as f64 / queries as f64;
+            assert!(
+                mean <= log_n,
+                "{build} N={n}: mean exact-query cost {mean:.2} exceeds log2 N = {log_n:.2}"
+            );
+        }
     }
 }
 
