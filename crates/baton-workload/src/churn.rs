@@ -4,7 +4,7 @@
 //! sizes and, for Figure 8(i), by applying *concurrent* batches of joins and
 //! leaves of increasing intensity ("network dynamics").
 
-use rand::Rng;
+use baton_net::SimRng;
 
 /// One churn event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,12 +42,12 @@ impl Default for ChurnWorkload {
 
 impl ChurnWorkload {
     /// Generates the event sequence.
-    pub fn events<R: Rng>(&self, rng: &mut R) -> Vec<ChurnEvent> {
+    pub fn events(&self, rng: &mut SimRng) -> Vec<ChurnEvent> {
         (0..self.events)
             .map(|_| {
-                if rng.gen::<f64>() < self.join_fraction {
+                if rng.uniform_f64() < self.join_fraction {
                     ChurnEvent::Join
-                } else if rng.gen::<f64>() < self.failure_fraction {
+                } else if rng.uniform_f64() < self.failure_fraction {
                     ChurnEvent::Fail
                 } else {
                     ChurnEvent::Leave
@@ -97,7 +97,6 @@ impl ConcurrentChurnBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::SimRng;
 
     #[test]
     fn event_mix_roughly_matches_fractions() {

@@ -6,7 +6,7 @@
 //! it down by a configurable factor for the fast profiles while keeping the
 //! full-scale plan available.
 
-use rand::Rng;
+use baton_net::SimRng;
 
 use crate::keys::{KeyDistribution, KeyGenerator};
 
@@ -53,7 +53,7 @@ impl DatasetPlan {
     /// Generates the `(key, value)` pairs for a network of `nodes` nodes.
     /// Values are sequence numbers, which makes losses easy to spot in
     /// tests.
-    pub fn generate<R: Rng>(&self, rng: &mut R, nodes: usize) -> Vec<(u64, u64)> {
+    pub fn generate(&self, rng: &mut SimRng, nodes: usize) -> Vec<(u64, u64)> {
         let generator = KeyGenerator::paper(self.distribution);
         (0..self.total_values(nodes))
             .map(|i| (generator.next_key(rng), i as u64))
@@ -64,7 +64,6 @@ impl DatasetPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::SimRng;
 
     #[test]
     fn paper_plans_have_the_published_volume() {

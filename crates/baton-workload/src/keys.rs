@@ -4,7 +4,7 @@
 //! `[1, 10^9)` and, for the load-balancing experiment (§V-D), with a skewed
 //! dataset "generated by Zipfian method with parameter 1.0".
 
-use rand::Rng;
+use baton_net::SimRng;
 
 /// The paper's key domain: `[1, 10^9)`.
 pub const DOMAIN_LOW: u64 = 1;
@@ -31,7 +31,8 @@ pub struct KeyGenerator {
     low: u64,
     high: u64,
     distribution: KeyDistribution,
-    /// Cumulative distribution over `zipf_slots` buckets (empty for uniform).
+    /// Cumulative distribution over the Zipf buckets (empty for uniform):
+    /// [`Self::ZIPF_SLOTS`] of them, or one per key on a narrower window.
     cdf: Vec<f64>,
 }
 
@@ -55,7 +56,8 @@ impl KeyGenerator {
         let cdf = match distribution {
             KeyDistribution::Uniform => Vec::new(),
             KeyDistribution::Zipf { theta } => {
-                let mut weights: Vec<f64> = (1..=Self::ZIPF_SLOTS)
+                let slots = (Self::ZIPF_SLOTS as u64).min(high - low);
+                let mut weights: Vec<f64> = (1..=slots)
                     .map(|rank| 1.0 / (rank as f64).powf(theta))
                     .collect();
                 let total: f64 = weights.iter().sum();
@@ -76,30 +78,31 @@ impl KeyGenerator {
     }
 
     /// Draws one key.
-    pub fn next_key<R: Rng>(&self, rng: &mut R) -> u64 {
+    pub fn next_key(&self, rng: &mut SimRng) -> u64 {
         match self.distribution {
-            KeyDistribution::Uniform => rng.gen_range(self.low..self.high),
+            KeyDistribution::Uniform => rng.uniform_u64(self.low, self.high),
             KeyDistribution::Zipf { .. } => {
-                let u: f64 = rng.gen();
+                let u = rng.uniform_f64();
                 // Binary search the CDF for the bucket, then pick a uniform
                 // key inside the bucket so that duplicates stay plausible.
-                let slot = self.cdf.partition_point(|&c| c < u);
-                let slot = slot.min(Self::ZIPF_SLOTS - 1);
-                let width = (self.high - self.low).max(1);
-                let slot_width = (width / Self::ZIPF_SLOTS as u64).max(1);
+                // There are never more buckets than keys, so every bucket
+                // holds at least one key and lies inside the window.
+                let slots = self.cdf.len();
+                let slot = self.cdf.partition_point(|&c| c < u).min(slots - 1);
+                let slot_width = (self.high - self.low) / slots as u64;
                 let slot_low = self.low + slot as u64 * slot_width;
-                let slot_high = (slot_low + slot_width).min(self.high);
-                if slot_low + 1 >= slot_high {
-                    slot_low.min(self.high - 1)
+                let slot_high = slot_low + slot_width;
+                if slot_width == 1 {
+                    slot_low
                 } else {
-                    rng.gen_range(slot_low..slot_high)
+                    rng.uniform_u64(slot_low, slot_high)
                 }
             }
         }
     }
 
     /// Draws `count` keys.
-    pub fn keys<R: Rng>(&self, rng: &mut R, count: usize) -> Vec<u64> {
+    pub fn keys(&self, rng: &mut SimRng, count: usize) -> Vec<u64> {
         (0..count).map(|_| self.next_key(rng)).collect()
     }
 }
@@ -107,7 +110,6 @@ impl KeyGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::SimRng;
 
     #[test]
     fn uniform_keys_stay_in_domain_and_spread_out() {
@@ -174,6 +176,31 @@ mod tests {
             .keys(&mut rng, 1000)
             .iter()
             .all(|k| (100..200).contains(k)));
+    }
+
+    #[test]
+    fn zipf_on_a_narrow_window_stays_inside_it() {
+        let zipf = KeyDistribution::Zipf { theta: 1.0 };
+        let generator = KeyGenerator::new(1000, 1100, zipf);
+        let mut rng = SimRng::seeded(4);
+        let keys = generator.keys(&mut rng, 10_000);
+        assert!(keys.iter().all(|k| (1000..1100).contains(k)));
+        // One bucket per key: key `1000 + r` has the Zipf weight of rank
+        // `r + 1`, so the top key no longer collects the clamped tail.
+        let harmonic: f64 = (1..=100).map(|rank| 1.0 / rank as f64).sum();
+        for (offset, expected) in [(0, 1.0), (1, 0.5), (99, 0.01)] {
+            let share = keys.iter().filter(|&&k| k == 1000 + offset).count() as f64 / 1e4;
+            assert!(
+                (share - expected / harmonic).abs() < 0.02,
+                "key {} took {share}",
+                1000 + offset
+            );
+        }
+
+        let top = KeyGenerator::new(u64::MAX - 100, u64::MAX, zipf);
+        let keys = top.keys(&mut rng, 1_000);
+        assert!(keys.iter().all(|k| (u64::MAX - 100..u64::MAX).contains(k)));
+        assert!(keys.iter().filter(|&&k| k == u64::MAX - 1).count() <= 20);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 //!   overlap in virtual time (never in state), yielding latency percentiles
 //!   and throughput under churn.
 //!
-//! All generators are driven by an explicit [`rand::Rng`] (normally a
-//! seeded `baton_net::SimRng`) so every experiment repetition is
-//! reproducible.
+//! All generators draw from an explicit, seeded [`baton_net::SimRng`] so
+//! every experiment repetition is reproducible.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

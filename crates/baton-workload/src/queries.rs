@@ -3,7 +3,7 @@
 //! The paper executes 1000 exact queries and 1000 range queries per
 //! configuration and reports the average message cost (§V).
 
-use rand::Rng;
+use baton_net::SimRng;
 
 use crate::keys::{KeyDistribution, KeyGenerator};
 
@@ -64,7 +64,7 @@ impl QueryWorkload {
     }
 
     /// Generates the exact-match queries.
-    pub fn exact<R: Rng>(&self, rng: &mut R) -> Vec<Query> {
+    pub fn exact(&self, rng: &mut SimRng) -> Vec<Query> {
         let generator = KeyGenerator::paper(self.distribution);
         (0..self.exact_queries)
             .map(|_| Query::Exact(generator.next_key(rng)))
@@ -72,7 +72,7 @@ impl QueryWorkload {
     }
 
     /// Generates the range queries.
-    pub fn ranges<R: Rng>(&self, rng: &mut R) -> Vec<Query> {
+    pub fn ranges(&self, rng: &mut SimRng) -> Vec<Query> {
         let generator = KeyGenerator::paper(self.distribution);
         let domain_width = crate::keys::DOMAIN_HIGH - crate::keys::DOMAIN_LOW;
         let width = ((domain_width as f64 * self.range_selectivity) as u64).max(1);
@@ -89,7 +89,6 @@ impl QueryWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use baton_net::SimRng;
 
     #[test]
     fn paper_workload_sizes() {

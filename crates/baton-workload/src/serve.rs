@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 
 use baton_net::serve::{ServeCounters, SnapshotCell, SnapshotReader};
 use baton_net::SimRng;
-use rand::Rng;
 
 use crate::keys::{KeyDistribution, KeyGenerator};
 
@@ -129,7 +128,7 @@ pub fn run_serve(cell: &Arc<SnapshotCell>, config: &ServeConfig) -> ServeOutcome
                     let mut rng = SimRng::seeded(batch_seed(config.seed, index));
                     for _ in first..last {
                         let key = generator.next_key(&mut rng);
-                        let hint = rng.gen::<u64>();
+                        let hint = rng.next_u64();
                         match config.range_span {
                             None => {
                                 snapshot.exact(key, hint, &mut counters);

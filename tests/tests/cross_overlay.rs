@@ -7,7 +7,10 @@
 
 use std::collections::HashSet;
 
-use baton_net::{LatencyModel, OpCost, Overlay, OverlayError, OverlayResult, SimTime, TraceConfig};
+use baton_net::{
+    LatencyModel, OpCost, Overlay, OverlayError, OverlayResult, PeerId, RepairPolicy, SimTime,
+    TraceConfig,
+};
 use baton_sim::figures::{SERIES_BATON, SERIES_CHORD, SERIES_D3TREE, SERIES_MTREE};
 use baton_sim::{figures, standard_overlays, Profile};
 use baton_workload::{runner, ChurnWorkload, Query, QueryWorkload};
@@ -183,6 +186,78 @@ fn keys_at_the_top_of_the_domain_are_answered_not_panicked_on() {
                     spec.series
                 );
             }
+        }
+    }
+}
+
+/// Arguments no well-formed caller sends, through `dyn Overlay`: degrees
+/// outside `1..=max_replication`, a peer id that was never issued, a repair
+/// of a live peer, and ranges that are inverted or empty at the top of the
+/// domain.  Every call returns, leaves the overlay consistent and closes its
+/// op; the out-of-range degrees are refused.
+#[test]
+fn adversarial_arguments_are_answered_not_panicked_on() {
+    const UNKNOWN: PeerId = PeerId(u32::MAX);
+    const POLICY: RepairPolicy = RepairPolicy {
+        fast: SimTime::from_millis(10),
+        slow: SimTime::from_secs(1),
+    };
+    // Each call reports its message count; `true` marks a call that must
+    // be refused.
+    type Call = fn(&mut dyn Overlay, usize) -> OverlayResult<u64>;
+    let calls: [(&str, bool, Call); 9] = [
+        ("set_replication(0)", true, |o, _| {
+            o.set_replication(0).map(|()| 0)
+        }),
+        ("set_replication(max + 1)", true, |o, max| {
+            o.set_replication(max + 1).map(|()| 0)
+        }),
+        ("leave_peer(unknown)", false, |o, _| {
+            o.leave_peer(UNKNOWN).map(|c| c.total_messages())
+        }),
+        ("fail_peer(unknown)", false, |o, _| {
+            o.fail_peer(UNKNOWN).map(|c| c.total_messages())
+        }),
+        ("fail_peer_deferred(unknown)", false, |o, _| {
+            o.fail_peer_deferred(UNKNOWN, &POLICY).map(|_| 0)
+        }),
+        ("repair_peer(unknown)", false, |o, _| {
+            o.repair_peer(UNKNOWN).map(|c| c.total_messages())
+        }),
+        ("repair_peer(live)", false, |o, _| {
+            let live = o.peers()[0];
+            o.repair_peer(live).map(|c| c.total_messages())
+        }),
+        ("search_range(inverted)", false, |o, _| {
+            o.search_range(500_000, 100).map(|c| c.messages)
+        }),
+        ("search_range(MAX, MAX)", false, |o, _| {
+            o.search_range(u64::MAX, u64::MAX).map(|c| c.messages)
+        }),
+    ];
+    let profile = Profile::smoke();
+    for spec in standard_overlays() {
+        let mut overlay = spec.build(&profile, 20, 7);
+        for (call_name, refused, call) in calls {
+            let answer = call(overlay.as_mut(), spec.max_replication);
+            let series = spec.series;
+            if refused {
+                assert!(answer.is_err(), "{series}: {call_name} was accepted");
+            }
+            // BATON absorbs a repair of a peer it no longer knows: the
+            // victim's slice was already taken over, so nothing is sent.
+            if series == SERIES_BATON && call_name == "repair_peer(unknown)" {
+                assert_eq!(answer, Ok(0), "{series}: {call_name}");
+            }
+            overlay.validate().unwrap_or_else(|e| {
+                panic!("{series}: {call_name} left the overlay inconsistent: {e}")
+            });
+            overlay.stats_mut().retire_finished();
+            assert_eq!(
+                overlay.stats().live_op_count(),
+                0,
+                "{series}: {call_name} left an op open"
+            );
         }
     }
 }
