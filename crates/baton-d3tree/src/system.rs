@@ -1274,20 +1274,90 @@ mod tests {
     fn duplicate_pileup_at_the_span_top_does_not_break_redistribution() {
         // Hammering the last key of the domain saturates every slice
         // boundary of the owning subtree at the span top; redistribution
-        // must degrade to empty tail slices, not panic.
-        let mut system = D3TreeSystem::build(3, 60).unwrap();
+        // must degrade to empty tail slices, not panic — and a snapshot
+        // exported over those slices answers like the routed engine.
         let top = 999_999_999u64;
+        let snapshot_agrees = |system: &mut D3TreeSystem| {
+            let snapshot = system.routing_snapshot().expect("snapshot");
+            let mut counters = baton_net::serve::ServeCounters::default();
+            for key in [1, 2, 500_000_000, top - 1, top] {
+                let routed = system.search_exact(key).unwrap().matches as u64;
+                let served = snapshot.exact(key, key, &mut counters).matches;
+                assert_eq!(served, routed, "exact {key}");
+            }
+            let spans = [(1, 2), (2, top), (top, top + 1), (1, top + 1)];
+            for (low, high) in spans {
+                let routed = system.search_range(low, high).unwrap().matches as u64;
+                let served = snapshot.range(low, high, low, &mut counters).matches;
+                assert_eq!(served, routed, "range [{low}, {high})");
+            }
+        };
+        let mut system = D3TreeSystem::build(3, 60).unwrap();
         for _ in 0..500 {
             system.insert(top, 0).unwrap();
         }
         assert_eq!(system.search_exact(top).unwrap().matches, 500);
         system.validate().unwrap();
+        snapshot_agrees(&mut system);
         // The same pile-up at the bottom of the domain.
         for _ in 0..500 {
             system.insert(1, 0).unwrap();
         }
         assert_eq!(system.search_exact(1).unwrap().matches, 500);
         system.validate().unwrap();
+        snapshot_agrees(&mut system);
+    }
+
+    #[test]
+    fn d3tree_balance_invariants_survive_growth_churn_and_shrink() {
+        let mut system = D3TreeSystem::build(0xD37EE, 8).unwrap();
+        let mut inserted = 0u64;
+
+        // Growth phase: join-heavy churn with inserts — the backbone must
+        // extend at least once and stay valid (weights, partition, rest
+        // invariant of the deterministic balancer) after every event.
+        let start_height = system.height();
+        for round in 0..400 {
+            if round % 5 == 4 && system.node_count() > 4 {
+                system.leave_random().unwrap();
+            } else {
+                system.join_random().unwrap();
+            }
+            if round % 3 == 0 {
+                system
+                    .insert(1 + (round as u64 * 7_919_993) % 999_999_998, 0)
+                    .unwrap();
+                inserted += 1;
+            }
+            system
+                .validate()
+                .unwrap_or_else(|e| panic!("growth round {round}: {e}"));
+        }
+        assert!(
+            system.height() > start_height,
+            "400 joins never extended the backbone"
+        );
+        assert_eq!(system.total_items() as u64, inserted);
+
+        // Shrink phase: leave/fail-heavy churn — the backbone must contract
+        // and bucket-local repair must keep every bucket populated.
+        let peak_height = system.height();
+        let mut lost = 0usize;
+        while system.node_count() > 6 {
+            if system.node_count().is_multiple_of(7) {
+                lost += system.fail_random().unwrap().lost_items;
+            } else {
+                system.leave_random().unwrap();
+            }
+            system
+                .validate()
+                .unwrap_or_else(|e| panic!("shrink at n = {}: {e}", system.node_count()));
+        }
+        assert!(
+            system.height() < peak_height,
+            "shrinking to 6 peers never contracted the backbone"
+        );
+        assert_eq!(system.total_items() + lost, inserted as usize);
     }
 
     #[test]

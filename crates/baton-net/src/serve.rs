@@ -560,10 +560,11 @@ impl SnapshotBuilder {
 
     /// Appends a slot for `peer` whose range ends at (exclusive) `high` —
     /// or whose ring identifier is `high` under hashed placement.  Returns
-    /// the slot index.
+    /// the slot index.  An empty slice repeats its predecessor's bound;
+    /// [`RoutingSnapshot::owner_of`] never picks it.
     pub fn push_slot(&mut self, peer: u32, high: u64, alive: bool) -> usize {
-        let ascending = self.snapshot.slot_high.last().is_none_or(|&h| h < high);
-        assert!(ascending, "slots must be pushed in ascending order");
+        let ascending = self.snapshot.slot_high.last().is_none_or(|&h| h <= high);
+        assert!(ascending, "slots must be pushed in non-decreasing order");
         let slot = self.snapshot.slot_peer.len();
         if self.slot_by_peer.len() <= peer as usize {
             self.slot_by_peer.resize(peer as usize + 1, NO_SLOT);

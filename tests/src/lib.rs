@@ -1,10 +1,75 @@
 //! Cross-crate integration tests live under tests/tests/.  This library holds
-//! the per-message views they share, read from the route recorder: the
-//! simulator's own accounting keeps only what a report reads.
+//! what they share: the reference model every answer is checked against,
+//! the after-every-op settle check, and the per-message views read from the
+//! route recorder (the simulator's own accounting keeps only what a report
+//! reads).  `tests/tests/model_answers.rs` runs the model over every
+//! overlay, build path and read path.
 
 use std::collections::BTreeMap;
 
-use baton_net::{SimTime, TraceBuffer};
+use baton_net::{Overlay, SimTime, TraceBuffer};
+
+/// The reference model: an ordered multiset of the stored keys, a
+/// `BTreeMap` from key to the number of values stored under it.  It shares
+/// no code with the overlays it checks.
+#[derive(Clone, Debug, Default)]
+pub struct Model {
+    keys: BTreeMap<u64, usize>,
+}
+
+impl Model {
+    /// Records one more value stored under `key`.
+    pub fn insert(&mut self, key: u64) {
+        *self.keys.entry(key).or_insert(0) += 1;
+    }
+
+    /// Removes one value stored under `key`; `false` when none is stored.
+    pub fn delete(&mut self, key: u64) -> bool {
+        let Some(count) = self.keys.get_mut(&key) else {
+            return false;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.keys.remove(&key);
+        }
+        true
+    }
+
+    /// Values stored under `key`: the `matches` of an exact query.
+    pub fn exact(&self, key: u64) -> usize {
+        self.keys.get(&key).copied().unwrap_or(0)
+    }
+
+    /// Values stored under keys in `[low, high)`: the `matches` of a range
+    /// query.  An inverted or empty span holds nothing.
+    pub fn range(&self, low: u64, high: u64) -> usize {
+        if low >= high {
+            return 0;
+        }
+        self.keys.range(low..high).map(|(_, count)| count).sum()
+    }
+
+    /// Values stored in total.
+    pub fn total(&self) -> usize {
+        self.keys.values().sum()
+    }
+}
+
+/// The check after any operation, answered or refused: the overlay's
+/// invariants hold (`validate()`), and once finished ops are retired none
+/// is left open — one left open would block stats retirement for the rest
+/// of a run.
+pub fn settled(overlay: &mut dyn Overlay, context: &str) {
+    overlay
+        .validate()
+        .unwrap_or_else(|e| panic!("{context}: left the overlay inconsistent: {e}"));
+    overlay.stats_mut().retire_finished();
+    assert_eq!(
+        overlay.stats().live_op_count(),
+        0,
+        "{context}: left an op open"
+    );
+}
 
 /// Messages per protocol message kind ([`HopRecord::message`]) over the
 /// recorder's retained spans, sorted by kind.

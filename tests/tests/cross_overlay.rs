@@ -13,6 +13,7 @@ use baton_net::{
 };
 use baton_sim::figures::{SERIES_BATON, SERIES_CHORD, SERIES_D3TREE, SERIES_MTREE};
 use baton_sim::{figures, standard_overlays, Profile};
+use baton_tests::settled;
 use baton_workload::{runner, ChurnWorkload, Query, QueryWorkload};
 
 #[test]
@@ -172,19 +173,7 @@ fn keys_at_the_top_of_the_domain_are_answered_not_panicked_on() {
         for key in [0, u64::MAX - 1, u64::MAX] {
             for (op, call) in calls {
                 let _answer = call(overlay.as_mut(), key);
-                overlay.validate().unwrap_or_else(|e| {
-                    panic!(
-                        "{}: {op}({key}) left the overlay inconsistent: {e}",
-                        spec.series
-                    )
-                });
-                overlay.stats_mut().retire_finished();
-                assert_eq!(
-                    overlay.stats().live_op_count(),
-                    0,
-                    "{}: {op}({key}) left an op open",
-                    spec.series
-                );
+                settled(overlay.as_mut(), &format!("{}: {op}({key})", spec.series));
             }
         }
     }
@@ -249,15 +238,7 @@ fn adversarial_arguments_are_answered_not_panicked_on() {
             if series == SERIES_BATON && call_name == "repair_peer(unknown)" {
                 assert_eq!(answer, Ok(0), "{series}: {call_name}");
             }
-            overlay.validate().unwrap_or_else(|e| {
-                panic!("{series}: {call_name} left the overlay inconsistent: {e}")
-            });
-            overlay.stats_mut().retire_finished();
-            assert_eq!(
-                overlay.stats().live_op_count(),
-                0,
-                "{series}: {call_name} left an op open"
-            );
+            settled(overlay.as_mut(), &format!("{series}: {call_name}"));
         }
     }
 }

@@ -81,19 +81,6 @@ fn baton_updates_tables_cheaper_than_chord() {
     assert!(baton_avg <= 10.0 * (N as f64).log2());
 }
 
-#[test]
-fn tree_height_is_within_the_balanced_bound() {
-    for seed in 0..3u64 {
-        let overlay = baton(100 + seed);
-        let height = overlay.height() as f64;
-        let bound = 1.44 * (overlay.node_count() as f64).log2() + 1.0;
-        assert!(
-            height <= bound,
-            "height {height} exceeds 1.44·log2 N bound {bound:.1} (seed {seed})"
-        );
-    }
-}
-
 /// Both constructions at N = 10, 100, 1,000 and 10,000: the height stays
 /// within `1.44·log₂N + 1` (the AVL bound BATON inherits, §III) and an
 /// exact query from a random peer costs at most `log₂N` messages on

@@ -6,8 +6,9 @@
 //! run as seeded deterministic loops over many random cases, which keeps the
 //! same coverage shape while staying reproducible.
 
-use baton_core::{validate, BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig};
-use baton_net::{Overlay, SimRng};
+use baton_core::{BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig};
+use baton_net::SimRng;
+use baton_tests::settled;
 
 /// The operations the property tests draw from.
 #[derive(Clone, Debug)]
@@ -90,48 +91,12 @@ fn random_operation_sequences_preserve_every_invariant() {
         let mut expected_items = 0i64;
         for op in &ops {
             apply(&mut overlay, op, &mut expected_items);
-            validate(&overlay)
-                .unwrap_or_else(|e| panic!("case {case}: invariant violated after {op:?}: {e}"));
-            // Every op, answered or refused, closes: one left open would
-            // block stats retirement for the rest of a run.
-            overlay.stats_mut().retire_finished();
-            assert_eq!(
-                overlay.stats().live_op_count(),
-                0,
-                "case {case}: {op:?} left an op open"
-            );
+            settled(&mut overlay, &format!("case {case}: {op:?}"));
         }
         assert_eq!(
             overlay.total_items() as i64,
             expected_items,
             "case {case} lost or duplicated items"
         );
-    }
-}
-
-#[test]
-fn inserted_keys_are_always_findable() {
-    let mut meta_rng = SimRng::seeded(0xF1AD);
-    for case in 0..24 {
-        let seed = meta_rng.uniform_u64(0, 1_000);
-        let key_count = 1 + meta_rng.index(79);
-        let keys: Vec<u64> = (0..key_count)
-            .map(|_| meta_rng.uniform_u64(1, 1_000_000_000))
-            .collect();
-
-        let mut overlay = BatonSystem::build(BatonConfig::default(), seed, 16).unwrap();
-        for (i, key) in keys.iter().enumerate() {
-            overlay.insert(*key, i as u64).unwrap();
-        }
-        for (i, key) in keys.iter().enumerate() {
-            let report = overlay.search_exact(*key).unwrap();
-            assert!(
-                report.matches.contains(&(i as u64)),
-                "case {case}: lost key {key}"
-            );
-        }
-        // Whole-domain range query returns everything.
-        let all = overlay.search_range(KeyRange::paper_domain()).unwrap();
-        assert_eq!(all.matches.len(), keys.len(), "case {case}");
     }
 }
