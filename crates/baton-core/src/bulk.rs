@@ -22,7 +22,7 @@
 //!
 //! The result passes [`crate::validate`] in full and behaves identically to
 //! a join-built overlay under every subsequent operation (see
-//! `tests/tests/model_answers.rs`).  It is *not* byte-identical to a
+//! `tests/tests/bulk_equivalence.rs`).  It is *not* byte-identical to a
 //! join-built overlay — peers sit at different positions and ranges are
 //! even rather than join-order-dependent — which is why the bulk path is
 //! opt-in and never used where committed fixtures pin join-built output.

@@ -1,236 +1,18 @@
-//! Every answer the overlays give, checked against one reference model
-//! ([`Model`], an ordered multiset of the stored keys):
+//! Answers against the reference model ([`Model`]) through failures and
+//! churn:
 //!
-//! * on every overlay, join-built and bulk-built (where the spec registers
-//!   a bulk constructor), loaded through routed inserts and through the
-//!   zero-message direct load (where the overlay has one), exact queries
-//!   answer the key's multiplicity and range queries the span's count, both
-//!   through the routed engine and through the overlay's
-//!   [`RoutingSnapshot`]; each delete removes exactly one value, and the
-//!   same answers hold afterwards;
 //! * with two or three replicas, every key answers with its multiplicity
 //!   while any one peer is dead and unrepaired, and the repair loses none;
-//! * BATON finds every key of the churn suite's seeded key sets.
+//! * BATON finds every key of the churn suite's seeded key sets, routed and
+//!   through its snapshot.
 //!
 //! The inputs are those of the suites this file replaced — their key
-//! seeds, overlay sizes, build seeds, probes and fixed range cases.
-
-use std::collections::BTreeSet;
+//! seeds, overlay sizes and build seeds.
 
 use baton_core::{BatonConfig, BatonSystem};
-use baton_net::serve::ServeCounters;
-use baton_net::{Overlay, OverlayError, RepairPolicy, SimRng, SimTime};
-use baton_sim::{standard_overlays, Profile};
-use baton_tests::{settled, Model};
-use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_HIGH, DOMAIN_LOW};
-
-/// One suite's inputs: the keys to store, the seed of the overlay that
-/// stores them, and the queries asked of it — exact ones as (key, hint),
-/// ranges as (low, high, hint), the hint being where a snapshot read starts.
-struct Inputs {
-    keys: Vec<u64>,
-    build_seed: u64,
-    exact: Vec<(u64, u64)>,
-    ranges: Vec<(u64, u64, u64)>,
-}
-
-/// `count` uniform paper keys drawn from `seed`, then every `every`-th one
-/// again, so multiplicities above one are answered too.
-fn keys_with_repeats(seed: u64, count: usize, every: usize) -> Vec<u64> {
-    let generator = KeyGenerator::paper(KeyDistribution::Uniform);
-    let mut keys = generator.keys(&mut SimRng::seeded(seed), count);
-    let repeats: Vec<u64> = keys.iter().copied().step_by(every).collect();
-    keys.extend(repeats);
-    keys
-}
-
-/// A seeded span of random width, clamped to the domain.
-fn random_span(rng: &mut SimRng) -> (u64, u64) {
-    let low = rng.uniform_u64(DOMAIN_LOW, DOMAIN_HIGH);
-    let width = rng.uniform_u64(1, (DOMAIN_HIGH - DOMAIN_LOW) / 4);
-    (low, (low + width).min(DOMAIN_HIGH))
-}
-
-/// The range-oracle and bulk-equivalence inputs: exact queries on every
-/// `exact_every`-th key plus 20 absent-or-present probes; the whole domain,
-/// the smallest key alone, then 58 spans from seed `0x5EED` (the bulk
-/// suite asked the first 39 of them).
-fn ordered_inputs(key_seed: u64, count: usize, every: usize, exact_every: usize) -> Inputs {
-    let keys = keys_with_repeats(key_seed, count, every);
-    let mut hints = SimRng::seeded(0x417);
-    let probes = (0..20u64).map(|probe| DOMAIN_LOW + probe * 49_999_333 + 7);
-    let exact = (keys.iter().copied().step_by(exact_every).chain(probes))
-        .map(|key| (key, hints.uniform_u64(0, u64::MAX)))
-        .collect();
-    let smallest = *keys.iter().min().expect("keys");
-    let mut spans = SimRng::seeded(0x5EED);
-    let ranges = [(DOMAIN_LOW, DOMAIN_HIGH), (smallest, smallest + 1)]
-        .into_iter()
-        .chain((0..58).map(|_| random_span(&mut spans)))
-        .map(|(low, high)| (low, high, hints.uniform_u64(0, u64::MAX)))
-        .collect();
-    Inputs {
-        keys,
-        build_seed: 77,
-        exact,
-        ranges,
-    }
-}
-
-/// The serve parity inputs: hinted exact queries on every 7th key plus 25
-/// probes; six edge spans (whole domain, first key alone, top and bottom
-/// edges, an empty span), then random spans, each span's hint drawn from
-/// the span stream after it.
-fn serve_inputs() -> Inputs {
-    let keys = keys_with_repeats(0x5E4E_0AC1, 400, 9);
-    let mut hints = SimRng::seeded(0x417);
-    let probes = (0..25u64).map(|probe| DOMAIN_LOW + probe * 39_999_331 + 3);
-    let exact = (keys.iter().copied().step_by(7).chain(probes))
-        .map(|key| (key, hints.uniform_u64(0, u64::MAX)))
-        .collect();
-    let edges = [
-        (DOMAIN_LOW, DOMAIN_HIGH),
-        (keys[0], keys[0] + 1),
-        (DOMAIN_HIGH - 1, DOMAIN_HIGH),
-        (DOMAIN_LOW, DOMAIN_LOW + 1),
-        (DOMAIN_LOW, DOMAIN_LOW),
-        (DOMAIN_HIGH - 5, DOMAIN_HIGH),
-    ];
-    let mut spans = SimRng::seeded(0x5EED_2005);
-    let ranges = (0..52)
-        .map(|case| {
-            let (low, high) = edges
-                .get(case)
-                .copied()
-                .unwrap_or_else(|| random_span(&mut spans));
-            (low, high, spans.uniform_u64(0, u64::MAX))
-        })
-        .collect();
-    Inputs {
-        keys,
-        build_seed: 2005,
-        exact,
-        ranges,
-    }
-}
-
-/// Asks every query of `inputs` twice — routed, and through a snapshot
-/// exported now — and checks both answers against `model`.  An overlay
-/// without range queries must refuse every span on both paths; one with
-/// them answers an empty span (inverted, a point, above the domain) with
-/// no match for no message.
-fn check_answers(overlay: &mut dyn Overlay, model: &Model, inputs: &Inputs, context: &str) {
-    assert_eq!(overlay.total_items(), model.total(), "{context}: total");
-    let snapshot = overlay
-        .routing_snapshot()
-        .expect("every overlay exports a snapshot");
-    let mut counters = ServeCounters::default();
-    for &(key, hint) in &inputs.exact {
-        let routed = overlay.search_exact(key).expect("exact").matches;
-        let served = snapshot.exact(key, hint, &mut counters).matches as usize;
-        let expected = model.exact(key);
-        assert_eq!(
-            (routed, served),
-            (expected, expected),
-            "{context}: exact {key} (routed, snapshot)"
-        );
-    }
-    let ordered = overlay.capabilities().range_queries;
-    assert_eq!(snapshot.range_supported(), ordered, "{context}");
-    for &(low, high, hint) in &inputs.ranges {
-        let served = snapshot.range(low, high, hint, &mut counters).matches as usize;
-        if !ordered {
-            let refused = overlay.search_range(low, high);
-            assert!(
-                matches!(refused, Err(OverlayError::Unsupported(_))),
-                "{context}: range [{low}, {high}) answered {refused:?}"
-            );
-            assert_eq!(served, 0, "{context}: rejected range matched");
-            continue;
-        }
-        let routed = overlay.search_range(low, high).expect("range").matches;
-        let expected = model.range(low, high);
-        assert_eq!(
-            (routed, served),
-            (expected, expected),
-            "{context}: range [{low}, {high}) (routed, snapshot)"
-        );
-    }
-    if ordered {
-        for (low, high) in [(10, 5), (5, 5), (1_000_000_010, 1_000_000_020)] {
-            let cost = overlay.search_range(low, high).expect("empty range");
-            let answer = (cost.matches, cost.messages);
-            assert_eq!(answer, (0, 0), "{context}: empty range [{low}, {high})");
-        }
-    } else {
-        let rejected = inputs.ranges.len() as u64;
-        assert_eq!(counters.rejected, rejected, "{context}: rejected");
-    }
-    settled(overlay, context);
-}
-
-#[test]
-fn every_overlay_build_and_load_path_answers_like_the_model() {
-    let profile = Profile::smoke();
-    let (mut ordered, mut direct) = (BTreeSet::new(), BTreeSet::new());
-    let suites = [
-        ordered_inputs(0x0AC1E, 500, 7, 11),
-        ordered_inputs(0xB01D, 400, 9, 7),
-        serve_inputs(),
-    ];
-    for (suite, inputs) in suites.iter().enumerate() {
-        let data: Vec<(u64, u64)> = inputs.keys.iter().map(|key| (*key, *key)).collect();
-        let mut loaded = Model::default();
-        inputs.keys.iter().for_each(|key| loaded.insert(*key));
-        for spec in standard_overlays() {
-            for (bulk, load_direct) in [(false, false), (false, true), (true, false), (true, true)]
-            {
-                if bulk && !spec.supports_bulk() {
-                    continue;
-                }
-                let build = if bulk { "bulk" } else { "join" };
-                let load = if load_direct { "direct" } else { "routed" };
-                let context = format!("suite {suite}, {}, {build}-built, {load} load", spec.series);
-                let mut overlay = if bulk {
-                    spec.build_bulk(&profile, 40, inputs.build_seed)
-                } else {
-                    spec.build(&profile, 40, inputs.build_seed)
-                };
-                if load_direct {
-                    // Only an overlay with a bulk constructor places a
-                    // dataset without routing it, and sends nothing.
-                    let sent = overlay.stats().total_sent();
-                    let accepted = overlay.load_direct(&data);
-                    assert_eq!(accepted, spec.supports_bulk(), "{context}");
-                    if !accepted {
-                        continue;
-                    }
-                    assert_eq!(overlay.stats().total_sent(), sent, "{context}: sent");
-                    direct.insert(spec.series);
-                } else {
-                    for (key, value) in &data {
-                        overlay.insert(*key, *value).expect("insert");
-                    }
-                }
-                if overlay.capabilities().range_queries {
-                    ordered.insert(spec.series);
-                }
-                let mut model = loaded.clone();
-                check_answers(overlay.as_mut(), &model, inputs, &context);
-
-                for key in inputs.keys.iter().step_by(13) {
-                    let removed = overlay.delete(*key).expect("delete").matches;
-                    assert_eq!(removed, 1, "{context}: delete {key}");
-                    assert!(model.delete(*key));
-                }
-                let context = format!("{context}, after deletes");
-                check_answers(overlay.as_mut(), &model, inputs, &context);
-            }
-        }
-    }
-    assert_eq!(ordered.len(), 3, "range-capable overlays: {ordered:?}");
-    assert_eq!(direct.len(), 2, "direct-loading overlays: {direct:?}");
-}
+use baton_net::{Overlay, RepairPolicy, SimRng, SimTime};
+use baton_tests::{check_answers, keys_with_repeats, settled, Inputs, Model};
+use baton_workload::{DOMAIN_HIGH, DOMAIN_LOW};
 
 /// The peers of a 40-peer BATON overlay fail in turn, leaves and internal
 /// peers alike, each repaired only after every key has been asked for: while

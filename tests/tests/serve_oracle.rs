@@ -1,21 +1,35 @@
-//! Snapshot versions under churn: with a mid-stream [`SnapshotCell`] swap,
-//! a reader that has not refreshed keeps answering from its own consistent
-//! version — every stale answer equals the pre-churn routed answer, never a
-//! mix — while a refreshed reader agrees with the post-churn overlay.
-//! Snapshot-vs-routed answer parity on every overlay is checked against the
-//! reference model in `model_answers.rs`.
+//! Snapshot-vs-routed oracle: every answer the lock-free serve path gives
+//! must agree with the routed engine it snapshots.
+//!
+//! * On every overlay, along every build and load path, seeded exact
+//!   queries and spans (top-edge, bottom-edge, empty, single-key and
+//!   random) answer the reference model's count both through the overlay's
+//!   [`RoutingSnapshot`] and routed; a ring snapshot rejects every span.
+//! * Under churn with a mid-stream [`SnapshotCell`] swap, a reader that has
+//!   not refreshed keeps answering from its own consistent version — every
+//!   stale answer equals the pre-churn routed answer, never a mix — while a
+//!   refreshed reader agrees with the post-churn overlay.
+//!
+//! [`RoutingSnapshot`]: baton_net::RoutingSnapshot
 
 use std::sync::Arc;
 
 use baton_net::serve::ServeCounters;
 use baton_net::{SimRng, SnapshotCell, SnapshotReader};
 use baton_sim::{standard_overlays, Profile};
+use baton_tests::{answers_like_the_model, serve_inputs, EVERY_PATH};
 use baton_workload::{KeyDistribution, KeyGenerator, DOMAIN_LOW};
 
 /// Exact-match count through the snapshot path.
 fn snapshot_exact(snapshot: &baton_net::RoutingSnapshot, key: u64, hint: u64) -> u64 {
     let mut counters = ServeCounters::default();
     snapshot.exact(key, hint, &mut counters).matches
+}
+
+#[test]
+fn snapshot_answers_agree_with_the_routed_engine_on_every_overlay() {
+    let ordered = answers_like_the_model(&serve_inputs(), &EVERY_PATH).ordered;
+    assert_eq!(ordered.len(), 3, "BATON, the multiway tree and the D3-Tree");
 }
 
 #[test]
