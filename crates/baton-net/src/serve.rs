@@ -19,9 +19,9 @@
 //! The per-query cost model is deliberately minimal: owner resolution is a
 //! binary search over the slot partition (or the hashed ring), matches come
 //! from a prefix-summed item index, and hop counts are produced by greedy
-//! routing over the snapshot's link tables so the reports keep the
-//! per-[`LinkKind`] anatomy of the traced routed engine without paying for
-//! it per message.
+//! routing over the snapshot's link targets.  The link kinds are exported
+//! alongside ([`RoutingSnapshot::links`]) but the read path never loads
+//! them: the traced routed engine is where hops are split by kind.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -86,9 +86,6 @@ pub struct ServeCounters {
     pub matches: u64,
     /// Total routing hops.
     pub hops: u64,
-    /// Routing hops split by the link kind they travelled, indexed by the
-    /// position of the kind in [`LinkKind::ALL`].
-    pub hops_by_kind: [u64; 11],
     /// Slots swept by range queries.
     pub slots_swept: u64,
     /// Queries answered by a replica because the owner was dead.
@@ -133,9 +130,6 @@ impl ServeCounters {
         self.queries += other.queries;
         self.matches += other.matches;
         self.hops += other.hops;
-        for (a, b) in self.hops_by_kind.iter_mut().zip(other.hops_by_kind) {
-            *a += b;
-        }
         self.slots_swept += other.slots_swept;
         self.failover += other.failover;
         self.unavailable += other.unavailable;
@@ -159,7 +153,8 @@ pub struct RoutingSnapshot {
     /// Peer address of each slot ([`crate::PeerId::raw`]-compatible).
     slot_peer: Vec<u32>,
     /// Exclusive range high of each slot (partition), or the slot's ring
-    /// identifier (ring); strictly increasing either way.
+    /// identifier (ring); non-decreasing either way (an empty slice repeats
+    /// its predecessor's bound).
     slot_high: Vec<u64>,
     /// Liveness of each slot's peer at snapshot time.
     slot_alive: Vec<bool>,
@@ -261,7 +256,7 @@ impl RoutingSnapshot {
 
     /// The slot owning `key`, per the snapshot's placement, or `None` for
     /// an out-of-domain key on a partition (the routed engines reject
-    /// those) or an empty snapshot.
+    /// those), a key past the partition's last bound, or an empty snapshot.
     #[inline]
     pub fn owner_of(&self, key: u64) -> Option<usize> {
         if self.slot_peer.is_empty() {
@@ -272,8 +267,10 @@ impl RoutingSnapshot {
                 if key < self.domain.0 || key >= self.domain.1 {
                     return None;
                 }
-                // First slot whose exclusive high exceeds the key.
-                Some(self.slot_high.partition_point(|&h| h <= key))
+                // First slot whose exclusive high exceeds the key; none when
+                // the key lies past the last bound.
+                let at = self.slot_high.partition_point(|&h| h <= key);
+                (at < self.slot_high.len()).then_some(at)
             }
             ExactPlacement::HashedRing => {
                 let id = ring_hash(key, self.domain.1.max(1));
@@ -307,51 +304,36 @@ impl RoutingSnapshot {
         self.item_cum[b] - self.item_cum[a]
     }
 
-    /// Index distance from `a` to `b` under the placement's geometry:
-    /// absolute distance on a partition, forward (clockwise) distance on a
-    /// ring.
+    /// The slot greedy routing moves to from `current` on its way to `to`:
+    /// the first-emitted of `current`'s link targets at the smallest
+    /// placement distance to `to` — absolute on a partition, forward
+    /// (clockwise) on a ring — when that beats `current`'s own distance,
+    /// else `to` itself (the reader has the full partition, a luxury a real
+    /// peer pays for with its own link walk).  Reads the link targets only,
+    /// never their kinds.
     #[inline]
-    fn distance(&self, a: usize, b: usize) -> u64 {
+    pub fn next_hop(&self, current: usize, to: usize) -> usize {
+        let links =
+            &self.link_target[self.link_off[current] as usize..self.link_off[current + 1] as usize];
+        let to = to as u32;
         match self.placement {
-            ExactPlacement::DomainPartition => (a as i64 - b as i64).unsigned_abs(),
+            ExactPlacement::DomainPartition => nearest(links, current, to, |t| t.abs_diff(to)),
             ExactPlacement::HashedRing => {
-                let n = self.slot_peer.len() as u64;
-                (b as u64 + n - a as u64) % n
+                let n = self.slot_peer.len() as u32;
+                let forward = |t: u32| to.wrapping_sub(t).wrapping_add(if to < t { n } else { 0 });
+                nearest(links, current, to, forward)
             }
         }
     }
 
-    /// Greedy routing from `from` to `to` over the snapshot's link tables:
-    /// each hop takes the link that most shrinks the remaining distance and
-    /// is charged to its [`LinkKind`]; when no link improves, the reader
-    /// jumps straight to the target for one `Other` hop (it has the full
-    /// partition, a luxury a real peer pays for with its own link walk).
+    /// Greedy routing from `from` to `to`: the number of
+    /// [`next_hop`](Self::next_hop) steps it takes.
     #[inline]
-    fn route(&self, from: usize, to: usize, counters: &mut ServeCounters) -> u32 {
+    fn route(&self, from: usize, to: usize) -> u32 {
         let mut current = from;
         let mut hops = 0u32;
         while current != to {
-            let remaining = self.distance(current, to);
-            let mut best: Option<(u64, usize, LinkKind)> = None;
-            let lo = self.link_off[current] as usize;
-            let hi = self.link_off[current + 1] as usize;
-            for i in lo..hi {
-                let target = self.link_target[i] as usize;
-                let d = self.distance(target, to);
-                if d < remaining && best.is_none_or(|(bd, _, _)| d < bd) {
-                    best = Some((d, target, self.link_kind[i]));
-                }
-            }
-            match best {
-                Some((_, next, kind)) => {
-                    current = next;
-                    counters.hops_by_kind[kind as usize] += 1;
-                }
-                None => {
-                    current = to;
-                    counters.hops_by_kind[LinkKind::Other as usize] += 1;
-                }
-            }
+            current = self.next_hop(current, to);
             hops += 1;
         }
         hops
@@ -396,13 +378,12 @@ impl RoutingSnapshot {
             return answer;
         };
         let start = (start_hint % self.slot_peer.len() as u64) as usize;
-        answer.hops = self.route(start, owner, counters);
+        answer.hops = self.route(start, owner);
         answer.status = self.liveness(owner);
         if answer.status == ServeStatus::Failover {
             // The replica holds a copy of the owner's slice; one extra hop
             // reaches it.
             answer.hops += 1;
-            counters.hops_by_kind[LinkKind::Other as usize] += 1;
         }
         if answer.status != ServeStatus::Unavailable {
             let stored = match self.placement {
@@ -416,10 +397,11 @@ impl RoutingSnapshot {
     }
 
     /// Answers a range query for `[low, high)` from the snapshot: clamp to
-    /// the domain, route to the owner of the clamped low, then sweep right
-    /// across the partition until the range is covered — the same
-    /// owner-then-adjacent sweep all three range-capable engines execute,
-    /// so matches byte-agree.  An empty clamp answers zero without routing.
+    /// the domain and the last slot's bound, route to the owner of the
+    /// clamped low, then sweep right across the partition until the range
+    /// is covered — the same owner-then-adjacent sweep all three
+    /// range-capable engines execute, so matches byte-agree.  An empty
+    /// clamp answers zero without routing.
     #[inline]
     pub fn range(
         &self,
@@ -445,14 +427,15 @@ impl RoutingSnapshot {
             return answer;
         }
         let lo = low.max(self.domain.0);
-        let hi = high.min(self.domain.1);
+        let last = self.slot_high[self.slot_high.len() - 1];
+        let hi = high.min(self.domain.1).min(last);
         if lo >= hi {
             counters.record(answer);
             return answer;
         }
         let owner = self.slot_high.partition_point(|&h| h <= lo);
         let start = (start_hint % self.slot_peer.len() as u64) as usize;
-        answer.hops = self.route(start, owner, counters);
+        answer.hops = self.route(start, owner);
         let mut slot = owner;
         loop {
             answer.slots += 1;
@@ -464,16 +447,31 @@ impl RoutingSnapshot {
                 _ => {}
             }
             answer.matches += self.count_in(slot, lo, hi);
-            if self.slot_high[slot] >= hi || slot + 1 == self.slot_peer.len() {
+            if self.slot_high[slot] >= hi {
                 break;
             }
             slot += 1;
             answer.hops += 1;
-            counters.hops_by_kind[LinkKind::Adjacent as usize] += 1;
         }
         counters.record(answer);
         answer
     }
+}
+
+/// [`RoutingSnapshot::next_hop`] over one link segment, in one pass of
+/// selects: the strict `<` keeps the first target among equally near ones,
+/// and starting from `current`'s distance leaves `to` when none is nearer.
+#[inline(always)]
+fn nearest(links: &[u32], current: usize, to: u32, distance: impl Fn(u32) -> u32) -> usize {
+    let mut best = distance(current as u32);
+    let mut next = to;
+    for &t in links {
+        let d = distance(t);
+        let better = d < best;
+        best = if better { d } else { best };
+        next = if better { t } else { next };
+    }
+    next as usize
 }
 
 /// Builds a [`RoutingSnapshot`] slot by slot, in time linear in slots +
@@ -817,7 +815,7 @@ mod tests {
         assert_eq!(rejected.status, ServeStatus::Rejected);
         assert_eq!(c.queries, 3);
         assert_eq!(c.rejected, 1);
-        assert_eq!(c.hops_by_kind[LinkKind::Adjacent as usize], 4);
+        assert_eq!(c.hops, 4);
     }
 
     #[test]
@@ -833,6 +831,27 @@ mod tests {
         // Whole domain.
         let all = snap.range(0, 100, 3, &mut c);
         assert_eq!((all.matches, all.slots), (10, 4));
+    }
+
+    #[test]
+    fn keys_past_the_last_bound_are_rejected_not_owned() {
+        // The partition ends at 90 below the domain's high of 100.
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
+        for (slot, high) in [50u64, 90].into_iter().enumerate() {
+            b.push_slot(slot as u32, high, true);
+            b.push_item(high - 5, 1);
+            b.seal_slot();
+        }
+        b.link(0, 1, LinkKind::Adjacent);
+        let snap = b.finish();
+        let mut c = ServeCounters::default();
+        assert_eq!(snap.owner_of(89), Some(1));
+        assert_eq!(snap.owner_of(95), None);
+        assert_eq!(snap.exact(95, 0, &mut c).status, ServeStatus::Rejected);
+        let clamped = snap.range(60, 100, 0, &mut c);
+        assert_eq!((clamped.matches, clamped.slots, clamped.hops), (1, 1, 1));
+        let past = snap.range(92, 99, 0, &mut c);
+        assert_eq!((past.matches, past.slots, past.hops), (0, 0, 0));
     }
 
     #[test]
