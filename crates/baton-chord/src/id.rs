@@ -15,9 +15,9 @@ pub const RING: u64 = 1 << M;
 /// A point on the Chord identifier circle, always `< 2^M`.
 ///
 /// Stored as a `u32` — the full `2^32` circle fits exactly — so a
-/// [`Finger`](crate::node::Finger) (id + peer + id) packs into 12 bytes
-/// instead of 24.  All arithmetic still runs in `u64` (via
-/// [`value`](ChordId::value)) to keep the wraparound math overflow-free.
+/// [`Finger`](crate::node::Finger) (peer + id) packs into 8 bytes.  All
+/// arithmetic still runs in `u64` (via [`value`](ChordId::value)) to keep
+/// the wraparound math overflow-free.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 #[repr(transparent)]
 pub struct ChordId(u32);

@@ -6,12 +6,11 @@ use baton_net::PeerId;
 
 use crate::id::{ChordId, M};
 
-/// A finger-table entry: the node believed to succeed `start` on the ring.
+/// Finger-table entry `k` of node `n`: the successor of `n + 2^k`
+/// ([`ChordId::finger_start`]) on the ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Finger {
-    /// Start of the finger interval (`n + 2^k`).
-    pub start: ChordId,
-    /// Peer currently believed to be the successor of `start`.
+    /// Peer that succeeds the finger's start.
     pub node: PeerId,
     /// That peer's identifier.
     pub node_id: ChordId,
@@ -28,22 +27,27 @@ pub struct ChordNode {
     pub successor: (PeerId, ChordId),
     /// Immediate predecessor (peer, id).
     pub predecessor: (PeerId, ChordId),
-    /// Finger table with up to [`M`] entries.
-    pub fingers: Vec<Option<Finger>>,
+    /// Finger table: entry `k` is the successor of `id + 2^k`, for all
+    /// [`M`] entries.
+    pub fingers: Vec<Finger>,
     /// Keys stored at this node (key identifier → original keys).
     pub store: BTreeMap<u64, Vec<u64>>,
 }
 
 impl ChordNode {
-    /// Creates a node that is its own successor and predecessor (a
-    /// single-node ring).
+    /// Creates a node that is its own successor, predecessor and every
+    /// finger (a single-node ring).
     pub fn solo(peer: PeerId, id: ChordId) -> Self {
+        let itself = Finger {
+            node: peer,
+            node_id: id,
+        };
         Self {
             peer,
             id,
             successor: (peer, id),
             predecessor: (peer, id),
-            fingers: vec![None; M as usize],
+            fingers: vec![itself; M as usize],
             store: BTreeMap::new(),
         }
     }
@@ -57,7 +61,7 @@ impl ChordNode {
     /// the finger table and the key store (B-tree entries plus per-key
     /// value vectors, with ~16 bytes of amortised tree overhead each).
     pub fn estimated_state_bytes(&self) -> u64 {
-        let fingers = (self.fingers.capacity() * std::mem::size_of::<Option<Finger>>()) as u64;
+        let fingers = (self.fingers.capacity() * std::mem::size_of::<Finger>()) as u64;
         let entry = std::mem::size_of::<(u64, Vec<u64>)>() as u64 + 16;
         let store = self.store.len() as u64 * entry
             + self
@@ -78,13 +82,10 @@ impl ChordNode {
     /// lookup: the highest finger whose node id lies strictly between this
     /// node and the target.
     pub fn closest_preceding(&self, target: ChordId) -> Option<(PeerId, ChordId)> {
-        for finger in self.fingers.iter().rev().flatten() {
+        for finger in self.fingers.iter().rev() {
             if finger.node_id.in_open_interval(self.id, target) {
                 return Some((finger.node, finger.node_id));
             }
-        }
-        if self.successor.1.in_open_interval(self.id, target) {
-            return Some(self.successor);
         }
         None
     }
@@ -97,6 +98,10 @@ mod tests {
     #[test]
     fn solo_node_owns_everything() {
         let node = ChordNode::solo(PeerId(1), ChordId::new(100));
+        // Every finger is the node itself, successor(start) in a one-node
+        // ring, and an entry is a peer and an id: 8 bytes.
+        assert!(node.fingers.iter().all(|f| f.node == PeerId(1)));
+        assert_eq!(std::mem::size_of::<Finger>(), 8);
         assert!(node.owns(ChordId::new(0)));
         assert!(node.owns(ChordId::new(100)));
         assert!(node.owns(ChordId::new(u32::MAX as u64)));
@@ -117,17 +122,14 @@ mod tests {
     #[test]
     fn closest_preceding_prefers_the_farthest_useful_finger() {
         let mut node = ChordNode::solo(PeerId(1), ChordId::new(0));
-        node.successor = (PeerId(2), ChordId::new(10));
-        node.fingers[3] = Some(Finger {
-            start: ChordId::new(8),
-            node: PeerId(3),
-            node_id: ChordId::new(40),
-        });
-        node.fingers[5] = Some(Finger {
-            start: ChordId::new(32),
-            node: PeerId(4),
-            node_id: ChordId::new(90),
-        });
+        let finger = |peer, id| Finger {
+            node: PeerId(peer),
+            node_id: ChordId::new(id),
+        };
+        // Finger 0 is the successor.
+        node.fingers[0] = finger(2, 10);
+        node.fingers[3] = finger(3, 40);
+        node.fingers[5] = finger(4, 90);
         // Target beyond both fingers: pick the farther one (higher index).
         assert_eq!(
             node.closest_preceding(ChordId::new(100)),
@@ -138,7 +140,7 @@ mod tests {
             node.closest_preceding(ChordId::new(60)),
             Some((PeerId(3), ChordId::new(40)))
         );
-        // Target right after the node: only the successor helps.
+        // Target right after the node: only finger 0 helps.
         assert_eq!(
             node.closest_preceding(ChordId::new(20)),
             Some((PeerId(2), ChordId::new(10)))

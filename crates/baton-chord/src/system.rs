@@ -24,6 +24,27 @@ use baton_net::{
 use crate::id::{ChordId, M};
 use crate::node::{ChordNode, Finger};
 
+/// The position in `ring` (members in ascending identifier order) of
+/// successor(`id`): the first member at or after `id`, wrapping past the
+/// top of the circle.
+fn successor_position(ring: &[(PeerId, ChordId)], id: ChordId) -> usize {
+    ring.partition_point(|&(_, x)| x < id) % ring.len()
+}
+
+/// The member of `ring` with identifier `id`, with exact links: its ring
+/// neighbours, and finger `k` on successor(`id + 2^k`).
+fn exact_node(ring: &[(PeerId, ChordId)], id: ChordId) -> ChordNode {
+    let (n, at) = (ring.len(), successor_position(ring, id));
+    let mut exact = ChordNode::solo(ring[at].0, id);
+    exact.successor = ring[(at + 1) % n];
+    exact.predecessor = ring[(at + n - 1) % n];
+    for (k, finger) in (0..M).zip(&mut exact.fingers) {
+        let (node, node_id) = ring[successor_position(ring, id.finger_start(k))];
+        *finger = Finger { node, node_id };
+    }
+    exact
+}
+
 /// The error of an operation naming a peer that is not in the ring.
 fn unknown_peer(peer: PeerId) -> OverlayError {
     OverlayError::Op(format!("unknown peer {peer}"))
@@ -82,60 +103,25 @@ impl ChordSystem {
     /// identifiers.  `O(N (log N + M))` arithmetic instead of the join
     /// path's `O(N log² N)` simulated lookups; no messages are charged.
     ///
-    /// The result passes [`validate`](Self::validate) and behaves like a
-    /// join-built ring under all subsequent operations, but is not
+    /// The result passes [`validate`](Self::validate), whose finger check
+    /// holds a join-built ring to the same tables, but is not
     /// byte-identical to one (identifier draw order differs), so the bulk
     /// path is opt-in — committed fixtures always use [`build`](Self::build).
     pub fn bulk_build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
-        if n == 0 {
-            return Ok(system);
-        }
-        let peers: Vec<PeerId> = (0..n).map(|_| system.net.add_peer()).collect();
-        let ids: Vec<ChordId> = (0..n)
+        let members: Vec<(PeerId, ChordId)> = (0..n)
             .map(|_| {
-                let id = system.fresh_id();
+                let (peer, id) = (system.net.add_peer(), system.fresh_id());
                 // Reserve immediately so later draws cannot collide.
                 system.used_ids.insert(id.compact());
-                id
+                (peer, id)
             })
             .collect();
-
-        // Ring order and each node's ring position.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| ids[i]);
-        let mut rank = vec![0usize; n];
-        for (position, &i) in order.iter().enumerate() {
-            rank[i] = position;
-        }
-        let sorted_ids: Vec<ChordId> = order.iter().map(|&i| ids[i]).collect();
-        // The ring position owning `id`: the first node at or after it,
-        // wrapping past the top of the circle.
-        let successor_position = |id: ChordId| match sorted_ids.binary_search(&id) {
-            Ok(k) => k,
-            Err(k) if k == n => 0,
-            Err(k) => k,
-        };
-
-        system.nodes = (0..n)
-            .map(|i| {
-                let position = rank[i];
-                let prev = order[(position + n - 1) % n];
-                let next = order[(position + 1) % n];
-                let mut node = ChordNode::solo(peers[i], ids[i]);
-                node.successor = (peers[next], ids[next]);
-                node.predecessor = (peers[prev], ids[prev]);
-                for k in 0..M {
-                    let start = ids[i].finger_start(k);
-                    let owner = order[successor_position(start)];
-                    node.fingers[k as usize] = Some(Finger {
-                        start,
-                        node: peers[owner],
-                        node_id: ids[owner],
-                    });
-                }
-                (peers[i], node)
-            })
+        let mut ring = members.clone();
+        ring.sort_unstable_by_key(|&(_, id)| id);
+        system.nodes = members
+            .into_iter()
+            .map(|(peer, id)| (peer, exact_node(&ring, id)))
             .collect();
         Ok(system)
     }
@@ -143,6 +129,13 @@ impl ChordSystem {
     /// Iterates over the ring's nodes in peer-id order.
     pub fn nodes(&self) -> impl Iterator<Item = &ChordNode> + '_ {
         self.nodes.values()
+    }
+
+    /// The live members in ascending identifier order.
+    fn ring(&self) -> Vec<(PeerId, ChordId)> {
+        let mut ring: Vec<_> = self.nodes.values().map(|n| (n.peer, n.id)).collect();
+        ring.sort_unstable_by_key(|&(_, id)| id);
+        ring
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
@@ -297,78 +290,59 @@ impl ChordSystem {
 
         // Build the finger table: one lookup per distinct finger interval
         // (reusing the previous finger when it already covers the next
-        // interval, the standard optimisation) — O(log² N) messages.
-        let mut previous: Option<Finger> = None;
-        for k in 0..M {
-            let start = id.finger_start(k);
-            if let Some(prev) = previous {
-                if start.in_half_open_interval(id, prev.node_id) {
-                    let finger = Finger {
-                        start,
-                        node: prev.node,
-                        node_id: prev.node_id,
-                    };
-                    self.node_mut(peer)?.fingers[k as usize] = Some(finger);
-                    previous = Some(finger);
-                    continue;
+        // interval, the standard optimisation) — O(log² N) messages.  The
+        // entries not yet built still point at the new node itself, which
+        // `closest_preceding` never picks.
+        for k in 0..M as usize {
+            let start = id.finger_start(k as u32);
+            let previous = self.node(peer)?.fingers[k.saturating_sub(1)];
+            let finger = if k > 0 && start.in_half_open_interval(id, previous.node_id) {
+                previous
+            } else {
+                let (owner, msgs) = self.lookup(op, peer, start)?;
+                update_messages += msgs;
+                Finger {
+                    node: owner,
+                    node_id: self.node(owner)?.id,
                 }
-            }
-            let (owner, msgs) = self.lookup(op, peer, start)?;
-            update_messages += msgs;
-            let owner_id = self.node(owner)?.id;
-            let finger = Finger {
-                start,
-                node: owner,
-                node_id: owner_id,
             };
-            self.node_mut(peer)?.fingers[k as usize] = Some(finger);
-            previous = Some(finger);
+            self.node_mut(peer)?.fingers[k] = finger;
         }
 
         // `update_others`: existing nodes whose `i`-th finger interval now
         // starts at or before the new identifier must repoint that finger at
         // the new node.  For each finger index this is one lookup (to find
-        // the last node preceding `id − 2^i`) plus a walk back through
+        // the last node at or before `id − 2^i`) plus a walk back through
         // predecessors — the O(log² N) maintenance term of the Chord join
         // that the BATON paper contrasts with its own O(log N) updates.
         for i in 0..M {
-            let target =
-                ChordId::new((id.value() + crate::id::RING - (1u64 << i)) % crate::id::RING);
+            let target = ChordId::new(id.value() + crate::id::RING - (1u64 << i));
             let (succ, msgs) = self.lookup(op, peer, target)?;
             update_messages += msgs;
-            let mut current = self.node(succ)?.predecessor.0;
-            let mut walked = 0u32;
-            loop {
-                if current == peer {
-                    break;
-                }
-                let (start, finger_node_id, predecessor) = {
-                    let node = self.node(current)?;
-                    let start = node.id.finger_start(i);
-                    let finger_node_id = node.fingers[i as usize]
-                        .map(|f| f.node_id)
-                        .unwrap_or(node.successor.1);
-                    (start, finger_node_id, node.predecessor.0)
-                };
+            // The lookup answers the first node at or after `target`; one
+            // sitting exactly on it is the walk's first node.
+            let succ = self.node(succ)?;
+            let mut current = if succ.id == target {
+                succ.peer
+            } else {
+                succ.predecessor.0
+            };
+            while current != peer {
+                let node = self.node(current)?;
+                let (start, predecessor) = (node.id.finger_start(i), node.predecessor.0);
                 // The new node becomes this node's i-th finger if it lies in
-                // [start, current finger target).
-                let improves = id == start || id.in_open_interval(start, finger_node_id);
-                if !improves {
+                // [start, current finger): a finger on its start stays.
+                if start.distance_to(id) >= start.distance_to(node.fingers[i as usize].node_id) {
                     break;
                 }
                 self.net
                     .count_message(op, "chord.maintenance", peer, current);
                 update_messages += 1;
-                self.node_mut(current)?.fingers[i as usize] = Some(Finger {
-                    start,
+                self.node_mut(current)?.fingers[i as usize] = Finger {
                     node: peer,
                     node_id: id,
-                });
+                };
                 current = predecessor;
-                walked += 1;
-                if walked > M * 4 {
-                    break;
-                }
             }
         }
 
@@ -438,7 +412,7 @@ impl ChordSystem {
         }
         for (slot, node) in order.iter().enumerate() {
             builder.link_peer(slot, node.successor.0 .0, LinkKind::Successor);
-            for finger in node.fingers.iter().flatten() {
+            for finger in &node.fingers {
                 builder.link_peer(slot, finger.node.0, LinkKind::Finger);
             }
             for target in self.replica_targets(node.peer) {
@@ -564,26 +538,24 @@ impl Overlay for ChordSystem {
 
         // Repair stale fingers: every node that pointed at the departed peer
         // re-runs a lookup for that finger interval.
-        let stale: Vec<(PeerId, usize, ChordId)> = self
+        let stale: Vec<(PeerId, u32)> = self
             .nodes
             .iter()
             .flat_map(|(p, n)| {
-                n.fingers.iter().enumerate().filter_map(move |(k, f)| {
-                    f.as_ref()
-                        .filter(|f| f.node == peer)
-                        .map(|f| (p, k, f.start))
-                })
+                (0..M)
+                    .zip(&n.fingers)
+                    .filter(|(_, f)| f.node == peer)
+                    .map(move |(k, _)| (p, k))
             })
             .collect();
-        for (holder, k, start) in stale {
+        for (holder, k) in stale {
+            let start = self.node(holder)?.id.finger_start(k);
             let (owner, msgs) = self.lookup(op, holder, start)?;
             update_messages += msgs;
-            let owner_id = self.node(owner)?.id;
-            self.node_mut(holder)?.fingers[k] = Some(Finger {
-                start,
+            self.node_mut(holder)?.fingers[k as usize] = Finger {
                 node: owner,
-                node_id: owner_id,
-            });
+                node_id: self.node(owner)?.id,
+            };
         }
         // Successor pointers referencing the departed node are repaired for
         // free by the predecessor update above; predecessor pointers at
@@ -603,32 +575,16 @@ impl Overlay for ChordSystem {
     /// identifier's successor, the same node a routed insert reaches; no
     /// messages are charged.
     fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
-        if self.nodes.is_empty() {
+        let ring = self.ring();
+        if ring.is_empty() {
             return true;
         }
-        let mut ring: Vec<(ChordId, PeerId)> = self
-            .nodes
-            .iter()
-            .map(|(peer, node)| (node.id, peer))
-            .collect();
-        ring.sort_unstable();
-        // One stable sort by ring identifier, then a merge-style pass with
-        // a monotonic cursor (wrapping the top of the circle back to the
-        // first node) — every node's items arrive while it is cache-hot.
-        // The stable sort keeps identifier collisions in dataset order, so
-        // per-key value order matches a routed load exactly.
-        let mut items: Vec<(ChordId, u64)> = data
-            .iter()
-            .map(|&(key, value)| (ChordId::hash(key), value))
-            .collect();
-        items.sort_by_key(|&(id, _)| id);
-        let mut cursor = 0usize;
-        for &(id, value) in &items {
-            while cursor < ring.len() && ring[cursor].0 < id {
-                cursor += 1;
-            }
-            let slot = if cursor == ring.len() { 0 } else { cursor };
-            if let Some(node) = self.nodes.get_mut(ring[slot].1) {
+        // In dataset order, so identifier collisions keep a routed load's
+        // per-key value order.
+        for &(key, value) in data {
+            let id = ChordId::hash(key);
+            let owner = ring[successor_position(&ring, id)].0;
+            if let Some(node) = self.nodes.get_mut(owner) {
                 node.store.entry(id.value()).or_default().push(value);
             }
         }
@@ -731,49 +687,30 @@ impl Overlay for ChordSystem {
         Err(OverlayError::Unsupported("range queries on a DHT"))
     }
 
-    /// Verifies ring invariants: successor/predecessor pointers are mutually
-    /// consistent and the identifiers strictly increase around the ring.
-    /// Nodes are checked in peer-id order and the successor walk starts at
-    /// the lowest live id, so a broken ring reports the same violation on
-    /// every run.
+    /// Verifies that every node's links are exact for the live ring:
+    /// successor and predecessor are its neighbours in identifier order
+    /// (so the successor walk visits every node once, in ascending
+    /// identifier order), and every finger `k` is successor(`id + 2^k`).
+    /// Nodes are checked in peer-id order, so a broken ring reports the
+    /// same violation on every run.
     fn validate(&self) -> Result<(), String> {
-        if self.nodes.is_empty() {
-            return Ok(());
-        }
-        for (peer, node) in self.nodes.iter() {
-            let succ = self
-                .nodes
-                .get(node.successor.0)
-                .ok_or_else(|| format!("{peer} successor {} missing", node.successor.0))?;
-            if succ.predecessor.0 != peer {
+        let ring = self.ring();
+        for node in self.nodes.values() {
+            let (peer, exact) = (node.peer, exact_node(&ring, node.id));
+            if (node.successor, node.predecessor) != (exact.successor, exact.predecessor) {
                 return Err(format!(
-                    "{peer} successor {} does not point back",
-                    node.successor.0
+                    "{peer} links to {:?} / {:?}, not its ring neighbours {:?} / {:?}",
+                    node.successor, node.predecessor, exact.successor, exact.predecessor
                 ));
             }
-            let pred = self
-                .nodes
-                .get(node.predecessor.0)
-                .ok_or_else(|| format!("{peer} predecessor {} missing", node.predecessor.0))?;
-            if pred.successor.0 != peer {
+            let wrong = (0..M as usize).find(|&k| node.fingers.get(k) != exact.fingers.get(k));
+            if let Some(k) = wrong {
                 return Err(format!(
-                    "{peer} predecessor {} does not point forward",
-                    node.predecessor.0
+                    "{peer} finger {k} is {:?}, not {:?}",
+                    node.fingers.get(k),
+                    exact.fingers[k]
                 ));
             }
-        }
-        // Walking successors from any node must visit every node exactly once.
-        let start = self.peers()[0];
-        let mut seen = HashSet::new();
-        let mut current = start;
-        for _ in 0..self.nodes.len() {
-            if !seen.insert(current) {
-                return Err("successor cycle shorter than the ring".into());
-            }
-            current = self.nodes.get(current).expect("checked above").successor.0;
-        }
-        if current != start {
-            return Err("successor walk does not return to the start".into());
         }
         Ok(())
     }
@@ -921,6 +858,64 @@ mod tests {
         assert_eq!(system.total_items(), 100);
         for key in 0..100u64 {
             assert_eq!(system.search_exact(key).unwrap().matches, 1);
+        }
+    }
+
+    /// Finger `k` of the node at identifier `id`, as the identifier it
+    /// points at.
+    fn finger_of(ring: &ChordSystem, id: u64, k: usize) -> u64 {
+        let node = ring.nodes().find(|n| n.id == ChordId::new(id)).unwrap();
+        node.fingers[k].node_id.value()
+    }
+
+    /// Fault (i): the bootstrap node's fingers are exact before the second
+    /// join (they point at itself), so the join repoints only those whose
+    /// start the joiner now succeeds.  Fingers 30 and 31 start past the
+    /// joiner and stay at the bootstrap node.
+    #[test]
+    fn bootstrap_fingers_past_the_second_node_stay_at_the_bootstrap() {
+        let ring = ChordSystem::build(1, 2).unwrap();
+        assert_eq!(finger_of(&ring, 1_194_740_970, 29), 1_878_894_370);
+        assert_eq!(finger_of(&ring, 1_194_740_970, 30), 1_194_740_970);
+        assert_eq!(finger_of(&ring, 1_194_740_970, 31), 1_194_740_970);
+        ring.validate().unwrap();
+    }
+
+    /// Fault (ii): finger 28 of node 1,592,092,048 sits exactly on its start
+    /// 1,860,527,504, so it is already exact; the joiner 1,865,198,556 (the
+    /// 659th join of seed 8) lies past it and must not take it over.
+    #[test]
+    fn a_finger_on_its_start_survives_a_later_joiner() {
+        let ring = ChordSystem::build(8, 659).unwrap();
+        assert_eq!(finger_of(&ring, 1_592_092_048, 28), 1_860_527_504);
+        ring.validate().unwrap();
+    }
+
+    /// Fault (iii): the 831st joiner of seed 263, 188,161,028, lies exactly
+    /// `2^3` past node 188,161,020.  The lookup for `id − 2^3` answers that
+    /// node itself, and the walk must start there, not at its predecessor.
+    #[test]
+    fn a_node_exactly_2_to_the_i_before_a_joiner_takes_it_as_finger_i() {
+        let ring = ChordSystem::build(263, 831).unwrap();
+        assert_eq!(finger_of(&ring, 188_161_020, 3), 188_161_028);
+        ring.validate().unwrap();
+    }
+
+    /// Every finger of a join-built ring is successor(`id + 2^k`) after the
+    /// build and again after 500 leave+join pairs, over 300 seeds at
+    /// N = 2,000.  About 11 s in release on a 2-core host; CI runs it with
+    /// `--ignored`.
+    #[test]
+    #[ignore]
+    fn join_built_fingers_are_exact_over_300_seeds() {
+        for seed in 1..=300 {
+            let mut ring = ChordSystem::build(seed, 2_000).unwrap();
+            assert_eq!(ring.validate(), Ok(()), "seed {seed}, after the build");
+            for _ in 0..500 {
+                ring.leave_random().unwrap();
+                ring.join_random().unwrap();
+            }
+            assert_eq!(ring.validate(), Ok(()), "seed {seed}, after churn");
         }
     }
 

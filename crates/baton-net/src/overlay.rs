@@ -352,6 +352,13 @@ pub trait Overlay {
     ///
     /// Returns [`OverlayError::Unsupported`] when
     /// [`OverlayCapabilities::range_queries`] is `false`.
+    ///
+    /// A range over a failed peer whose repair has not run yet is not an
+    /// error on BATON at replication degree 1, by design: the sweep stops
+    /// at the first unreachable adjacent node and answers `Ok` with the
+    /// count gathered before it, a partial count.  At k > 1 the sweep
+    /// reads the dead slice from a replica, and errors only when every
+    /// holder of that slice is dead.
     fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost>;
 
     /// Checks the overlay's structural invariants.

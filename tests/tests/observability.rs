@@ -324,7 +324,7 @@ fn regional_failure_trace_pins_bounced_and_detour_hops() {
                 ("Multiway tree", 0, 0),
                 ("D3-Tree", 0, 0),
             ],
-            6748287815878599789
+            3193729915159139686
         )
     );
 }

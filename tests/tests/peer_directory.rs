@@ -220,7 +220,7 @@ const MTREE_BY_KIND: [(&str, u64); 3] = [
 const MTREE_ITEMS: usize = 2_044;
 const MTREE_HEIGHT: u32 = 13;
 
-const CHORD_MESSAGES: u64 = 415_474;
+const CHORD_MESSAGES: u64 = 415_675;
 const CHORD_BY_KIND: [(&str, u64); 3] = [
     ("chord.data", 2_044),
     ("chord.lookup", 74_356),

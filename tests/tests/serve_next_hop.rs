@@ -228,7 +228,7 @@ const PINNED: [(&str, [u64; 8], [u64; 8]); 4] = [
     ),
     (
         "Chord",
-        [4096, 0, 12974, 0, 0, 0, 0, 9462505688908174587],
+        [4096, 0, 12973, 0, 0, 0, 0, 4659054522087000095],
         [1024, 0, 0, 0, 0, 0, 1024, 0],
     ),
     (

@@ -155,7 +155,7 @@ fn reference_chord(system: &ChordSystem) -> RoutingSnapshot {
     }
     for (slot, node) in order.iter().enumerate() {
         b.link(slot, node.successor.0, LinkKind::Successor);
-        for finger in node.fingers.iter().flatten() {
+        for finger in &node.fingers {
             b.link(slot, finger.node, LinkKind::Finger);
         }
         b.replicas(slot, system.replica_targets(node.peer));
