@@ -182,21 +182,24 @@ impl PositionMap {
     }
 
     /// Visits the positions of the tree hanging from the root in in-order
-    /// (key order), as `(heap index, occupant)`.  Iterative: the stack holds
-    /// one position per level.
-    pub(crate) fn walk_in_order(&self, mut visit: impl FnMut(usize, PeerId)) {
-        let at = |h: usize| Some((h, self.slots.get(h)?.peer?));
+    /// (key order), as `(heap index, occupant, range)`.  Iterative: the
+    /// stack holds one position per level.
+    pub(crate) fn walk_in_order(&self, mut visit: impl FnMut(usize, PeerId, KeyRange)) {
+        let at = |h: usize| {
+            let slot = self.slots.get(h)?;
+            Some((h, slot.peer?, slot.range))
+        };
         let mut stack = Vec::with_capacity(self.occupied.len());
         let mut next = at(1);
         loop {
-            while let Some((h, peer)) = next {
-                stack.push((h, peer));
+            while let Some((h, peer, range)) = next {
+                stack.push((h, peer, range));
                 next = at(2 * h);
             }
-            let Some((h, peer)) = stack.pop() else {
+            let Some((h, peer, range)) = stack.pop() else {
                 return;
             };
-            visit(h, peer);
+            visit(h, peer, range);
             next = at(2 * h + 1);
         }
     }

@@ -693,7 +693,7 @@ impl D3TreeSystem {
             }
             for peer in &bucket.peers {
                 builder.push_slot(peer.peer.0, peer.range.high, true);
-                builder.push_keys(peer.keys.iter().copied());
+                builder.push_keys(&peer.keys);
                 builder.seal_slot();
                 peers_of.push(peer);
             }

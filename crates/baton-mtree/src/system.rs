@@ -267,7 +267,7 @@ impl MTreeSystem {
         order.sort_by_key(|node| node.range.low);
         for node in &order {
             builder.push_slot(node.peer.0, node.range.high, true);
-            builder.push_keys(node.keys.iter().copied());
+            builder.push_keys(&node.keys);
             builder.seal_slot();
         }
         for (slot, node) in order.iter().enumerate() {

@@ -23,6 +23,7 @@
 //! alongside ([`RoutingSnapshot::links`]) but the read path never loads
 //! them: the traced routed engine is where hops are split by kind.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -254,6 +255,67 @@ impl RoutingSnapshot {
             + self.repl_target.len() * 4) as u64
     }
 
+    /// Checks the snapshot's shape: every CSR offset array starts at 0,
+    /// never decreases and closes its last segment at its array's end; link
+    /// and replica targets are slots other than their own; keys strictly
+    /// ascend within each slot; `slot_high` never decreases; and `item_cum`
+    /// starts at 0 and strictly increases.  The error names the first
+    /// violation found.
+    pub fn validate(&self) -> Result<(), String> {
+        let slots = self.slot_peer.len();
+        if self.slot_high.len() != slots || self.slot_alive.len() != slots {
+            return Err(format!(
+                "{slots} slot peers, {} bounds, {} liveness flags",
+                self.slot_high.len(),
+                self.slot_alive.len()
+            ));
+        }
+        if let Some(at) = self.slot_high.windows(2).position(|h| h[0] > h[1]) {
+            return Err(format!("slot_high decreases after slot {at}"));
+        }
+        check_offsets("item", &self.item_off, slots, self.item_key.len())?;
+        check_offsets("link", &self.link_off, slots, self.link_target.len())?;
+        check_offsets("replica", &self.repl_off, slots, self.repl_target.len())?;
+        if self.link_kind.len() != self.link_target.len() {
+            return Err(format!(
+                "{} link kinds for {} link targets",
+                self.link_kind.len(),
+                self.link_target.len()
+            ));
+        }
+        if self.item_cum.len() != self.item_key.len() + 1 || self.item_cum[0] != 0 {
+            return Err(format!(
+                "item_cum has {} entries from {:?} for {} keys",
+                self.item_cum.len(),
+                self.item_cum.first(),
+                self.item_key.len()
+            ));
+        }
+        if let Some(at) = self.item_cum.windows(2).position(|c| c[0] >= c[1]) {
+            return Err(format!("item_cum does not increase at item {at}"));
+        }
+        for slot in 0..slots {
+            let keys =
+                &self.item_key[self.item_off[slot] as usize..self.item_off[slot + 1] as usize];
+            if let Some(at) = keys.windows(2).position(|k| k[0] >= k[1]) {
+                return Err(format!("slot {slot}: key {at} does not ascend"));
+            }
+            let links = self.links(slot).map(|(target, _)| target);
+            let replicas = self.replicas(slot).iter().map(|&target| target as usize);
+            for (what, target) in links
+                .map(|t| ("link", t))
+                .chain(replicas.map(|t| ("replica", t)))
+            {
+                if target >= slots || target == slot {
+                    return Err(format!(
+                        "slot {slot}: {what} target {target} of {slots} slots"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The slot owning `key`, per the snapshot's placement, or `None` for
     /// an out-of-domain key on a partition (the routed engines reject
     /// those), a key past the partition's last bound, or an empty snapshot.
@@ -458,6 +520,23 @@ impl RoutingSnapshot {
     }
 }
 
+/// [`RoutingSnapshot::validate`]'s check of the CSR offsets `off` into an
+/// array of `len` entries.
+fn check_offsets(what: &str, off: &[u32], slots: usize, len: usize) -> Result<(), String> {
+    if off.len() != slots + 1 || off[0] != 0 || off[slots] as usize != len {
+        return Err(format!(
+            "{what} offsets: {} entries from {:?} to {:?} for {slots} slots and {len} entries",
+            off.len(),
+            off.first(),
+            off.last()
+        ));
+    }
+    match off.windows(2).position(|o| o[0] > o[1]) {
+        Some(slot) => Err(format!("{what} offsets decrease at slot {slot}")),
+        None => Ok(()),
+    }
+}
+
 /// [`RoutingSnapshot::next_hop`] over one link segment, in one pass of
 /// selects: the strict `<` keeps the first target among equally near ones,
 /// and starting from `current`'s distance leaves `to` when none is nearer.
@@ -478,21 +557,36 @@ fn nearest(links: &[u32], current: usize, to: u32, distance: impl Fn(u32) -> u32
 /// items + links.
 ///
 /// Extraction order matters: partition overlays must push slots in key
-/// order, ring overlays in ascending identifier order.  Items must arrive
-/// sorted within each slot.  Links and replicas follow their slot's push,
-/// in ascending slot order (a lower slot than the last one emitted panics):
-/// they are appended straight to the CSR arrays, and each slot keeps its
-/// entries in emission order, which is the order greedy routing breaks ties
-/// in.
+/// order, ring overlays in ascending identifier order.  Items fill the
+/// slots in push order: they go to the first slot not yet sealed, sorted
+/// within it, and [`seal_slot`](Self::seal_slot) closes that slot — so an
+/// exporter may push every slot before the first item.  Links and replicas
+/// follow their slot's push, in ascending slot order (a lower slot than the
+/// last one emitted panics): they are appended straight to the CSR arrays,
+/// and each slot keeps its entries in emission order, which is the order
+/// greedy routing breaks ties in.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
     snapshot: RoutingSnapshot,
-    /// Dense peer-id → slot table; the first slot pushed for a peer wins.
-    slot_by_peer: Vec<u32>,
+    /// Dense peer-id → slot table, built on the first lookup by peer; the
+    /// first slot pushed for a peer wins.
+    slot_by_peer: OnceCell<Vec<u32>>,
 }
 
 /// `slot_by_peer` entry of a peer without a slot.
 const NO_SLOT: u32 = u32::MAX;
+
+/// Records in the peer → slot table that `peer` has `slot`, unless an
+/// earlier slot of the peer is already there.
+fn note_slot(slot_by_peer: &mut Vec<u32>, peer: u32, slot: usize) {
+    if slot_by_peer.len() <= peer as usize {
+        slot_by_peer.resize(peer as usize + 1, NO_SLOT);
+    }
+    let entry = &mut slot_by_peer[peer as usize];
+    if *entry == NO_SLOT {
+        *entry = slot as u32;
+    }
+}
 
 /// `len` entries as a CSR offset.
 fn as_offset(len: usize, what: &str) -> u32 {
@@ -531,12 +625,13 @@ impl SnapshotBuilder {
                 repl_off: vec![0],
                 repl_target: Vec::new(),
             },
-            slot_by_peer: Vec::new(),
+            slot_by_peer: OnceCell::new(),
         }
     }
 
-    /// Reserves the slot and item arrays once, from totals the overlay
-    /// already knows (its stored-value count bounds the distinct keys).
+    /// Reserves the slot and item arrays for `slots` more slots and
+    /// `items` more distinct keys (an overlay's stored-value count bounds
+    /// its distinct keys).
     pub fn reserve(&mut self, slots: usize, items: usize) {
         let snapshot = &mut self.snapshot;
         snapshot.slot_peer.reserve(slots);
@@ -549,8 +644,8 @@ impl SnapshotBuilder {
         snapshot.repl_off.reserve(slots);
     }
 
-    /// Reserves the link arrays for exactly `links` links, for an overlay
-    /// that can count them before emitting them.
+    /// Reserves the link arrays for `links` more links, for an overlay that
+    /// can bound their number before emitting them.
     pub fn reserve_links(&mut self, links: usize) {
         self.snapshot.link_target.reserve_exact(links);
         self.snapshot.link_kind.reserve_exact(links);
@@ -564,12 +659,8 @@ impl SnapshotBuilder {
         let ascending = self.snapshot.slot_high.last().is_none_or(|&h| h <= high);
         assert!(ascending, "slots must be pushed in non-decreasing order");
         let slot = self.snapshot.slot_peer.len();
-        if self.slot_by_peer.len() <= peer as usize {
-            self.slot_by_peer.resize(peer as usize + 1, NO_SLOT);
-        }
-        let entry = &mut self.slot_by_peer[peer as usize];
-        if *entry == NO_SLOT {
-            *entry = u32::try_from(slot).expect("slot_peer: more than u32::MAX slots");
+        if let Some(slot_by_peer) = self.slot_by_peer.get_mut() {
+            note_slot(slot_by_peer, peer, slot);
         }
         self.snapshot.slot_peer.push(peer);
         self.snapshot.slot_high.push(high);
@@ -577,8 +668,8 @@ impl SnapshotBuilder {
         slot
     }
 
-    /// Appends one distinct stored key (with its value count) to the most
-    /// recently pushed slot.  Keys must arrive sorted per slot.
+    /// Appends one distinct stored key (with its value count) to the first
+    /// unsealed slot.  Keys must arrive sorted per slot.
     #[inline]
     pub fn push_item(&mut self, key: u64, count: u64) {
         debug_assert!(!self.snapshot.slot_peer.is_empty(), "push_slot first");
@@ -588,48 +679,68 @@ impl SnapshotBuilder {
         self.snapshot.item_cum.push(total + count);
     }
 
-    /// Appends the sorted key multiset of the most recently pushed slot,
+    /// Appends the sorted key multiset of the first unsealed slot,
     /// run-length-encoded: one item per distinct key with its value count.
-    pub fn push_keys(&mut self, keys: impl IntoIterator<Item = u64>) {
-        let first = self.snapshot.item_key.len();
-        for key in keys {
-            if self.snapshot.item_key[first..].last() == Some(&key) {
-                *self
-                    .snapshot
-                    .item_cum
-                    .last_mut()
-                    .expect("item_cum starts at [0]") += 1;
-            } else {
-                self.push_item(key, 1);
+    /// A slice without a repeated key is copied whole, each key a count of
+    /// one.
+    pub fn push_keys(&mut self, keys: &[u64]) {
+        if keys.windows(2).any(|pair| pair[0] == pair[1]) {
+            for run in keys.chunk_by(|a, b| a == b) {
+                self.push_item(run[0], run.len() as u64);
             }
+            return;
         }
+        let s = &mut self.snapshot;
+        let total = *s.item_cum.last().expect("item_cum starts at [0]");
+        s.item_key.extend_from_slice(keys);
+        s.item_cum.extend(total + 1..total + 1 + keys.len() as u64);
     }
 
-    /// Seals the most recently pushed slot's item segment.  Must be called
+    /// Seals the item segment of the first unsealed slot.  Must be called
     /// once per slot, after its items.
     pub fn seal_slot(&mut self) {
-        let sealed = u32::try_from(self.snapshot.item_key.len())
-            .expect("item_off: more than u32::MAX distinct keys");
-        self.snapshot.item_off.push(sealed);
+        let s = &mut self.snapshot;
+        s.item_off
+            .push(as_offset(s.item_key.len(), "distinct keys"));
     }
 
-    /// The slot index a peer landed at, for link/replica resolution.
+    /// The slot index a peer landed at, for link/replica resolution.  The
+    /// first call builds the peer → slot table from the slots pushed so
+    /// far; later pushes keep it current.
     pub fn slot_of(&self, peer: u32) -> Option<usize> {
-        let slot = *self.slot_by_peer.get(peer as usize)?;
+        let slot_by_peer = self.slot_by_peer.get_or_init(|| {
+            let mut slot_by_peer = Vec::new();
+            for (slot, &peer) in self.snapshot.slot_peer.iter().enumerate() {
+                note_slot(&mut slot_by_peer, peer, slot);
+            }
+            slot_by_peer
+        });
+        let slot = *slot_by_peer.get(peer as usize)?;
         (slot != NO_SLOT).then_some(slot as usize)
     }
 
-    /// Records a routing link from `slot` to `target` of class `kind`.
+    /// Appends the whole link row of `slot`: `targets[i]`, another slot,
+    /// of class `kinds[i]`.  Closes the rows of the slots before it.
     #[inline]
-    pub fn link(&mut self, slot: usize, target: usize, kind: LinkKind) {
+    pub fn push_link_row(&mut self, slot: usize, targets: &[u32], kinds: &[LinkKind]) {
+        assert_eq!(targets.len(), kinds.len(), "one kind per link target");
         let s = &mut self.snapshot;
         if s.link_off.len() != slot + 1 {
             let (pushed, len) = (s.slot_peer.len(), s.link_target.len());
             open_segment(&mut s.link_off, slot, pushed, len, "links");
         }
-        if slot != target {
-            s.link_target.push(target as u32);
-            s.link_kind.push(kind);
+        s.link_target.extend_from_slice(targets);
+        s.link_kind.extend_from_slice(kinds);
+    }
+
+    /// Records a routing link from `slot` to `target` of class `kind`; a
+    /// link to the slot itself is dropped.
+    #[inline]
+    pub fn link(&mut self, slot: usize, target: usize, kind: LinkKind) {
+        if slot == target {
+            self.push_link_row(slot, &[], &[]);
+        } else {
+            self.push_link_row(slot, &[target as u32], &[kind]);
         }
     }
 
@@ -662,7 +773,8 @@ impl SnapshotBuilder {
 
     /// Seals the link and replica segments of the slots after the last one
     /// emitted and returns the finished snapshot (version 0 until published
-    /// through a [`SnapshotCell`]).
+    /// through a [`SnapshotCell`]).  Debug builds
+    /// [`validate`](RoutingSnapshot::validate) it.
     pub fn finish(self) -> RoutingSnapshot {
         let mut s = self.snapshot;
         let slots = s.slot_peer.len();
@@ -672,6 +784,7 @@ impl SnapshotBuilder {
             .resize(slots + 1, as_offset(s.link_target.len(), "links"));
         s.repl_off
             .resize(slots + 1, as_offset(s.repl_target.len(), "replicas"));
+        debug_assert_eq!(s.validate(), Ok(()), "malformed snapshot");
         s
     }
 }
@@ -929,6 +1042,72 @@ mod tests {
         assert_eq!(reader.snapshot().version(), 2);
         assert_eq!(reader.snapshot().exact(42, 0, &mut c).matches, 9);
         assert_eq!(reader.refreshes, 1);
+    }
+
+    #[test]
+    fn peer_lookups_keep_the_first_slot_across_later_pushes() {
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
+        b.push_slot(3, 25, true);
+        assert_eq!(b.slot_of(3), Some(0), "the first lookup builds the table");
+        for (peer, high) in [(9u32, 50u64), (3, 75), (1, 100)] {
+            b.push_slot(peer, high, true);
+        }
+        assert_eq!(b.slot_of(9), Some(1));
+        assert_eq!(b.slot_of(3), Some(0));
+        assert_eq!(b.slot_of(1), Some(3));
+        assert_eq!(b.slot_of(2), None);
+    }
+
+    #[test]
+    fn push_keys_copies_distinct_keys_and_counts_repeats() {
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
+        for (slot, keys) in [&[1u64, 4, 9][..], &[20, 20, 21, 30, 30, 30], &[]]
+            .into_iter()
+            .enumerate()
+        {
+            b.push_slot(slot as u32, 40 * (slot as u64 + 1), true);
+            b.push_keys(keys);
+            b.seal_slot();
+        }
+        let snap = b.finish();
+        assert_eq!(snap.item_key, [1, 4, 9, 20, 21, 30]);
+        assert_eq!(snap.item_cum, [0, 1, 2, 3, 5, 6, 9]);
+        assert_eq!(snap.item_off, [0, 3, 6, 6]);
+    }
+
+    #[test]
+    fn validate_names_the_first_malformed_array() {
+        let good = toy();
+        assert_eq!(good.validate(), Ok(()));
+        let broken = |edit: fn(&mut RoutingSnapshot)| {
+            let mut snap = good.clone();
+            edit(&mut snap);
+            snap.validate().unwrap_err()
+        };
+        let error = broken(|s| s.link_off[4] += 1);
+        assert!(error.starts_with("link offsets"), "{error}");
+        let error = broken(|s| s.item_off.swap(1, 2));
+        assert!(error.starts_with("item offsets decrease"), "{error}");
+        let error = broken(|s| s.link_target[0] = 0);
+        assert!(error.contains("link target 0"), "{error}");
+        let error = broken(|s| s.link_target[0] = 4);
+        assert!(error.contains("link target 4 of 4"), "{error}");
+        let error = broken(|s| s.repl_off = vec![0, 1, 1, 1, 1]);
+        assert!(error.starts_with("replica offsets"), "{error}");
+        let error = broken(|s| {
+            s.repl_off = vec![0, 1, 1, 1, 1];
+            s.repl_target.push(0);
+        });
+        assert!(error.contains("replica target 0"), "{error}");
+        let error = broken(|s| s.slot_high[1] = 10);
+        assert!(error.starts_with("slot_high decreases"), "{error}");
+        let error = broken(|s| s.item_cum[2] = s.item_cum[1]);
+        assert!(error.starts_with("item_cum does not increase"), "{error}");
+        let error = broken(|s| {
+            s.item_key[1] = 5;
+            s.item_off = vec![0, 2, 2, 3, 4];
+        });
+        assert!(error.contains("slot 0: key 0 does not ascend"), "{error}");
     }
 
     #[test]

@@ -167,7 +167,8 @@ pub fn serve_inputs() -> Inputs {
 }
 
 /// Asks every query of `inputs` twice — routed, and through a snapshot
-/// exported now — and checks both answers against `model`.  An overlay
+/// exported now and checked by `RoutingSnapshot::validate` — and checks
+/// both answers against `model`.  An overlay
 /// without range queries must refuse every span on both paths; one with
 /// them answers an empty span (inverted, a point, above the domain) with
 /// no match for no message.
@@ -176,6 +177,7 @@ pub fn check_answers(overlay: &mut dyn Overlay, model: &Model, inputs: &Inputs, 
     let snapshot = overlay
         .routing_snapshot()
         .expect("every overlay exports a snapshot");
+    assert_eq!(snapshot.validate(), Ok(()), "{context}: snapshot shape");
     let mut counters = ServeCounters::default();
     for &(key, hint) in &inputs.exact {
         let routed = overlay.search_exact(key).expect("exact").matches;

@@ -9,6 +9,7 @@
 //!   not refreshed keeps answering from its own consistent version — every
 //!   stale answer equals the pre-churn routed answer, never a mix — while a
 //!   refreshed reader agrees with the post-churn overlay.
+//! * Every snapshot read passes `RoutingSnapshot::validate`.
 //!
 //! [`RoutingSnapshot`]: baton_net::RoutingSnapshot
 
@@ -83,6 +84,7 @@ fn stale_reader_answers_from_its_own_version_across_a_mid_stream_swap() {
     // — byte-for-byte the pre-churn routed answers, with no post-churn
     // keys or peers leaking in.
     assert_eq!(stale.snapshot().version(), v1);
+    assert_eq!(stale.snapshot().validate(), Ok(()));
     let mut hint_rng = SimRng::seeded(0x717);
     for (key, expected) in probes.iter().zip(&before) {
         let served = snapshot_exact(stale.snapshot(), *key, hint_rng.uniform_u64(0, u64::MAX));
@@ -101,6 +103,7 @@ fn stale_reader_answers_from_its_own_version_across_a_mid_stream_swap() {
     // One refresh later the same reader agrees with the live overlay.
     fresh.refresh();
     assert_eq!(fresh.snapshot().version(), v2);
+    assert_eq!(fresh.snapshot().validate(), Ok(()));
     for key in probes.iter().chain(std::iter::once(&new_key)) {
         let routed = overlay.search_exact(*key).expect("routed").matches;
         let served = snapshot_exact(fresh.snapshot(), *key, hint_rng.uniform_u64(0, u64::MAX));

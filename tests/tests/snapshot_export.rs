@@ -1,35 +1,46 @@
 //! Differential check of [`RoutingSnapshot`] export.
 //!
-//! The production path resolves links through a dense peer→slot table and
-//! appends them to the CSR arrays in slot order; BATON's exporter computes
-//! its links from the position map instead of reading them.  The reference
-//! below keeps the builder it replaced — one `Vec` per slot and a
-//! linear-scan `slot_of` — and reads each overlay through its public
-//! accessors only, BATON's parent, child and adjacent links and both
-//! routing tables included.  The two must produce field-for-field equal
-//! snapshots on all four overlays after seeded churn, including BATON's
-//! replica and liveness arrays at k = 2 with an unrepaired dead peer and
-//! along a schedule of deferred failures and repairs.  A scale guard
-//! exports a 50,000-peer overlay under plain `cargo test`: it carries no
+//! The production path resolves links through a peer→slot table built on
+//! the first lookup and appends them to the CSR arrays in slot order.
+//! BATON's exporter computes its links from the position map instead of
+//! reading them, copies each store's sorted keys whole (run-length-encoding
+//! only a store that holds a duplicate key) and writes each slot's link row
+//! in one append.  The reference below keeps the builder it replaced — one
+//! `Vec` per slot, its own `slot_of` and one `push_item` per distinct key —
+//! and reads each overlay through its public accessors only, BATON's
+//! parent, child and adjacent links and both routing tables included.  The
+//! two must produce field-for-field equal snapshots on all four overlays
+//! after seeded churn at k = 1..=3; with repeated routed inserts after
+//! churn, so that stores hold duplicate keys; for BATON overlays of 0, 1
+//! and 2 peers; with BATON's replica and liveness arrays at k = 2 and an
+//! unrepaired dead peer; and along a schedule of deferred failures and
+//! repairs.  A scale guard exports a 50,000-peer overlay under plain `cargo
+//! test` and checks it with [`RoutingSnapshot::validate`]: it carries no
 //! wall-clock assertion, but a quadratic export turns its seconds into many
-//! minutes.
+//! minutes.  An ignored release test exports N = 100,000 peers with
+//! 1,000,000 items, compares it with the reference and prints the export
+//! time.
+
+use std::collections::HashMap;
+use std::time::Instant;
 
 use baton_chord::ChordSystem;
 use baton_core::{BatonConfig, BatonSystem};
 use baton_d3tree::D3TreeSystem;
 use baton_mtree::MTreeSystem;
-use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
+use baton_net::serve::{ExactPlacement, RoutingSnapshot, ServeCounters, SnapshotBuilder};
 use baton_net::{LinkKind, Overlay, PeerId, SimRng};
 use baton_workload::{DOMAIN_HIGH, DOMAIN_LOW};
 
 /// The builder the production one replaced: per-slot staging `Vec`s and a
-/// `slot_of` that scans.  `finish` replays the staged state through the
-/// production builder slot by slot with every target already resolved, so
-/// the peer→slot table and `push_keys` are bypassed and links may be staged
-/// in any slot order.
+/// `slot_of` of its own.  `finish` replays the staged state through the
+/// production builder link by link with every target already resolved, so
+/// the peer→slot table, `push_keys` and whole link rows are bypassed and
+/// links may be staged in any slot order.
 struct ReferenceBuilder {
     out: SnapshotBuilder,
-    peers: Vec<u32>,
+    /// The first slot of each peer.
+    slots: HashMap<u32, usize>,
     links: Vec<Vec<(usize, LinkKind)>>,
     replicas: Vec<Vec<usize>>,
 }
@@ -38,7 +49,7 @@ impl ReferenceBuilder {
     fn new(placement: ExactPlacement, domain: (u64, u64)) -> Self {
         Self {
             out: SnapshotBuilder::new(placement, domain),
-            peers: Vec::new(),
+            slots: HashMap::new(),
             links: Vec::new(),
             replicas: Vec::new(),
         }
@@ -51,13 +62,13 @@ impl ReferenceBuilder {
             self.out.push_item(key, count);
         }
         self.out.seal_slot();
-        self.peers.push(peer.0);
+        self.slots.entry(peer.0).or_insert(self.links.len());
         self.links.push(Vec::new());
         self.replicas.push(Vec::new());
     }
 
     fn slot_of(&self, peer: PeerId) -> Option<usize> {
-        self.peers.iter().position(|&p| p == peer.0)
+        self.slots.get(&peer.0).copied()
     }
 
     fn link_slot(&mut self, slot: usize, target: usize, kind: LinkKind) {
@@ -258,7 +269,7 @@ fn churn(overlay: &mut dyn Overlay, seed: u64) {
 #[test]
 fn production_export_equals_the_reference_builder_on_every_overlay() {
     for (seed, n) in [(2005u64, 60usize), (7, 33), (41, 2)] {
-        for k in [1usize, 2] {
+        for k in 1..=3 {
             let mut baton = BatonSystem::build(BatonConfig::default(), seed, n).unwrap();
             baton.set_replication(k).unwrap();
             churn(&mut baton, seed);
@@ -278,6 +289,105 @@ fn production_export_equals_the_reference_builder_on_every_overlay() {
             d3tree.set_replication(k).unwrap();
             churn(&mut d3tree, seed);
             assert_eq!(d3tree.build_routing_snapshot(), reference_d3tree(&d3tree));
+        }
+    }
+}
+
+/// Churns `overlay` at replication `k`, then inserts 40 fresh keys two to
+/// four times each through routed inserts, and requires the export to
+/// answer most of them with all their copies and to equal the reference.
+fn check_duplicates<O: Overlay>(
+    mut overlay: O,
+    k: usize,
+    seed: u64,
+    export: fn(&O) -> RoutingSnapshot,
+    reference: fn(&O) -> RoutingSnapshot,
+) {
+    overlay.set_replication(k).expect("replication");
+    churn(&mut overlay, seed);
+    let mut rng = SimRng::seeded(seed ^ 0xD0B1E);
+    let keys: Vec<u64> = (0..40)
+        .map(|_| rng.uniform_u64(DOMAIN_LOW, DOMAIN_HIGH - 1))
+        .collect();
+    for (i, &key) in keys.iter().enumerate() {
+        for copy in 0..2 + i as u64 % 3 {
+            overlay.insert(key, copy).expect("repeated insert");
+        }
+    }
+    overlay.validate().expect("valid after repeated inserts");
+    let snapshot = export(&overlay);
+    // The multiway tree can store an insert at a node whose range does not
+    // hold the key, where a read at the key's owner misses it, so most
+    // keys, not all, must come back with every copy.
+    let mut counters = ServeCounters::default();
+    let whole = (keys.iter().enumerate())
+        .filter(|&(i, &key)| snapshot.exact(key, 0, &mut counters).matches >= 2 + i as u64 % 3)
+        .count();
+    assert!(
+        whole > keys.len() / 2,
+        "seed {seed}, k = {k}: {whole} keys whole"
+    );
+    assert!(
+        snapshot == reference(&overlay),
+        "seed {seed}, k = {k}: export differs"
+    );
+}
+
+#[test]
+fn exports_of_stores_with_duplicate_keys_equal_the_reference_on_every_overlay() {
+    for (seed, n) in [(2005u64, 40usize), (9, 17)] {
+        for k in 1..=3 {
+            let baton = BatonSystem::build(BatonConfig::default(), seed, n).unwrap();
+            check_duplicates(
+                baton,
+                k,
+                seed,
+                BatonSystem::build_routing_snapshot,
+                reference_baton,
+            );
+            let chord = ChordSystem::build(seed, n).unwrap();
+            check_duplicates(
+                chord,
+                k,
+                seed,
+                ChordSystem::build_routing_snapshot,
+                reference_chord,
+            );
+            let mtree = MTreeSystem::build(seed, n).unwrap();
+            check_duplicates(
+                mtree,
+                k,
+                seed,
+                MTreeSystem::build_routing_snapshot,
+                reference_mtree,
+            );
+            let d3tree = D3TreeSystem::build(seed, n).unwrap();
+            check_duplicates(
+                d3tree,
+                k,
+                seed,
+                D3TreeSystem::build_routing_snapshot,
+                reference_d3tree,
+            );
+        }
+    }
+}
+
+#[test]
+fn baton_exports_of_zero_one_and_two_peers_equal_the_reference() {
+    for n in 0..=2 {
+        for k in 1..=3 {
+            let mut system = BatonSystem::build(BatonConfig::default(), 3, n).unwrap();
+            system.set_replication(k).unwrap();
+            if n > 0 {
+                for key in [5u64, 5, 7, 123_456_789, 123_456_789, 999_999_998] {
+                    system.insert(key, key).unwrap();
+                }
+            }
+            let snapshot = system.build_routing_snapshot();
+            assert_eq!(snapshot.slots(), n);
+            assert_eq!(snapshot.validate(), Ok(()), "n = {n}, k = {k}");
+            assert_eq!(snapshot, reference_baton(&system), "n = {n}, k = {k}");
         }
     }
 }
@@ -309,7 +419,7 @@ fn build_toy(emission: &[(usize, u32, LinkKind)]) -> RoutingSnapshot {
     let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 40));
     for (peer, high) in [(3u32, 10u64), (7, 20), (5, 30), (7, 40)] {
         b.push_slot(peer, high, true);
-        b.push_keys([high - 2, high - 2, high - 1]);
+        b.push_keys(&[high - 2, high - 2, high - 1]);
         b.seal_slot();
     }
     // `slot_of` keeps answering the first slot of a twice-pushed peer.
@@ -431,33 +541,65 @@ fn export_equals_the_reference_along_deferred_failures_and_repairs() {
     }
 }
 
-#[test]
-fn export_of_fifty_thousand_peers_is_well_formed() {
-    const N: usize = 50_000;
-    const ITEMS: u64 = 500_000;
-    let mut system = BatonSystem::bulk_build(BatonConfig::default(), 2005, N).unwrap();
+/// A bulk-built BATON overlay of `n` peers at k = 2, `items` uniform
+/// values loaded directly.
+fn bulk_baton(n: usize, items: u64) -> BatonSystem {
+    let mut system = BatonSystem::bulk_build(BatonConfig::default(), 2005, n).unwrap();
     let mut rng = SimRng::seeded(12);
-    let data: Vec<(u64, u64)> = (0..ITEMS)
+    let data: Vec<(u64, u64)> = (0..items)
         .map(|i| (rng.uniform_u64(DOMAIN_LOW, DOMAIN_HIGH - 1), i))
         .collect();
     system.load_direct(&data);
     system.set_replication(2).unwrap();
+    system
+}
 
+#[test]
+fn export_of_fifty_thousand_peers_is_well_formed() {
+    const N: usize = 50_000;
+    const ITEMS: u64 = 500_000;
+    let system = bulk_baton(N, ITEMS);
     let snapshot = system.build_routing_snapshot();
     assert_eq!(snapshot.slots(), N);
     assert_eq!(snapshot.total_items(), ITEMS);
-    let mut links = 0usize;
+    assert_eq!(snapshot.validate(), Ok(()));
     for slot in 0..N {
-        // The accessors slice by the CSR offsets, so a non-monotone or
-        // out-of-range offset panics here.
-        for (target, _) in snapshot.links(slot) {
-            assert!(target < N && target != slot);
-            links += 1;
-        }
-        let replicas = snapshot.replicas(slot);
-        assert_eq!(replicas.len(), 1, "k = 2");
-        assert!((replicas[0] as usize) < N && replicas[0] as usize != slot);
+        assert_eq!(snapshot.replicas(slot).len(), 1, "k = 2");
     }
     // Parent, children, adjacents and two O(log N) routing tables per peer.
+    let links: usize = (0..N).map(|slot| snapshot.links(slot).count()).sum();
     assert!(links > 20 * N, "{links} links");
+}
+
+/// The README's N = 100,000 export time comes from this test:
+/// `cargo test -q --release -p baton-tests --test snapshot_export --
+/// --ignored --nocapture`.
+#[test]
+#[ignore = "N = 100,000 peers with 1,000,000 items: run in release"]
+fn export_of_a_hundred_thousand_peers_equals_the_reference() {
+    const N: usize = 100_000;
+    const ITEMS: u64 = 1_000_000;
+    const EXPORTS: usize = 21;
+    let system = bulk_baton(N, ITEMS);
+    let mut ms = Vec::with_capacity(EXPORTS);
+    let mut snapshot = system.build_routing_snapshot();
+    for _ in 0..EXPORTS {
+        let start = Instant::now();
+        let next = system.build_routing_snapshot();
+        ms.push(start.elapsed().as_secs_f64() * 1e3);
+        // The previous export is freed after the next one is built, as a
+        // publishing writer frees the snapshot it replaces.
+        snapshot = next;
+    }
+    ms.sort_by(f64::total_cmp);
+    assert_eq!(snapshot.slots(), N);
+    assert_eq!(snapshot.total_items(), ITEMS);
+    assert_eq!(snapshot.validate(), Ok(()));
+    assert!(snapshot == reference_baton(&system), "export differs");
+    println!(
+        "export of {N} peers with {ITEMS} items: median {:.1} ms (min {:.1}, max {:.1}) over {EXPORTS} exports",
+        ms[EXPORTS / 2],
+        ms[0],
+        ms[EXPORTS - 1]
+    );
 }
