@@ -212,6 +212,7 @@ impl BatonSystem {
     /// Load balancing is not triggered: like bulk construction, a direct
     /// load models an out-of-band transfer, not a protocol exchange.
     pub fn load_direct(&mut self, data: &[(Key, Value)]) {
+        self.changes().note_all();
         let mut owners: Vec<(Key, PeerId)> = self
             .iter_nodes()
             .map(|(peer, node)| (node.range.low(), peer))

@@ -363,7 +363,7 @@ impl BatonSystem {
         let g_link = self.link_of(overloaded)?;
         light_node.left_adjacent = outer;
         light_node.right_adjacent = Some(g_link);
-        self.nodes.insert(light, light_node);
+        self.insert_node(light, light_node);
         let light_link = self.link_of(light)?;
         {
             let g = self.node_mut(overloaded)?;

@@ -125,7 +125,7 @@ impl BatonSystem {
         // Special case: the overlay's only node fails — nothing to recover.
         let Some(coordinator) = coordinator else {
             let lost_items = self.node_ref(peer)?.store.len();
-            let node = self.nodes.remove(peer).expect("checked above");
+            let node = self.remove_node(peer).expect("checked above");
             self.vacate(node.position, peer);
             self.mark_repaired(peer);
             return Ok(FailureReport {

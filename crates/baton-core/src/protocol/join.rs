@@ -208,7 +208,7 @@ impl BatonSystem {
         // Register the new node before notifications so that helpers can
         // resolve its link.
         self.occupy(child_pos, joiner, child_range);
-        self.nodes.insert(joiner, child);
+        self.insert_node(joiner, child);
 
         // The new node notifies the node on the far side of its adjacency
         // (one message, per the paper's cost analysis).

@@ -242,7 +242,7 @@ impl BatonSystem {
 
         // 4. Remove the leaf from the overlay.
         self.vacate(position, leaf);
-        self.nodes.remove(leaf);
+        self.remove_node(leaf);
 
         // 5. The parent's range (and child set) changed: refresh everyone
         //    holding a link to it with one combined notification each.
@@ -267,8 +267,7 @@ impl BatonSystem {
     ) -> Result<u64> {
         let mut messages = 0u64;
         let old_node = self
-            .nodes
-            .remove(old_peer)
+            .remove_node(old_peer)
             .ok_or(BatonError::UnknownPeer(old_peer))?;
         self.vacate(old_node.position, old_peer);
 
@@ -280,7 +279,7 @@ impl BatonSystem {
         new_node.peer = new_peer;
         let position = new_node.position;
         self.occupy(position, new_peer, new_node.range);
-        self.nodes.insert(new_peer, new_node);
+        self.insert_node(new_peer, new_node);
 
         // Repoint every node that held a link to the departed peer.
         let new_link = self.link_of(new_peer)?;

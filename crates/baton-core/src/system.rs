@@ -43,6 +43,8 @@
 //! notification carries the sender's position, which names the one
 //! routing-table slot to touch ([`BatonNode::table_slot_of`]).
 
+use std::sync::{Mutex, PoisonError};
+
 use baton_net::{Histogram, LinkKind, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
 
 use crate::config::BatonConfig;
@@ -51,6 +53,7 @@ use crate::node::BatonNode;
 use crate::position::Position;
 use crate::range::{Key, KeyRange};
 use crate::routing::NodeLink;
+use crate::snapshot::{Change, ChangeLog, Exporter};
 
 /// One position of the [`PositionMap`]: its occupant, if any, and the key
 /// range that occupant manages now (meaningless while unoccupied).  24 bytes.
@@ -76,12 +79,13 @@ impl PlaneSlot {
 /// key range.
 ///
 /// It is the simulator's position index — restructuring probes occupancy
-/// through it, the snapshot exporter walks it — and the §IV-A walk reads a
-/// hop's first candidate and termination test from it instead of loading
-/// the node and its routing table (see [`crate::protocol::search`]).  It
-/// changes only through [`BatonSystem::occupy`] / [`BatonSystem::vacate`]
-/// and [`BatonSystem::set_range`], and `validate` check 10 holds it to the
-/// nodes' own state.
+/// through it, the snapshot exporter reads slots from it — and the §IV-A
+/// walk reads a hop's first candidate and termination test from it instead
+/// of loading the node and its routing table (see
+/// [`crate::protocol::search`]).  It changes only through
+/// [`BatonSystem::occupy`] / [`BatonSystem::vacate`], which log the position
+/// for the exporter, and [`BatonSystem::set_range`], which logs the peer;
+/// `validate` check 10 holds it to the nodes' own state.
 ///
 /// BATON keeps the tree balanced, so the occupied positions of an `N`-node
 /// overlay span `O(N)` heap indices.  The array grows lazily to the highest
@@ -180,29 +184,6 @@ impl PositionMap {
         let occupied = |(h, slot): (usize, &PlaneSlot)| Some((h, slot.peer?, slot.range));
         self.slots.iter().enumerate().filter_map(occupied)
     }
-
-    /// Visits the positions of the tree hanging from the root in in-order
-    /// (key order), as `(heap index, occupant, range)`.  Iterative: the
-    /// stack holds one position per level.
-    pub(crate) fn walk_in_order(&self, mut visit: impl FnMut(usize, PeerId, KeyRange)) {
-        let at = |h: usize| {
-            let slot = self.slots.get(h)?;
-            Some((h, slot.peer?, slot.range))
-        };
-        let mut stack = Vec::with_capacity(self.occupied.len());
-        let mut next = at(1);
-        loop {
-            while let Some((h, peer, range)) = next {
-                stack.push((h, peer, range));
-                next = at(2 * h);
-            }
-            let Some((h, peer, range)) = stack.pop() else {
-                return;
-            };
-            visit(h, peer, range);
-            next = at(2 * h + 1);
-        }
-    }
 }
 
 /// What a [`BatonSystem::broadcast_link_update`] refreshes at its receivers.
@@ -224,7 +205,8 @@ pub(crate) enum LinkUpdate {
 pub struct BatonSystem {
     pub(crate) net: SimNetwork,
     /// Node state of every live peer and the sorted list sampling draws
-    /// from.  All membership changes are its `insert` / `remove`.
+    /// from.  All membership changes are its `insert` / `remove`, through
+    /// [`insert_node`](Self::insert_node) / [`remove_node`](Self::remove_node).
     pub(crate) nodes: PeerDirectory<BatonNode>,
     pub(crate) by_position: PositionMap,
     pub(crate) root: Option<PeerId>,
@@ -245,6 +227,10 @@ pub struct BatonSystem {
     /// [`crate::protocol::search`]); carried here so a walk allocates
     /// nothing in steady state.
     pub(crate) walk_scratch: crate::protocol::search::WalkScratch,
+    /// The snapshot exporter's previous export and the log of what changed
+    /// since ([`crate::snapshot`]).  Exports take `&self`, hence the lock;
+    /// writers reach the log through `&mut self` without locking.
+    pub(crate) exporter: Mutex<Exporter>,
 }
 
 impl BatonSystem {
@@ -262,6 +248,7 @@ impl BatonSystem {
             replication: 1,
             dead_peers: Vec::new(),
             walk_scratch: Default::default(),
+            exporter: Default::default(),
         }
     }
 
@@ -277,7 +264,7 @@ impl BatonSystem {
         let peer = self.net.add_peer();
         let node = BatonNode::new(peer, Position::ROOT, self.domain);
         self.occupy(Position::ROOT, peer, self.domain);
-        self.nodes.insert(peer, node);
+        self.insert_node(peer, node);
         Ok(peer)
     }
 
@@ -425,6 +412,7 @@ impl BatonSystem {
             )));
         }
         self.replication = k;
+        self.changes().note_all();
         Ok(())
     }
 
@@ -545,15 +533,35 @@ impl BatonSystem {
     /// Mutable access to a node, as a [`Result`].
     #[inline]
     pub(crate) fn node_mut(&mut self, peer: PeerId) -> Result<&mut BatonNode> {
-        self.nodes
-            .get_mut(peer)
-            .ok_or(BatonError::UnknownPeer(peer))
+        self.node_opt_mut(peer).ok_or(BatonError::UnknownPeer(peer))
     }
 
-    /// Mutable access to a node, or `None`.
+    /// Mutable access to a node, or `None`.  Every write to a node goes
+    /// through here or [`node_mut`](Self::node_mut), which logs the peer
+    /// for the snapshot exporter.
     #[inline]
     pub(crate) fn node_opt_mut(&mut self, peer: PeerId) -> Option<&mut BatonNode> {
+        self.changes().note(Change::Peer(peer));
         self.nodes.get_mut(peer)
+    }
+
+    /// Adds `peer`'s node to the overlay.
+    pub(crate) fn insert_node(&mut self, peer: PeerId, node: BatonNode) {
+        self.changes().note(Change::Peer(peer));
+        self.nodes.insert(peer, node);
+    }
+
+    /// Removes `peer`'s node from the overlay.
+    pub(crate) fn remove_node(&mut self, peer: PeerId) -> Option<BatonNode> {
+        self.changes().note(Change::Peer(peer));
+        self.nodes.remove(peer)
+    }
+
+    /// The snapshot exporter's change log.
+    #[inline]
+    pub(crate) fn changes(&mut self) -> &mut ChangeLog {
+        let exporter = self.exporter.get_mut();
+        &mut exporter.unwrap_or_else(PoisonError::into_inner).log
     }
 
     /// The current link (address, position, range) of `peer`.
@@ -635,6 +643,7 @@ impl BatonSystem {
 
     /// Registers that `peer`, managing `range`, now occupies `position`.
     pub(crate) fn occupy(&mut self, position: Position, peer: PeerId, range: KeyRange) {
+        self.changes().note(Change::Position(position.heap_index()));
         self.by_position.insert(position, peer, range);
         if position.is_root() {
             self.root = Some(peer);
@@ -644,6 +653,7 @@ impl BatonSystem {
     /// Removes the occupancy record for `position` if it is held by `peer`.
     pub(crate) fn vacate(&mut self, position: Position, peer: PeerId) {
         if self.by_position.get(position) == Some(peer) {
+            self.changes().note(Change::Position(position.heap_index()));
             self.by_position.remove(position);
             if position.is_root() && self.root == Some(peer) {
                 self.root = None;

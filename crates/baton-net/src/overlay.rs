@@ -226,6 +226,12 @@ pub trait Overlay {
     /// untouched, so a run that extracts snapshots stays byte-identical
     /// to one that does not.
     ///
+    /// The result always equals a from-scratch export of the current
+    /// state, field for field.  An overlay may compute it by patching its
+    /// previous export (BATON does, in time proportional to what changed
+    /// plus one copy of the arrays); two calls with no operation between
+    /// them return equal snapshots.
+    ///
     /// Default: `None` — for test doubles and overlays without snapshot
     /// support.
     fn routing_snapshot(&self) -> Option<crate::serve::RoutingSnapshot> {

@@ -24,6 +24,7 @@
 //! them: the traced routed engine is where hops are split by kind.
 
 use std::cell::OnceCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -144,13 +145,21 @@ impl ServeCounters {
 /// Slots are the overlay's peers in key order (partition overlays) or ring
 /// identifier order (hashed ring).  All per-slot data lives in dense
 /// flat/CSR arrays, so a snapshot is a handful of contiguous allocations
-/// that any number of threads can read concurrently.
+/// that any number of threads can read concurrently.  The arrays sit behind
+/// one `Arc`: a clone shares them, so an exporter that keeps its previous
+/// export to patch the next one holds no second copy.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RoutingSnapshot {
     version: u64,
     placement: ExactPlacement,
     /// `[low, high)` key domain (partition) or `[0, ring_size)` (ring).
     domain: (u64, u64),
+    arrays: Arc<SnapshotArrays>,
+}
+
+/// The per-slot arrays of a [`RoutingSnapshot`].
+#[derive(Clone, Debug, PartialEq)]
+struct SnapshotArrays {
     /// Peer address of each slot ([`crate::PeerId::raw`]-compatible).
     slot_peer: Vec<u32>,
     /// Exclusive range high of each slot (partition), or the slot's ring
@@ -198,7 +207,7 @@ impl RoutingSnapshot {
 
     /// Number of slots (peers) in the snapshot.
     pub fn slots(&self) -> usize {
-        self.slot_peer.len()
+        self.arrays.slot_peer.len()
     }
 
     /// `true` if the snapshot can answer range queries: its slots
@@ -215,44 +224,53 @@ impl RoutingSnapshot {
 
     /// Peer address of `slot`.
     pub fn peer_of(&self, slot: usize) -> u32 {
-        self.slot_peer[slot]
+        self.arrays.slot_peer[slot]
     }
 
     /// Liveness of `slot` at snapshot time.
     pub fn alive(&self, slot: usize) -> bool {
-        self.slot_alive[slot]
+        self.arrays.slot_alive[slot]
     }
 
     /// The routing links of `slot` as `(target slot, kind)`, in the order
     /// the overlay emitted them.
     pub fn links(&self, slot: usize) -> impl Iterator<Item = (usize, LinkKind)> + '_ {
-        let segment = self.link_off[slot] as usize..self.link_off[slot + 1] as usize;
-        segment.map(|i| (self.link_target[i] as usize, self.link_kind[i]))
+        let a = &*self.arrays;
+        let segment = a.link_off[slot] as usize..a.link_off[slot + 1] as usize;
+        segment.map(|i| (a.link_target[i] as usize, a.link_kind[i]))
     }
 
     /// The slots holding replicas of `slot`'s slice, in preference order.
     pub fn replicas(&self, slot: usize) -> &[u32] {
-        &self.repl_target[self.repl_off[slot] as usize..self.repl_off[slot + 1] as usize]
+        let a = &*self.arrays;
+        &a.repl_target[a.repl_off[slot] as usize..a.repl_off[slot + 1] as usize]
+    }
+
+    /// Number of (slot, key) item entries: each slot's distinct keys,
+    /// summed, so a key stored at two slots counts twice.
+    pub fn item_entries(&self) -> usize {
+        self.arrays.item_key.len()
     }
 
     /// Total stored values across all slots.
     pub fn total_items(&self) -> u64 {
-        *self.item_cum.last().unwrap_or(&0)
+        *self.arrays.item_cum.last().unwrap_or(&0)
     }
 
     /// Approximate resident bytes of the snapshot's arrays.
     pub fn estimated_bytes(&self) -> u64 {
-        (self.slot_peer.len() * 4
-            + self.slot_high.len() * 8
-            + self.slot_alive.len()
-            + self.item_off.len() * 4
-            + self.item_key.len() * 8
-            + self.item_cum.len() * 8
-            + self.link_off.len() * 4
-            + self.link_target.len() * 4
-            + self.link_kind.len()
-            + self.repl_off.len() * 4
-            + self.repl_target.len() * 4) as u64
+        let a = &*self.arrays;
+        (a.slot_peer.len() * 4
+            + a.slot_high.len() * 8
+            + a.slot_alive.len()
+            + a.item_off.len() * 4
+            + a.item_key.len() * 8
+            + a.item_cum.len() * 8
+            + a.link_off.len() * 4
+            + a.link_target.len() * 4
+            + a.link_kind.len()
+            + a.repl_off.len() * 4
+            + a.repl_target.len() * 4) as u64
     }
 
     /// Checks the snapshot's shape: every CSR offset array starts at 0,
@@ -262,41 +280,41 @@ impl RoutingSnapshot {
     /// starts at 0 and strictly increases.  The error names the first
     /// violation found.
     pub fn validate(&self) -> Result<(), String> {
-        let slots = self.slot_peer.len();
-        if self.slot_high.len() != slots || self.slot_alive.len() != slots {
+        let a = &*self.arrays;
+        let slots = a.slot_peer.len();
+        if a.slot_high.len() != slots || a.slot_alive.len() != slots {
             return Err(format!(
                 "{slots} slot peers, {} bounds, {} liveness flags",
-                self.slot_high.len(),
-                self.slot_alive.len()
+                a.slot_high.len(),
+                a.slot_alive.len()
             ));
         }
-        if let Some(at) = self.slot_high.windows(2).position(|h| h[0] > h[1]) {
+        if let Some(at) = a.slot_high.windows(2).position(|h| h[0] > h[1]) {
             return Err(format!("slot_high decreases after slot {at}"));
         }
-        check_offsets("item", &self.item_off, slots, self.item_key.len())?;
-        check_offsets("link", &self.link_off, slots, self.link_target.len())?;
-        check_offsets("replica", &self.repl_off, slots, self.repl_target.len())?;
-        if self.link_kind.len() != self.link_target.len() {
+        check_offsets("item", &a.item_off, slots, a.item_key.len())?;
+        check_offsets("link", &a.link_off, slots, a.link_target.len())?;
+        check_offsets("replica", &a.repl_off, slots, a.repl_target.len())?;
+        if a.link_kind.len() != a.link_target.len() {
             return Err(format!(
                 "{} link kinds for {} link targets",
-                self.link_kind.len(),
-                self.link_target.len()
+                a.link_kind.len(),
+                a.link_target.len()
             ));
         }
-        if self.item_cum.len() != self.item_key.len() + 1 || self.item_cum[0] != 0 {
+        if a.item_cum.len() != a.item_key.len() + 1 || a.item_cum[0] != 0 {
             return Err(format!(
                 "item_cum has {} entries from {:?} for {} keys",
-                self.item_cum.len(),
-                self.item_cum.first(),
-                self.item_key.len()
+                a.item_cum.len(),
+                a.item_cum.first(),
+                a.item_key.len()
             ));
         }
-        if let Some(at) = self.item_cum.windows(2).position(|c| c[0] >= c[1]) {
+        if let Some(at) = a.item_cum.windows(2).position(|c| c[0] >= c[1]) {
             return Err(format!("item_cum does not increase at item {at}"));
         }
         for slot in 0..slots {
-            let keys =
-                &self.item_key[self.item_off[slot] as usize..self.item_off[slot + 1] as usize];
+            let keys = &a.item_key[a.item_off[slot] as usize..a.item_off[slot + 1] as usize];
             if let Some(at) = keys.windows(2).position(|k| k[0] >= k[1]) {
                 return Err(format!("slot {slot}: key {at} does not ascend"));
             }
@@ -321,7 +339,8 @@ impl RoutingSnapshot {
     /// those), a key past the partition's last bound, or an empty snapshot.
     #[inline]
     pub fn owner_of(&self, key: u64) -> Option<usize> {
-        if self.slot_peer.is_empty() {
+        let highs = &self.arrays.slot_high;
+        if highs.is_empty() {
             return None;
         }
         match self.placement {
@@ -331,14 +350,14 @@ impl RoutingSnapshot {
                 }
                 // First slot whose exclusive high exceeds the key; none when
                 // the key lies past the last bound.
-                let at = self.slot_high.partition_point(|&h| h <= key);
-                (at < self.slot_high.len()).then_some(at)
+                let at = highs.partition_point(|&h| h <= key);
+                (at < highs.len()).then_some(at)
             }
             ExactPlacement::HashedRing => {
                 let id = ring_hash(key, self.domain.1.max(1));
                 // Successor placement: first slot id >= hash, wrapping.
-                let at = self.slot_high.partition_point(|&h| h < id);
-                Some(if at == self.slot_high.len() { 0 } else { at })
+                let at = highs.partition_point(|&h| h < id);
+                Some(if at == highs.len() { 0 } else { at })
             }
         }
     }
@@ -347,11 +366,11 @@ impl RoutingSnapshot {
     /// placement).
     #[inline]
     fn count_at(&self, slot: usize, stored_key: u64) -> u64 {
-        let lo = self.item_off[slot] as usize;
-        let hi = self.item_off[slot + 1] as usize;
-        let seg = &self.item_key[lo..hi];
+        let lo = self.arrays.item_off[slot] as usize;
+        let hi = self.arrays.item_off[slot + 1] as usize;
+        let seg = &self.arrays.item_key[lo..hi];
         match seg.binary_search(&stored_key) {
-            Ok(i) => self.item_cum[lo + i + 1] - self.item_cum[lo + i],
+            Ok(i) => self.arrays.item_cum[lo + i + 1] - self.arrays.item_cum[lo + i],
             Err(_) => 0,
         }
     }
@@ -359,11 +378,11 @@ impl RoutingSnapshot {
     /// Values stored at `slot` with keys in `[low, high)`.
     #[inline]
     fn count_in(&self, slot: usize, low: u64, high: u64) -> u64 {
-        let off = self.item_off[slot] as usize;
-        let seg = &self.item_key[off..self.item_off[slot + 1] as usize];
+        let off = self.arrays.item_off[slot] as usize;
+        let seg = &self.arrays.item_key[off..self.arrays.item_off[slot + 1] as usize];
         let a = off + seg.partition_point(|&k| k < low);
         let b = off + seg.partition_point(|&k| k < high);
-        self.item_cum[b] - self.item_cum[a]
+        self.arrays.item_cum[b] - self.arrays.item_cum[a]
     }
 
     /// The slot greedy routing moves to from `current` on its way to `to`:
@@ -375,13 +394,13 @@ impl RoutingSnapshot {
     /// never their kinds.
     #[inline]
     pub fn next_hop(&self, current: usize, to: usize) -> usize {
-        let links =
-            &self.link_target[self.link_off[current] as usize..self.link_off[current + 1] as usize];
+        let links = &self.arrays.link_target
+            [self.arrays.link_off[current] as usize..self.arrays.link_off[current + 1] as usize];
         let to = to as u32;
         match self.placement {
             ExactPlacement::DomainPartition => nearest(links, current, to, |t| t.abs_diff(to)),
             ExactPlacement::HashedRing => {
-                let n = self.slot_peer.len() as u32;
+                let n = self.arrays.slot_peer.len() as u32;
                 let forward = |t: u32| to.wrapping_sub(t).wrapping_add(if to < t { n } else { 0 });
                 nearest(links, current, to, forward)
             }
@@ -405,13 +424,13 @@ impl RoutingSnapshot {
     /// alive, `Failover` when a replica answers, `Unavailable` otherwise.
     #[inline]
     fn liveness(&self, slot: usize) -> ServeStatus {
-        if self.slot_alive[slot] {
+        if self.arrays.slot_alive[slot] {
             return ServeStatus::Ok;
         }
-        let lo = self.repl_off[slot] as usize;
-        let hi = self.repl_off[slot + 1] as usize;
+        let lo = self.arrays.repl_off[slot] as usize;
+        let hi = self.arrays.repl_off[slot + 1] as usize;
         for i in lo..hi {
-            if self.slot_alive[self.repl_target[i] as usize] {
+            if self.arrays.slot_alive[self.arrays.repl_target[i] as usize] {
                 return ServeStatus::Failover;
             }
         }
@@ -431,7 +450,7 @@ impl RoutingSnapshot {
             status: ServeStatus::Ok,
         };
         let Some(owner) = self.owner_of(key) else {
-            answer.status = if self.slot_peer.is_empty() {
+            answer.status = if self.arrays.slot_peer.is_empty() {
                 ServeStatus::Unavailable
             } else {
                 ServeStatus::Rejected
@@ -439,7 +458,7 @@ impl RoutingSnapshot {
             counters.record(answer);
             return answer;
         };
-        let start = (start_hint % self.slot_peer.len() as u64) as usize;
+        let start = (start_hint % self.arrays.slot_peer.len() as u64) as usize;
         answer.hops = self.route(start, owner);
         answer.status = self.liveness(owner);
         if answer.status == ServeStatus::Failover {
@@ -483,20 +502,20 @@ impl RoutingSnapshot {
             counters.record(answer);
             return answer;
         }
-        if self.slot_peer.is_empty() {
+        if self.arrays.slot_peer.is_empty() {
             answer.status = ServeStatus::Unavailable;
             counters.record(answer);
             return answer;
         }
         let lo = low.max(self.domain.0);
-        let last = self.slot_high[self.slot_high.len() - 1];
+        let last = self.arrays.slot_high[self.arrays.slot_high.len() - 1];
         let hi = high.min(self.domain.1).min(last);
         if lo >= hi {
             counters.record(answer);
             return answer;
         }
-        let owner = self.slot_high.partition_point(|&h| h <= lo);
-        let start = (start_hint % self.slot_peer.len() as u64) as usize;
+        let owner = self.arrays.slot_high.partition_point(|&h| h <= lo);
+        let start = (start_hint % self.arrays.slot_peer.len() as u64) as usize;
         answer.hops = self.route(start, owner);
         let mut slot = owner;
         loop {
@@ -509,7 +528,7 @@ impl RoutingSnapshot {
                 _ => {}
             }
             answer.matches += self.count_in(slot, lo, hi);
-            if self.slot_high[slot] >= hi {
+            if self.arrays.slot_high[slot] >= hi {
                 break;
             }
             slot += 1;
@@ -567,7 +586,9 @@ fn nearest(links: &[u32], current: usize, to: u32, distance: impl Fn(u32) -> u32
 /// greedy routing breaks ties in.
 #[derive(Debug)]
 pub struct SnapshotBuilder {
-    snapshot: RoutingSnapshot,
+    placement: ExactPlacement,
+    domain: (u64, u64),
+    arrays: SnapshotArrays,
     /// Dense peer-id → slot table, built on the first lookup by peer; the
     /// first slot pushed for a peer wins.
     slot_by_peer: OnceCell<Vec<u32>>,
@@ -605,14 +626,39 @@ fn open_segment(off: &mut Vec<u32>, slot: usize, pushed: usize, len: usize, what
     off.resize(slot + 1, as_offset(len, what));
 }
 
+/// [`SnapshotBuilder::copy_slots`] for one CSR array: opens segment `to`
+/// of `off`, appends the offsets of the copied rows but the last, which
+/// stays open, and appends their targets mapped through `new_slot`.
+/// Returns the copied entries' index range in `from_targets`.
+fn copy_csr_rows(
+    off: &mut Vec<u32>,
+    targets: &mut Vec<u32>,
+    from_off: &[u32],
+    from_targets: &[u32],
+    rows: &Range<usize>,
+    to: usize,
+    new_slot: &[u32],
+) -> Range<usize> {
+    open_segment(off, to, to + rows.len(), targets.len(), "copied rows");
+    let (lo, hi) = (from_off[rows.start], from_off[rows.end]);
+    let shift = as_offset(targets.len(), "copied rows").wrapping_sub(lo);
+    let offsets = &from_off[rows.start + 1..rows.end];
+    off.extend(offsets.iter().map(|o| o.wrapping_add(shift)));
+    let copied = lo as usize..hi as usize;
+    let mapped = from_targets[copied.clone()].iter();
+    targets.extend(mapped.map(|&t| new_slot[t as usize]));
+    // The shifted offsets cannot have wrapped if the new end fits.
+    as_offset(targets.len(), "copied rows");
+    copied
+}
+
 impl SnapshotBuilder {
     /// Starts a snapshot with the given placement and domain.
     pub fn new(placement: ExactPlacement, domain: (u64, u64)) -> Self {
         Self {
-            snapshot: RoutingSnapshot {
-                version: 0,
-                placement,
-                domain,
+            placement,
+            domain,
+            arrays: SnapshotArrays {
                 slot_peer: Vec::new(),
                 slot_high: Vec::new(),
                 slot_alive: Vec::new(),
@@ -633,22 +679,22 @@ impl SnapshotBuilder {
     /// `items` more distinct keys (an overlay's stored-value count bounds
     /// its distinct keys).
     pub fn reserve(&mut self, slots: usize, items: usize) {
-        let snapshot = &mut self.snapshot;
-        snapshot.slot_peer.reserve(slots);
-        snapshot.slot_high.reserve(slots);
-        snapshot.slot_alive.reserve(slots);
-        snapshot.item_off.reserve(slots);
-        snapshot.item_key.reserve(items);
-        snapshot.item_cum.reserve(items);
-        snapshot.link_off.reserve(slots);
-        snapshot.repl_off.reserve(slots);
+        let s = &mut self.arrays;
+        s.slot_peer.reserve(slots);
+        s.slot_high.reserve(slots);
+        s.slot_alive.reserve(slots);
+        s.item_off.reserve(slots);
+        s.item_key.reserve(items);
+        s.item_cum.reserve(items);
+        s.link_off.reserve(slots);
+        s.repl_off.reserve(slots);
     }
 
     /// Reserves the link arrays for `links` more links, for an overlay that
     /// can bound their number before emitting them.
     pub fn reserve_links(&mut self, links: usize) {
-        self.snapshot.link_target.reserve_exact(links);
-        self.snapshot.link_kind.reserve_exact(links);
+        self.arrays.link_target.reserve_exact(links);
+        self.arrays.link_kind.reserve_exact(links);
     }
 
     /// Appends a slot for `peer` whose range ends at (exclusive) `high` —
@@ -656,15 +702,15 @@ impl SnapshotBuilder {
     /// the slot index.  An empty slice repeats its predecessor's bound;
     /// [`RoutingSnapshot::owner_of`] never picks it.
     pub fn push_slot(&mut self, peer: u32, high: u64, alive: bool) -> usize {
-        let ascending = self.snapshot.slot_high.last().is_none_or(|&h| h <= high);
+        let ascending = self.arrays.slot_high.last().is_none_or(|&h| h <= high);
         assert!(ascending, "slots must be pushed in non-decreasing order");
-        let slot = self.snapshot.slot_peer.len();
+        let slot = self.arrays.slot_peer.len();
         if let Some(slot_by_peer) = self.slot_by_peer.get_mut() {
             note_slot(slot_by_peer, peer, slot);
         }
-        self.snapshot.slot_peer.push(peer);
-        self.snapshot.slot_high.push(high);
-        self.snapshot.slot_alive.push(alive);
+        self.arrays.slot_peer.push(peer);
+        self.arrays.slot_high.push(high);
+        self.arrays.slot_alive.push(alive);
         slot
     }
 
@@ -672,11 +718,11 @@ impl SnapshotBuilder {
     /// unsealed slot.  Keys must arrive sorted per slot.
     #[inline]
     pub fn push_item(&mut self, key: u64, count: u64) {
-        debug_assert!(!self.snapshot.slot_peer.is_empty(), "push_slot first");
+        debug_assert!(!self.arrays.slot_peer.is_empty(), "push_slot first");
         debug_assert!(count > 0, "zero-count item");
-        self.snapshot.item_key.push(key);
-        let total = self.snapshot.item_cum.last().copied().unwrap_or(0);
-        self.snapshot.item_cum.push(total + count);
+        self.arrays.item_key.push(key);
+        let total = self.arrays.item_cum.last().copied().unwrap_or(0);
+        self.arrays.item_cum.push(total + count);
     }
 
     /// Appends the sorted key multiset of the first unsealed slot,
@@ -690,7 +736,7 @@ impl SnapshotBuilder {
             }
             return;
         }
-        let s = &mut self.snapshot;
+        let s = &mut self.arrays;
         let total = *s.item_cum.last().expect("item_cum starts at [0]");
         s.item_key.extend_from_slice(keys);
         s.item_cum.extend(total + 1..total + 1 + keys.len() as u64);
@@ -699,7 +745,7 @@ impl SnapshotBuilder {
     /// Seals the item segment of the first unsealed slot.  Must be called
     /// once per slot, after its items.
     pub fn seal_slot(&mut self) {
-        let s = &mut self.snapshot;
+        let s = &mut self.arrays;
         s.item_off
             .push(as_offset(s.item_key.len(), "distinct keys"));
     }
@@ -710,7 +756,7 @@ impl SnapshotBuilder {
     pub fn slot_of(&self, peer: u32) -> Option<usize> {
         let slot_by_peer = self.slot_by_peer.get_or_init(|| {
             let mut slot_by_peer = Vec::new();
-            for (slot, &peer) in self.snapshot.slot_peer.iter().enumerate() {
+            for (slot, &peer) in self.arrays.slot_peer.iter().enumerate() {
                 note_slot(&mut slot_by_peer, peer, slot);
             }
             slot_by_peer
@@ -724,7 +770,7 @@ impl SnapshotBuilder {
     #[inline]
     pub fn push_link_row(&mut self, slot: usize, targets: &[u32], kinds: &[LinkKind]) {
         assert_eq!(targets.len(), kinds.len(), "one kind per link target");
-        let s = &mut self.snapshot;
+        let s = &mut self.arrays;
         if s.link_off.len() != slot + 1 {
             let (pushed, len) = (s.slot_peer.len(), s.link_target.len());
             open_segment(&mut s.link_off, slot, pushed, len, "links");
@@ -751,10 +797,78 @@ impl SnapshotBuilder {
         }
     }
 
+    /// Appends `from`'s slots `slots` whole — peers, bounds, items, links
+    /// and replicas — with each link and replica target `t` written as
+    /// `new_slot[t]` and each slot's liveness read afresh as `alive(peer)`:
+    /// one append per array for a run of slots an exporter finds unchanged
+    /// since its previous snapshot.  Every slot pushed before must be
+    /// sealed, and the run must not lower the slot bounds; item offsets and
+    /// prefix sums move by one constant each.
+    pub fn copy_slots(
+        &mut self,
+        from: &RoutingSnapshot,
+        slots: Range<usize>,
+        new_slot: &[u32],
+        alive: impl Fn(u32) -> bool,
+    ) {
+        let (a, s) = (&*from.arrays, &mut self.arrays);
+        let to = s.slot_peer.len();
+        assert_eq!(s.item_off.len(), to + 1, "every slot must be sealed");
+        if slots.is_empty() {
+            return;
+        }
+        let ascending = s
+            .slot_high
+            .last()
+            .is_none_or(|&h| h <= a.slot_high[slots.start]);
+        assert!(ascending, "slots must be pushed in non-decreasing order");
+        let peers = &a.slot_peer[slots.clone()];
+        if let Some(slot_by_peer) = self.slot_by_peer.get_mut() {
+            for (i, &peer) in peers.iter().enumerate() {
+                note_slot(slot_by_peer, peer, to + i);
+            }
+        }
+        s.slot_peer.extend_from_slice(peers);
+        s.slot_high.extend_from_slice(&a.slot_high[slots.clone()]);
+        s.slot_alive.extend(peers.iter().map(|&peer| alive(peer)));
+        let (lo, hi) = (a.item_off[slots.start], a.item_off[slots.end]);
+        let shift = as_offset(s.item_key.len(), "distinct keys").wrapping_sub(lo);
+        let offsets = &a.item_off[slots.start + 1..=slots.end];
+        s.item_off
+            .extend(offsets.iter().map(|o| o.wrapping_add(shift)));
+        let (lo, hi) = (lo as usize, hi as usize);
+        s.item_key.extend_from_slice(&a.item_key[lo..hi]);
+        as_offset(s.item_key.len(), "distinct keys");
+        let base = s.item_cum[s.item_cum.len() - 1].wrapping_sub(a.item_cum[lo]);
+        s.item_cum
+            .extend(a.item_cum[lo + 1..=hi].iter().map(|c| c.wrapping_add(base)));
+        let (off, targets) = (&mut s.link_off, &mut s.link_target);
+        let copied = copy_csr_rows(
+            off,
+            targets,
+            &a.link_off,
+            &a.link_target,
+            &slots,
+            to,
+            new_slot,
+        );
+        s.link_kind.extend_from_slice(&a.link_kind[copied]);
+        let (off, targets) = (&mut s.repl_off, &mut s.repl_target);
+        copy_csr_rows(
+            off,
+            targets,
+            &a.repl_off,
+            &a.repl_target,
+            &slots,
+            to,
+            new_slot,
+        );
+    }
+
     /// Records that `target` holds a replica of `slot`'s slice.
     #[inline]
     pub fn replica(&mut self, slot: usize, target: usize) {
-        let s = &mut self.snapshot;
+        let s = &mut self.arrays;
         if s.repl_off.len() != slot + 1 {
             let (pushed, len) = (s.slot_peer.len(), s.repl_target.len());
             open_segment(&mut s.repl_off, slot, pushed, len, "replicas");
@@ -776,7 +890,7 @@ impl SnapshotBuilder {
     /// through a [`SnapshotCell`]).  Debug builds
     /// [`validate`](RoutingSnapshot::validate) it.
     pub fn finish(self) -> RoutingSnapshot {
-        let mut s = self.snapshot;
+        let mut s = self.arrays;
         let slots = s.slot_peer.len();
         let sealed = s.item_off.len() == slots + 1;
         assert!(sealed, "every slot must be sealed exactly once");
@@ -784,8 +898,14 @@ impl SnapshotBuilder {
             .resize(slots + 1, as_offset(s.link_target.len(), "links"));
         s.repl_off
             .resize(slots + 1, as_offset(s.repl_target.len(), "replicas"));
-        debug_assert_eq!(s.validate(), Ok(()), "malformed snapshot");
-        s
+        let snapshot = RoutingSnapshot {
+            version: 0,
+            placement: self.placement,
+            domain: self.domain,
+            arrays: Arc::new(s),
+        };
+        debug_assert_eq!(snapshot.validate(), Ok(()), "malformed snapshot");
+        snapshot
     }
 }
 
@@ -827,10 +947,14 @@ impl SnapshotCell {
         let mut current = self.current.lock().expect("snapshot cell poisoned");
         let next = self.version.load(Ordering::Relaxed) + 1;
         snapshot.version = next;
-        *current = Arc::new(snapshot);
+        let replaced = std::mem::replace(&mut *current, Arc::new(snapshot));
         // Published only after the Arc swap, so a reader that observes the
         // new version and then locks is guaranteed to see the new Arc.
         self.version.store(next, Ordering::Release);
+        drop(current);
+        // Freeing the replaced snapshot, when this was its last handle,
+        // happens after unlocking, so refreshing readers never wait on it.
+        drop(replaced);
         next
     }
 
@@ -873,7 +997,11 @@ impl SnapshotReader {
         let published = self.cell.version.load(Ordering::Acquire);
         if published != self.seen {
             let current = self.cell.current.lock().expect("snapshot cell poisoned");
-            self.cached = current.clone();
+            let replaced = std::mem::replace(&mut self.cached, current.clone());
+            drop(current);
+            // The stale snapshot may be this reader's to free: not under
+            // the lock.
+            drop(replaced);
             self.seen = self.cached.version();
             self.refreshes += 1;
         }
@@ -1045,6 +1173,46 @@ mod tests {
     }
 
     #[test]
+    fn copied_slots_equal_the_same_slots_pushed_one_by_one() {
+        let toy = toy();
+        // The toy with a slot for peer 9 over [50, 60) spliced in before its
+        // slot 2, and with peer 3 dead.  Copying keeps the toy's slots 0 and
+        // 3, with targets past the splice moved up one; the new slot and
+        // its neighbours are pushed.
+        let slots = [
+            (0u32, 25u64, 10u64, 1u64),
+            (1, 50, 35, 2),
+            (9, 60, 55, 7),
+            (2, 75, 60, 3),
+            (3, 100, 85, 4),
+        ];
+        let build = |copy: bool| {
+            let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
+            for (slot, &(peer, high, key, count)) in slots.iter().enumerate() {
+                if copy && (slot == 0 || slot == 4) {
+                    let from = if slot == 0 { 0..1 } else { 3..4 };
+                    b.copy_slots(&toy, from, &[0, 1, 3, 4], |peer| peer != 3);
+                    continue;
+                }
+                b.push_slot(peer, high, peer != 3);
+                b.push_item(key, count);
+                b.seal_slot();
+                if slot > 0 {
+                    b.link(slot, slot - 1, LinkKind::Adjacent);
+                }
+                if slot < 4 {
+                    b.link(slot, slot + 1, LinkKind::Adjacent);
+                }
+            }
+            b.finish()
+        };
+        let copied = build(true);
+        assert_eq!(copied, build(false));
+        assert!(!copied.alive(4));
+        assert_eq!(copied.total_items(), toy.total_items() + 7);
+    }
+
+    #[test]
     fn peer_lookups_keep_the_first_slot_across_later_pushes() {
         let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
         b.push_slot(3, 25, true);
@@ -1070,18 +1238,18 @@ mod tests {
             b.seal_slot();
         }
         let snap = b.finish();
-        assert_eq!(snap.item_key, [1, 4, 9, 20, 21, 30]);
-        assert_eq!(snap.item_cum, [0, 1, 2, 3, 5, 6, 9]);
-        assert_eq!(snap.item_off, [0, 3, 6, 6]);
+        assert_eq!(snap.arrays.item_key, [1, 4, 9, 20, 21, 30]);
+        assert_eq!(snap.arrays.item_cum, [0, 1, 2, 3, 5, 6, 9]);
+        assert_eq!(snap.arrays.item_off, [0, 3, 6, 6]);
     }
 
     #[test]
     fn validate_names_the_first_malformed_array() {
         let good = toy();
         assert_eq!(good.validate(), Ok(()));
-        let broken = |edit: fn(&mut RoutingSnapshot)| {
+        let broken = |edit: fn(&mut SnapshotArrays)| {
             let mut snap = good.clone();
-            edit(&mut snap);
+            edit(Arc::make_mut(&mut snap.arrays));
             snap.validate().unwrap_err()
         };
         let error = broken(|s| s.link_off[4] += 1);

@@ -25,11 +25,11 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use baton_chord::ChordSystem;
-use baton_core::{BatonConfig, BatonSystem};
+use baton_core::{BatonConfig, BatonSystem, LoadBalanceConfig};
 use baton_d3tree::D3TreeSystem;
 use baton_mtree::MTreeSystem;
 use baton_net::serve::{ExactPlacement, RoutingSnapshot, ServeCounters, SnapshotBuilder};
-use baton_net::{LinkKind, Overlay, PeerId, SimRng};
+use baton_net::{LinkKind, Overlay, PeerId, RepairPolicy, SimRng, SimTime};
 use baton_workload::{DOMAIN_HIGH, DOMAIN_LOW};
 
 /// The builder the production one replaced: per-slot staging `Vec`s and a
@@ -541,6 +541,151 @@ fn export_equals_the_reference_along_deferred_failures_and_repairs() {
     }
 }
 
+/// A seeded random schedule of every BATON operation that changes an
+/// export — joins, leaves, immediate and deferred failures with their
+/// later repairs, inserts (repeated keys, and keys outside the domain that
+/// widen it), deletes, overload bursts that move nodes by load balancing,
+/// and replication degrees cycling 1 → 2 → 3 → 2 → 1 — on a join-built
+/// overlay of `n` peers.  After every step the patched export must pass
+/// [`RoutingSnapshot::validate`], equal the reference field for field and
+/// equal a second export taken with no operation in between.
+fn patched_exports_equal_the_reference(n: usize, seed: u64, steps: usize) {
+    let config = BatonConfig::default().with_load_balance(LoadBalanceConfig::for_average_load(2));
+    let policy = RepairPolicy {
+        fast: SimTime::from_millis(10),
+        slow: SimTime::from_millis(100),
+    };
+    let mut system = BatonSystem::build(config, seed, n).unwrap();
+    let mut rng = SimRng::seeded(seed ^ 0x9A7C);
+    let mut keys: Vec<u64> = (0..4 * n as u64)
+        .map(|_| rng.uniform_u64(1, 999_999_999))
+        .collect();
+    system.load_direct(&keys.iter().map(|&key| (key, key)).collect::<Vec<_>>());
+    let mut pending: Vec<PeerId> = Vec::new();
+    let mut degrees = [2, 3, 2, 1].into_iter().cycle();
+    let export = |system: &BatonSystem, at: &str| {
+        let snapshot = Overlay::routing_snapshot(system).expect("BATON exports");
+        assert_eq!(snapshot.validate(), Ok(()), "{at}");
+        if snapshot != reference_baton(system) {
+            panic!("{at}: export differs (validate: {:?})", system.validate());
+        }
+        snapshot
+    };
+    export(&system, &format!("seed {seed}: first export"));
+    for step in 0..steps {
+        let domain = system.domain();
+        // Errors are part of the schedule: a refused step is skipped.
+        let label = match rng.index(12) {
+            0 => {
+                let _ = system.join_random();
+                "join"
+            }
+            1 => {
+                let _ = system.leave_random();
+                "leave"
+            }
+            2 => {
+                let _ = Overlay::fail_random(&mut system);
+                "fail"
+            }
+            3 if pending.len() < 3 => {
+                let victim = system.random_peer().unwrap();
+                if Overlay::fail_peer_deferred(&mut system, victim, &policy).is_ok() {
+                    pending.push(victim);
+                }
+                "fail deferred"
+            }
+            3 | 4 if !pending.is_empty() => {
+                let victim = pending.remove(0);
+                if Overlay::repair_peer(&mut system, victim).is_err() {
+                    // No live neighbour yet: retry after theirs.
+                    pending.push(victim);
+                }
+                "repair"
+            }
+            5 => {
+                let key = if rng.index(2) == 0 {
+                    domain.low().saturating_sub(1 + rng.uniform_u64(0, 10))
+                } else {
+                    domain.high() + rng.uniform_u64(0, 1_000)
+                };
+                keys.push(key);
+                let _ = system.insert(key, step as u64);
+                "insert out of domain"
+            }
+            6 if !keys.is_empty() => {
+                let key = keys.swap_remove(rng.index(keys.len()));
+                let _ = system.delete(key);
+                "delete"
+            }
+            7 => {
+                let key = keys[rng.index(keys.len())];
+                let _ = system.insert(key, step as u64);
+                keys.push(key);
+                "duplicate insert"
+            }
+            8 => {
+                // A burst inside one node's range overloads it.
+                let peer = system.random_peer().unwrap();
+                let range = system.node(peer).unwrap().range;
+                for _ in 0..24 {
+                    let key = rng.uniform_u64(range.low(), range.high());
+                    keys.push(key);
+                    let _ = system.insert(key, step as u64);
+                }
+                "overload burst"
+            }
+            9 => {
+                system.set_replication(degrees.next().unwrap()).unwrap();
+                "set replication"
+            }
+            _ => {
+                let key = rng.uniform_u64(domain.low(), domain.high());
+                keys.push(key);
+                let _ = system.insert(key, step as u64);
+                "insert"
+            }
+        };
+        let at = format!("seed {seed}, N = {n}, step {step} ({label})");
+        let first = export(&system, &at);
+        let again = Overlay::routing_snapshot(&system).expect("BATON exports");
+        assert!(first == again, "{at}: a second export differs");
+    }
+}
+
+#[test]
+fn patched_exports_equal_the_reference_after_every_step() {
+    for seed in [2005u64, 7, 41] {
+        patched_exports_equal_the_reference(2_000, seed, 150);
+    }
+}
+
+/// `cargo test -q --release -p baton-tests --test snapshot_export --
+/// --ignored patched_exports_of_ten_thousand_peers`.
+#[test]
+#[ignore = "N = 10,000 peers over 2,000 steps: run in release"]
+fn patched_exports_of_ten_thousand_peers_equal_the_reference() {
+    patched_exports_equal_the_reference(10_000, 2005, 2_000);
+}
+
+/// Drives the change log past its cap between two exports — 5,000 routed
+/// inserts at random owners and a join — and requires the export after it,
+/// which rebuilds every slot, to equal the reference.
+#[test]
+fn export_after_an_overflowing_change_log_equals_the_reference() {
+    let mut system = BatonSystem::build(BatonConfig::default(), 11, 600).unwrap();
+    system.set_replication(2).unwrap();
+    assert!(system.build_routing_snapshot() == reference_baton(&system));
+    let mut rng = SimRng::seeded(11);
+    for i in 0..5_000 {
+        system.insert(rng.uniform_u64(1, 999_999_999), i).unwrap();
+    }
+    system.join_random().unwrap();
+    let snapshot = system.build_routing_snapshot();
+    assert_eq!(snapshot.validate(), Ok(()));
+    assert!(snapshot == reference_baton(&system), "export differs");
+}
+
 /// A bulk-built BATON overlay of `n` peers at k = 2, `items` uniform
 /// values loaded directly.
 fn bulk_baton(n: usize, items: u64) -> BatonSystem {
@@ -571,35 +716,61 @@ fn export_of_fifty_thousand_peers_is_well_formed() {
     assert!(links > 20 * N, "{links} links");
 }
 
-/// The README's N = 100,000 export time comes from this test:
+/// The README's N = 100,000 export times come from this test:
 /// `cargo test -q --release -p baton-tests --test snapshot_export --
-/// --ignored --nocapture`.
+/// --ignored --nocapture`.  It times full exports (each after
+/// `set_replication`, which makes the next export rebuild every slot) and
+/// patched exports (each after one join and one leave), prints both
+/// medians and asserts no wall-clock bound.
 #[test]
 #[ignore = "N = 100,000 peers with 1,000,000 items: run in release"]
 fn export_of_a_hundred_thousand_peers_equals_the_reference() {
     const N: usize = 100_000;
     const ITEMS: u64 = 1_000_000;
     const EXPORTS: usize = 21;
-    let system = bulk_baton(N, ITEMS);
-    let mut ms = Vec::with_capacity(EXPORTS);
-    let mut snapshot = system.build_routing_snapshot();
-    for _ in 0..EXPORTS {
-        let start = Instant::now();
-        let next = system.build_routing_snapshot();
-        ms.push(start.elapsed().as_secs_f64() * 1e3);
-        // The previous export is freed after the next one is built, as a
-        // publishing writer frees the snapshot it replaces.
-        snapshot = next;
+    /// Times `EXPORTS` exports of `system`, each after `churn`, and keeps
+    /// the last one in `snapshot`.
+    fn timed(
+        system: &mut BatonSystem,
+        snapshot: &mut RoutingSnapshot,
+        churn: fn(&mut BatonSystem),
+    ) -> Vec<f64> {
+        let mut ms = Vec::with_capacity(EXPORTS);
+        for _ in 0..EXPORTS {
+            churn(system);
+            let start = Instant::now();
+            let next = system.build_routing_snapshot();
+            ms.push(start.elapsed().as_secs_f64() * 1e3);
+            // The previous export is freed after the next one is built, as
+            // a publishing writer frees the snapshot it replaces.
+            *snapshot = next;
+        }
+        ms.sort_by(f64::total_cmp);
+        ms
     }
-    ms.sort_by(f64::total_cmp);
+    let mut system = bulk_baton(N, ITEMS);
+    let mut snapshot = system.build_routing_snapshot();
+    let full = timed(&mut system, &mut snapshot, |system| {
+        system.set_replication(2).unwrap();
+    });
+    assert!(snapshot == reference_baton(&system), "full export differs");
+    let patched = timed(&mut system, &mut snapshot, |system| {
+        system.join_random().unwrap();
+        system.leave_random().unwrap();
+    });
     assert_eq!(snapshot.slots(), N);
     assert_eq!(snapshot.total_items(), ITEMS);
     assert_eq!(snapshot.validate(), Ok(()));
-    assert!(snapshot == reference_baton(&system), "export differs");
-    println!(
-        "export of {N} peers with {ITEMS} items: median {:.1} ms (min {:.1}, max {:.1}) over {EXPORTS} exports",
-        ms[EXPORTS / 2],
-        ms[0],
-        ms[EXPORTS - 1]
+    assert!(
+        snapshot == reference_baton(&system),
+        "patched export differs"
     );
+    for (what, ms) in [("full", full), ("patched", patched)] {
+        println!(
+            "{what} export of {N} peers with {ITEMS} items: median {:.1} ms (min {:.1}, max {:.1}) over {EXPORTS} exports",
+            ms[EXPORTS / 2],
+            ms[0],
+            ms[EXPORTS - 1]
+        );
+    }
 }
