@@ -36,9 +36,8 @@ use crate::config::BatonConfig;
 use crate::error::Result;
 use crate::node::BatonNode;
 use crate::position::{Position, Side};
-use crate::range::{Key, KeyRange};
+use crate::range::KeyRange;
 use crate::routing::{NodeLink, RoutingEntry};
-use crate::store::Value;
 use crate::system::BatonSystem;
 
 /// The level-order shape of the complete binary tree on `n` nodes: levels
@@ -198,76 +197,14 @@ impl BatonSystem {
         }
         Ok(system)
     }
-
-    /// Places `data` directly into the owning nodes' stores, charging no
-    /// messages — the data-load analogue of
-    /// [`bulk_build`](Self::bulk_build).  Each key lands at the node whose
-    /// range contains it, the same node a routed insert reaches, so
-    /// subsequent queries see exactly the dataset a routed load produces.
-    /// Keys outside the domain are absorbed by the boundary nodes via the
-    /// leftmost/rightmost expansion a routed insert performs (linked peers'
-    /// recorded ranges are refreshed in place); `Key::MAX`, which a routed
-    /// insert refuses, is skipped.
-    ///
-    /// Load balancing is not triggered: like bulk construction, a direct
-    /// load models an out-of-band transfer, not a protocol exchange.
-    pub fn load_direct(&mut self, data: &[(Key, Value)]) {
-        self.changes().note_all();
-        let mut owners: Vec<(Key, PeerId)> = self
-            .iter_nodes()
-            .map(|(peer, node)| (node.range.low(), peer))
-            .collect();
-        owners.sort_unstable();
-        if owners.is_empty() {
-            return;
-        }
-        // One stable sort, then a merge-style pass with a monotonic cursor:
-        // every item of a node arrives while that node is cache-hot, instead
-        // of a random binary search per item.  The stable sort keeps
-        // duplicate keys in dataset order, so per-key value order matches a
-        // routed load exactly.
-        let mut sorted: Vec<(Key, Value)> = data.to_vec();
-        sorted.sort_by_key(|&(key, _)| key);
-        let mut cursor = 0usize;
-        for &(key, value) in &sorted {
-            if key == Key::MAX {
-                continue;
-            }
-            while cursor + 1 < owners.len() && owners[cursor + 1].0 <= key {
-                cursor += 1;
-            }
-            let (_, peer) = owners[cursor];
-            if key < self.domain.low() {
-                self.domain = self.domain.extend_low(key);
-            } else if key >= self.domain.high() {
-                self.domain = self.domain.extend_high(key + 1);
-            }
-            let Some(node) = self.node_opt_mut(peer) else {
-                continue;
-            };
-            node.store.insert(key, value);
-            if node.range.contains(key) {
-                continue;
-            }
-            let range = if key < node.range.low() {
-                node.range.extend_low(key)
-            } else {
-                node.range.extend_high(key + 1)
-            };
-            let (position, linked) = (node.position, node.linked_peers());
-            self.set_range(peer, range).expect("resolved above");
-            for other in linked {
-                if let Some(other_node) = self.node_opt_mut(other) {
-                    other_node.update_link_range(peer, position, range);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use baton_net::Overlay;
+
     use super::*;
+    use crate::range::Key;
     use crate::validate::validate;
 
     #[test]
@@ -314,7 +251,7 @@ mod tests {
     fn direct_load_places_keys_at_the_routed_owner() {
         let mut direct = BatonSystem::bulk_build(BatonConfig::default(), 9, 100).unwrap();
         let mut routed = BatonSystem::bulk_build(BatonConfig::default(), 9, 100).unwrap();
-        let data: Vec<(Key, Value)> = (0..500u64).map(|i| (1 + i * 1_999_993, i)).collect();
+        let data: Vec<(Key, u64)> = (0..500u64).map(|i| (1 + i * 1_999_993, i)).collect();
         direct.load_direct(&data);
         for &(k, v) in &data {
             routed.insert(k, v).unwrap();

@@ -57,12 +57,6 @@ pub struct BatonConfig {
     pub domain: KeyRange,
     /// Load-balancing policy.
     pub load_balance: LoadBalanceConfig,
-    /// Safety bound on forwarding walks, as a multiple of the tree height.
-    /// Protocol walks that exceed it abort with
-    /// [`crate::error::BatonError::RoutingLoop`]; this never triggers on a
-    /// consistent tree and exists to turn protocol bugs into loud errors
-    /// instead of infinite loops.
-    pub walk_limit_factor: u32,
 }
 
 impl Default for BatonConfig {
@@ -70,7 +64,6 @@ impl Default for BatonConfig {
         Self {
             domain: KeyRange::paper_domain(),
             load_balance: LoadBalanceConfig::default(),
-            walk_limit_factor: 8,
         }
     }
 }
@@ -103,7 +96,6 @@ mod tests {
         let c = BatonConfig::default();
         assert_eq!(c.domain, KeyRange::paper_domain());
         assert!(c.load_balance.enabled);
-        assert!(c.walk_limit_factor >= 2);
         assert_eq!(BatonConfig::paper(), c);
     }
 

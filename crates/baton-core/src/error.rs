@@ -1,6 +1,6 @@
 //! Error types for BATON operations.
 
-use baton_net::PeerId;
+use baton_net::{OverlayError, PeerId};
 
 use crate::position::Position;
 use crate::range::Key;
@@ -58,6 +58,22 @@ impl std::fmt::Display for BatonError {
 }
 
 impl std::error::Error for BatonError {}
+
+/// How a BATON error reads through the `Overlay` interface: an operation
+/// that bounced off an unrepaired failure (a dead peer in the way, or a walk
+/// whose budget drowned in dead candidates) is an *availability* miss, which
+/// the workload layer counts instead of aborting the run.  Every other error
+/// is a hard [`OverlayError::Op`].
+impl From<BatonError> for OverlayError {
+    fn from(error: BatonError) -> Self {
+        match error {
+            BatonError::PeerNotAlive(_) | BatonError::RoutingLoop { .. } => {
+                OverlayError::Unavailable(error.to_string())
+            }
+            other => OverlayError::Op(other.to_string()),
+        }
+    }
+}
 
 /// Convenience alias for results of BATON operations.
 pub type Result<T> = std::result::Result<T, BatonError>;

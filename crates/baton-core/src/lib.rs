@@ -22,7 +22,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use baton_core::{BatonConfig, BatonSystem, KeyRange};
+//! use baton_core::{BatonConfig, BatonSystem, KeyRange, Overlay};
 //!
 //! // Build a 50-node overlay (one bootstrap node + 49 random joins).
 //! let mut overlay = BatonSystem::build(BatonConfig::default(), 42, 50).unwrap();
@@ -64,7 +64,6 @@ pub mod bulk;
 pub mod config;
 pub mod error;
 pub mod node;
-pub mod overlay;
 pub mod position;
 pub mod protocol;
 pub mod range;

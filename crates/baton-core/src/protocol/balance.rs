@@ -77,9 +77,7 @@ impl BatonSystem {
     ) -> Result<LoadBalanceReport> {
         let noop = |messages| LoadBalanceReport {
             kind: BalanceKind::AdjacentMigration,
-            trigger: overloaded,
             messages,
-            items_moved: 0,
             nodes_shifted: 0,
         };
         // A node that is not actually overloaded has nothing to do.
@@ -183,7 +181,6 @@ impl BatonSystem {
             .store
             .split_off_range(moved_range);
         self.set_range(overloaded, kept_range)?;
-        let items_moved = moved_items.len();
         self.hop(op, overloaded, adjacent, 1, "balance.migrate")?;
         messages += 1;
         let merged = {
@@ -204,9 +201,7 @@ impl BatonSystem {
         self.balance_shift_sizes.record(2);
         Ok(Some(LoadBalanceReport {
             kind: BalanceKind::AdjacentMigration,
-            trigger: overloaded,
             messages,
-            items_moved,
             nodes_shifted: 0,
         }))
     }
@@ -299,7 +294,6 @@ impl BatonSystem {
             messages += self.splice_in_as_predecessor(op, overloaded, light)?;
             true
         };
-        let items_moved = self.node_ref(light)?.store.len();
 
         // 3. Find the spliced-in node a legitimate position by shifting the
         //    overlay (paper §III-E).
@@ -322,9 +316,7 @@ impl BatonSystem {
         self.balance_shift_sizes.record(2 + nodes_shifted);
         Ok(Some(LoadBalanceReport {
             kind: BalanceKind::LeafRejoin,
-            trigger: overloaded,
             messages,
-            items_moved,
             nodes_shifted,
         }))
     }
@@ -442,6 +434,8 @@ impl BatonSystem {
 
 #[cfg(test)]
 mod tests {
+    use baton_net::Overlay;
+
     use super::*;
     use crate::config::{BatonConfig, LoadBalanceConfig};
     use crate::validate::validate;

@@ -112,6 +112,8 @@ impl BatonSystem {
 
 #[cfg(test)]
 mod tests {
+    use baton_net::Overlay;
+
     use super::*;
     use crate::config::{BatonConfig, LoadBalanceConfig};
     use crate::range::KeyRange;

@@ -13,7 +13,7 @@
 //! parent or by the replacement node so that the overlay keeps covering the
 //! whole domain.
 
-use baton_net::{OpScope, PeerId, RepairPolicy, SimTime};
+use baton_net::{OpScope, Overlay, PeerId, RepairPolicy, SimTime};
 
 use crate::error::{BatonError, Result};
 use crate::reports::FailureReport;

@@ -298,6 +298,8 @@ impl BatonSystem {
 
 #[cfg(test)]
 mod tests {
+    use baton_net::Overlay;
+
     use super::*;
     use crate::config::BatonConfig;
     use crate::validate::validate;

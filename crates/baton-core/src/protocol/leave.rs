@@ -11,7 +11,7 @@
 //! position, links, range and content, and every node holding a link to the
 //! departed node is repointed — at most `8 log N` messages.
 
-use baton_net::{OpScope, PeerId};
+use baton_net::{OpScope, Overlay, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::node::BatonNode;

@@ -24,7 +24,7 @@
 //! `2·level + 4` table-update messages each), which is the quantity the
 //! evaluation reports.
 
-use baton_net::{OpScope, PeerId};
+use baton_net::{OpScope, Overlay, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::position::{Position, Side};

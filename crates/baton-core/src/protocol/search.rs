@@ -32,7 +32,7 @@
 
 use std::ops::ControlFlow;
 
-use baton_net::{OpCost, OpScope, PeerId};
+use baton_net::{OpScope, Overlay, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::node::BatonNode;
@@ -217,23 +217,8 @@ impl BatonSystem {
         })
     }
 
-    /// Exact-match query from a uniformly random node, reporting costs and
-    /// the match count only — the allocation-free variant the generic
-    /// harness and the throughput benches drive.
-    pub fn search_exact_count(&mut self, key: Key) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
-        let walk = self.search_exact_walk(issuer, key)?;
-        let matches = self.node_ref(walk.data)?.store.get(key).len();
-        Ok(OpCost {
-            messages: walk.messages,
-            matches,
-            nodes_visited: 1,
-            balance_messages: 0,
-        })
-    }
-
     /// Routes an exact query to the owner inside a fresh accounting scope.
-    fn search_exact_walk(&mut self, issuer: PeerId, key: Key) -> Result<OwnerWalk> {
+    pub(crate) fn search_exact_walk(&mut self, issuer: PeerId, key: Key) -> Result<OwnerWalk> {
         self.check_alive(issuer)?;
         self.check_key(key)?;
         self.in_op("search.exact", |system, op| {
@@ -268,28 +253,11 @@ impl BatonSystem {
         })
     }
 
-    /// Range query from a uniformly random node, reporting costs and the
-    /// match count only (no value materialisation — the sweep counts keys
-    /// in place).
-    pub fn search_range_count(&mut self, range: KeyRange) -> Result<OpCost> {
-        let issuer = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
-        let mut matches = 0usize;
-        let (messages, nodes_visited) = self.range_walk(issuer, range, |node, clamped| {
-            matches += node.store.count_in(clamped)
-        })?;
-        Ok(OpCost {
-            messages,
-            matches,
-            nodes_visited,
-            balance_messages: 0,
-        })
-    }
-
     /// The shared range-query engine: routes to the owner of the range's
     /// lower bound, then sweeps right along adjacent links until the range
     /// is covered, calling `visit(node, clamped_range)` on every
     /// intersecting node.  Returns `(messages, nodes_visited)`.
-    fn range_walk<F>(
+    pub(crate) fn range_walk<F>(
         &mut self,
         issuer: PeerId,
         range: KeyRange,
@@ -1157,7 +1125,8 @@ mod tests {
                     }
                     8 => {
                         let k = 1 + rng.index(3);
-                        ("set replication", system.set_replication(k))
+                        system.set_replication(k).unwrap();
+                        ("set replication", Ok(()))
                     }
                     _ => {
                         let key = rng.uniform_u64(domain.low(), domain.high());

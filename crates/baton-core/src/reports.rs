@@ -142,12 +142,8 @@ pub enum BalanceKind {
 pub struct LoadBalanceReport {
     /// Which scheme was used.
     pub kind: BalanceKind,
-    /// The node that was overloaded (or underloaded).
-    pub trigger: PeerId,
     /// Messages spent balancing (Figure 8(g)).
     pub messages: u64,
-    /// Number of data items that moved between nodes.
-    pub items_moved: usize,
     /// Number of nodes involved in the accompanying restructuring shift
     /// (Figure 8(h)); zero for adjacent migration.
     pub nodes_shifted: usize,
@@ -309,9 +305,7 @@ mod tests {
             expansion_messages: 2,
             balance: Some(LoadBalanceReport {
                 kind: BalanceKind::AdjacentMigration,
-                trigger: PeerId(1),
                 messages: 3,
-                items_moved: 10,
                 nodes_shifted: 0,
             }),
         };

@@ -52,8 +52,8 @@
 //! one constant per run, and liveness is read afresh from the network,
 //! which fails peers without writing their nodes.
 //! *Everything* is rebuilt on the first export, after
-//! [`set_replication`](BatonSystem::set_replication) or
-//! [`load_direct`](BatonSystem::load_direct), and once the log passes
+//! [`set_replication`](baton_net::Overlay::set_replication) or
+//! [`load_direct`](baton_net::Overlay::load_direct), and once the log passes
 //! [`CHANGE_LOG_CAP`] entries: that is the from-scratch export, the same
 //! code with every occupied position new.  Item arrays are sized from the
 //! previous export's keys plus the rebuilt stores, link arrays from an

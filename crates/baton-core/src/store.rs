@@ -21,7 +21,7 @@
 //! `core.store.insert_ns` probe (100,000 inserts into *one* store) shows the
 //! worst case.
 //!
-//! [`load_direct`]: crate::system::BatonSystem::load_direct
+//! [`load_direct`]: baton_net::Overlay::load_direct
 
 use crate::range::{Key, KeyRange};
 
@@ -173,6 +173,8 @@ impl LocalStore {
 
 #[cfg(test)]
 mod tests {
+    use baton_net::Overlay;
+
     use super::*;
 
     #[test]

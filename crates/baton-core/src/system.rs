@@ -45,7 +45,11 @@
 
 use std::sync::{Mutex, PoisonError};
 
-use baton_net::{Histogram, LinkKind, OpScope, PeerDirectory, PeerId, SimNetwork, SimRng};
+use baton_net::serve::RoutingSnapshot;
+use baton_net::{
+    ChurnCost, Histogram, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
+    OverlayResult, PeerDirectory, PeerId, RepairPolicy, SimNetwork, SimRng, SimTime,
+};
 
 use crate::config::BatonConfig;
 use crate::error::{BatonError, Result};
@@ -54,6 +58,12 @@ use crate::position::Position;
 use crate::range::{Key, KeyRange};
 use crate::routing::NodeLink;
 use crate::snapshot::{Change, ChangeLog, Exporter};
+
+/// Safety bound on forwarding walks, as a multiple of the tree height.
+/// Protocol walks that exceed it abort with [`BatonError::RoutingLoop`];
+/// this never triggers on a consistent tree and exists to turn protocol bugs
+/// into loud errors instead of infinite loops.
+const WALK_LIMIT_FACTOR: u32 = 8;
 
 /// One position of the [`PositionMap`]: its occupant, if any, and the key
 /// range that occupant manages now (meaningless while unoccupied).  24 bytes.
@@ -288,35 +298,9 @@ impl BatonSystem {
     // Read API
     // ------------------------------------------------------------------
 
-    /// Number of live nodes in the overlay.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// `true` if the overlay has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// Approximate resident bytes of per-peer protocol state: the node slab
-    /// (including `None` slots left by departures — they stay resident) plus
-    /// every live node's routing tables and local store.  The shared network
-    /// substrate is excluded; this is the figure the perf harness divides by
-    /// [`node_count`](Self::node_count) for its bytes-per-peer rows.
-    ///
-    /// The slab is counted at its allocated capacity
-    /// ([`PeerDirectory::slot_capacity`]): that is what is resident, and it
-    /// is the rule every committed BATON bytes-per-peer row was produced
-    /// with.
-    pub fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.slot_capacity() * std::mem::size_of::<Option<BatonNode>>()) as u64;
-        let heap: u64 = self
-            .nodes
-            .values()
-            .map(|node| node.estimated_state_bytes() - std::mem::size_of::<BatonNode>() as u64)
-            .sum();
-        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
-        slab + heap + peers
     }
 
     /// The peer currently occupying the root position, if any.
@@ -341,12 +325,6 @@ impl BatonSystem {
         self.by_position.get(position)
     }
 
-    /// All live peers, sorted by id — a borrowed view of the sampling list,
-    /// cloned by callers that mutate the overlay while iterating.
-    pub fn peers(&self) -> &[PeerId] {
-        self.nodes.peers()
-    }
-
     /// Iterates over every live node, in peer-id order.
     pub fn iter_nodes(&self) -> impl Iterator<Item = (PeerId, &BatonNode)> + '_ {
         self.nodes.iter()
@@ -357,11 +335,6 @@ impl BatonSystem {
     /// occupancy counters of the position map.
     pub fn height(&self) -> u32 {
         self.by_position.height()
-    }
-
-    /// Total number of data items stored across all nodes.
-    pub fn total_items(&self) -> usize {
-        self.iter_nodes().map(|(_, n)| n.store.len()).sum()
     }
 
     /// Histogram of the number of nodes involved in each load-balancing
@@ -399,21 +372,6 @@ impl BatonSystem {
     /// The replication degree k in effect (1 = no replication).
     pub fn replication(&self) -> usize {
         self.replication
-    }
-
-    /// Sets the replication degree.  BATON's placement rule puts each key's
-    /// k−1 extra copies on the owner's adjacent-link neighbours, so at most
-    /// [`MAX_REPLICATION`](Self::MAX_REPLICATION) copies exist.
-    pub fn set_replication(&mut self, k: usize) -> Result<()> {
-        if k == 0 || k > Self::MAX_REPLICATION {
-            return Err(BatonError::InvariantViolation(format!(
-                "replication degree {k} outside 1..={}",
-                Self::MAX_REPLICATION
-            )));
-        }
-        self.replication = k;
-        self.changes().note_all();
-        Ok(())
     }
 
     /// Highest replication degree the adjacent-link placement rule supports:
@@ -570,10 +528,11 @@ impl BatonSystem {
     }
 
     /// Maximum number of hops a forwarding walk may take before it is
-    /// declared a routing loop.
+    /// declared a routing loop: [`WALK_LIMIT_FACTOR`] times the tree height,
+    /// at least 32.
     pub(crate) fn walk_limit(&self) -> u32 {
         let height = self.height().max(1);
-        (height * self.config.walk_limit_factor).max(32)
+        (height * WALK_LIMIT_FACTOR).max(32)
     }
 
     /// Transmits one protocol message of the given kind from `from` to `to`,
@@ -766,6 +725,235 @@ impl BatonSystem {
     }
 }
 
+impl Overlay for BatonSystem {
+    fn capabilities(&self) -> OverlayCapabilities {
+        OverlayCapabilities {
+            range_queries: true,
+        }
+    }
+
+    /// Number of live nodes in the overlay.
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Total number of data items stored across all nodes.
+    fn total_items(&self) -> usize {
+        self.iter_nodes().map(|(_, n)| n.store.len()).sum()
+    }
+
+    fn net(&self) -> &SimNetwork {
+        &self.net
+    }
+
+    fn net_mut(&mut self) -> &mut SimNetwork {
+        &mut self.net
+    }
+
+    /// Approximate resident bytes of per-peer protocol state: the node slab
+    /// (including `None` slots left by departures — they stay resident) plus
+    /// every live node's routing tables and local store.  The shared network
+    /// substrate is excluded; this is the figure the perf harness divides by
+    /// [`node_count`](Self::node_count) for its bytes-per-peer rows.
+    ///
+    /// The slab is counted at its allocated capacity
+    /// ([`PeerDirectory::slot_capacity`]): that is what is resident, and it
+    /// is the rule every committed BATON bytes-per-peer row was produced
+    /// with.
+    fn estimated_state_bytes(&self) -> u64 {
+        let slab = (self.nodes.slot_capacity() * std::mem::size_of::<Option<BatonNode>>()) as u64;
+        let heap: u64 = self
+            .nodes
+            .values()
+            .map(|node| node.estimated_state_bytes() - std::mem::size_of::<BatonNode>() as u64)
+            .sum();
+        let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
+        slab + heap + peers
+    }
+
+    fn routing_snapshot(&self) -> Option<RoutingSnapshot> {
+        Some(self.build_routing_snapshot())
+    }
+
+    /// All live peers, sorted by id — a borrowed view of the sampling list,
+    /// cloned by callers that mutate the overlay while iterating.
+    fn peers(&self) -> &[PeerId] {
+        self.nodes.peers()
+    }
+
+    fn join_random(&mut self) -> OverlayResult<ChurnCost> {
+        Ok((&BatonSystem::join_random(self)?).into())
+    }
+
+    fn leave_random(&mut self) -> OverlayResult<ChurnCost> {
+        Ok((&BatonSystem::leave_random(self)?).into())
+    }
+
+    fn leave_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
+        Ok((&self.leave(peer)?).into())
+    }
+
+    fn fail_random(&mut self) -> OverlayResult<ChurnCost> {
+        let victim = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
+        self.fail_peer(victim)
+    }
+
+    fn fail_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
+        Ok((&self.fail(peer)?).into())
+    }
+
+    /// Sets the replication degree.  BATON's placement rule puts each key's
+    /// k−1 extra copies on the owner's adjacent-link neighbours, so at most
+    /// [`MAX_REPLICATION`](Self::MAX_REPLICATION) copies exist.
+    fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
+        if k == 0 || k > Self::MAX_REPLICATION {
+            return Err(OverlayError::Op(format!(
+                "replication degree {k} outside 1..={}",
+                Self::MAX_REPLICATION
+            )));
+        }
+        self.replication = k;
+        self.changes().note_all();
+        Ok(())
+    }
+
+    fn fail_peer_deferred(
+        &mut self,
+        peer: PeerId,
+        policy: &RepairPolicy,
+    ) -> OverlayResult<SimTime> {
+        Ok(self.fail_deferred(peer, policy)?)
+    }
+
+    fn repair_fast_eligible(&self, peer: PeerId) -> bool {
+        self.replication > 1
+            && self.node(peer).is_some()
+            && !self.net.is_alive(peer)
+            && self.replica_survives(peer)
+    }
+
+    fn repair_peer(&mut self, peer: PeerId) -> OverlayResult<ChurnCost> {
+        match self.recover_failed(peer) {
+            Ok(report) => Ok((&report).into()),
+            // A victim chosen as replacement for an earlier repair was
+            // already absorbed into the tree: nothing left to repair.
+            Err(BatonError::UnknownPeer(_)) => Ok(ChurnCost::default()),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Places `data` directly into the owning nodes' stores, charging no
+    /// messages — the data-load analogue of
+    /// [`bulk_build`](Self::bulk_build).  Each key lands at the node whose
+    /// range contains it, the same node a routed insert reaches, so
+    /// subsequent queries see exactly the dataset a routed load produces.
+    /// Keys outside the domain are absorbed by the boundary nodes via the
+    /// leftmost/rightmost expansion a routed insert performs (linked peers'
+    /// recorded ranges are refreshed in place); `Key::MAX`, which a routed
+    /// insert refuses, is skipped.
+    ///
+    /// Load balancing is not triggered: like bulk construction, a direct
+    /// load models an out-of-band transfer, not a protocol exchange.
+    fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
+        self.changes().note_all();
+        let mut owners: Vec<(Key, PeerId)> = self
+            .iter_nodes()
+            .map(|(peer, node)| (node.range.low(), peer))
+            .collect();
+        owners.sort_unstable();
+        if owners.is_empty() {
+            return true;
+        }
+        // One stable sort, then a merge-style pass with a monotonic cursor:
+        // every item of a node arrives while that node is cache-hot, instead
+        // of a random binary search per item.  The stable sort keeps
+        // duplicate keys in dataset order, so per-key value order matches a
+        // routed load exactly.
+        let mut sorted = data.to_vec();
+        sorted.sort_by_key(|&(key, _)| key);
+        let mut cursor = 0usize;
+        for &(key, value) in &sorted {
+            if key == Key::MAX {
+                continue;
+            }
+            while cursor + 1 < owners.len() && owners[cursor + 1].0 <= key {
+                cursor += 1;
+            }
+            let (_, peer) = owners[cursor];
+            if key < self.domain.low() {
+                self.domain = self.domain.extend_low(key);
+            } else if key >= self.domain.high() {
+                self.domain = self.domain.extend_high(key + 1);
+            }
+            let Some(node) = self.node_opt_mut(peer) else {
+                continue;
+            };
+            node.store.insert(key, value);
+            if node.range.contains(key) {
+                continue;
+            }
+            let range = if key < node.range.low() {
+                node.range.extend_low(key)
+            } else {
+                node.range.extend_high(key + 1)
+            };
+            let (position, linked) = (node.position, node.linked_peers());
+            self.set_range(peer, range).expect("resolved above");
+            for other in linked {
+                if let Some(other_node) = self.node_opt_mut(other) {
+                    other_node.update_link_range(peer, position, range);
+                }
+            }
+        }
+        true
+    }
+
+    fn insert(&mut self, key: u64, value: u64) -> OverlayResult<OpCost> {
+        Ok((&BatonSystem::insert(self, key, value)?).into())
+    }
+
+    fn delete(&mut self, key: u64) -> OverlayResult<OpCost> {
+        Ok((&BatonSystem::delete(self, key)?).into())
+    }
+
+    /// Exact-match query from a uniformly random node, reporting costs and
+    /// the match count only: the matched values are never materialised.
+    fn search_exact(&mut self, key: u64) -> OverlayResult<OpCost> {
+        let issuer = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
+        let walk = self.search_exact_walk(issuer, key)?;
+        let matches = self.node_ref(walk.data)?.store.get(key).len();
+        Ok(OpCost {
+            messages: walk.messages,
+            matches,
+            nodes_visited: 1,
+            balance_messages: 0,
+        })
+    }
+
+    /// Range query from a uniformly random node, reporting costs and the
+    /// match count only: the sweep counts keys in place.  An inverted range
+    /// is empty, like one outside the domain: the walk clamps it away and
+    /// answers without a message.
+    fn search_range(&mut self, low: u64, high: u64) -> OverlayResult<OpCost> {
+        let range = KeyRange::new(low, high.max(low));
+        let issuer = self.random_peer().ok_or(BatonError::EmptyNetwork)?;
+        let mut matches = 0usize;
+        let (messages, nodes_visited) = self.range_walk(issuer, range, |node, clamped| {
+            matches += node.store.count_in(clamped)
+        })?;
+        Ok(OpCost {
+            messages,
+            matches,
+            nodes_visited,
+            balance_messages: 0,
+        })
+    }
+
+    fn validate(&self) -> std::result::Result<(), String> {
+        crate::validate(self).map_err(|e| e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,6 +1033,45 @@ mod tests {
         assert!(system.walk_limit() >= 32);
         system.bootstrap().unwrap();
         let limit1 = system.walk_limit();
-        assert!(limit1 >= system.config.walk_limit_factor);
+        assert!(limit1 >= WALK_LIMIT_FACTOR);
+    }
+
+    #[test]
+    fn baton_is_fully_capable_through_the_trait() {
+        let mut overlay: Box<dyn Overlay> =
+            Box::new(BatonSystem::build(BatonConfig::default(), 1, 30).unwrap());
+        assert!(overlay.capabilities().range_queries);
+        assert_eq!(overlay.node_count(), 30);
+
+        let insert = overlay.insert(123_456, 7).unwrap();
+        assert!(insert.messages > 0);
+        assert_eq!(overlay.total_items(), 1);
+        let hit = overlay.search_exact(123_456).unwrap();
+        assert_eq!(hit.matches, 1);
+        let range = overlay.search_range(1, 1_000_000_000).unwrap();
+        assert_eq!(range.matches, 1);
+        assert!(range.nodes_visited >= 1);
+        let gone = overlay.delete(123_456).unwrap();
+        assert_eq!(gone.matches, 1);
+
+        let join = overlay.join_random().unwrap();
+        assert!(join.locate_messages + join.update_messages > 0);
+        overlay.leave_random().unwrap();
+        assert_eq!(overlay.node_count(), 30);
+        overlay.validate().unwrap();
+    }
+
+    #[test]
+    fn baton_failures_report_lost_items_through_the_trait() {
+        let mut overlay: Box<dyn Overlay> =
+            Box::new(BatonSystem::build(BatonConfig::default(), 2, 20).unwrap());
+        for i in 0..100u64 {
+            overlay.insert(1 + i * 9_999_991, i).unwrap();
+        }
+        let before = overlay.total_items();
+        let cost = overlay.fail_random().unwrap();
+        assert_eq!(overlay.node_count(), 19);
+        assert_eq!(overlay.total_items() + cost.lost_items, before);
+        overlay.validate().unwrap();
     }
 }

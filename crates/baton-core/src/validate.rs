@@ -23,6 +23,8 @@
 //! The test suites call `validate` after every mutating operation, making it
 //! the central correctness oracle for the whole protocol implementation.
 
+use baton_net::Overlay;
+
 use crate::error::{BatonError, Result};
 use crate::position::{Position, Side};
 use crate::system::BatonSystem;

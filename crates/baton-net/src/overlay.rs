@@ -195,11 +195,7 @@ pub trait Overlay {
     /// heap allocations, but excluding the shared network substrate (peer
     /// registry, statistics).  This is what the perf harness divides by
     /// `node_count()` for the bytes-per-peer rows.
-    ///
-    /// Default: 0 — for test doubles and overlays that do not report.
-    fn estimated_state_bytes(&self) -> u64 {
-        0
-    }
+    fn estimated_state_bytes(&self) -> u64;
 
     /// Installs a route recorder on the overlay's network: every sampled
     /// operation from now on records a per-hop
@@ -230,13 +226,9 @@ pub trait Overlay {
     /// state, field for field.  An overlay may compute it by patching its
     /// previous export (BATON does, in time proportional to what changed
     /// plus one copy of the arrays); two calls with no operation between
-    /// them return equal snapshots.
-    ///
-    /// Default: `None` — for test doubles and overlays without snapshot
-    /// support.
-    fn routing_snapshot(&self) -> Option<crate::serve::RoutingSnapshot> {
-        None
-    }
+    /// them return equal snapshots.  Every overlay here answers `Some`; the
+    /// `Option` stays because the benchmark harness unwraps it.
+    fn routing_snapshot(&self) -> Option<crate::serve::RoutingSnapshot>;
 
     /// The member peers, sorted by id.
     ///
@@ -246,12 +238,7 @@ pub trait Overlay {
     /// stays a member (its slice is still owned, just unavailable) until
     /// its repair runs, so the list may hold dead peers: ask
     /// `net().is_alive(peer)` for liveness.
-    ///
-    /// Default: empty — overlays that do not expose their peer list cannot
-    /// be targeted by region-scoped faults (region kills degrade to no-ops).
-    fn peers(&self) -> &[PeerId] {
-        &[]
-    }
+    fn peers(&self) -> &[PeerId];
 
     /// A new node joins through a random existing contact.
     fn join_random(&mut self) -> OverlayResult<ChurnCost>;
@@ -280,16 +267,11 @@ pub trait Overlay {
         Err(OverlayError::Unsupported("targeted failure"))
     }
 
-    /// Sets the replication degree.  k = 1 (no replication) always
-    /// succeeds; higher degrees are only accepted by overlays with a
-    /// replica-placement rule.
-    fn set_replication(&mut self, k: usize) -> OverlayResult<()> {
-        if k == 1 {
-            Ok(())
-        } else {
-            Err(OverlayError::Unsupported("replication"))
-        }
-    }
+    /// Sets the replication degree: every key lives at its owner plus k−1
+    /// replica peers chosen by the overlay's placement rule.  k = 1 (no
+    /// replication) always succeeds; 0 and degrees beyond what the rule
+    /// can place answer [`OverlayError::Op`].
+    fn set_replication(&mut self, k: usize) -> OverlayResult<()>;
 
     /// The *specific* peer `peer` fails abruptly but is **not** repaired
     /// yet: the overlay marks it dead and returns the repair delay (drawn
@@ -412,6 +394,18 @@ mod tests {
         fn net_mut(&mut self) -> &mut SimNetwork {
             &mut self.net
         }
+        fn estimated_state_bytes(&self) -> u64 {
+            0
+        }
+        fn routing_snapshot(&self) -> Option<crate::serve::RoutingSnapshot> {
+            None
+        }
+        fn peers(&self) -> &[PeerId] {
+            &[]
+        }
+        fn set_replication(&mut self, _k: usize) -> OverlayResult<()> {
+            Err(OverlayError::Unsupported("replication"))
+        }
         fn join_random(&mut self) -> OverlayResult<ChurnCost> {
             self.nodes += 1;
             Ok(ChurnCost::default())
@@ -506,12 +500,6 @@ mod tests {
     fn replication_and_repair_defaults_are_off() {
         let mut toy = Toy::new();
         let overlay: &mut dyn Overlay = &mut toy;
-        overlay.set_replication(1).unwrap();
-        assert!(matches!(
-            overlay.set_replication(2),
-            Err(OverlayError::Unsupported(_))
-        ));
-        assert!(overlay.peers().is_empty());
         let policy = RepairPolicy {
             fast: SimTime::from_millis(500),
             slow: SimTime::from_secs(10),

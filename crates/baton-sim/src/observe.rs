@@ -292,7 +292,7 @@ mod tests {
         Overlay::set_trace(&mut system, TraceConfig::default());
         for i in 0..40u64 {
             system.insert(1 + i * 20_999_983, i).unwrap();
-            system.search_exact_count(1 + i * 20_999_983).unwrap();
+            Overlay::search_exact(&mut system, 1 + i * 20_999_983).unwrap();
         }
         let buffer = Overlay::take_trace(&mut system).expect("tracing was enabled");
         assert!(!buffer.is_empty());

@@ -243,6 +243,18 @@ mod tests {
         fn net_mut(&mut self) -> &mut SimNetwork {
             &mut self.net
         }
+        fn estimated_state_bytes(&self) -> u64 {
+            0
+        }
+        fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
+            None
+        }
+        fn peers(&self) -> &[PeerId] {
+            &[]
+        }
+        fn set_replication(&mut self, _k: usize) -> OR<()> {
+            Err(OverlayError::Unsupported("replication"))
+        }
         fn join_random(&mut self) -> OR<ChurnCost> {
             self.nodes += 1;
             Ok(ChurnCost {

@@ -5,7 +5,7 @@
 //! cargo run -p baton-examples --example churn_resilience
 //! ```
 
-use baton_core::{validate, BatonConfig, BatonSystem};
+use baton_core::{validate, BatonConfig, BatonSystem, Overlay};
 use baton_net::SimRng;
 use baton_workload::{ChurnEvent, ChurnWorkload};
 

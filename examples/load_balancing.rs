@@ -6,7 +6,7 @@
 //! cargo run -p baton-examples --example load_balancing
 //! ```
 
-use baton_core::{validate, BalanceKind, BatonConfig, BatonSystem, LoadBalanceConfig};
+use baton_core::{validate, BalanceKind, BatonConfig, BatonSystem, LoadBalanceConfig, Overlay};
 use baton_net::SimRng;
 use baton_workload::{KeyDistribution, KeyGenerator};
 

@@ -5,7 +5,7 @@
 //! cargo run -p baton-examples --example quickstart
 //! ```
 
-use baton_core::{validate, BatonConfig, BatonSystem, KeyRange};
+use baton_core::{validate, BatonConfig, BatonSystem, KeyRange, Overlay};
 
 fn main() {
     // 1. Build an overlay of 100 peers: one bootstrap node plus 99 joins

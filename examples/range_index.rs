@@ -9,7 +9,7 @@
 //! cargo run -p baton-examples --example range_index
 //! ```
 
-use baton_core::{BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig};
+use baton_core::{BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig, Overlay};
 use baton_net::SimRng;
 
 /// One simulated day of events, one event every few seconds.

@@ -180,10 +180,12 @@ fn keys_at_the_top_of_the_domain_are_answered_not_panicked_on() {
 }
 
 /// Arguments no well-formed caller sends, through `dyn Overlay`: degrees
-/// outside `1..=max_replication`, a peer id that was never issued, a repair
-/// of a live peer, and ranges that are inverted or empty at the top of the
-/// domain.  Every call returns, leaves the overlay consistent and closes its
-/// op; the out-of-range degrees are refused.
+/// outside `1..=max_replication`, a peer id that was never issued, a second
+/// failure of a peer already failed and awaiting repair, a repair of a live
+/// peer, and ranges that are inverted or empty at the top of the domain.
+/// Every call returns, leaves the overlay consistent and closes its op; the
+/// out-of-range degrees are refused.  On BATON the answers are pinned: the
+/// dead peer is `Unavailable` on both failure paths, a bad degree is `Op`.
 #[test]
 fn adversarial_arguments_are_answered_not_panicked_on() {
     const UNKNOWN: PeerId = PeerId(u32::MAX);
@@ -194,7 +196,19 @@ fn adversarial_arguments_are_answered_not_panicked_on() {
     // Each call reports its message count; `true` marks a call that must
     // be refused.
     type Call = fn(&mut dyn Overlay, usize) -> OverlayResult<u64>;
-    let calls: [(&str, bool, Call); 9] = [
+    /// Asks `call` about a peer failed with `fail_peer_deferred`, which
+    /// stays a member until its repair, and repairs it before answering.
+    fn deferred(
+        o: &mut dyn Overlay,
+        call: fn(&mut dyn Overlay, PeerId) -> OverlayResult<u64>,
+    ) -> OverlayResult<u64> {
+        let victim = o.peers()[1];
+        o.fail_peer_deferred(victim, &POLICY)?;
+        let answer = call(o, victim);
+        o.repair_peer(victim).expect("repairs");
+        answer
+    }
+    let calls: [(&str, bool, Call); 11] = [
         ("set_replication(0)", true, |o, _| {
             o.set_replication(0).map(|()| 0)
         }),
@@ -212,6 +226,16 @@ fn adversarial_arguments_are_answered_not_panicked_on() {
         }),
         ("repair_peer(unknown)", false, |o, _| {
             o.repair_peer(UNKNOWN).map(|c| c.total_messages())
+        }),
+        ("fail_peer(deferred victim)", false, |o, _| {
+            deferred(o, |o, victim| {
+                o.fail_peer(victim).map(|c| c.total_messages())
+            })
+        }),
+        ("fail_peer_deferred(deferred victim)", false, |o, _| {
+            deferred(o, |o, victim| {
+                o.fail_peer_deferred(victim, &POLICY).map(|_| 0)
+            })
         }),
         ("repair_peer(live)", false, |o, _| {
             let live = o.peers()[0];
@@ -233,10 +257,26 @@ fn adversarial_arguments_are_answered_not_panicked_on() {
             if refused {
                 assert!(answer.is_err(), "{series}: {call_name} was accepted");
             }
-            // BATON absorbs a repair of a peer it no longer knows: the
-            // victim's slice was already taken over, so nothing is sent.
-            if series == SERIES_BATON && call_name == "repair_peer(unknown)" {
-                assert_eq!(answer, Ok(0), "{series}: {call_name}");
+            if series == SERIES_BATON {
+                match call_name {
+                    // BATON absorbs a repair of a peer it no longer knows:
+                    // the victim's slice was already taken over, so nothing
+                    // is sent.
+                    "repair_peer(unknown)" => assert_eq!(answer, Ok(0), "{call_name}"),
+                    // A dead peer in the way is an availability miss on
+                    // every path; a bad argument is a hard error.
+                    "fail_peer(deferred victim)" | "fail_peer_deferred(deferred victim)" => {
+                        assert!(
+                            matches!(answer, Err(OverlayError::Unavailable(_))),
+                            "{call_name}: {answer:?}"
+                        )
+                    }
+                    "set_replication(max + 1)" => assert!(
+                        matches!(answer, Err(OverlayError::Op(_))),
+                        "{call_name}: {answer:?}"
+                    ),
+                    _ => {}
+                }
             }
             settled(overlay.as_mut(), &format!("{series}: {call_name}"));
         }

@@ -2,7 +2,7 @@
 //! generators drive the BATON overlay, the results are validated against the
 //! structural invariants after every phase.
 
-use baton_core::{validate, BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig};
+use baton_core::{validate, BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig, Overlay};
 use baton_net::SimRng;
 use baton_workload::{ChurnEvent, ChurnWorkload, DatasetPlan, Query, QueryWorkload};
 

@@ -3,7 +3,7 @@
 //! around them; once the recovery protocol runs, the structure is fully
 //! consistent again.
 
-use baton_core::{validate, BatonConfig, BatonError, BatonSystem};
+use baton_core::{validate, BatonConfig, BatonError, BatonSystem, Overlay};
 use baton_net::SimRng;
 
 fn build(n: usize, seed: u64) -> BatonSystem {

@@ -6,7 +6,7 @@
 //! run as seeded deterministic loops over many random cases, which keeps the
 //! same coverage shape while staying reproducible.
 
-use baton_core::{BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig};
+use baton_core::{BatonConfig, BatonSystem, KeyRange, LoadBalanceConfig, Overlay};
 use baton_net::SimRng;
 use baton_tests::settled;
 
