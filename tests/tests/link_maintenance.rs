@@ -337,3 +337,31 @@ const PINNED_MEAN_LATENCY_US: [(&str, u64); 4] = [
     ("leave", 274_628),
     ("failure", 265_619),
 ];
+
+// ----------------------------------------------------------------------
+// Pinned state bytes: the per-peer memory model does not move
+// ----------------------------------------------------------------------
+
+/// `Overlay::estimated_state_bytes` models what a real peer holds, so a
+/// change to how the simulator stores links must leave it unchanged: a
+/// bulk-built overlay with a direct-loaded dataset, and a join-built one
+/// after seeded churn whose load balancing restructures.
+#[test]
+fn estimated_state_bytes_are_pinned() {
+    let mut bulk = BatonSystem::bulk_build(BatonConfig::default(), 2005, 10_000).unwrap();
+    let mut rng = SimRng::seeded(2005);
+    let data: Vec<(u64, u64)> = (0..100_000)
+        .map(|value| (rng.uniform_u64(1, 1_000_000_000), value))
+        .collect();
+    bulk.load_direct(&data);
+    assert_eq!(bulk.estimated_state_bytes(), PINNED_BULK_STATE_BYTES);
+
+    let mut churned = BatonSystem::build(balancing_config(), 2005, 400).unwrap();
+    let shifted = churn(&mut churned, &mut SimRng::seeded(46), 3_000);
+    assert!(shifted > 0, "the churn never restructured");
+    validate(&churned).unwrap();
+    assert_eq!(churned.estimated_state_bytes(), PINNED_CHURNED_STATE_BYTES);
+}
+
+const PINNED_BULK_STATE_BYTES: u64 = 14_767_040;
+const PINNED_CHURNED_STATE_BYTES: u64 = 514_656;
