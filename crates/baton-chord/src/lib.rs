@@ -2,7 +2,7 @@
 //!
 //! A from-scratch implementation of the Chord distributed hash table
 //! (Stoica, Morris, Karger, Kaashoek, Balakrishnan — SIGCOMM 2001), built on
-//! the same simulator substrate as [`baton-core`] so that the two overlays
+//! the same simulator substrate as `baton-core` so that the two overlays
 //! can be compared message-for-message, as the BATON paper does in
 //! Figure 8(a)–(d).
 //!

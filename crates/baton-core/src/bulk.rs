@@ -13,14 +13,14 @@
 //!   the paper's Definition 1 balance criterion, and every non-leaf sits on
 //!   a full level, so Theorem 1 (children ⇒ full routing tables) holds by
 //!   construction.
-//! * **Links** — parent/child/adjacent links and both sideways routing
-//!   tables are computed arithmetically from position numbering; child
-//!   knowledge in routing entries is exact.
+//! * **Links** — every link follows from the positions (see
+//!   [`crate::routing`]), so occupying the positions in level order, parents
+//!   first, is all it takes.
 //! * **Ranges** — one in-order traversal assigns each node an equal-width
 //!   contiguous slice of the key domain, so the ranges partition the domain
 //!   exactly as the adjacency chain requires.
 //!
-//! The result passes [`crate::validate`] in full and behaves identically to
+//! The result passes [`crate::validate()`] in full and behaves identically to
 //! a join-built overlay under every subsequent operation (see
 //! `tests/tests/bulk_equivalence.rs`).  It is *not* byte-identical to a
 //! join-built overlay — peers sit at different positions and ranges are
@@ -35,9 +35,8 @@ use baton_net::PeerId;
 use crate::config::BatonConfig;
 use crate::error::Result;
 use crate::node::BatonNode;
-use crate::position::{Position, Side};
+use crate::position::Position;
 use crate::range::KeyRange;
-use crate::routing::{NodeLink, RoutingEntry};
 use crate::system::BatonSystem;
 
 /// The level-order shape of the complete binary tree on `n` nodes: levels
@@ -86,11 +85,10 @@ fn position_of_index(index: usize) -> Position {
 
 impl BatonSystem {
     /// Builds an `n`-node overlay directly, without running the join
-    /// protocol: the complete-binary-tree shape, all links and routing
-    /// tables, and an equal-width partition of the key domain are computed
-    /// in one pass.  The overlay satisfies every [`crate::validate`]
-    /// invariant and supports all subsequent operations exactly like a
-    /// join-built one.
+    /// protocol: the complete-binary-tree shape and an equal-width
+    /// partition of the key domain are computed in one pass.  The overlay
+    /// satisfies every [`crate::validate()`] invariant and supports all
+    /// subsequent operations exactly like a join-built one.
     ///
     /// No messages are charged to the network statistics; stores start
     /// empty (load data through the normal insert path).
@@ -104,9 +102,9 @@ impl BatonSystem {
         let peers: Vec<PeerId> = (0..n).map(|_| system.net.add_peer()).collect();
 
         // Pass A: one explicit-stack in-order traversal of the occupied
-        // positions yields each node's in-order rank (its slice of the key
-        // domain) and the adjacency chain.
-        let mut inorder: Vec<u32> = Vec::with_capacity(n);
+        // positions yields each node's in-order rank, its slice of the key
+        // domain.
+        let mut ranks = 0u32;
         let mut rank_of: Vec<u32> = vec![0; n];
         let mut stack: Vec<Position> = Vec::new();
         let mut cursor = Some(Position::ROOT);
@@ -117,9 +115,8 @@ impl BatonSystem {
                 cursor = shape.occupied(left).then_some(left);
             }
             let position = stack.pop().expect("cursor exhausted with non-empty stack");
-            let index = level_order_index(position);
-            rank_of[index] = inorder.len() as u32;
-            inorder.push(index as u32);
+            rank_of[level_order_index(position)] = ranks;
+            ranks += 1;
             let right = position.right_child();
             cursor = shape.occupied(right).then_some(right);
         }
@@ -137,58 +134,12 @@ impl BatonSystem {
             })
             .collect();
 
-        let link_at = |position: Position| {
-            let index = level_order_index(position);
-            NodeLink::new(peers[index], position, ranges[index])
-        };
-        let link_by_index = |index: u32| link_at(position_of_index(index as usize));
-        let occupant = |position: Position| {
-            shape
-                .occupied(position)
-                .then(|| peers[level_order_index(position)])
-        };
-
-        // Pass B: materialise every node with its links and tables, in
-        // level order — which is ascending peer-id order, so the directory
-        // is collected by O(1) appends.
+        // Pass B: materialise every node in level order — which is
+        // ascending peer-id order, so the directory is collected by O(1)
+        // appends — and occupy the positions, parents first.
         system.nodes = (0..n)
             .map(|index| {
-                let position = position_of_index(index);
-                let mut node = BatonNode::new(peers[index], position, ranges[index]);
-                if let Some(parent) = position.parent() {
-                    node.parent = Some(link_at(parent));
-                }
-                for side in Side::BOTH {
-                    let child = position.child(side);
-                    if shape.occupied(child) {
-                        node.set_child(side, Some(link_at(child)));
-                    }
-                }
-                let rank = rank_of[index] as usize;
-                if rank > 0 {
-                    node.set_adjacent(Side::Left, Some(link_by_index(inorder[rank - 1])));
-                }
-                if let Some(&next) = inorder.get(rank + 1) {
-                    node.set_adjacent(Side::Right, Some(link_by_index(next)));
-                }
-                for side in Side::BOTH {
-                    for slot in 0..position.routing_table_size() {
-                        let Some(target) = position.routing_neighbor(side, slot) else {
-                            continue;
-                        };
-                        if !shape.occupied(target) {
-                            continue;
-                        }
-                        let at = level_order_index(target);
-                        let entry = RoutingEntry::with_children(
-                            peers[at],
-                            ranges[at],
-                            occupant(target.left_child()),
-                            occupant(target.right_child()),
-                        );
-                        node.table_mut(side).set(slot, entry);
-                    }
-                }
+                let node = BatonNode::new(peers[index], position_of_index(index), ranges[index]);
                 (peers[index], node)
             })
             .collect();

@@ -32,7 +32,7 @@ pub enum BatonError {
     /// No peer occupies the given logical position (internal inconsistency).
     PositionVacant(Position),
     /// A structural invariant was violated; produced by
-    /// [`crate::validate`] checks.
+    /// [`crate::validate()`] checks.
     InvariantViolation(String),
 }
 

@@ -49,12 +49,12 @@
 //! |---|---|
 //! | [`position`] | `(level, number)` arithmetic, in-order ordering (paper §III) |
 //! | [`range`], [`store`] | key ranges and the per-node data store (§IV) |
-//! | [`routing`] | links and the sideways routing tables (§III) |
+//! | [`routing`] | the routing plane and the link views read from it (§III) |
 //! | [`node`] | the per-peer state |
 //! | [`system`] | [`BatonSystem`]: the overlay + simulated network |
 //! | [`bulk`] | direct deterministic construction of an N-node overlay |
 //! | [`protocol`] | join, leave, failure, search, data, restructuring, load balancing |
-//! | [`validate`] | whole-overlay invariant checking (the test oracle) |
+//! | [`validate`](mod@validate) | whole-overlay invariant checking (the test oracle) |
 //! | [`reports`] | per-operation message-cost reports used by the benchmarks |
 
 #![warn(missing_docs)]
@@ -83,7 +83,7 @@ pub use reports::{
     BalanceKind, DeleteReport, FailureReport, InsertReport, JoinReport, LeaveReport,
     LoadBalanceReport, RangeSearchReport, RestructureReport, SearchReport,
 };
-pub use routing::{NodeLink, RoutingEntry, RoutingTable};
+pub use routing::{Links, NodeLink, RoutingEntry, RoutingTable};
 pub use store::{LocalStore, Value};
 pub use system::BatonSystem;
 pub use validate::validate;

@@ -19,7 +19,7 @@
 //!
 //! Re-joins are *screened*: both restructuring chains are planned (purely)
 //! up front, and a re-join whose shift would exceed the
-//! [`balance_shift_budget`](BatonSystem::balance_shift_budget) of
+//! `balance_shift_budget` of
 //! `4·⌈log₂ N⌉` nodes is declined before anything moves.  Without the
 //! screen, a freshly bulk-loaded network — whose leaf level is one long run
 //! of non-vacatable positions — produces shift chains that grow linearly
@@ -30,8 +30,10 @@ use baton_net::{OpScope, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::position::Side;
+use crate::protocol::restructure::RestructurePlan;
 use crate::range::Key;
 use crate::reports::{BalanceKind, LoadBalanceReport};
+use crate::routing::NodeLink;
 use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
@@ -89,7 +91,7 @@ impl BatonSystem {
             return Ok(report);
         }
         // Scheme 2: leaf re-join (leaves only).
-        if self.node_ref(overloaded)?.is_leaf() {
+        if self.links_of(overloaded)?.is_leaf() {
             if let Some(report) = self.try_leaf_rejoin(op, overloaded)? {
                 return Ok(report);
             }
@@ -108,17 +110,12 @@ impl BatonSystem {
         overloaded: PeerId,
     ) -> Result<Option<LoadBalanceReport>> {
         let mut messages = 0u64;
-        let (my_load, candidates) = {
-            let node = self.node_ref(overloaded)?;
-            let mut candidates = Vec::new();
-            if let Some(l) = node.left_adjacent {
-                candidates.push((l.peer, Side::Left));
-            }
-            if let Some(r) = node.right_adjacent {
-                candidates.push((r.peer, Side::Right));
-            }
-            (node.load(), candidates)
-        };
+        let my_load = self.node_ref(overloaded)?.load();
+        let links = self.links_of(overloaded)?;
+        let candidates: Vec<(PeerId, Side)> = Side::BOTH
+            .into_iter()
+            .filter_map(|side| Some((links.adjacent(side)?.peer, side)))
+            .collect();
         // Probe the adjacent nodes' loads (one message each).
         let mut best: Option<(PeerId, Side, usize)> = None;
         for (peer, side) in candidates {
@@ -229,7 +226,7 @@ impl BatonSystem {
         // candidate catches up).  Both planners are pure, so a re-join that
         // passes the screen proceeds exactly as it would have unscreened.
         let budget = self.balance_shift_budget();
-        let departure_plan = if self.node_ref(light)?.can_leave_without_replacement() {
+        let departure_plan = if self.links_of(light)?.can_leave_without_replacement() {
             None
         } else {
             let plan = match self.plan_restructure_remove(light, Side::Left)? {
@@ -247,18 +244,14 @@ impl BatonSystem {
             }
             Some(plan)
         };
-        {
-            // Estimate the insert-side chain from the overloaded node
-            // outwards, mirroring step 3's direction preference (the spliced
-            // node's successor chain starts at the overloaded node itself).
-            let left_start = self.node_ref(overloaded)?.left_adjacent.map(|l| l.peer);
-            let estimate = match self.insert_chain_estimate(Some(overloaded), Side::Right)? {
-                Some(e) => Some(e),
-                None => self.insert_chain_estimate(left_start, Side::Left)?,
-            };
-            if estimate.is_some_and(|e| e > budget) {
-                return Ok(None);
-            }
+        // Estimate the insert-side chain from the overloaded node outwards,
+        // mirroring step 3's direction preference (the spliced node's
+        // successor chain starts at the overloaded node itself).
+        let g = NodeLink::new(overloaded, self.node_ref(overloaded)?.position);
+        let left_start = self.links_of(overloaded)?.adjacent(Side::Left);
+        let estimate = self.plan_insert_either_way(light, Some(g), left_start)?;
+        if estimate.is_some_and(|plan| plan.shift_size() > budget) {
+            return Ok(None);
         }
 
         // Ask the light leaf to move (one message).
@@ -286,10 +279,10 @@ impl BatonSystem {
         //    If the restructuring that accompanied the light leaf's
         //    departure left the overloaded node with two children, the new
         //    neighbour is spliced in purely by restructuring.
-        let needs_restructure = if self.node_ref(overloaded)?.free_child_side().is_some() {
+        let needs_restructure = if self.links_of(overloaded)?.free_child_side().is_some() {
             let (_, _, attach_messages) = self.attach_child(op, overloaded, light)?;
             messages += attach_messages;
-            !self.node_ref(overloaded)?.tables_full()
+            !self.links_of(overloaded)?.tables_full()
         } else {
             messages += self.splice_in_as_predecessor(op, overloaded, light)?;
             true
@@ -298,16 +291,15 @@ impl BatonSystem {
         // 3. Find the spliced-in node a legitimate position by shifting the
         //    overlay (paper §III-E).
         if needs_restructure {
-            let plan = match self.plan_restructure_insert(light, Side::Right)? {
-                Some(p) => p,
-                None => self
-                    .plan_restructure_insert(light, Side::Left)?
-                    .ok_or_else(|| {
-                        BatonError::InvariantViolation(
-                            "no direction admits a join restructuring".into(),
-                        )
-                    })?,
-            };
+            let links = self.links_of(light)?;
+            let (right, left) = (links.adjacent(Side::Right), links.adjacent(Side::Left));
+            let plan = self
+                .plan_insert_either_way(light, right, left)?
+                .ok_or_else(|| {
+                    BatonError::InvariantViolation(
+                        "no direction admits a join restructuring".into(),
+                    )
+                })?;
             let report = self.apply_restructure_plan(op, &plan)?;
             messages += report.messages;
             nodes_shifted += report.nodes_shifted;
@@ -321,11 +313,26 @@ impl BatonSystem {
         }))
     }
 
+    /// Plans the restructuring that gives `incoming` a position: shifting
+    /// towards its successor `right` if that chain finds an attachment
+    /// point, towards its predecessor `left` otherwise.
+    fn plan_insert_either_way(
+        &self,
+        incoming: PeerId,
+        right: Option<NodeLink>,
+        left: Option<NodeLink>,
+    ) -> Result<Option<RestructurePlan>> {
+        match self.plan_restructure_insert(incoming, right, Side::Right)? {
+            Some(plan) => Ok(Some(plan)),
+            None => self.plan_restructure_insert(incoming, left, Side::Left),
+        }
+    }
+
     /// Splices `light` into the overlay as the in-order predecessor of
     /// `overloaded` — range split, data handoff and adjacency — *without*
-    /// giving it a tree position yet.  Used when the overloaded node has no
-    /// free child slot; the caller immediately follows up with a
-    /// restructuring pass that assigns the position.
+    /// giving it a tree position yet (see `PositionMap::splice`).  Used when
+    /// the overloaded node has no free child slot; the caller immediately
+    /// follows up with a restructuring pass that assigns the position.
     fn splice_in_as_predecessor(
         &mut self,
         op: OpScope,
@@ -338,37 +345,24 @@ impl BatonSystem {
             let (low_half, _) = g.range.split_half();
             (g.position, low_half)
         };
-        // Build the new neighbour's node state.  Its position field is a
-        // placeholder (the overloaded node's own position) that is never
-        // registered in the position map; the restructuring pass assigns the
-        // real one.
+        // The new neighbour's position field is a placeholder (the
+        // overloaded node's own position) that the plane never records; the
+        // restructuring pass assigns the real one.
         let mut light_node = crate::node::BatonNode::new(light, g_position, light_range);
         let g = self.node_mut(overloaded)?;
         light_node.store = g.store.split_off_range(light_range);
         let g_range = crate::range::KeyRange::new(light_range.high(), g.range.high());
         self.set_range(overloaded, g_range)?;
         // Adjacency: predecessor(g) <-> light <-> g.
-        let outer = {
-            let g = self.node_ref(overloaded)?;
-            g.left_adjacent
-        };
-        let g_link = self.link_of(overloaded)?;
-        light_node.left_adjacent = outer;
-        light_node.right_adjacent = Some(g_link);
+        let outer = self.links_of(overloaded)?.adjacent(Side::Left);
         self.insert_node(light, light_node);
-        let light_link = self.link_of(light)?;
-        {
-            let g = self.node_mut(overloaded)?;
-            g.set_adjacent(Side::Left, Some(light_link));
-        }
+        self.by_position
+            .splice(light, g_position.heap_index() as usize);
         self.hop(op, overloaded, light, 1, "balance.migrate")?;
         messages += 1;
         if let Some(outer) = outer {
             self.notify(op, "table.adjacent_update", light, outer.peer);
             messages += 1;
-            if let Some(outer_node) = self.node_opt_mut(outer.peer) {
-                outer_node.set_adjacent(Side::Right, Some(light_link));
-            }
         }
         // The overloaded node's range shrank.
         messages += self.broadcast_link_update(op, overloaded, LinkUpdate::Range)?;
@@ -384,24 +378,19 @@ impl BatonSystem {
         overloaded: PeerId,
     ) -> Result<(Option<PeerId>, u64)> {
         let mut messages = 0u64;
-        let (my_load, exclude, probe_targets) = {
-            let node = self.node_ref(overloaded)?;
-            let mut exclude = vec![overloaded];
-            if let Some(l) = node.left_adjacent {
-                exclude.push(l.peer);
-            }
-            if let Some(r) = node.right_adjacent {
-                exclude.push(r.peer);
-            }
-            let mut targets = Vec::new();
-            for side in Side::BOTH {
-                for (_, e) in node.table(side).iter() {
-                    targets.push(e.peer);
-                    targets.extend(e.children());
-                }
-            }
-            (node.load(), exclude, targets)
-        };
+        let my_load = self.node_ref(overloaded)?.load();
+        let links = self.links_of(overloaded)?;
+        let mut exclude = vec![overloaded];
+        exclude.extend(
+            Side::BOTH
+                .into_iter()
+                .filter_map(|side| Some(links.adjacent(side)?.peer)),
+        );
+        let mut probe_targets = Vec::new();
+        for e in links.table_entries() {
+            probe_targets.push(e.peer);
+            probe_targets.extend(e.children());
+        }
         let mut best: Option<(PeerId, usize)> = None;
         for target in probe_targets {
             if exclude.contains(&target) || !self.net.is_alive(target) {
@@ -409,10 +398,10 @@ impl BatonSystem {
             }
             self.notify(op, "balance.probe", overloaded, target);
             messages += 1;
-            let Some(node) = self.node(target) else {
+            let (Some(node), Some(links)) = (self.node(target), self.links(target)) else {
                 continue;
             };
-            if !node.is_leaf() {
+            if !links.is_leaf() {
                 continue;
             }
             let load = node.load();
@@ -519,6 +508,54 @@ mod tests {
             "load balancing did not reduce the maximum load ({max_with} vs {max_without})"
         );
         validate(&with_lb).unwrap();
+    }
+
+    /// The re-join path for an overloaded node with both children: the
+    /// light leaf is spliced in without a position — its neighbours' and
+    /// its own adjacent links place it in in-order — and the restructuring
+    /// gives it one.
+    #[test]
+    fn a_spliced_peer_gets_its_position_from_the_restructuring() {
+        let mut system = BatonSystem::build(BatonConfig::default(), 8, 60).unwrap();
+        let full = |s: &BatonSystem, p: PeerId| s.links(p).unwrap().free_child_side().is_none();
+        let g = (system.peers().iter().copied())
+            .find(|&p| full(&system, p) && !system.node(p).unwrap().is_root())
+            .unwrap();
+        let g_links = system.links(g).unwrap();
+        let near = [Side::Left, Side::Right].map(|side| g_links.child(side).unwrap().peer);
+        let light = (system.peers().iter().copied())
+            .find(|&p| {
+                let links = system.links(p).unwrap();
+                links.can_leave_without_replacement() && !near.contains(&p) && p != g
+            })
+            .unwrap();
+        let shifted = system
+            .in_op("balance", |system, op| {
+                system.detach_leaf(op, light, light)?;
+                let outer = system.links_of(g)?.adjacent(Side::Left).map(|l| l.peer);
+                system.splice_in_as_predecessor(op, g, light)?;
+                let adjacent =
+                    |peer, side| system.links(peer).unwrap().adjacent(side).map(|l| l.peer);
+                assert_eq!(adjacent(g, Side::Left), Some(light));
+                assert_eq!(adjacent(light, Side::Right), Some(g));
+                assert_eq!(adjacent(light, Side::Left), outer);
+                if let Some(outer) = outer {
+                    assert_eq!(adjacent(outer, Side::Right), Some(light));
+                }
+                let links = system.links_of(light)?;
+                let (right, left) = (links.adjacent(Side::Right), links.adjacent(Side::Left));
+                let plan = system.plan_insert_either_way(light, right, left)?.unwrap();
+                Ok(system.apply_restructure_plan(op, &plan)?.nodes_shifted)
+            })
+            .unwrap();
+        assert!(shifted >= 2, "the chain starts by displacing {g}");
+        let position = system.node(light).unwrap().position;
+        assert_eq!(system.peer_at(position), Some(light));
+        assert_eq!(
+            system.links(g).unwrap().adjacent(Side::Left).unwrap().peer,
+            light
+        );
+        validate(&system).unwrap();
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use baton_net::{OpScope, Overlay, PeerId, RepairPolicy, SimTime};
 
 use crate::error::{BatonError, Result};
+use crate::position::Side;
 use crate::reports::FailureReport;
 use crate::system::BatonSystem;
 
@@ -46,7 +47,7 @@ impl BatonSystem {
         let survives = self.replication > 1 && self.replica_survives(peer);
         // The failure is *detected* by a linked neighbour timing out, so the
         // repair start jitters by one round-trip on that link.
-        let detector = self.node_ref(peer)?.link_targets().next().unwrap_or(peer);
+        let detector = self.links_of(peer)?.link_targets().next().unwrap_or(peer);
         let round_trip =
             self.net.sample_latency(detector, peer) + self.net.sample_latency(peer, detector);
         self.net.fail_peer(peer);
@@ -95,16 +96,16 @@ impl BatonSystem {
     /// [`BatonError::PeerNotAlive`] (naming the first dead candidate)
     /// before anything changes.
     fn repair_coordinator(&self, peer: PeerId) -> Result<Option<PeerId>> {
-        let node = self.node_ref(peer)?;
+        let links = self.links_of(peer)?;
         if self.node_count() == 1 {
             return Ok(None);
         }
         let candidates = [
-            node.parent,
-            node.left_child,
-            node.right_child,
-            node.left_adjacent,
-            node.right_adjacent,
+            links.parent(),
+            links.child(Side::Left),
+            links.child(Side::Right),
+            links.adjacent(Side::Left),
+            links.adjacent(Side::Right),
         ];
         let mut linked = candidates.into_iter().flatten().map(|l| l.peer).peekable();
         let first = *linked.peek().ok_or_else(|| {
@@ -138,21 +139,16 @@ impl BatonSystem {
             });
         };
 
-        let (reporter, lost_items, is_removable_leaf) = {
-            let node = self.node_ref(peer)?;
-            // Any peer that held a link to the failed node may be the one
-            // that noticed; pick one different from the coordinator when
-            // possible.
-            let reporter = node
-                .link_targets()
-                .find(|p| *p != coordinator)
-                .unwrap_or(coordinator);
-            (
-                reporter,
-                node.store.len(),
-                node.can_leave_without_replacement(),
-            )
-        };
+        let links = self.links_of(peer)?;
+        // Any peer that held a link to the failed node may be the one that
+        // noticed; pick one different from the coordinator when possible.
+        let reporter = links
+            .link_targets()
+            .find(|p| *p != coordinator)
+            .unwrap_or(coordinator);
+        let is_removable_leaf = links.can_leave_without_replacement();
+        let neighbors: Vec<PeerId> = links.table_peers().collect();
+        let lost_items = self.node_ref(peer)?.store.len();
 
         // Failure report: one message from the discovering peer to the
         // coordinator.
@@ -163,7 +159,6 @@ impl BatonSystem {
         // The coordinator regenerates the failed node's routing tables by
         // querying the children of the nodes in its own routing tables: one
         // query and one response per regenerated neighbour entry.
-        let neighbors: Vec<PeerId> = self.node_ref(peer)?.table_peers().collect();
         for neighbor in neighbors {
             self.notify(op, "failure.table_regen", coordinator, neighbor);
             self.notify(op, "failure.table_regen", neighbor, coordinator);
@@ -244,7 +239,7 @@ mod tests {
             .peers()
             .iter()
             .copied()
-            .find(|p| system.node(*p).unwrap().is_leaf())
+            .find(|p| system.links(*p).unwrap().is_leaf())
             .unwrap();
         let report = system.fail(leaf).unwrap();
         assert_eq!(report.failed, leaf);
@@ -261,7 +256,7 @@ mod tests {
             .peers()
             .iter()
             .copied()
-            .find(|p| !system.node(*p).unwrap().is_leaf())
+            .find(|p| !system.links(*p).unwrap().is_leaf())
             .unwrap();
         let report = system.fail(internal).unwrap();
         assert!(report.replacement.is_some());

@@ -7,7 +7,8 @@
 //!    (Algorithm 1).  Each forward is one message; the paper's Figure 8(a)
 //!    plots the average number of these messages.
 //! 2. **Attach** — the accepting node splits its key range (and data) with
-//!    the new child, fixes the adjacent links, informs its neighbours of its
+//!    the new child, the new node takes its position (which splices it into
+//!    the adjacency chain), the accepting node informs its neighbours of its
 //!    new child and shrunken range, and the new node's routing tables are
 //!    filled through the neighbours' children (Theorem 2 guarantees they are
 //!    reachable that way).  Figure 8(b) plots these update messages.
@@ -19,7 +20,6 @@ use crate::node::BatonNode;
 use crate::position::{Position, Side};
 use crate::range::KeyRange;
 use crate::reports::JoinReport;
-use crate::routing::NodeLink;
 use crate::system::{BatonSystem, LinkUpdate};
 
 impl BatonSystem {
@@ -70,57 +70,38 @@ impl BatonSystem {
         messages += 1;
         let mut current = contact;
         loop {
-            let node = self.node_ref(current)?;
+            let links = self.links_of(current)?;
             // A dead (unrepaired) node must not accept: `attach_child`
             // splits the acceptor's store and range *before* its first hop,
             // so accepting at a dead node would corrupt both.  Legacy runs
             // never route past dead nodes, so the extra check is free.
-            if node.can_accept_child() && self.net.is_alive(current) {
+            if links.can_accept_child() && self.net.is_alive(current) {
                 return Ok((current, messages));
             }
-            let next = if !node.tables_full() {
+            let next = if !links.tables_full() {
                 // Algorithm 1: incomplete routing tables → forward to parent.
-                match &node.parent {
-                    Some(p) => p.peer,
-                    None => {
-                        // The root's tables are trivially full, so this
-                        // branch indicates corrupted state.
-                        return Err(BatonError::InvariantViolation(
-                            "root reached with non-full routing tables".into(),
-                        ));
-                    }
-                }
+                // The root's tables are trivially full, so a missing parent
+                // indicates corrupted state.
+                links.parent().map(|p| p.peer).ok_or_else(|| {
+                    BatonError::InvariantViolation(
+                        "root reached with non-full routing tables".into(),
+                    )
+                })?
             } else {
                 // Tables full but both children occupied: pick a neighbour
                 // that is still missing a child, otherwise fall through to
-                // an adjacent node.
-                let candidate = node
-                    .left_table
-                    .first_without_both_children()
-                    .or_else(|| node.right_table.first_without_both_children())
+                // the deeper adjacent node.
+                let candidate = Side::BOTH
+                    .into_iter()
+                    .find_map(|side| links.table(side).first_without_both_children())
                     .map(|(_, e)| e.peer);
-                match candidate {
-                    Some(p) => p,
-                    None => {
-                        let deeper = match (&node.left_adjacent, &node.right_adjacent) {
-                            (Some(l), Some(r)) => {
-                                if r.position.level() >= l.position.level() {
-                                    Some(r.peer)
-                                } else {
-                                    Some(l.peer)
-                                }
-                            }
-                            (Some(l), None) => Some(l.peer),
-                            (None, Some(r)) => Some(r.peer),
-                            (None, None) => None,
-                        };
-                        deeper.ok_or_else(|| {
-                            BatonError::InvariantViolation(
-                                "saturated node with no adjacent links".into(),
-                            )
-                        })?
-                    }
-                }
+                let deeper = match (links.adjacent(Side::Left), links.adjacent(Side::Right)) {
+                    (Some(l), Some(r)) if l.position.level() > r.position.level() => Some(l),
+                    (l, r) => r.or(l),
+                };
+                candidate.or(deeper.map(|l| l.peer)).ok_or_else(|| {
+                    BatonError::InvariantViolation("saturated node with no adjacent links".into())
+                })?
             };
             hop_no += 1;
             if hop_no > limit {
@@ -153,18 +134,21 @@ impl BatonSystem {
         let mut messages = 0u64;
 
         // Decide side, position and range split.
-        let (parent_pos, side, child_pos, parent_new_range, child_range) = {
+        let (side, child_pos, parent_new_range, child_range) = {
             let parent = self.node_ref(parent_peer)?;
-            let side = parent.free_child_side().ok_or_else(|| {
-                BatonError::InvariantViolation("attach_child called on a full parent".into())
-            })?;
+            let side = self
+                .links_of(parent_peer)?
+                .free_child_side()
+                .ok_or_else(|| {
+                    BatonError::InvariantViolation("attach_child called on a full parent".into())
+                })?;
             let child_pos = parent.position.child(side);
             let (low_half, high_half) = parent.range.split_half();
             let (p_range, c_range) = match side {
                 Side::Left => (high_half, low_half),
                 Side::Right => (low_half, high_half),
             };
-            (parent.position, side, child_pos, p_range, c_range)
+            (side, child_pos, p_range, c_range)
         };
 
         // Create the child node and move the data that now belongs to it.
@@ -174,51 +158,21 @@ impl BatonSystem {
             child.store = parent.store.split_off_range(child_range);
         }
         self.set_range(parent_peer, parent_new_range)?;
-        child.parent = Some(NodeLink::new(parent_peer, parent_pos, parent_new_range));
 
         // One message: the parent accepts the joiner and hands over its half
         // of the range (the data handoff rides on this acceptance).
         self.hop(op, parent_peer, joiner, 1, "join.accept")?;
         messages += 1;
 
-        // Adjacent links: the parent's adjacent link on `side` is handed to
-        // the child; the child slots in between that node and the parent.
-        let outer_adjacent = {
-            let parent = self.node_ref(parent_peer)?;
-            parent.adjacent(side).copied()
-        };
-        let child_link = child.link();
-        let parent_link = NodeLink::new(parent_peer, parent_pos, parent_new_range);
-        match side {
-            Side::Left => {
-                child.left_adjacent = outer_adjacent;
-                child.right_adjacent = Some(parent_link);
-            }
-            Side::Right => {
-                child.right_adjacent = outer_adjacent;
-                child.left_adjacent = Some(parent_link);
-            }
-        }
-        {
-            let parent = self.node_mut(parent_peer)?;
-            parent.set_adjacent(side, Some(child_link));
-            parent.set_child(side, Some(child_link));
-        }
-
-        // Register the new node before notifications so that helpers can
-        // resolve its link.
+        // The child slots in between the parent and the parent's adjacent
+        // node on `side`, which it tells of its new neighbour.
+        let outer_adjacent = self.links_of(parent_peer)?.adjacent(side);
         self.occupy(child_pos, joiner, child_range);
         self.insert_node(joiner, child);
-
-        // The new node notifies the node on the far side of its adjacency
-        // (one message, per the paper's cost analysis).
+        // One message, per the paper's cost analysis.
         if let Some(outer) = outer_adjacent {
             self.notify(op, "table.adjacent_update", joiner, outer.peer);
             messages += 1;
-            let child_link = self.link_of(joiner)?;
-            if let Some(outer_node) = self.node_opt_mut(outer.peer) {
-                outer_node.set_adjacent(side.opposite(), Some(child_link));
-            }
         }
 
         // The parent's range shrank and it gained a child: one combined
@@ -226,73 +180,37 @@ impl BatonSystem {
         // neighbours in turn let their children know about the new node,
         // which is how its tables fill) — the paper's `2·L1` term.
         messages += self.broadcast_link_update(op, parent_peer, LinkUpdate::RangeAndChildren)?;
-        // Build the new node's routing tables through the parent's
+        // Fill the new node's routing tables through the parent's
         // neighbours' children (Theorem 2).
         messages += self.build_child_tables(op, parent_peer, joiner)?;
 
         Ok((child_pos, child_range, messages))
     }
 
-    /// Fills the routing tables of a freshly attached child and installs the
-    /// reverse entries at its neighbours.
+    /// Charges the filling of a freshly attached child's routing tables and
+    /// of the reverse entries at its neighbours.
     ///
-    /// For every slot of the child's tables, the occupant of the target
-    /// position is found through the parent's knowledge: the target's parent
-    /// is either the child's own parent (sibling slot) or a routing-table
-    /// neighbour of the parent (Theorem 2), whose recorded child links name
-    /// the occupant.  Each filled slot costs two messages (query the
-    /// occupant, occupant responds to / records the new node), matching the
-    /// `2·L2 + 2·L2` term of the paper's cost analysis.
+    /// The occupant of every slot of the child's tables is found through the
+    /// parent's knowledge: the target's parent is either the child's own
+    /// parent (sibling slot) or a routing-table neighbour of the parent
+    /// (Theorem 2), whose children the parent's entry names.  Each occupied
+    /// slot costs two messages (query the occupant, occupant responds to /
+    /// records the new node), matching the `2·L2 + 2·L2` term of the
+    /// paper's cost analysis.
     pub(crate) fn build_child_tables(
         &mut self,
         op: OpScope,
         parent_peer: PeerId,
         child_peer: PeerId,
     ) -> Result<u64> {
-        let mut messages = 0u64;
-        let (child_pos, parent_pos) = {
-            let child = self.node_ref(child_peer)?;
-            let parent = self.node_ref(parent_peer)?;
-            (child.position, parent.position)
-        };
-        for side in Side::BOTH {
-            for index in 0..child_pos.routing_table_size() {
-                let Some(target_pos) = child_pos.routing_neighbor(side, index) else {
-                    continue;
-                };
-                let target_parent_pos = target_pos
-                    .parent()
-                    .expect("routing neighbours of a non-root node have parents");
-                let occupant: Option<PeerId> = if target_parent_pos == parent_pos {
-                    // The target is the new node's sibling.
-                    let parent = self.node_ref(parent_peer)?;
-                    parent
-                        .child(target_pos.child_side().expect("non-root"))
-                        .map(|l| l.peer)
-                        .filter(|p| *p != child_peer)
-                } else {
-                    let parent = self.node_ref(parent_peer)?;
-                    let entry = parent
-                        .table_slot_of(target_parent_pos)
-                        .and_then(|(s, i)| parent.table(s).entry(i));
-                    entry.and_then(|e| e.child(target_pos.child_side().expect("non-root")))
-                };
-                let Some(occupant) = occupant else { continue };
-                // Query + response pair.
-                self.notify(op, "table.fill", parent_peer, occupant);
-                self.notify(op, "table.fill", occupant, child_peer);
-                messages += 2;
-                let occupant_entry = self.node_ref(occupant)?.routing_entry();
-                let child_entry = self.node_ref(child_peer)?.routing_entry();
-                self.node_mut(child_peer)?
-                    .table_mut(side)
-                    .set(index, occupant_entry);
-                self.node_mut(occupant)?
-                    .table_mut(side.opposite())
-                    .set(index, child_entry);
-            }
+        let links = self.links_of(child_peer)?;
+        let neighbors: Vec<PeerId> = links.table_peers().collect();
+        for &occupant in &neighbors {
+            // Query + response pair.
+            self.notify(op, "table.fill", parent_peer, occupant);
+            self.notify(op, "table.fill", occupant, child_peer);
         }
-        Ok(messages)
+        Ok(2 * neighbors.len() as u64)
     }
 }
 
@@ -320,12 +238,19 @@ mod tests {
         let root_node = system.node(root).unwrap();
         let child_node = system.node(report.new_peer).unwrap();
         assert_eq!(child_node.range.high(), root_node.range.low());
-        assert_eq!(child_node.parent.unwrap().peer, root);
-        assert_eq!(root_node.left_child.unwrap().peer, report.new_peer);
+        let (root_links, child_links) = (
+            system.links(root).unwrap(),
+            system.links(report.new_peer).unwrap(),
+        );
+        assert_eq!(child_links.parent().unwrap().peer, root);
+        assert_eq!(root_links.child(Side::Left).unwrap().peer, report.new_peer);
         // Adjacency: child <-> root.
-        assert_eq!(root_node.left_adjacent.unwrap().peer, report.new_peer);
-        assert_eq!(child_node.right_adjacent.unwrap().peer, root);
-        assert!(child_node.left_adjacent.is_none());
+        assert_eq!(
+            root_links.adjacent(Side::Left).unwrap().peer,
+            report.new_peer
+        );
+        assert_eq!(child_links.adjacent(Side::Right).unwrap().peer, root);
+        assert!(child_links.adjacent(Side::Left).is_none());
         validate(&system).unwrap();
     }
 
@@ -424,12 +349,12 @@ mod tests {
         // check explicitly that all internal nodes have full tables.
         let system = build(150, 19);
         for &peer in system.peers() {
-            let node = system.node(peer).unwrap();
-            if !node.is_leaf() {
+            let links = system.links(peer).unwrap();
+            if !links.is_leaf() {
                 assert!(
-                    node.tables_full(),
+                    links.tables_full(),
                     "internal node {peer} at {:?} lacks full tables",
-                    node.position
+                    system.node(peer).unwrap().position
                 );
             }
         }

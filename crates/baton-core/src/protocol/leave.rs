@@ -9,20 +9,22 @@
 //! down the tree (Algorithm 2) to a leaf whose own departure is safe; that
 //! leaf detaches from its position and takes over the departing node's
 //! position, links, range and content, and every node holding a link to the
-//! departed node is repointed — at most `8 log N` messages.
+//! departed node is told of its new address — at most `8 log N` messages.
 
 use baton_net::{OpScope, Overlay, PeerId};
 
 use crate::error::{BatonError, Result};
-use crate::node::BatonNode;
+use crate::position::Side;
 use crate::reports::LeaveReport;
-use crate::routing::RoutingEntry;
+use crate::routing::{Links, RoutingEntry};
 use crate::system::{BatonSystem, LinkUpdate};
 
-/// The children recorded for `node`'s routing-table neighbours, in table
-/// order — the FINDREPLACEMENT candidates of a leaf.
-fn neighbor_children(node: &BatonNode) -> impl Iterator<Item = PeerId> + '_ {
-    node.table_entries().flat_map(RoutingEntry::children)
+/// The children of a node's routing-table neighbours, in table order — the
+/// FINDREPLACEMENT candidates of a leaf.
+fn neighbor_children<'a>(links: &Links<'a>) -> impl Iterator<Item = PeerId> + 'a {
+    links
+        .table_entries()
+        .flat_map(|e: RoutingEntry| e.children())
 }
 
 impl BatonSystem {
@@ -38,8 +40,7 @@ impl BatonSystem {
     }
 
     fn leave_in_op(&mut self, op: OpScope, peer: PeerId) -> Result<LeaveReport> {
-        let node = self.node_ref(peer)?;
-        let report = if node.can_leave_without_replacement() {
+        let report = if self.links_of(peer)?.can_leave_without_replacement() {
             // At k > 1 the departing slice moves replica boundaries for the
             // neighbours holding its copies; charge the handoff while the
             // links still exist.
@@ -103,19 +104,20 @@ impl BatonSystem {
         departing: PeerId,
         sender: PeerId,
     ) -> Result<(PeerId, u64)> {
-        let node = self.node_ref(departing)?;
-        let start = if node.is_leaf() {
+        let links = self.links_of(departing)?;
+        let start = if links.is_leaf() {
             // A leaf that cannot depart directly has a neighbour with a
             // child; start the walk at such a child.
-            self.prefer_alive(neighbor_children(node)).ok_or_else(|| {
-                BatonError::InvariantViolation(
-                    "find_replacement called on a directly removable leaf".into(),
-                )
-            })?
+            self.prefer_alive(neighbor_children(&links))
+                .ok_or_else(|| {
+                    BatonError::InvariantViolation(
+                        "find_replacement called on a directly removable leaf".into(),
+                    )
+                })?
         } else {
             // A non-leaf starts at its deeper adjacent node, which lies in
             // one of its subtrees.
-            let adjacent = match (&node.left_adjacent, &node.right_adjacent) {
+            let adjacent = match (links.adjacent(Side::Left), links.adjacent(Side::Right)) {
                 (Some(l), Some(r)) if r.position.level() >= l.position.level() => {
                     [Some(r.peer), Some(l.peer)]
                 }
@@ -132,11 +134,11 @@ impl BatonSystem {
         self.hop(op, sender, start, hops, "leave.find_replacement")?;
         let mut current = start;
         loop {
-            let node = self.node_ref(current)?;
-            let next = if node.is_leaf() {
-                self.prefer_alive(neighbor_children(node))
+            let links = self.links_of(current)?;
+            let next = if links.is_leaf() {
+                self.prefer_alive(neighbor_children(&links))
             } else {
-                let children = [node.left_child, node.right_child];
+                let children = Side::BOTH.map(|side| links.child(side));
                 self.prefer_alive(children.into_iter().flatten().map(|l| l.peer))
             };
             let Some(next) = next else {
@@ -168,54 +170,44 @@ impl BatonSystem {
     }
 
     /// Structurally removes a leaf that satisfies the direct-departure
-    /// condition: its content and range are merged into its parent, the
-    /// adjacency chain is spliced, its neighbours drop their table entries
-    /// and the parent refreshes its own neighbourhood.
+    /// condition: its content and range are merged into its parent, its
+    /// neighbours are told to drop their table entries, the node beyond it
+    /// in in-order learns its new adjacent node, and the parent refreshes
+    /// its own neighbourhood.
     ///
     /// `actor` is the peer doing the talking (the leaf itself for a
     /// voluntary departure, the recovery coordinator when cleaning up after
     /// a failure).  Returns the number of messages used.
     pub(crate) fn detach_leaf(&mut self, op: OpScope, leaf: PeerId, actor: PeerId) -> Result<u64> {
         let mut messages = 0u64;
-        if !self.node_ref(leaf)?.is_leaf() {
+        let links = self.links_of(leaf)?;
+        if !links.is_leaf() {
             return Err(BatonError::InvariantViolation(
                 "detach_leaf called on a non-leaf node".into(),
             ));
         }
-        let (position, range, parent_link, side, outer_adjacent, neighbor_peers, store) = {
+        let parent = links.parent().ok_or_else(|| {
+            BatonError::InvariantViolation("detach_leaf called on the root".into())
+        })?;
+        let neighbor_peers: Vec<PeerId> = links.table_peers().collect();
+        let (position, range, store) = {
             let node = self.node_mut(leaf)?;
-            let parent_link = node.parent.ok_or_else(|| {
-                BatonError::InvariantViolation("detach_leaf called on the root".into())
-            })?;
-            let side = node
-                .position
-                .child_side()
-                .expect("a node with a parent is not the root");
-            let neighbors: Vec<PeerId> = node.table_peers().collect();
-            let store = std::mem::take(&mut node.store);
-            (
-                node.position,
-                node.range,
-                parent_link,
-                side,
-                node.adjacent(side).copied(),
-                neighbors,
-                store,
-            )
+            (node.position, node.range, std::mem::take(&mut node.store))
         };
+        let side = position
+            .child_side()
+            .expect("a node with a parent is not the root");
+        let outer_adjacent = self.links_of(leaf)?.adjacent(side);
 
         // 1. Tell routing-table neighbours to drop their entries.
-        messages += self.fan_out(op, "leave.notify", actor, &neighbor_peers, |neighbor| {
-            neighbor.drop_table_link(leaf, position)
-        });
+        messages += self.fan_out(op, "leave.notify", actor, &neighbor_peers);
 
         // 2. Transfer content and range to the parent.
-        self.hop(op, actor, parent_link.peer, 1, "leave.transfer")?;
+        self.hop(op, actor, parent.peer, 1, "leave.transfer")?;
         messages += 1;
         let merged = {
-            let parent = self.node_mut(parent_link.peer)?;
+            let parent = self.node_mut(parent.peer)?;
             parent.store.absorb(store);
-            parent.set_child(side, None);
             parent.range.merge(range).ok_or_else(|| {
                 BatonError::InvariantViolation(format!(
                     "leaf range {range} not contiguous with parent range {}",
@@ -223,21 +215,12 @@ impl BatonSystem {
                 ))
             })?
         };
-        self.set_range(parent_link.peer, merged)?;
+        self.set_range(parent.peer, merged)?;
 
-        // 3. Splice the adjacency chain: the parent inherits the leaf's
-        //    outward adjacent link, and that node points back at the parent.
-        let parent_link_now = self.link_of(parent_link.peer)?;
-        {
-            let parent = self.node_mut(parent_link.peer)?;
-            parent.set_adjacent(side, outer_adjacent);
-        }
+        // 3. The node beyond the leaf in in-order now neighbours the parent.
         if let Some(outer) = outer_adjacent {
             self.notify(op, "table.adjacent_update", actor, outer.peer);
             messages += 1;
-            if let Some(outer_node) = self.node_opt_mut(outer.peer) {
-                outer_node.set_adjacent(side.opposite(), Some(parent_link_now));
-            }
         }
 
         // 4. Remove the leaf from the overlay.
@@ -246,15 +229,14 @@ impl BatonSystem {
 
         // 5. The parent's range (and child set) changed: refresh everyone
         //    holding a link to it with one combined notification each.
-        messages +=
-            self.broadcast_link_update(op, parent_link.peer, LinkUpdate::RangeAndChildren)?;
+        messages += self.broadcast_link_update(op, parent.peer, LinkUpdate::RangeAndChildren)?;
 
         Ok(messages)
     }
 
     /// Makes `new_peer` (already detached from any previous position) take
-    /// over `old_peer`'s position, links, range and content, and repoints
-    /// every node that linked to `old_peer`.
+    /// over `old_peer`'s position, range and content, and tells every node
+    /// that linked to `old_peer` its new address.
     ///
     /// `via` is the peer that transfers the state (the departing node for a
     /// voluntary departure, the recovery coordinator after a failure).
@@ -266,36 +248,27 @@ impl BatonSystem {
         via: PeerId,
     ) -> Result<u64> {
         let mut messages = 0u64;
-        let old_node = self
+        let mut node = self
             .remove_node(old_peer)
             .ok_or(BatonError::UnknownPeer(old_peer))?;
-        self.vacate(old_node.position, old_peer);
 
         // One message: the state / content handoff to the replacement.
         self.hop(op, via, new_peer, 1, "leave.replacement_announce")?;
         messages += 1;
 
-        let mut new_node = old_node;
-        new_node.peer = new_peer;
-        let position = new_node.position;
-        self.occupy(position, new_peer, new_node.range);
-        self.insert_node(new_peer, new_node);
+        node.peer = new_peer;
+        self.occupy(node.position, new_peer, node.range);
+        self.insert_node(new_peer, node);
 
-        // Repoint every node that held a link to the departed peer.
-        let new_link = self.link_of(new_peer)?;
-        let mut linked = self.node_ref(new_peer)?.linked_peers();
-        linked.retain(|other| *other != new_peer);
-        messages += self.fan_out(
-            op,
-            "leave.replacement_announce",
-            new_peer,
-            &linked,
-            |other| other.rewrite_links(old_peer, new_link),
-        );
+        // Every node that held a link to the departed peer learns the new
+        // address.
+        let links = self.links_of(new_peer)?;
+        let (linked, parent) = (links.linked_peers(), links.parent());
+        messages += self.fan_out(op, "leave.replacement_announce", new_peer, &linked);
         // The parent's neighbours track the parent's children by address;
         // refresh that knowledge too (the paper's `2·L1` term).
-        if let Some(parent_link) = self.node_ref(new_peer)?.parent {
-            messages += self.broadcast_link_update(op, parent_link.peer, LinkUpdate::Children)?;
+        if let Some(parent) = parent {
+            messages += self.broadcast_link_update(op, parent.peer, LinkUpdate::Children)?;
         }
         Ok(messages)
     }
@@ -438,6 +411,7 @@ mod tests {
         let last = system.peers()[0];
         let node = system.node(last).unwrap();
         assert!(node.is_root());
+        assert!(system.links(last).unwrap().is_leaf());
         assert_eq!(node.range, system.domain());
     }
 }

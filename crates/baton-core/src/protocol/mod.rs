@@ -17,7 +17,7 @@
 //! All modules follow the same rules: the overlay is only navigated through
 //! links a node actually holds, every hop and notification is charged to the
 //! operation's accounting scope, and structural changes keep the invariants
-//! checked by [`crate::validate`].
+//! checked by [`crate::validate()`].
 
 pub mod balance;
 pub mod data;

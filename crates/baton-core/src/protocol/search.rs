@@ -17,18 +17,12 @@
 //! ### Where a hop's first candidate is read
 //!
 //! A healthy hop needs only its node's first candidate and the next node's
-//! termination test.  Both come from the routing plane
-//! ([`BatonSystem::plane_first_candidate`]): one flat array indexed by heap
-//! position, holding each occupant and its current range.  This is the
-//! second exception to the simulation-honesty rule in [`crate::system`].
-//! A routing-table slot `k` of the node at heap index `h` names the
-//! occupant of `h ± 2^k` and records its range; whenever `validate` checks
-//! 5, 8 and 10 hold, the slot and the plane entry agree, so the farthest
-//! matching slot and the farthest matching occupied position are the same
-//! peer and the walk sends the same messages.  Debug builds assert that
-//! equality on every hop against [`walk_candidates`].  The adjacent/parent
-//! fallback, the full candidate and detour lists a bounce writes out, the
-//! k > 1 replica termination and the range sweep still read the nodes.
+//! termination test.  `plane_first_candidate` reads both straight from the
+//! routing plane, without building the node's link view: the farthest
+//! occupied `h ± 2^k` on the node's level whose range matches, else the
+//! key-side child, else the adjacent and parent links.  Debug builds assert
+//! on every hop that it is the head of the full §IV-A list
+//! (`walk_candidates`), which the bounce path writes out.
 
 use std::ops::ControlFlow;
 
@@ -36,8 +30,10 @@ use baton_net::{OpScope, Overlay, PeerId};
 
 use crate::error::{BatonError, Result};
 use crate::node::BatonNode;
+use crate::position::Side;
 use crate::range::{Key, KeyRange};
 use crate::reports::{RangeSearchReport, SearchReport};
+use crate::routing::{Links, RoutingEntry};
 use crate::system::BatonSystem;
 
 /// Outcome of routing a query to the node owning a key.
@@ -142,28 +138,29 @@ fn push_candidate(arena: &mut Vec<PeerId>, start: usize, owner: PeerId, candidat
     }
 }
 
-/// Enumerates the greedy candidate links of `node` for forwarding a query
-/// towards `key`, most useful first — exactly the §IV-A order: the sideways
-/// routing-table entries that do not overshoot the key (farthest first, each
-/// followed by its recorded children as the §III-D detour), then the
-/// key-side child, adjacent and parent links.  A healthy walk always follows
-/// the first candidate, so this order alone reproduces the paper's message
-/// counts.  Stops as soon as `visit` breaks.
+/// Enumerates the greedy candidate links of a node managing `range` for
+/// forwarding a query towards `key`, most useful first — exactly the §IV-A
+/// order: the sideways routing-table entries that do not overshoot the key
+/// (farthest first, each followed by its children as the §III-D detour),
+/// then the key-side child, adjacent and parent links.  A healthy walk
+/// always follows the first candidate, so this order alone reproduces the
+/// paper's message counts.  Stops as soon as `visit` breaks.
 #[inline]
 fn walk_candidates<B>(
-    node: &BatonNode,
+    links: &Links<'_>,
+    range: KeyRange,
     key: Key,
     mut visit: impl FnMut(PeerId) -> ControlFlow<B>,
 ) -> ControlFlow<B> {
-    let towards_right = key >= node.range.high();
+    let towards_right = key >= range.high();
+    let near = if towards_right {
+        Side::Right
+    } else {
+        Side::Left
+    };
 
     // 1. Matching key-side entries, farthest first (§IV-A greedy order).
-    let near_table = if towards_right {
-        &node.right_table
-    } else {
-        &node.left_table
-    };
-    for (_, entry) in near_table.iter().rev() {
+    for (_, entry) in links.table(near).iter().rev() {
         let matching = if towards_right {
             entry.range.low() <= key
         } else {
@@ -174,24 +171,21 @@ fn walk_candidates<B>(
         }
         visit(entry.peer)?;
         // §III-D detour: if the neighbour is unreachable, its children
-        // (recorded in the entry) still lead towards the key.
-        let (first, second) = if towards_right {
-            (entry.right_child(), entry.left_child())
-        } else {
-            (entry.left_child(), entry.right_child())
-        };
-        for candidate in first.into_iter().chain(second) {
+        // still lead towards the key.
+        for candidate in entry
+            .child(near)
+            .into_iter()
+            .chain(entry.child(near.opposite()))
+        {
             visit(candidate)?;
         }
     }
 
     // 2. Key-side child, adjacent and parent links.
-    let (child, adjacent) = if towards_right {
-        (node.right_child, node.right_adjacent)
-    } else {
-        (node.left_child, node.left_adjacent)
-    };
-    for link in [child, adjacent, node.parent].into_iter().flatten() {
+    for link in [links.child(near), links.adjacent(near), links.parent()]
+        .into_iter()
+        .flatten()
+    {
         visit(link.peer)?;
     }
     ControlFlow::Continue(())
@@ -301,7 +295,9 @@ impl BatonSystem {
             let (node_range, next) = {
                 let node = self.node_ref(current)?;
                 visit(node, clamped);
-                (node.range, node.right_adjacent.map(|l| l.peer))
+                let h = node.position.heap_index() as usize;
+                let next = self.by_position.adjacent(current, h, Side::Right);
+                (node.range, next.map(|l| l.peer))
             };
             nodes_visited += 1;
             if node_range.high() >= clamped.high() {
@@ -345,15 +341,9 @@ impl BatonSystem {
         Ok((messages, nodes_visited))
     }
 
-    /// `true` if `peer` terminates the walk towards `key`: it owns the key,
-    /// or it is the boundary node that would expand its range to cover an
-    /// out-of-domain key (§IV-C).
-    fn walk_terminates_at(&self, peer: PeerId, key: Key) -> Result<bool> {
-        Ok(self.terminates_walk(self.node_ref(peer)?.range, key))
-    }
-
-    /// [`walk_terminates_at`](Self::walk_terminates_at) for a node managing
-    /// `range`.
+    /// `true` if the node managing `range` terminates the walk towards
+    /// `key`: it owns the key, or it is the boundary node that would expand
+    /// its range to cover an out-of-domain key (§IV-C).
     fn terminates_walk(&self, range: KeyRange, key: Key) -> bool {
         let domain = self.domain;
         range.contains(key)
@@ -361,8 +351,8 @@ impl BatonSystem {
             || (key < range.low() && range.low() <= domain.low())
     }
 
-    /// [`walk_terminates_at`](Self::walk_terminates_at) for the occupant of
-    /// heap index `h`, read from the routing plane.
+    /// [`terminates_walk`](Self::terminates_walk) for the occupant of heap
+    /// index `h`, read from the routing plane.
     #[inline]
     fn plane_terminates(&self, h: usize, key: Key) -> bool {
         let (_, range) = self.by_position.at(h).expect("walk frames are occupied");
@@ -381,10 +371,10 @@ impl BatonSystem {
         if self.replication <= 1 || self.dead_peers.is_empty() {
             return Ok(None);
         }
-        let node = self.node_ref(peer)?;
-        for link in [node.left_adjacent, node.right_adjacent]
+        let links = self.links_of(peer)?;
+        for link in Side::BOTH
             .into_iter()
-            .flatten()
+            .filter_map(|side| links.adjacent(side))
         {
             let candidate = link.peer;
             if self.net.is_alive(candidate) {
@@ -402,18 +392,15 @@ impl BatonSystem {
         Ok(None)
     }
 
-    /// The first of the [`walk_candidates`] of the node at heap index `h`,
+    /// The first of the [`walk_candidates`] of `peer`, at heap index `h`,
     /// with its own heap index — all a healthy hop needs — read from the
-    /// routing plane where it can be.
+    /// routing plane directly.
     ///
     /// Towards the right it is the occupant of the farthest `h + 2^k` on
     /// `h`'s level whose range starts at or below `key`; towards the left,
-    /// of the farthest `h − 2^k` whose range ends above `key`; failing
-    /// both, the key-side child `2h + 1` or `2h`.  Those are the farthest
-    /// matching table entry and the key-side child link as long as
-    /// `validate` checks 5 and 8 hold: every table slot names the occupant
-    /// of its position with that occupant's current range.  Only a node
-    /// with neither reads its own adjacent and parent links.
+    /// of the farthest `h − 2^k` whose range ends above `key`: the farthest
+    /// matching routing-table entry.  Failing both, the key-side child
+    /// `2h + 1` or `2h`, and then the key-side adjacent and the parent.
     fn plane_first_candidate(
         &self,
         peer: PeerId,
@@ -452,23 +439,24 @@ impl BatonSystem {
         if let Some((candidate, _)) = plane.at(child) {
             return Ok(Some((candidate, child)));
         }
-        let node = self.node_ref(peer)?;
-        let adjacent = if towards_right {
-            node.right_adjacent
+        let links = self.links_of(peer)?;
+        let near = if towards_right {
+            Side::Right
         } else {
-            node.left_adjacent
+            Side::Left
         };
-        let fallback = [adjacent, node.parent].into_iter().flatten();
+        let fallback = [links.adjacent(near), links.parent()].into_iter().flatten();
         Ok(fallback
             .map(|link| (link.peer, link.position.heap_index() as usize))
             .find(|&(candidate, _)| candidate != peer))
     }
 
-    /// The first of `peer`'s [`walk_candidates`], read from its routing
-    /// table — the reference [`plane_first_candidate`](Self::plane_first_candidate)
+    /// The first of `peer`'s [`walk_candidates`], from its full link view —
+    /// the reference [`plane_first_candidate`](Self::plane_first_candidate)
     /// is checked against.
     fn first_walk_candidate(&self, peer: PeerId, key: Key) -> Result<Option<PeerId>> {
-        let first = walk_candidates(self.node_ref(peer)?, key, |candidate| {
+        let range = self.node_ref(peer)?.range;
+        let first = walk_candidates(&self.links_of(peer)?, range, key, |candidate| {
             if candidate == peer {
                 ControlFlow::Continue(())
             } else {
@@ -495,37 +483,35 @@ impl BatonSystem {
         arena: &mut Vec<PeerId>,
         start: usize,
     ) -> Result<()> {
-        let node = self.node_ref(peer)?;
-        let towards_right = key >= node.range.high();
-        let push_entry = |arena: &mut Vec<PeerId>, entry: &crate::routing::RoutingEntry| {
+        let links = self.links_of(peer)?;
+        let towards_right = key >= self.node_ref(peer)?.range.high();
+        let near = if towards_right {
+            Side::Right
+        } else {
+            Side::Left
+        };
+        let push_entry = |arena: &mut Vec<PeerId>, entry: RoutingEntry| {
             push_candidate(arena, start, peer, entry.peer);
             for candidate in entry.children() {
                 push_candidate(arena, start, peer, candidate);
             }
         };
 
-        let (near_table, far_table) = if towards_right {
-            (&node.right_table, &node.left_table)
-        } else {
-            (&node.left_table, &node.right_table)
-        };
-
         // Overshooting key-side entries, nearest first — they land past the
         // key, from where the walk can come back.
-        for (_, entry) in near_table.iter() {
+        for (_, entry) in links.table(near).iter() {
             push_entry(arena, entry);
         }
 
         // The away side of the node, nearest first.
-        let (child, adjacent) = if towards_right {
-            (node.left_child, node.left_adjacent)
-        } else {
-            (node.right_child, node.right_adjacent)
-        };
-        for link in [child, adjacent].into_iter().flatten() {
+        let far = near.opposite();
+        for link in [links.child(far), links.adjacent(far)]
+            .into_iter()
+            .flatten()
+        {
             push_candidate(arena, start, peer, link.peer);
         }
-        for (_, entry) in far_table.iter() {
+        for (_, entry) in links.table(far).iter() {
             push_entry(arena, entry);
         }
         Ok(())
@@ -644,16 +630,12 @@ impl BatonSystem {
                     // write out the full greedy list and resume behind its
                     // head.  No frame is left above, so the arena tail is ours.
                     debug_assert_eq!(top.start, scratch.arena.len());
-                    let _: ControlFlow<()> =
-                        walk_candidates(self.node_ref(current)?, key, |candidate| {
-                            push_candidate(&mut scratch.arena, top.start, current, candidate);
-                            ControlFlow::Continue(())
-                        });
-                    debug_assert_eq!(
-                        scratch.arena.get(top.start).copied(),
-                        self.first_walk_candidate(current, key)?,
-                        "the list must start with the candidate already tried"
-                    );
+                    let range = self.node_ref(current)?.range;
+                    let links = self.links_of(current)?;
+                    let _: ControlFlow<()> = walk_candidates(&links, range, key, |candidate| {
+                        push_candidate(&mut scratch.arena, top.start, current, candidate);
+                        ControlFlow::Continue(())
+                    });
                     let frame = scratch.frames.last_mut().expect("unchanged");
                     frame.built = Built::Greedy;
                     frame.end = scratch.arena.len();
@@ -723,9 +705,7 @@ impl BatonSystem {
                 Some(h) => h,
                 None => self.node_ref(candidate)?.position.heap_index() as usize,
             };
-            let terminates = self.plane_terminates(candidate_h, key);
-            debug_assert_eq!(terminates, self.walk_terminates_at(candidate, key)?);
-            if terminates {
+            if self.plane_terminates(candidate_h, key) {
                 return Ok(OwnerWalk {
                     owner: candidate,
                     data: candidate,
@@ -758,7 +738,6 @@ mod tests {
     use super::*;
     use crate::config::BatonConfig;
     use crate::validate::validate;
-    use baton_net::SimRng;
 
     fn build(n: usize, seed: u64) -> BatonSystem {
         BatonSystem::build(BatonConfig::default(), seed, n).expect("build network")
@@ -1010,141 +989,6 @@ mod tests {
         assert_eq!((report.messages, report.hops), (14, 12));
         assert_eq!(system.net.stats().total_sent() - sent, report.messages);
         assert_no_open_op(&mut system);
-    }
-
-    /// Asserts, for 64 random (issuer, key) pairs — one key in eight
-    /// outside the domain, as an expanding insert routes, and one in four on
-    /// either side of a node's range boundary — that the routing plane gives
-    /// the first candidate and the termination test the issuer's own tables
-    /// and range give.
-    fn assert_plane_matches_tables(system: &BatonSystem, rng: &mut SimRng, at: &str) {
-        let domain = system.domain();
-        for _ in 0..64 {
-            let issuer = system.peers()[rng.index(system.node_count())];
-            let key = match rng.index(8) {
-                0 if domain.low() > 0 => rng.uniform_u64(0, domain.low()),
-                0 => domain.high() + rng.uniform_u64(0, 1_000),
-                1 | 2 => {
-                    let peers = system.peers();
-                    let range = system.node(peers[rng.index(peers.len())]).unwrap().range;
-                    [range.low(), range.high().saturating_sub(1)][rng.index(2)]
-                }
-                _ => rng.uniform_u64(domain.low(), domain.high()),
-            };
-            let h = system.node(issuer).unwrap().position.heap_index() as usize;
-            let plane = system.plane_first_candidate(issuer, h, key).unwrap();
-            assert_eq!(
-                plane.map(|(candidate, _)| candidate),
-                system.first_walk_candidate(issuer, key).unwrap(),
-                "{at}: first candidate of {issuer} towards {key}"
-            );
-            if let Some((candidate, candidate_h)) = plane {
-                let position = system.node(candidate).unwrap().position;
-                assert_eq!(position.heap_index() as usize, candidate_h, "{at}");
-            }
-            assert_eq!(
-                system.plane_terminates(h, key),
-                system.walk_terminates_at(issuer, key).unwrap(),
-                "{at}: termination at {issuer} for {key}"
-            );
-        }
-    }
-
-    /// The routing plane against the routing tables, in the build where the
-    /// walk's `debug_assert`s are compiled out: random op sequences at
-    /// N = 500–2,000 drive every occupancy change and range write — joins,
-    /// leaves, failures repaired at once or later, inserts that grow the
-    /// domain, deletes, forced balancing and replication changes.  After
-    /// every op the overlay validates (check 10 is the plane), no op is
-    /// left open, and the plane routes like the tables.
-    #[test]
-    fn routing_plane_matches_the_tables_under_random_ops() {
-        let config = BatonConfig::default()
-            .with_load_balance(crate::config::LoadBalanceConfig::for_average_load(2));
-        let policy = baton_net::RepairPolicy {
-            fast: baton_net::SimTime::from_millis(10),
-            slow: baton_net::SimTime::from_millis(100),
-        };
-        let mut rng = SimRng::seeded(0x91A4E);
-        for n in [500usize, 1_000, 2_000] {
-            let mut system = BatonSystem::build(config, n as u64, n).unwrap();
-            let mut keys: Vec<Key> = Vec::new();
-            let mut pending: Vec<PeerId> = Vec::new();
-            for step in 0..300 {
-                let domain = system.domain();
-                let (label, result) = match rng.index(11) {
-                    0 => ("join", system.join_random().map(drop)),
-                    1 => ("leave", system.leave_random().map(drop)),
-                    2 => {
-                        let victim = system.random_peer().unwrap();
-                        ("fail", system.fail(victim).map(drop))
-                    }
-                    3 if pending.len() < 3 => {
-                        let victim = system.random_peer().unwrap();
-                        pending.push(victim);
-                        (
-                            "fail deferred",
-                            system.fail_deferred(victim, &policy).map(drop),
-                        )
-                    }
-                    3 | 4 if !pending.is_empty() => {
-                        let victim = pending.remove(0);
-                        match system.recover_failed(victim) {
-                            // No live neighbour yet: retry after theirs.
-                            Err(BatonError::PeerNotAlive(_)) => pending.push(victim),
-                            // Absorbed as an earlier repair's replacement.
-                            Err(BatonError::UnknownPeer(_)) | Ok(_) => {}
-                            Err(e) => panic!("N={n} step {step}: repair of {victim}: {e}"),
-                        }
-                        ("repair", Ok(()))
-                    }
-                    5 => {
-                        let key = if domain.low() > 0 && rng.index(2) == 0 {
-                            domain.low() - 1
-                        } else {
-                            domain.high() + rng.uniform_u64(0, 1_000)
-                        };
-                        keys.push(key);
-                        ("insert out of domain", system.insert(key, step).map(drop))
-                    }
-                    6 if !keys.is_empty() => {
-                        let key = keys.swap_remove(rng.index(keys.len()));
-                        ("delete", system.delete(key).map(drop))
-                    }
-                    7 => {
-                        // A burst inside one node's range overloads it.
-                        let peer = system.random_peer().unwrap();
-                        let range = system.node(peer).unwrap().range;
-                        let burst = (0..24).map(|_| rng.uniform_u64(range.low(), range.high()));
-                        let burst: Vec<Key> = burst.collect();
-                        let result = burst.iter().try_for_each(|&key| {
-                            keys.push(key);
-                            system.insert(key, step).map(drop)
-                        });
-                        ("forced balance", result)
-                    }
-                    8 => {
-                        let k = 1 + rng.index(3);
-                        system.set_replication(k).unwrap();
-                        ("set replication", Ok(()))
-                    }
-                    _ => {
-                        let key = rng.uniform_u64(domain.low(), domain.high());
-                        keys.push(key);
-                        ("insert", system.insert(key, step).map(drop))
-                    }
-                };
-                let at = format!("N={n} step {step} ({label})");
-                match result {
-                    // Unavailable while a deferred failure awaits repair.
-                    Ok(()) | Err(BatonError::PeerNotAlive(_)) => {}
-                    Err(e) => panic!("{at}: {e}"),
-                }
-                validate(&system).unwrap_or_else(|e| panic!("{at}: {e}"));
-                assert_no_open_op(&mut system);
-                assert_plane_matches_tables(&system, &mut rng, &at);
-            }
-        }
     }
 
     #[test]

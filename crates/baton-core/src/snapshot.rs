@@ -11,29 +11,27 @@
 //! targets of the k-replica capability.  Extraction is read-only:
 //! statistics, RNG streams and the virtual clock are untouched.
 //!
-//! The links are computed from positions, not read from the peers.  BATON
-//! places every link by position (§III): a node at number `n` on level `L`
-//! links to its parent, its children, its in-order neighbours and, on its
-//! own level, to the occupied positions `n − 2^i` (left routing table) and
-//! `n + 2^i` (right routing table).  A position → slot table indexed like
-//! the routing plane, by heap index `h`, gives each slot's links by
-//! arithmetic — parent `h/2`, children `2h` and `2h+1`, table neighbours
+//! The links are computed from positions by arithmetic, in slot order.
+//! BATON places every link by position (§III): a node at number `n` on
+//! level `L` links to its parent, its children, its in-order neighbours
+//! and, on its own level, to the occupied positions `n − 2^i` (left routing
+//! table) and `n + 2^i` (right routing table).  A position → slot table
+//! indexed like the routing plane, by heap index `h`, gives each slot's
+//! links — parent `h/2`, children `2h` and `2h+1`, table neighbours
 //! `h ± 2^i` — in the order a peer lists its own: parent, left and right
 //! child, left and right adjacent, left table then right table, `i`
-//! ascending.  Whenever [`crate::validate`] holds — its checks 2, 5 and 6
-//! assert that the peers' parent/child links, routing tables and adjacent
-//! links are exactly these, and check 10 that the plane's ranges are the
-//! nodes' own — the output equals the snapshot of the peers' own links;
-//! `tests/tests/snapshot_export.rs` keeps a reference exporter that reads
-//! every routing table and requires equal snapshots after every step of
-//! random churn, deferred failures, repairs, inserts and deletes.
+//! ascending.  The output equals the snapshot of the peers' own link views
+//! ([`BatonSystem::links`]); `tests/tests/snapshot_export.rs` keeps a
+//! reference exporter that reads those views peer by peer and requires
+//! equal snapshots after every step of random churn, deferred failures,
+//! repairs, inserts and deletes.
 //!
 //! ### Patching the previous export
 //!
 //! A join or a leave changes O(log N) nodes, so an export rewrites only
 //! what changed since the previous one, which the exporter keeps with its
 //! slot order (its arrays are shared with the snapshot it returned, not
-//! copied).  From the first export on, a [`ChangeLog`] records every
+//! copied).  From the first export on, a `ChangeLog` records every
 //! position passed to `occupy` or `vacate` — the only writers of the plane's
 //! occupants besides range updates — and every peer whose node is handed
 //! out for writing (range updates and stores included), inserted or
@@ -54,7 +52,7 @@
 //! *Everything* is rebuilt on the first export, after
 //! [`set_replication`](baton_net::Overlay::set_replication) or
 //! [`load_direct`](baton_net::Overlay::load_direct), and once the log passes
-//! [`CHANGE_LOG_CAP`] entries: that is the from-scratch export, the same
+//! `CHANGE_LOG_CAP` entries: that is the from-scratch export, the same
 //! code with every occupied position new.  Item arrays are sized from the
 //! previous export's keys plus the rebuilt stores, link arrays from an
 //! exact count, so neither grows by reallocation.  The copy is still O(N)
@@ -154,16 +152,6 @@ fn in_order_rank(h: u32) -> u64 {
     (2 * u64::from(h - (1 << level)) + 1) << (31 - level)
 }
 
-/// Every heap index of a tree of `levels` levels, in in-order: the `i`-th
-/// (from 1) lies on the level its trailing zeros count up from the bottom.
-fn in_order(levels: u32) -> impl Iterator<Item = usize> {
-    let bottom = levels.saturating_sub(1);
-    (1usize..1 << levels).map(move |i| {
-        let level = bottom - i.trailing_zeros();
-        (1 << level) + (i >> (bottom - level + 1))
-    })
-}
-
 impl BatonSystem {
     /// Builds a [`RoutingSnapshot`] of the overlay's current state by
     /// patching the previous export (see the module documentation).  The
@@ -197,11 +185,7 @@ impl BatonSystem {
         let mut appeared: Vec<u32> = Vec::new();
         let mut vacated: Vec<u32> = Vec::new();
         match previous {
-            None => {
-                let levels = self.by_position.level_counts().len() as u32;
-                let occupied = |&h: &usize| self.by_position.at(h).is_some();
-                appeared.extend(in_order(levels).filter(occupied).map(|h| h as u32));
-            }
+            None => appeared.extend(self.by_position.chain().map(|h| h as u32)),
             Some(_) => {
                 for &change in changes {
                     let Change::Position(h) = change else {
@@ -557,7 +541,7 @@ mod tests {
         system.set_replication(3).unwrap();
         let before = system.build_routing_snapshot();
         let leaf = (system.iter_nodes().map(|(_, node)| node))
-            .find(|node| node.is_leaf() && node.level() > 2)
+            .find(|node| system.links(node.peer).unwrap().is_leaf() && node.level() > 2)
             .unwrap();
         let (leaf, from) = (leaf.peer, leaf.position);
         let parent = (system.iter_nodes().map(|(_, node)| node))

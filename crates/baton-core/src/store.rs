@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn system_state_estimate_is_the_sum_of_its_allocations() {
         use crate::config::BatonConfig;
-        use crate::node::BatonNode;
+        use crate::node::{BatonNode, PEER_STATE_BYTES};
         use crate::routing::RoutingEntry;
         use crate::system::BatonSystem;
         use baton_net::{PeerId, RepairPolicy, SimTime};
@@ -209,11 +209,9 @@ mod tests {
         assert!(system.node(victim).is_some());
 
         let nodes: Vec<&BatonNode> = system.nodes.values().collect();
+        // Each peer's two routing tables hold one slot per level.
         let slot = size_of::<Option<RoutingEntry>>();
-        let tables: usize = nodes
-            .iter()
-            .map(|n| (n.left_table.slot_count() + n.right_table.slot_count()) * slot)
-            .sum();
+        let tables: usize = nodes.iter().map(|n| 2 * n.level() as usize * slot).sum();
         let stores: usize = nodes
             .iter()
             .map(|n| {
@@ -221,7 +219,7 @@ mod tests {
                     + n.store.values.capacity() * size_of::<Value>()
             })
             .sum();
-        let slab = system.nodes.slot_capacity() * size_of::<Option<BatonNode>>();
+        let slab = system.nodes.slot_capacity() * PEER_STATE_BYTES as usize;
         let peers = system.nodes.list_capacity() * size_of::<PeerId>();
         assert!(stores > 0);
         assert_eq!(

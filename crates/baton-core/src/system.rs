@@ -13,35 +13,25 @@
 //! Protocol code only navigates the overlay through links a real node would
 //! hold (parent, children, adjacent nodes, routing tables), and every hop or
 //! notification is charged to the operation through the network's
-//! statistics.  There are two documented exceptions:
-//!
-//! 1. [`crate::protocol::restructure`]: after a restructuring shift the
-//!    affected links are rebuilt from the global position map, with messages
-//!    charged per the paper's cost model, because simulating the link-repair
-//!    handshakes peer by peer adds no fidelity to the message counts the
-//!    paper reports.
-//! 2. [`crate::protocol::search`]: the §IV-A walk reads a hop's first
-//!    candidate and its termination test from the routing plane (the
-//!    position map, which records every occupant's current range) instead of
-//!    from the forwarding node's routing table.  The answer is the same
-//!    peer: `validate` checks 5 and 8 say every table slot names the real
-//!    occupant of its position with that occupant's current range, so the
-//!    farthest matching slot is the farthest matching occupied position,
-//!    and check 10 says the plane records exactly those occupants and
-//!    ranges.  Messages, hops and every statistic are unchanged; only the
-//!    host's memory loads differ.  Debug builds assert the equality on
-//!    every hop, and a release differential checks it under random churn.
+//! statistics.  The simulator stores those links once: they are functions
+//! of the positions, read from the routing plane ([`BatonSystem::links`],
+//! [`crate::routing`]), which records each position's occupant, its
+//! current range and its in-order neighbours.  A peer's view of its links
+//! is therefore always the current one — what the notifications of the
+//! paper's protocols keep a real peer's copy at.  The one documented
+//! exception is [`crate::protocol::restructure`], which charges a shift's
+//! link repairs per the paper's cost model instead of as a handshake per
+//! link.
 //!
 //! ### Membership fan-out
 //!
-//! Every notify-and-update loop of the membership protocols goes through
-//! [`BatonSystem::fan_out`].  Its contract: first the update is applied to
-//! every target, then the notifications are charged in target order;
-//! the update pass reads and writes only node state, the notification pass
-//! only the network, so neither sees the other's effects and the result is
-//! that of an interleaved loop.  A receiver does O(1) work: the
-//! notification carries the sender's position, which names the one
-//! routing-table slot to touch ([`BatonNode::table_slot_of`]).
+//! Every notify loop of the membership protocols goes through
+//! `BatonSystem::fan_out`: one notification per target, charged in
+//! target order, so the latency stream, the op's completion time, the
+//! per-peer receive counters and the route recorder see the sequence the
+//! paper's protocol sends.  A receiver writes nothing: what it would record
+//! (the sender's range, children or address) is already what its links
+//! read from the plane.
 
 use std::sync::{Mutex, PoisonError};
 
@@ -53,10 +43,10 @@ use baton_net::{
 
 use crate::config::BatonConfig;
 use crate::error::{BatonError, Result};
-use crate::node::BatonNode;
-use crate::position::Position;
+use crate::node::{BatonNode, PEER_STATE_BYTES};
+use crate::position::{Position, Side};
 use crate::range::{Key, KeyRange};
-use crate::routing::NodeLink;
+use crate::routing::{Links, NodeLink, PositionMap};
 use crate::snapshot::{Change, ChangeLog, Exporter};
 
 /// Safety bound on forwarding walks, as a multiple of the tree height.
@@ -65,138 +55,7 @@ use crate::snapshot::{Change, ChangeLog, Exporter};
 /// into loud errors instead of infinite loops.
 const WALK_LIMIT_FACTOR: u32 = 8;
 
-/// One position of the [`PositionMap`]: its occupant, if any, and the key
-/// range that occupant manages now (meaningless while unoccupied).  24 bytes.
-#[derive(Clone, Copy, Debug)]
-struct PlaneSlot {
-    range: KeyRange,
-    peer: Option<PeerId>,
-}
-
-const _: () = assert!(std::mem::size_of::<PlaneSlot>() == 24);
-
-impl PlaneSlot {
-    fn empty() -> Self {
-        Self {
-            range: KeyRange::new(0, 0),
-            peer: None,
-        }
-    }
-}
-
-/// The routing plane: one flat array indexed by [`Position::heap_index`]
-/// whose entries hold each occupied position's peer and that peer's current
-/// key range.
-///
-/// It is the simulator's position index — restructuring probes occupancy
-/// through it, the snapshot exporter reads slots from it — and the §IV-A
-/// walk reads a hop's first candidate and termination test from it instead
-/// of loading the node and its routing table (see
-/// [`crate::protocol::search`]).  It changes only through
-/// [`BatonSystem::occupy`] / [`BatonSystem::vacate`], which log the position
-/// for the exporter, and [`BatonSystem::set_range`], which logs the peer;
-/// `validate` check 10 holds it to the nodes' own state.
-///
-/// BATON keeps the tree balanced, so the occupied positions of an `N`-node
-/// overlay span `O(N)` heap indices.  The array grows lazily to the highest
-/// index occupied; index 0 is never a position and stays empty.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct PositionMap {
-    slots: Vec<PlaneSlot>,
-    /// Occupied positions per level, so the tree height — consulted by
-    /// every search walk for its loop budget — is an O(levels) scan
-    /// instead of an O(N) sweep over the nodes.
-    occupied: Vec<usize>,
-}
-
-impl PositionMap {
-    /// Occupant and range at heap index `h`, if occupied.
-    #[inline]
-    pub(crate) fn at(&self, h: usize) -> Option<(PeerId, KeyRange)> {
-        let slot = self.slots.get(h)?;
-        Some((slot.peer?, slot.range))
-    }
-
-    /// The peer occupying `position`, if any.
-    #[inline]
-    pub(crate) fn get(&self, position: Position) -> Option<PeerId> {
-        self.slots.get(position.heap_index() as usize)?.peer
-    }
-
-    /// `true` if `position` is occupied.
-    #[inline]
-    pub(crate) fn contains(&self, position: Position) -> bool {
-        self.get(position).is_some()
-    }
-
-    /// Records that `peer`, managing `range`, occupies `position`.
-    pub(crate) fn insert(&mut self, position: Position, peer: PeerId, range: KeyRange) {
-        let level = position.level() as usize;
-        if self.occupied.len() <= level {
-            self.occupied.resize(level + 1, 0);
-        }
-        let h = position.heap_index() as usize;
-        if self.slots.len() <= h {
-            self.slots.resize(h + 1, PlaneSlot::empty());
-        }
-        let slot = &mut self.slots[h];
-        if slot.peer.is_none() {
-            self.occupied[level] += 1;
-        }
-        *slot = PlaneSlot {
-            range,
-            peer: Some(peer),
-        };
-    }
-
-    /// Clears the occupancy record of `position`.
-    pub(crate) fn remove(&mut self, position: Position) {
-        if let Some(slot) = self.slots.get_mut(position.heap_index() as usize) {
-            if slot.peer.is_some() {
-                *slot = PlaneSlot::empty();
-                self.occupied[position.level() as usize] -= 1;
-            }
-        }
-    }
-
-    /// Records `peer`'s new range, if `peer` occupies `position` (a node
-    /// spliced in ahead of its restructuring has no position yet).
-    pub(crate) fn set_range(&mut self, position: Position, peer: PeerId, range: KeyRange) {
-        if let Some(slot) = self.slots.get_mut(position.heap_index() as usize) {
-            if slot.peer == Some(peer) {
-                slot.range = range;
-            }
-        }
-    }
-
-    /// `1 + deepest occupied level` (0 when nothing is occupied).
-    pub(crate) fn height(&self) -> u32 {
-        self.occupied
-            .iter()
-            .rposition(|&count| count > 0)
-            .map(|level| level as u32 + 1)
-            .unwrap_or(0)
-    }
-
-    /// Occupied positions per level, shallowest first.
-    pub(crate) fn level_counts(&self) -> &[usize] {
-        &self.occupied
-    }
-
-    /// One past the highest heap index the array covers: every occupied
-    /// heap index is below it.
-    pub(crate) fn heap_len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Every occupied heap index with its occupant and range, in heap order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, PeerId, KeyRange)> + '_ {
-        let occupied = |(h, slot): (usize, &PlaneSlot)| Some((h, slot.peer?, slot.range));
-        self.slots.iter().enumerate().filter_map(occupied)
-    }
-}
-
-/// What a [`BatonSystem::broadcast_link_update`] refreshes at its receivers.
+/// What a [`BatonSystem::broadcast_link_update`] announces to its receivers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum LinkUpdate {
     /// The sender's range, at every node linked to it (`table.range_update`).
@@ -320,6 +179,14 @@ impl BatonSystem {
         self.nodes.get(peer)
     }
 
+    /// The links `peer` holds — parent, children, adjacent nodes and both
+    /// routing tables — read from the routing plane.
+    #[inline]
+    pub fn links(&self, peer: PeerId) -> Option<Links<'_>> {
+        let position = self.node(peer)?.position;
+        Some(Links::new(&self.by_position, peer, position))
+    }
+
     /// The peer occupying a logical position, if any.
     pub fn peer_at(&self, position: Position) -> Option<PeerId> {
         self.by_position.get(position)
@@ -393,12 +260,12 @@ impl BatonSystem {
         if self.replication <= 1 {
             return [None; 2];
         }
-        let Some(node) = self.node(peer) else {
+        let Some(links) = self.links(peer) else {
             return [None; 2];
         };
-        let other = |link: &Option<NodeLink>| link.as_ref().map(|l| l.peer).filter(|p| *p != peer);
-        let right = other(&node.right_adjacent);
-        let left = other(&node.left_adjacent).filter(|p| Some(*p) != right);
+        let other = |side| links.adjacent(side).map(|l| l.peer).filter(|p| *p != peer);
+        let right = other(Side::Right);
+        let left = other(Side::Left).filter(|p| Some(*p) != right);
         match right {
             Some(_) if self.replication > 2 => [right, left],
             Some(_) => [right, None],
@@ -522,9 +389,10 @@ impl BatonSystem {
         &mut exporter.unwrap_or_else(PoisonError::into_inner).log
     }
 
-    /// The current link (address, position, range) of `peer`.
-    pub(crate) fn link_of(&self, peer: PeerId) -> Result<NodeLink> {
-        Ok(self.node_ref(peer)?.link())
+    /// The links of `peer`, as a [`Result`].
+    #[inline]
+    pub(crate) fn links_of(&self, peer: PeerId) -> Result<Links<'_>> {
+        self.links(peer).ok_or(BatonError::UnknownPeer(peer))
     }
 
     /// Maximum number of hops a forwarding walk may take before it is
@@ -561,19 +429,24 @@ impl BatonSystem {
     /// The class of the link a `from → to` hop travels, from the sender's
     /// view: parent, child, adjacent, or a left/right routing-table entry
     /// (paper §II).  `Other` when the sender is unknown or holds no link to
-    /// `to` (e.g. a §III-D fallback jump assembled from stale state).
+    /// `to` (e.g. a §III-D detour to a neighbour's child).
     fn classify_link(&self, from: PeerId, to: PeerId) -> LinkKind {
         let Some(node) = self.node(from) else {
             return LinkKind::Other;
         };
-        let links_to = |link: &Option<NodeLink>| link.as_ref().is_some_and(|l| l.peer == to);
-        if links_to(&node.parent) {
+        let links = Links::new(&self.by_position, from, node.position);
+        let links_to = |link: Option<NodeLink>| link.is_some_and(|l| l.peer == to);
+        let in_table = |target: &BatonNode| {
+            self.peer_at(target.position) == Some(to)
+                && node.table_slot_of(target.position).is_some()
+        };
+        if links_to(links.parent()) {
             LinkKind::Parent
-        } else if links_to(&node.left_child) || links_to(&node.right_child) {
+        } else if Side::BOTH.into_iter().any(|s| links_to(links.child(s))) {
             LinkKind::Child
-        } else if links_to(&node.left_adjacent) || links_to(&node.right_adjacent) {
+        } else if Side::BOTH.into_iter().any(|s| links_to(links.adjacent(s))) {
             LinkKind::Adjacent
-        } else if node.table_peers().any(|peer| peer == to) {
+        } else if self.node(to).is_some_and(in_table) {
             LinkKind::RoutingTable
         } else {
             LinkKind::Other
@@ -631,30 +504,15 @@ impl BatonSystem {
         Ok(())
     }
 
-    /// Sends one `kind` notification from `from` to every target, each of
-    /// which applies `update` to its own state.  Returns the number of
-    /// messages charged.
-    ///
-    /// Two passes, in this order: the update pass touches one cold node per
-    /// target and nothing else, so the targets' cache misses overlap; the
-    /// notifications are then charged in target order, so the latency
-    /// stream, the op's completion time, the per-peer receive counters and
-    /// the route recorder see the sequence an interleaved loop would
-    /// produce.  The split is exact because neither pass reads what the
-    /// other writes: `update` sees only `nodes`, `notify` only `net`.
+    /// Sends one `kind` notification from `from` to every target, in target
+    /// order.  Returns the number of messages charged.
     pub(crate) fn fan_out(
         &mut self,
         op: OpScope,
         kind: &'static str,
         from: PeerId,
         targets: &[PeerId],
-        mut update: impl FnMut(&mut BatonNode),
     ) -> u64 {
-        for &target in targets {
-            if let Some(node) = self.node_opt_mut(target) {
-                update(node);
-            }
-        }
         for &target in targets {
             self.notify(op, kind, from, target);
         }
@@ -662,33 +520,20 @@ impl BatonSystem {
     }
 
     /// Informs the nodes holding a link to `peer` of its current state, one
-    /// notification each, and updates what they record about it.  Returns
-    /// the number of messages sent.
+    /// notification each.  Returns the number of messages sent.
     pub(crate) fn broadcast_link_update(
         &mut self,
         op: OpScope,
         peer: PeerId,
         what: LinkUpdate,
     ) -> Result<u64> {
-        let node = self.node_ref(peer)?;
-        let (position, range) = (node.position, node.range);
-        let (left_child, right_child) = (
-            node.left_child.map(|l| l.peer),
-            node.right_child.map(|l| l.peer),
-        );
+        let links = self.links_of(peer)?;
         let (kind, targets) = match what {
-            LinkUpdate::Range => ("table.range_update", node.linked_peers()),
-            LinkUpdate::Children => ("table.child_update", node.table_peers().collect()),
-            LinkUpdate::RangeAndChildren => ("table.child_update", node.linked_peers()),
+            LinkUpdate::Range => ("table.range_update", links.linked_peers()),
+            LinkUpdate::Children => ("table.child_update", links.table_peers().collect()),
+            LinkUpdate::RangeAndChildren => ("table.child_update", links.linked_peers()),
         };
-        Ok(self.fan_out(op, kind, peer, &targets, |other| {
-            if what != LinkUpdate::Children {
-                other.update_link_range(peer, position, range);
-            }
-            if what != LinkUpdate::Range {
-                other.update_neighbor_children(peer, position, left_child, right_child);
-            }
-        }))
+        Ok(self.fan_out(op, kind, peer, &targets))
     }
 
     /// Ensures `key` lies inside the overlay's current key domain (the
@@ -750,22 +595,21 @@ impl Overlay for BatonSystem {
         &mut self.net
     }
 
-    /// Approximate resident bytes of per-peer protocol state: the node slab
-    /// (including `None` slots left by departures — they stay resident) plus
-    /// every live node's routing tables and local store.  The shared network
-    /// substrate is excluded; this is the figure the perf harness divides by
+    /// Approximate resident bytes of per-peer protocol state, modelled on
+    /// what a real peer holds: [`PEER_STATE_BYTES`] per slot of the node
+    /// slab at its allocated capacity ([`PeerDirectory::slot_capacity`],
+    /// departures' slots included — the rule every committed BATON
+    /// bytes-per-peer row was produced with), plus every live node's routing
+    /// tables and local store ([`BatonNode::estimated_state_bytes`]).  The
+    /// shared network substrate and the routing plane are excluded; this is
+    /// the figure the perf harness divides by
     /// [`node_count`](Self::node_count) for its bytes-per-peer rows.
-    ///
-    /// The slab is counted at its allocated capacity
-    /// ([`PeerDirectory::slot_capacity`]): that is what is resident, and it
-    /// is the rule every committed BATON bytes-per-peer row was produced
-    /// with.
     fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.slot_capacity() * std::mem::size_of::<Option<BatonNode>>()) as u64;
+        let slab = self.nodes.slot_capacity() as u64 * PEER_STATE_BYTES;
         let heap: u64 = self
             .nodes
             .values()
-            .map(|node| node.estimated_state_bytes() - std::mem::size_of::<BatonNode>() as u64)
+            .map(|node| node.estimated_state_bytes() - PEER_STATE_BYTES)
             .sum();
         let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
         slab + heap + peers
@@ -848,9 +692,8 @@ impl Overlay for BatonSystem {
     /// range contains it, the same node a routed insert reaches, so
     /// subsequent queries see exactly the dataset a routed load produces.
     /// Keys outside the domain are absorbed by the boundary nodes via the
-    /// leftmost/rightmost expansion a routed insert performs (linked peers'
-    /// recorded ranges are refreshed in place); `Key::MAX`, which a routed
-    /// insert refuses, is skipped.
+    /// leftmost/rightmost expansion a routed insert performs; `Key::MAX`,
+    /// which a routed insert refuses, is skipped.
     ///
     /// Load balancing is not triggered: like bulk construction, a direct
     /// load models an out-of-band transfer, not a protocol exchange.
@@ -897,13 +740,7 @@ impl Overlay for BatonSystem {
             } else {
                 node.range.extend_high(key + 1)
             };
-            let (position, linked) = (node.position, node.linked_peers());
             self.set_range(peer, range).expect("resolved above");
-            for other in linked {
-                if let Some(other_node) = self.node_opt_mut(other) {
-                    other_node.update_link_range(peer, position, range);
-                }
-            }
         }
         true
     }
@@ -980,7 +817,7 @@ mod tests {
         let node = system.node(root).unwrap();
         assert_eq!(node.position, Position::ROOT);
         assert_eq!(node.range, KeyRange::paper_domain());
-        assert!(node.is_leaf());
+        assert!(system.links(root).unwrap().is_leaf());
         assert_eq!(system.peer_at(Position::ROOT), Some(root));
     }
 
@@ -1059,6 +896,49 @@ mod tests {
         overlay.leave_random().unwrap();
         assert_eq!(overlay.node_count(), 30);
         overlay.validate().unwrap();
+    }
+
+    /// Every link target is classified by the first link naming it, in
+    /// the paper's order; a peer named by no link is `Other`.
+    #[test]
+    fn hops_are_classified_by_the_link_the_sender_holds() {
+        let system = BatonSystem::build(BatonConfig::default(), 3, 40).unwrap();
+        let mut seen = Vec::new();
+        for &peer in system.peers() {
+            let links = system.links(peer).unwrap();
+            let names = |link: Option<NodeLink>, target| link.is_some_and(|l| l.peer == target);
+            for target in links.link_targets() {
+                let expected = if names(links.parent(), target) {
+                    LinkKind::Parent
+                } else if Side::BOTH
+                    .into_iter()
+                    .any(|s| names(links.child(s), target))
+                {
+                    LinkKind::Child
+                } else if Side::BOTH
+                    .into_iter()
+                    .any(|s| names(links.adjacent(s), target))
+                {
+                    LinkKind::Adjacent
+                } else {
+                    LinkKind::RoutingTable
+                };
+                assert_eq!(system.classify_link(peer, target), expected);
+                seen.push(expected);
+            }
+            let linked = links.linked_peers();
+            let other = system
+                .peers()
+                .iter()
+                .find(|p| **p != peer && !linked.contains(p));
+            if let Some(&other) = other {
+                assert_eq!(system.classify_link(peer, other), LinkKind::Other);
+            }
+        }
+        use LinkKind::{Adjacent, Child, Parent, RoutingTable};
+        for kind in [Parent, Child, Adjacent, RoutingTable] {
+            assert!(seen.contains(&kind), "{kind:?}");
+        }
     }
 
     #[test]

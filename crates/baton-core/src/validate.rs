@@ -5,28 +5,28 @@
 //! 1. position bookkeeping is consistent (every node's position maps back to
 //!    it, the root pointer is right);
 //! 2. the occupied positions form a tree (every non-root position's parent
-//!    is occupied) and parent/child links agree with the position map;
+//!    is occupied);
 //! 3. the tree is height-balanced (Definition 1);
-//! 4. Theorem 1 holds: every node with a child has both routing tables full;
-//! 5. routing tables are accurate: every entry points at the real occupant
-//!    of its slot's position with its current range and children, and every
-//!    occupied slot position has an entry;
-//! 6. adjacent links form exactly the in-order traversal of the occupied
-//!    positions;
-//! 7. the nodes' ranges, read in in-order, partition the key domain;
-//! 8. every link's recorded range matches the target's actual range;
-//! 9. every stored key lies inside its node's range;
-//! 10. the routing plane mirrors the nodes: every occupied position's entry
-//!     names its occupant with that occupant's current range, and no
-//!     unoccupied position has an entry.
+//! 4. Theorem 1 holds: every occupied position with an occupied child has
+//!    every position its routing tables target occupied;
+//! 5. the nodes' ranges, read in in-order, partition the key domain;
+//! 6. every stored key lies inside its node's range;
+//! 7. the routing plane mirrors the nodes and the tree: every occupied
+//!    position's entry names its occupant with that occupant's current
+//!    range, no unoccupied position has an entry, and its in-order chain
+//!    links exactly the occupied positions, in in-order.
 //!
-//! The test suites call `validate` after every mutating operation, making it
+//! Every link a peer holds is read from the routing plane
+//! ([`crate::routing`]), so no check compares a link against its target:
+//! checks 1, 2 and 7 are what makes every parent, child, adjacent and
+//! routing-table link name the right peer with its current range.  The
+//! test suites call `validate` after every mutating operation, making it
 //! the central correctness oracle for the whole protocol implementation.
 
 use baton_net::Overlay;
 
 use crate::error::{BatonError, Result};
-use crate::position::{Position, Side};
+use crate::position::Position;
 use crate::system::BatonSystem;
 
 /// Checks every structural invariant of the overlay.  Returns the first
@@ -38,11 +38,10 @@ pub fn validate(system: &BatonSystem) -> Result<()> {
     check_peer_list(system)?;
     check_position_bookkeeping(system)?;
     check_routing_plane(system)?;
-    check_tree_links(system)?;
+    check_tree(system)?;
     check_balance(system)?;
     check_theorem1(system)?;
-    check_routing_tables(system)?;
-    check_adjacency_and_ranges(system)?;
+    check_ranges(system)?;
     check_data_placement(system)?;
     check_replication(system)?;
     Ok(())
@@ -92,12 +91,6 @@ fn check_position_bookkeeping(system: &BatonSystem) -> Result<()> {
                 )))
             }
         }
-        if node.left_table.owner() != node.position || node.right_table.owner() != node.position {
-            return Err(violation(format!(
-                "{peer} routing tables built for a different position than {:?}",
-                node.position
-            )));
-        }
     }
     // Root pointer.
     match system.peer_at(Position::ROOT) {
@@ -118,9 +111,9 @@ fn check_position_bookkeeping(system: &BatonSystem) -> Result<()> {
     Ok(())
 }
 
-/// Check 10.  Runs before the link and range checks: a range written past
-/// [`BatonSystem::set_range`] is reported as the stale plane entry it
-/// leaves, whatever else it breaks.
+/// Check 7.  Runs before the tree and range checks: a range written past
+/// `BatonSystem::set_range` is reported as the stale plane entry it leaves,
+/// whatever else it breaks.
 fn check_routing_plane(system: &BatonSystem) -> Result<()> {
     let plane = &system.by_position;
     let mut per_level = vec![0usize; plane.level_counts().len()];
@@ -152,72 +145,32 @@ fn check_routing_plane(system: &BatonSystem) -> Result<()> {
             plane.level_counts()
         )));
     }
+    // The in-order chain is the in-order sort of the occupied positions.
+    let position = |h: usize| Position::from_heap_index(h as u64);
+    let mut in_order: Vec<Position> = plane.iter().map(|(h, _, _)| position(h)).collect();
+    in_order.sort_by(|a, b| a.inorder_cmp(*b));
+    let chain: Vec<Position> = plane
+        .chain()
+        .take(in_order.len() + 1)
+        .map(position)
+        .collect();
+    if chain != in_order {
+        return Err(violation(format!(
+            "routing plane chains {} positions out of in-order, {} occupied",
+            chain.len(),
+            in_order.len()
+        )));
+    }
     Ok(())
 }
 
-fn check_tree_links(system: &BatonSystem) -> Result<()> {
+fn check_tree(system: &BatonSystem) -> Result<()> {
     for &peer in system.peers() {
-        let node = system.node(peer).unwrap();
-        let position = node.position;
-        // Parent.
-        match position.parent() {
-            None => {
-                if node.parent.is_some() {
-                    return Err(violation(format!("root node {peer} has a parent link")));
-                }
-            }
-            Some(parent_pos) => {
-                let Some(parent_peer) = system.peer_at(parent_pos) else {
-                    return Err(violation(format!(
-                        "{peer} at {position:?} has no occupied parent position {parent_pos:?}"
-                    )));
-                };
-                let Some(parent_link) = &node.parent else {
-                    return Err(violation(format!(
-                        "{peer} at {position:?} lacks a parent link"
-                    )));
-                };
-                if parent_link.peer != parent_peer || parent_link.position != parent_pos {
-                    return Err(violation(format!(
-                        "{peer} parent link {:?}/{:?} disagrees with occupant {parent_peer}",
-                        parent_link.peer, parent_link.position
-                    )));
-                }
-                // The parent must link back.
-                let parent = system.node(parent_peer).unwrap();
-                let side = position.child_side().expect("non-root");
-                match parent.child(side) {
-                    Some(l) if l.peer == peer => {}
-                    other => {
-                        return Err(violation(format!(
-                        "parent {parent_peer} child link on {side} is {other:?}, expected {peer}"
-                    )))
-                    }
-                }
-            }
-        }
-        // Children.
-        for side in Side::BOTH {
-            if let Some(child_link) = node.child(side) {
-                let expected_pos = position.child(side);
-                if child_link.position != expected_pos {
-                    return Err(violation(format!(
-                        "{peer} child link on {side} has position {:?}, expected {expected_pos:?}",
-                        child_link.position
-                    )));
-                }
-                match system.peer_at(expected_pos) {
-                    Some(occupant) if occupant == child_link.peer => {}
-                    other => {
-                        return Err(violation(format!(
-                            "{peer} child link on {side} points at {}, position map says {other:?}",
-                            child_link.peer
-                        )))
-                    }
-                }
-            } else if system.peer_at(position.child(side)).is_some() {
+        let position = system.node(peer).unwrap().position;
+        if let Some(parent) = position.parent() {
+            if system.peer_at(parent).is_none() {
                 return Err(violation(format!(
-                    "{peer} is missing its child link on {side} although the position is occupied"
+                    "{peer} at {position:?} has no occupied parent position {parent:?}"
                 )));
             }
         }
@@ -249,167 +202,34 @@ fn check_balance(system: &BatonSystem) -> Result<()> {
 
 fn check_theorem1(system: &BatonSystem) -> Result<()> {
     for &peer in system.peers() {
-        let node = system.node(peer).unwrap();
-        if !node.is_leaf() && !node.tables_full() {
+        let links = system.links(peer).unwrap();
+        if !links.is_leaf() && !links.tables_full() {
             return Err(violation(format!(
                 "Theorem 1 violated: {peer} at {:?} has children but incomplete routing tables",
-                node.position
+                system.node(peer).unwrap().position
             )));
         }
     }
     Ok(())
 }
 
-fn check_routing_tables(system: &BatonSystem) -> Result<()> {
-    for &peer in system.peers() {
-        let node = system.node(peer).unwrap();
-        let position = node.position;
-        for side in Side::BOTH {
-            let table = node.table(side);
-            for index in 0..table.slot_count() {
-                let Some(target_pos) = position.routing_neighbor(side, index) else {
-                    if table.entry(index).is_some() {
-                        return Err(violation(format!(
-                            "{peer} has an entry in an invalid slot {index} of its {side} table"
-                        )));
-                    }
-                    continue;
-                };
-                let occupant = system.peer_at(target_pos);
-                match (occupant, table.entry(index)) {
-                    (None, None) => {}
-                    (None, Some(_)) => {
-                        return Err(violation(format!(
-                            "{peer} {side} table slot {index} points at unoccupied {target_pos:?}"
-                        )))
-                    }
-                    (Some(_), None) => {
-                        return Err(violation(format!(
-                            "{peer} {side} table slot {index} empty although {target_pos:?} is occupied"
-                        )))
-                    }
-                    (Some(occupant), Some(entry)) => {
-                        if entry.peer != occupant {
-                            return Err(violation(format!(
-                                "{peer} {side} table slot {index} points at {} but {target_pos:?} is held by {occupant}",
-                                entry.peer
-                            )));
-                        }
-                        let target = system.node(occupant).unwrap();
-                        if entry.range != target.range {
-                            return Err(violation(format!(
-                                "{peer} {side} table slot {index} records range {} but {occupant} manages {}",
-                                entry.range, target.range
-                            )));
-                        }
-                        let actual_left = target.left_child.map(|l| l.peer);
-                        let actual_right = target.right_child.map(|l| l.peer);
-                        let recorded = (entry.left_child(), entry.right_child());
-                        if recorded != (actual_left, actual_right) {
-                            return Err(violation(format!(
-                                "{peer} {side} table slot {index} child knowledge {:?}/{:?} disagrees with {occupant}'s children {:?}/{:?}",
-                                recorded.0, recorded.1, actual_left, actual_right
-                            )));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-fn check_adjacency_and_ranges(system: &BatonSystem) -> Result<()> {
-    // Sort all nodes by in-order position: this is the expected adjacency
-    // chain and also the expected range order.
-    let mut peers = system.peers().to_vec();
-    peers.sort_by(|a, b| {
-        system
-            .node(*a)
-            .unwrap()
-            .position
-            .inorder_cmp(system.node(*b).unwrap().position)
-    });
+/// Check 5, read along the plane's in-order chain (check 7 ran first).
+fn check_ranges(system: &BatonSystem) -> Result<()> {
+    let plane = &system.by_position;
+    let ranges: Vec<_> = plane.chain().map(|h| plane.at(h).unwrap()).collect();
     let domain = system.domain();
-
-    // Ranges partition the domain.
-    let first = system.node(peers[0]).unwrap();
-    if first.range.low() != domain.low() {
+    let (first, last) = (ranges[0].1, ranges[ranges.len() - 1].1);
+    if first.low() != domain.low() || last.high() != domain.high() {
         return Err(violation(format!(
-            "first node's range {} does not start at the domain low {}",
-            first.range,
-            domain.low()
+            "ranges from {first} to {last} do not span the domain {domain}"
         )));
     }
-    let last = system.node(*peers.last().unwrap()).unwrap();
-    if last.range.high() != domain.high() {
-        return Err(violation(format!(
-            "last node's range {} does not end at the domain high {}",
-            last.range,
-            domain.high()
-        )));
-    }
-    for pair in peers.windows(2) {
-        let a = system.node(pair[0]).unwrap();
-        let b = system.node(pair[1]).unwrap();
-        if a.range.high() != b.range.low() {
+    for pair in ranges.windows(2) {
+        let ((a, a_range), (b, b_range)) = (pair[0], pair[1]);
+        if a_range.high() != b_range.low() {
             return Err(violation(format!(
-                "ranges not contiguous between {:?} ({}) and {:?} ({})",
-                a.position, a.range, b.position, b.range
+                "ranges not contiguous between {a} ({a_range}) and {b} ({b_range})"
             )));
-        }
-    }
-
-    // Adjacent links mirror the in-order chain.
-    for (i, peer) in peers.iter().enumerate() {
-        let node = system.node(*peer).unwrap();
-        let expected_left = if i == 0 { None } else { Some(peers[i - 1]) };
-        let expected_right = peers.get(i + 1).copied();
-        if node.left_adjacent.map(|l| l.peer) != expected_left {
-            return Err(violation(format!(
-                "{peer} left adjacent {:?} expected {expected_left:?}",
-                node.left_adjacent.map(|l| l.peer)
-            )));
-        }
-        if node.right_adjacent.map(|l| l.peer) != expected_right {
-            return Err(violation(format!(
-                "{peer} right adjacent {:?} expected {expected_right:?}",
-                node.right_adjacent.map(|l| l.peer)
-            )));
-        }
-    }
-
-    // Every link records the target's actual range and position.
-    for &peer in system.peers() {
-        let node = system.node(peer).unwrap();
-        let links = [
-            ("parent", node.parent),
-            ("left child", node.left_child),
-            ("right child", node.right_child),
-            ("left adjacent", node.left_adjacent),
-            ("right adjacent", node.right_adjacent),
-        ];
-        for (label, link) in links {
-            if let Some(link) = link {
-                let Some(target) = system.node(link.peer) else {
-                    return Err(violation(format!(
-                        "{peer} {label} link points at unknown peer {}",
-                        link.peer
-                    )));
-                };
-                if link.range != target.range {
-                    return Err(violation(format!(
-                        "{peer} {label} link records range {} but {} manages {}",
-                        link.range, link.peer, target.range
-                    )));
-                }
-                if link.position != target.position {
-                    return Err(violation(format!(
-                        "{peer} {label} link records position {:?} but {} is at {:?}",
-                        link.position, link.peer, target.position
-                    )));
-                }
-            }
         }
     }
     Ok(())
@@ -488,8 +308,8 @@ fn check_replication(system: &BatonSystem) -> Result<()> {
 mod tests {
     use super::*;
     use crate::config::BatonConfig;
+    use crate::position::Side;
     use crate::range::KeyRange;
-    use crate::routing::NodeLink;
 
     #[test]
     fn empty_overlay_is_valid() {
@@ -526,41 +346,34 @@ mod tests {
     }
 
     /// Moves the boundary between a node and its right adjacent node to the
-    /// middle of the first one's range and refreshes every link recording
-    /// either range — through [`BatonSystem::set_range`], or by writing the
-    /// nodes' ranges directly.
+    /// middle of the first one's range — through [`BatonSystem::set_range`],
+    /// or by writing the nodes' ranges directly.
     fn shift_boundary(through_set_range: bool) -> BatonSystem {
         let mut system = BatonSystem::build(BatonConfig::default(), 5, 16).unwrap();
-        let left = system.peers()[0];
-        let (left_range, right) = {
-            let node = system.node(left).unwrap();
-            let right = node.right_adjacent.or(node.left_adjacent).unwrap().peer;
-            (node.range, right)
-        };
-        let (left, right, left_range, right_range) = {
-            let other = system.node(right).unwrap().range;
-            if other.low() == left_range.high() {
-                (left, right, left_range, other)
-            } else {
-                (right, left, other, left_range)
-            }
-        };
-        let middle = (left_range.low() + left_range.high()) / 2;
+        let range = |system: &BatonSystem, peer| system.node(peer).unwrap().range;
+        let low = system.domain().low();
+        let left = *system
+            .peers()
+            .iter()
+            .find(|&&p| range(&system, p).low() == low)
+            .unwrap();
+        let right = system
+            .links(left)
+            .unwrap()
+            .adjacent(Side::Right)
+            .unwrap()
+            .peer;
+        let (l, r) = (range(&system, left), range(&system, right));
+        let middle = (l.low() + l.high()) / 2;
         let moved = [
-            (left, KeyRange::new(left_range.low(), middle)),
-            (right, KeyRange::new(middle, right_range.high())),
+            (left, KeyRange::new(l.low(), middle)),
+            (right, KeyRange::new(middle, r.high())),
         ];
         for (peer, range) in moved {
             if through_set_range {
                 system.set_range(peer, range).unwrap();
             } else {
                 system.node_opt_mut(peer).unwrap().range = range;
-            }
-            let node = system.node(peer).unwrap();
-            let (position, linked) = (node.position, node.linked_peers());
-            for other in linked {
-                let other = system.node_opt_mut(other).unwrap();
-                other.update_link_range(peer, position, range);
             }
         }
         system
@@ -579,67 +392,42 @@ mod tests {
 
     #[test]
     fn detects_corrupted_adjacency() {
+        // The adjacent links are the plane's in-order chain: short-cut it.
         let mut system = BatonSystem::build(BatonConfig::default(), 2, 8).unwrap();
-        let peers = system.peers().to_vec();
-        let a = peers[0];
-        {
-            let node = system.node_opt_mut(a).unwrap();
-            node.left_adjacent = None;
-            node.right_adjacent = None;
-        }
+        let root = Position::ROOT.heap_index() as usize;
+        system.by_position.corrupt_chain(root, 0, 0);
         assert!(validate(&system).is_err());
     }
 
     #[test]
     fn detects_corrupted_routing_entry() {
+        // A routing-table entry is the plane's record of its target
+        // position: make one name a peer that sits elsewhere.
         let mut system = BatonSystem::build(BatonConfig::default(), 3, 16).unwrap();
-        // Find a node with at least one routing entry and corrupt its range.
-        let victim = system
-            .peers()
-            .iter()
-            .copied()
-            .find(|p| {
-                let n = system.node(*p).unwrap();
-                n.left_table.iter().count() + n.right_table.iter().count() > 0
-            })
-            .unwrap();
-        {
-            let node = system.node_opt_mut(victim).unwrap();
-            'outer: for side in Side::BOTH {
-                let table = node.table_mut(side);
-                for i in 0..table.slot_count() {
-                    if let Some(e) = table.entry_mut(i) {
-                        e.range = KeyRange::new(0, 1);
-                        break 'outer;
-                    }
-                }
-            }
-        }
+        let (a, b) = (system.peers()[0], system.peers()[1]);
+        let position = system.node(a).unwrap().position;
+        let range = system.node(a).unwrap().range;
+        system.by_position.insert(position, b, range);
         assert!(validate(&system).is_err());
     }
 
     #[test]
     fn detects_stolen_child_link() {
+        // A parent's child link is the plane's record of the child
+        // position: clear it under a node that still holds it.
         let mut system = BatonSystem::build(BatonConfig::default(), 4, 12).unwrap();
         let parent_of_someone = system
             .peers()
             .iter()
             .copied()
-            .find(|p| !system.node(*p).unwrap().is_leaf())
+            .find(|p| !system.links(*p).unwrap().is_leaf())
             .unwrap();
-        {
-            let fake = NodeLink::new(
-                baton_net::PeerId(9999),
-                Position::new(5, 1),
-                KeyRange::new(0, 1),
-            );
-            let node = system.node_opt_mut(parent_of_someone).unwrap();
-            if node.left_child.is_some() {
-                node.left_child = Some(fake);
-            } else {
-                node.right_child = Some(fake);
-            }
-        }
+        let links = system.links(parent_of_someone).unwrap();
+        let child = links
+            .child(Side::Left)
+            .or(links.child(Side::Right))
+            .unwrap();
+        system.by_position.remove(child.position);
         assert!(validate(&system).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! A reconstruction of the multiway-tree P2P overlay of Liau, Ng, Shu, Tan
 //! and Bressan (*"Efficient range queries and fast lookup services for
 //! scalable p2p networks"*, DBISP2P 2004) — the tree-structured baseline the
-//! BATON paper compares against (its reference "[10]").
+//! BATON paper compares against (its reference "\[10\]").
 //!
 //! Each peer owns a tree node linked to its parent, its children (with no
 //! fan-out constraint), and its in-order neighbours.  There are no sideways

@@ -1,5 +1,5 @@
 //! Per-peer state of the multiway-tree baseline (Liau et al. 2004, the
-//! overlay the BATON paper compares against as "[10]").
+//! overlay the BATON paper compares against as "\[10\]").
 
 use baton_net::PeerId;
 

@@ -1,4 +1,4 @@
-//! The multiway-tree overlay simulation (the paper's baseline "[10]",
+//! The multiway-tree overlay simulation (the paper's baseline "\[10\]",
 //! Liau et al. 2004).
 //!
 //! Structure, as summarised in §II of the BATON paper: each peer owns a tree

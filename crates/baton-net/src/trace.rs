@@ -187,7 +187,7 @@ pub struct Span {
     /// Virtual time the operation was issued.
     pub started_at: SimTime,
     /// Virtual time the operation finished (`None` if force-retired while
-    /// still open — see [`MAX_OPEN_SPANS`]).
+    /// still open — see `MAX_OPEN_SPANS`).
     pub finished_at: Option<SimTime>,
     /// Every message of the operation, in send order.
     pub hops: Vec<HopRecord>,

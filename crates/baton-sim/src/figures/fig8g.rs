@@ -6,7 +6,7 @@
 //! reports roughly one load-balancing message per 1500 insertions).
 //!
 //! The paper plots BATON alone (the baselines have no balancing), so the
-//! driver runs the [`reference_overlay`](crate::driver::reference_overlay)
+//! driver runs the [`reference_overlay`]
 //! through the generic interface; the per-insert balancing cost comes from
 //! the [`bulk_load`](baton_workload::runner::bulk_load) runner's aggregate.
 

@@ -1,10 +1,10 @@
 //! One driver per figure of the paper's evaluation (Figure 8(a)–(i)).
 //!
-//! Every driver takes a [`Profile`](crate::profile::Profile) and returns a
-//! [`FigureResult`](crate::result::FigureResult) containing the same series
+//! Every driver takes a [`Profile`] and returns a
+//! [`FigureResult`] containing the same series
 //! the paper plots.  All drivers are **generic over
 //! [`Overlay`](baton_net::Overlay)**: they loop over the
-//! [`OverlaySpec`](crate::driver::OverlaySpec)s they are handed (the
+//! [`OverlaySpec`]s they are handed (the
 //! BATON-only figures build the
 //! [`reference_overlay`](crate::driver::reference_overlay) instead and take
 //! no list) and never dispatch on a concrete system type, so a new baseline

@@ -11,7 +11,7 @@
 //! correlated faults).  One generic engine ([`run_plan`]) drives the
 //! overlays it is handed through any plan, so a new scenario is a ~30-line
 //! spec and a new overlay appears in every scenario by registration alone —
-//! exactly how [`OverlaySpec`](crate::OverlaySpec) works for the figures.
+//! exactly how [`OverlaySpec`] works for the figures.
 //! A run is a function of `run_plan`'s arguments — profile, plan, overlay
 //! list, thread budget, optional recorder: `reproduce` passes what it
 //! parsed, [`run_scenario`] passes all four overlays and one thread.

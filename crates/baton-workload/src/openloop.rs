@@ -5,13 +5,13 @@
 //! moment the previous one finishes — fine for counting messages, useless
 //! for latency or throughput, because the system is never under load.  An
 //! open-loop run takes the merged arrival schedule of a
-//! [`PhasedWorkload`](crate::PhasedWorkload) and dispatches each operation
+//! [`PhasedWorkload`] and dispatches each operation
 //! at its arrival time by advancing the overlay's arrival clock
 //! ([`baton_net::Overlay::advance_to`]).  Two operations whose hop chains
 //! overlap in virtual time then genuinely overlap: each accumulates only its
 //! own chain's latency.
 //!
-//! On top of the schedule, a [`FaultPlan`](crate::FaultPlan) injects timed
+//! On top of the schedule, a [`FaultPlan`] injects timed
 //! targeted faults (correlated regional kills) between arrivals — the
 //! substrate for stress questions the paper cannot ask, e.g. *what happens
 //! to search latency when half of one region fails at t = 20s?*

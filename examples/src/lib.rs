@@ -1,1 +1,1 @@
-//! Runnable examples for the BATON reproduction live in the package root as [[example]] targets.
+//! Runnable examples for the BATON reproduction live in the package root as `[[example]]` targets.

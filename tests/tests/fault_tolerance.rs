@@ -97,7 +97,7 @@ fn single_failure_blocks_nothing() {
         .copied()
         .filter(|p| {
             let n = base.node(*p).unwrap();
-            !n.is_leaf() && !n.is_root()
+            !base.links(*p).unwrap().is_leaf() && !n.is_root()
         })
         .collect();
     assert!(!victims.is_empty(), "internal nodes exist");

@@ -1,104 +1,22 @@
-//! Receiver-side link maintenance: the slot-addressed updates a membership
-//! notification applies ([`BatonNode::table_slot_of`] and the four updates
-//! built on it) against the table scans they replaced, and the order in
-//! which the fan-out charges its notifications.
+//! Link maintenance: the notifications BATON's membership changes charge,
+//! pinned in count, kind and latency-stream order; the routing-table slot a
+//! position maps to; and the per-peer state estimate, pinned while the
+//! simulator's storage of links changes underneath it.
 //!
-//! The scans survive only here, as the reference.  CI runs this file in
-//! debug and in release: production code differs between the two by the
-//! `debug_assert!` in the slot lookup.
+//! Every link a peer holds is read from the routing plane, so a receiver
+//! applies nothing; what a real peer would update is what the pinned
+//! notifications pay for.
 
 use baton_core::{
-    validate, BatonConfig, BatonNode, BatonSystem, KeyRange, LoadBalanceConfig, NodeLink, PeerId,
-    Position, RoutingEntry, Side,
+    validate, BatonConfig, BatonNode, BatonSystem, KeyRange, LoadBalanceConfig, PeerId, Position,
+    Side,
 };
 use baton_net::{LatencyPlan, Overlay, SimRng, SimTime, TraceConfig};
 use baton_tests::{class_latencies, messages_by_kind};
 use baton_workload::LatencySummary;
 
 // ----------------------------------------------------------------------
-// Reference: every receiver update as a scan of both routing tables
-// ----------------------------------------------------------------------
-
-fn fixed_links(node: &mut BatonNode) -> impl Iterator<Item = &mut NodeLink> {
-    [
-        &mut node.parent,
-        &mut node.left_child,
-        &mut node.right_child,
-        &mut node.left_adjacent,
-        &mut node.right_adjacent,
-    ]
-    .into_iter()
-    .flatten()
-}
-
-fn for_each_entry(node: &mut BatonNode, mut f: impl FnMut(&mut RoutingEntry)) {
-    for side in Side::BOTH {
-        let table = node.table_mut(side);
-        for index in 0..table.slot_count() {
-            if let Some(entry) = table.entry_mut(index) {
-                f(entry);
-            }
-        }
-    }
-}
-
-fn scan_rewrite_links(node: &mut BatonNode, old: PeerId, new_link: NodeLink) {
-    for link in fixed_links(node).filter(|l| l.peer == old) {
-        *link = new_link;
-    }
-    for_each_entry(node, |e| {
-        if e.peer == old {
-            e.peer = new_link.peer;
-            e.range = new_link.range;
-        }
-        let renamed = |child: Option<PeerId>| {
-            if child == Some(old) {
-                Some(new_link.peer)
-            } else {
-                child
-            }
-        };
-        e.set_children(renamed(e.left_child()), renamed(e.right_child()));
-    });
-}
-
-fn scan_update_link_range(node: &mut BatonNode, peer: PeerId, range: KeyRange) {
-    for link in fixed_links(node).filter(|l| l.peer == peer) {
-        link.range = range;
-    }
-    for_each_entry(node, |e| {
-        if e.peer == peer {
-            e.range = range;
-        }
-    });
-}
-
-fn scan_update_neighbor_children(
-    node: &mut BatonNode,
-    neighbor: PeerId,
-    left_child: Option<PeerId>,
-    right_child: Option<PeerId>,
-) {
-    for_each_entry(node, |e| {
-        if e.peer == neighbor {
-            e.set_children(left_child, right_child);
-        }
-    });
-}
-
-fn scan_remove_peer(node: &mut BatonNode, peer: PeerId) {
-    for side in Side::BOTH {
-        let table = node.table_mut(side);
-        for index in 0..table.slot_count() {
-            if table.entry(index).is_some_and(|e| e.peer == peer) {
-                table.clear(index);
-            }
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Seeded churn shared by the differential and the pinned-counter test
+// Seeded churn shared by the pinned-counter and pinned-state tests
 // ----------------------------------------------------------------------
 
 /// Joins, leaves, failures, exact searches and inserts clustered into a
@@ -138,101 +56,8 @@ fn balancing_config() -> BatonConfig {
 }
 
 // ----------------------------------------------------------------------
-// Differential: slot-addressed update == scan, on every link of the overlay
+// Routing-table slots by position
 // ----------------------------------------------------------------------
-
-/// Applies `production` and `reference` to clones of `receiver` and requires
-/// the two nodes equal field for field.
-fn assert_same(
-    receiver: &BatonNode,
-    what: &str,
-    production: impl FnOnce(&mut BatonNode),
-    reference: impl FnOnce(&mut BatonNode),
-) {
-    let (mut fast, mut scanned) = (receiver.clone(), receiver.clone());
-    production(&mut fast);
-    reference(&mut scanned);
-    assert_eq!(
-        fast, scanned,
-        "{what} diverged from the table scan at {}",
-        receiver.peer
-    );
-}
-
-/// Every update a sender `x` can fan out, applied to `receiver` both ways.
-fn check_receiver(x: &BatonNode, receiver: &BatonNode) {
-    let (peer, position) = (x.peer, x.position);
-    let range = KeyRange::new(x.range.low(), x.range.high() + 7);
-    assert_same(
-        receiver,
-        "update_link_range",
-        |n| n.update_link_range(peer, position, range),
-        |n| scan_update_link_range(n, peer, range),
-    );
-    let children = (Some(PeerId(4_000_001)), x.right_child.map(|l| l.peer));
-    assert_same(
-        receiver,
-        "update_neighbor_children",
-        |n| n.update_neighbor_children(peer, position, children.0, children.1),
-        |n| scan_update_neighbor_children(n, peer, children.0, children.1),
-    );
-    let replacement = NodeLink::new(PeerId(4_000_002), position, x.range);
-    assert_same(
-        receiver,
-        "rewrite_links",
-        |n| n.rewrite_links(peer, replacement),
-        |n| scan_rewrite_links(n, peer, replacement),
-    );
-    assert_same(
-        receiver,
-        "drop_table_link",
-        |n| n.drop_table_link(peer, position),
-        |n| scan_remove_peer(n, peer),
-    );
-}
-
-/// Checks every (sender, receiver) pair of the overlay; returns how many.
-fn check_every_link(system: &BatonSystem) -> usize {
-    let mut pairs = 0;
-    for (_, x) in system.iter_nodes() {
-        // The nodes x notifies, plus its parent's table neighbours: they
-        // record x as a child id, the second thing `rewrite_links` rewrites.
-        let parents_neighbors = x
-            .parent
-            .and_then(|l| system.node(l.peer))
-            .into_iter()
-            .flat_map(|parent| parent.table_peers());
-        for y in x.linked_peers().into_iter().chain(parents_neighbors) {
-            check_receiver(x, system.node(y).expect("links name live peers"));
-            pairs += 1;
-        }
-    }
-    pairs
-}
-
-#[test]
-fn slot_addressed_updates_match_the_table_scans() {
-    for n in [300usize, 3_000] {
-        for bulk in [false, true] {
-            for k in [1usize, 2] {
-                let seed = 0x11AC + (n + 2 * k + usize::from(bulk)) as u64;
-                let mut system = if bulk {
-                    BatonSystem::bulk_build(balancing_config(), seed, n).unwrap()
-                } else {
-                    BatonSystem::build(balancing_config(), seed, n).unwrap()
-                };
-                system.set_replication(k).unwrap();
-                let case = format!("n={n} bulk={bulk} k={k}");
-                assert!(check_every_link(&system) > 10 * n, "{case}");
-
-                let shifted = churn(&mut system, &mut SimRng::seeded(seed ^ 0xC0DE), 2_000);
-                assert!(shifted > 0, "{case}: churn never restructured");
-                validate(&system).unwrap_or_else(|e| panic!("{case}: {e}"));
-                assert!(check_every_link(&system) > 10 * n, "{case}");
-            }
-        }
-    }
-}
 
 #[test]
 fn table_slot_of_inverts_routing_neighbor() {
@@ -273,7 +98,8 @@ fn table_slot_of_inverts_routing_neighbor() {
 // ----------------------------------------------------------------------
 
 /// Recorded on the commit before the two-pass fan-out (interleaved
-/// notify-and-update loops, scanning receivers).  Message counts pin what is
+/// notify-and-update loops, scanning receivers), and unchanged since the
+/// receivers stopped writing anything.  Message counts pin what is
 /// sent.  The virtual latencies pin where in the one seeded log-normal
 /// stream each message draws: a notification charged on the other side of a
 /// hop, or one draw more or fewer, shifts every later draw.  Kinds and

@@ -200,7 +200,7 @@ fn detour_accounting_splits_primary_and_recovery_hops() {
         .copied()
         .find(|p| {
             let node = overlay.node(*p).unwrap();
-            !node.is_leaf() && !node.is_root()
+            !overlay.links(*p).unwrap().is_leaf() && !node.is_root()
         })
         .expect("internal node exists");
     let victim_range = overlay.node(victim).unwrap().range;

@@ -8,7 +8,8 @@
 //! in one append.  The reference below keeps the builder it replaced — one
 //! `Vec` per slot, its own `slot_of` and one `push_item` per distinct key —
 //! and reads each overlay through its public accessors only, BATON's
-//! parent, child and adjacent links and both routing tables included.  The
+//! parent, child and adjacent links and both routing tables included (its
+//! per-peer link view, `BatonSystem::links`).  The
 //! two must produce field-for-field equal snapshots on all four overlays
 //! after seeded churn at k = 1..=3; with repeated routed inserts after
 //! churn, so that stores hold duplicate keys; for BATON overlays of 0, 1
@@ -25,7 +26,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use baton_chord::ChordSystem;
-use baton_core::{BatonConfig, BatonSystem, LoadBalanceConfig};
+use baton_core::{BatonConfig, BatonSystem, LoadBalanceConfig, Side};
 use baton_d3tree::D3TreeSystem;
 use baton_mtree::MTreeSystem;
 use baton_net::serve::{ExactPlacement, RoutingSnapshot, ServeCounters, SnapshotBuilder};
@@ -128,21 +129,23 @@ fn reference_baton(system: &BatonSystem) -> RoutingSnapshot {
         let alive = system.net().is_alive(*peer);
         b.push_slot(*peer, node.range.high(), alive, &items);
     }
-    for (slot, (peer, node)) in nodes.iter().enumerate() {
-        if let Some(parent) = &node.parent {
+    for (slot, (peer, _)) in nodes.iter().enumerate() {
+        let links = system.links(*peer).unwrap();
+        if let Some(parent) = links.parent() {
             b.link(slot, parent.peer, LinkKind::Parent);
         }
-        for child in [&node.left_child, &node.right_child].into_iter().flatten() {
-            b.link(slot, child.peer, LinkKind::Child);
+        for side in Side::BOTH {
+            if let Some(child) = links.child(side) {
+                b.link(slot, child.peer, LinkKind::Child);
+            }
         }
-        for adjacent in [&node.left_adjacent, &node.right_adjacent]
-            .into_iter()
-            .flatten()
-        {
-            b.link(slot, adjacent.peer, LinkKind::Adjacent);
+        for side in Side::BOTH {
+            if let Some(adjacent) = links.adjacent(side) {
+                b.link(slot, adjacent.peer, LinkKind::Adjacent);
+            }
         }
-        for table in [&node.left_table, &node.right_table] {
-            for (_, entry) in table.iter() {
+        for side in Side::BOTH {
+            for (_, entry) in links.table(side).iter() {
                 b.link(slot, entry.peer, LinkKind::RoutingTable);
             }
         }
