@@ -127,24 +127,19 @@ impl BatonSystem {
         let low = domain.low();
         let width = (domain.high() - domain.low()) as u128;
         let bound = |i: usize| low + ((width * i as u128) / n as u128) as u64;
-        let ranges: Vec<KeyRange> = (0..n)
-            .map(|index| {
-                let r = rank_of[index] as usize;
-                KeyRange::new(bound(r), bound(r + 1))
-            })
-            .collect();
+        let range_of_index = |index: usize| {
+            let r = rank_of[index] as usize;
+            KeyRange::new(bound(r), bound(r + 1))
+        };
 
         // Pass B: materialise every node in level order — which is
         // ascending peer-id order, so the directory is collected by O(1)
         // appends — and occupy the positions, parents first.
         system.nodes = (0..n)
-            .map(|index| {
-                let node = BatonNode::new(peers[index], position_of_index(index), ranges[index]);
-                (peers[index], node)
-            })
+            .map(|index| (peers[index], BatonNode::new(position_of_index(index))))
             .collect();
         for (index, &peer) in peers.iter().enumerate() {
-            system.occupy(position_of_index(index), peer, ranges[index]);
+            system.occupy(position_of_index(index), peer, range_of_index(index));
         }
         Ok(system)
     }

@@ -1,18 +1,17 @@
 //! State held by a single BATON peer.
 //!
-//! A [`BatonNode`] is what the simulator stores per peer: its address, its
-//! position and key range, and its local data.  Its links — parent,
-//! children, adjacent nodes and the two sideways routing tables (paper §III)
-//! — follow from its position and are read from the routing plane
+//! A [`BatonNode`] is what the simulator stores per peer besides the routing
+//! plane: its position and its local data.  The peer's address is the key
+//! its node is stored under, and the key range it manages is the plane's
+//! record for its position ([`crate::BatonSystem::range_of`]).  Its links —
+//! parent, children, adjacent nodes and the two sideways routing tables
+//! (paper §III) — follow from its position and are read from the plane too
 //! ([`crate::routing::Links`], through [`crate::BatonSystem::links`]); the
 //! per-peer memory model ([`BatonNode::estimated_state_bytes`]) still counts
-//! them as a real peer would hold them.  All protocol logic lives in
-//! [`crate::protocol`] and [`crate::system`].
-
-use baton_net::PeerId;
+//! them, and the range, as a real peer would hold them.  All protocol logic
+//! lives in [`crate::protocol`] and [`crate::system`].
 
 use crate::position::{Position, Side};
-use crate::range::KeyRange;
 use crate::routing::RoutingEntry;
 use crate::store::LocalStore;
 
@@ -25,23 +24,18 @@ pub const PEER_STATE_BYTES: u64 = 320;
 /// State of one peer in the BATON overlay.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatonNode {
-    /// Physical address of this peer.
-    pub peer: PeerId,
-    /// Logical position in the balanced tree.
+    /// Logical position in the balanced tree: the peer → position index
+    /// its links and its range are read through.
     pub position: Position,
-    /// Key range this node manages directly.
-    pub range: KeyRange,
-    /// Local index entries (keys inside `range`).
+    /// Local index entries (keys inside the range the node manages).
     pub store: LocalStore,
 }
 
 impl BatonNode {
-    /// Creates a node at `position` managing `range`, with an empty store.
-    pub fn new(peer: PeerId, position: Position, range: KeyRange) -> Self {
+    /// Creates a node at `position` with an empty store.
+    pub fn new(position: Position) -> Self {
         Self {
-            peer,
             position,
-            range,
             store: LocalStore::new(),
         }
     }
@@ -95,24 +89,8 @@ impl BatonNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::tests::plane_of;
-    use crate::routing::{Links, NodeLink, PositionMap};
-
-    /// The links of the occupant of `(level, number)` in `plane`.
-    fn links(plane: &PositionMap, level: u32, number: u64) -> Links<'_> {
-        let position = Position::new(level, number);
-        Links::new(plane, plane.get(position).unwrap(), position)
-    }
-
-    /// The peer [`plane_of`] places at `(level, number)`.
-    fn at(level: u32, number: u64) -> PeerId {
-        PeerId(Position::new(level, number).heap_index() as u32)
-    }
-
-    /// Root, both level-1 positions and the two children of `(1, 1)`.
-    fn five() -> PositionMap {
-        plane_of(&[(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
-    }
+    use crate::routing::tests::{at, five, links, plane_of};
+    use crate::routing::NodeLink;
 
     #[test]
     fn state_layout_stays_within_its_byte_budgets() {
@@ -122,12 +100,12 @@ mod tests {
         assert!(size_of::<Option<NodeLink>>() <= 16);
         // A routing slot of the memory model: peer, range and two child ids.
         assert_eq!(size_of::<Option<RoutingEntry>>(), 32);
-        assert!(size_of::<Option<BatonNode>>() <= 96);
+        assert_eq!(size_of::<Option<BatonNode>>(), 56);
     }
 
     #[test]
     fn fresh_node_is_a_rootless_leaf() {
-        let n = BatonNode::new(PeerId(1), Position::new(2, 3), KeyRange::new(0, 100));
+        let n = BatonNode::new(Position::new(2, 3));
         assert!(!n.is_root());
         assert_eq!(n.level(), 2);
         assert_eq!(n.load(), 0);
@@ -197,7 +175,7 @@ mod tests {
 
     #[test]
     fn table_slot_of_is_the_inverse_of_routing_neighbor() {
-        let n = BatonNode::new(PeerId(1), Position::new(3, 5), KeyRange::new(0, 100));
+        let n = BatonNode::new(Position::new(3, 5));
         assert_eq!(n.table_slot_of(Position::new(3, 4)), Some((Side::Left, 0)));
         assert_eq!(n.table_slot_of(Position::new(3, 1)), Some((Side::Left, 2)));
         assert_eq!(n.table_slot_of(Position::new(3, 7)), Some((Side::Right, 1)));
@@ -205,72 +183,6 @@ mod tests {
         assert_eq!(n.table_slot_of(Position::new(3, 8)), None);
         assert_eq!(n.table_slot_of(Position::new(3, 5)), None);
         assert_eq!(n.table_slot_of(Position::new(2, 3)), None);
-    }
-
-    // The tests named after a receiver-side update (`rewrite_links`,
-    // `update_link_range`, …) check that every link view reads the change
-    // a peer records when it receives that update.
-
-    #[test]
-    fn rewrite_links_replaces_every_reference() {
-        // A replacement taking over (1,1) is every link to that position.
-        let mut plane = five();
-        plane.insert(Position::new(1, 1), PeerId(99), KeyRange::new(0, 10));
-        let n = links(&plane, 2, 2);
-        assert_eq!(n.parent().unwrap().peer, PeerId(99));
-        assert_eq!(n.adjacent(Side::Left).unwrap().peer, PeerId(99));
-        assert!(!n.linked_peers().contains(&at(1, 1)));
-        assert_eq!(
-            links(&plane, 1, 2).table(Side::Left).entry(0).unwrap().peer,
-            PeerId(99)
-        );
-    }
-
-    #[test]
-    fn rewrite_links_updates_child_knowledge_in_tables() {
-        // (1,2) records (1,1)'s children; (2,1) changes occupant.
-        let mut plane = five();
-        plane.insert(Position::new(2, 1), PeerId(98), KeyRange::new(0, 10));
-        let entry = links(&plane, 1, 2).table(Side::Left).entry(0).unwrap();
-        assert_eq!(entry.children().collect::<Vec<_>>(), [PeerId(98), at(2, 2)]);
-        assert_eq!(entry.peer, at(1, 1));
-    }
-
-    #[test]
-    fn update_link_range_touches_all_link_kinds() {
-        let mut plane = five();
-        let moved = KeyRange::new(40, 60);
-        let before = links(&plane, 1, 2).table(Side::Left).entry(0);
-        // A range write naming another peer changes nothing.
-        plane.set_range(Position::new(1, 1), PeerId(77), moved);
-        assert_eq!(links(&plane, 1, 2).table(Side::Left).entry(0), before);
-        plane.set_range(Position::new(1, 1), at(1, 1), moved);
-        assert_eq!(plane.at(2).unwrap().1, moved);
-        let entry = links(&plane, 1, 2).table(Side::Left).entry(0).unwrap();
-        assert_eq!(entry.range, moved);
-    }
-
-    #[test]
-    fn update_neighbor_children_sets_table_knowledge() {
-        let plane = plane_of(&[(0, 1), (1, 1), (1, 2)]);
-        let entry = links(&plane, 1, 1).table(Side::Right).entry(0).unwrap();
-        assert!(!entry.has_any_child());
-        let plane = plane_of(&[(0, 1), (1, 1), (1, 2), (2, 3)]);
-        let entry = links(&plane, 1, 1).table(Side::Right).entry(0).unwrap();
-        assert_eq!(entry.children().collect::<Vec<_>>(), [at(2, 3)]);
-    }
-
-    #[test]
-    fn drop_table_link_clears_the_one_matching_slot() {
-        // (3,4) links to (3,3) in slot 0 and to (3,2) in slot 1.
-        let ancestors = [(0, 1), (1, 1), (2, 1), (2, 2)];
-        let level3 = [(3, 2), (3, 3), (3, 4)];
-        let mut plane = plane_of(&[&ancestors[..], &level3[..]].concat());
-        assert_eq!(links(&plane, 3, 4).table(Side::Left).iter().count(), 2);
-        plane.remove(Position::new(3, 3));
-        let table = links(&plane, 3, 4).table(Side::Left);
-        assert_eq!(table.entry(0), None);
-        assert_eq!(table.entry(1).unwrap().peer, at(3, 2));
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl BatonSystem {
         let Some(boundary) = boundary else {
             return Ok(None);
         };
-        let my_range = self.node_ref(overloaded)?.range;
+        let my_range = self.range_ref(overloaded)?;
         if !my_range.contains(boundary) || boundary == my_range.low() {
             // Duplicates concentrated on a single key: no useful split point.
             return Ok(None);
@@ -180,16 +180,13 @@ impl BatonSystem {
         self.set_range(overloaded, kept_range)?;
         self.hop(op, overloaded, adjacent, 1, "balance.migrate")?;
         messages += 1;
-        let merged = {
-            let adj = self.node_mut(adjacent)?;
-            adj.store.absorb(moved_items);
-            adj.range.merge(moved_range).ok_or_else(|| {
-                BatonError::InvariantViolation(format!(
-                    "migrated range {moved_range} not contiguous with adjacent range {}",
-                    adj.range
-                ))
-            })?
-        };
+        self.node_mut(adjacent)?.store.absorb(moved_items);
+        let adjacent_range = self.range_ref(adjacent)?;
+        let merged = adjacent_range.merge(moved_range).ok_or_else(|| {
+            BatonError::InvariantViolation(format!(
+                "migrated range {moved_range} not contiguous with adjacent range {adjacent_range}"
+            ))
+        })?;
         self.set_range(adjacent, merged)?;
         // Both nodes' ranges changed: refresh every link recording them.
         messages += self.broadcast_link_update(op, overloaded, LinkUpdate::Range)?;
@@ -340,24 +337,22 @@ impl BatonSystem {
         light: PeerId,
     ) -> Result<u64> {
         let mut messages = 0u64;
-        let (g_position, light_range) = {
-            let g = self.node_ref(overloaded)?;
-            let (low_half, _) = g.range.split_half();
-            (g.position, low_half)
-        };
+        let g_position = self.node_ref(overloaded)?.position;
+        let g_range = self.range_ref(overloaded)?;
+        let (light_range, _) = g_range.split_half();
         // The new neighbour's position field is a placeholder (the
         // overloaded node's own position) that the plane never records; the
-        // restructuring pass assigns the real one.
-        let mut light_node = crate::node::BatonNode::new(light, g_position, light_range);
-        let g = self.node_mut(overloaded)?;
-        light_node.store = g.store.split_off_range(light_range);
-        let g_range = crate::range::KeyRange::new(light_range.high(), g.range.high());
+        // restructuring pass assigns the real one.  Until then its range
+        // lives in the splice record.
+        let mut light_node = crate::node::BatonNode::new(g_position);
+        light_node.store = (self.node_mut(overloaded)?.store).split_off_range(light_range);
+        let g_range = crate::range::KeyRange::new(light_range.high(), g_range.high());
         self.set_range(overloaded, g_range)?;
         // Adjacency: predecessor(g) <-> light <-> g.
         let outer = self.links_of(overloaded)?.adjacent(Side::Left);
         self.insert_node(light, light_node);
-        self.by_position
-            .splice(light, g_position.heap_index() as usize);
+        let h = g_position.heap_index() as usize;
+        self.by_position.splice(light, h, light_range);
         self.hop(op, overloaded, light, 1, "balance.migrate")?;
         messages += 1;
         if let Some(outer) = outer {

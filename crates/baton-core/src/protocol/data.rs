@@ -43,7 +43,7 @@ impl BatonSystem {
             // whose retained slice a replica holder serves.  Range-checking
             // the *data* node is what keeps a failover write from being
             // mistaken for an out-of-domain expansion.
-            let target_range = system.node_ref(walk.data)?.range;
+            let target_range = system.range_ref(walk.data)?;
             if !target_range.contains(key) {
                 // Leftmost / rightmost expansion.
                 let expanded = if key < target_range.low() {
@@ -128,7 +128,7 @@ mod tests {
         let mut system = build(50, 1);
         let report = system.insert(123_456_789, 7).unwrap();
         let owner = system.node(report.owner).unwrap();
-        assert!(owner.range.contains(123_456_789));
+        assert!(system.range_of(report.owner).unwrap().contains(123_456_789));
         assert_eq!(owner.store.get(123_456_789), &[7]);
         assert_eq!(report.expansion_messages, 0);
         validate(&system).unwrap();
@@ -177,7 +177,7 @@ mod tests {
         assert!(report.expansion_messages > 0);
         assert_eq!(system.domain().low(), 5);
         let owner = system.node(report.owner).unwrap();
-        assert!(owner.range.contains(5));
+        assert!(system.range_of(report.owner).unwrap().contains(5));
         assert_eq!(owner.store.get(5), &[99]);
         validate(&system).unwrap();
         // And the value is findable afterwards.
@@ -251,14 +251,14 @@ mod tests {
         // `retire_finished` for the rest of the run.
         let mut system = build(64, 23);
         let mut by_range = system.peers().to_vec();
-        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        by_range.sort_by_key(|p| system.range_of(*p).unwrap().low());
         let dark = &by_range[20..28];
         for peer in dark {
             system.fail_silently(*peer).unwrap();
         }
         let issuer = by_range[0];
         for peer in dark {
-            let key = system.node(*peer).unwrap().range.low();
+            let key = system.range_of(*peer).unwrap().low();
             assert!(system.insert_from(issuer, key, 1).is_err());
             assert!(system.delete_from(issuer, key).is_err());
         }
@@ -288,9 +288,9 @@ mod tests {
     fn k1_writes_to_a_dead_owner_end_at_the_first_bounce() {
         let mut system = build(200, 31);
         let mut by_range = system.peers().to_vec();
-        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        by_range.sort_by_key(|p| system.range_of(*p).unwrap().low());
         let (issuer, owner) = (by_range[10], by_range[150]);
-        let key = system.node(owner).unwrap().range.low() + 1;
+        let key = system.range_of(owner).unwrap().low() + 1;
         system.insert_from(issuer, key, 1).unwrap();
         let items = system.total_items();
         system.fail_silently(owner).unwrap();
@@ -310,7 +310,7 @@ mod tests {
             .with_load_balance(LoadBalanceConfig::disabled());
         let mut system = BatonSystem::build(config, 4, 20).unwrap();
         let mut by_range = system.peers().to_vec();
-        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        by_range.sort_by_key(|p| system.range_of(*p).unwrap().low());
         let (leftmost, issuer) = (by_range[0], by_range[15]);
         let items = system.total_items();
         system.fail_silently(leftmost).unwrap();

@@ -135,15 +135,14 @@ impl BatonSystem {
 
         // Decide side, position and range split.
         let (side, child_pos, parent_new_range, child_range) = {
-            let parent = self.node_ref(parent_peer)?;
             let side = self
                 .links_of(parent_peer)?
                 .free_child_side()
                 .ok_or_else(|| {
                     BatonError::InvariantViolation("attach_child called on a full parent".into())
                 })?;
-            let child_pos = parent.position.child(side);
-            let (low_half, high_half) = parent.range.split_half();
+            let child_pos = self.node_ref(parent_peer)?.position.child(side);
+            let (low_half, high_half) = self.range_ref(parent_peer)?.split_half();
             let (p_range, c_range) = match side {
                 Side::Left => (high_half, low_half),
                 Side::Right => (low_half, high_half),
@@ -152,7 +151,7 @@ impl BatonSystem {
         };
 
         // Create the child node and move the data that now belongs to it.
-        let mut child = BatonNode::new(joiner, child_pos, child_range);
+        let mut child = BatonNode::new(child_pos);
         {
             let parent = self.node_mut(parent_peer)?;
             child.store = parent.store.split_off_range(child_range);
@@ -235,9 +234,9 @@ mod tests {
         assert_eq!(report.position, Position::new(1, 1));
         assert_eq!(system.node_count(), 2);
         // Root kept the upper half of the domain, the child got the lower.
-        let root_node = system.node(root).unwrap();
-        let child_node = system.node(report.new_peer).unwrap();
-        assert_eq!(child_node.range.high(), root_node.range.low());
+        let root_range = system.range_of(root).unwrap();
+        let child_range = system.range_of(report.new_peer).unwrap();
+        assert_eq!(child_range.high(), root_range.low());
         let (root_links, child_links) = (
             system.links(root).unwrap(),
             system.links(report.new_peer).unwrap(),
@@ -333,7 +332,7 @@ mod tests {
             .peers()
             .iter()
             .copied()
-            .map(|p| system.node(p).unwrap().range)
+            .map(|p| system.range_of(p).unwrap())
             .collect();
         ranges.sort_by_key(|r| r.low());
         assert_eq!(ranges.first().unwrap().low(), system.domain().low());

@@ -190,9 +190,10 @@ impl BatonSystem {
             BatonError::InvariantViolation("detach_leaf called on the root".into())
         })?;
         let neighbor_peers: Vec<PeerId> = links.table_peers().collect();
-        let (position, range, store) = {
+        let range = self.range_ref(leaf)?;
+        let (position, store) = {
             let node = self.node_mut(leaf)?;
-            (node.position, node.range, std::mem::take(&mut node.store))
+            (node.position, std::mem::take(&mut node.store))
         };
         let side = position
             .child_side()
@@ -205,16 +206,13 @@ impl BatonSystem {
         // 2. Transfer content and range to the parent.
         self.hop(op, actor, parent.peer, 1, "leave.transfer")?;
         messages += 1;
-        let merged = {
-            let parent = self.node_mut(parent.peer)?;
-            parent.store.absorb(store);
-            parent.range.merge(range).ok_or_else(|| {
-                BatonError::InvariantViolation(format!(
-                    "leaf range {range} not contiguous with parent range {}",
-                    parent.range
-                ))
-            })?
-        };
+        self.node_mut(parent.peer)?.store.absorb(store);
+        let parent_range = self.range_ref(parent.peer)?;
+        let merged = parent_range.merge(range).ok_or_else(|| {
+            BatonError::InvariantViolation(format!(
+                "leaf range {range} not contiguous with parent range {parent_range}"
+            ))
+        })?;
         self.set_range(parent.peer, merged)?;
 
         // 3. The node beyond the leaf in in-order now neighbours the parent.
@@ -236,7 +234,8 @@ impl BatonSystem {
 
     /// Makes `new_peer` (already detached from any previous position) take
     /// over `old_peer`'s position, range and content, and tells every node
-    /// that linked to `old_peer` its new address.
+    /// that linked to `old_peer` its new address.  The position changes
+    /// occupant in place, so the range stays in its slot of the plane.
     ///
     /// `via` is the peer that transfers the state (the departing node for a
     /// voluntary departure, the recovery coordinator after a failure).
@@ -248,7 +247,8 @@ impl BatonSystem {
         via: PeerId,
     ) -> Result<u64> {
         let mut messages = 0u64;
-        let mut node = self
+        let range = self.range_ref(old_peer)?;
+        let node = self
             .remove_node(old_peer)
             .ok_or(BatonError::UnknownPeer(old_peer))?;
 
@@ -256,8 +256,7 @@ impl BatonSystem {
         self.hop(op, via, new_peer, 1, "leave.replacement_announce")?;
         messages += 1;
 
-        node.peer = new_peer;
-        self.occupy(node.position, new_peer, node.range);
+        self.occupy(node.position, new_peer, range);
         self.insert_node(new_peer, node);
 
         // Every node that held a link to the departed peer learns the new
@@ -305,8 +304,7 @@ mod tests {
         assert_eq!(report.locate_messages, 0);
         assert_eq!(system.node_count(), 1);
         // The root manages the whole domain again and kept all the data.
-        let root_node = system.node(root).unwrap();
-        assert_eq!(root_node.range, system.domain());
+        assert_eq!(system.range_of(root), Some(system.domain()));
         assert_eq!(system.total_items(), before_items);
         validate(&system).unwrap();
     }
@@ -409,9 +407,8 @@ mod tests {
             validate(&system).unwrap();
         }
         let last = system.peers()[0];
-        let node = system.node(last).unwrap();
-        assert!(node.is_root());
+        assert!(system.node(last).unwrap().is_root());
         assert!(system.links(last).unwrap().is_leaf());
-        assert_eq!(node.range, system.domain());
+        assert_eq!(system.range_of(last), Some(system.domain()));
     }
 }

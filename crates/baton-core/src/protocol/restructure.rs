@@ -164,21 +164,23 @@ impl BatonSystem {
         let mut messages = 0u64;
 
         // The positions the moved peers hold now (the incoming peer of an
-        // insert plan holds none).
+        // insert plan holds none), and the ranges they carry along, read
+        // before the first move: a move overwrites its position's range,
+        // which the peer moving out of it still carries.
         let mut old = Vec::new();
-        for &(peer, _) in &plan.assignments {
-            let position = self.node_ref(peer)?.position;
-            if self.by_position.get(position) == Some(peer) {
-                old.push((position, peer));
+        let mut moves = Vec::with_capacity(plan.assignments.len());
+        for &(peer, position) in &plan.assignments {
+            let held = self.node_ref(peer)?.position;
+            if self.by_position.get(held) == Some(peer) {
+                old.push((held, peer));
             }
+            moves.push((peer, position, self.range_ref(peer)?));
         }
         // A position occupied before and after changes occupant in place;
         // then the freed leaf position leaves the in-order chain and the new
         // leaf position enters it.
-        for &(peer, position) in &plan.assignments {
-            let node = self.node_mut(peer)?;
-            node.position = position;
-            let range = node.range;
+        for &(peer, position, range) in &moves {
+            self.node_mut(peer)?.position = position;
             if self.by_position.contains(position) {
                 self.occupy(position, peer, range);
             }
@@ -188,9 +190,8 @@ impl BatonSystem {
                 self.vacate(position, peer);
             }
         }
-        for &(peer, position) in &plan.assignments {
+        for &(peer, position, range) in &moves {
             if !self.by_position.contains(position) {
-                let range = self.node_ref(peer)?.range;
                 self.occupy(position, peer, range);
             }
         }

@@ -297,7 +297,7 @@ impl BatonSystem {
                 visit(node, clamped);
                 let h = node.position.heap_index() as usize;
                 let next = self.by_position.adjacent(current, h, Side::Right);
-                (node.range, next.map(|l| l.peer))
+                (self.range_ref(current)?, next.map(|l| l.peer))
             };
             nodes_visited += 1;
             if node_range.high() >= clamped.high() {
@@ -380,12 +380,10 @@ impl BatonSystem {
             if self.net.is_alive(candidate) {
                 continue;
             }
-            let Some(candidate_node) = self.node(candidate) else {
+            let Some(candidate_range) = self.range_of(candidate) else {
                 continue;
             };
-            if candidate_node.range.contains(key)
-                && self.replica_pair(candidate).contains(&Some(peer))
-            {
+            if candidate_range.contains(key) && self.replica_pair(candidate).contains(&Some(peer)) {
                 return Ok(Some(candidate));
             }
         }
@@ -455,7 +453,7 @@ impl BatonSystem {
     /// the reference [`plane_first_candidate`](Self::plane_first_candidate)
     /// is checked against.
     fn first_walk_candidate(&self, peer: PeerId, key: Key) -> Result<Option<PeerId>> {
-        let range = self.node_ref(peer)?.range;
+        let range = self.range_ref(peer)?;
         let first = walk_candidates(&self.links_of(peer)?, range, key, |candidate| {
             if candidate == peer {
                 ControlFlow::Continue(())
@@ -484,7 +482,7 @@ impl BatonSystem {
         start: usize,
     ) -> Result<()> {
         let links = self.links_of(peer)?;
-        let towards_right = key >= self.node_ref(peer)?.range.high();
+        let towards_right = key >= self.range_ref(peer)?.high();
         let near = if towards_right {
             Side::Right
         } else {
@@ -551,9 +549,8 @@ impl BatonSystem {
         key: Key,
         operation: &'static str,
     ) -> Result<OwnerWalk> {
-        let issuer_node = self.node_ref(issuer)?;
-        let issuer_h = issuer_node.position.heap_index() as usize;
-        if self.terminates_walk(issuer_node.range, key) {
+        let issuer_h = self.node_ref(issuer)?.position.heap_index() as usize;
+        if self.terminates_walk(self.range_ref(issuer)?, key) {
             return Ok(OwnerWalk {
                 owner: issuer,
                 data: issuer,
@@ -630,7 +627,7 @@ impl BatonSystem {
                     // write out the full greedy list and resume behind its
                     // head.  No frame is left above, so the arena tail is ours.
                     debug_assert_eq!(top.start, scratch.arena.len());
-                    let range = self.node_ref(current)?.range;
+                    let range = self.range_ref(current)?;
                     let links = self.links_of(current)?;
                     let _: ControlFlow<()> = walk_candidates(&links, range, key, |candidate| {
                         push_candidate(&mut scratch.arena, top.start, current, candidate);
@@ -692,8 +689,8 @@ impl BatonSystem {
                 // (see `locate_owner`), so stop rather than sweep.
                 if self.replication <= 1
                     && self
-                        .node(candidate)
-                        .is_some_and(|node| self.terminates_walk(node.range, key))
+                        .range_of(candidate)
+                        .is_some_and(|range| self.terminates_walk(range, key))
                 {
                     return Err(BatonError::PeerNotAlive(candidate));
                 }
@@ -780,11 +777,10 @@ mod tests {
         for key in keys {
             for issuer in system.peers().to_vec() {
                 let report = system.search_exact_from(issuer, key).unwrap();
-                let owner_node = system.node(report.owner).unwrap();
+                let owner_range = system.range_of(report.owner).unwrap();
                 assert!(
-                    owner_node.range.contains(key),
-                    "owner {:?} does not contain {key}",
-                    owner_node.range
+                    owner_range.contains(key),
+                    "owner {owner_range:?} does not contain {key}"
                 );
             }
         }
@@ -882,7 +878,7 @@ mod tests {
             system.net.fail_peer(*peer);
         }
         let victim_key = {
-            let survivor = system.node(issuer).unwrap().range;
+            let survivor = system.range_of(issuer).unwrap();
             // Any key outside the survivor's range is owned by a dead peer.
             if survivor.low() > system.domain().low() {
                 system.domain().low()
@@ -916,9 +912,9 @@ mod tests {
         let mut system = build(200, 31);
         system.set_replication(k).unwrap();
         let mut by_range = system.peers().to_vec();
-        by_range.sort_by_key(|p| system.node(*p).unwrap().range.low());
+        by_range.sort_by_key(|p| system.range_of(*p).unwrap().low());
         let (issuer, owner) = (by_range[10], by_range[150]);
-        let key = system.node(owner).unwrap().range.low() + 1;
+        let key = system.range_of(owner).unwrap().low() + 1;
         let (report, hops) = traced(&mut system, |s| s.search_exact_from(issuer, key));
         assert_eq!(report.unwrap().owner, owner);
         (system, issuer, owner, key, hops)

@@ -16,9 +16,11 @@
 //! records each position once, in the routing plane (`PositionMap`: the
 //! occupant, its current range and the heap indices of its in-order
 //! neighbours), and a peer's links are a read-only view computed from it
-//! ([`Links`], [`RoutingTable`]).  A real peer holds the same links in its
-//! own state; the protocols still send, and count, every notification that
-//! keeps them current.
+//! ([`Links`], [`RoutingTable`]).  The plane is the one record of each
+//! peer's range and of the root's occupant too: a node keeps only its
+//! position, through which its links and range are read, and its store.  A
+//! real peer holds the same links in its own state; the protocols still
+//! send, and count, every notification that keeps them current.
 
 use baton_net::PeerId;
 
@@ -116,9 +118,9 @@ struct PlaneSlot {
 }
 
 const _: () = assert!(std::mem::size_of::<PlaneSlot>() == 32);
-// A node holds its address, position, range and store; its links are read
-// from the plane.
-const _: () = assert!(std::mem::size_of::<BatonNode>() <= 96);
+// A node holds its position and store; its address, range and links are
+// read from the plane.
+const _: () = assert!(std::mem::size_of::<BatonNode>() == 56);
 
 impl PlaneSlot {
     fn empty() -> Self {
@@ -135,12 +137,13 @@ impl PlaneSlot {
 /// whose entries hold each occupied position's peer, that peer's current key
 /// range and the position's in-order neighbours.
 ///
-/// It is the one record of who sits where: every link of every peer is read
-/// from it ([`Links`]), restructuring probes occupancy through it and the
-/// snapshot exporter reads slots from it.  It changes only through
+/// It is the one record of who sits where and what each peer manages: every
+/// link of every peer is read from it ([`Links`]), every range
+/// (`BatonSystem::range_of`), restructuring probes occupancy through it and
+/// the snapshot exporter reads slots from it.  It changes only through
 /// `BatonSystem::occupy` / `BatonSystem::vacate`, which log the position for
 /// the exporter, and `BatonSystem::set_range`, which logs the peer;
-/// `validate` check 7 holds it to the nodes' own state.
+/// `validate` check 7 holds its occupants to the nodes' positions.
 ///
 /// The in-order neighbours form a doubly linked list through the slots,
 /// with index 0 — never a position — as its head: `slots[0].next` is the
@@ -158,9 +161,10 @@ pub(crate) struct PositionMap {
     /// every search walk for its loop budget — is an O(levels) scan
     /// instead of an O(N) sweep over the nodes.
     occupied: Vec<usize>,
-    /// A peer spliced into the in-order chain without a position yet, and
-    /// the heap index of the position it precedes ([`Self::splice`]).
-    spliced: Option<(PeerId, usize)>,
+    /// A peer spliced into the in-order chain without a position yet, the
+    /// heap index of the position it precedes and the range it manages
+    /// ([`Self::splice`]).
+    spliced: Option<(PeerId, usize, KeyRange)>,
 }
 
 impl PositionMap {
@@ -212,7 +216,7 @@ impl PositionMap {
         if self.slots.len() <= h {
             self.slots.resize(h + 1, PlaneSlot::empty());
         }
-        if self.spliced.is_some_and(|(spliced, _)| spliced == peer) {
+        if self.spliced.is_some_and(|(spliced, _, _)| spliced == peer) {
             self.spliced = None;
         }
         if self.slots[h].peer.is_none() {
@@ -269,26 +273,41 @@ impl PositionMap {
         self.occupied[position.level() as usize] -= 1;
     }
 
-    /// Records `peer`'s new range, if `peer` occupies `position` (a peer
-    /// spliced in ahead of its restructuring has no position yet).
-    pub(crate) fn set_range(&mut self, position: Position, peer: PeerId, range: KeyRange) {
-        if let Some(slot) = self.slots.get_mut(position.heap_index() as usize) {
-            if slot.peer == Some(peer) {
-                slot.range = range;
+    /// The range `peer` manages: the spliced peer's own, or the range of
+    /// heap index `h`, which `peer` occupies.
+    #[inline]
+    pub(crate) fn range_of(&self, peer: PeerId, h: usize) -> Option<KeyRange> {
+        match self.spliced {
+            Some((spliced, _, range)) if spliced == peer => Some(range),
+            _ => self
+                .at(h)
+                .filter(|&(p, _)| p == peer)
+                .map(|(_, range)| range),
+        }
+    }
+
+    /// Records the range `peer` — the spliced peer, or the occupant of heap
+    /// index `h` — now manages.
+    pub(crate) fn set_range(&mut self, peer: PeerId, h: usize, range: KeyRange) {
+        match &mut self.spliced {
+            Some((spliced, _, own)) if *spliced == peer => *own = range,
+            _ => {
+                debug_assert_eq!(self.occupant(h), Some(peer), "{peer} is not at {h}");
+                self.slots[h].range = range
             }
         }
     }
 
-    /// Splices `peer`, which holds no position, into the in-order chain as
-    /// the predecessor of the occupant of heap index `h`: until `peer`
-    /// occupies a position, [`Self::adjacent`] places it there, and its own
-    /// adjacent links are the occupant's previous predecessor and the
-    /// occupant.  Only the load balancer's re-join does this, and the
-    /// restructuring that follows in the same operation gives `peer` a
-    /// position.
-    pub(crate) fn splice(&mut self, peer: PeerId, h: usize) {
+    /// Splices `peer`, which holds no position and manages `range`, into
+    /// the in-order chain as the predecessor of the occupant of heap index
+    /// `h`: until `peer` occupies a position, [`Self::adjacent`] places it
+    /// there, and its own adjacent links are the occupant's previous
+    /// predecessor and the occupant.  Only the load balancer's re-join does
+    /// this, and the restructuring that follows in the same operation gives
+    /// `peer` a position.
+    pub(crate) fn splice(&mut self, peer: PeerId, h: usize, range: KeyRange) {
         debug_assert!(self.spliced.is_none(), "one splice at a time");
-        self.spliced = Some((peer, h));
+        self.spliced = Some((peer, h, range));
     }
 
     /// The adjacent link on `side` of `peer`, which occupies heap index `h`
@@ -302,7 +321,7 @@ impl PositionMap {
                 Side::Right => slot.next,
             }) as usize
         };
-        if let Some((spliced, before)) = self.spliced {
+        if let Some((spliced, before, _)) = self.spliced {
             if spliced == peer {
                 return self.link_at(if side == Side::Left {
                     step(before)
@@ -591,6 +610,22 @@ pub(crate) mod tests {
         plane
     }
 
+    /// The links of the occupant of `(level, number)` in `plane`.
+    pub(crate) fn links(plane: &PositionMap, level: u32, number: u64) -> Links<'_> {
+        let position = Position::new(level, number);
+        Links::new(plane, plane.get(position).unwrap(), position)
+    }
+
+    /// The peer [`plane_of`] places at `(level, number)`.
+    pub(crate) fn at(level: u32, number: u64) -> PeerId {
+        PeerId(Position::new(level, number).heap_index() as u32)
+    }
+
+    /// Root, both level-1 positions and the two children of `(1, 1)`.
+    pub(crate) fn five() -> PositionMap {
+        plane_of(&[(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
+    }
+
     fn table(plane: &PositionMap, side: Side, level: u32, number: u64) -> RoutingTable<'_> {
         let owner = Position::new(level, number);
         Links::new(plane, PeerId(0), owner).table(side)
@@ -713,6 +748,65 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_new_occupant_is_every_link_to_its_position() {
+        // A replacement taking over (1,1) is every link to that position.
+        let mut plane = five();
+        plane.insert(Position::new(1, 1), PeerId(99), KeyRange::new(0, 10));
+        let n = links(&plane, 2, 2);
+        assert_eq!(n.parent().unwrap().peer, PeerId(99));
+        assert_eq!(n.adjacent(Side::Left).unwrap().peer, PeerId(99));
+        assert!(!n.linked_peers().contains(&at(1, 1)));
+        assert_eq!(
+            links(&plane, 1, 2).table(Side::Left).entry(0).unwrap().peer,
+            PeerId(99)
+        );
+    }
+
+    #[test]
+    fn a_table_entry_names_its_target_s_current_children() {
+        // (1,2) records (1,1)'s children; (2,1) changes occupant.
+        let mut plane = five();
+        plane.insert(Position::new(2, 1), PeerId(98), KeyRange::new(0, 10));
+        let entry = links(&plane, 1, 2).table(Side::Left).entry(0).unwrap();
+        assert_eq!(entry.children().collect::<Vec<_>>(), [PeerId(98), at(2, 2)]);
+        assert_eq!(entry.peer, at(1, 1));
+    }
+
+    #[test]
+    fn a_table_entry_lists_a_child_once_its_position_is_occupied() {
+        let plane = plane_of(&[(0, 1), (1, 1), (1, 2)]);
+        let entry = links(&plane, 1, 1).table(Side::Right).entry(0).unwrap();
+        assert!(!entry.has_any_child());
+        let plane = plane_of(&[(0, 1), (1, 1), (1, 2), (2, 3)]);
+        let entry = links(&plane, 1, 1).table(Side::Right).entry(0).unwrap();
+        assert_eq!(entry.children().collect::<Vec<_>>(), [at(2, 3)]);
+    }
+
+    #[test]
+    fn a_range_write_shows_in_the_table_entries_to_its_position() {
+        let mut plane = five();
+        let moved = KeyRange::new(40, 60);
+        plane.set_range(at(1, 1), 2, moved);
+        assert_eq!(plane.at(2).unwrap().1, moved);
+        assert_eq!(plane.range_of(at(1, 1), 2), Some(moved));
+        let entry = links(&plane, 1, 2).table(Side::Left).entry(0).unwrap();
+        assert_eq!(entry.range, moved);
+    }
+
+    #[test]
+    fn vacating_a_position_empties_only_its_table_slot() {
+        // (3,4) links to (3,3) in slot 0 and to (3,2) in slot 1.
+        let ancestors = [(0, 1), (1, 1), (2, 1), (2, 2)];
+        let level3 = [(3, 2), (3, 3), (3, 4)];
+        let mut plane = plane_of(&[&ancestors[..], &level3[..]].concat());
+        assert_eq!(links(&plane, 3, 4).table(Side::Left).iter().count(), 2);
+        plane.remove(Position::new(3, 3));
+        let table = links(&plane, 3, 4).table(Side::Left);
+        assert_eq!(table.entry(0), None);
+        assert_eq!(table.entry(1).unwrap().peer, at(3, 2));
+    }
+
+    #[test]
     fn root_table_is_empty_and_full() {
         let plane = plane_of(&[(0, 1)]);
         let table = table(&plane, Side::Left, 0, 1);
@@ -723,7 +817,8 @@ pub(crate) mod tests {
 
     /// The chain after every occupy and vacate is the in-order sort of the
     /// occupied positions, a change of occupant keeps it, and a splice
-    /// shows in the adjacent links only.
+    /// shows in the adjacent links only; the spliced peer's range lives in
+    /// the splice record until it occupies a position.
     #[test]
     fn the_in_order_chain_follows_occupy_vacate_and_splices() {
         let in_order = |plane: &PositionMap| {
@@ -749,7 +844,10 @@ pub(crate) mod tests {
 
         // Splice a peer ahead of the root (heap index 1).
         let root_left = plane.adjacent(PeerId(1), 1, Side::Left).unwrap().peer;
-        plane.splice(PeerId(60), 1);
+        plane.splice(PeerId(60), 1, KeyRange::new(7, 8));
+        plane.set_range(PeerId(60), 1, KeyRange::new(6, 8));
+        assert_eq!(plane.range_of(PeerId(60), 1), Some(KeyRange::new(6, 8)));
+        assert_eq!(plane.range_of(PeerId(1), 1), Some(KeyRange::new(1, 2)));
         let peer_of = |link: Option<NodeLink>| link.map(|l| l.peer);
         assert_eq!(
             peer_of(plane.adjacent(PeerId(1), 1, Side::Left)),

@@ -33,8 +33,8 @@
 //! slot order (its arrays are shared with the snapshot it returned, not
 //! copied).  From the first export on, a `ChangeLog` records every
 //! position passed to `occupy` or `vacate` — the only writers of the plane's
-//! occupants besides range updates — and every peer whose node is handed
-//! out for writing (range updates and stores included), inserted or
+//! occupants — and every peer whose range is set (`set_range`, the plane's
+//! only other writer) or whose node is handed out for writing, inserted or
 //! removed.  An export splices the previous slot order: the vacated
 //! positions leave it and the newly occupied ones enter at their in-order
 //! rank, which also yields the previous → current slot map.  A slot is
@@ -80,7 +80,8 @@ pub(crate) const CHANGE_LOG_CAP: usize = 4096;
 /// One entry of the [`ChangeLog`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Change {
-    /// A peer whose node was handed out for writing, inserted or removed.
+    /// A peer whose node was handed out for writing, inserted or removed,
+    /// or whose range was set.
     Peer(PeerId),
     /// The heap index of a position passed to `occupy` or `vacate`.
     Position(u64),
@@ -540,29 +541,30 @@ mod tests {
         let mut system = BatonSystem::build(BatonConfig::default(), 5, 300).unwrap();
         system.set_replication(3).unwrap();
         let before = system.build_routing_snapshot();
-        let leaf = (system.iter_nodes().map(|(_, node)| node))
-            .find(|node| system.links(node.peer).unwrap().is_leaf() && node.level() > 2)
+        let (leaf, from) = (system.iter_nodes())
+            .find(|(peer, node)| system.links(*peer).unwrap().is_leaf() && node.level() > 2)
+            .map(|(peer, node)| (peer, node.position))
             .unwrap();
-        let (leaf, from) = (leaf.peer, leaf.position);
-        let parent = (system.iter_nodes().map(|(_, node)| node))
-            .find(|node| {
+        let (parent, parent_node) = (system.iter_nodes())
+            .find(|(peer, node)| {
                 let child = node.position.child(Side::Right);
-                node.peer != leaf && node.level() > 2 && system.peer_at(child).is_none()
+                *peer != leaf && node.level() > 2 && system.peer_at(child).is_none()
             })
             .unwrap();
         // The new right child follows its parent in key order: an empty
         // range at the parent's high keeps the slot bounds sorted.
-        let (to, high) = (parent.position.child(Side::Right), parent.range.high());
+        let to = parent_node.position.child(Side::Right);
+        let high = system.range_of(parent).unwrap().high();
         system.vacate(from, leaf);
         system.occupy(to, leaf, KeyRange::new(high, high));
         let moved = system.build_routing_snapshot();
         assert_ne!(moved, before);
         assert_eq!(moved, from_scratch(&system));
-        let (other, at, low) = (system
-            .iter_nodes()
-            .map(|(peer, node)| (peer, node.position, node.range.low())))
-        .find(|&(peer, _, _)| peer != leaf)
-        .unwrap();
+        let (other, at) = (system.iter_nodes())
+            .map(|(peer, node)| (peer, node.position))
+            .find(|&(peer, _)| peer != leaf)
+            .unwrap();
+        let low = system.range_of(other).unwrap().low();
         system.occupy(at, other, KeyRange::new(low, low));
         let emptied = system.build_routing_snapshot();
         assert_ne!(emptied, moved);

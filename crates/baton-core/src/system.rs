@@ -16,9 +16,12 @@
 //! statistics.  The simulator stores those links once: they are functions
 //! of the positions, read from the routing plane ([`BatonSystem::links`],
 //! [`crate::routing`]), which records each position's occupant, its
-//! current range and its in-order neighbours.  A peer's view of its links
-//! is therefore always the current one — what the notifications of the
-//! paper's protocols keep a real peer's copy at.  The one documented
+//! current range and its in-order neighbours.  It is the only record of
+//! those too: a [`BatonNode`] holds its position and store, and the root
+//! ([`BatonSystem::root`]) and every range ([`BatonSystem::range_of`]) are
+//! read from the plane, so no second copy can go stale.  A peer's view of
+//! its links is therefore always the current one — what the notifications
+//! of the paper's protocols keep a real peer's copy at.  The one documented
 //! exception is [`crate::protocol::restructure`], which charges a shift's
 //! link repairs per the paper's cost model instead of as a handshake per
 //! link.
@@ -78,7 +81,6 @@ pub struct BatonSystem {
     /// [`insert_node`](Self::insert_node) / [`remove_node`](Self::remove_node).
     pub(crate) nodes: PeerDirectory<BatonNode>,
     pub(crate) by_position: PositionMap,
-    pub(crate) root: Option<PeerId>,
     pub(crate) config: BatonConfig,
     pub(crate) domain: KeyRange,
     pub(crate) rng: SimRng,
@@ -109,7 +111,6 @@ impl BatonSystem {
             net: SimNetwork::new(),
             nodes: PeerDirectory::new(),
             by_position: PositionMap::default(),
-            root: None,
             domain: config.domain,
             config,
             rng: SimRng::seeded(seed),
@@ -131,9 +132,8 @@ impl BatonSystem {
             ));
         }
         let peer = self.net.add_peer();
-        let node = BatonNode::new(peer, Position::ROOT, self.domain);
         self.occupy(Position::ROOT, peer, self.domain);
-        self.insert_node(peer, node);
+        self.insert_node(peer, BatonNode::new(Position::ROOT));
         Ok(peer)
     }
 
@@ -164,7 +164,7 @@ impl BatonSystem {
 
     /// The peer currently occupying the root position, if any.
     pub fn root(&self) -> Option<PeerId> {
-        self.root
+        self.by_position.get(Position::ROOT)
     }
 
     /// The key domain currently covered by the overlay (may have grown
@@ -177,6 +177,13 @@ impl BatonSystem {
     #[inline]
     pub fn node(&self, peer: PeerId) -> Option<&BatonNode> {
         self.nodes.get(peer)
+    }
+
+    /// The key range `peer` manages, read from the routing plane.
+    #[inline]
+    pub fn range_of(&self, peer: PeerId) -> Option<KeyRange> {
+        let h = self.node(peer)?.position.heap_index() as usize;
+        self.by_position.range_of(peer, h)
     }
 
     /// The links `peer` holds — parent, children, adjacent nodes and both
@@ -389,6 +396,12 @@ impl BatonSystem {
         &mut exporter.unwrap_or_else(PoisonError::into_inner).log
     }
 
+    /// The range `peer` manages, as a [`Result`].
+    #[inline]
+    pub(crate) fn range_ref(&self, peer: PeerId) -> Result<KeyRange> {
+        self.range_of(peer).ok_or(BatonError::UnknownPeer(peer))
+    }
+
     /// The links of `peer`, as a [`Result`].
     #[inline]
     pub(crate) fn links_of(&self, peer: PeerId) -> Result<Links<'_>> {
@@ -477,9 +490,6 @@ impl BatonSystem {
     pub(crate) fn occupy(&mut self, position: Position, peer: PeerId, range: KeyRange) {
         self.changes().note(Change::Position(position.heap_index()));
         self.by_position.insert(position, peer, range);
-        if position.is_root() {
-            self.root = Some(peer);
-        }
     }
 
     /// Removes the occupancy record for `position` if it is held by `peer`.
@@ -487,20 +497,15 @@ impl BatonSystem {
         if self.by_position.get(position) == Some(peer) {
             self.changes().note(Change::Position(position.heap_index()));
             self.by_position.remove(position);
-            if position.is_root() && self.root == Some(peer) {
-                self.root = None;
-            }
         }
     }
 
-    /// Sets `peer`'s key range.  Every range write goes through here, so the
-    /// routing plane ([`PositionMap`]) always records the range the node
-    /// manages.
+    /// Sets `peer`'s key range in the routing plane ([`PositionMap`]), its
+    /// one record, and logs the peer for the snapshot exporter.
     pub(crate) fn set_range(&mut self, peer: PeerId, range: KeyRange) -> Result<()> {
-        let node = self.node_mut(peer)?;
-        node.range = range;
-        let position = node.position;
-        self.by_position.set_range(position, peer, range);
+        let h = self.node_ref(peer)?.position.heap_index() as usize;
+        self.changes().note(Change::Peer(peer));
+        self.by_position.set_range(peer, h, range);
         Ok(())
     }
 
@@ -699,11 +704,12 @@ impl Overlay for BatonSystem {
     /// load models an out-of-band transfer, not a protocol exchange.
     fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
         self.changes().note_all();
-        let mut owners: Vec<(Key, PeerId)> = self
-            .iter_nodes()
-            .map(|(peer, node)| (node.range.low(), peer))
+        // The plane's in-order chain lists the owners in key order.
+        let plane = &self.by_position;
+        let owners: Vec<(Key, PeerId)> = (plane.chain())
+            .map(|h| plane.at(h).expect("the chain links occupied positions"))
+            .map(|(peer, range)| (range.low(), peer))
             .collect();
-        owners.sort_unstable();
         if owners.is_empty() {
             return true;
         }
@@ -732,13 +738,15 @@ impl Overlay for BatonSystem {
                 continue;
             };
             node.store.insert(key, value);
-            if node.range.contains(key) {
+            let h = node.position.heap_index() as usize;
+            let range = self.by_position.range_of(peer, h).expect("on the chain");
+            if range.contains(key) {
                 continue;
             }
-            let range = if key < node.range.low() {
-                node.range.extend_low(key)
+            let range = if key < range.low() {
+                range.extend_low(key)
             } else {
-                node.range.extend_high(key + 1)
+                range.extend_high(key + 1)
             };
             self.set_range(peer, range).expect("resolved above");
         }
@@ -814,9 +822,8 @@ mod tests {
         assert_eq!(system.node_count(), 1);
         assert_eq!(system.root(), Some(root));
         assert_eq!(system.height(), 1);
-        let node = system.node(root).unwrap();
-        assert_eq!(node.position, Position::ROOT);
-        assert_eq!(node.range, KeyRange::paper_domain());
+        assert_eq!(system.node(root).unwrap().position, Position::ROOT);
+        assert_eq!(system.range_of(root), Some(KeyRange::paper_domain()));
         assert!(system.links(root).unwrap().is_leaf());
         assert_eq!(system.peer_at(Position::ROOT), Some(root));
     }

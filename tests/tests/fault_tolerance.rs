@@ -42,7 +42,7 @@ fn queries_route_around_unrecovered_failures() {
             .peers()
             .iter()
             .copied()
-            .find(|&p| overlay.node(p).unwrap().range.contains(key))
+            .find(|&p| overlay.range_of(p).unwrap().contains(key))
             .expect("domain fully covered")
     };
     let mut live_owned = 0usize;
@@ -106,7 +106,7 @@ fn single_failure_blocks_nothing() {
         for (i, key) in keys.iter().enumerate() {
             overlay.insert(*key, i as u64).unwrap();
         }
-        let victim_range = overlay.node(victim).unwrap().range;
+        let victim_range = overlay.range_of(victim).unwrap();
         overlay.fail_silently(victim).unwrap();
 
         let issuer = peers.iter().copied().find(|p| *p != victim).unwrap();

@@ -8,8 +8,7 @@
 //! notifications pay for.
 
 use baton_core::{
-    validate, BatonConfig, BatonNode, BatonSystem, KeyRange, LoadBalanceConfig, PeerId, Position,
-    Side,
+    validate, BatonConfig, BatonNode, BatonSystem, LoadBalanceConfig, Position, Side,
 };
 use baton_net::{LatencyPlan, Overlay, SimRng, SimTime, TraceConfig};
 use baton_tests::{class_latencies, messages_by_kind};
@@ -64,7 +63,7 @@ fn table_slot_of_inverts_routing_neighbor() {
     for level in 0..=10u32 {
         for number in 1..=(1u64 << level) {
             let owner = Position::new(level, number);
-            let node = BatonNode::new(PeerId(0), owner, KeyRange::new(0, 1));
+            let node = BatonNode::new(owner);
             for side in Side::BOTH {
                 for index in 0..owner.routing_table_size() {
                     if let Some(target) = owner.routing_neighbor(side, index) {

@@ -203,7 +203,7 @@ fn detour_accounting_splits_primary_and_recovery_hops() {
             !overlay.links(*p).unwrap().is_leaf() && !node.is_root()
         })
         .expect("internal node exists");
-    let victim_range = overlay.node(victim).unwrap().range;
+    let victim_range = overlay.range_of(victim).unwrap();
     overlay.fail_silently(victim).unwrap();
     let issuer = peers.iter().copied().find(|p| *p != victim).unwrap();
 
