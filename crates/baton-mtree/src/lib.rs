@@ -18,6 +18,11 @@
 //! which is exactly the qualitative behaviour Figure 8 of the BATON paper
 //! reports for this baseline.
 //!
+//! Each fact is stated once: a link names a peer, and the descent reads a
+//! child's coverage (its range followed by its children's) from the child's
+//! own [`MNode`]; `validate()` checks that rule and that every key lies in
+//! its node's range.  [`MTreeSystem::height`] walks the tree from the root.
+//!
 //! [`MTreeSystem`] implements [`Overlay`] directly: its operations are the
 //! trait's methods and its errors are [`baton_net::OverlayError`]s.  It keeps
 //! the trait's defaulted failure hooks — the baseline has no failure
@@ -39,6 +44,6 @@ pub mod range;
 pub mod system;
 
 pub use baton_net::Overlay;
-pub use node::{MLink, MNode};
+pub use node::MNode;
 pub use range::MRange;
 pub use system::MTreeSystem;

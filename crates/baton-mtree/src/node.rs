@@ -5,52 +5,38 @@ use baton_net::PeerId;
 
 use crate::range::MRange;
 
-/// A link to another multiway-tree node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MLink {
-    /// The target peer.
-    pub peer: PeerId,
-    /// The key range the target manages directly.
-    pub range: MRange,
-    /// The key range covered by the target's whole subtree.
-    pub coverage: MRange,
-}
-
 /// State of one multiway-tree peer.
 ///
 /// Unlike BATON, a node keeps links only to its parent, its children
 /// (unbounded fan-out), and its in-order neighbours — there are no sideways
-/// routing tables, no balance guarantee, and no power-of-two shortcuts.
+/// routing tables, no balance guarantee, and no power-of-two shortcuts.  A
+/// link names a peer and nothing else: a target's range and coverage are
+/// read from the target's own node.
 #[derive(Clone, Debug)]
 pub struct MNode {
-    /// This peer's address.
-    pub peer: PeerId,
     /// The range managed directly by this node.
     pub range: MRange,
-    /// The range covered by this node's entire subtree (its range when it
-    /// joined, before any of it was delegated to children).
+    /// The range covered by this node's entire subtree: its direct range
+    /// followed by its children's coverages.
     pub coverage: MRange,
-    /// Parent link (`None` for the root).
-    pub parent: Option<MLink>,
-    /// Children, in key order of their coverage.
-    pub children: Vec<MLink>,
+    /// Parent (`None` for the root).
+    pub parent: Option<PeerId>,
+    /// Children, in the order they were attached.
+    pub children: Vec<PeerId>,
     /// In-order predecessor by key range.
-    pub left_neighbor: Option<MLink>,
+    pub left_neighbor: Option<PeerId>,
     /// In-order successor by key range.
-    pub right_neighbor: Option<MLink>,
+    pub right_neighbor: Option<PeerId>,
     /// Stored keys, sorted.  The figures only need counts, but the
     /// cross-overlay range oracle asserts exact results, so the baseline
     /// tracks the actual multiset (values are never materialised).
     pub keys: Vec<u64>,
-    /// Depth of this node (root = 0).
-    pub depth: u32,
 }
 
 impl MNode {
     /// Creates a root-less node managing (and covering) `range`.
-    pub fn new(peer: PeerId, range: MRange) -> Self {
+    pub fn new(range: MRange) -> Self {
         Self {
-            peer,
             range,
             coverage: range,
             parent: None,
@@ -58,7 +44,6 @@ impl MNode {
             left_neighbor: None,
             right_neighbor: None,
             keys: Vec::new(),
-            depth: 0,
         }
     }
 
@@ -100,10 +85,9 @@ impl MNode {
         self.keys.split_off(idx)
     }
 
-    /// Merges another sorted key multiset into this node's, preserving
-    /// order.  The common cases — the heir is the in-order neighbour of a
-    /// departed node, so one run entirely precedes the other — are a plain
-    /// append/prepend; anything else falls back to a linear merge.
+    /// Merges the sorted keys of an adjacent range into this node's: the
+    /// heir of a departed node is its in-order neighbour, so one run of keys
+    /// entirely precedes the other.
     pub fn merge_keys(&mut self, mut other: Vec<u64>) {
         debug_assert!(other.windows(2).all(|w| w[0] <= w[1]));
         if other.is_empty() {
@@ -111,42 +95,16 @@ impl MNode {
         }
         if self.keys.last() <= other.first() {
             self.keys.append(&mut other);
-        } else if other.last() <= self.keys.first() {
+        } else {
+            debug_assert!(other.last() <= self.keys.first(), "the runs interleave");
             other.extend_from_slice(&self.keys);
             self.keys = other;
-        } else {
-            let mine = std::mem::take(&mut self.keys);
-            self.keys = Vec::with_capacity(mine.len() + other.len());
-            let (mut a, mut b) = (mine.into_iter().peekable(), other.into_iter().peekable());
-            while let (Some(x), Some(y)) = (a.peek(), b.peek()) {
-                if x <= y {
-                    self.keys.push(a.next().expect("peeked"));
-                } else {
-                    self.keys.push(b.next().expect("peeked"));
-                }
-            }
-            self.keys.extend(a);
-            self.keys.extend(b);
-        }
-    }
-
-    /// This node's link as others should record it.
-    pub fn link(&self) -> MLink {
-        MLink {
-            peer: self.peer,
-            range: self.range,
-            coverage: self.coverage,
         }
     }
 
     /// `true` if the node has no children.
     pub fn is_leaf(&self) -> bool {
         self.children.is_empty()
-    }
-
-    /// The child whose coverage contains `key`, if any.
-    pub fn child_covering(&self, key: u64) -> Option<&MLink> {
-        self.children.iter().find(|c| c.coverage.contains(key))
     }
 }
 
@@ -156,29 +114,12 @@ mod tests {
 
     #[test]
     fn new_node_covers_its_range() {
-        let node = MNode::new(PeerId(1), MRange::new(0, 100));
+        let node = MNode::new(MRange::new(0, 100));
         assert!(node.is_leaf());
-        assert_eq!(node.depth, 0);
-        assert_eq!(node.link().coverage, MRange::new(0, 100));
-        assert!(node.child_covering(50).is_none());
-    }
-
-    #[test]
-    fn child_covering_finds_the_right_child() {
-        let mut node = MNode::new(PeerId(1), MRange::new(0, 100));
-        node.children.push(MLink {
-            peer: PeerId(2),
-            range: MRange::new(0, 25),
-            coverage: MRange::new(0, 50),
-        });
-        node.children.push(MLink {
-            peer: PeerId(3),
-            range: MRange::new(50, 75),
-            coverage: MRange::new(50, 80),
-        });
-        assert_eq!(node.child_covering(10).unwrap().peer, PeerId(2));
-        assert_eq!(node.child_covering(60).unwrap().peer, PeerId(3));
-        assert!(node.child_covering(90).is_none());
-        assert!(!node.is_leaf());
+        assert_eq!(node.coverage, MRange::new(0, 100));
+        assert_eq!(
+            (node.parent, node.left_neighbor, node.right_neighbor),
+            (None, None, None)
+        );
     }
 }

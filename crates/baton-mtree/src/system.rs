@@ -21,7 +21,7 @@ use baton_net::{
     OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
 };
 
-use crate::node::{MLink, MNode};
+use crate::node::MNode;
 use crate::range::MRange;
 
 /// The error of an operation naming a peer that is not in the tree.
@@ -34,6 +34,16 @@ fn empty() -> OverlayError {
     OverlayError::Op("the overlay is empty".into())
 }
 
+/// Bytes a real peer keeps besides the contents of its key and child-link
+/// lists: its own address, range and coverage, its parent and neighbour
+/// links with each target's range and coverage (which a simulated node reads
+/// from the target instead of storing), and the two lists' headers.
+pub const PEER_STATE_BYTES: u64 = 232;
+
+/// Bytes of one child link as a real peer keeps it: the child's address,
+/// range and coverage — the coverage is what the descent reads.
+pub const CHILD_LINK_BYTES: u64 = 40;
+
 /// The multiway-tree overlay.
 #[derive(Debug)]
 pub struct MTreeSystem {
@@ -41,14 +51,7 @@ pub struct MTreeSystem {
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<MNode>,
-    /// Live nodes per [`MNode::depth`] value, so [`height`](Self::height) —
-    /// consulted by every routed operation for its loop guard — is an
-    /// O(levels) scan instead of a sweep over the nodes.  Kept by
-    /// [`register_node`](Self::register_node),
-    /// [`unregister_node`](Self::unregister_node) and
-    /// [`set_depth`](Self::set_depth), the only places a live node's depth
-    /// appears, disappears or changes.
-    live_at_depth: Vec<usize>,
+    /// The node without a parent, where [`height`](Self::height) starts.
     root: Option<PeerId>,
     domain: MRange,
     rng: SimRng,
@@ -69,7 +72,6 @@ impl MTreeSystem {
         Self {
             net: SimNetwork::new(),
             nodes: PeerDirectory::new(),
-            live_at_depth: Vec::new(),
             root: None,
             domain,
             rng: SimRng::seeded(seed),
@@ -91,13 +93,20 @@ impl MTreeSystem {
         self.nodes.iter()
     }
 
-    /// Height of the tree (max depth + 1); 0 when empty.  O(levels), from
-    /// the per-depth live counts.
+    /// Height of the tree (the number of levels); 0 when empty.  O(N): a
+    /// level-by-level walk down the child links from the root, for tests
+    /// and inspection — no operation reads it.
     pub fn height(&self) -> u32 {
-        self.live_at_depth
-            .iter()
-            .rposition(|&live| live > 0)
-            .map_or(0, |depth| depth as u32 + 1)
+        let mut height = 0;
+        let mut level: Vec<PeerId> = self.root.into_iter().collect();
+        while !level.is_empty() {
+            height += 1;
+            level = (level.iter())
+                .filter_map(|&peer| self.nodes.get(peer))
+                .flat_map(|node| node.children.iter().copied())
+                .collect();
+        }
+        height
     }
 
     fn node(&self, peer: PeerId) -> OverlayResult<&MNode> {
@@ -112,32 +121,28 @@ impl MTreeSystem {
         self.nodes.sample(&mut self.rng)
     }
 
-    /// Adds a new peer's node to the directory and the depth counts.
-    fn register_node(&mut self, peer: PeerId, node: MNode) {
-        let depth = node.depth as usize;
-        if self.live_at_depth.len() <= depth {
-            self.live_at_depth.resize(depth + 1, 0);
+    /// The child of `node` whose coverage contains `key`, if any.
+    fn child_covering(&self, node: &MNode, key: u64) -> Option<PeerId> {
+        (node.children.iter().copied()).find(|&child| {
+            self.nodes
+                .get(child)
+                .is_some_and(|c| c.coverage.contains(key))
+        })
+    }
+
+    /// Widens the coverage of `heir` and of each of its ancestors to
+    /// include `range`, which `heir`'s direct range has just absorbed, up to
+    /// the first ancestor that already covers it.
+    fn widen_coverage(&mut self, heir: PeerId, range: MRange) {
+        let mut current = Some(heir);
+        while let Some(node) = current.and_then(|peer| self.nodes.get_mut(peer)) {
+            let coverage = node.coverage;
+            if coverage.low <= range.low && range.high <= coverage.high {
+                break;
+            }
+            node.coverage = MRange::new(coverage.low.min(range.low), coverage.high.max(range.high));
+            current = node.parent;
         }
-        self.live_at_depth[depth] += 1;
-        let previous = self.nodes.insert(peer, node);
-        debug_assert!(previous.is_none(), "{peer} registered twice");
-    }
-
-    /// Removes `peer`'s node from the directory and the depth counts.
-    fn unregister_node(&mut self, peer: PeerId) -> Option<MNode> {
-        let node = self.nodes.remove(peer)?;
-        self.live_at_depth[node.depth as usize] -= 1;
-        Some(node)
-    }
-
-    /// Moves the live node `peer` to `depth` (no deeper than a registered
-    /// node has been).
-    fn set_depth(&mut self, peer: PeerId, depth: u32) -> OverlayResult<()> {
-        let node = self.nodes.get_mut(peer).ok_or_else(|| unknown_peer(peer))?;
-        self.live_at_depth[node.depth as usize] -= 1;
-        self.live_at_depth[depth as usize] += 1;
-        node.depth = depth;
-        Ok(())
     }
 
     /// Routes from `issuer` to the node whose direct range contains `key`:
@@ -152,20 +157,21 @@ impl MTreeSystem {
     ) -> OverlayResult<(PeerId, u64)> {
         let mut current = issuer;
         let mut messages = 0u64;
-        let limit = 4 * self.height() as u64 + self.node_count() as u64 + 8;
+        // Up, then down a simple path of the tree: fewer hops than nodes.
+        let limit = self.node_count() as u64;
         loop {
             let node = self.node(current)?;
             if node.range.contains(key) {
                 return Ok((current, messages));
             }
             let (next, kind) = if node.coverage.contains(key) {
-                match node.child_covering(key) {
-                    Some(child) => (child.peer, LinkKind::Child),
+                match self.child_covering(node, key) {
+                    Some(child) => (child, LinkKind::Child),
                     None => return Ok((current, messages)),
                 }
             } else {
-                match &node.parent {
-                    Some(p) => (p.peer, LinkKind::Parent),
+                match node.parent {
+                    Some(parent) => (parent, LinkKind::Parent),
                     None => return Ok((current, messages)),
                 }
             };
@@ -180,36 +186,21 @@ impl MTreeSystem {
         }
     }
 
-    fn splice_neighbors(&mut self, op: OpScope, departing: &MNode) -> OverlayResult<u64> {
-        let mut messages = 0u64;
-        if let (Some(l), Some(r)) = (departing.left_neighbor, departing.right_neighbor) {
-            if let Some(ln) = self.nodes.get_mut(l.peer) {
-                ln.right_neighbor = Some(r);
-            }
-            if let Some(rn) = self.nodes.get_mut(r.peer) {
-                rn.left_neighbor = Some(l);
-            }
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, l.peer);
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, r.peer);
-            messages += 2;
-        } else if let Some(l) = departing.left_neighbor {
-            if let Some(ln) = self.nodes.get_mut(l.peer) {
-                ln.right_neighbor = None;
-            }
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, l.peer);
-            messages += 1;
-        } else if let Some(r) = departing.right_neighbor {
-            if let Some(rn) = self.nodes.get_mut(r.peer) {
-                rn.left_neighbor = None;
-            }
-            self.net
-                .count_message(op, "mtree.maintenance", departing.peer, r.peer);
-            messages += 1;
+    /// Links the departed `peer`'s in-order neighbours to each other, one
+    /// message to each.
+    fn splice_neighbors(&mut self, op: OpScope, peer: PeerId, departing: &MNode) -> u64 {
+        let (left, right) = (departing.left_neighbor, departing.right_neighbor);
+        if let Some(l) = left.and_then(|l| self.nodes.get_mut(l)) {
+            l.right_neighbor = right;
         }
-        Ok(messages)
+        if let Some(r) = right.and_then(|r| self.nodes.get_mut(r)) {
+            r.left_neighbor = left;
+        }
+        for neighbor in [left, right].into_iter().flatten() {
+            self.net
+                .count_message(op, "mtree.maintenance", peer, neighbor);
+        }
+        u64::from(left.is_some()) + u64::from(right.is_some())
     }
 
     /// Highest replication degree the neighbour-link placement supports:
@@ -225,15 +216,9 @@ impl MTreeSystem {
         let Some(node) = self.nodes.get(peer) else {
             return Vec::new();
         };
-        let mut targets = Vec::new();
-        for link in [node.right_neighbor, node.left_neighbor]
-            .into_iter()
-            .flatten()
-        {
-            if link.peer != peer && !targets.contains(&link.peer) {
-                targets.push(link.peer);
-            }
-        }
+        let mut targets: Vec<PeerId> = (node.right_neighbor.into_iter())
+            .chain(node.left_neighbor)
+            .collect();
         targets.truncate(self.replication - 1);
         targets
     }
@@ -263,27 +248,27 @@ impl MTreeSystem {
             (self.domain.low, self.domain.high),
         );
         builder.reserve(self.node_count(), self.total_items());
-        let mut order: Vec<&MNode> = self.nodes.values().collect();
-        order.sort_by_key(|node| node.range.low);
-        for node in &order {
-            builder.push_slot(node.peer.0, node.range.high, true);
+        let mut order: Vec<(PeerId, &MNode)> = self.nodes.iter().collect();
+        order.sort_by_key(|(_, node)| node.range.low);
+        for (peer, node) in &order {
+            builder.push_slot(peer.0, node.range.high, true);
             builder.push_keys(&node.keys);
             builder.seal_slot();
         }
-        for (slot, node) in order.iter().enumerate() {
-            if let Some(parent) = &node.parent {
-                builder.link_peer(slot, parent.peer.0, LinkKind::Parent);
+        for (slot, (peer, node)) in order.iter().enumerate() {
+            if let Some(parent) = node.parent {
+                builder.link_peer(slot, parent.0, LinkKind::Parent);
             }
             for child in &node.children {
-                builder.link_peer(slot, child.peer.0, LinkKind::Child);
+                builder.link_peer(slot, child.0, LinkKind::Child);
             }
-            for neighbor in [&node.left_neighbor, &node.right_neighbor]
+            for neighbor in [node.left_neighbor, node.right_neighbor]
                 .into_iter()
                 .flatten()
             {
-                builder.link_peer(slot, neighbor.peer.0, LinkKind::Neighbor);
+                builder.link_peer(slot, neighbor.0, LinkKind::Neighbor);
             }
-            for target in self.replica_targets(node.peer) {
+            for target in self.replica_targets(*peer) {
                 builder.replica_peer(slot, target.0);
             }
         }
@@ -316,22 +301,23 @@ impl Overlay for MTreeSystem {
         &mut self.net
     }
 
-    /// Approximate resident bytes of per-peer protocol state: the node
-    /// slab, every node's child-link and key vectors, and the sampling
-    /// list.  The shared network substrate is excluded.  The slab is
-    /// counted by [`PeerDirectory::slot_count`] — every slot ever opened,
-    /// the holes departures leave included — not by its allocated
-    /// capacity: amortised doubling overshoots the slots in use by up to
-    /// 2×, which would make the figure jump with the growth schedule
-    /// rather than with the state the protocol keeps.
+    /// Approximate resident bytes of per-peer protocol state, as a real
+    /// peer holds it: [`PEER_STATE_BYTES`] per slab slot, [`CHILD_LINK_BYTES`]
+    /// per child-link slot, the key vectors, and the sampling list.  The
+    /// shared network substrate is excluded.  The slab is counted by
+    /// [`PeerDirectory::slot_count`] — every slot ever opened, the holes
+    /// departures leave included — not by its allocated capacity: amortised
+    /// doubling overshoots the slots in use by up to 2×, which would make
+    /// the figure jump with the growth schedule rather than with the state
+    /// the protocol keeps.
     fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<MNode>>()) as u64;
+        let slab = self.nodes.slot_count() as u64 * PEER_STATE_BYTES;
         let heap: u64 = self
             .nodes
             .values()
             .map(|node| {
-                (node.children.capacity() * std::mem::size_of::<MLink>()
-                    + node.keys.capacity() * std::mem::size_of::<u64>()) as u64
+                node.children.capacity() as u64 * CHILD_LINK_BYTES
+                    + (node.keys.capacity() * std::mem::size_of::<u64>()) as u64
             })
             .sum();
         let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
@@ -354,9 +340,8 @@ impl Overlay for MTreeSystem {
         let peer = self.net.add_peer();
         let op = self.net.begin_op("mtree.join");
         if self.nodes.is_empty() {
-            let node = MNode::new(peer, self.domain);
             self.root = Some(peer);
-            self.register_node(peer, node);
+            self.nodes.insert(peer, MNode::new(self.domain));
             self.net.finish_op(op);
             return Ok(ChurnCost::default());
         }
@@ -369,100 +354,46 @@ impl Overlay for MTreeSystem {
         // the handed-over half move with it (no extra messages: the paper's
         // model piggybacks the data on the accept message).
         let mut update_messages = 0u64;
-        let (child_range, child_keys, acceptor_link, child_depth, sibling_count) = {
-            let acceptor_node = self.node_mut(acceptor)?;
-            let (keep, give) = acceptor_node.range.split_half();
-            if give.width() == 0 {
-                // Cannot split further; attach with an empty range.
-                let link = acceptor_node.link();
-                (
-                    give,
-                    Vec::new(),
-                    link,
-                    acceptor_node.depth + 1,
-                    acceptor_node.children.len(),
-                )
-            } else {
-                acceptor_node.range = keep;
-                let moved = acceptor_node.split_keys_at(give.low);
-                let link = acceptor_node.link();
-                (
-                    give,
-                    moved,
-                    link,
-                    acceptor_node.depth + 1,
-                    acceptor_node.children.len(),
-                )
-            }
-        };
-        let mut child = MNode::new(peer, child_range);
-        child.keys = child_keys;
-        child.parent = Some(acceptor_link);
-        child.depth = child_depth;
+        let acceptor_node = self.node_mut(acceptor)?;
+        let (keep, give) = acceptor_node.range.split_half();
+        let mut child = MNode::new(give);
+        // A range too narrow to split hands over an empty one.
+        if give.width() > 0 {
+            acceptor_node.range = keep;
+            child.keys = acceptor_node.split_keys_at(give.low);
+        }
         // In-order neighbours: the child slots immediately after the
         // acceptor's (shrunken) direct range.
-        let old_right = self.node(acceptor)?.right_neighbor;
-        child.left_neighbor = Some(acceptor_link);
+        let old_right = acceptor_node.right_neighbor;
+        acceptor_node.children.push(peer);
+        acceptor_node.right_neighbor = Some(peer);
+        child.parent = Some(acceptor);
+        child.left_neighbor = Some(acceptor);
         child.right_neighbor = old_right;
-        let child_link = child.link();
-        self.register_node(peer, child);
-        {
-            let acceptor_node = self.node_mut(acceptor)?;
-            acceptor_node.children.push(child_link);
-            acceptor_node.right_neighbor = Some(child_link);
-        }
+        let previous = self.nodes.insert(peer, child);
+        debug_assert!(previous.is_none(), "{peer} joined twice");
         if let Some(old_right) = old_right {
-            if let Some(n) = self.nodes.get_mut(old_right.peer) {
-                n.left_neighbor = Some(child_link);
-            }
+            self.node_mut(old_right)?.left_neighbor = Some(peer);
             self.net
-                .count_message(op, "mtree.maintenance", peer, old_right.peer);
+                .count_message(op, "mtree.maintenance", peer, old_right);
             update_messages += 1;
         }
         // Accept message + notify the existing siblings about the newcomer.
         self.net
             .count_message(op, "mtree.maintenance", acceptor, peer);
         update_messages += 1;
-        let siblings: Vec<PeerId> = self
-            .node(acceptor)?
-            .children
-            .iter()
-            .map(|c| c.peer)
+        let acceptor_node = self.node(acceptor)?;
+        let siblings: Vec<PeerId> = (acceptor_node.children.iter().copied())
             .filter(|p| *p != peer)
             .collect();
-        for sibling in siblings {
-            self.net
-                .count_message(op, "mtree.maintenance", acceptor, sibling);
-            update_messages += 1;
-        }
-        debug_assert_eq!(sibling_count, self.node(acceptor)?.children.len() - 1);
         // The acceptor's direct range changed: tell its parent and neighbours.
-        let to_refresh: Vec<PeerId> = {
-            let a = self.node(acceptor)?;
-            a.parent
-                .iter()
-                .map(|l| l.peer)
-                .chain(a.left_neighbor.iter().map(|l| l.peer))
-                .collect()
-        };
-        let acceptor_link_now = self.node(acceptor)?.link();
-        for other in to_refresh {
+        let to_refresh: Vec<PeerId> = (acceptor_node.parent.into_iter())
+            .chain(acceptor_node.left_neighbor)
+            .collect();
+        for other in siblings.into_iter().chain(to_refresh) {
             self.net
                 .count_message(op, "mtree.maintenance", acceptor, other);
             update_messages += 1;
-            if let Some(n) = self.nodes.get_mut(other) {
-                for c in &mut n.children {
-                    if c.peer == acceptor {
-                        *c = acceptor_link_now;
-                    }
-                }
-                if n.right_neighbor.map(|l| l.peer) == Some(acceptor) {
-                    n.right_neighbor = Some(acceptor_link_now);
-                }
-                if n.left_neighbor.map(|l| l.peer) == Some(acceptor) {
-                    n.left_neighbor = Some(acceptor_link_now);
-                }
-            }
         }
 
         self.net.finish_op(op);
@@ -487,168 +418,96 @@ impl Overlay for MTreeSystem {
         if self.nodes.len() <= 1 {
             return Err(OverlayError::Op("the last node cannot leave".into()));
         }
-        let mut departing = self
-            .unregister_node(peer)
-            .ok_or_else(|| unknown_peer(peer))?;
+        let mut departing = self.nodes.remove(peer).ok_or_else(|| unknown_peer(peer))?;
         let departing_keys = std::mem::take(&mut departing.keys);
         let op = self.net.begin_op("mtree.leave");
 
         // Gather information from every child (one query + one response per
         // child) to select the replacement.
         let mut locate_messages = 0u64;
-        for child in &departing.children {
-            self.net.count_message(op, "mtree.leave", peer, child.peer);
-            self.net.count_message(op, "mtree.leave", child.peer, peer);
+        for &child in &departing.children {
+            self.net.count_message(op, "mtree.leave", peer, child);
+            self.net.count_message(op, "mtree.leave", child, peer);
             locate_messages += 2;
         }
 
         let mut update_messages = 0u64;
         self.net.depart_peer(peer);
 
-        if departing.children.is_empty() {
+        if departing.is_leaf() {
             // Leaf: its direct range and items return to its in-order
             // predecessor (or successor), which keeps the range partition
             // contiguous.
-            let heir = departing
-                .left_neighbor
-                .map(|l| l.peer)
-                .or_else(|| departing.right_neighbor.map(|l| l.peer))
+            let heir = (departing.left_neighbor)
+                .or(departing.right_neighbor)
                 .expect("multi-node tree has a neighbour");
-            {
-                let h = self.node_mut(heir)?;
-                h.merge_keys(departing_keys);
-                if h.range.high == departing.range.low {
-                    h.range = MRange::new(h.range.low, departing.range.high);
-                    if h.coverage.high == departing.range.low {
-                        h.coverage = MRange::new(h.coverage.low, departing.range.high);
-                    }
-                } else if h.range.low == departing.range.high {
-                    h.range = MRange::new(departing.range.low, h.range.high);
-                    if h.coverage.low == departing.range.high {
-                        h.coverage = MRange::new(departing.range.low, h.coverage.high);
-                    }
-                }
+            let h = self.node_mut(heir)?;
+            h.merge_keys(departing_keys);
+            if h.range.high == departing.range.low {
+                h.range = MRange::new(h.range.low, departing.range.high);
+            } else if h.range.low == departing.range.high {
+                h.range = MRange::new(departing.range.low, h.range.high);
             }
+            self.widen_coverage(heir, departing.range);
             self.net.count_message(op, "mtree.leave", peer, heir);
             update_messages += 1;
             // Unlink from the parent's child list and from the neighbours.
             if let Some(parent) = departing.parent {
-                if let Some(p) = self.nodes.get_mut(parent.peer) {
-                    p.children.retain(|c| c.peer != peer);
-                }
+                self.node_mut(parent)?.children.retain(|c| *c != peer);
                 self.net
-                    .count_message(op, "mtree.maintenance", peer, parent.peer);
+                    .count_message(op, "mtree.maintenance", peer, parent);
                 update_messages += 1;
             }
-            update_messages += self.splice_neighbors(op, &departing)?;
         } else {
             // Internal node: promote the child that is the departing node's
-            // in-order successor (the one whose coverage starts where the
-            // departing node's direct range ends), so absorbing the
-            // departing node's direct range keeps the partition contiguous.
-            let replacement = departing
-                .children
-                .iter()
-                .find(|c| c.coverage.low == departing.range.high)
-                .or_else(|| departing.children.last())
-                .expect("non-empty")
-                .peer;
-            let mut absorber: Option<PeerId> = None;
-            {
-                let r = self.node_mut(replacement)?;
-                r.coverage = departing.coverage;
-                if r.range.low == departing.range.high {
-                    // The replacement is the departing node's in-order
-                    // successor: absorb its direct range contiguously.
-                    r.range = MRange::new(departing.range.low, r.range.high);
-                    absorber = Some(replacement);
-                }
-                r.parent = departing.parent;
-            }
-            self.set_depth(replacement, departing.depth)?;
-            if absorber.is_none() {
-                // Hand the departing node's direct range to its in-order
-                // predecessor (or successor) instead, keeping the partition
-                // contiguous.
-                if let Some(l) = departing.left_neighbor {
-                    if let Some(ln) = self.nodes.get_mut(l.peer) {
-                        if ln.range.high == departing.range.low {
-                            ln.range = MRange::new(ln.range.low, departing.range.high);
-                            absorber = Some(l.peer);
-                        }
-                    }
-                }
-                if absorber.is_none() {
-                    if let Some(r) = departing.right_neighbor {
-                        if let Some(rn) = self.nodes.get_mut(r.peer) {
-                            if rn.range.low == departing.range.high {
-                                rn.range = MRange::new(departing.range.low, rn.range.high);
-                                absorber = Some(r.peer);
-                            }
-                        }
-                    }
-                }
-            }
-            // The stored keys follow the direct range to whichever node
-            // absorbed it (the replacement, degenerately, if none did).
-            let keys_heir = absorber.unwrap_or(replacement);
-            self.node_mut(keys_heir)?.merge_keys(departing_keys);
+            // in-order successor — the one whose coverage, and so its direct
+            // range, starts where the departing node's direct range ends — so
+            // absorbing that range and the departing coverage keeps both the
+            // partition and every coverage contiguous.
+            let replacement = (departing.children.iter().copied())
+                .find(|&c| {
+                    self.node(c)
+                        .is_ok_and(|c| c.coverage.low == departing.range.high)
+                })
+                .expect("a node's coverage is its range followed by its children's");
+            let r = self.node_mut(replacement)?;
+            r.coverage = departing.coverage;
+            r.range = MRange::new(departing.range.low, r.range.high);
+            r.parent = departing.parent;
+            r.merge_keys(departing_keys);
             self.net.count_message(op, "mtree.leave", peer, replacement);
             update_messages += 1;
             // The departing node's other children become the replacement's
             // children; each must be told about its new parent.
-            let replacement_link = self.node(replacement)?.link();
-            let others: Vec<MLink> = departing
-                .children
-                .iter()
-                .copied()
-                .filter(|c| c.peer != replacement)
+            let others: Vec<PeerId> = (departing.children.iter().copied())
+                .filter(|c| *c != replacement)
                 .collect();
-            for child in &others {
-                if let Some(c) = self.nodes.get_mut(child.peer) {
-                    c.parent = Some(replacement_link);
-                }
+            for &child in &others {
+                self.node_mut(child)?.parent = Some(replacement);
                 self.net
-                    .count_message(op, "mtree.maintenance", replacement, child.peer);
+                    .count_message(op, "mtree.maintenance", replacement, child);
                 update_messages += 1;
             }
-            {
-                let r = self.node_mut(replacement)?;
-                r.children.extend(others);
-            }
-            // The replacement's own children must also learn its new link.
-            let grandchildren: Vec<PeerId> = self
-                .node(replacement)?
-                .children
-                .iter()
-                .map(|c| c.peer)
-                .collect();
-            for gc in grandchildren {
-                if let Some(c) = self.nodes.get_mut(gc) {
-                    if let Some(p) = &mut c.parent {
-                        if p.peer == replacement {
-                            *p = replacement_link;
-                        }
-                    }
-                }
+            self.node_mut(replacement)?.children.extend(others);
+            // The replacement's children all learn its new range and coverage.
+            for gc in self.node(replacement)?.children.clone() {
                 self.net
                     .count_message(op, "mtree.maintenance", replacement, gc);
                 update_messages += 1;
             }
-            // Repoint the departed node's parent and neighbours.
+            // Repoint the departed node's parent.
             if let Some(parent) = departing.parent {
-                if let Some(p) = self.nodes.get_mut(parent.peer) {
-                    p.children.retain(|c| c.peer != peer);
-                    p.children.push(replacement_link);
-                }
+                let p = self.node_mut(parent)?;
+                p.children.retain(|c| *c != peer);
+                p.children.push(replacement);
                 self.net
-                    .count_message(op, "mtree.maintenance", replacement, parent.peer);
+                    .count_message(op, "mtree.maintenance", replacement, parent);
                 update_messages += 1;
             } else {
                 self.root = Some(replacement);
             }
-            update_messages += self.splice_neighbors(op, &departing)?;
         }
+        update_messages += self.splice_neighbors(op, peer, &departing);
 
         self.net.finish_op(op);
         Ok(ChurnCost {
@@ -755,7 +614,7 @@ impl Overlay for MTreeSystem {
             if node.range.high >= range.high {
                 break;
             }
-            let Some(next) = node.right_neighbor.map(|l| l.peer) else {
+            let Some(next) = node.right_neighbor else {
                 break;
             };
             self.net
@@ -783,34 +642,51 @@ impl Overlay for MTreeSystem {
         })
     }
 
-    /// Basic structural validation: children are reachable, parents point
-    /// back, coverage nests, and every key of the domain is owned by exactly
-    /// one node's direct range.
+    /// Structural validation: the root has no parent and covers the
+    /// domain, children and parents point at each other, a node's coverage
+    /// is its direct range followed by its children's coverages (contiguous,
+    /// in key order), every stored key lies in its node's direct range, and
+    /// the direct ranges partition the domain.
     fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Ok(());
         }
+        let root = self.root.and_then(|root| self.nodes.get(root));
+        if !root.is_some_and(|r| r.parent.is_none() && r.coverage == self.domain) {
+            return Err(format!("root {:?} does not cover the domain", self.root));
+        }
         for (peer, node) in self.nodes.iter() {
-            for child in &node.children {
-                let c = self
-                    .nodes
-                    .get(child.peer)
-                    .ok_or_else(|| format!("{peer} lists missing child {}", child.peer))?;
-                if c.parent.map(|l| l.peer) != Some(peer) {
-                    return Err(format!(
-                        "child {} does not point back at {peer}",
-                        child.peer
-                    ));
+            let mut covered = vec![node.range];
+            for &child in &node.children {
+                let c = (self.nodes.get(child))
+                    .ok_or_else(|| format!("{peer} lists missing child {child}"))?;
+                if c.parent != Some(peer) {
+                    return Err(format!("child {child} does not point back at {peer}"));
+                }
+                covered.push(c.coverage);
+            }
+            if let Some(parent) = node.parent {
+                let p = (self.nodes.get(parent))
+                    .ok_or_else(|| format!("{peer} has missing parent {parent}"))?;
+                if !p.children.contains(&peer) {
+                    return Err(format!("parent {parent} does not list {peer}"));
                 }
             }
-            if let Some(parent) = &node.parent {
-                let p = self
-                    .nodes
-                    .get(parent.peer)
-                    .ok_or_else(|| format!("{peer} has missing parent {}", parent.peer))?;
-                if !p.children.iter().any(|c| c.peer == peer) {
-                    return Err(format!("parent {} does not list {peer}", parent.peer));
-                }
+            covered[1..].sort_by_key(|c| (c.low, c.high));
+            let end = (covered.iter()).try_fold(node.coverage.low, |high, c| {
+                (c.low == high).then_some(c.high)
+            });
+            if end != Some(node.coverage.high) {
+                return Err(format!(
+                    "{peer} covers {} but its range and children cover {covered:?}",
+                    node.coverage
+                ));
+            }
+            if let Some(key) = node.keys.iter().find(|&&key| !node.range.contains(key)) {
+                return Err(format!(
+                    "{peer} stores {key} outside its range {}",
+                    node.range
+                ));
             }
         }
         // Direct ranges partition the domain.
@@ -852,6 +728,46 @@ mod tests {
         assert!(report.locate_messages >= 1);
         // No balance guarantee: the height may exceed the balanced bound.
         assert!(system.height() >= (system.node_count() as f64).log2() as u32);
+    }
+
+    #[test]
+    fn child_covering_finds_the_right_child() {
+        let system = MTreeSystem::build(5, 64).unwrap();
+        let root = system.node(system.root.unwrap()).unwrap();
+        assert!(root.children.len() > 1);
+        for &child in &root.children {
+            let coverage = system.node(child).unwrap().coverage;
+            for key in [coverage.low, coverage.high - 1] {
+                assert_eq!(system.child_covering(root, key), Some(child));
+            }
+        }
+        assert_eq!(system.child_covering(root, root.range.low), None);
+    }
+
+    /// Leaves used to widen an heir's range without its ancestors'
+    /// coverage, so the descent stopped above the owner and inserts landed
+    /// at a node whose range does not hold the key.
+    #[test]
+    fn inserts_after_leaves_land_at_the_key_s_owner() {
+        let mut system = MTreeSystem::build(0, 40).unwrap();
+        for _ in 0..10 {
+            system.leave_random().unwrap();
+        }
+        for i in 0..200u64 {
+            system.insert(1 + i * 4_999_999 % 999_999_998, i).unwrap();
+        }
+        let misplaced: usize = (system.nodes())
+            .map(|(_, node)| {
+                node.keys
+                    .iter()
+                    .filter(|&&k| !node.range.contains(k))
+                    .count()
+            })
+            .sum();
+        let key = 844_999_832;
+        let found = system.search_range(key, key + 1).unwrap().matches;
+        assert_eq!((misplaced, found), (0, 1));
+        system.validate().unwrap();
     }
 
     #[test]

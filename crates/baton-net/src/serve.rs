@@ -334,6 +334,35 @@ impl RoutingSnapshot {
         Ok(())
     }
 
+    /// Checks that every item sits at the slot that owns it: on a
+    /// partition the slot [`owner_of`](Self::owner_of) its key, on a ring —
+    /// whose items are stored under their ring identifier, already hashed —
+    /// the successor of that identifier.  The error names the first
+    /// misplaced item.
+    // `#[inline]`: emitted only where called, so it leaves this crate's
+    // codegen-unit split, and so its hot paths' code, as it was.
+    #[inline]
+    pub fn check_ownership(&self) -> Result<(), String> {
+        let a = &*self.arrays;
+        for slot in 0..self.slots() {
+            for &key in &a.item_key[a.item_off[slot] as usize..a.item_off[slot + 1] as usize] {
+                let owner = match self.placement {
+                    ExactPlacement::DomainPartition => self.owner_of(key),
+                    // The successor of the identifier, wrapping to slot 0.
+                    ExactPlacement::HashedRing => {
+                        Some(a.slot_high.partition_point(|&h| h < key) % self.slots())
+                    }
+                };
+                if owner != Some(slot) {
+                    return Err(format!(
+                        "slot {slot} stores {key}, which slot {owner:?} owns"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The slot owning `key`, per the snapshot's placement, or `None` for
     /// an out-of-domain key on a partition (the routed engines reject
     /// those), a key past the partition's last bound, or an empty snapshot.
@@ -1093,6 +1122,29 @@ mod tests {
         assert_eq!((clamped.matches, clamped.slots, clamped.hops), (1, 1, 1));
         let past = snap.range(92, 99, 0, &mut c);
         assert_eq!((past.matches, past.slots, past.hops), (0, 0, 0));
+    }
+
+    #[test]
+    fn check_ownership_names_the_first_misplaced_item() {
+        assert_eq!(toy().check_ownership(), Ok(()));
+        let mut b = SnapshotBuilder::new(ExactPlacement::DomainPartition, (0, 100));
+        b.push_slot(0, 50, true);
+        b.push_item(60, 1);
+        b.seal_slot();
+        b.push_slot(1, 100, true);
+        b.seal_slot();
+        let error = b.finish().check_ownership().unwrap_err();
+        assert_eq!(error, "slot 0 stores 60, which slot Some(1) owns");
+        // Ring items are identifiers: 2,000 belongs to the slot at 3e9 and
+        // 3,500,000,000 wraps around to the slot at 1,000.
+        let mut b = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, 1 << 32));
+        b.push_slot(7, 1_000, true);
+        b.push_item(3_500_000_000, 1);
+        b.seal_slot();
+        b.push_slot(9, 3_000_000_000, true);
+        b.push_item(2_000, 1);
+        b.seal_slot();
+        assert_eq!(b.finish().check_ownership(), Ok(()));
     }
 
     #[test]

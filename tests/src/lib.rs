@@ -167,7 +167,8 @@ pub fn serve_inputs() -> Inputs {
 }
 
 /// Asks every query of `inputs` twice — routed, and through a snapshot
-/// exported now and checked by `RoutingSnapshot::validate` — and checks
+/// exported now and checked by `RoutingSnapshot::validate` and
+/// `RoutingSnapshot::check_ownership` — and checks
 /// both answers against `model`.  An overlay
 /// without range queries must refuse every span on both paths; one with
 /// them answers an empty span (inverted, a point, above the domain) with
@@ -178,6 +179,7 @@ pub fn check_answers(overlay: &mut dyn Overlay, model: &Model, inputs: &Inputs, 
         .routing_snapshot()
         .expect("every overlay exports a snapshot");
     assert_eq!(snapshot.validate(), Ok(()), "{context}: snapshot shape");
+    assert_eq!(snapshot.check_ownership(), Ok(()), "{context}: ownership");
     let mut counters = ServeCounters::default();
     for &(key, hint) in &inputs.exact {
         let routed = overlay.search_exact(key).expect("exact").matches;

@@ -1,23 +1,25 @@
 //! The shared [`PeerDirectory`] and the baselines that now sit on it.
 //!
 //! * the directory against a `BTreeMap` model under a seeded schedule;
-//! * `MTreeSystem::height()` — O(levels), from per-depth live counts —
-//!   against a from-scratch scan after every op of a seeded churn;
+//! * `MTreeSystem::height()` against the longest chain of parent links
+//!   after every step of a seeded churn;
 //! * per-baseline counters recorded on the commit that still kept a
 //!   `HashMap<PeerId, _>` and four private peer lists: the move to the
 //!   directory changes no message, so they must reproduce exactly (the
 //!   per-kind rows cover the traced drive phase; the build runs before a
-//!   recorder can be installed);
+//!   recorder can be installed; the multiway tree's were re-pinned once,
+//!   see `MTREE_MESSAGES`);
 //! * same-seed Chord rings agree on every counter after 300 departures
 //!   (the stale-finger repair used to run in `RandomState` order);
 //! * a scale guard without a wall-clock assertion: 200,000 routed
 //!   operations on a 20,000-node multiway tree take seconds in a debug
-//!   build when `height()` is O(levels) and minutes when it scans.
+//!   build when a route reads no O(N) state and minutes when it scans.
 //!
 //! The directory's invariants are `debug_assert!`s, so CI runs this file
 //! in both profiles.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::iter::successors;
 
 use baton_chord::ChordSystem;
 use baton_d3tree::D3TreeSystem;
@@ -105,37 +107,42 @@ fn directory_follows_a_btreemap_model() {
 }
 
 // ----------------------------------------------------------------------
-// (b) Incremental multiway-tree height
+// (b) Multiway-tree height
 // ----------------------------------------------------------------------
 
-fn scanned_height(system: &MTreeSystem) -> u32 {
-    system
+/// The number of nodes on the longest chain of parent links.
+fn longest_parent_chain(system: &MTreeSystem) -> u32 {
+    let parents: HashMap<PeerId, Option<PeerId>> = system
         .nodes()
-        .map(|(_, node)| node.depth + 1)
+        .map(|(peer, node)| (peer, node.parent))
+        .collect();
+    let chain = |peer| successors(Some(peer), |p| parents[p]).take(parents.len() + 1);
+    parents
+        .keys()
+        .map(|&peer| chain(peer).count() as u32)
         .max()
         .unwrap_or(0)
 }
 
+/// A promoted replacement used to take its new depth while its subtree
+/// kept the old ones, so a height read from stored depths drifted from the
+/// tree's (seed 0, step 58: 5 against 4).
 #[test]
-fn mtree_height_matches_a_scan_after_every_churn_op() {
-    let mut system = MTreeSystem::new(2005);
-    assert_eq!(system.height(), 0);
-    let mut rng = SimRng::seeded(15);
-    let mut leaves = 0;
-    for op in 0..3_000 {
-        // Join-heavy until the tree has some depth, then balanced churn so
-        // internal nodes (whose replacement is re-depthed) keep leaving.
-        let join = system.node_count() < 8 || rng.index(100) < if op < 600 { 80 } else { 50 };
-        if join {
+fn mtree_height_is_the_longest_parent_chain_after_every_churn_step() {
+    let mut rng = SimRng::seeded(0);
+    let mut system = MTreeSystem::build(0, 20 + rng.index(100)).unwrap();
+    for step in 0..400 {
+        if rng.index(2) == 0 {
             system.join_random().unwrap();
-        } else {
+        } else if system.node_count() > 2 {
             system.leave_random().unwrap();
-            leaves += 1;
         }
-        assert_eq!(system.height(), scanned_height(&system), "after op {op}");
+        assert_eq!(
+            system.height(),
+            longest_parent_chain(&system),
+            "step {step}"
+        );
     }
-    assert!(leaves > 1_000, "only {leaves} departures exercised");
-    assert!(system.height() > 4);
     system.validate().unwrap();
 }
 
@@ -211,11 +218,14 @@ fn d3tree_reproduces_the_parents_counters() {
     assert_eq!(system.height(), D3TREE_HEIGHT);
 }
 
-const MTREE_MESSAGES: u64 = 85_501;
+// Re-pinned (85,501 before) when routes after a leave began to descend to
+// the key's owner: 56 more `mtree.search` hops; joins at the true owner
+// send 14 fewer `mtree.maintenance` notifications.
+const MTREE_MESSAGES: u64 = 85_543;
 const MTREE_BY_KIND: [(&str, u64); 3] = [
     ("mtree.leave", 600),
-    ("mtree.maintenance", 1_857),
-    ("mtree.search", 55_821),
+    ("mtree.maintenance", 1_843),
+    ("mtree.search", 55_877),
 ];
 const MTREE_ITEMS: usize = 2_044;
 const MTREE_HEIGHT: u32 = 13;
@@ -282,5 +292,4 @@ fn routed_ops_on_a_large_multiway_tree_do_not_scan_the_overlay() {
     }
     assert!(found >= 100_000);
     assert_eq!(system.total_items(), 100_000);
-    assert_eq!(system.height(), scanned_height(&system));
 }

@@ -181,29 +181,29 @@ fn reference_chord(system: &ChordSystem) -> RoutingSnapshot {
 }
 
 fn reference_mtree(system: &MTreeSystem) -> RoutingSnapshot {
-    let mut order: Vec<_> = system.nodes().map(|(_, node)| node).collect();
-    order.sort_by_key(|node| node.range.low);
+    let mut order: Vec<_> = system.nodes().collect();
+    order.sort_by_key(|(_, node)| node.range.low);
     // The direct ranges partition the domain.
-    let domain = (order[0].range.low, order[order.len() - 1].range.high);
+    let domain = (order[0].1.range.low, order[order.len() - 1].1.range.high);
     let mut b = ReferenceBuilder::new(ExactPlacement::DomainPartition, domain);
-    for node in &order {
+    for (peer, node) in &order {
         let items = run_lengths(node.keys.iter().copied());
-        b.push_slot(node.peer, node.range.high, true, &items);
+        b.push_slot(*peer, node.range.high, true, &items);
     }
-    for (slot, node) in order.iter().enumerate() {
-        if let Some(parent) = &node.parent {
-            b.link(slot, parent.peer, LinkKind::Parent);
+    for (slot, (peer, node)) in order.iter().enumerate() {
+        if let Some(parent) = node.parent {
+            b.link(slot, parent, LinkKind::Parent);
         }
-        for child in &node.children {
-            b.link(slot, child.peer, LinkKind::Child);
+        for &child in &node.children {
+            b.link(slot, child, LinkKind::Child);
         }
-        for neighbor in [&node.left_neighbor, &node.right_neighbor]
+        for neighbor in [node.left_neighbor, node.right_neighbor]
             .into_iter()
             .flatten()
         {
-            b.link(slot, neighbor.peer, LinkKind::Neighbor);
+            b.link(slot, neighbor, LinkKind::Neighbor);
         }
-        b.replicas(slot, system.replica_targets(node.peer));
+        b.replicas(slot, system.replica_targets(*peer));
     }
     b.finish()
 }
@@ -252,6 +252,26 @@ fn reference_d3tree(system: &D3TreeSystem) -> RoutingSnapshot {
     b.finish()
 }
 
+/// The export checks: the snapshot's shape, and every item at its owner.
+fn check_export(snapshot: &RoutingSnapshot) -> Result<(), String> {
+    snapshot.validate()?;
+    snapshot.check_ownership()
+}
+
+/// Exports `overlay`, requires the export to pass [`check_export`] and to
+/// equal the reference's, and returns it.
+fn checked_export<O>(
+    overlay: &O,
+    export: fn(&O) -> RoutingSnapshot,
+    reference: fn(&O) -> RoutingSnapshot,
+    at: &str,
+) -> RoutingSnapshot {
+    let snapshot = export(overlay);
+    assert_eq!(check_export(&snapshot), Ok(()), "{at}");
+    assert!(snapshot == reference(overlay), "{at}: export differs");
+    snapshot
+}
+
 /// A seeded join/leave/insert schedule with duplicate keys.
 fn churn(overlay: &mut dyn Overlay, seed: u64) {
     let mut rng = SimRng::seeded(seed);
@@ -276,32 +296,38 @@ fn churn(overlay: &mut dyn Overlay, seed: u64) {
 fn production_export_equals_the_reference_builder_on_every_overlay() {
     for (seed, n) in [(2005u64, 60usize), (7, 33), (41, 2)] {
         for k in 1..=3 {
+            let at = format!("seed {seed}, N = {n}, k = {k}");
             let mut baton = BatonSystem::build(BatonConfig::default(), seed, n).unwrap();
             baton.set_replication(k).unwrap();
             churn(&mut baton, seed);
-            assert_eq!(baton.build_routing_snapshot(), reference_baton(&baton));
+            let export = BatonSystem::build_routing_snapshot;
+            checked_export(&baton, export, reference_baton, &at);
 
             let mut chord = ChordSystem::build(seed, n).unwrap();
             chord.set_replication(k).unwrap();
             churn(&mut chord, seed);
-            assert_eq!(chord.build_routing_snapshot(), reference_chord(&chord));
+            let export = ChordSystem::build_routing_snapshot;
+            checked_export(&chord, export, reference_chord, &at);
 
             let mut mtree = MTreeSystem::build(seed, n).unwrap();
             mtree.set_replication(k).unwrap();
             churn(&mut mtree, seed);
-            assert_eq!(mtree.build_routing_snapshot(), reference_mtree(&mtree));
+            let export = MTreeSystem::build_routing_snapshot;
+            checked_export(&mtree, export, reference_mtree, &at);
 
             let mut d3tree = D3TreeSystem::build(seed, n).unwrap();
             d3tree.set_replication(k).unwrap();
             churn(&mut d3tree, seed);
-            assert_eq!(d3tree.build_routing_snapshot(), reference_d3tree(&d3tree));
+            let export = D3TreeSystem::build_routing_snapshot;
+            checked_export(&d3tree, export, reference_d3tree, &at);
         }
     }
 }
 
 /// Churns `overlay` at replication `k`, then inserts 40 fresh keys two to
-/// four times each through routed inserts, and requires the export to
-/// answer most of them with all their copies and to equal the reference.
+/// four times each through routed inserts, and requires the export to pass
+/// [`check_export`], to equal the reference and to answer every one of them
+/// with all their copies.
 fn check_duplicates<O: Overlay>(
     mut overlay: O,
     k: usize,
@@ -321,22 +347,16 @@ fn check_duplicates<O: Overlay>(
         }
     }
     overlay.validate().expect("valid after repeated inserts");
-    let snapshot = export(&overlay);
-    // The multiway tree can store an insert at a node whose range does not
-    // hold the key, where a read at the key's owner misses it, so most
-    // keys, not all, must come back with every copy.
+    let at = format!("seed {seed}, k = {k}");
+    let snapshot = checked_export(&overlay, export, reference, &at);
     let mut counters = ServeCounters::default();
-    let whole = (keys.iter().enumerate())
-        .filter(|&(i, &key)| snapshot.exact(key, 0, &mut counters).matches >= 2 + i as u64 % 3)
-        .count();
-    assert!(
-        whole > keys.len() / 2,
-        "seed {seed}, k = {k}: {whole} keys whole"
-    );
-    assert!(
-        snapshot == reference(&overlay),
-        "seed {seed}, k = {k}: export differs"
-    );
+    for (i, &key) in keys.iter().enumerate() {
+        let copies = snapshot.exact(key, 0, &mut counters).matches;
+        assert!(
+            copies >= 2 + i as u64 % 3,
+            "{at}: {key} has {copies} copies"
+        );
+    }
 }
 
 #[test]
@@ -390,10 +410,10 @@ fn baton_exports_of_zero_one_and_two_peers_equal_the_reference() {
                     system.insert(key, key).unwrap();
                 }
             }
-            let snapshot = system.build_routing_snapshot();
+            let export = BatonSystem::build_routing_snapshot;
+            let at = format!("n = {n}, k = {k}");
+            let snapshot = checked_export(&system, export, reference_baton, &at);
             assert_eq!(snapshot.slots(), n);
-            assert_eq!(snapshot.validate(), Ok(()), "n = {n}, k = {k}");
-            assert_eq!(snapshot, reference_baton(&system), "n = {n}, k = {k}");
         }
     }
 }
@@ -538,11 +558,13 @@ fn export_equals_the_reference_along_deferred_failures_and_repairs() {
                     .validate()
                     .unwrap_or_else(|e| panic!("{at}: invalid: {e}"));
                 if step % 20 == 0 {
-                    let snapshot = system.build_routing_snapshot();
-                    assert!(snapshot == reference_baton(&system), "{at}: export differs");
+                    let export = BatonSystem::build_routing_snapshot;
+                    checked_export(&system, export, reference_baton, &at);
                 }
             }
-            assert_eq!(system.build_routing_snapshot(), reference_baton(&system));
+            let export = BatonSystem::build_routing_snapshot;
+            let at = format!("seed {seed}, k = {k}: the end");
+            checked_export(&system, export, reference_baton, &at);
         }
     }
 }
@@ -571,7 +593,7 @@ fn patched_exports_equal_the_reference(n: usize, seed: u64, steps: usize) {
     let mut degrees = [2, 3, 2, 1].into_iter().cycle();
     let export = |system: &BatonSystem, at: &str| {
         let snapshot = Overlay::routing_snapshot(system).expect("BATON exports");
-        assert_eq!(snapshot.validate(), Ok(()), "{at}");
+        assert_eq!(check_export(&snapshot), Ok(()), "{at}");
         if snapshot != reference_baton(system) {
             panic!("{at}: export differs (validate: {:?})", system.validate());
         }
@@ -687,9 +709,8 @@ fn export_after_an_overflowing_change_log_equals_the_reference() {
         system.insert(rng.uniform_u64(1, 999_999_999), i).unwrap();
     }
     system.join_random().unwrap();
-    let snapshot = system.build_routing_snapshot();
-    assert_eq!(snapshot.validate(), Ok(()));
-    assert!(snapshot == reference_baton(&system), "export differs");
+    let export = BatonSystem::build_routing_snapshot;
+    checked_export(&system, export, reference_baton, "after the overflow");
 }
 
 /// A bulk-built BATON overlay of `n` peers at k = 2, `items` uniform
@@ -713,7 +734,7 @@ fn export_of_fifty_thousand_peers_is_well_formed() {
     let snapshot = system.build_routing_snapshot();
     assert_eq!(snapshot.slots(), N);
     assert_eq!(snapshot.total_items(), ITEMS);
-    assert_eq!(snapshot.validate(), Ok(()));
+    assert_eq!(check_export(&snapshot), Ok(()));
     for slot in 0..N {
         assert_eq!(snapshot.replicas(slot).len(), 1, "k = 2");
     }
@@ -766,7 +787,7 @@ fn export_of_a_hundred_thousand_peers_equals_the_reference() {
     });
     assert_eq!(snapshot.slots(), N);
     assert_eq!(snapshot.total_items(), ITEMS);
-    assert_eq!(snapshot.validate(), Ok(()));
+    assert_eq!(check_export(&snapshot), Ok(()));
     assert!(
         snapshot == reference_baton(&system),
         "patched export differs"
