@@ -400,7 +400,7 @@ impl ChordSystem {
         use baton_net::serve::{ExactPlacement, SnapshotBuilder};
 
         let mut builder = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, crate::id::RING));
-        builder.reserve(self.node_count(), self.total_items());
+        builder.reserve(self.node_count(), self.total_items(), 0);
         let mut order: Vec<&ChordNode> = self.nodes.values().collect();
         order.sort_by_key(|node| node.id);
         for node in &order {

@@ -30,37 +30,38 @@
 //!
 //! A join or a leave changes O(log N) nodes, so an export rewrites only
 //! what changed since the previous one, which the exporter keeps with its
-//! slot order (its arrays are shared with the snapshot it returned, not
-//! copied).  From the first export on, a `ChangeLog` records every
+//! slot order.  From the first export on, a `ChangeLog` records every
 //! position passed to `occupy` or `vacate` — the only writers of the plane's
 //! occupants — and every peer whose range is set (`set_range`, the plane's
 //! only other writer) or whose node is handed out for writing, inserted or
-//! removed.  An export splices the previous slot order: the vacated
-//! positions leave it and the newly occupied ones enter at their in-order
-//! rank, which also yields the previous → current slot map.  A slot is
-//! *rebuilt* — peer and bound from the plane, items from its store, links
-//! by arithmetic, replicas by the adjacency rule — when its position is new
-//! or logged, its peer is logged, an in-order neighbour differs from its
-//! previous one, or a position it links to by arithmetic (`h/2`, `2h`,
-//! `2h+1`, `h ± 2^i`) was occupied or vacated.  Every other slot equals its
-//! previous self with the slot indices shifted, and each maximal run of
-//! such slots is *copied* in one append per array
-//! ([`SnapshotBuilder::copy_slots`]): link and replica targets go through
-//! the previous → current slot table, item offsets and prefix sums move by
-//! one constant per run, and liveness is read afresh from the network,
-//! which fails peers without writing their nodes.
-//! *Everything* is rebuilt on the first export, after
+//! removed.  An export splices the previous slot order (vacated positions
+//! leave, new ones enter at their in-order rank), which yields the previous
+//! → current slot map.  A slot is *rebuilt* — peer and bound from the
+//! plane, items from its store, links by arithmetic, replicas by the
+//! adjacency rule — when its position is new or logged, its peer is logged,
+//! an in-order neighbour changed, or a position it links to by arithmetic
+//! (`h/2`, `2h`, `2h+1`, `h ± 2^i`) was occupied or vacated.  Each maximal
+//! run of other slots is *copied* in one append per array
+//! ([`SnapshotBuilder::copy_slots`]), its targets mapped to current slots
+//! and its liveness read afresh from the network, which fails peers without
+//! writing their nodes.  *Everything* is rebuilt on the first export, after
 //! [`set_replication`](baton_net::Overlay::set_replication) or
 //! [`load_direct`](baton_net::Overlay::load_direct), and once the log passes
-//! `CHANGE_LOG_CAP` entries: that is the from-scratch export, the same
-//! code with every occupied position new.  Item arrays are sized from the
-//! previous export's keys plus the rebuilt stores, link arrays from an
-//! exact count, so neither grows by reallocation.  The copy is still O(N)
-//! bytes; only the gather from nodes and stores is O(change).
+//! `CHANGE_LOG_CAP` entries.  The copy is O(N) bytes; the gather is
+//! O(change).
+//!
+//! The export is written into the arrays of the export before last (the
+//! *spare*, else the previous export a full export drops), emptied with
+//! their capacity kept ([`SnapshotBuilder::reusing`]) unless a reader still
+//! holds them.  A publisher's cell and readers have let go of the spare by
+//! then, so steady-state publishing allocates no array and faults no page.
+//! Item arrays are sized as the copied slots' entries plus the rebuilt
+//! stores, link arrays from an exact count, and a growing array gets 1/32
+//! spare room, so a refill rarely reallocates.
 
 use std::sync::PoisonError;
 
-use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
+use baton_net::serve::{make_room, ExactPlacement, RoutingSnapshot, SnapshotBuilder};
 use baton_net::{LinkKind, PeerId};
 
 use crate::system::BatonSystem;
@@ -134,6 +135,8 @@ impl ChangeLog {
 pub(crate) struct Exporter {
     pub(crate) log: ChangeLog,
     previous: Option<Export>,
+    /// The export before `previous`, whose arrays the next export refills.
+    spare: Option<Export>,
 }
 
 /// One export with the slot order that produced it.
@@ -144,6 +147,17 @@ struct Export {
     order: Vec<u32>,
     /// The slot of each heap index, [`NO_SLOT`] where unoccupied.
     slot_at: Vec<u32>,
+}
+
+/// The heap indices `h − 2^i` and `h + 2^i` on `h`'s level, `i` ascending
+/// on each side: the positions of `h`'s left and right routing tables.
+fn table_positions(h: usize) -> [impl Iterator<Item = usize>; 2] {
+    let start = 1usize << h.ilog2();
+    let side = |room: usize, sign: isize| {
+        let count = room.checked_ilog2().map_or(0, |i| i + 1);
+        (0..count).map(move |i| h.wrapping_add_signed(sign << i))
+    };
+    [side(h - start, -1), side(2 * start - 1 - h, 1)]
 }
 
 /// The in-order rank of heap index `h` among the positions of a 32-level
@@ -162,22 +176,27 @@ impl BatonSystem {
         // the next one rebuilds everything: the state is valid either way.
         let mut exporter = self.exporter.lock().unwrap_or_else(PoisonError::into_inner);
         let exporter = &mut *exporter;
-        let previous = exporter.previous.take();
-        let (previous, mut changes) = match &mut exporter.log {
-            ChangeLog::Changes(changes) => (previous, std::mem::take(changes)),
-            _ => (None, Vec::new()),
+        let mut previous = exporter.previous.take();
+        let (patched, mut changes) = match &mut exporter.log {
+            ChangeLog::Changes(changes) => (true, std::mem::take(changes)),
+            _ => (false, Vec::new()),
         };
-        let export = self.export(previous.as_ref(), &changes);
+        // The spare, or with none the previous export a full export drops.
+        let spare = exporter.spare.take();
+        let buffer = spare.or_else(|| previous.take_if(|_| !patched));
+        let export = self.export(previous.as_ref().filter(|_| patched), &changes, buffer);
         let snapshot = export.snapshot.clone();
         changes.clear();
         exporter.log = ChangeLog::Changes(changes);
+        exporter.spare = previous;
         exporter.previous = Some(export);
         snapshot
     }
 
-    /// One export: every slot rebuilt without a `previous` one, else only
-    /// the slots that `changes` touched.
-    fn export(&self, previous: Option<&Export>, changes: &[Change]) -> Export {
+    /// One export into the arrays of `to`, a retired export: every slot
+    /// rebuilt without a `previous` one, else only the slots that `changes`
+    /// touched.
+    fn export(&self, previous: Option<&Export>, changes: &[Change], to: Option<Export>) -> Export {
         let (old_order, old_slot_at) =
             previous.map_or((&[][..], &[][..]), |p| (&p.order[..], &p.slot_at[..]));
         // The positions occupied since the previous export, in in-order, and
@@ -205,13 +224,16 @@ impl BatonSystem {
                 vacated.dedup();
             }
         }
+        let (spare, mut order, mut slot_at) =
+            to.map_or_else(Default::default, |e| (Some(e.snapshot), e.order, e.slot_at));
         // Slots in key order: the previous order without the vacated slots,
         // each appeared position spliced in at its in-order place.
         // `old_slot[slot]` is the previous slot of the same position and
         // `new_slot` the inverse, [`NO_SLOT`] where a position is occupied
         // in only one of the two exports.
         let slots = old_order.len() - vacated.len() + appeared.len();
-        let mut order: Vec<u32> = Vec::with_capacity(slots);
+        order.clear();
+        make_room(&mut order, slots);
         let mut old_slot: Vec<u32> = Vec::with_capacity(slots);
         let mut new_slot = vec![NO_SLOT; old_order.len()];
         let (mut next_appeared, mut next_vacated, mut o) =
@@ -241,7 +263,9 @@ impl BatonSystem {
                 break;
             }
         }
-        let mut slot_at = vec![NO_SLOT; self.by_position.heap_len()];
+        // Whole levels: the table grows only with the tree's height.
+        slot_at.clear();
+        slot_at.resize(self.by_position.heap_len().next_power_of_two(), NO_SLOT);
         for (s, &h) in order.iter().enumerate() {
             slot_at[h as usize] = s as u32;
         }
@@ -254,11 +278,9 @@ impl BatonSystem {
         let mut fresh = vec![previous.is_none(); slots];
         if let Some(previous) = previous {
             let vacated = vacated.iter().map(|&old| previous.order[old as usize]);
-            let flipped: Vec<u32> = appeared.iter().copied().chain(vacated).collect();
+            let flipped = appeared.iter().copied().chain(vacated);
             let old_slots = old_order.len();
-            self.mark_changed_rows(
-                &slot_at, &old_slot, old_slots, changes, &flipped, &mut fresh,
-            );
+            self.mark_changed_rows(&slot_at, &old_slot, old_slots, changes, flipped, &mut fresh);
         }
         // The links number 4·(N − 1) parent, child and adjacent links plus
         // both ends of every pair of occupied positions 2^i apart on one
@@ -270,20 +292,14 @@ impl BatonSystem {
             .filter(|&level| full(level))
             .map(|level| level * (1 << level) + 1 - (1 << level))
             .sum();
-        for &h in &order {
-            let h = h as usize;
-            let level = h.ilog2() as usize;
-            if !full(level) {
-                let mut distance = 1;
-                while distance <= h - (1 << level) {
-                    pairs += usize::from(slot_at[h - distance] != NO_SLOT);
-                    distance *= 2;
-                }
+        for h in order.iter().map(|&h| h as usize) {
+            if !full(h.ilog2() as usize) {
+                let [left, _] = table_positions(h);
+                pairs += left.filter(|&t| slot_at[t] != NO_SLOT).count();
             }
         }
         let links = 4 * slots.saturating_sub(1) + 2 * pairs;
-        // The item arrays are sized from the previous export's keys plus the
-        // rebuilt stores, the link arrays exactly.
+        // Item arrays: the copied slots' entries plus the rebuilt stores.
         let occupant = |s: usize| {
             self.by_position
                 .at(order[s] as usize)
@@ -295,24 +311,17 @@ impl BatonSystem {
                 .store
                 .keys()
         };
-        let rebuilt: usize = (0..slots)
-            .filter(|&s| fresh[s])
-            .map(|s| store(occupant(s).0).len())
+        let items: usize = (0..slots)
+            .map(|s| match previous {
+                Some(previous) if !fresh[s] => previous.snapshot.item_entries(old_slot[s] as usize),
+                _ => store(occupant(s).0).len(),
+            })
             .sum();
-        let domain = self.domain();
-        let mut builder = SnapshotBuilder::new(
-            ExactPlacement::DomainPartition,
-            (domain.low(), domain.high()),
-        );
-        builder.reserve(
-            slots,
-            previous.map_or(0, |p| p.snapshot.item_entries()) + rebuilt,
-        );
-        builder.reserve_links(links);
+        let domain = (self.domain.low(), self.domain.high());
+        let mut builder = SnapshotBuilder::reusing(ExactPlacement::DomainPartition, domain, spare);
+        builder.reserve(slots, items, links);
         // Registered nodes are dead only while awaiting a deferred repair.
         let alive = |peer: u32| self.net.is_alive(PeerId(peer));
-        // The heap indices of `h`'s level are `level_start ..< 2·level_start`.
-        let level_start = |h: usize| 1usize << h.ilog2();
         let mut targets = [0u32; MAX_ROW];
         let mut kinds = [LinkKind::Parent; MAX_ROW];
         let last = slots.saturating_sub(1);
@@ -352,22 +361,9 @@ impl BatonSystem {
             for target in adjacents.into_iter().flatten() {
                 push(target, LinkKind::Adjacent);
             }
-            // Sideways: every occupied h − 2^i, then every occupied h + 2^i,
-            // staying on h's level.
-            let start = level_start(h);
-            let mut distance = 1;
-            while distance <= h - start {
-                if let Some(target) = slot(h - distance) {
-                    push(target, LinkKind::RoutingTable);
-                }
-                distance *= 2;
-            }
-            let mut distance = 1;
-            while h + distance < 2 * start {
-                if let Some(target) = slot(h + distance) {
-                    push(target, LinkKind::RoutingTable);
-                }
-                distance *= 2;
+            for side in table_positions(h) {
+                side.filter_map(slot)
+                    .for_each(|target| push(target, LinkKind::RoutingTable));
             }
             builder.push_link_row(s, &targets[..len], &kinds[..len]);
             // `replica_pair`'s rule: the right adjacent first; the left one
@@ -386,11 +382,8 @@ impl BatonSystem {
             s += 1;
         }
         let snapshot = builder.finish();
-        debug_assert_eq!(
-            (0..slots).map(|s| snapshot.links(s).count()).sum::<usize>(),
-            links,
-            "the count covers every link"
-        );
+        let emitted = || (0..slots).map(|s| snapshot.links(s).count()).sum::<usize>();
+        debug_assert_eq!(emitted(), links, "the count covers every link");
         Export {
             snapshot,
             order,
@@ -408,18 +401,15 @@ impl BatonSystem {
         old_slot: &[u32],
         old_slots: usize,
         changes: &[Change],
-        flipped: &[u32],
+        flipped: impl Iterator<Item = u32>,
         fresh: &mut [bool],
     ) {
         let Some(last) = old_slot.len().checked_sub(1) else {
             return;
         };
-        let mut mark = |h: usize| {
-            if let Some(&s) = slot_at.get(h) {
-                if s != NO_SLOT {
-                    fresh[s as usize] = true;
-                }
-            }
+        let mut mark = |h: usize| match slot_at.get(h) {
+            Some(&s) if s != NO_SLOT => fresh[s as usize] = true,
+            _ => {}
         };
         for &change in changes {
             match change {
@@ -431,22 +421,10 @@ impl BatonSystem {
                 }
             }
         }
-        for &h in flipped {
+        for h in flipped {
             let h = h as usize;
-            for target in [h / 2, 2 * h, 2 * h + 1] {
-                mark(target);
-            }
-            let start = 1usize << h.ilog2();
-            let mut distance = 1;
-            while distance <= h - start {
-                mark(h - distance);
-                distance *= 2;
-            }
-            let mut distance = 1;
-            while h + distance < 2 * start {
-                mark(h + distance);
-                distance *= 2;
-            }
+            [h / 2, 2 * h, 2 * h + 1].into_iter().for_each(&mut mark);
+            table_positions(h).into_iter().flatten().for_each(&mut mark);
         }
         // A slot keeps its adjacent links and replicas only while the slots
         // next to it are the ones next to it before: both ends of every
@@ -482,7 +460,7 @@ mod tests {
 
     /// A from-scratch export of `system`'s current state.
     fn from_scratch(system: &BatonSystem) -> RoutingSnapshot {
-        system.export(None, &[]).snapshot
+        system.export(None, &[], None).snapshot
     }
 
     fn logged(system: &BatonSystem) -> usize {

@@ -686,7 +686,7 @@ impl D3TreeSystem {
         // first slot remembered as its head.
         let mut heads: Vec<usize> = Vec::with_capacity(self.buckets.len());
         let mut peers_of: Vec<&BucketPeer> = Vec::with_capacity(self.node_count());
-        builder.reserve(self.node_count(), self.total_items());
+        builder.reserve(self.node_count(), self.total_items(), 0);
         for bucket in &self.buckets {
             if !bucket.is_empty() {
                 heads.push(peers_of.len());

@@ -247,7 +247,7 @@ impl MTreeSystem {
             ExactPlacement::DomainPartition,
             (self.domain.low, self.domain.high),
         );
-        builder.reserve(self.node_count(), self.total_items());
+        builder.reserve(self.node_count(), self.total_items(), 0);
         let mut order: Vec<(PeerId, &MNode)> = self.nodes.iter().collect();
         order.sort_by_key(|(_, node)| node.range.low);
         for (peer, node) in &order {

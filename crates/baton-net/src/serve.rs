@@ -158,7 +158,7 @@ pub struct RoutingSnapshot {
 }
 
 /// The per-slot arrays of a [`RoutingSnapshot`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct SnapshotArrays {
     /// Peer address of each slot ([`crate::PeerId::raw`]-compatible).
     slot_peer: Vec<u32>,
@@ -186,6 +186,25 @@ struct SnapshotArrays {
     repl_off: Vec<u32>,
     /// Replica slots per slot, in placement preference order.
     repl_target: Vec<u32>,
+}
+
+impl SnapshotArrays {
+    /// Empties every array, keeping its capacity, to the state a builder starts from.
+    fn clear(&mut self) {
+        self.slot_peer.clear();
+        self.slot_high.clear();
+        self.slot_alive.clear();
+        self.item_key.clear();
+        self.link_target.clear();
+        self.link_kind.clear();
+        self.repl_target.clear();
+        for zeroed in [&mut self.item_off, &mut self.link_off, &mut self.repl_off] {
+            zeroed.clear();
+            zeroed.push(0);
+        }
+        self.item_cum.clear();
+        self.item_cum.push(0);
+    }
 }
 
 /// Hashes a key onto a ring of `ring` identifiers — the SplitMix64
@@ -246,10 +265,10 @@ impl RoutingSnapshot {
         &a.repl_target[a.repl_off[slot] as usize..a.repl_off[slot + 1] as usize]
     }
 
-    /// Number of (slot, key) item entries: each slot's distinct keys,
-    /// summed, so a key stored at two slots counts twice.
-    pub fn item_entries(&self) -> usize {
-        self.arrays.item_key.len()
+    /// Number of distinct keys stored at `slot`.
+    pub fn item_entries(&self, slot: usize) -> usize {
+        let off = &self.arrays.item_off[slot..];
+        (off[1] - off[0]) as usize
     }
 
     /// Total stored values across all slots.
@@ -655,6 +674,14 @@ fn open_segment(off: &mut Vec<u32>, slot: usize, pushed: usize, len: usize, what
     off.resize(slot + 1, as_offset(len, what));
 }
 
+/// Makes room in `array` for `more` entries, and 1/32 more if it must grow,
+/// so that refilling it for a slightly larger snapshot need not grow it.
+pub fn make_room<T>(array: &mut Vec<T>, more: usize) {
+    if array.capacity() - array.len() < more {
+        array.reserve_exact(more + more / 32);
+    }
+}
+
 /// [`SnapshotBuilder::copy_slots`] for one CSR array: opens segment `to`
 /// of `off`, appends the offsets of the copied rows but the last, which
 /// stays open, and appends their targets mapped through `new_slot`.
@@ -684,46 +711,42 @@ fn copy_csr_rows(
 impl SnapshotBuilder {
     /// Starts a snapshot with the given placement and domain.
     pub fn new(placement: ExactPlacement, domain: (u64, u64)) -> Self {
+        Self::reusing(placement, domain, None)
+    }
+
+    /// [`new`](Self::new) in the arrays of `retired`, emptied with their
+    /// capacity kept, or in fresh ones while another handle shares them.
+    pub fn reusing(
+        placement: ExactPlacement,
+        domain: (u64, u64),
+        retired: Option<RoutingSnapshot>,
+    ) -> Self {
+        let retired = retired.and_then(|snapshot| Arc::try_unwrap(snapshot.arrays).ok());
+        let mut arrays = retired.unwrap_or_default();
+        arrays.clear();
         Self {
             placement,
             domain,
-            arrays: SnapshotArrays {
-                slot_peer: Vec::new(),
-                slot_high: Vec::new(),
-                slot_alive: Vec::new(),
-                item_off: vec![0],
-                item_key: Vec::new(),
-                item_cum: vec![0],
-                link_off: vec![0],
-                link_target: Vec::new(),
-                link_kind: Vec::new(),
-                repl_off: vec![0],
-                repl_target: Vec::new(),
-            },
+            arrays,
             slot_by_peer: OnceCell::new(),
         }
     }
 
-    /// Reserves the slot and item arrays for `slots` more slots and
-    /// `items` more distinct keys (an overlay's stored-value count bounds
-    /// its distinct keys).
-    pub fn reserve(&mut self, slots: usize, items: usize) {
+    /// Reserves the arrays for `slots` more slots, `items` more distinct
+    /// keys (an overlay's stored-value count bounds them) and `links` more
+    /// links, each through [`make_room`].
+    pub fn reserve(&mut self, slots: usize, items: usize, links: usize) {
         let s = &mut self.arrays;
-        s.slot_peer.reserve(slots);
-        s.slot_high.reserve(slots);
-        s.slot_alive.reserve(slots);
-        s.item_off.reserve(slots);
-        s.item_key.reserve(items);
-        s.item_cum.reserve(items);
-        s.link_off.reserve(slots);
-        s.repl_off.reserve(slots);
-    }
-
-    /// Reserves the link arrays for `links` more links, for an overlay that
-    /// can bound their number before emitting them.
-    pub fn reserve_links(&mut self, links: usize) {
-        self.arrays.link_target.reserve_exact(links);
-        self.arrays.link_kind.reserve_exact(links);
+        make_room(&mut s.slot_peer, slots);
+        make_room(&mut s.slot_high, slots);
+        make_room(&mut s.slot_alive, slots);
+        make_room(&mut s.item_off, slots);
+        make_room(&mut s.item_key, items);
+        make_room(&mut s.item_cum, items);
+        make_room(&mut s.link_off, slots);
+        make_room(&mut s.repl_off, slots);
+        make_room(&mut s.link_target, links);
+        make_room(&mut s.link_kind, links);
     }
 
     /// Appends a slot for `peer` whose range ends at (exclusive) `high` —
@@ -969,9 +992,9 @@ impl SnapshotCell {
     }
 
     /// Publishes a new snapshot, stamping it with the next version, and
-    /// returns that version.  In-flight readers keep their old `Arc` and
-    /// finish their batch on it; they observe the new version at their next
-    /// refresh.
+    /// returns that version.  In-flight readers finish their batch on their
+    /// old `Arc` and see the new version at their next refresh.  With BATON,
+    /// its exporter, not the cell, frees (refills) the replaced arrays.
     pub fn publish(&self, mut snapshot: RoutingSnapshot) -> u64 {
         let mut current = self.current.lock().expect("snapshot cell poisoned");
         let next = self.version.load(Ordering::Relaxed) + 1;
@@ -981,8 +1004,7 @@ impl SnapshotCell {
         // new version and then locks is guaranteed to see the new Arc.
         self.version.store(next, Ordering::Release);
         drop(current);
-        // Freeing the replaced snapshot, when this was its last handle,
-        // happens after unlocking, so refreshing readers never wait on it.
+        // Dropped after unlocking, so refreshing readers never wait on it.
         drop(replaced);
         next
     }
