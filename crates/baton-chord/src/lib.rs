@@ -9,7 +9,9 @@
 //! Chord supports exact-match lookups in `O(log N)` messages but needs
 //! `O(log² N)` messages to (re)build a joining node's finger table, and it
 //! cannot answer range queries because consistent hashing destroys key
-//! order — precisely the two axes on which BATON improves.
+//! order — precisely the two axes on which BATON improves.  The simulator
+//! keeps one sorted ring and reads every peer's successor and fingers from
+//! it, while charging the messages that keep a real peer's tables.
 //!
 //! [`ChordSystem`] implements [`Overlay`] directly: its operations are the
 //! trait's methods, its errors are [`baton_net::OverlayError`]s, and a range
@@ -29,9 +31,10 @@
 
 pub mod id;
 pub mod node;
+mod ring;
 pub mod system;
 
 pub use baton_net::Overlay;
 pub use id::{ChordId, M, RING};
-pub use node::{ChordNode, Finger};
+pub use node::{ChordNode, PEER_STATE_BYTES};
 pub use system::ChordSystem;

@@ -12,37 +12,66 @@
 //! * exact-match queries hash the key and look up its successor; range
 //!   queries are *not* supported (hashing destroys key order), which is the
 //!   motivation for BATON.
+//!
+//! One sorted ring — every live member's peer and identifier, ascending by
+//! identifier — records who sits where.  Only a join, a leave and
+//! [`ChordSystem::bulk_build`] write it.  A node's successor, predecessor
+//! and finger `k`, successor(`id + 2^k`), are reads of it
+//! ([`ChordSystem::finger`]), so every peer's links are exact, as a real
+//! peer's tables are once its join and repairs have run.  The protocol
+//! still sends and counts every message that keeps those tables: the
+//! finger build's and `update_others`' lookups and notifications on a
+//! join, and one repair lookup per stale finger on a departure.  The stale fingers are found by arithmetic: finger `k` of `h`
+//! was the departed peer `d` exactly when `h + 2^k` lay in
+//! (predecessor(`d`), `d`], that is, when `h` lies in the arc
+//! (predecessor(`d`) − 2^k, `d` − 2^k].  That is [`M`] binary-searched
+//! arcs, where a simulation that stores the tables scans every node's
+//! fingers.  Every other read finds successor(`x`) through the ring's
+//! bucket index, in expected O(1).
 
 use std::collections::btree_map::Entry;
 use std::collections::HashSet;
 
+use baton_net::serve::{ExactPlacement, RoutingSnapshot, SnapshotBuilder};
 use baton_net::{
     ChurnCost, LinkKind, OpCost, OpScope, Overlay, OverlayCapabilities, OverlayError,
     OverlayResult, PeerDirectory, PeerId, SimNetwork, SimRng,
 };
 
-use crate::id::{ChordId, M};
-use crate::node::{ChordNode, Finger};
+use crate::id::{ChordId, M, RING};
+use crate::node::{ChordNode, PEER_STATE_BYTES};
+use crate::ring::{Member, Ring};
 
-/// The position in `ring` (members in ascending identifier order) of
-/// successor(`id`): the first member at or after `id`, wrapping past the
-/// top of the circle.
-fn successor_position(ring: &[(PeerId, ChordId)], id: ChordId) -> usize {
-    ring.partition_point(|&(_, x)| x < id) % ring.len()
+/// The members of `ring` whose identifier lies in the clockwise arc
+/// `(from, to]`, `from != to`, in clockwise order.
+fn arc(ring: &[Member], from: ChordId, to: ChordId) -> impl Iterator<Item = &Member> {
+    let after = |id: ChordId| ring.partition_point(|&(_, x)| x <= id);
+    let (start, end) = (after(from), after(to));
+    let (head, tail) = if from < to {
+        (&ring[start..end], &ring[..0])
+    } else {
+        (&ring[start..], &ring[..end])
+    };
+    head.iter().chain(tail)
 }
 
-/// The member of `ring` with identifier `id`, with exact links: its ring
-/// neighbours, and finger `k` on successor(`id + 2^k`).
-fn exact_node(ring: &[(PeerId, ChordId)], id: ChordId) -> ChordNode {
-    let (n, at) = (ring.len(), successor_position(ring, id));
-    let mut exact = ChordNode::solo(ring[at].0, id);
-    exact.successor = ring[(at + 1) % n];
-    exact.predecessor = ring[(at + n - 1) % n];
-    for (k, finger) in (0..M).zip(&mut exact.fingers) {
-        let (node, node_id) = ring[successor_position(ring, id.finger_start(k))];
-        *finger = Finger { node, node_id };
-    }
-    exact
+/// `id − 2^k` on the circle.
+fn back(id: ChordId, k: u32) -> ChordId {
+    ChordId::new(id.value() + RING - (1u64 << k))
+}
+
+/// The (holder, `k`) pairs of `ring`, which no longer holds the departed
+/// member at `departed`, whose finger `k` was that member while
+/// `predecessor` preceded it: the holders in the arc
+/// (`predecessor` − 2^k, `departed` − 2^k], ascending by (peer, `k`).
+fn stale_fingers(ring: &[Member], predecessor: ChordId, departed: ChordId) -> Vec<(PeerId, u32)> {
+    let mut stale: Vec<(PeerId, u32)> = (0..M)
+        .flat_map(|k| {
+            arc(ring, back(predecessor, k), back(departed, k)).map(move |&(peer, _)| (peer, k))
+        })
+        .collect();
+    stale.sort_unstable();
+    stale
 }
 
 /// The error of an operation naming a peer that is not in the ring.
@@ -62,6 +91,9 @@ pub struct ChordSystem {
     /// Node state of every live peer and the sorted list sampling draws
     /// from.
     nodes: PeerDirectory<ChordNode>,
+    /// The live members in ascending identifier order: every link is read
+    /// from here.
+    ring: Ring,
     /// Ring identifiers of the *live* nodes: the collision set of
     /// [`fresh_id`](Self::fresh_id).  Kept in lockstep with `nodes` (ids of
     /// departed peers are released) so the seeded draw sequence is
@@ -82,6 +114,7 @@ impl ChordSystem {
         Self {
             net: SimNetwork::new(),
             nodes: PeerDirectory::new(),
+            ring: Ring::default(),
             used_ids: HashSet::new(),
             rng: SimRng::seeded(seed),
             replication: 1,
@@ -98,18 +131,17 @@ impl ChordSystem {
     }
 
     /// Builds a ring of `n` nodes directly, without running the join
-    /// protocol: identifiers are drawn up front, the ring order is one
-    /// sort, and every finger is resolved by binary search over the sorted
-    /// identifiers.  `O(N (log N + M))` arithmetic instead of the join
-    /// path's `O(N log² N)` simulated lookups; no messages are charged.
+    /// protocol: identifiers are drawn up front and the ring is one sort.
+    /// `O(N log N)` arithmetic instead of the join path's `O(N log² N)`
+    /// simulated lookups; no messages are charged.
     ///
-    /// The result passes [`validate`](Self::validate), whose finger check
-    /// holds a join-built ring to the same tables, but is not
+    /// The result passes [`validate`](Self::validate) and has the links a
+    /// join-built ring of the same identifiers has, but is not
     /// byte-identical to one (identifier draw order differs), so the bulk
     /// path is opt-in — committed fixtures always use [`build`](Self::build).
     pub fn bulk_build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
-        let members: Vec<(PeerId, ChordId)> = (0..n)
+        let members: Vec<Member> = (0..n)
             .map(|_| {
                 let (peer, id) = (system.net.add_peer(), system.fresh_id());
                 // Reserve immediately so later draws cannot collide.
@@ -119,43 +151,62 @@ impl ChordSystem {
             .collect();
         let mut ring = members.clone();
         ring.sort_unstable_by_key(|&(_, id)| id);
+        system.ring = Ring::from_sorted(ring);
         system.nodes = members
             .into_iter()
-            .map(|(peer, id)| (peer, exact_node(&ring, id)))
+            .map(|(peer, id)| (peer, ChordNode::new(id)))
             .collect();
         Ok(system)
     }
 
     /// Iterates over the ring's nodes in peer-id order.
-    pub fn nodes(&self) -> impl Iterator<Item = &ChordNode> + '_ {
-        self.nodes.values()
+    pub fn nodes(&self) -> impl Iterator<Item = (PeerId, &ChordNode)> + '_ {
+        self.nodes.iter()
     }
 
-    /// The live members in ascending identifier order.
-    fn ring(&self) -> Vec<(PeerId, ChordId)> {
-        let mut ring: Vec<_> = self.nodes.values().map(|n| (n.peer, n.id)).collect();
-        ring.sort_unstable_by_key(|&(_, id)| id);
-        ring
+    /// Finger `k` of `peer`: the member that succeeds
+    /// [`ChordId::finger_start`], finger 0 being the successor, or `None`
+    /// for a peer not in the ring.
+    pub fn finger(&self, peer: PeerId, k: u32) -> Option<(PeerId, ChordId)> {
+        let id = self.nodes.get(peer)?.id;
+        Some(self.ring[self.finger_position(id, k)])
+    }
+
+    /// The ring position of `peer`.
+    fn position(&self, peer: PeerId) -> OverlayResult<usize> {
+        Ok(self.ring.rank(self.node(peer)?.id))
+    }
+
+    /// The ring position before `at`, wrapping.
+    fn before(&self, at: usize) -> usize {
+        at.checked_sub(1).unwrap_or(self.ring.len() - 1)
+    }
+
+    /// The ring position of finger `k` of the member at `id`.
+    fn finger_position(&self, id: ChordId, k: u32) -> usize {
+        self.ring.successor(id.finger_start(k))
     }
 
     fn random_peer(&mut self) -> Option<PeerId> {
         self.nodes.sample(&mut self.rng)
     }
 
-    /// Adds `peer` to the directory, reserving its ring identifier.
-    /// `used_ids` is only updated here, in
+    /// Adds `peer` to the directory and the ring, reserving its ring
+    /// identifier.  The ring and `used_ids` are only written here, in
     /// [`unregister_node`](Self::unregister_node) and by
-    /// [`bulk_build`](Self::bulk_build)'s up-front draw, so it stays in
-    /// lockstep with the live nodes even when a join fails after drawing
-    /// an id.
+    /// [`bulk_build`](Self::bulk_build), so they stay in lockstep with the
+    /// live nodes even when a join fails after drawing an id.
     fn register_node(&mut self, peer: PeerId, node: ChordNode) {
+        self.ring.insert((peer, node.id));
         self.used_ids.insert(node.id.compact());
         self.nodes.insert(peer, node);
     }
 
-    /// Removes `peer` from the directory, releasing its ring identifier.
+    /// Removes `peer` from the directory and the ring, releasing its ring
+    /// identifier.
     fn unregister_node(&mut self, peer: PeerId) -> Option<ChordNode> {
         let node = self.nodes.remove(peer)?;
+        self.ring.remove(node.id);
         self.used_ids.remove(&node.id.compact());
         Some(node)
     }
@@ -170,11 +221,11 @@ impl ChordSystem {
     /// every seeded experiment keeps its exact id sequence.
     fn fresh_id(&mut self) -> ChordId {
         assert!(
-            (self.used_ids.len() as u64) < crate::id::RING,
+            (self.used_ids.len() as u64) < RING,
             "chord identifier circle exhausted"
         );
         loop {
-            let raw = self.rng.uniform_u64(0, crate::id::RING);
+            let raw = self.rng.uniform_u64(0, RING);
             if !self.used_ids.contains(&(raw as u32)) {
                 return ChordId::new(raw);
             }
@@ -189,50 +240,37 @@ impl ChordSystem {
         self.nodes.get_mut(peer).ok_or_else(|| unknown_peer(peer))
     }
 
-    /// Iterative lookup of the successor of `target`, starting at `issuer`.
-    /// Returns `(owner, messages)` — one message per overlay hop.
-    fn lookup(
-        &mut self,
-        op: OpScope,
-        issuer: PeerId,
-        target: ChordId,
-    ) -> OverlayResult<(PeerId, u64)> {
-        let mut current = issuer;
-        let mut hops = 0u32;
-        let limit = 4 * M + 32;
-        loop {
-            let node = self.node(current)?;
-            if node.owns(target) {
-                return Ok((current, u64::from(hops)));
-            }
-            if target.in_half_open_interval(node.id, node.successor.1) {
-                let successor = node.successor.0;
-                self.net
-                    .transmit(
-                        op,
-                        current,
-                        successor,
-                        hops + 1,
-                        LinkKind::Successor,
-                        "chord.lookup",
-                    )
-                    .ok();
-                return Ok((successor, u64::from(hops + 1)));
-            }
-            let (next, kind) = match node.closest_preceding(target) {
-                Some((p, _)) => (p, LinkKind::Finger),
-                None => (node.successor.0, LinkKind::Successor),
+    /// Iterative lookup of the successor of `target`, starting at ring
+    /// position `from`.  Returns the owner's ring position and the
+    /// messages sent, one per overlay hop.
+    ///
+    /// A node whose successor owns `target` hands the lookup there; any
+    /// other hops to its closest preceding finger.  With `q` the last
+    /// member before `target`, finger `k` of node `n` precedes `target`
+    /// exactly when some member, `q` at the latest, sits in
+    /// `[n + 2^k, target)`, so the closest preceding finger is finger
+    /// `⌊log₂ dist(n, q)⌋`.
+    fn lookup(&mut self, op: OpScope, from: usize, target: ChordId) -> (usize, u64) {
+        let owner = self.ring.successor(target);
+        let last_before = self.ring[self.before(owner)].1;
+        let (mut at, mut hops) = (from, 0u32);
+        while at != owner {
+            let id = self.ring[at].1;
+            // The owner is `at`'s successor, wrapping.
+            let (next, kind) = if at + 1 == owner || (owner, at + 1) == (0, self.ring.len()) {
+                (owner, LinkKind::Successor)
+            } else {
+                let k = id.distance_to(last_before).ilog2();
+                (self.finger_position(id, k), LinkKind::Finger)
             };
-            self.net
-                .transmit(op, current, next, hops + 1, kind, "chord.lookup")
-                .ok();
             hops += 1;
-            current = next;
-            if hops > limit {
-                // Routing state corrupted; fall back to the successor chain.
-                return Ok((current, u64::from(hops)));
-            }
+            let (sender, receiver) = (self.ring[at].0, self.ring[next].0);
+            self.net
+                .transmit(op, sender, receiver, hops, kind, "chord.lookup")
+                .ok();
+            at = next;
         }
+        (owner, u64::from(hops))
     }
 
     /// A new node joins the ring through `contact` (`None` bootstraps the
@@ -243,106 +281,84 @@ impl ChordSystem {
         let op = self.net.begin_op("chord.join");
 
         let Some(contact) = contact else {
-            self.register_node(peer, ChordNode::solo(peer, id));
+            self.register_node(peer, ChordNode::new(id));
             self.net.finish_op(op);
             return Ok(ChurnCost::default());
         };
 
         // Locate the successor of the new identifier.
-        let (successor_peer, locate_messages) = self.lookup(op, contact, id)?;
-        let (successor_id, predecessor_peer, predecessor_id) = {
-            let s = self.node(successor_peer)?;
-            (s.id, s.predecessor.0, s.predecessor.1)
-        };
+        let (at, locate_messages) = self.lookup(op, self.position(contact)?, id);
+        let ((successor, _), (predecessor, predecessor_id)) =
+            (self.ring[at], self.ring[self.before(at)]);
 
-        // Splice into the ring.
-        let mut update_messages = 0u64;
-        let mut new_node = ChordNode::solo(peer, id);
-        new_node.successor = (successor_peer, successor_id);
-        new_node.predecessor = (predecessor_peer, predecessor_id);
-        // Transfer the keys in (predecessor, id] from the successor.
-        let moved: Vec<(u64, Vec<u64>)> = {
-            let successor = self.node_mut(successor_peer)?;
-            let keys: Vec<u64> = successor
-                .store
-                .keys()
-                .copied()
-                .filter(|k| ChordId::new(*k).in_half_open_interval(predecessor_id, id))
-                .collect();
-            keys.into_iter()
-                .map(|k| (k, successor.store.remove(&k).unwrap_or_default()))
-                .collect()
-        };
-        for (k, vs) in moved {
-            new_node.store.insert(k, vs);
+        // Splice into the ring, taking over the keys in (predecessor, id]
+        // from the successor.
+        let mut node = ChordNode::new(id);
+        let store = &mut self.node_mut(successor)?.store;
+        let moved: Vec<u64> = store
+            .keys()
+            .copied()
+            .filter(|k| ChordId::new(*k).in_half_open_interval(predecessor_id, id))
+            .collect();
+        for k in moved {
+            node.store.insert(k, store.remove(&k).unwrap_or_default());
         }
-        self.register_node(peer, new_node);
+        self.register_node(peer, node);
         // Notify successor and predecessor (plus the key transfer message).
         self.net
-            .count_message(op, "chord.maintenance", peer, successor_peer);
+            .count_message(op, "chord.maintenance", peer, successor);
         self.net
-            .count_message(op, "chord.maintenance", peer, predecessor_peer);
+            .count_message(op, "chord.maintenance", peer, predecessor);
         self.net
-            .count_message(op, "chord.maintenance", successor_peer, peer);
-        update_messages += 3;
-        self.node_mut(successor_peer)?.predecessor = (peer, id);
-        self.node_mut(predecessor_peer)?.successor = (peer, id);
+            .count_message(op, "chord.maintenance", successor, peer);
+        let mut update_messages = 3u64;
 
         // Build the finger table: one lookup per distinct finger interval
         // (reusing the previous finger when it already covers the next
         // interval, the standard optimisation) — O(log² N) messages.  The
-        // entries not yet built still point at the new node itself, which
-        // `closest_preceding` never picks.
-        for k in 0..M as usize {
-            let start = id.finger_start(k as u32);
-            let previous = self.node(peer)?.fingers[k.saturating_sub(1)];
-            let finger = if k > 0 && start.in_half_open_interval(id, previous.node_id) {
-                previous
-            } else {
-                let (owner, msgs) = self.lookup(op, peer, start)?;
+        // ring holds the joiner already, but a lookup the joiner issues
+        // never hops back to it, so each runs as it would while the
+        // unbuilt entries still pointed at the joiner itself.
+        let me = self.position(peer)?;
+        let mut finger = me;
+        for k in 0..M {
+            let start = id.finger_start(k);
+            if k == 0 || !start.in_half_open_interval(id, self.ring[finger].1) {
+                let (owner, msgs) = self.lookup(op, me, start);
                 update_messages += msgs;
-                Finger {
-                    node: owner,
-                    node_id: self.node(owner)?.id,
-                }
-            };
-            self.node_mut(peer)?.fingers[k] = finger;
+                finger = owner;
+            }
         }
 
         // `update_others`: existing nodes whose `i`-th finger interval now
-        // starts at or before the new identifier must repoint that finger at
-        // the new node.  For each finger index this is one lookup (to find
-        // the last node at or before `id − 2^i`) plus a walk back through
-        // predecessors — the O(log² N) maintenance term of the Chord join
-        // that the BATON paper contrasts with its own O(log N) updates.
+        // starts at or before the new identifier repoint that finger at the
+        // new node.  For each finger index this is one lookup (to find the
+        // last node at or before `id − 2^i`) plus a walk back through
+        // predecessors, one notification each, while the walked node's
+        // finger `i` is the joiner — the O(log² N) maintenance term of the
+        // Chord join that the BATON paper contrasts with its own O(log N)
+        // updates.
         for i in 0..M {
-            let target = ChordId::new(id.value() + crate::id::RING - (1u64 << i));
-            let (succ, msgs) = self.lookup(op, peer, target)?;
+            let target = back(id, i);
+            let (mut at, msgs) = self.lookup(op, me, target);
             update_messages += msgs;
             // The lookup answers the first node at or after `target`; one
             // sitting exactly on it is the walk's first node.
-            let succ = self.node(succ)?;
-            let mut current = if succ.id == target {
-                succ.peer
-            } else {
-                succ.predecessor.0
-            };
-            while current != peer {
-                let node = self.node(current)?;
-                let (start, predecessor) = (node.id.finger_start(i), node.predecessor.0);
-                // The new node becomes this node's i-th finger if it lies in
-                // [start, current finger): a finger on its start stays.
-                if start.distance_to(id) >= start.distance_to(node.fingers[i as usize].node_id) {
+            if self.ring[at].1 != target {
+                at = self.before(at);
+            }
+            // Finger `i` of the walked node is the joiner exactly when its
+            // start lies in (predecessor, id].
+            loop {
+                let (current, current_id) = self.ring[at];
+                let start = current_id.finger_start(i);
+                if current == peer || !start.in_half_open_interval(predecessor_id, id) {
                     break;
                 }
                 self.net
                     .count_message(op, "chord.maintenance", peer, current);
                 update_messages += 1;
-                self.node_mut(current)?.fingers[i as usize] = Finger {
-                    node: peer,
-                    node_id: id,
-                };
-                current = predecessor;
+                at = self.before(at);
             }
         }
 
@@ -360,23 +376,16 @@ impl ChordSystem {
     /// The k−1 ring successors holding the replica copies of `peer`'s keys.
     /// Empty at k = 1.
     pub fn replica_targets(&self, peer: PeerId) -> Vec<PeerId> {
-        if self.replication <= 1 {
-            return Vec::new();
+        match self.position(peer) {
+            Ok(at) => self.replica_positions(at).map(|s| self.ring[s].0).collect(),
+            Err(_) => Vec::new(),
         }
-        let mut targets = Vec::new();
-        let mut current = peer;
-        for _ in 0..self.replication - 1 {
-            let Some(node) = self.nodes.get(current) else {
-                break;
-            };
-            let successor = node.successor.0;
-            if successor == peer || targets.contains(&successor) {
-                break;
-            }
-            targets.push(successor);
-            current = successor;
-        }
-        targets
+    }
+
+    /// The ring positions of the k−1 successors of the member at `at`.
+    fn replica_positions(&self, at: usize) -> impl Iterator<Item = usize> + '_ {
+        let n = self.ring.len();
+        (1..self.replication.min(n)).map(move |j| (at + j) % n)
     }
 
     /// Charges the replica-copy messages a write at `owner` costs at k > 1.
@@ -389,34 +398,36 @@ impl ChordSystem {
         copies
     }
 
-    /// Builds a [`baton_net::serve::RoutingSnapshot`] of the ring's current
-    /// state for the concurrent serve front-end: slots are the live nodes
-    /// in ascending identifier order (successor placement resolves a hashed
+    /// Builds a [`RoutingSnapshot`] of the ring's current state for the
+    /// concurrent serve front-end: slots are the ring's members in
+    /// ascending identifier order (successor placement resolves a hashed
     /// key to the first slot with `id >= hash`, wrapping), items are each
-    /// node's store keyed by identifier, links carry the successor and
-    /// finger tables, and replicas are the `k−1` following ring successors.
+    /// node's store keyed by identifier, links are the successor and the
+    /// [`M`] fingers, and replicas are the `k−1` following ring successors.
     /// Extraction is read-only: statistics and RNG streams are untouched.
-    pub fn build_routing_snapshot(&self) -> baton_net::serve::RoutingSnapshot {
-        use baton_net::serve::{ExactPlacement, SnapshotBuilder};
-
-        let mut builder = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, crate::id::RING));
+    pub fn build_routing_snapshot(&self) -> RoutingSnapshot {
+        let mut builder = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, RING));
         builder.reserve(self.node_count(), self.total_items(), 0);
-        let mut order: Vec<&ChordNode> = self.nodes.values().collect();
-        order.sort_by_key(|node| node.id);
-        for node in &order {
-            builder.push_slot(node.peer.0, node.id.value(), true);
-            for (id_value, values) in &node.store {
+        let mut targets = [0u32; 1 + M as usize];
+        let mut kinds = [LinkKind::Successor; 1 + M as usize];
+        for (slot, &(peer, id)) in self.ring.iter().enumerate() {
+            builder.push_slot(peer.0, id.value(), true);
+            for (id_value, values) in &self.nodes.get(peer).expect("members have nodes").store {
                 builder.push_item(*id_value, values.len() as u64);
             }
             builder.seal_slot();
-        }
-        for (slot, node) in order.iter().enumerate() {
-            builder.link_peer(slot, node.successor.0 .0, LinkKind::Successor);
-            for finger in &node.fingers {
-                builder.link_peer(slot, finger.node.0, LinkKind::Finger);
+            let fingers = (0..M).map(|k| (self.finger_position(id, k), LinkKind::Finger));
+            let successor = ((slot + 1) % self.ring.len(), LinkKind::Successor);
+            let links = std::iter::once(successor).chain(fingers);
+            // A link to the slot itself is dropped.
+            let mut len = 0;
+            for (target, kind) in links.filter(|&(target, _)| target != slot) {
+                (targets[len], kinds[len]) = (target as u32, kind);
+                len += 1;
             }
-            for target in self.replica_targets(node.peer) {
-                builder.replica_peer(slot, target.0);
+            builder.push_link_row(slot, &targets[..len], &kinds[..len]);
+            for target in self.replica_positions(slot) {
+                builder.replica(slot, target);
             }
         }
         builder.finish()
@@ -448,7 +459,8 @@ impl Overlay for ChordSystem {
         &mut self.net
     }
 
-    /// Approximate resident bytes of per-peer protocol state: the node
+    /// Approximate resident bytes of per-peer protocol state, modelling
+    /// what a real peer holds: [`PEER_STATE_BYTES`] per slot of the node
     /// slab, every node's finger table and key store, the sampling list
     /// and the live-id set.  The shared network substrate is excluded.
     ///
@@ -464,18 +476,18 @@ impl Overlay for ChordSystem {
     /// hashes land), and this estimate is sampled into deterministic
     /// scenario time series.
     fn estimated_state_bytes(&self) -> u64 {
-        let slab = (self.nodes.slot_count() * std::mem::size_of::<Option<ChordNode>>()) as u64;
+        let slab = self.nodes.slot_count() as u64 * PEER_STATE_BYTES;
         let heap: u64 = self
             .nodes
             .values()
-            .map(|node| node.estimated_state_bytes() - std::mem::size_of::<ChordNode>() as u64)
+            .map(|node| node.estimated_state_bytes() - PEER_STATE_BYTES)
             .sum();
         let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
         let ids = self.used_ids.len() as u64 * (std::mem::size_of::<u32>() as u64 + 1) * 8 / 7;
         slab + heap + peers + ids
     }
 
-    fn routing_snapshot(&self) -> Option<baton_net::serve::RoutingSnapshot> {
+    fn routing_snapshot(&self) -> Option<RoutingSnapshot> {
         Some(self.build_routing_snapshot())
     }
 
@@ -507,59 +519,43 @@ impl Overlay for ChordSystem {
         if self.nodes.len() <= 1 {
             return Err(OverlayError::Op("the last node cannot leave".into()));
         }
+        let at = self.position(peer)?;
+        let ((successor, _), (predecessor, predecessor_id)) = (
+            self.ring[(at + 1) % self.ring.len()],
+            self.ring[self.before(at)],
+        );
         let departing = self
             .unregister_node(peer)
             .ok_or_else(|| unknown_peer(peer))?;
         let op = self.net.begin_op("chord.leave");
-        let mut update_messages = 0u64;
 
-        // Hand keys to the successor, re-link predecessor and successor.
-        let (succ_peer, succ_id) = departing.successor;
-        let (pred_peer, pred_id) = departing.predecessor;
-        {
-            let successor = self.node_mut(succ_peer)?;
-            for (k, mut vs) in departing.store {
-                match successor.store.entry(k) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(vs);
-                    }
-                    Entry::Occupied(mut slot) => slot.get_mut().append(&mut vs),
+        // Hand keys to the successor; predecessor and successor now link to
+        // each other.
+        let store = &mut self.node_mut(successor)?.store;
+        for (k, mut vs) in departing.store {
+            match store.entry(k) {
+                Entry::Vacant(slot) => {
+                    slot.insert(vs);
                 }
+                Entry::Occupied(mut slot) => slot.get_mut().append(&mut vs),
             }
-            successor.predecessor = (pred_peer, pred_id);
         }
-        self.node_mut(pred_peer)?.successor = (succ_peer, succ_id);
         self.net
-            .count_message(op, "chord.maintenance", peer, succ_peer);
+            .count_message(op, "chord.maintenance", peer, successor);
         self.net
-            .count_message(op, "chord.maintenance", peer, pred_peer);
-        update_messages += 2;
+            .count_message(op, "chord.maintenance", peer, predecessor);
+        let mut update_messages = 2u64;
         self.net.depart_peer(peer);
 
         // Repair stale fingers: every node that pointed at the departed peer
-        // re-runs a lookup for that finger interval.
-        let stale: Vec<(PeerId, u32)> = self
-            .nodes
-            .iter()
-            .flat_map(|(p, n)| {
-                (0..M)
-                    .zip(&n.fingers)
-                    .filter(|(_, f)| f.node == peer)
-                    .map(move |(k, _)| (p, k))
-            })
-            .collect();
-        for (holder, k) in stale {
+        // re-runs a lookup for that finger interval.  Every such lookup
+        // targets (predecessor, departed], which no live member but the
+        // successor succeeds, so it routes as it would once every stale
+        // finger were repaired.
+        for (holder, k) in stale_fingers(&self.ring, predecessor_id, departing.id) {
             let start = self.node(holder)?.id.finger_start(k);
-            let (owner, msgs) = self.lookup(op, holder, start)?;
-            update_messages += msgs;
-            self.node_mut(holder)?.fingers[k as usize] = Finger {
-                node: owner,
-                node_id: self.node(owner)?.id,
-            };
+            update_messages += self.lookup(op, self.position(holder)?, start).1;
         }
-        // Successor pointers referencing the departed node are repaired for
-        // free by the predecessor update above; predecessor pointers at
-        // other nodes cannot reference it.
 
         self.net.finish_op(op);
         Ok(ChurnCost {
@@ -575,15 +571,14 @@ impl Overlay for ChordSystem {
     /// identifier's successor, the same node a routed insert reaches; no
     /// messages are charged.
     fn load_direct(&mut self, data: &[(u64, u64)]) -> bool {
-        let ring = self.ring();
-        if ring.is_empty() {
+        if self.ring.is_empty() {
             return true;
         }
         // In dataset order, so identifier collisions keep a routed load's
         // per-key value order.
         for &(key, value) in data {
             let id = ChordId::hash(key);
-            let owner = ring[successor_position(&ring, id)].0;
+            let owner = self.ring[self.ring.successor(id)].0;
             if let Some(node) = self.nodes.get_mut(owner) {
                 node.store.entry(id.value()).or_default().push(value);
             }
@@ -609,7 +604,8 @@ impl Overlay for ChordSystem {
         let issuer = self.random_peer().ok_or_else(empty_ring)?;
         let op = self.net.begin_op("chord.insert");
         let id = ChordId::hash(key);
-        let (owner, mut messages) = self.lookup(op, issuer, id)?;
+        let (at, mut messages) = self.lookup(op, self.position(issuer)?, id);
+        let owner = self.ring[at].0;
         self.net.count_message(op, "chord.data", issuer, owner);
         messages += 1;
         self.node_mut(owner)?
@@ -632,7 +628,8 @@ impl Overlay for ChordSystem {
         let issuer = self.random_peer().ok_or_else(empty_ring)?;
         let op = self.net.begin_op("chord.delete");
         let id = ChordId::hash(key);
-        let (owner, mut messages) = self.lookup(op, issuer, id)?;
+        let (at, mut messages) = self.lookup(op, self.position(issuer)?, id);
+        let owner = self.ring[at].0;
         self.net.count_message(op, "chord.data", issuer, owner);
         messages += 1;
         let removed = {
@@ -665,9 +662,9 @@ impl Overlay for ChordSystem {
         let issuer = self.random_peer().ok_or_else(empty_ring)?;
         let op = self.net.begin_op("chord.search");
         let id = ChordId::hash(key);
-        let (owner, messages) = self.lookup(op, issuer, id)?;
+        let (at, messages) = self.lookup(op, self.position(issuer)?, id);
         let matches = self
-            .node(owner)?
+            .node(self.ring[at].0)?
             .store
             .get(&id.value())
             .map(Vec::len)
@@ -687,28 +684,35 @@ impl Overlay for ChordSystem {
         Err(OverlayError::Unsupported("range queries on a DHT"))
     }
 
-    /// Verifies that every node's links are exact for the live ring:
-    /// successor and predecessor are its neighbours in identifier order
-    /// (so the successor walk visits every node once, in ascending
-    /// identifier order), and every finger `k` is successor(`id + 2^k`).
-    /// Nodes are checked in peer-id order, so a broken ring reports the
-    /// same violation on every run.
+    /// Verifies the ring and the stores: the ring ascends strictly by
+    /// identifier and holds exactly the directory's nodes at their
+    /// identifiers, which are exactly the reserved ones, and every stored key
+    /// lies in its node's arc (predecessor, node].  Links are reads of the
+    /// ring, so they need no check of their own.  Nodes are checked in
+    /// peer-id order, so a broken ring reports the same violation on every
+    /// run.
     fn validate(&self) -> Result<(), String> {
-        let ring = self.ring();
-        for node in self.nodes.values() {
-            let (peer, exact) = (node.peer, exact_node(&ring, node.id));
-            if (node.successor, node.predecessor) != (exact.successor, exact.predecessor) {
+        if let Some(pair) = self.ring.windows(2).find(|pair| pair[0].1 >= pair[1].1) {
+            return Err(format!("the ring puts {} before {}", pair[0].1, pair[1].1));
+        }
+        let at_home = |&(peer, id): &Member| {
+            self.nodes.get(peer).map(|node| node.id) == Some(id)
+                && self.used_ids.contains(&id.compact())
+        };
+        let n = self.nodes.len();
+        if (self.ring.len(), self.used_ids.len()) != (n, n) || !self.ring.iter().all(at_home) {
+            return Err(format!(
+                "the ring and the reserved ids differ from {n} nodes"
+            ));
+        }
+        for (peer, node) in self.nodes.iter() {
+            let predecessor = self.ring[self.before(self.ring.rank(node.id))].1;
+            let outside =
+                |key: &&u64| !ChordId::new(**key).in_half_open_interval(predecessor, node.id);
+            if let Some(key) = node.store.keys().find(outside) {
                 return Err(format!(
-                    "{peer} links to {:?} / {:?}, not its ring neighbours {:?} / {:?}",
-                    node.successor, node.predecessor, exact.successor, exact.predecessor
-                ));
-            }
-            let wrong = (0..M as usize).find(|&k| node.fingers.get(k) != exact.fingers.get(k));
-            if let Some(k) = wrong {
-                return Err(format!(
-                    "{peer} finger {k} is {:?}, not {:?}",
-                    node.fingers.get(k),
-                    exact.fingers[k]
+                    "{peer} stores key {key} outside ({predecessor}, {}]",
+                    node.id
                 ));
             }
         }
@@ -718,7 +722,15 @@ impl Overlay for ChordSystem {
 
 #[cfg(test)]
 mod tests {
+    use baton_net::TraceConfig;
+
     use super::*;
+
+    /// The position in `ring` of successor(`id`), by binary search: the
+    /// reference the ring's bucket index is checked against.
+    fn successor_position(ring: &[Member], id: ChordId) -> usize {
+        ring.partition_point(|&(_, x)| x < id) % ring.len()
+    }
 
     #[test]
     fn build_produces_a_consistent_ring() {
@@ -861,11 +873,141 @@ mod tests {
         }
     }
 
+    /// The hops of a lookup of `target` from the member at `from` by the
+    /// textbook rule, each finger read alone: hand over to the successor
+    /// when it owns `target`, else go to the highest finger strictly
+    /// between the node and `target`.
+    fn textbook_hops(ring: &[Member], from: ChordId, target: ChordId) -> u64 {
+        let succ = |id: ChordId| ring[successor_position(ring, id)].1;
+        let (mut at, mut hops) = (from, 0);
+        while at != succ(target) {
+            let next = succ(at.finger_start(0));
+            at = if target.in_half_open_interval(at, next) {
+                next
+            } else {
+                let mut fingers = (0..M).rev().map(|k| succ(at.finger_start(k)));
+                fingers.find(|f| f.in_open_interval(at, target)).unwrap()
+            };
+            hops += 1;
+        }
+        hops
+    }
+
+    /// The (holder, k) pairs of `system` whose finger k is `peer` in `ring`,
+    /// found by reading every finger of every other node, holders in
+    /// peer-id order and fingers in table order.
+    fn fingers_at(system: &ChordSystem, ring: &[Member], peer: PeerId) -> Vec<(PeerId, u32)> {
+        let holders = system.nodes().filter(|&(holder, _)| holder != peer);
+        let pairs = holders.flat_map(|(holder, node)| (0..M).map(move |k| (holder, node.id, k)));
+        pairs
+            .filter(|&(_, id, k)| ring[successor_position(ring, id.finger_start(k))].0 == peer)
+            .map(|(holder, _, k)| (holder, k))
+            .collect()
+    }
+
+    #[test]
+    fn the_arcs_find_every_stale_finger_in_scan_order() {
+        for n in [2usize, 3, 64, 2_000] {
+            let system = ChordSystem::bulk_build(n as u64, n).unwrap();
+            // Every departure of the small rings, the wrap-around one of the
+            // lowest identifier among them; a spread of them at N = 2,000.
+            for at in (0..n).filter(|at| n < 100 || at % 97 == 0) {
+                let (peer, id) = system.ring[at];
+                let mut after = system.ring.clone();
+                after.remove(id);
+                let predecessor = system.ring[system.before(at)].1;
+                let stale = stale_fingers(&after, predecessor, id);
+                assert_eq!(
+                    stale,
+                    fingers_at(&system, &system.ring, peer),
+                    "n {n}, {peer}"
+                );
+                assert!(n < 100 || !stale.is_empty());
+            }
+        }
+    }
+
+    /// A random leave, then a random join, each checked against a Chord
+    /// whose peers store their tables: the leave repairs the (holder, k)
+    /// pairs whose finger k was the departed peer, one textbook lookup
+    /// each, and `update_others` notifies one holder per (holder, i) pair
+    /// whose finger i became the joiner.
+    fn checked_leave_and_join(ring: &mut ChordSystem) {
+        let before = ring.ring.clone();
+        let departed = ring.random_peer().unwrap();
+        let stale = fingers_at(ring, &before, departed);
+        let cost = ring.leave_peer(departed).unwrap();
+        let id = |holder| ring.nodes.get(holder).unwrap().id;
+        let hops = stale
+            .iter()
+            .map(|&(holder, k)| textbook_hops(&ring.ring, id(holder), id(holder).finger_start(k)));
+        assert_eq!(
+            cost.update_messages,
+            2 + hops.sum::<u64>(),
+            "{departed} leaves"
+        );
+
+        ring.net.set_trace(TraceConfig::new(1));
+        ring.join_random().unwrap();
+        let trace = ring.net.take_trace().unwrap();
+        let hops = trace.spans().flat_map(|span| &span.hops);
+        let notified = hops
+            .filter(|hop| hop.message == "chord.maintenance")
+            .count()
+            - 3;
+        let joiner = *ring.peers().last().unwrap();
+        assert_eq!(
+            notified,
+            fingers_at(ring, &ring.ring, joiner).len(),
+            "{joiner} joins"
+        );
+    }
+
+    /// `pairs` leave+join pairs on a join-built ring of `n` peers per seed,
+    /// every `every`-th checked against stored tables; the ring validates
+    /// after the build and after the churn.
+    fn churn_with_checks(
+        seeds: std::ops::RangeInclusive<u64>,
+        n: usize,
+        pairs: usize,
+        every: usize,
+    ) {
+        for seed in seeds {
+            let mut ring = ChordSystem::build(seed, n).unwrap();
+            assert_eq!(ring.validate(), Ok(()), "seed {seed}, after the build");
+            for pair in 0..pairs {
+                if pair % every == 0 {
+                    checked_leave_and_join(&mut ring);
+                } else {
+                    ring.leave_random().unwrap();
+                    ring.join_random().unwrap();
+                }
+            }
+            assert_eq!(ring.validate(), Ok(()), "seed {seed}, after churn");
+        }
+    }
+
+    #[test]
+    fn churn_charges_the_messages_of_stored_tables() {
+        churn_with_checks(1..=6, 64, 40, 1);
+    }
+
+    /// 300 seeds at N = 2,000, every 20th of 500 pairs checked.  About 25 s
+    /// in release on a 2-core host; CI runs it with `--ignored`.
+    #[test]
+    #[ignore]
+    fn churn_charges_the_messages_of_stored_tables_over_300_seeds() {
+        churn_with_checks(1..=300, 2_000, 500, 20);
+    }
+
     /// Finger `k` of the node at identifier `id`, as the identifier it
     /// points at.
-    fn finger_of(ring: &ChordSystem, id: u64, k: usize) -> u64 {
-        let node = ring.nodes().find(|n| n.id == ChordId::new(id)).unwrap();
-        node.fingers[k].node_id.value()
+    fn finger_of(ring: &ChordSystem, id: u64, k: u32) -> u64 {
+        let (peer, _) = ring
+            .nodes()
+            .find(|(_, n)| n.id == ChordId::new(id))
+            .unwrap();
+        ring.finger(peer, k).unwrap().1.value()
     }
 
     /// Fault (i): the bootstrap node's fingers are exact before the second
@@ -901,22 +1043,34 @@ mod tests {
         ring.validate().unwrap();
     }
 
-    /// Every finger of a join-built ring is successor(`id + 2^k`) after the
-    /// build and again after 500 leave+join pairs, over 300 seeds at
-    /// N = 2,000.  About 11 s in release on a 2-core host; CI runs it with
-    /// `--ignored`.
     #[test]
-    #[ignore]
-    fn join_built_fingers_are_exact_over_300_seeds() {
-        for seed in 1..=300 {
-            let mut ring = ChordSystem::build(seed, 2_000).unwrap();
-            assert_eq!(ring.validate(), Ok(()), "seed {seed}, after the build");
-            for _ in 0..500 {
-                ring.leave_random().unwrap();
-                ring.join_random().unwrap();
-            }
-            assert_eq!(ring.validate(), Ok(()), "seed {seed}, after churn");
-        }
+    fn validate_catches_a_misordered_ring_a_stray_id_and_a_misplaced_key() {
+        let broken = |corrupt: fn(&mut ChordSystem)| {
+            let mut ring = ChordSystem::bulk_build(9, 8).unwrap();
+            ring.load_direct(&(0..100u64).map(|k| (k, k)).collect::<Vec<_>>());
+            assert_eq!(ring.validate(), Ok(()));
+            corrupt(&mut ring);
+            ring.validate().unwrap_err()
+        };
+        let misordered = broken(|ring| {
+            let mut members = ring.ring.to_vec();
+            members.swap(2, 3);
+            ring.ring = Ring::from_sorted(members);
+        });
+        assert!(misordered.contains("before"));
+        let stray = broken(|ring| {
+            ring.used_ids.insert(7);
+        });
+        assert!(stray.contains("differ"));
+        let misplaced = broken(|ring| {
+            let [(from, _), (to, _), ..] = ring.ring[..] else {
+                return;
+            };
+            let store = &mut ring.nodes.get_mut(from).unwrap().store;
+            let moved = store.pop_first().unwrap();
+            ring.nodes.get_mut(to).unwrap().store.extend([moved]);
+        });
+        assert!(misplaced.contains("outside"));
     }
 
     #[test]

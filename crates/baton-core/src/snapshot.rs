@@ -54,7 +54,9 @@
 //! *spare*, else the previous export a full export drops), emptied with
 //! their capacity kept ([`SnapshotBuilder::reusing`]) unless a reader still
 //! holds them.  A publisher's cell and readers have let go of the spare by
-//! then, so steady-state publishing allocates no array and faults no page.
+//! then, and the patch's O(N) working arrays are the exporter's too, kept
+//! with their capacity, so steady-state publishing allocates no array and
+//! faults no page.
 //! Item arrays are sized as the copied slots' entries plus the rebuilt
 //! stores, link arrays from an exact count, and a growing array gets 1/32
 //! spare room, so a refill rarely reallocates.
@@ -137,6 +139,17 @@ pub(crate) struct Exporter {
     previous: Option<Export>,
     /// The export before `previous`, whose arrays the next export refills.
     spare: Option<Export>,
+    /// The patch's working arrays, kept with their capacity.
+    work: Work,
+}
+
+/// The O(N) working arrays of an export: `old_slot`, `new_slot` and
+/// `fresh` of [`BatonSystem::export`].
+#[derive(Debug, Default)]
+struct Work {
+    old_slot: Vec<u32>,
+    new_slot: Vec<u32>,
+    fresh: Vec<bool>,
 }
 
 /// One export with the slot order that produced it.
@@ -184,7 +197,8 @@ impl BatonSystem {
         // The spare, or with none the previous export a full export drops.
         let spare = exporter.spare.take();
         let buffer = spare.or_else(|| previous.take_if(|_| !patched));
-        let export = self.export(previous.as_ref().filter(|_| patched), &changes, buffer);
+        let previous_export = previous.as_ref().filter(|_| patched);
+        let export = self.export(previous_export, &changes, buffer, &mut exporter.work);
         let snapshot = export.snapshot.clone();
         changes.clear();
         exporter.log = ChangeLog::Changes(changes);
@@ -193,10 +207,16 @@ impl BatonSystem {
         snapshot
     }
 
-    /// One export into the arrays of `to`, a retired export: every slot
-    /// rebuilt without a `previous` one, else only the slots that `changes`
-    /// touched.
-    fn export(&self, previous: Option<&Export>, changes: &[Change], to: Option<Export>) -> Export {
+    /// One export into the arrays of `to`, a retired export, with `work`'s
+    /// arrays to work in: every slot rebuilt without a `previous` one, else
+    /// only the slots that `changes` touched.
+    fn export(
+        &self,
+        previous: Option<&Export>,
+        changes: &[Change],
+        to: Option<Export>,
+        work: &mut Work,
+    ) -> Export {
         let (old_order, old_slot_at) =
             previous.map_or((&[][..], &[][..]), |p| (&p.order[..], &p.slot_at[..]));
         // The positions occupied since the previous export, in in-order, and
@@ -234,8 +254,11 @@ impl BatonSystem {
         let slots = old_order.len() - vacated.len() + appeared.len();
         order.clear();
         make_room(&mut order, slots);
-        let mut old_slot: Vec<u32> = Vec::with_capacity(slots);
-        let mut new_slot = vec![NO_SLOT; old_order.len()];
+        let (old_slot, new_slot, fresh) = (&mut work.old_slot, &mut work.new_slot, &mut work.fresh);
+        old_slot.clear();
+        make_room(old_slot, slots);
+        new_slot.clear();
+        new_slot.resize(old_order.len(), NO_SLOT);
         let (mut next_appeared, mut next_vacated, mut o) =
             (appeared.iter().peekable(), vacated.iter().peekable(), 0);
         loop {
@@ -275,12 +298,13 @@ impl BatonSystem {
         };
         // `fresh[slot]`: the slot is rebuilt from the plane and the stores,
         // not copied.
-        let mut fresh = vec![previous.is_none(); slots];
+        fresh.clear();
+        fresh.resize(slots, previous.is_none());
         if let Some(previous) = previous {
             let vacated = vacated.iter().map(|&old| previous.order[old as usize]);
             let flipped = appeared.iter().copied().chain(vacated);
             let old_slots = old_order.len();
-            self.mark_changed_rows(&slot_at, &old_slot, old_slots, changes, flipped, &mut fresh);
+            self.mark_changed_rows(&slot_at, old_slot, old_slots, changes, flipped, fresh);
         }
         // The links number 4·(N − 1) parent, child and adjacent links plus
         // both ends of every pair of occupied positions 2^i apart on one
@@ -335,7 +359,7 @@ impl BatonSystem {
                 }
                 let from = old_slot[start] as usize;
                 let rows = from..from + s - start;
-                builder.copy_slots(&previous.snapshot, rows, &new_slot, alive);
+                builder.copy_slots(&previous.snapshot, rows, new_slot, alive);
                 continue;
             }
             let (peer, range) = occupant(s);
@@ -446,7 +470,7 @@ mod tests {
     use baton_net::serve::{RoutingSnapshot, ServeCounters};
     use baton_net::{Overlay, SimRng};
 
-    use super::{ChangeLog, CHANGE_LOG_CAP};
+    use super::{ChangeLog, Work, CHANGE_LOG_CAP};
     use crate::config::BatonConfig;
     use crate::position::Side;
     use crate::range::KeyRange;
@@ -460,7 +484,9 @@ mod tests {
 
     /// A from-scratch export of `system`'s current state.
     fn from_scratch(system: &BatonSystem) -> RoutingSnapshot {
-        system.export(None, &[], None).snapshot
+        system
+            .export(None, &[], None, &mut Work::default())
+            .snapshot
     }
 
     fn logged(system: &BatonSystem) -> usize {

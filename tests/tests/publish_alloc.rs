@@ -1,9 +1,10 @@
 //! Steady-state publishing allocates next to nothing.
 //!
 //! BATON's exporter refills the arrays of the export before last, which the
-//! snapshot cell and its reader have let go of by the next export, so after
-//! two warm-up cycles `build_routing_snapshot` must allocate at most 5 % of
-//! the snapshot's bytes per export.  A counting global allocator sees every
+//! snapshot cell and its reader have let go of by the next export, and keeps
+//! the patch's working arrays between exports, so after two warm-up cycles
+//! `build_routing_snapshot` must allocate at most 1 % of the snapshot's
+//! bytes per export.  A counting global allocator sees every
 //! allocation of this process: the file holds a single test, so no other
 //! test thread allocates while an export is counted.
 
@@ -80,7 +81,7 @@ fn steady_state_exports_refill_the_export_before_last() {
         reader.refresh();
         assert_eq!(reader.snapshot().version(), version);
         assert!(
-            cycle < WARM_UP || 20 * allocated <= bytes,
+            cycle < WARM_UP || 100 * allocated <= bytes,
             "cycle {cycle}: the export of {bytes} B allocated {allocated} B"
         );
     }

@@ -161,21 +161,26 @@ fn reference_chord(system: &ChordSystem) -> RoutingSnapshot {
     let domain = (0, baton_chord::RING);
     let mut b = ReferenceBuilder::new(ExactPlacement::HashedRing, domain);
     let mut order: Vec<_> = system.nodes().collect();
-    order.sort_by_key(|node| node.id);
-    for node in &order {
+    order.sort_by_key(|(_, node)| node.id);
+    for (peer, node) in &order {
         let items: Vec<(u64, u64)> = node
             .store
             .iter()
             .map(|(id, values)| (*id, values.len() as u64))
             .collect();
-        b.push_slot(node.peer, node.id.value(), true, &items);
+        b.push_slot(*peer, node.id.value(), true, &items);
     }
-    for (slot, node) in order.iter().enumerate() {
-        b.link(slot, node.successor.0, LinkKind::Successor);
-        for finger in &node.fingers {
-            b.link(slot, finger.node, LinkKind::Finger);
+    for (slot, (peer, _)) in order.iter().enumerate() {
+        // Finger 0 is the successor.
+        b.link(
+            slot,
+            system.finger(*peer, 0).unwrap().0,
+            LinkKind::Successor,
+        );
+        for k in 0..baton_chord::M {
+            b.link(slot, system.finger(*peer, k).unwrap().0, LinkKind::Finger);
         }
-        b.replicas(slot, system.replica_targets(node.peer));
+        b.replicas(slot, system.replica_targets(*peer));
     }
     b.finish()
 }
