@@ -58,6 +58,15 @@ impl ChordId {
         (other.value() + RING - self.value()) % RING
     }
 
+    /// The closest finger of a node at `self` before a target whose last
+    /// preceding member is `last_before`.  Finger `k` precedes the target
+    /// exactly when some member, `last_before` at the latest, sits in
+    /// `[self + 2^k, target)`, so it is finger `⌊log₂ dist(self, last_before)⌋`;
+    /// `None` when `self` is `last_before`, whose successor owns the target.
+    pub fn closest_preceding_finger(self, last_before: ChordId) -> Option<u32> {
+        self.distance_to(last_before).checked_ilog2()
+    }
+
     /// `true` if `self` lies in the clockwise-open interval `(from, to)`.
     pub fn in_open_interval(self, from: ChordId, to: ChordId) -> bool {
         if from == to {

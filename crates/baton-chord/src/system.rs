@@ -245,23 +245,17 @@ impl ChordSystem {
     /// messages sent, one per overlay hop.
     ///
     /// A node whose successor owns `target` hands the lookup there; any
-    /// other hops to its closest preceding finger.  With `q` the last
-    /// member before `target`, finger `k` of node `n` precedes `target`
-    /// exactly when some member, `q` at the latest, sits in
-    /// `[n + 2^k, target)`, so the closest preceding finger is finger
-    /// `⌊log₂ dist(n, q)⌋`.
+    /// other hops to its closest preceding finger
+    /// ([`ChordId::closest_preceding_finger`]).
     fn lookup(&mut self, op: OpScope, from: usize, target: ChordId) -> (usize, u64) {
         let owner = self.ring.successor(target);
         let last_before = self.ring[self.before(owner)].1;
         let (mut at, mut hops) = (from, 0u32);
         while at != owner {
             let id = self.ring[at].1;
-            // The owner is `at`'s successor, wrapping.
-            let (next, kind) = if at + 1 == owner || (owner, at + 1) == (0, self.ring.len()) {
-                (owner, LinkKind::Successor)
-            } else {
-                let k = id.distance_to(last_before).ilog2();
-                (self.finger_position(id, k), LinkKind::Finger)
+            let (next, kind) = match id.closest_preceding_finger(last_before) {
+                Some(k) => (self.finger_position(id, k), LinkKind::Finger),
+                None => (owner, LinkKind::Successor),
             };
             hops += 1;
             let (sender, receiver) = (self.ring[at].0, self.ring[next].0);
