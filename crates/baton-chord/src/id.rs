@@ -43,11 +43,6 @@ impl ChordId {
         u64::from(self.0)
     }
 
-    /// The raw identifier value in its compact storage width.
-    pub fn compact(self) -> u32 {
-        self.0
-    }
-
     /// `self + 2^k` on the circle: the start of the `k`-th finger interval.
     pub fn finger_start(self, k: u32) -> ChordId {
         ChordId::new(self.value() + (1u64 << k))

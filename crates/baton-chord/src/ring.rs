@@ -26,12 +26,6 @@ pub(crate) struct Ring {
     shift: u32,
 }
 
-impl Default for Ring {
-    fn default() -> Self {
-        Self::from_sorted(Vec::new())
-    }
-}
-
 impl Deref for Ring {
     type Target = [Member];
 
@@ -43,19 +37,10 @@ impl Deref for Ring {
 impl Ring {
     /// The ring of `members`, which ascend by identifier.
     pub(crate) fn from_sorted(members: Vec<Member>) -> Self {
-        let buckets = members.len().next_power_of_two();
+        let buckets = members.len().next_power_of_two() as u64;
         let shift = M - buckets.ilog2();
-        let mut at = 0;
-        let first = (0..buckets as u64)
-            .map(|bucket| {
-                while members
-                    .get(at)
-                    .is_some_and(|&(_, x)| x.value() >> shift < bucket)
-                {
-                    at += 1;
-                }
-                at as u32
-            })
+        let first = (0..buckets)
+            .map(|b| members.partition_point(|&(_, x)| x.value() >> shift < b) as u32)
             .collect();
         Self {
             members,
@@ -120,7 +105,7 @@ mod tests {
     #[test]
     fn the_bucket_index_ranks_like_a_binary_search_through_churn() {
         let mut rng = SimRng::seeded(0x5196);
-        let mut ring = Ring::default();
+        let mut ring = Ring::from_sorted(Vec::new());
         for step in 0..3_000u32 {
             let id = ChordId::new(rng.uniform_u64(0, RING));
             if ring.len() > 2 && rng.index(3) == 0 {

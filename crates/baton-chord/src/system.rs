@@ -21,13 +21,13 @@
 //! peer's tables are once its join and repairs have run.  The protocol
 //! still sends and counts every message that keeps those tables: the
 //! finger build's and `update_others`' lookups and notifications on a
-//! join, and one repair lookup per stale finger on a departure.  The stale fingers are found by arithmetic: finger `k` of `h`
-//! was the departed peer `d` exactly when `h + 2^k` lay in
-//! (predecessor(`d`), `d`], that is, when `h` lies in the arc
-//! (predecessor(`d`) − 2^k, `d` − 2^k].  That is [`M`] binary-searched
-//! arcs, where a simulation that stores the tables scans every node's
-//! fingers.  Every other read finds successor(`x`) through the ring's
-//! bucket index, in expected O(1).
+//! join, and one repair lookup per stale finger on a departure.  The stale
+//! fingers are found by arithmetic: finger `k` of `h` was the departed peer
+//! `d` exactly when `h + 2^k` lay in (predecessor(`d`), `d`], that is, when
+//! `h` lies in the arc (predecessor(`d`) − 2^k, `d` − 2^k].  That is [`M`]
+//! binary-searched arcs, where a simulation that stores the tables scans
+//! every node's fingers.  Every other read finds successor(`x`) through the
+//! ring's bucket index, in expected O(1).
 
 use std::collections::btree_map::Entry;
 use std::collections::HashSet;
@@ -41,6 +41,21 @@ use baton_net::{
 use crate::id::{ChordId, M, RING};
 use crate::node::{ChordNode, PEER_STATE_BYTES};
 use crate::ring::{Member, Ring};
+
+/// Draws identifiers from `rng` until `free` accepts one.
+///
+/// Expected O(1): a draw collides with probability `n / 2^32`, so even a
+/// million-node ring rejects ~0.02% of draws.  The draw itself —
+/// `uniform_u64(0, RING)` — is unchanged from the wide-id substrate so every
+/// seeded experiment keeps its exact id sequence.
+fn fresh_id(rng: &mut SimRng, mut free: impl FnMut(ChordId) -> bool) -> ChordId {
+    loop {
+        let id = ChordId::new(rng.uniform_u64(0, RING));
+        if free(id) {
+            return id;
+        }
+    }
+}
 
 /// The members of `ring` whose identifier lies in the clockwise arc
 /// `(from, to]`, `from != to`, in clockwise order.
@@ -92,15 +107,8 @@ pub struct ChordSystem {
     /// from.
     nodes: PeerDirectory<ChordNode>,
     /// The live members in ascending identifier order: every link is read
-    /// from here.
+    /// from here, and a drawn identifier is new when it is not here.
     ring: Ring,
-    /// Ring identifiers of the *live* nodes: the collision set of
-    /// [`fresh_id`](Self::fresh_id).  Kept in lockstep with `nodes` (ids of
-    /// departed peers are released) so the seeded draw sequence is
-    /// bit-identical to the old scan over live nodes.  Stored in the id's
-    /// compact `u32` width — the full `2^32` circle fits — which halves
-    /// the set's key footprint at million-node scale.
-    used_ids: HashSet<u32>,
     rng: SimRng,
     /// Replication degree k: each key lives at its successor owner plus the
     /// k−1 following ring successors.  1 = no replication (the default and
@@ -114,8 +122,7 @@ impl ChordSystem {
         Self {
             net: SimNetwork::new(),
             nodes: PeerDirectory::new(),
-            ring: Ring::default(),
-            used_ids: HashSet::new(),
+            ring: Ring::from_sorted(Vec::new()),
             rng: SimRng::seeded(seed),
             replication: 1,
         }
@@ -141,12 +148,11 @@ impl ChordSystem {
     /// path is opt-in — committed fixtures always use [`build`](Self::build).
     pub fn bulk_build(seed: u64, n: usize) -> OverlayResult<Self> {
         let mut system = Self::new(seed);
+        let mut used = HashSet::with_capacity(n);
         let members: Vec<Member> = (0..n)
             .map(|_| {
-                let (peer, id) = (system.net.add_peer(), system.fresh_id());
-                // Reserve immediately so later draws cannot collide.
-                system.used_ids.insert(id.compact());
-                (peer, id)
+                let peer = system.net.add_peer();
+                (peer, fresh_id(&mut system.rng, |id| used.insert(id)))
             })
             .collect();
         let mut ring = members.clone();
@@ -191,45 +197,20 @@ impl ChordSystem {
         self.nodes.sample(&mut self.rng)
     }
 
-    /// Adds `peer` to the directory and the ring, reserving its ring
-    /// identifier.  The ring and `used_ids` are only written here, in
-    /// [`unregister_node`](Self::unregister_node) and by
-    /// [`bulk_build`](Self::bulk_build), so they stay in lockstep with the
-    /// live nodes even when a join fails after drawing an id.
+    /// Adds `peer` to the directory and the ring.  The ring is only written
+    /// here, in [`unregister_node`](Self::unregister_node) and by
+    /// [`bulk_build`](Self::bulk_build), so it holds exactly the live nodes
+    /// even when a join fails after drawing an id.
     fn register_node(&mut self, peer: PeerId, node: ChordNode) {
         self.ring.insert((peer, node.id));
-        self.used_ids.insert(node.id.compact());
         self.nodes.insert(peer, node);
     }
 
-    /// Removes `peer` from the directory and the ring, releasing its ring
-    /// identifier.
+    /// Removes `peer` from the directory and the ring.
     fn unregister_node(&mut self, peer: PeerId) -> Option<ChordNode> {
         let node = self.nodes.remove(peer)?;
         self.ring.remove(node.id);
-        self.used_ids.remove(&node.id.compact());
         Some(node)
-    }
-
-    /// Draws an unused ring identifier.
-    ///
-    /// Expected O(1): a draw collides with probability `n / 2^32`, so even
-    /// a million-node ring rejects ~0.02% of draws.  The saturation guard
-    /// turns the (astronomically remote) full-circle case into a clean
-    /// panic instead of an unbounded spin, and the draw itself —
-    /// `uniform_u64(0, RING)` — is unchanged from the wide-id substrate so
-    /// every seeded experiment keeps its exact id sequence.
-    fn fresh_id(&mut self) -> ChordId {
-        assert!(
-            (self.used_ids.len() as u64) < RING,
-            "chord identifier circle exhausted"
-        );
-        loop {
-            let raw = self.rng.uniform_u64(0, RING);
-            if !self.used_ids.contains(&(raw as u32)) {
-                return ChordId::new(raw);
-            }
-        }
     }
 
     fn node(&self, peer: PeerId) -> OverlayResult<&ChordNode> {
@@ -271,7 +252,10 @@ impl ChordSystem {
     /// first node).
     pub fn join(&mut self, contact: Option<PeerId>) -> OverlayResult<ChurnCost> {
         let peer = self.net.add_peer();
-        let id = self.fresh_id();
+        let ring = &self.ring;
+        let id = fresh_id(&mut self.rng, |id| {
+            ring.get(ring.rank(id)).is_none_or(|&(_, x)| x != id)
+        });
         let op = self.net.begin_op("chord.join");
 
         let Some(contact) = contact else {
@@ -402,24 +386,16 @@ impl ChordSystem {
     pub fn build_routing_snapshot(&self) -> RoutingSnapshot {
         let mut builder = SnapshotBuilder::new(ExactPlacement::HashedRing, (0, RING));
         builder.reserve(self.node_count(), self.total_items(), 0);
-        let mut targets = [0u32; 1 + M as usize];
-        let mut kinds = [LinkKind::Successor; 1 + M as usize];
         for (slot, &(peer, id)) in self.ring.iter().enumerate() {
             builder.push_slot(peer.0, id.value(), true);
             for (id_value, values) in &self.nodes.get(peer).expect("members have nodes").store {
                 builder.push_item(*id_value, values.len() as u64);
             }
             builder.seal_slot();
-            let fingers = (0..M).map(|k| (self.finger_position(id, k), LinkKind::Finger));
-            let successor = ((slot + 1) % self.ring.len(), LinkKind::Successor);
-            let links = std::iter::once(successor).chain(fingers);
-            // A link to the slot itself is dropped.
-            let mut len = 0;
-            for (target, kind) in links.filter(|&(target, _)| target != slot) {
-                (targets[len], kinds[len]) = (target as u32, kind);
-                len += 1;
+            builder.link(slot, (slot + 1) % self.ring.len(), LinkKind::Successor);
+            for k in 0..M {
+                builder.link(slot, self.finger_position(id, k), LinkKind::Finger);
             }
-            builder.push_link_row(slot, &targets[..len], &kinds[..len]);
             for target in self.replica_positions(slot) {
                 builder.replica(slot, target);
             }
@@ -456,19 +432,16 @@ impl Overlay for ChordSystem {
     /// Approximate resident bytes of per-peer protocol state, modelling
     /// what a real peer holds: [`PEER_STATE_BYTES`] per slot of the node
     /// slab, every node's finger table and key store, the sampling list
-    /// and the live-id set.  The shared network substrate is excluded.
+    /// and a hash set of the live identifiers (an identifier draw's
+    /// collision set).  The shared network substrate is excluded.
     ///
     /// The slab is counted by [`PeerDirectory::slot_count`] — every slot
     /// ever opened, the holes departures leave included — not by its
     /// allocated capacity: amortised doubling overshoots the slots in use
     /// by up to 2×, which would make the figure jump with the growth
     /// schedule rather than with the state the protocol keeps.  The
-    /// live-id hash set is modelled from `len()` (slots at the ~8/7
-    /// load-factor reciprocal), not `capacity()`: after delete/insert churn
-    /// the table's allocated capacity depends on the per-process
-    /// `RandomState` seed (rehash in place vs. grow is decided by where
-    /// hashes land), and this estimate is sampled into deterministic
-    /// scenario time series.
+    /// live-id set is modelled as one 4-byte identifier and a control byte
+    /// per member at the ~8/7 load-factor reciprocal.
     fn estimated_state_bytes(&self) -> u64 {
         let slab = self.nodes.slot_count() as u64 * PEER_STATE_BYTES;
         let heap: u64 = self
@@ -477,7 +450,7 @@ impl Overlay for ChordSystem {
             .map(|node| node.estimated_state_bytes() - PEER_STATE_BYTES)
             .sum();
         let peers = (self.nodes.list_capacity() * std::mem::size_of::<PeerId>()) as u64;
-        let ids = self.used_ids.len() as u64 * (std::mem::size_of::<u32>() as u64 + 1) * 8 / 7;
+        let ids = self.ring.len() as u64 * (std::mem::size_of::<u32>() as u64 + 1) * 8 / 7;
         slab + heap + peers + ids
     }
 
@@ -680,7 +653,7 @@ impl Overlay for ChordSystem {
 
     /// Verifies the ring and the stores: the ring ascends strictly by
     /// identifier and holds exactly the directory's nodes at their
-    /// identifiers, which are exactly the reserved ones, and every stored key
+    /// identifiers, and every stored key
     /// lies in its node's arc (predecessor, node].  Links are reads of the
     /// ring, so they need no check of their own.  Nodes are checked in
     /// peer-id order, so a broken ring reports the same violation on every
@@ -689,15 +662,10 @@ impl Overlay for ChordSystem {
         if let Some(pair) = self.ring.windows(2).find(|pair| pair[0].1 >= pair[1].1) {
             return Err(format!("the ring puts {} before {}", pair[0].1, pair[1].1));
         }
-        let at_home = |&(peer, id): &Member| {
-            self.nodes.get(peer).map(|node| node.id) == Some(id)
-                && self.used_ids.contains(&id.compact())
-        };
+        let at_home = |&(peer, id): &Member| self.nodes.get(peer).map(|node| node.id) == Some(id);
         let n = self.nodes.len();
-        if (self.ring.len(), self.used_ids.len()) != (n, n) || !self.ring.iter().all(at_home) {
-            return Err(format!(
-                "the ring and the reserved ids differ from {n} nodes"
-            ));
+        if self.ring.len() != n || !self.ring.iter().all(at_home) {
+            return Err(format!("the ring differs from the {n} nodes"));
         }
         for (peer, node) in self.nodes.iter() {
             let predecessor = self.ring[self.before(self.ring.rank(node.id))].1;
@@ -722,7 +690,7 @@ mod tests {
 
     /// The position in `ring` of successor(`id`), by binary search: the
     /// reference the ring's bucket index is checked against.
-    fn successor_position(ring: &[Member], id: ChordId) -> usize {
+    fn successor(ring: &[Member], id: ChordId) -> usize {
         ring.partition_point(|&(_, x)| x < id) % ring.len()
     }
 
@@ -872,7 +840,7 @@ mod tests {
     /// when it owns `target`, else go to the highest finger strictly
     /// between the node and `target`.
     fn textbook_hops(ring: &[Member], from: ChordId, target: ChordId) -> u64 {
-        let succ = |id: ChordId| ring[successor_position(ring, id)].1;
+        let succ = |id: ChordId| ring[successor(ring, id)].1;
         let (mut at, mut hops) = (from, 0);
         while at != succ(target) {
             let next = succ(at.finger_start(0));
@@ -894,7 +862,7 @@ mod tests {
         let holders = system.nodes().filter(|&(holder, _)| holder != peer);
         let pairs = holders.flat_map(|(holder, node)| (0..M).map(move |k| (holder, node.id, k)));
         pairs
-            .filter(|&(_, id, k)| ring[successor_position(ring, id.finger_start(k))].0 == peer)
+            .filter(|&(_, id, k)| ring[successor(ring, id.finger_start(k))].0 == peer)
             .map(|(holder, _, k)| (holder, k))
             .collect()
     }
@@ -921,12 +889,10 @@ mod tests {
         }
     }
 
-    /// A random leave, then a random join, each checked against a Chord
-    /// whose peers store their tables: the leave repairs the (holder, k)
-    /// pairs whose finger k was the departed peer, one textbook lookup
-    /// each, and `update_others` notifies one holder per (holder, i) pair
-    /// whose finger i became the joiner.
-    fn checked_leave_and_join(ring: &mut ChordSystem) {
+    /// A random leave, checked against a Chord whose peers store their
+    /// tables: it repairs the (holder, k) pairs whose finger k was the
+    /// departed peer, one textbook lookup each.
+    fn checked_leave(ring: &mut ChordSystem) {
         let before = ring.ring.clone();
         let departed = ring.random_peer().unwrap();
         let stale = fingers_at(ring, &before, departed);
@@ -940,7 +906,11 @@ mod tests {
             2 + hops.sum::<u64>(),
             "{departed} leaves"
         );
+    }
 
+    /// A random join, checked likewise: `update_others` notifies one holder
+    /// per (holder, i) pair whose finger i became the joiner.
+    fn checked_join(ring: &mut ChordSystem) {
         ring.net.set_trace(TraceConfig::new(1));
         ring.join_random().unwrap();
         let trace = ring.net.take_trace().unwrap();
@@ -971,7 +941,8 @@ mod tests {
             assert_eq!(ring.validate(), Ok(()), "seed {seed}, after the build");
             for pair in 0..pairs {
                 if pair % every == 0 {
-                    checked_leave_and_join(&mut ring);
+                    checked_leave(&mut ring);
+                    checked_join(&mut ring);
                 } else {
                     ring.leave_random().unwrap();
                     ring.join_random().unwrap();
@@ -994,13 +965,14 @@ mod tests {
         churn_with_checks(1..=300, 2_000, 500, 20);
     }
 
-    /// Finger `k` of the node at identifier `id`, as the identifier it
-    /// points at.
-    fn finger_of(ring: &ChordSystem, id: u64, k: u32) -> u64 {
-        let (peer, _) = ring
-            .nodes()
-            .find(|(_, n)| n.id == ChordId::new(id))
-            .unwrap();
+    /// The ring of seed `seed` after `n` joins, the last one checked by
+    /// [`checked_join`], with the finger `k` of the node at `id` as the
+    /// identifier it points at.
+    fn finger_after_checked_join(seed: u64, n: usize, id: u64, k: u32) -> u64 {
+        let mut ring = ChordSystem::build(seed, n - 1).unwrap();
+        checked_join(&mut ring);
+        ring.validate().unwrap();
+        let (peer, _) = ring.nodes().find(|(_, n)| n.id.value() == id).unwrap();
         ring.finger(peer, k).unwrap().1.value()
     }
 
@@ -1010,11 +982,9 @@ mod tests {
     /// joiner and stay at the bootstrap node.
     #[test]
     fn bootstrap_fingers_past_the_second_node_stay_at_the_bootstrap() {
-        let ring = ChordSystem::build(1, 2).unwrap();
-        assert_eq!(finger_of(&ring, 1_194_740_970, 29), 1_878_894_370);
-        assert_eq!(finger_of(&ring, 1_194_740_970, 30), 1_194_740_970);
-        assert_eq!(finger_of(&ring, 1_194_740_970, 31), 1_194_740_970);
-        ring.validate().unwrap();
+        let finger = |k| finger_after_checked_join(1, 2, 1_194_740_970, k);
+        assert_eq!(finger(29), 1_878_894_370);
+        assert_eq!([finger(30), finger(31)], [1_194_740_970; 2]);
     }
 
     /// Fault (ii): finger 28 of node 1,592,092,048 sits exactly on its start
@@ -1022,19 +992,18 @@ mod tests {
     /// 659th join of seed 8) lies past it and must not take it over.
     #[test]
     fn a_finger_on_its_start_survives_a_later_joiner() {
-        let ring = ChordSystem::build(8, 659).unwrap();
-        assert_eq!(finger_of(&ring, 1_592_092_048, 28), 1_860_527_504);
-        ring.validate().unwrap();
+        let finger = finger_after_checked_join(8, 659, 1_592_092_048, 28);
+        assert_eq!(finger, 1_860_527_504);
     }
 
     /// Fault (iii): the 831st joiner of seed 263, 188,161,028, lies exactly
     /// `2^3` past node 188,161,020.  The lookup for `id − 2^3` answers that
-    /// node itself, and the walk must start there, not at its predecessor.
+    /// node itself, and the walk must start there, not at its predecessor,
+    /// or the join sends one notification fewer than the check counts.
     #[test]
     fn a_node_exactly_2_to_the_i_before_a_joiner_takes_it_as_finger_i() {
-        let ring = ChordSystem::build(263, 831).unwrap();
-        assert_eq!(finger_of(&ring, 188_161_020, 3), 188_161_028);
-        ring.validate().unwrap();
+        let finger = finger_after_checked_join(263, 831, 188_161_020, 3);
+        assert_eq!(finger, 188_161_028);
     }
 
     #[test]
@@ -1052,10 +1021,9 @@ mod tests {
             ring.ring = Ring::from_sorted(members);
         });
         assert!(misordered.contains("before"));
-        let stray = broken(|ring| {
-            ring.used_ids.insert(7);
-        });
-        assert!(stray.contains("differ"));
+        // A member at identifier 7 whose peer is in no node.
+        let stray = broken(|ring| ring.ring.insert((PeerId(99), ChordId::new(7))));
+        assert!(stray.contains("differs"));
         let misplaced = broken(|ring| {
             let [(from, _), (to, _), ..] = ring.ring[..] else {
                 return;

@@ -143,14 +143,9 @@ pub(crate) struct Exporter {
     work: Work,
 }
 
-/// The O(N) working arrays of an export: `old_slot`, `new_slot` and
-/// `fresh` of [`BatonSystem::export`].
-#[derive(Debug, Default)]
-struct Work {
-    old_slot: Vec<u32>,
-    new_slot: Vec<u32>,
-    fresh: Vec<bool>,
-}
+/// The O(N) working arrays `old_slot`, `new_slot` and `fresh` of
+/// [`BatonSystem::export`].
+type Work = (Vec<u32>, Vec<u32>, Vec<bool>);
 
 /// One export with the slot order that produced it.
 #[derive(Debug)]
@@ -254,7 +249,7 @@ impl BatonSystem {
         let slots = old_order.len() - vacated.len() + appeared.len();
         order.clear();
         make_room(&mut order, slots);
-        let (old_slot, new_slot, fresh) = (&mut work.old_slot, &mut work.new_slot, &mut work.fresh);
+        let (old_slot, new_slot, fresh) = work;
         old_slot.clear();
         make_room(old_slot, slots);
         new_slot.clear();

@@ -170,15 +170,16 @@ fn reference_chord(system: &ChordSystem) -> RoutingSnapshot {
             .collect();
         b.push_slot(*peer, node.id.value(), true, &items);
     }
-    for (slot, (peer, _)) in order.iter().enumerate() {
-        // Finger 0 is the successor.
-        b.link(
-            slot,
-            system.finger(*peer, 0).unwrap().0,
-            LinkKind::Successor,
-        );
+    for (slot, (peer, node)) in order.iter().enumerate() {
+        // Finger k is the first member at or past id + 2^k, wrapping; finger
+        // 0 is the successor.
+        let finger = |k| {
+            let start = node.id.finger_start(k);
+            order[order.partition_point(|(_, n)| n.id < start) % order.len()].0
+        };
+        b.link(slot, finger(0), LinkKind::Successor);
         for k in 0..baton_chord::M {
-            b.link(slot, system.finger(*peer, k).unwrap().0, LinkKind::Finger);
+            b.link(slot, finger(k), LinkKind::Finger);
         }
         b.replicas(slot, system.replica_targets(*peer));
     }
